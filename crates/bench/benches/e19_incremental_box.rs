@@ -1,7 +1,7 @@
 //! Criterion benchmarks for the incremental box-reachability engine
 //! (experiment E19 of DESIGN.md): box-check verdicts/sec on the `max` CRN
-//! sweep — symmetry-orbit skipping, cross-point memoization and packed
-//! exploration versus the E18 analysis-pruned baseline.
+//! sweep — static verdicts, symmetry-orbit skipping, cross-point
+//! memoization and packed exploration versus the reference engine.
 
 use std::time::Duration;
 
@@ -15,10 +15,10 @@ fn configured() -> Criterion {
 }
 
 fn incremental_box_throughput(c: &mut Criterion) {
-    let (incremental_vps, baseline_vps, speedup, identical) = crn_bench::e19_box_check(16, 3);
-    eprintln!("\n[E19] incremental vs analysis-pruned box check (max CRN, bound 16, 1 worker)");
+    let (incremental_vps, reference_vps, speedup, identical) = crn_bench::e19_box_check(16, 3);
+    eprintln!("\n[E19] incremental vs reference box check (max CRN, bound 16, 1 worker)");
     eprintln!(
-        "  {incremental_vps:.1} verdicts/s incremental vs {baseline_vps:.1} baseline, \
+        "  {incremental_vps:.1} verdicts/s incremental vs {reference_vps:.1} reference, \
          speedup {speedup:.1}x, bit-identical={identical}"
     );
     assert!(
@@ -27,15 +27,15 @@ fn incremental_box_throughput(c: &mut Criterion) {
     );
     assert!(
         speedup >= 5.0,
-        "E19 acceptance: incremental engine must be at least 5x the baseline, got {speedup:.1}x"
+        "E19 acceptance: incremental engine must be at least 5x the reference, got {speedup:.1}x"
     );
 
     let mut group = c.benchmark_group("E19_box_check_max_bound16");
     group.bench_function("incremental", |b| {
         b.iter(|| crn_bench::e19_box_incremental(16));
     });
-    group.bench_function("baseline", |b| {
-        b.iter(|| crn_bench::e18_box_pruned(16));
+    group.bench_function("reference", |b| {
+        b.iter(|| crn_bench::e19_box_reference(16));
     });
     group.finish();
 }

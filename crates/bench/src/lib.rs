@@ -20,7 +20,7 @@ use crn_core::spec::{EventuallyMin, ObliviousSpec};
 use crn_core::synthesis::{quilt_crn, synthesize};
 use crn_geometry::Arrangement;
 use crn_model::compose::concatenate;
-use crn_model::{examples, Configuration, FunctionCrn};
+use crn_model::{examples, BoxCheck, Configuration, FunctionCrn};
 use crn_numeric::{NVec, QVec, Rational};
 use crn_popproto::run_pairwise;
 use crn_semilinear::examples as sl;
@@ -291,24 +291,6 @@ pub fn popproto_interactions(sizes: &[u64]) -> Vec<(u64, u64, u64)> {
         .collect()
 }
 
-/// One row of the E13 reachability-engine throughput experiment.
-#[derive(Debug, Clone)]
-pub struct EngineThroughputRow {
-    /// Workload name (CRN and input).
-    pub name: String,
-    /// Distinct configurations explored per verdict.
-    pub reachable: usize,
-    /// Configurations explored per second by the SCC engine (exploration is
-    /// shared by both engines, so this is the raw state-space throughput).
-    pub engine_configs_per_sec: f64,
-    /// Verdicts per second on the SCC engine.
-    pub engine_verdicts_per_sec: f64,
-    /// Verdicts per second on the naive fixpoint oracle (the seed engine).
-    pub naive_verdicts_per_sec: f64,
-    /// `engine_verdicts_per_sec / naive_verdicts_per_sec`.
-    pub speedup: f64,
-}
-
 /// Times `repeats` runs of `work`, returning (seconds, last result).
 fn time_repeats<T>(repeats: u32, mut work: impl FnMut() -> T) -> (f64, T) {
     assert!(repeats > 0);
@@ -318,113 +300,6 @@ fn time_repeats<T>(repeats: u32, mut work: impl FnMut() -> T) -> (f64, T) {
         last = work();
     }
     (start.elapsed().as_secs_f64().max(1e-12), last)
-}
-
-/// E13: single-input verdict throughput of the SCC reachability engine versus
-/// the naive fixpoint oracle on the Figure 1 CRNs.
-#[must_use]
-pub fn e13_engine_throughput(repeats: u32) -> Vec<EngineThroughputRow> {
-    let cases: Vec<(String, FunctionCrn, NVec, u64)> = vec![
-        (
-            "double (X -> 2Y), x=48".into(),
-            examples::double_crn(),
-            NVec::from(vec![48]),
-            96,
-        ),
-        (
-            "min (X1+X2 -> Y), x=(14,14)".into(),
-            examples::min_crn(),
-            NVec::from(vec![14, 14]),
-            14,
-        ),
-        (
-            "max (4 reactions), x=(7,7)".into(),
-            examples::max_crn(),
-            NVec::from(vec![7, 7]),
-            7,
-        ),
-    ];
-    cases
-        .into_iter()
-        .map(|(name, crn, x, expected)| {
-            let (engine_secs, verdict) = time_repeats(repeats, || {
-                crn_model::check_stable_computation(&crn, &x, expected, 1_000_000).expect("fits")
-            });
-            let (naive_secs, naive_verdict) = time_repeats(repeats, || {
-                crn_model::reachability::oracle::check_stable_computation_naive(
-                    &crn, &x, expected, 1_000_000,
-                )
-                .expect("fits")
-            });
-            assert_eq!(verdict, naive_verdict, "engines disagree on {name}");
-            let reachable = verdict.reachable_configurations;
-            let per_verdict = engine_secs / f64::from(repeats);
-            EngineThroughputRow {
-                name,
-                reachable,
-                engine_configs_per_sec: reachable as f64 / per_verdict,
-                engine_verdicts_per_sec: f64::from(repeats) / engine_secs,
-                naive_verdicts_per_sec: f64::from(repeats) / naive_secs,
-                speedup: naive_secs / engine_secs,
-            }
-        })
-        .collect()
-}
-
-/// The E13 headline workload on the SCC engine: `check_on_box` for the `max`
-/// CRN against `max(x1, x2)` on the box `[0, bound]^2`.  Pinned to a single
-/// worker so the measured speedup over the (sequential) oracle is purely
-/// algorithmic and reproduces on any core count; multi-core sharding adds on
-/// top of it.
-#[must_use]
-pub fn e13_box_engine(bound: u64) -> Option<crn_model::StableComputationVerdict> {
-    crn_model::check_on_box_with_workers(
-        &examples::max_crn(),
-        |x| x[0].max(x[1]),
-        bound,
-        1_000_000,
-        1,
-    )
-    .expect("fits")
-}
-
-/// The E13 headline workload on the naive fixpoint oracle (the seed engine).
-#[must_use]
-pub fn e13_box_naive(bound: u64) -> Option<crn_model::StableComputationVerdict> {
-    crn_model::reachability::oracle::check_on_box_naive(
-        &examples::max_crn(),
-        |x| x[0].max(x[1]),
-        bound,
-        1_000_000,
-    )
-    .expect("fits")
-}
-
-/// E13 headline measurement: verdicts/sec for the `max` CRN box check on both
-/// engines.  Returns `(engine_verdicts_per_sec, naive_verdicts_per_sec,
-/// speedup, results_identical)`.  The verdict count assumes the full
-/// `(bound + 1)^2` box is scanned, which holds because the `max` CRN passes
-/// on every input (enforced below — a failing workload would early-exit and
-/// inflate the rate).
-///
-/// # Panics
-///
-/// Panics if the `max` CRN unexpectedly fails somewhere in the box.
-#[must_use]
-pub fn e13_box_check(bound: u64, repeats: u32) -> (f64, f64, f64, bool) {
-    let verdicts = f64::from(repeats) * ((bound + 1) * (bound + 1)) as f64;
-    let (engine_secs, engine_result) = time_repeats(repeats, || e13_box_engine(bound));
-    let (naive_secs, naive_result) = time_repeats(repeats, || e13_box_naive(bound));
-    assert!(
-        engine_result.is_none(),
-        "the max CRN must pass the whole box for the verdict count to be exact"
-    );
-    (
-        verdicts / engine_secs,
-        verdicts / naive_secs,
-        naive_secs / engine_secs,
-        engine_result == naive_result,
-    )
 }
 
 /// The E17 query sweep with the invariant oracle: for every `(x1, x2)` in
@@ -487,92 +362,31 @@ pub fn e17_box_check(bound: u64, repeats: u32) -> (f64, f64, f64, bool) {
     )
 }
 
-/// The E18 headline workload: the analysis-pruned box check (static
-/// interval verdicts plus direct-indexed exploration) of the `max` CRN
-/// against `max(x1, x2)` on `[0, bound]^2`.  Pinned to one worker so the
-/// measured speedup over the reference engine is purely algorithmic.
-/// Runs the *baseline* engine — the analysis-pruned scan without the
-/// incremental layers — so the E18 measurement keeps comparing exactly the
-/// engines it always did; the incremental engine on top of it is E19.
-#[must_use]
-pub fn e18_box_pruned(bound: u64) -> Option<crn_model::StableComputationVerdict> {
-    crn_model::check_on_box_baseline_with_workers(
-        &examples::max_crn(),
-        |x| x[0].max(x[1]),
-        bound,
-        1_000_000,
-        1,
-    )
-    .expect("fits")
-}
-
-/// The E18 baseline: the same box on the unpruned reference engine (hash
-/// interning, no static verdicts) — the PR 6 behaviour.
-#[must_use]
-pub fn e18_box_reference(bound: u64) -> Option<crn_model::StableComputationVerdict> {
-    crn_model::check_on_box_reference_with_workers(
-        &examples::max_crn(),
-        |x| x[0].max(x[1]),
-        bound,
-        1_000_000,
-        1,
-    )
-    .expect("fits")
-}
-
-/// E18 headline measurement: verdicts/sec for the `max` CRN box check on the
-/// analysis-pruned engine versus the unpruned reference.  Returns
-/// `(pruned_verdicts_per_sec, reference_verdicts_per_sec, speedup,
-/// results_identical)`.  As in E13, the verdict count assumes the full
-/// `(bound + 1)^2` box is scanned, which holds because the `max` CRN passes
-/// everywhere.
-///
-/// # Panics
-///
-/// Panics if the `max` CRN unexpectedly fails somewhere in the box.
-#[must_use]
-pub fn e18_box_check(bound: u64, repeats: u32) -> (f64, f64, f64, bool) {
-    let verdicts = f64::from(repeats) * ((bound + 1) * (bound + 1)) as f64;
-    // One unmeasured pass each, so first-call page faults and lazy buffer
-    // growth are not billed to either engine.
-    let _ = e18_box_pruned(bound);
-    let _ = e18_box_reference(bound);
-    let (pruned_secs, pruned_result) = time_repeats(repeats, || e18_box_pruned(bound));
-    let (reference_secs, reference_result) = time_repeats(repeats, || e18_box_reference(bound));
-    assert!(
-        pruned_result.is_none(),
-        "the max CRN must pass the whole box for the verdict count to be exact"
-    );
-    (
-        verdicts / pruned_secs,
-        verdicts / reference_secs,
-        reference_secs / pruned_secs,
-        pruned_result == reference_result,
-    )
-}
-
-/// The E19 headline workload: the incremental box check (symmetry orbits,
-/// cross-point memoization, packed exploration) of the `max` CRN against
-/// `max(x1, x2)` on `[0, bound]^2`.  Pinned to one worker so the measured
-/// speedup over the E18 baseline is purely algorithmic.
+/// The E19 headline workload: the incremental box check (static verdicts,
+/// symmetry orbits, cross-point memoization, packed exploration) of the
+/// `max` CRN against `max(x1, x2)` on `[0, bound]^2`.  Pinned to one worker
+/// so the measured speedup over the reference engine is purely algorithmic.
 #[must_use]
 pub fn e19_box_incremental(bound: u64) -> Option<crn_model::StableComputationVerdict> {
-    crn_model::check_on_box_with_workers(
-        &examples::max_crn(),
-        |x| x[0].max(x[1]),
-        bound,
-        1_000_000,
-        1,
-    )
-    .expect("fits")
+    let max = examples::max_crn();
+    let sweep = BoxCheck::new(&max, |x| x[0].max(x[1]), bound, 1_000_000);
+    sweep.workers(1).run().0.expect("fits")
+}
+
+/// The E19 baseline: the same box on the reference engine (hash interning,
+/// a full verdict at every point, no static analysis), on one worker.
+#[must_use]
+pub fn e19_box_reference(bound: u64) -> Option<crn_model::StableComputationVerdict> {
+    let max = examples::max_crn();
+    let sweep = BoxCheck::new(&max, |x| x[0].max(x[1]), bound, 1_000_000);
+    sweep.reference().workers(1).run().0.expect("fits")
 }
 
 /// E19 headline measurement: verdicts/sec for the `max` CRN box check on the
-/// incremental engine versus the E18 analysis-pruned baseline.  Returns
-/// `(incremental_verdicts_per_sec, baseline_verdicts_per_sec, speedup,
-/// results_identical)`.  As in E18, the verdict count assumes the full
-/// `(bound + 1)^2` box is scanned, which holds because the `max` CRN passes
-/// everywhere.
+/// incremental engine versus the reference engine.  Returns
+/// `(incremental_verdicts_per_sec, reference_verdicts_per_sec, speedup,
+/// results_identical)`.  The verdict count assumes the full `(bound + 1)^2`
+/// box is scanned, which holds because the `max` CRN passes everywhere.
 ///
 /// # Panics
 ///
@@ -583,19 +397,19 @@ pub fn e19_box_check(bound: u64, repeats: u32) -> (f64, f64, f64, bool) {
     // One unmeasured pass each, so first-call page faults and lazy buffer
     // growth are not billed to either engine.
     let _ = e19_box_incremental(bound);
-    let _ = e18_box_pruned(bound);
+    let _ = e19_box_reference(bound);
     let (incremental_secs, incremental_result) =
         time_repeats(repeats, || e19_box_incremental(bound));
-    let (baseline_secs, baseline_result) = time_repeats(repeats, || e18_box_pruned(bound));
+    let (reference_secs, reference_result) = time_repeats(repeats, || e19_box_reference(bound));
     assert!(
         incremental_result.is_none(),
         "the max CRN must pass the whole box for the verdict count to be exact"
     );
     (
         verdicts / incremental_secs,
-        verdicts / baseline_secs,
-        baseline_secs / incremental_secs,
-        incremental_result == baseline_result,
+        verdicts / reference_secs,
+        reference_secs / incremental_secs,
+        incremental_result == reference_result,
     )
 }
 
@@ -1024,19 +838,6 @@ mod tests {
     }
 
     #[test]
-    fn e13_rows_agree_and_report_positive_throughput() {
-        let rows = e13_engine_throughput(2);
-        assert_eq!(rows.len(), 3);
-        for row in &rows {
-            assert!(row.reachable > 0, "{}: explored nothing", row.name);
-            assert!(row.engine_configs_per_sec > 0.0);
-            assert!(row.engine_verdicts_per_sec > 0.0);
-            assert!(row.naive_verdicts_per_sec > 0.0);
-            assert!(row.speedup > 0.0);
-        }
-    }
-
-    #[test]
     fn e17_oracle_and_exhaustive_verdicts_are_bit_identical() {
         let verdicts = e17_box_oracle(2);
         // Only the origin query (target {Y: 0}, all counts zero besides the
@@ -1051,54 +852,19 @@ mod tests {
     }
 
     #[test]
-    fn e13_box_check_engines_are_bit_identical() {
-        let (engine_vps, naive_vps, speedup, identical) = e13_box_check(2, 1);
-        assert!(identical, "box-check verdicts diverged");
-        assert!(engine_vps > 0.0 && naive_vps > 0.0 && speedup > 0.0);
-        // Both engines also agree on a *failing* box: min does not compute max.
-        let min = examples::min_crn();
-        let fast = crn_model::check_on_box(&min, |x| x[0].max(x[1]), 2, 100_000).unwrap();
-        let slow = crn_model::reachability::oracle::check_on_box_naive(
-            &min,
-            |x| x[0].max(x[1]),
-            2,
-            100_000,
-        )
-        .unwrap();
-        assert_eq!(fast, slow);
-        assert!(fast.unwrap().input == crn_numeric::NVec::from(vec![0, 1]));
-    }
-
-    #[test]
-    fn e18_box_check_engines_are_bit_identical() {
-        let (pruned_vps, reference_vps, speedup, identical) = e18_box_check(2, 1);
-        assert!(identical, "pruned and reference box verdicts diverged");
-        assert!(pruned_vps > 0.0 && reference_vps > 0.0 && speedup > 0.0);
-        // And on a failing box the pruned scan picks the same first failure.
-        let min = examples::min_crn();
-        let pruned =
-            crn_model::check_on_box_with_workers(&min, |x| x[0].max(x[1]), 2, 100_000, 1).unwrap();
-        let reference =
-            crn_model::check_on_box_reference_with_workers(&min, |x| x[0].max(x[1]), 2, 100_000, 1)
-                .unwrap();
-        assert_eq!(pruned, reference);
-    }
-
-    #[test]
     fn e19_box_check_engines_are_bit_identical() {
-        let (incremental_vps, baseline_vps, speedup, identical) = e19_box_check(2, 1);
-        assert!(identical, "incremental and baseline box verdicts diverged");
-        assert!(incremental_vps > 0.0 && baseline_vps > 0.0 && speedup > 0.0);
+        let (incremental_vps, reference_vps, speedup, identical) = e19_box_check(2, 1);
+        assert!(identical, "incremental and reference box verdicts diverged");
+        assert!(incremental_vps > 0.0 && reference_vps > 0.0 && speedup > 0.0);
         // And on a failing box the incremental scan picks the same first
         // failure, byte for byte — through the symmetry-replay path (min is
         // input-symmetric, so the box is orbit-reduced).
         let min = examples::min_crn();
-        let incremental =
-            crn_model::check_on_box_with_workers(&min, |x| x[0].max(x[1]), 2, 100_000, 1).unwrap();
-        let baseline =
-            crn_model::check_on_box_baseline_with_workers(&min, |x| x[0].max(x[1]), 2, 100_000, 1)
-                .unwrap();
-        assert_eq!(incremental, baseline);
+        let sweep = BoxCheck::new(&min, |x| x[0].max(x[1]), 2, 100_000).workers(1);
+        let incremental = sweep.run().0.unwrap();
+        let reference = sweep.reference().run().0.unwrap();
+        assert_eq!(incremental, reference);
+        assert_eq!(incremental.unwrap().input, NVec::from(vec![0, 1]));
     }
 
     #[test]

@@ -1,10 +1,6 @@
 //! `crn verify`: reachability-based verification of `computes` claims.
 
-use crn_model::reachability::oracle::{check_on_box_naive, check_on_box_naive_stats};
-use crn_model::{
-    check_on_box, check_on_box_baseline, check_on_box_baseline_stats, check_on_box_reference,
-    check_on_box_reference_stats, check_on_box_stats, BoxCheckStats,
-};
+use crn_model::{BoxCheck, BoxCheckStats};
 use crn_sim::runner::spot_check_on_box;
 
 use crate::args::Args;
@@ -12,8 +8,8 @@ use crate::commands::{load_or_usage, resolve_target, usage_error, EXIT_OK, EXIT_
 use crate::json::Json;
 
 /// Runs `crn verify <file> [--item NAME] [--bound N] [--max-configs N]
-/// [--engine incremental|baseline|reference|seed] [--stats] [--spot]
-/// [--max-steps N] [--seed S] [--json] [--deny-warnings]`.
+/// [--engine incremental|reference] [--stats] [--spot] [--max-steps N]
+/// [--seed S] [--json] [--deny-warnings]`.
 ///
 /// For each `crn` item with a `computes` link (or the named one), checks
 /// stable computation of the linked function on every input of
@@ -22,20 +18,20 @@ use crate::json::Json;
 /// space outgrows `--max-configs`).
 ///
 /// `--engine` selects the exhaustive backend: `incremental` (default) runs
-/// the incremental box engine (symmetry orbits, cross-point memoization),
-/// `baseline` (alias `pruned`) the analysis-pruned engine without the
-/// incremental layers, `reference` the unpruned hash-interned engine and
-/// `seed` the naive fixpoint oracle — all must produce identical verdicts,
-/// which the CI corpus smoke step cross-checks.  `--engine` is meaningless
-/// under `--spot` and refused there.
+/// the incremental box engine (static verdicts, symmetry orbits, cross-point
+/// memoization, routed decision passes), `reference` the unpruned
+/// hash-interned engine that builds a full verdict at every point — both
+/// must produce identical verdicts, which the CI corpus smoke step
+/// cross-checks.  `--engine` is meaningless under `--spot` and refused
+/// there.
 ///
 /// `--stats` prints one line of engine counters per verified item to stderr
 /// as JSON — points checked versus statically decided, cache-served or
 /// symmetry-replayed, cache hit rate, explored configurations — and, with
-/// `--json`, attaches the same object to the item's report.  Every exhaustive
-/// engine supports it; counters a backend does not track (e.g. the seed
-/// oracle's cache fields) simply stay zero.  It is refused under `--spot`,
-/// which never runs a box sweep.
+/// `--json`, attaches the same object to the item's report.  Both engines
+/// support it; counters the reference engine does not track (symmetry,
+/// static and cache fields) stay zero.  It is refused under `--spot`, which
+/// never runs a box sweep.
 ///
 /// Structural lint findings on the verified items are echoed to stderr in
 /// short form (stdout carries the verdicts); with `--deny-warnings` any
@@ -73,12 +69,9 @@ pub fn run(raw: &[String]) -> i32 {
         }
     };
     let engine = args.value("engine").unwrap_or("incremental");
-    if !matches!(
-        engine,
-        "incremental" | "baseline" | "pruned" | "reference" | "seed"
-    ) {
+    if !matches!(engine, "incremental" | "reference") {
         return usage_error(&format!(
-            "unknown engine `{engine}`; expected `incremental`, `baseline`, `reference` or `seed`"
+            "unknown engine `{engine}`; expected `incremental` or `reference`"
         ));
     }
     if args.value("engine").is_some() && args.switch("spot") {
@@ -193,32 +186,17 @@ pub fn run(raw: &[String]) -> i32 {
                 }
             }
         } else {
-            // All backends share one verdict contract; the stdout success
+            // Both engines share one verdict contract; the stdout success
             // line is engine-independent on purpose, so CI can diff the
-            // incremental run against the other engines byte for byte.
-            let outcome = if args.switch("stats") {
-                let (outcome, sweep_stats) = match engine {
-                    "reference" => {
-                        check_on_box_reference_stats(&lowered.crn, eval, bound, max_configs)
-                    }
-                    "seed" => check_on_box_naive_stats(&lowered.crn, eval, bound, max_configs),
-                    "baseline" | "pruned" => {
-                        check_on_box_baseline_stats(&lowered.crn, eval, bound, max_configs)
-                    }
-                    _ => check_on_box_stats(&lowered.crn, eval, bound, max_configs),
-                };
+            // incremental run against the reference engine byte for byte.
+            let mut sweep = BoxCheck::new(&lowered.crn, eval, bound, max_configs);
+            if engine == "reference" {
+                sweep = sweep.reference();
+            }
+            let (outcome, sweep_stats) = sweep.run();
+            if args.switch("stats") {
                 stats = Some(sweep_stats);
-                outcome
-            } else {
-                match engine {
-                    "reference" => check_on_box_reference(&lowered.crn, eval, bound, max_configs),
-                    "seed" => check_on_box_naive(&lowered.crn, eval, bound, max_configs),
-                    "baseline" | "pruned" => {
-                        check_on_box_baseline(&lowered.crn, eval, bound, max_configs)
-                    }
-                    _ => check_on_box(&lowered.crn, eval, bound, max_configs),
-                }
-            };
+            }
             if let Some(sweep_stats) = &stats {
                 // One self-contained JSON line per item on stderr, so stdout
                 // stays byte-comparable across engines.

@@ -64,7 +64,7 @@ COMMANDS:
   verify <file>          check `computes` links by exhaustive reachability;
                          lint warnings go to stderr
                          [--item NAME] [--bound N=4] [--max-configs N=200000]
-                         [--engine pruned|reference|seed] [--stats] [--spot]
+                         [--engine incremental|reference] [--stats] [--spot]
                          [--max-steps N=1000000] [--seed S=7] [--json]
                          [--deny-warnings]
   sim <file>             Gillespie ensemble simulation; lint warnings go to

@@ -262,10 +262,10 @@ crn max {
 fn verify_engines_agree_and_honor_deny_warnings() {
     let path = scratch("engines.crn", WARNING_DOC);
     let path = path.to_str().unwrap();
-    // Every exhaustive backend passes with byte-identical stdout, and the
-    // C003 finding lands on stderr without touching the exit code.
+    // Both exhaustive engines pass with byte-identical stdout, and the C003
+    // finding lands on stderr without touching the exit code.
     let mut stdouts = Vec::new();
-    for engine in ["incremental", "baseline", "pruned", "reference", "seed"] {
+    for engine in ["incremental", "reference"] {
         let (code, stdout, stderr) = run_crn(&["verify", path, "--bound", "3", "--engine", engine]);
         assert_eq!(code, 0, "--engine {engine}\n{stdout}\n{stderr}");
         assert!(stderr.contains("warning[C003]"), "{stderr}");
@@ -279,10 +279,13 @@ fn verify_engines_agree_and_honor_deny_warnings() {
     let (code, stdout, stderr) = run_crn(&["verify", path, "--bound", "3", "--deny-warnings"]);
     assert_eq!(code, 1, "{stdout}\n{stderr}");
     assert!(stdout.contains("ok (exhaustive)"), "{stdout}");
-    // An unknown engine and --engine under --spot are usage errors.
-    let (code, _, _) = run_crn(&["verify", path, "--engine", "frobnicate"]);
-    assert_eq!(code, 2);
-    let (code, _, _) = run_crn(&["verify", path, "--spot", "--engine", "seed"]);
+    // An unknown engine — including the retired ones — and --engine under
+    // --spot are usage errors.
+    for engine in ["frobnicate", "baseline", "pruned", "seed"] {
+        let (code, _, _) = run_crn(&["verify", path, "--engine", engine]);
+        assert_eq!(code, 2, "--engine {engine}");
+    }
+    let (code, _, _) = run_crn(&["verify", path, "--spot", "--engine", "reference"]);
     assert_eq!(code, 2);
 }
 
@@ -305,11 +308,26 @@ fn verify_stats_reports_engine_counters() {
     let (code, stdout, _) = run_crn(&["verify", path, "--bound", "3", "--stats", "--json"]);
     assert_eq!(code, 0, "{stdout}");
     assert!(stdout.contains("\"stats\":{\"points\":16"), "{stdout}");
-    // Every exhaustive backend reports its counters (ones it does not track
-    // stay zero); only the spot checker has no box sweep to describe.
-    let (code, _, stderr) = run_crn(&["verify", path, "--stats", "--engine", "reference"]);
+    // The reference engine reports its counters too (the ones it does not
+    // track stay zero): it checks all 16 points in full, 203 configurations
+    // in total.  Only the spot checker has no box sweep to describe.
+    let (code, _, stderr) = run_crn(&[
+        "verify",
+        path,
+        "--bound",
+        "3",
+        "--stats",
+        "--engine",
+        "reference",
+    ]);
     assert_eq!(code, 0, "{stderr}");
-    assert!(stderr.contains("\"symmetry_skipped\":0"), "{stderr}");
+    for counter in [
+        "\"symmetry_skipped\":0",
+        "\"decided\":16",
+        "\"configs_explored\":203",
+    ] {
+        assert!(stderr.contains(counter), "{counter}: {stderr}");
+    }
     let (code, _, _) = run_crn(&["verify", path, "--stats", "--spot"]);
     assert_eq!(code, 2);
 }

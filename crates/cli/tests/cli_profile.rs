@@ -127,7 +127,7 @@ fn profile_table_comes_after_every_lint_warning() {
 #[test]
 fn stats_works_under_every_exhaustive_engine() {
     let path = scratch("profile_stats.crn", DOUBLE_DOC);
-    for engine in ["incremental", "baseline", "pruned", "reference", "seed"] {
+    for engine in ["incremental", "reference"] {
         let (code, _, stderr) = run_crn(&[
             "verify", &path, "--bound", "3", "--engine", engine, "--stats",
         ]);
@@ -143,6 +143,13 @@ fn stats_works_under_every_exhaustive_engine() {
             stderr.contains("\"publish_suppressed\":"),
             "--engine {engine} stats lack publish_suppressed:\n{stderr}"
         );
+    }
+    // The retired engines are usage errors, with or without `--stats`.
+    for engine in ["baseline", "pruned", "seed"] {
+        let (code, _, stderr) = run_crn(&[
+            "verify", &path, "--bound", "3", "--engine", engine, "--stats",
+        ]);
+        assert_eq!(code, 2, "--engine {engine} must be refused:\n{stderr}");
     }
     // `--spot` never runs a box sweep, so `--stats` stays a usage error there.
     let (code, _, stderr) = run_crn(&["verify", &path, "--bound", "3", "--spot", "--stats"]);

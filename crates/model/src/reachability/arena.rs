@@ -58,6 +58,12 @@ pub(crate) struct ConfigArena {
     grows: u64,
 }
 
+impl Default for ConfigArena {
+    fn default() -> Self {
+        ConfigArena::new(0)
+    }
+}
+
 impl ConfigArena {
     /// Creates an empty arena for count vectors of length `stride`.
     pub(crate) fn new(stride: usize) -> Self {

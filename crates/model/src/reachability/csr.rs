@@ -7,22 +7,24 @@
 //! (duplicate edges are filtered with an O(1) stamp check during the build).
 
 /// A forward-star (CSR) successor graph over dense node ids.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CsrGraph {
     /// `offsets[i]..offsets[i + 1]` indexes the successors of node `i`.
     offsets: Vec<usize>,
     targets: Vec<usize>,
 }
 
-impl CsrGraph {
-    /// Creates an empty graph ready to receive node 0's edges.
-    pub(crate) fn new() -> Self {
+impl Default for CsrGraph {
+    /// An empty graph ready to receive node 0's edges.
+    fn default() -> Self {
         CsrGraph {
             offsets: vec![0],
             targets: Vec::new(),
         }
     }
+}
 
+impl CsrGraph {
     /// Empties the graph for a fresh build, keeping both allocations.
     pub(crate) fn reset(&mut self) {
         self.offsets.clear();
@@ -67,7 +69,7 @@ mod tests {
     /// Builds a CSR graph from per-node adjacency lists, the way `explore`
     /// does: edges of node `i` are pushed while node `i` is being expanded.
     fn from_adjacency(adj: &[&[usize]]) -> CsrGraph {
-        let mut g = CsrGraph::new();
+        let mut g = CsrGraph::default();
         for succs in adj {
             for &t in *succs {
                 g.push_edge(t);

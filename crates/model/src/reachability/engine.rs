@@ -1,16 +1,32 @@
-//! The breadth-first exploration core and the reusable verdict engine.
+//! State codecs, visitors, and the two traversals that drive them.
 //!
-//! [`ExploreState`] is the single implementation of bounded BFS over dense
-//! configurations; [`ReachabilityGraph::explore`] runs it once and takes the
-//! arena and CSR structure, while [`VerdictEngine`] keeps the state (plus the
-//! compiled reactions and Tarjan scratch) alive so that checking a whole box
-//! of inputs performs only a handful of allocations per verdict instead of
-//! rebuilding every data structure from scratch.
+//! Every exploration of the engine is one of two generic, monomorphized
+//! traversals over a state [`Codec`]:
 //!
-//! [`ReachabilityGraph::explore`]: super::ReachabilityGraph::explore
+//! * [`bfs`] — breadth-first, node ids in discovery order.  Its visitors
+//!   are [`CsrBuilder`] (the successor graph behind full verdicts and
+//!   [`ReachabilityGraph`]) and [`TerminalScan`] (the decision for
+//!   certified-acyclic CRNs, whose sinks are exactly the terminal
+//!   configurations).
+//! * [`dfs`] — depth-first with Tarjan's algorithm inline.  Its visitors
+//!   fold each strongly connected component as it pops: [`RecoverFold`]
+//!   (closure max/min output and recoverability) and [`MemoFold`] (the
+//!   cross-point summaries, with cache hits as virtual children).
+//!
+//! The codecs differ only in how a configuration is stored and
+//! deduplicated: [`Hash`] interns count vectors, [`Direct`] keys them by a
+//! mixed-radix code over a proven interval box, and [`Packed`] holds a
+//! whole configuration in one byte-packed word, deduplicated by a dense
+//! visited table or a hashed code index.  [`VerdictEngine::decide`] picks
+//! the codec × visitor pair of each point through [`route`].  The traversals
+//! stay out of line, one function per pair, so each hot loop is compiled on
+//! its own.
+//!
+//! [`ReachabilityGraph`]: super::ReachabilityGraph
 
 use crn_sync::Arc;
 use std::collections::HashMap;
+use std::mem;
 
 use crn_numeric::NVec;
 
@@ -18,7 +34,7 @@ use crate::analysis::{
     conservation_basis, nonnegative_t_semiflows, t_invariant_basis, ConservationLaw,
     CountIntervals, Liveness, SpeciesBounds, Stoichiometry, FARKAS_ROW_CAP,
 };
-use crate::compiled::CompiledCrn;
+use crate::compiled::{CompiledCrn, CompiledReaction};
 use crate::error::CrnError;
 use crate::function::FunctionCrn;
 
@@ -27,7 +43,7 @@ use super::csr::CsrGraph;
 use super::memo::{MemoCache, SetId, SharedLog, Summary, EMPTY_SET};
 use super::scc::Condensation;
 use super::symmetry;
-use super::{BoxCheckStats, ReachabilityLimits, StableComputationVerdict};
+use super::{BoxCheckStats, StableComputationVerdict};
 
 /// Largest interval-box volume for which the engine switches from hash
 /// interning to the mixed-radix code index.  The only hard requirement is
@@ -71,11 +87,10 @@ pub(super) struct DirectSpec {
 }
 
 impl DirectSpec {
-    /// Builds the encoding when the box is finite and at most `cap`
-    /// configurations; `None` otherwise.
-    fn build(intervals: &CountIntervals, compiled: &CompiledCrn, cap: u128) -> Option<DirectSpec> {
-        let volume = intervals.state_space()?;
-        if volume > cap {
+    /// Builds the encoding when the box is finite and at most
+    /// [`DIRECT_INDEX_CAP`] configurations; `None` otherwise.
+    fn build(intervals: &CountIntervals, compiled: &CompiledCrn) -> Option<DirectSpec> {
+        if intervals.state_space()? > DIRECT_INDEX_CAP {
             return None;
         }
         let n = intervals.len();
@@ -158,58 +173,47 @@ pub(super) struct PackedSpec {
     /// Per-reaction dense-code deltas in two's complement — firing reaction
     /// `r` moves the dense code by one `wrapping_add`.
     dense_deltas: Vec<u64>,
-    /// Hull volume (the dense-code range); `0` disables the dense path.
+    /// Hull volume (the dense-code range); `0` disables the dense codec.
     dense_volume: usize,
 }
 
-/// Largest hull volume the packed pass tracks with a dense visited-stamp
+/// Largest hull volume the packed codec tracks with a dense visited-stamp
 /// table (u32 stamps, so 8 MiB of reusable scratch at the cap); bigger
 /// hulls fall back to the hashed [`CodeIndex`].
 const DENSE_VISITED_CAP: usize = 1 << 21;
 
-/// Marks one species per independent conservation law — the pivot columns
-/// of the law basis in row-echelon form.  Within a single exploration every
-/// law's value is fixed by the start configuration, and pivot columns of an
-/// echelon form are linearly independent, so any two configurations on the
-/// same law coset that agree on every *non*-pivot species are equal: the
-/// dense dedup code may drop the pivot species and stay injective on each
-/// reachable set.  Overflow of the fraction-free elimination conservatively
-/// returns the empty mark set (no projection).
-fn law_pivot_species(laws: &[ConservationLaw], stride: usize) -> Vec<bool> {
-    let mut rows: Vec<Vec<i128>> = laws
-        .iter()
-        .map(|law| (0..stride).map(|s| law.weight(s)).collect())
-        .collect();
-    let mut pivot = vec![false; stride];
-    let mut rank = 0usize;
-    for col in 0..stride {
+/// The weights of `laws` on the species `cols`, one row per law.
+fn law_matrix(laws: &[ConservationLaw], cols: &[usize]) -> Vec<Vec<i128>> {
+    laws.iter()
+        .map(|law| cols.iter().map(|&s| law.weight(s)).collect())
+        .collect()
+}
+
+/// The pivot columns of `rows` in row-echelon form, by fraction-free `i128`
+/// elimination, or `None` when the elimination overflows.  The pivot
+/// columns are linearly independent and their count is the rank.
+fn echelon_pivots(mut rows: Vec<Vec<i128>>) -> Option<Vec<usize>> {
+    let cols = rows.first().map_or(0, Vec::len);
+    let mut pivots = Vec::new();
+    for col in 0..cols {
+        let rank = pivots.len();
         let Some(p) = (rank..rows.len()).find(|&r| rows[r][col] != 0) else {
             continue;
         };
         rows.swap(rank, p);
         let (head, rest) = rows.split_at_mut(rank + 1);
         let pivot_row = &head[rank];
-        for row in rest.iter_mut() {
-            if row[col] == 0 {
-                continue;
-            }
+        for row in rest.iter_mut().filter(|row| row[col] != 0) {
             let (pv, q) = (pivot_row[col], row[col]);
-            for j in 0..stride {
-                let (Some(scaled), Some(elim)) =
-                    (row[j].checked_mul(pv), pivot_row[j].checked_mul(q))
-                else {
-                    return vec![false; stride];
-                };
-                let Some(diff) = scaled.checked_sub(elim) else {
-                    return vec![false; stride];
-                };
-                row[j] = diff;
+            for j in 0..cols {
+                row[j] = row[j]
+                    .checked_mul(pv)?
+                    .checked_sub(pivot_row[j].checked_mul(q)?)?;
             }
         }
-        pivot[col] = true;
-        rank += 1;
+        pivots.push(col);
     }
-    pivot
+    Some(pivots)
 }
 
 impl PackedSpec {
@@ -222,38 +226,31 @@ impl PackedSpec {
         stride: usize,
         out_idx: usize,
     ) -> Option<PackedSpec> {
-        if stride > 8 {
+        if stride > 8 || (0..stride).any(|s| hull.upper(s).map_or(true, |u| u > 127)) {
             return None;
         }
-        for s in 0..stride {
-            if hull.upper(s).map_or(true, |u| u > 127) {
-                return None;
-            }
-        }
         // Dense hull code: place values over radix `upper + 1` for the
-        // non-pivot species (law pivots are determined by the rest within
-        // one exploration), kept only when the total volume fits the stamp
-        // table.
-        let dropped = law_pivot_species(laws, stride);
+        // species that are not law pivots, kept only when the volume fits
+        // the stamp table.  Within one exploration every law's value is
+        // fixed by the start, and the pivots are linearly independent, so
+        // two configurations of one reachable set that agree off the pivots
+        // are equal: dropping the pivots keeps the code injective.  An
+        // overflowing elimination projects nothing.
+        let all: Vec<usize> = (0..stride).collect();
+        let pivots = echelon_pivots(law_matrix(laws, &all)).unwrap_or_default();
         let mut dense_place = vec![0u64; stride];
         let mut volume = 1usize;
-        for s in 0..stride {
-            if dropped[s] {
-                continue;
-            }
+        for s in (0..stride).filter(|s| !pivots.contains(s)) {
             dense_place[s] = volume as u64;
-            let radix = usize::try_from(hull.upper(s).expect("uppers checked above") + 1)
-                .expect("radix at most 128");
+            let radix = hull.upper(s).expect("uppers checked above") as usize + 1;
             volume = match volume.checked_mul(radix) {
                 Some(v) if v <= DENSE_VISITED_CAP => v,
-                _ => {
-                    volume = 0;
-                    break;
-                }
+                _ => 0,
             };
-        }
-        if volume == 0 {
-            dense_place.clear();
+            if volume == 0 {
+                dense_place.clear();
+                break;
+            }
         }
         let mut reqs = Vec::with_capacity(compiled.reaction_count());
         let mut deltas = Vec::with_capacity(compiled.reaction_count());
@@ -276,9 +273,6 @@ impl PackedSpec {
             reqs.push(req);
             deltas.push(delta);
             dense_deltas.push(dense_delta);
-        }
-        if dense_place.is_empty() {
-            dense_deltas.clear();
         }
         Some(PackedSpec {
             reqs,
@@ -311,6 +305,11 @@ impl PackedSpec {
             })
             .sum()
     }
+
+    /// The output count of `word`.
+    fn output(&self, word: u64) -> u64 {
+        (word >> self.out_shift) & 0xff
+    }
 }
 
 /// The SplitMix64 finalizer: a full-avalanche mix of one word, so
@@ -322,38 +321,89 @@ fn mix_code(code: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Per-configuration record of the direct (code-indexed) exploration: the
-/// mixed-radix code plus the duplicate-edge stamp, deliberately in one
-/// struct so the probe's code confirmation and the edge-dedup check touch
-/// the same cache line.
-#[derive(Clone, Copy)]
-struct DirectNode {
-    code: u64,
-    /// Id of the last expanding node that emitted an edge to this one;
-    /// `u32::MAX` = none yet (ids are capped below `u32::MAX` by the index).
-    last_emit: u32,
+/// A node of one exploration: the discovery position of a stored
+/// configuration.  [`admit`] mints every id past the start and keeps it
+/// below `u32::MAX`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct NodeId(u32);
+
+impl NodeId {
+    /// The start configuration, which every codec stores on construction.
+    const START: NodeId = NodeId(0);
+
+    fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
-/// An open-addressing index over mixed-radix codes: like the arena's hash
-/// index, but keyed by one u64 code per configuration instead of the full
-/// count vector, so memory stays proportional to the *reachable* set (cache
+/// The id of the node a traversal is about to insert after the `len`
+/// stored so far — the one place the configuration limit is enforced.  The
+/// limit error is order-independent: it fires exactly when the reachable
+/// set exceeds `limit` configurations.
+fn admit(len: usize, limit: usize) -> Result<NodeId, CrnError> {
+    if len >= limit {
+        return Err(CrnError::SearchLimitExceeded {
+            limit: format!("{limit} reachable configurations"),
+        });
+    }
+    assert!(
+        len < u32::MAX as usize,
+        "explorations stay below 2^32 - 1 configurations"
+    );
+    Ok(NodeId(len as u32))
+}
+
+/// One out-edge of the DFS graph in 4 bytes: a stored node, or (high bit
+/// set) an entry of the memo visitor's per-run cache-hit table.
+#[derive(Clone, Copy)]
+struct Edge(u32);
+
+/// What an [`Edge`] points at.
+enum Target {
+    Vertex(NodeId),
+    /// A cache hit: a summarized subtree, folded but never traversed.
+    Summary(u32),
+}
+
+impl Edge {
+    const SUMMARY: u32 = 1 << 31;
+
+    fn vertex(id: NodeId) -> Edge {
+        assert!(
+            id.0 & Edge::SUMMARY == 0,
+            "DFS explorations stay below 2^31 configurations"
+        );
+        Edge(id.0)
+    }
+
+    fn summary(hit: u32) -> Edge {
+        assert!(hit & Edge::SUMMARY == 0, "cache hits stay below 2^31");
+        Edge(hit | Edge::SUMMARY)
+    }
+
+    fn target(self) -> Target {
+        if self.0 & Edge::SUMMARY == 0 {
+            Target::Vertex(NodeId(self.0))
+        } else {
+            Target::Summary(self.0 & !Edge::SUMMARY)
+        }
+    }
+}
+
+/// An open-addressing index over codes: like the arena's hash index, but
+/// keyed by one u64 code per configuration instead of the full count
+/// vector, so memory stays proportional to the *reachable* set (cache
 /// resident) rather than the interval box, and every probe compares a single
 /// word.  Slots are epoch-stamped `(epoch << 32) | (id + 1)` cells, so
 /// resetting between the points of a box sweep is O(1) — no memset of a
 /// table sized for the sweep's biggest point.
+#[derive(Default)]
 struct CodeIndex {
     slots: Vec<u64>,
     epoch: u32,
 }
 
 impl CodeIndex {
-    fn new() -> Self {
-        CodeIndex {
-            slots: vec![0; 16],
-            epoch: 1,
-        }
-    }
-
     /// Empties the index, keeping the allocation: stale slots are recognized
     /// by their epoch stamp.
     fn reset(&mut self) {
@@ -366,983 +416,835 @@ impl CodeIndex {
         }
     }
 
-    fn stamp(&self, id: usize) -> u64 {
-        let id = u32::try_from(id).expect("explorations stay below 2^32 - 1 configurations");
-        (u64::from(self.epoch) << 32) | u64::from(id + 1)
-    }
-
     /// The live id in `slot`, if any.
-    fn occupant(&self, slot: usize) -> Option<usize> {
+    fn occupant(&self, slot: usize) -> Option<NodeId> {
         let cell = self.slots[slot];
-        if cell >> 32 == u64::from(self.epoch) && cell & u64::from(u32::MAX) != 0 {
-            Some((cell & u64::from(u32::MAX)) as usize - 1)
-        } else {
-            None
-        }
+        let id = (cell as u32).checked_sub(1)?;
+        (cell >> 32 == u64::from(self.epoch)).then_some(NodeId(id))
     }
 
-    /// The arena id of `code`, if present; `nodes` is the per-id record
-    /// store.
-    fn lookup(&self, code: u64, nodes: &[DirectNode]) -> Option<usize> {
-        self.lookup_by(code, |id| nodes[id].code)
-    }
-
-    /// Inserts `id` for its code (which the caller has established is absent
-    /// and already pushed as the last entry of `nodes`).
-    fn insert(&mut self, id: usize, nodes: &[DirectNode]) {
-        self.insert_by(id, nodes.len(), |id| nodes[id].code);
-    }
-
-    /// [`lookup`](CodeIndex::lookup) generalized over the id → code mapping,
-    /// so passes that store codes outside a [`DirectNode`] array (the packed
-    /// exploration keeps whole configurations as bare `u64`s) share the same
-    /// probe sequence.
-    fn lookup_by(&self, code: u64, code_of: impl Fn(usize) -> u64) -> Option<usize> {
+    /// The id of `code`, where `code_of` maps stored ids to their codes.
+    fn lookup(&self, code: u64, code_of: impl Fn(usize) -> u64) -> Option<NodeId> {
         let mask = self.slots.len() - 1;
         let mut slot = (mix_code(code) as usize) & mask;
         loop {
             match self.occupant(slot) {
                 None => return None,
-                Some(id) if code_of(id) == code => return Some(id),
+                Some(id) if code_of(id.index()) == code => return Some(id),
                 Some(_) => slot = (slot + 1) & mask,
             }
         }
     }
 
-    /// [`insert`](CodeIndex::insert) generalized like
-    /// [`lookup_by`](CodeIndex::lookup_by); `len` is the number of live ids
-    /// (`id` being the newest).
-    fn insert_by(&mut self, id: usize, len: usize, code_of: impl Fn(usize) -> u64) {
+    /// Indexes the newest stored id, whose code the caller has established
+    /// is absent.
+    fn insert(&mut self, id: NodeId, code_of: impl Fn(usize) -> u64) {
         // Grow at 1/2 load: probes run on the seen-successor fast path, so
         // short chains are worth the memory.
-        if len * 2 > self.slots.len() {
-            self.grow_by(len, &code_of);
+        if (id.index() + 1) * 2 > self.slots.len() {
+            let new_len = (self.slots.len() * 2).max(16);
+            self.slots.clear();
+            self.slots.resize(new_len, 0);
+            for i in 0..=id.0 {
+                self.place(i, &code_of);
+            }
         } else {
-            self.place_by(id, &code_of);
+            self.place(id.0, &code_of);
         }
     }
 
-    fn grow_by(&mut self, len: usize, code_of: &impl Fn(usize) -> u64) {
-        let new_len = self.slots.len() * 2;
-        self.slots.clear();
-        self.slots.resize(new_len, 0);
-        for id in 0..len {
-            self.place_by(id, code_of);
-        }
-    }
-
-    fn place_by(&mut self, id: usize, code_of: &impl Fn(usize) -> u64) {
+    fn place(&mut self, id: u32, code_of: &impl Fn(usize) -> u64) {
         let mask = self.slots.len() - 1;
-        let mut slot = (mix_code(code_of(id)) as usize) & mask;
+        let mut slot = (mix_code(code_of(id as usize)) as usize) & mask;
         while self.occupant(slot).is_some() {
             slot = (slot + 1) & mask;
         }
-        self.slots[slot] = self.stamp(id);
+        self.slots[slot] = (u64::from(self.epoch) << 32) | u64::from(id + 1);
     }
 }
 
-/// Reusable storage for one breadth-first exploration: the configuration
-/// arena, the CSR successor structure being built, and the per-node scratch.
-pub(super) struct ExploreState {
+/// Per-node record of the direct codec: the code plus the duplicate-edge
+/// stamp (the last node that emitted an edge to this one), deliberately in
+/// one struct so the probe's code confirmation and the edge-dedup check
+/// touch the same cache line.
+#[derive(Clone, Copy)]
+struct DirectNode {
+    code: u64,
+    last_emit: u32,
+}
+
+/// The memory the codecs store configurations in, kept across explorations
+/// so a box sweep allocates only while its largest point grows the buffers.
+#[derive(Default)]
+pub(super) struct Store {
+    /// Count vectors of the hash and direct codecs.
     pub(super) arena: ConfigArena,
-    pub(super) csr: CsrGraph,
-    /// Stamp of the last expanding node that emitted an edge to each id:
-    /// O(1) duplicate-edge suppression with no per-node scans.
-    last_emit: Vec<usize>,
+    /// The hash codec's edge stamps, sized on demand.
+    stamps: Vec<u32>,
+    /// The direct codec's per-node records.
+    nodes: Vec<DirectNode>,
+    /// The code index of the direct and hashed packed codecs.
+    index: CodeIndex,
+    /// The packed codecs' words, and the dense-table codec's codes.
+    words: Vec<u64>,
+    dense: Vec<u64>,
+    /// The dense-table codec's visited stamps; `epoch` marks this run's.
+    visited: Vec<u32>,
+    epoch: u32,
+    /// The count vector being expanded, and a successor scratch.
     cur: Vec<u64>,
     succ: Vec<u64>,
-    /// Direct-mode state: the code-keyed index and the per-arena-id records.
-    direct: CodeIndex,
-    nodes: Vec<DirectNode>,
-    // Fused-decision scratch (`run_decide_direct`): flat successor rows and
-    // the inline-Tarjan arrays, kept so repeated decisions allocate nothing.
-    edges: Vec<u32>,
-    rows: Vec<(u32, u32)>,
-    t_index: Vec<usize>,
-    t_lowlink: Vec<usize>,
-    t_onstack: Vec<bool>,
-    t_comp: Vec<usize>,
-    t_stack: Vec<usize>,
-    t_frames: Vec<(usize, usize)>,
-    dp_max: Vec<u64>,
-    dp_min: Vec<u64>,
-    dp_rec: Vec<bool>,
-    // Packed-mode state (`run_decide_packed_dag`): whole configurations as
-    // byte-packed words, indexed by the same code table — or, on small
-    // hulls, by the epoch-stamped dense visited table below.
-    pk: Vec<u64>,
-    pk_code: Vec<u64>,
-    visited: Vec<u32>,
-    visited_epoch: u32,
-    // Memo-mode scratch (`run_decide_memo`): per-component interned output
-    // sets and closure-size bounds, plus the per-run cache-hit table virtual
-    // edges point into.
-    dp_so: Vec<SetId>,
-    dp_rset: Vec<SetId>,
-    dp_size: Vec<u64>,
-    hit_list: Vec<Summary>,
-    hit_emit: Vec<u32>,
+}
+
+impl Store {
+    /// Empties the count-vector state for a run over `stride` species.
+    fn reset_counts(&mut self, stride: usize) {
+        self.arena.reset(stride);
+        self.stamps.clear();
+        self.cur.clear();
+        self.cur.resize(stride, 0);
+        self.succ.clear();
+        self.succ.resize(stride, 0);
+    }
+}
+
+/// What a codec learns by firing one reaction on the loaded node.
+enum Probe<S, K> {
+    /// The reaction is not applicable.
+    Blocked,
+    /// The successor is stored already.
+    Seen(S),
+    /// The successor is new; the key is what [`Codec::insert`] needs.
+    Unseen(K),
+}
+
+/// A state codec: how one exploration stores configurations, tells a seen
+/// successor from a new one, and reads a node's output count.
+trait Codec {
+    /// How a probe names a seen successor: its id, or `()` for a codec that
+    /// keeps no ids.
+    type Seen: Copy;
+    type Key: Copy;
+    fn len(&self) -> usize;
+    fn reactions(&self) -> usize;
+    /// Makes `v` the node later probes fire reactions on.
+    fn load(&mut self, v: NodeId);
+    fn probe(&mut self, r: usize) -> Probe<Self::Seen, Self::Key>;
+    /// Stores the unseen successor `key` of the loaded node under reaction
+    /// `r` as node `id`.
+    fn insert(&mut self, r: usize, key: Self::Key, id: NodeId) -> Self::Seen;
+    fn output(&self, v: NodeId) -> u64;
+}
+
+/// A codec that names seen successors, so visitors can record edges.
+trait GraphCodec: Codec<Seen = NodeId> {
+    /// Records the edge `from → to`; `false` if `from` already emitted it.
+    fn first_edge(&mut self, from: NodeId, to: NodeId) -> bool;
+}
+
+/// Hash-interned count vectors: the codec of points without a proven
+/// interval box, and of every [`ReachabilityGraph`](super::ReachabilityGraph).
+struct Hash<'a> {
+    reactions: &'a [CompiledReaction],
+    out: usize,
+    s: &'a mut Store,
+}
+
+impl<'a> Hash<'a> {
+    fn new(compiled: &'a CompiledCrn, out: usize, s: &'a mut Store, start: &[u64]) -> Self {
+        s.reset_counts(start.len());
+        s.arena.insert_new(start);
+        let reactions = compiled.reactions();
+        Hash { reactions, out, s }
+    }
+}
+
+impl Codec for Hash<'_> {
+    type Seen = NodeId;
+    type Key = ();
+
+    fn len(&self) -> usize {
+        self.s.arena.len()
+    }
+
+    fn reactions(&self) -> usize {
+        self.reactions.len()
+    }
+
+    fn load(&mut self, v: NodeId) {
+        self.s.cur.copy_from_slice(self.s.arena.get(v.index()));
+    }
+
+    fn probe(&mut self, r: usize) -> Probe<NodeId, ()> {
+        let reaction = &self.reactions[r];
+        if !reaction.applicable(&self.s.cur) {
+            return Probe::Blocked;
+        }
+        reaction.apply_into(&self.s.cur, &mut self.s.succ);
+        match self.s.arena.lookup(&self.s.succ) {
+            // Stored ids were admitted, so they fit u32.
+            Some(id) => Probe::Seen(NodeId(id as u32)),
+            None => Probe::Unseen(()),
+        }
+    }
+
+    fn insert(&mut self, _: usize, _: (), id: NodeId) -> NodeId {
+        self.s.arena.insert_new(&self.s.succ);
+        id
+    }
+
+    fn output(&self, v: NodeId) -> u64 {
+        self.s.arena.get(v.index())[self.out]
+    }
+}
+
+impl GraphCodec for Hash<'_> {
+    fn first_edge(&mut self, from: NodeId, to: NodeId) -> bool {
+        let stamps = &mut self.s.stamps;
+        if stamps.len() <= to.index() {
+            stamps.resize(self.s.arena.len(), u32::MAX);
+        }
+        mem::replace(&mut stamps[to.index()], from.0) != from.0
+    }
+}
+
+/// Mixed-radix codes over a proven interval box (one point's, or the sweep
+/// hull): successor identity is one addition plus a single-word probe, and
+/// a seen successor never materializes its counts.  Discovery order — and
+/// therefore every id, edge and verdict — is that of the hash codec.
+struct Direct<'a> {
+    spec: &'a DirectSpec,
+    reactions: &'a [CompiledReaction],
+    out: usize,
+    s: &'a mut Store,
+    /// The loaded node's code.
+    code: u64,
+}
+
+impl<'a> Direct<'a> {
+    fn new(
+        spec: &'a DirectSpec,
+        compiled: &'a CompiledCrn,
+        out: usize,
+        s: &'a mut Store,
+        start: &[u64],
+    ) -> Self {
+        s.reset_counts(start.len());
+        s.arena.push_unindexed(start);
+        s.nodes.clear();
+        let code = spec.encode(start);
+        s.nodes.push(DirectNode {
+            code,
+            last_emit: u32::MAX,
+        });
+        s.index.reset();
+        s.index.insert(NodeId::START, |_| code);
+        let reactions = compiled.reactions();
+        Direct {
+            spec,
+            reactions,
+            out,
+            s,
+            code,
+        }
+    }
+
+    /// The code of node `v` — the memo key when coded over the hull.
+    fn code(&self, v: NodeId) -> u64 {
+        self.s.nodes[v.index()].code
+    }
+}
+
+impl Codec for Direct<'_> {
+    type Seen = NodeId;
+    type Key = u64;
+
+    fn len(&self) -> usize {
+        self.s.nodes.len()
+    }
+
+    fn reactions(&self) -> usize {
+        self.spec.offsets.len()
+    }
+
+    fn load(&mut self, v: NodeId) {
+        self.s.cur.copy_from_slice(self.s.arena.get(v.index()));
+        self.code = self.s.nodes[v.index()].code;
+    }
+
+    #[inline(always)] // per reaction; shared by four traversal instances
+    fn probe(&mut self, r: usize) -> Probe<NodeId, u64> {
+        let spec = self.spec;
+        let reqs = &spec.reqs[spec.req_offsets[r] as usize..spec.req_offsets[r + 1] as usize];
+        if reqs.iter().any(|&(s, c)| self.s.cur[s as usize] < c) {
+            return Probe::Blocked;
+        }
+        // The box bounds are sound, so the translated code stays in range.
+        let code = self.code.wrapping_add_signed(spec.offsets[r]);
+        let nodes = &self.s.nodes;
+        match self.s.index.lookup(code, |i| nodes[i].code) {
+            Some(id) => Probe::Seen(id),
+            None => Probe::Unseen(code),
+        }
+    }
+
+    #[inline(always)]
+    fn insert(&mut self, r: usize, code: u64, id: NodeId) -> NodeId {
+        let s = &mut *self.s;
+        self.reactions[r].apply_into(&s.cur, &mut s.succ);
+        debug_assert_eq!(self.spec.encode(&s.succ), code);
+        s.arena.push_unindexed(&s.succ);
+        s.nodes.push(DirectNode {
+            code,
+            last_emit: u32::MAX,
+        });
+        let nodes = &s.nodes;
+        s.index.insert(id, |i| nodes[i].code);
+        id
+    }
+
+    fn output(&self, v: NodeId) -> u64 {
+        self.s.arena.get(v.index())[self.out]
+    }
+}
+
+impl GraphCodec for Direct<'_> {
+    fn first_edge(&mut self, from: NodeId, to: NodeId) -> bool {
+        mem::replace(&mut self.s.nodes[to.index()].last_emit, from.0) != from.0
+    }
+}
+
+/// One byte-packed word per configuration (see [`PackedSpec`]), so the
+/// loops touch no count vectors at all.  With `DENSE`, deduplicated through
+/// an epoch-stamped visited table indexed by the law-projected hull code,
+/// which firing a reaction moves by one `wrapping_add`; otherwise through
+/// the hashed [`CodeIndex`].  Membership is membership either way, so the
+/// discovery order and the limit error are the same.  Neither variant
+/// names seen successors, so packed codecs pair only with the terminal
+/// scan.
+struct Packed<'a, const DENSE: bool> {
+    spec: &'a PackedSpec,
+    /// The spec's tables and the store's buffers, borrowed apart so the
+    /// hot loop keeps their headers (and the epoch) in registers.
+    reqs: &'a [u64],
+    deltas: &'a [u64],
+    dense_deltas: &'a [u64],
+    words: &'a mut Vec<u64>,
+    dense: &'a mut Vec<u64>,
+    visited: &'a mut [u32],
+    epoch: u32,
+    index: &'a mut CodeIndex,
+    /// The loaded word, and its dense code.
+    cur: u64,
+    code: u64,
+}
+
+impl<'a, const DENSE: bool> Packed<'a, DENSE> {
+    fn new(spec: &'a PackedSpec, s: &'a mut Store, start: u64) -> Self {
+        s.words.clear();
+        s.words.push(start);
+        if DENSE {
+            if s.visited.len() < spec.dense_volume {
+                s.visited.resize(spec.dense_volume, 0);
+            }
+            s.epoch = s.epoch.checked_add(1).unwrap_or_else(|| {
+                s.visited.fill(0);
+                1
+            });
+            s.dense.clear();
+            s.dense.push(spec.dense_code(start));
+            s.visited[s.dense[0] as usize] = s.epoch;
+        } else {
+            s.index.reset();
+            s.index.insert(NodeId::START, |_| start);
+        }
+        let Store {
+            words,
+            dense,
+            visited,
+            epoch,
+            index,
+            ..
+        } = s;
+        let epoch = *epoch;
+        let (reqs, deltas, dense_deltas) =
+            (&spec.reqs[..], &spec.deltas[..], &spec.dense_deltas[..]);
+        Packed {
+            spec,
+            reqs,
+            deltas,
+            dense_deltas,
+            words,
+            dense,
+            visited,
+            epoch,
+            index,
+            cur: start,
+            code: 0,
+        }
+    }
+}
+
+impl<const DENSE: bool> Codec for Packed<'_, DENSE> {
+    type Seen = ();
+    type Key = u64;
+
+    fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    fn reactions(&self) -> usize {
+        self.deltas.len()
+    }
+
+    fn load(&mut self, v: NodeId) {
+        self.cur = self.words[v.index()];
+        if DENSE {
+            self.code = self.dense[v.index()];
+        }
+    }
+
+    fn probe(&mut self, r: usize) -> Probe<(), u64> {
+        // Lane-wise `cur >= req`: with every count lane in [0, 127] and
+        // requirement lanes clamped to 128, `(cur | HIGH) - req` never
+        // borrows across lanes, and a lane's high bit survives exactly when
+        // its count meets the requirement.
+        if (self.cur | LANE_HIGH).wrapping_sub(self.reqs[r]) & LANE_HIGH != LANE_HIGH {
+            return Probe::Blocked;
+        }
+        // The key is the successor's dense code, or its word.
+        let (key, seen) = if DENSE {
+            let code = self.code.wrapping_add(self.dense_deltas[r]);
+            (code, self.visited[code as usize] == self.epoch)
+        } else {
+            let word = self.cur.wrapping_add(self.deltas[r]);
+            let words = &*self.words;
+            (word, self.index.lookup(word, |i| words[i]).is_some())
+        };
+        if seen {
+            Probe::Seen(())
+        } else {
+            Probe::Unseen(key)
+        }
+    }
+
+    fn insert(&mut self, r: usize, key: u64, id: NodeId) {
+        if DENSE {
+            self.visited[key as usize] = self.epoch;
+            self.dense.push(key);
+            self.words.push(self.cur.wrapping_add(self.deltas[r]));
+        } else {
+            self.words.push(key);
+            let words = &*self.words;
+            self.index.insert(id, |i| words[i]);
+        }
+    }
+
+    fn output(&self, v: NodeId) -> u64 {
+        self.spec.output(self.words[v.index()])
+    }
+}
+
+/// The visitor of a breadth-first traversal.
+trait BfsVisitor<C: Codec> {
+    /// Sees the edge `from → to`, `to` possibly just inserted.
+    fn edge(&mut self, codec: &mut C, from: NodeId, to: C::Seen);
+    /// Sees `v` fully expanded (`terminal`: no reaction applies); `false`
+    /// ends the traversal with `Ok(false)`.
+    fn expanded(&mut self, codec: &C, v: NodeId, terminal: bool) -> bool;
+}
+
+/// Explores everything reachable from the codec's start breadth-first:
+/// node ids are discovery order, id 0 is the start.  `Ok(true)` means the
+/// whole reachable set was expanded within `limit` configurations;
+/// `Ok(false)` is the visitor's early stop, which may pre-empt the limit
+/// error.
+#[inline(never)] // one loop per instance, out of the router's register pressure
+fn bfs<C: Codec, V: BfsVisitor<C>>(
+    codec: &mut C,
+    visitor: &mut V,
+    limit: usize,
+) -> Result<bool, CrnError> {
+    let mut next = 0u32;
+    while (next as usize) < codec.len() {
+        let v = NodeId(next);
+        codec.load(v);
+        let mut terminal = true;
+        for r in 0..codec.reactions() {
+            let to = match codec.probe(r) {
+                Probe::Blocked => continue,
+                Probe::Seen(to) => to,
+                Probe::Unseen(key) => codec.insert(r, key, admit(codec.len(), limit)?),
+            };
+            terminal = false;
+            visitor.edge(codec, v, to);
+        }
+        if !visitor.expanded(codec, v, terminal) {
+            return Ok(false);
+        }
+        next += 1;
+    }
+    Ok(true)
+}
+
+/// Lays the successor graph out in CSR form as the BFS expands nodes in id
+/// order, with duplicate edges suppressed by the codec's stamps.
+struct CsrBuilder<'a>(&'a mut CsrGraph);
+
+impl<C: GraphCodec> BfsVisitor<C> for CsrBuilder<'_> {
+    fn edge(&mut self, codec: &mut C, from: NodeId, to: NodeId) {
+        if codec.first_edge(from, to) {
+            self.0.push_edge(to.index());
+        }
+    }
+
+    fn expanded(&mut self, _: &C, _: NodeId, _: bool) -> bool {
+        self.0.seal_node();
+        true
+    }
+}
+
+/// The decision of a CRN carrying the T-invariant acyclicity certificate:
+/// every reachability graph is a DAG, so the sink components are exactly
+/// the terminal configurations and "every component recovers" collapses to
+/// "every terminal configuration carries the expected output" — checked as
+/// the BFS expands, with no edges, no condensation and no second pass.
+struct TerminalScan {
+    expected: u64,
+}
+
+impl<C: Codec> BfsVisitor<C> for TerminalScan {
+    fn edge(&mut self, _: &mut C, _: NodeId, _: C::Seen) {}
+
+    fn expanded(&mut self, codec: &C, v: NodeId, terminal: bool) -> bool {
+        // A bad terminal is a sink component whose closure is itself,
+        // constant on the wrong output: it can never recover.
+        !terminal || codec.output(v) == self.expected
+    }
+}
+
+/// Marks a Tarjan index or component id not set yet.
+const UNSET: u32 = u32::MAX;
+
+/// Per-node state of the depth-first traversal's inline Tarjan.  A node is
+/// on the Tarjan stack exactly while it has an index but no component.
+#[derive(Clone, Copy)]
+struct DfsNode {
+    index: u32,
+    low: u32,
+    comp: u32,
+    /// The node's out-edges are `edges[start..end]`.
+    start: u32,
+    end: u32,
+}
+
+/// Reusable scratch of [`dfs`]: the per-node Tarjan state, the flat edge
+/// rows, the Tarjan stack and the simulated recursion's frames.
+#[derive(Default)]
+struct Dfs {
+    nodes: Vec<DfsNode>,
+    edges: Vec<Edge>,
+    stack: Vec<NodeId>,
+    frames: Vec<(NodeId, u32)>,
+}
+
+impl Dfs {
+    /// The out-edges of `v`.
+    fn row(&self, v: NodeId) -> &[Edge] {
+        let node = self.nodes[v.index()];
+        &self.edges[node.start as usize..node.end as usize]
+    }
+
+    /// The component of a popped node.
+    fn comp(&self, v: NodeId) -> u32 {
+        self.nodes[v.index()].comp
+    }
+
+    fn edge_pos(&self) -> u32 {
+        u32::try_from(self.edges.len()).expect("edge count fits u32")
+    }
+}
+
+/// The visitor of the depth-first traversal.
+trait DfsVisitor<C: GraphCodec> {
+    /// Offered each unseen successor of `from` before it is stored; `true`
+    /// absorbs it as a virtual child (the visitor pushed its own edge onto
+    /// `edges`), so it is never stored or expanded.
+    fn absorb(&mut self, _key: C::Key, _from: NodeId, _edges: &mut Vec<Edge>) -> bool {
+        false
+    }
+
+    /// Folds the component `comp` made of `members` as Tarjan pops it;
+    /// every edge leaving it lands in an earlier, already final component.
+    /// `false` ends the traversal with `Ok(false)`.
+    fn component(&mut self, codec: &C, g: &Dfs, comp: u32, members: &[NodeId]) -> bool;
+}
+
+/// Explores everything reachable from the codec's start depth-first with
+/// Tarjan's algorithm inline, handing each strongly connected component to
+/// the visitor as it pops (reverse topological order).  Every node is
+/// expanded exactly once, as in [`bfs`] but in another order; the reachable
+/// set, and so the limit error, is the same.  `Ok(false)` is the visitor's
+/// early stop, which may pre-empt the limit error.
+#[inline(never)]
+fn dfs<C: GraphCodec, V: DfsVisitor<C>>(
+    codec: &mut C,
+    visitor: &mut V,
+    g: &mut Dfs,
+    limit: usize,
+) -> Result<bool, CrnError> {
+    const NEW: DfsNode = DfsNode {
+        index: UNSET,
+        low: 0,
+        comp: UNSET,
+        start: 0,
+        end: 0,
+    };
+    g.nodes.clear();
+    g.nodes.push(NEW);
+    g.edges.clear();
+    g.stack.clear();
+    g.frames.clear();
+    g.frames.push((NodeId::START, 0));
+    let (mut next_index, mut comps) = (0u32, 0u32);
+    while let Some(&(v, cursor)) = g.frames.last() {
+        if cursor == 0 {
+            // First visit: expand the node, so its row is final before its
+            // first edge is followed.
+            let start = g.edge_pos();
+            codec.load(v);
+            for r in 0..codec.reactions() {
+                let to = match codec.probe(r) {
+                    Probe::Blocked => continue,
+                    Probe::Seen(to) => to,
+                    Probe::Unseen(key) if visitor.absorb(key, v, &mut g.edges) => continue,
+                    Probe::Unseen(key) => {
+                        let id = admit(codec.len(), limit)?;
+                        g.nodes.push(NEW);
+                        codec.insert(r, key, id)
+                    }
+                };
+                if codec.first_edge(v, to) {
+                    g.edges.push(Edge::vertex(to));
+                }
+            }
+            let (index, end) = (next_index, g.edge_pos());
+            g.nodes[v.index()] = DfsNode {
+                index,
+                low: index,
+                comp: UNSET,
+                start,
+                end,
+            };
+            next_index += 1;
+            g.stack.push(v);
+        }
+        let node = g.nodes[v.index()];
+        let pos = node.start + cursor;
+        if pos < node.end {
+            g.frames.last_mut().expect("frame exists").1 += 1;
+            // A summary edge is folded at the pop, never traversed.
+            if let Target::Vertex(w) = g.edges[pos as usize].target() {
+                let child = g.nodes[w.index()];
+                if child.index == UNSET {
+                    g.frames.push((w, 0));
+                } else if child.comp == UNSET {
+                    let low = &mut g.nodes[v.index()].low;
+                    *low = (*low).min(child.index);
+                }
+            }
+            continue;
+        }
+        g.frames.pop();
+        if node.low == node.index {
+            // The component is the stack suffix of Tarjan indices at least
+            // `node.index`.
+            let mut base = g.stack.len();
+            while base > 0 && g.nodes[g.stack[base - 1].index()].index >= node.index {
+                base -= 1;
+            }
+            for &w in &g.stack[base..] {
+                g.nodes[w.index()].comp = comps;
+            }
+            if !visitor.component(codec, g, comps, &g.stack[base..]) {
+                return Ok(false);
+            }
+            comps += 1;
+            g.stack.truncate(base);
+        }
+        if let Some(&(parent, _)) = g.frames.last() {
+            let low = &mut g.nodes[parent.index()].low;
+            *low = (*low).min(node.low);
+        }
+    }
+    Ok(true)
+}
+
+/// Decides "can every reachable configuration still reach a stable
+/// configuration with the expected output?" from each popped component's
+/// closure max/min output and recoverability (one cell per component).
+struct RecoverFold<'a> {
+    expected: u64,
+    cells: &'a mut Vec<(u64, u64, bool)>,
+}
+
+impl<C: GraphCodec> DfsVisitor<C> for RecoverFold<'_> {
+    fn component(&mut self, codec: &C, g: &Dfs, comp: u32, members: &[NodeId]) -> bool {
+        let (mut mx, mut mn, mut rec) = (u64::MIN, u64::MAX, false);
+        for &m in members {
+            let out = codec.output(m);
+            (mx, mn) = (mx.max(out), mn.min(out));
+            for e in g.row(m) {
+                if let Target::Vertex(w) = e.target() {
+                    if g.comp(w) != comp {
+                        let (cmx, cmn, crec) = self.cells[g.comp(w) as usize];
+                        (mx, mn, rec) = (mx.max(cmx), mn.min(cmn), rec || crec);
+                    }
+                }
+            }
+        }
+        // A non-recovering component decides the answer, whatever the rest
+        // of the graph looks like.
+        let rec = rec || (mx == mn && mx == self.expected);
+        self.cells.push((mx, mn, rec));
+        rec
+    }
+}
+
+/// The memo visitor's per-run scratch: the popped components' summaries by
+/// component id, and this run's cache hits (the virtual children) with
+/// their edge stamps and their ids by hull code.
+#[derive(Default)]
+struct MemoScratch {
+    comps: Vec<Summary>,
+    hits: Vec<Summary>,
+    hit_stamps: Vec<u32>,
     hit_ids: HashMap<u64, u32>,
 }
 
-/// Marker for a vertex the fused decision pass has not visited yet.
-const UNVISITED: usize = usize::MAX;
+/// Folds cross-point [`Summary`]s over the hull-coded direct codec.  A
+/// successor whose hull code carries a cached summary becomes a *virtual*
+/// child: its subtree is never expanded, and the folds consume the
+/// summary's output sets instead.  Every finished component's members are
+/// queued in `pending` with their shared summary; the caller publishes them
+/// only when the run returns `Ok` — a truncated exploration never populates
+/// the cache.
+struct MemoFold<'a> {
+    expected: u64,
+    cache: &'a mut MemoCache,
+    pending: &'a mut Vec<(u64, Summary)>,
+    memo: &'a mut MemoScratch,
+}
 
-/// High bit of a memo-mode edge: set when the edge points into the per-run
-/// cache-hit table instead of at a materialized vertex.
-const VIRTUAL_EDGE: u32 = 1 << 31;
+impl<'d> DfsVisitor<Direct<'d>> for MemoFold<'_> {
+    #[inline(always)]
+    fn absorb(&mut self, code: u64, from: NodeId, edges: &mut Vec<Edge>) -> bool {
+        // Only successors no stored node matched get here, so a
+        // configuration is never both a node and a virtual child of a run.
+        let Some(summary) = self.cache.lookup(code) else {
+            return false;
+        };
+        let memo = &mut *self.memo;
+        let (hits, stamps) = (&mut memo.hits, &mut memo.hit_stamps);
+        let hit = *memo.hit_ids.entry(code).or_insert_with(|| {
+            hits.push(summary);
+            stamps.push(u32::MAX);
+            u32::try_from(hits.len() - 1).expect("hit count fits u32")
+        });
+        if mem::replace(&mut memo.hit_stamps[hit as usize], from.0) != from.0 {
+            edges.push(Edge::summary(hit));
+        }
+        true
+    }
 
-/// A materialized vertex id as a memo-mode edge word.
-fn real_edge(id: usize) -> u32 {
-    let id = u32::try_from(id).expect("ids fit u32 (index cap)");
-    assert!(
-        id & VIRTUAL_EDGE == 0,
-        "memo explorations stay below 2^31 configurations"
-    );
-    id
+    #[inline(always)]
+    fn component(&mut self, codec: &Direct<'d>, g: &Dfs, comp: u32, members: &[NodeId]) -> bool {
+        let pool = &mut self.cache.pool;
+        // Fold the closure's output extrema, stable-output set `so` (values
+        // some closure configuration is output-stable at) and recoverable
+        // set `rset` (values *every* closure configuration can still reach
+        // stably), plus a size bound.
+        let (mut mx, mut mn, mut so) = (u64::MIN, u64::MAX, EMPTY_SET);
+        let mut rset: Option<SetId> = None;
+        let mut size = members.len() as u64;
+        for &m in members {
+            let out = codec.output(m);
+            (mx, mn) = (mx.max(out), mn.min(out));
+            for e in g.row(m) {
+                let child = match e.target() {
+                    Target::Summary(hit) => self.memo.hits[hit as usize],
+                    Target::Vertex(w) if g.comp(w) == comp => continue,
+                    Target::Vertex(w) => self.memo.comps[g.comp(w) as usize],
+                };
+                (mx, mn) = (mx.max(child.mx), mn.min(child.mn));
+                so = pool.union(so, child.so);
+                rset = Some(rset.map_or(child.rset, |r| pool.intersect(r, child.rset)));
+                size = size.saturating_add(child.size_bound);
+            }
+        }
+        if mx == mn {
+            // One output value across the whole closure: every member is
+            // output-stable with it.
+            let single = pool.singleton(mx);
+            so = pool.union(so, single);
+        }
+        let rset = rset.unwrap_or(so);
+        if !pool.contains(rset, self.expected) {
+            // Some configuration of this closure can never recover the
+            // expected output: the full check fails or errors, never passes.
+            return false;
+        }
+        let size_bound = size;
+        let summary = Summary {
+            mx,
+            mn,
+            so,
+            rset,
+            size_bound,
+        };
+        self.pending
+            .extend(members.iter().map(|&m| (codec.code(m), summary)));
+        self.memo.comps.push(summary);
+        true
+    }
+}
+
+/// Reusable storage for explorations: the codecs' store, the CSR graph of
+/// the last BFS, and the DFS scratch.
+#[derive(Default)]
+pub(super) struct ExploreState {
+    pub(super) store: Store,
+    pub(super) csr: CsrGraph,
+    dfs: Dfs,
 }
 
 impl ExploreState {
-    /// Creates empty state; every buffer grows on first use.
-    pub(super) fn new() -> Self {
-        ExploreState {
-            arena: ConfigArena::new(0),
-            csr: CsrGraph::new(),
-            last_emit: Vec::new(),
-            cur: Vec::new(),
-            succ: Vec::new(),
-            direct: CodeIndex::new(),
-            nodes: Vec::new(),
-            edges: Vec::new(),
-            rows: Vec::new(),
-            t_index: Vec::new(),
-            t_lowlink: Vec::new(),
-            t_onstack: Vec::new(),
-            t_comp: Vec::new(),
-            t_stack: Vec::new(),
-            t_frames: Vec::new(),
-            dp_max: Vec::new(),
-            dp_min: Vec::new(),
-            dp_rec: Vec::new(),
-            pk: Vec::new(),
-            pk_code: Vec::new(),
-            visited: Vec::new(),
-            visited_epoch: 0,
-            dp_so: Vec::new(),
-            dp_rset: Vec::new(),
-            dp_size: Vec::new(),
-            hit_list: Vec::new(),
-            hit_emit: Vec::new(),
-            hit_ids: HashMap::new(),
-        }
-    }
-
-    /// Explores everything reachable from `start_dense` (a count vector of
-    /// length `stride`, which must be at least `compiled.stride()`) under
-    /// `compiled`, breadth-first.  Configuration ids are discovery order;
-    /// id 0 is the start.  Previous contents of the state are discarded,
-    /// allocations are kept.
-    ///
-    /// On success `self.arena` holds the reachable configurations and
-    /// `self.csr` their successor structure.
-    pub(super) fn run(
+    /// Explores everything reachable from `start` (a count vector at least
+    /// `compiled.stride()` long) breadth-first into `self.store.arena` and
+    /// `self.csr`: ids are discovery order, id 0 is the start.  Coded by
+    /// `spec` when the caller proved an interval box, hash-interned
+    /// otherwise — the order, and so every id and edge, is the same either
+    /// way.
+    pub(super) fn graph(
         &mut self,
         compiled: &CompiledCrn,
-        stride: usize,
-        start_dense: &[u64],
-        limits: ReachabilityLimits,
+        start: &[u64],
+        spec: Option<&DirectSpec>,
+        limit: usize,
     ) -> Result<(), CrnError> {
-        self.arena.reset(stride);
         self.csr.reset();
-        self.last_emit.clear();
-        self.cur.clear();
-        self.cur.resize(stride, 0);
-        self.succ.clear();
-        self.succ.resize(stride, 0);
-
-        self.arena.insert_new(start_dense);
-        self.last_emit.push(usize::MAX);
-
-        let mut current = 0usize;
-        while current < self.arena.len() {
-            self.cur.copy_from_slice(self.arena.get(current));
-            for reaction in compiled.reactions() {
-                if !reaction.applicable(&self.cur) {
-                    continue;
-                }
-                reaction.apply_into(&self.cur, &mut self.succ);
-                let id = match self.arena.lookup(&self.succ) {
-                    Some(id) => id,
-                    None => {
-                        if self.arena.len() >= limits.max_configurations {
-                            return Err(CrnError::SearchLimitExceeded {
-                                limit: format!(
-                                    "{} reachable configurations",
-                                    limits.max_configurations
-                                ),
-                            });
-                        }
-                        self.last_emit.push(usize::MAX);
-                        self.arena.insert_new(&self.succ)
-                    }
-                };
-                if self.last_emit[id] != current {
-                    self.last_emit[id] = current;
-                    self.csr.push_edge(id);
-                }
-            }
-            self.csr.seal_node();
-            current += 1;
-        }
+        let csr = &mut CsrBuilder(&mut self.csr);
+        // The CSR builder reads no outputs, so any output index will do.
+        let store = &mut self.store;
+        match spec {
+            Some(spec) => bfs(
+                &mut Direct::new(spec, compiled, 0, store, start),
+                csr,
+                limit,
+            ),
+            None => bfs(&mut Hash::new(compiled, 0, store, start), csr, limit),
+        }?;
         Ok(())
-    }
-
-    /// [`run`](ExploreState::run) over a proven interval box: successor
-    /// identity is one integer addition plus a single-word probe instead of
-    /// materializing and hashing the count vector, and already-seen
-    /// successors skip `apply_into` entirely.  The BFS discovery order — and
-    /// therefore every id, edge and verdict — is identical to the hash-mode
-    /// exploration.
-    pub(super) fn run_direct(
-        &mut self,
-        compiled: &CompiledCrn,
-        stride: usize,
-        start_dense: &[u64],
-        limits: ReachabilityLimits,
-        spec: &DirectSpec,
-    ) -> Result<(), CrnError> {
-        self.arena.reset(stride);
-        self.csr.reset();
-        self.cur.clear();
-        self.cur.resize(stride, 0);
-        self.succ.clear();
-        self.succ.resize(stride, 0);
-        self.direct.reset();
-        self.nodes.clear();
-
-        let start_code = spec.encode(start_dense);
-        self.arena.push_unindexed(start_dense);
-        self.nodes.push(DirectNode {
-            code: start_code,
-            last_emit: u32::MAX,
-        });
-        self.direct.insert(0, &self.nodes);
-
-        let mut current = 0usize;
-        while current < self.arena.len() {
-            self.cur.copy_from_slice(self.arena.get(current));
-            let cur_code = self.nodes[current].code;
-            let cur_stamp = u32::try_from(current).expect("ids fit u32 (index cap)");
-            for r in 0..spec.offsets.len() {
-                let lo = spec.req_offsets[r] as usize;
-                let hi = spec.req_offsets[r + 1] as usize;
-                if spec.reqs[lo..hi]
-                    .iter()
-                    .any(|&(s, c)| self.cur[s as usize] < c)
-                {
-                    continue;
-                }
-                // The successor's code without materializing its counts: the
-                // box bounds are sound, so the translated code stays in range.
-                let succ_code = cur_code.wrapping_add_signed(spec.offsets[r]);
-                let id = match self.direct.lookup(succ_code, &self.nodes) {
-                    Some(id) => id,
-                    None => {
-                        if self.arena.len() >= limits.max_configurations {
-                            return Err(CrnError::SearchLimitExceeded {
-                                limit: format!(
-                                    "{} reachable configurations",
-                                    limits.max_configurations
-                                ),
-                            });
-                        }
-                        compiled.reactions()[r].apply_into(&self.cur, &mut self.succ);
-                        debug_assert_eq!(spec.encode(&self.succ), succ_code);
-                        let id = self.arena.push_unindexed(&self.succ);
-                        self.nodes.push(DirectNode {
-                            code: succ_code,
-                            last_emit: u32::MAX,
-                        });
-                        self.direct.insert(id, &self.nodes);
-                        id
-                    }
-                };
-                if self.nodes[id].last_emit != cur_stamp {
-                    self.nodes[id].last_emit = cur_stamp;
-                    self.csr.push_edge(id);
-                }
-            }
-            self.csr.seal_node();
-            current += 1;
-        }
-        Ok(())
-    }
-
-    /// The decision pass for a CRN whose [`BoxAnalysis`] carries the
-    /// T-invariant acyclicity certificate: every reachability graph is a
-    /// DAG, so all strongly connected components are singletons and the sink
-    /// components are exactly the *terminal* configurations (no applicable
-    /// reaction).  "Every component recovers" then collapses to "every
-    /// terminal configuration carries the expected output" — checked inline
-    /// during the BFS itself, with no successor structure, no condensation
-    /// and no separate decision traversal at all.
-    ///
-    /// Returns `false` as soon as a bad terminal is expanded (possibly
-    /// before the exploration completes, and possibly pre-empting the
-    /// configuration-limit error — which is order-independent, firing iff
-    /// the reachable set exceeds the limit); callers materialize every
-    /// `false` with a full BFS-order check, which reproduces the exact
-    /// verdict or error.
-    #[allow(clippy::too_many_arguments)] // mirrors run_direct + the verdict target
-    pub(super) fn run_decide_dag(
-        &mut self,
-        compiled: &CompiledCrn,
-        stride: usize,
-        start_dense: &[u64],
-        limits: ReachabilityLimits,
-        spec: &DirectSpec,
-        out_idx: usize,
-        expected: u64,
-    ) -> Result<bool, CrnError> {
-        self.arena.reset(stride);
-        self.cur.clear();
-        self.cur.resize(stride, 0);
-        self.succ.clear();
-        self.succ.resize(stride, 0);
-        self.direct.reset();
-        self.nodes.clear();
-
-        let start_code = spec.encode(start_dense);
-        self.arena.push_unindexed(start_dense);
-        self.nodes.push(DirectNode {
-            code: start_code,
-            last_emit: u32::MAX,
-        });
-        self.direct.insert(0, &self.nodes);
-
-        let mut current = 0usize;
-        while current < self.arena.len() {
-            self.cur.copy_from_slice(self.arena.get(current));
-            let cur_code = self.nodes[current].code;
-            let mut terminal = true;
-            for r in 0..spec.offsets.len() {
-                let lo = spec.req_offsets[r] as usize;
-                let hi = spec.req_offsets[r + 1] as usize;
-                if spec.reqs[lo..hi]
-                    .iter()
-                    .any(|&(s, c)| self.cur[s as usize] < c)
-                {
-                    continue;
-                }
-                terminal = false;
-                let succ_code = cur_code.wrapping_add_signed(spec.offsets[r]);
-                // Acyclicity rules out zero-delta reactions (a one-firing
-                // cycle), so a successor never aliases its source.
-                debug_assert_ne!(succ_code, cur_code, "self-loop in certified-acyclic CRN");
-                if self.direct.lookup(succ_code, &self.nodes).is_some() {
-                    continue;
-                }
-                if self.arena.len() >= limits.max_configurations {
-                    return Err(CrnError::SearchLimitExceeded {
-                        limit: format!("{} reachable configurations", limits.max_configurations),
-                    });
-                }
-                compiled.reactions()[r].apply_into(&self.cur, &mut self.succ);
-                debug_assert_eq!(spec.encode(&self.succ), succ_code);
-                let id = self.arena.push_unindexed(&self.succ);
-                self.nodes.push(DirectNode {
-                    code: succ_code,
-                    last_emit: u32::MAX,
-                });
-                self.direct.insert(id, &self.nodes);
-            }
-            if terminal && self.cur[out_idx] != expected {
-                // A bad sink component: its closure is itself, constant on
-                // the wrong output, so it can never recover.
-                return Ok(false);
-            }
-            current += 1;
-        }
-        Ok(true)
-    }
-
-    /// Explores and decides in one fused depth-first pass: materializes the
-    /// same reachable set as [`run_direct`](ExploreState::run_direct) (in
-    /// DFS rather than BFS order — the set, and therefore the
-    /// configuration-limit error, is order-independent) while running
-    /// Tarjan's algorithm inline, evaluating the verdict engine's
-    /// `all_recover` fold at each component pop.  The graph is traversed
-    /// exactly once, instead of once to build a CSR and a second time to
-    /// condense it.
-    ///
-    /// Returns `false` as soon as a non-recovering component is emitted —
-    /// possibly before the exploration completes, and possibly pre-empting
-    /// the limit error; callers materialize every `false` with a full
-    /// BFS-order check, which reproduces the exact verdict or error.  A
-    /// `true` certifies the full reachable set was explored within `limits`
-    /// and every component recovers.
-    #[allow(clippy::too_many_arguments)] // mirrors run_direct + the verdict target
-    pub(super) fn run_decide_direct(
-        &mut self,
-        compiled: &CompiledCrn,
-        stride: usize,
-        start_dense: &[u64],
-        limits: ReachabilityLimits,
-        spec: &DirectSpec,
-        out_idx: usize,
-        expected: u64,
-    ) -> Result<bool, CrnError> {
-        self.arena.reset(stride);
-        self.cur.clear();
-        self.cur.resize(stride, 0);
-        self.succ.clear();
-        self.succ.resize(stride, 0);
-        self.direct.reset();
-        self.nodes.clear();
-        self.edges.clear();
-        self.rows.clear();
-        self.t_index.clear();
-        self.t_lowlink.clear();
-        self.t_onstack.clear();
-        self.t_comp.clear();
-        self.t_stack.clear();
-        self.t_frames.clear();
-        self.dp_max.clear();
-        self.dp_min.clear();
-        self.dp_rec.clear();
-
-        let start_code = spec.encode(start_dense);
-        self.arena.push_unindexed(start_dense);
-        self.nodes.push(DirectNode {
-            code: start_code,
-            last_emit: u32::MAX,
-        });
-        self.direct.insert(0, &self.nodes);
-        self.rows.push((0, 0));
-        self.t_index.push(UNVISITED);
-        self.t_lowlink.push(0);
-        self.t_onstack.push(false);
-        self.t_comp.push(0);
-
-        let mut next_index = 0usize;
-        let mut num_components = 0usize;
-        self.t_frames.push((0, 0));
-        while let Some(&(v, cursor)) = self.t_frames.last() {
-            if cursor == 0 {
-                // First visit: Tarjan init plus successor expansion, so the
-                // row is final before its first edge is followed.  Every
-                // vertex is expanded exactly once — the same applicability
-                // and probe work as the BFS pass, in a different order.
-                self.t_index[v] = next_index;
-                self.t_lowlink[v] = next_index;
-                next_index += 1;
-                self.t_stack.push(v);
-                self.t_onstack[v] = true;
-
-                let row_start = u32::try_from(self.edges.len()).expect("edge count fits u32");
-                self.cur.copy_from_slice(self.arena.get(v));
-                let cur_code = self.nodes[v].code;
-                let cur_stamp = u32::try_from(v).expect("ids fit u32 (index cap)");
-                for r in 0..spec.offsets.len() {
-                    let lo = spec.req_offsets[r] as usize;
-                    let hi = spec.req_offsets[r + 1] as usize;
-                    if spec.reqs[lo..hi]
-                        .iter()
-                        .any(|&(s, c)| self.cur[s as usize] < c)
-                    {
-                        continue;
-                    }
-                    let succ_code = cur_code.wrapping_add_signed(spec.offsets[r]);
-                    let id = match self.direct.lookup(succ_code, &self.nodes) {
-                        Some(id) => id,
-                        None => {
-                            if self.arena.len() >= limits.max_configurations {
-                                return Err(CrnError::SearchLimitExceeded {
-                                    limit: format!(
-                                        "{} reachable configurations",
-                                        limits.max_configurations
-                                    ),
-                                });
-                            }
-                            compiled.reactions()[r].apply_into(&self.cur, &mut self.succ);
-                            debug_assert_eq!(spec.encode(&self.succ), succ_code);
-                            let id = self.arena.push_unindexed(&self.succ);
-                            self.nodes.push(DirectNode {
-                                code: succ_code,
-                                last_emit: u32::MAX,
-                            });
-                            self.direct.insert(id, &self.nodes);
-                            self.rows.push((0, 0));
-                            self.t_index.push(UNVISITED);
-                            self.t_lowlink.push(0);
-                            self.t_onstack.push(false);
-                            self.t_comp.push(0);
-                            id
-                        }
-                    };
-                    if self.nodes[id].last_emit != cur_stamp {
-                        self.nodes[id].last_emit = cur_stamp;
-                        self.edges
-                            .push(u32::try_from(id).expect("ids fit u32 (index cap)"));
-                    }
-                }
-                let row_end = u32::try_from(self.edges.len()).expect("edge count fits u32");
-                self.rows[v] = (row_start, row_end);
-            }
-            let (rs, re) = self.rows[v];
-            let pos = rs as usize + cursor;
-            if pos < re as usize {
-                self.t_frames.last_mut().expect("frame exists").1 += 1;
-                let w = self.edges[pos] as usize;
-                if self.t_index[w] == UNVISITED {
-                    self.t_frames.push((w, 0));
-                } else if self.t_onstack[w] {
-                    self.t_lowlink[v] = self.t_lowlink[v].min(self.t_index[w]);
-                }
-                continue;
-            }
-            self.t_frames.pop();
-            if self.t_lowlink[v] == self.t_index[v] {
-                // The component is the stack suffix of Tarjan indices at
-                // least `index[v]`; every edge out of it lands in an
-                // already-emitted (hence final) component, so the closure
-                // max/min/recovers folds complete in this one member walk.
-                let mut base = self.t_stack.len();
-                while base > 0 && self.t_index[self.t_stack[base - 1]] >= self.t_index[v] {
-                    base -= 1;
-                }
-                let c = num_components;
-                num_components += 1;
-                for &w in &self.t_stack[base..] {
-                    self.t_onstack[w] = false;
-                    self.t_comp[w] = c;
-                }
-                let mut mx = u64::MIN;
-                let mut mn = u64::MAX;
-                let mut rec = false;
-                for i in base..self.t_stack.len() {
-                    let m = self.t_stack[i];
-                    let val = self.arena.get(m)[out_idx];
-                    mx = mx.max(val);
-                    mn = mn.min(val);
-                    let (ms, me) = self.rows[m];
-                    for &w in &self.edges[ms as usize..me as usize] {
-                        let cw = self.t_comp[w as usize];
-                        if cw != c {
-                            mx = mx.max(self.dp_max[cw]);
-                            mn = mn.min(self.dp_min[cw]);
-                            rec = rec || self.dp_rec[cw];
-                        }
-                    }
-                }
-                rec = rec || (mx == mn && mx == expected);
-                if !rec {
-                    // A non-recovering component decides the answer.
-                    return Ok(false);
-                }
-                self.dp_max.push(mx);
-                self.dp_min.push(mn);
-                self.dp_rec.push(rec);
-                self.t_stack.truncate(base);
-            }
-            if let Some(parent) = self.t_frames.last() {
-                self.t_lowlink[parent.0] = self.t_lowlink[parent.0].min(self.t_lowlink[v]);
-            }
-        }
-        Ok(true)
-    }
-
-    /// [`run_decide_dag`](ExploreState::run_decide_dag) with whole
-    /// configurations packed into one `u64` each: the BFS loop touches no
-    /// count vectors at all — successor identity is a wrapping addition, the
-    /// applicability test is one SWAR subtraction over every species at
-    /// once, and the terminal output is a byte extract.  The packed value is
-    /// a perfect mixed-radix code of the (7-bit) hull, so discovery order,
-    /// deduplication, the decision and the configuration-limit error are all
-    /// bit-identical to the spec-coded DAG pass.
-    pub(super) fn run_decide_packed_dag(
-        &mut self,
-        packed: &PackedSpec,
-        start: u64,
-        limits: ReachabilityLimits,
-        expected: u64,
-    ) -> Result<bool, CrnError> {
-        if packed.dense_volume > 0 {
-            return self.run_decide_packed_dense(packed, start, limits, expected);
-        }
-        self.direct.reset();
-        self.pk.clear();
-        self.pk.push(start);
-        {
-            let pk = &self.pk;
-            self.direct.insert_by(0, pk.len(), |i| pk[i]);
-        }
-        let mut current = 0usize;
-        while current < self.pk.len() {
-            let cur = self.pk[current];
-            let mut terminal = true;
-            for r in 0..packed.deltas.len() {
-                // Lane-wise `cur >= req`: with every count lane in [0, 127]
-                // and requirement lanes clamped to 128, `(cur | HIGH) - req`
-                // never borrows across lanes, and a lane's high bit survives
-                // exactly when its count meets the requirement.
-                let gap = (cur | LANE_HIGH).wrapping_sub(packed.reqs[r]);
-                if !gap & LANE_HIGH != 0 {
-                    continue;
-                }
-                terminal = false;
-                let succ = cur.wrapping_add(packed.deltas[r]);
-                debug_assert_ne!(succ, cur, "self-loop in certified-acyclic CRN");
-                let pk = &self.pk;
-                if self.direct.lookup_by(succ, |i| pk[i]).is_some() {
-                    continue;
-                }
-                if self.pk.len() >= limits.max_configurations {
-                    return Err(CrnError::SearchLimitExceeded {
-                        limit: format!("{} reachable configurations", limits.max_configurations),
-                    });
-                }
-                let id = self.pk.len();
-                self.pk.push(succ);
-                let pk = &self.pk;
-                self.direct.insert_by(id, pk.len(), |i| pk[i]);
-            }
-            if terminal && (cur >> packed.out_shift) & 0xff != expected {
-                return Ok(false);
-            }
-            current += 1;
-        }
-        Ok(true)
-    }
-
-    /// The small-hull variant of
-    /// [`run_decide_packed_dag`](ExploreState::run_decide_packed_dag):
-    /// deduplication via an epoch-stamped dense visited table indexed by
-    /// the hull's mixed-radix code, which is maintained *incrementally* —
-    /// firing a reaction moves the code by one precomputed `wrapping_add`.
-    /// Discovery order, the verdict and the configuration-limit error are
-    /// identical to the hashed pass: membership is membership either way.
-    fn run_decide_packed_dense(
-        &mut self,
-        packed: &PackedSpec,
-        start: u64,
-        limits: ReachabilityLimits,
-        expected: u64,
-    ) -> Result<bool, CrnError> {
-        if self.visited.len() < packed.dense_volume {
-            self.visited.resize(packed.dense_volume, 0);
-        }
-        self.visited_epoch = match self.visited_epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                self.visited.fill(0);
-                1
-            }
-        };
-        let epoch = self.visited_epoch;
-        self.pk.clear();
-        self.pk_code.clear();
-        let start_code = packed.dense_code(start);
-        self.pk.push(start);
-        self.pk_code.push(start_code);
-        self.visited[usize::try_from(start_code).expect("dense code below the cap")] = epoch;
-        let mut current = 0usize;
-        while current < self.pk.len() {
-            let cur = self.pk[current];
-            let cur_code = self.pk_code[current];
-            let mut terminal = true;
-            for r in 0..packed.deltas.len() {
-                let gap = (cur | LANE_HIGH).wrapping_sub(packed.reqs[r]);
-                if !gap & LANE_HIGH != 0 {
-                    continue;
-                }
-                terminal = false;
-                let succ_code = cur_code.wrapping_add(packed.dense_deltas[r]);
-                let slot = usize::try_from(succ_code).expect("dense code below the cap");
-                debug_assert!(slot < packed.dense_volume, "hull admits every successor");
-                if self.visited[slot] == epoch {
-                    continue;
-                }
-                if self.pk.len() >= limits.max_configurations {
-                    return Err(CrnError::SearchLimitExceeded {
-                        limit: format!("{} reachable configurations", limits.max_configurations),
-                    });
-                }
-                self.visited[slot] = epoch;
-                self.pk.push(cur.wrapping_add(packed.deltas[r]));
-                self.pk_code.push(succ_code);
-            }
-            if terminal && (cur >> packed.out_shift) & 0xff != expected {
-                return Ok(false);
-            }
-            current += 1;
-        }
-        Ok(true)
-    }
-
-    /// The memoizing decision pass:
-    /// [`run_decide_direct`](ExploreState::run_decide_direct) coded over the
-    /// box-wide *hull* (so codes mean the same thing at every point of the
-    /// sweep), consulting `cache` at the frontier.  A successor whose hull
-    /// code carries a cached [`Summary`] becomes a *virtual* child — its
-    /// subtree is never expanded; the component folds consume the summary's
-    /// output sets instead.  Every finished component's members are appended
-    /// to `pending` with their shared summary; the caller publishes them
-    /// only when the run returns `Ok` — a truncated exploration never
-    /// populates the cache.
-    ///
-    /// Returns `Ok(Some(decision))` when the verdict is certified,
-    /// `Ok(Some(false))` possibly early (the full check then fails or
-    /// errors, never passes), and `Ok(None)` when every component recovers
-    /// but the run cannot certify that the reference exploration would have
-    /// stayed within `limits` — the caller must then fall back to an exact
-    /// per-point pass.
-    #[allow(clippy::too_many_arguments)] // mirrors run_decide_direct + the cache
-    pub(super) fn run_decide_memo(
-        &mut self,
-        compiled: &CompiledCrn,
-        stride: usize,
-        start_dense: &[u64],
-        limits: ReachabilityLimits,
-        spec: &DirectSpec,
-        out_idx: usize,
-        expected: u64,
-        limit_certified: bool,
-        cache: &mut MemoCache,
-        pending: &mut Vec<(u64, Summary)>,
-    ) -> Result<Option<bool>, CrnError> {
-        self.arena.reset(stride);
-        self.cur.clear();
-        self.cur.resize(stride, 0);
-        self.succ.clear();
-        self.succ.resize(stride, 0);
-        self.direct.reset();
-        self.nodes.clear();
-        self.edges.clear();
-        self.rows.clear();
-        self.t_index.clear();
-        self.t_lowlink.clear();
-        self.t_onstack.clear();
-        self.t_comp.clear();
-        self.t_stack.clear();
-        self.t_frames.clear();
-        self.dp_max.clear();
-        self.dp_min.clear();
-        self.dp_so.clear();
-        self.dp_rset.clear();
-        self.dp_size.clear();
-        self.hit_list.clear();
-        self.hit_emit.clear();
-        self.hit_ids.clear();
-        pending.clear();
-
-        let start_code = spec.encode(start_dense);
-        self.arena.push_unindexed(start_dense);
-        self.nodes.push(DirectNode {
-            code: start_code,
-            last_emit: u32::MAX,
-        });
-        self.direct.insert(0, &self.nodes);
-        self.rows.push((0, 0));
-        self.t_index.push(UNVISITED);
-        self.t_lowlink.push(0);
-        self.t_onstack.push(false);
-        self.t_comp.push(0);
-
-        let mut next_index = 0usize;
-        let mut num_components = 0usize;
-        self.t_frames.push((0, 0));
-        while let Some(&(v, cursor)) = self.t_frames.last() {
-            if cursor == 0 {
-                self.t_index[v] = next_index;
-                self.t_lowlink[v] = next_index;
-                next_index += 1;
-                self.t_stack.push(v);
-                self.t_onstack[v] = true;
-
-                let row_start = u32::try_from(self.edges.len()).expect("edge count fits u32");
-                self.cur.copy_from_slice(self.arena.get(v));
-                let cur_code = self.nodes[v].code;
-                let cur_stamp = u32::try_from(v).expect("ids fit u32 (index cap)");
-                for r in 0..spec.offsets.len() {
-                    let lo = spec.req_offsets[r] as usize;
-                    let hi = spec.req_offsets[r + 1] as usize;
-                    if spec.reqs[lo..hi]
-                        .iter()
-                        .any(|&(s, c)| self.cur[s as usize] < c)
-                    {
-                        continue;
-                    }
-                    let succ_code = cur_code.wrapping_add_signed(spec.offsets[r]);
-                    // Materialized vertices win over cache entries, so a
-                    // configuration is never both a vertex and a virtual
-                    // child of the same run.
-                    if let Some(id) = self.direct.lookup(succ_code, &self.nodes) {
-                        if self.nodes[id].last_emit != cur_stamp {
-                            self.nodes[id].last_emit = cur_stamp;
-                            self.edges.push(real_edge(id));
-                        }
-                        continue;
-                    }
-                    if let Some(summary) = cache.lookup(succ_code) {
-                        let hit_list = &mut self.hit_list;
-                        let hit_emit = &mut self.hit_emit;
-                        let hid = *self.hit_ids.entry(succ_code).or_insert_with(|| {
-                            let hid = u32::try_from(hit_list.len()).expect("hit count fits u32");
-                            hit_list.push(summary);
-                            hit_emit.push(u32::MAX);
-                            hid
-                        });
-                        if self.hit_emit[hid as usize] != cur_stamp {
-                            self.hit_emit[hid as usize] = cur_stamp;
-                            self.edges.push(VIRTUAL_EDGE | hid);
-                        }
-                        continue;
-                    }
-                    if self.arena.len() >= limits.max_configurations {
-                        return Err(CrnError::SearchLimitExceeded {
-                            limit: format!(
-                                "{} reachable configurations",
-                                limits.max_configurations
-                            ),
-                        });
-                    }
-                    compiled.reactions()[r].apply_into(&self.cur, &mut self.succ);
-                    debug_assert_eq!(spec.encode(&self.succ), succ_code);
-                    let id = self.arena.push_unindexed(&self.succ);
-                    self.nodes.push(DirectNode {
-                        code: succ_code,
-                        last_emit: cur_stamp,
-                    });
-                    self.direct.insert(id, &self.nodes);
-                    self.rows.push((0, 0));
-                    self.t_index.push(UNVISITED);
-                    self.t_lowlink.push(0);
-                    self.t_onstack.push(false);
-                    self.t_comp.push(0);
-                    self.edges.push(real_edge(id));
-                }
-                let row_end = u32::try_from(self.edges.len()).expect("edge count fits u32");
-                self.rows[v] = (row_start, row_end);
-            }
-            let (rs, re) = self.rows[v];
-            let pos = rs as usize + cursor;
-            if pos < re as usize {
-                self.t_frames.last_mut().expect("frame exists").1 += 1;
-                let e = self.edges[pos];
-                if e & VIRTUAL_EDGE != 0 {
-                    // A summarized subtree: folded at the pop, never
-                    // traversed.
-                    continue;
-                }
-                let w = e as usize;
-                if self.t_index[w] == UNVISITED {
-                    self.t_frames.push((w, 0));
-                } else if self.t_onstack[w] {
-                    self.t_lowlink[v] = self.t_lowlink[v].min(self.t_index[w]);
-                }
-                continue;
-            }
-            self.t_frames.pop();
-            if self.t_lowlink[v] == self.t_index[v] {
-                let mut base = self.t_stack.len();
-                while base > 0 && self.t_index[self.t_stack[base - 1]] >= self.t_index[v] {
-                    base -= 1;
-                }
-                let c = num_components;
-                num_components += 1;
-                for &w in &self.t_stack[base..] {
-                    self.t_onstack[w] = false;
-                    self.t_comp[w] = c;
-                }
-                // Fold the closure's output extrema, stable-output set `so`
-                // (values some closure configuration is output-stable at)
-                // and recoverable set `rset` (values *every* closure
-                // configuration can still reach stably), plus a size bound.
-                let mut mx = u64::MIN;
-                let mut mn = u64::MAX;
-                let mut so = EMPTY_SET;
-                let mut rset: Option<SetId> = None;
-                let mut size =
-                    u64::try_from(self.t_stack.len() - base).expect("member count fits u64");
-                for i in base..self.t_stack.len() {
-                    let m = self.t_stack[i];
-                    let val = self.arena.get(m)[out_idx];
-                    mx = mx.max(val);
-                    mn = mn.min(val);
-                    let (ms, me) = self.rows[m];
-                    for &e in &self.edges[ms as usize..me as usize] {
-                        let (c_mx, c_mn, c_so, c_rset, c_size) = if e & VIRTUAL_EDGE != 0 {
-                            let h = &self.hit_list[(e & !VIRTUAL_EDGE) as usize];
-                            (h.mx, h.mn, h.so, h.rset, h.size_bound)
-                        } else {
-                            let cw = self.t_comp[e as usize];
-                            if cw == c {
-                                continue;
-                            }
-                            (
-                                self.dp_max[cw],
-                                self.dp_min[cw],
-                                self.dp_so[cw],
-                                self.dp_rset[cw],
-                                self.dp_size[cw],
-                            )
-                        };
-                        mx = mx.max(c_mx);
-                        mn = mn.min(c_mn);
-                        so = cache.pool.union(so, c_so);
-                        rset = Some(match rset {
-                            None => c_rset,
-                            Some(r) => cache.pool.intersect(r, c_rset),
-                        });
-                        size = size.saturating_add(c_size);
-                    }
-                }
-                if mx == mn {
-                    // One output value across the whole closure: every
-                    // member is output-stable with it.
-                    let single = cache.pool.singleton(mx);
-                    so = cache.pool.union(so, single);
-                }
-                let rset = rset.unwrap_or(so);
-                if !cache.pool.contains(rset, expected) {
-                    // Some configuration in this reachable component's
-                    // closure can never recover the expected output: the
-                    // full check fails or errors, never passes.
-                    return Ok(Some(false));
-                }
-                let summary = Summary {
-                    mx,
-                    mn,
-                    so,
-                    rset,
-                    size_bound: size,
-                };
-                for &m in &self.t_stack[base..] {
-                    pending.push((self.nodes[m].code, summary));
-                }
-                self.dp_max.push(mx);
-                self.dp_min.push(mn);
-                self.dp_so.push(so);
-                self.dp_rset.push(rset);
-                self.dp_size.push(size);
-                self.t_stack.truncate(base);
-            }
-            if let Some(parent) = self.t_frames.last() {
-                self.t_lowlink[parent.0] = self.t_lowlink[parent.0].min(self.t_lowlink[v]);
-            }
-        }
-        // Every component recovers.  The run may have finished early through
-        // cache hits, so "the reference exploration fits the limit" needs a
-        // certificate: the sweep-wide one, or the root closure's size bound.
-        let root_size = *self.dp_size.last().expect("the root component was popped");
-        if limit_certified
-            || root_size <= u64::try_from(limits.max_configurations).unwrap_or(u64::MAX)
-        {
-            Ok(Some(true))
-        } else {
-            Ok(None)
-        }
     }
 }
 
@@ -1403,11 +1305,11 @@ pub(super) enum StaticOutcome {
     Fail,
 }
 
-/// Everything the incremental box engine precomputes once per sweep:
-/// analysis artifacts, the box-wide hull code space, the packed byte
-/// encoding, the symmetry group, and the cross-worker summary exchange.  All
-/// of it depends only on the CRN, the bound and the configuration limit, so
-/// the driver builds one plan and every worker shares it by reference.
+/// Everything the box engine precomputes once per sweep: the box-wide hull
+/// code space, the packed byte encoding, the symmetry group, and the
+/// cross-worker summary exchange.  All of it depends only on the CRN, the
+/// bound and the configuration limit, so the driver builds one plan and
+/// every worker shares it by reference.
 pub(super) struct SweepPlan {
     /// The mixed-radix code over the box-wide interval hull — a
     /// point-independent key space shared by every sweep point, used to key
@@ -1454,7 +1356,7 @@ impl SweepPlan {
         let support: Vec<usize> = (0..stride).filter(|&s| top[s] > 0).collect();
         let live = Liveness::analyze(&compiled, &support);
         let hull = analysis.bounds.box_hull(&top, &live);
-        let hull_spec = DirectSpec::build(&hull, &compiled, DIRECT_INDEX_CAP);
+        let hull_spec = DirectSpec::build(&hull, &compiled);
         let packed = if analysis.acyclic {
             PackedSpec::build(
                 &hull,
@@ -1469,10 +1371,13 @@ impl SweepPlan {
         let limit_certified = hull
             .state_space()
             .is_some_and(|v| v <= max_configurations as u128);
+        // At full input rank the laws' values separate every pair of box
+        // points, so reachable sets of distinct points are disjoint and the
+        // cache could never hit.  An overflowing elimination reports rank 0
+        // (the gate is a performance heuristic, never a soundness one).
         let inputs: Vec<usize> = crn.roles().inputs.iter().map(|s| s.index()).collect();
-        let cache_enabled = hull_spec.is_some()
-            && !inputs.is_empty()
-            && input_law_rank(&analysis.laws, &inputs) < inputs.len();
+        let rank = echelon_pivots(law_matrix(&analysis.laws, &inputs)).map_or(0, |p| p.len());
+        let cache_enabled = hull_spec.is_some() && rank < inputs.len();
         let perms = symmetry::input_automorphisms(crn, &compiled);
         SweepPlan {
             hull_spec,
@@ -1485,47 +1390,53 @@ impl SweepPlan {
     }
 }
 
-/// The rank (over ℚ) of the conservation-law matrix restricted to the input
-/// species.  At full rank the laws' values separate every pair of box points
-/// — reachable sets of distinct points are disjoint and a cross-point cache
-/// can never hit, so the driver leaves it off.  Overflow during elimination
-/// conservatively reports rank 0 (the gate is a performance heuristic, never
-/// a soundness requirement).
-fn input_law_rank(laws: &[ConservationLaw], inputs: &[usize]) -> usize {
-    let mut rows: Vec<Vec<i128>> = laws
-        .iter()
-        .map(|law| inputs.iter().map(|&s| law.weight(s)).collect())
-        .collect();
-    let cols = inputs.len();
-    let mut rank = 0usize;
-    for col in 0..cols {
-        let Some(pivot) = (rank..rows.len()).find(|&r| rows[r][col] != 0) else {
-            continue;
-        };
-        rows.swap(rank, pivot);
-        let (head, rest) = rows.split_at_mut(rank + 1);
-        let pivot_row = &head[rank];
-        for row in rest.iter_mut() {
-            if row[col] == 0 {
-                continue;
-            }
-            let (p, q) = (pivot_row[col], row[col]);
-            for j in 0..cols {
-                let Some(scaled) = row[j].checked_mul(p) else {
-                    return 0;
-                };
-                let Some(elim) = pivot_row[j].checked_mul(q) else {
-                    return 0;
-                };
-                let Some(diff) = scaled.checked_sub(elim) else {
-                    return 0;
-                };
-                row[j] = diff;
-            }
-        }
-        rank += 1;
+/// The codec × visitor pair that decides one point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// The hull-coded direct codec under the memo fold.
+    HullMemo,
+    /// Packed words in the dense visited table, terminal scan.
+    PackedDenseScan,
+    /// Packed words in the hashed code index, terminal scan.
+    PackedHashScan,
+    /// The point's interval-box code, terminal scan.
+    DirectScan,
+    /// The point's interval-box code, recover fold.
+    DirectFold,
+    /// Hash-interned count vectors, terminal scan.
+    HashScan,
+    /// Hash-interned count vectors, recover fold.
+    HashFold,
+}
+
+/// Picks the route of one point.  The codec comes from the sweep plan —
+/// the hull code under the memo fold when the cross-point cache is on
+/// (`memo`), else the byte packing of a certified-acyclic CRN (`packed`) —
+/// and from the point's interval box (`box_fits`: finite and within
+/// [`DIRECT_INDEX_CAP`], evaluated only when consulted); the visitor comes
+/// from the acyclicity certificate.
+fn route(
+    memo: bool,
+    packed: Option<&PackedSpec>,
+    acyclic: bool,
+    box_fits: impl FnOnce() -> bool,
+) -> Route {
+    if memo {
+        return Route::HullMemo;
     }
-    rank
+    if let Some(packed) = packed {
+        return if packed.dense_volume > 0 {
+            Route::PackedDenseScan
+        } else {
+            Route::PackedHashScan
+        };
+    }
+    match (box_fits(), acyclic) {
+        (true, true) => Route::DirectScan,
+        (true, false) => Route::DirectFold,
+        (false, true) => Route::HashScan,
+        (false, false) => Route::HashFold,
+    }
 }
 
 /// A reusable stable-computation checker for one CRN: reactions are compiled
@@ -1533,12 +1444,13 @@ fn input_law_rank(laws: &[ConservationLaw], inputs: &[usize]) -> usize {
 /// are recycled across [`check`](VerdictEngine::check) calls.  The parallel
 /// box driver gives each worker thread one engine.
 ///
-/// A *pruned* engine ([`new`](VerdictEngine::new)) additionally carries the
-/// static-analysis artifacts — monotone-potential [`SpeciesBounds`] and the
-/// signed conservation-law basis — and uses them to (a) answer
-/// [`static_verdict`](VerdictEngine::static_verdict) queries without building
-/// an arena and (b) explore through the mixed-radix code index whenever the
-/// proven interval box is finite.  A *reference* engine
+/// A *pruned* engine ([`with_analysis`](VerdictEngine::with_analysis))
+/// additionally carries the static-analysis artifacts — monotone-potential
+/// [`SpeciesBounds`] and the signed conservation-law basis — and uses them
+/// to (a) answer [`static_verdict`](VerdictEngine::static_verdict) queries
+/// without building an arena, (b) [`decide`](VerdictEngine::decide) points,
+/// and (c) explore through the mixed-radix code index whenever the proven
+/// interval box is finite.  A *reference* engine
 /// ([`reference`](VerdictEngine::reference)) skips all of it and always runs
 /// the hash-interned BFS; both produce bit-identical verdicts.
 pub(super) struct VerdictEngine<'c> {
@@ -1555,22 +1467,22 @@ pub(super) struct VerdictEngine<'c> {
     /// and bound propagation once, not twice.
     cached_intervals: Option<(Vec<u64>, CountIntervals)>,
     state: ExploreState,
+    /// The recover fold's per-component cells.
+    cells: Vec<(u64, u64, bool)>,
+    memo: MemoScratch,
     cond: Condensation,
     start_dense: Vec<u64>,
     start_support: Vec<usize>,
     comp_max: Vec<u64>,
     comp_min: Vec<u64>,
     comp_recovers: Vec<bool>,
+    /// Pins the route of [`decide`](VerdictEngine::decide), so tests can
+    /// run every codec × visitor pair against the reference engine.
+    #[cfg(test)]
+    route_override: Option<Route>,
 }
 
 impl<'c> VerdictEngine<'c> {
-    /// Compiles `crn`'s reactions, computes the pruning analysis (bounds and
-    /// laws) and readies the scratch.
-    pub(super) fn new(crn: &'c FunctionCrn) -> Self {
-        let analysis = Self::analyze(crn);
-        Self::with_analysis(crn, Some(analysis))
-    }
-
     /// The per-CRN static analysis the pruned engine runs on: monotone
     /// potential bounds plus the signed conservation-law basis.  Point
     /// independent, so a box driver computes it once and hands clones of the
@@ -1591,8 +1503,8 @@ impl<'c> VerdictEngine<'c> {
     }
 
     /// The analysis-free engine: plain hash-interned BFS on every point,
-    /// exactly the pre-analysis behaviour.  Kept as the differential baseline
-    /// for the pruned engine and as the E18 comparison point.
+    /// exactly the pre-analysis behaviour, and the differential oracle of
+    /// every other route.
     pub(super) fn reference(crn: &'c FunctionCrn) -> Self {
         Self::with_analysis(crn, None)
     }
@@ -1600,7 +1512,7 @@ impl<'c> VerdictEngine<'c> {
     /// `(collisions, grows)` of the engine's configuration arena, cumulative
     /// over its lifetime — the observability layer's dedup metrics.
     pub(super) fn arena_metrics(&self) -> (u64, u64) {
-        self.state.arena.metrics()
+        self.state.store.arena.metrics()
     }
 
     /// An engine with the given (possibly shared) analysis artifacts, or a
@@ -1619,13 +1531,17 @@ impl<'c> VerdictEngine<'c> {
             stride,
             analysis,
             cached_intervals: None,
-            state: ExploreState::new(),
+            state: ExploreState::default(),
+            cells: Vec::new(),
+            memo: MemoScratch::default(),
             cond: Condensation::empty(),
             start_dense: Vec::new(),
             start_support: Vec::new(),
             comp_max: Vec::new(),
             comp_min: Vec::new(),
             comp_recovers: Vec::new(),
+            #[cfg(test)]
+            route_override: None,
         }
     }
 
@@ -1664,6 +1580,25 @@ impl<'c> VerdictEngine<'c> {
             self.cached_intervals = Some((self.start_dense.clone(), intervals));
         }
         true
+    }
+
+    /// The volume of the current start's interval box, if finite (always
+    /// `None` on a reference engine).
+    fn point_volume(&mut self) -> Option<u128> {
+        if !self.refresh_intervals() {
+            return None;
+        }
+        self.cached_intervals.as_ref()?.1.state_space()
+    }
+
+    /// The direct code over the current start's interval box, when it is
+    /// finite and within the cap.
+    fn point_spec(&mut self) -> Option<DirectSpec> {
+        if !self.refresh_intervals() {
+            return None;
+        }
+        let (_, intervals) = self.cached_intervals.as_ref()?;
+        DirectSpec::build(intervals, &self.compiled)
     }
 
     /// Classifies `x` without exploring: `Some(Pass)` and `Some(Fail)` are
@@ -1706,84 +1641,32 @@ impl<'c> VerdictEngine<'c> {
         None
     }
 
-    /// Decides whether the CRN stably computes `expected_output` on `x` —
-    /// exactly the `correct` flag [`check`](VerdictEngine::check) would
-    /// report — without materializing a verdict.  On a proven interval box
-    /// the pass is picked by the analysis: a T-invariant acyclicity
-    /// certificate reduces the decision to the terminal-output scan of
-    /// [`run_decide_dag`](ExploreState::run_decide_dag); otherwise it is the
-    /// fused exploration-plus-Tarjan pass of
-    /// [`run_decide_direct`](ExploreState::run_decide_direct).  Without a
-    /// finite box it falls back to the hash-mode exploration plus
-    /// [`Condensation::all_recover`].  The box driver runs this on every
-    /// candidate point and re-checks only the winning failure in full, so
-    /// passing points skip the member grouping, the three fold traversals
-    /// and the per-verdict allocations.
-    pub(super) fn decide(
-        &mut self,
-        x: &NVec,
-        expected_output: u64,
-        max_configurations: usize,
-    ) -> Result<bool, CrnError> {
-        if x.dim() != self.crn.dim() {
-            return Err(CrnError::DimensionMismatch {
-                expected: self.crn.dim(),
-                actual: x.dim(),
-            });
+    /// The route [`decide`](VerdictEngine::decide) takes on the current
+    /// start; `memo` says whether the cross-point cache is on.
+    fn pick_route(&mut self, plan: &SweepPlan, memo: bool) -> Route {
+        #[cfg(test)]
+        if let Some(route) = self
+            .route_override
+            .filter(|&r| memo || r != Route::HullMemo)
+        {
+            return route;
         }
-        self.build_start(x);
-        let spec = if self.refresh_intervals() {
-            let (_, intervals) = self.cached_intervals.as_ref().expect("just refreshed");
-            DirectSpec::build(intervals, &self.compiled, DIRECT_INDEX_CAP)
-        } else {
-            None
-        };
-        let limits = ReachabilityLimits { max_configurations };
-        let out_idx = self.crn.output().index();
         let acyclic = self.analysis.as_ref().is_some_and(|a| a.acyclic);
-        match &spec {
-            Some(spec) if acyclic => self.state.run_decide_dag(
-                &self.compiled,
-                self.stride,
-                &self.start_dense,
-                limits,
-                spec,
-                out_idx,
-                expected_output,
-            ),
-            Some(spec) => self.state.run_decide_direct(
-                &self.compiled,
-                self.stride,
-                &self.start_dense,
-                limits,
-                spec,
-                out_idx,
-                expected_output,
-            ),
-            None => {
-                self.state
-                    .run(&self.compiled, self.stride, &self.start_dense, limits)?;
-                let arena = &self.state.arena;
-                Ok(self.cond.all_recover(
-                    &self.state.csr,
-                    |v| arena.get(v)[out_idx],
-                    expected_output,
-                ))
-            }
-        }
+        route(memo, plan.packed.as_ref(), acyclic, || {
+            self.point_volume().is_some_and(|v| v <= DIRECT_INDEX_CAP)
+        })
     }
 
-    /// The incremental sweep's decision pass: semantically identical to
-    /// [`decide`](VerdictEngine::decide) — `Ok(true)` certifies the point
-    /// passes within the limit, `Ok(false)` certifies the full check would
-    /// fail or error — but routed through the sweep plan's cross-point
-    /// layers.  With a cache, the memoizing hull-coded pass runs (falling
-    /// back to the exact per-point pass when it cannot certify the limit);
-    /// otherwise a certified-acyclic CRN on a 7-bit hull takes the packed
-    /// byte pass, which needs no per-point interval analysis at all; plain
-    /// [`decide`](VerdictEngine::decide) covers the rest.
-    #[allow(clippy::too_many_arguments)] // mirrors decide + the sweep plan's layers
-    pub(super) fn decide_incremental(
+    /// Decides whether the CRN stably computes `expected_output` on `x` —
+    /// exactly the `correct` flag [`check`](VerdictEngine::check) would
+    /// report — without materializing a verdict.  `Ok(true)` certifies the
+    /// point passes within the limit; `Ok(false)` certifies the full check
+    /// fails or errors, and may come early, pre-empting the limit error.
+    /// [`route`] picks the codec and visitor.  With a cache, the memoizing
+    /// pass runs first and falls back to the exact route when it cannot
+    /// certify the limit.  The work is counted into `stats`.
+    #[allow(clippy::too_many_arguments)] // the point, the sweep plan's layers, the counters
+    pub(super) fn decide(
         &mut self,
         x: &NVec,
         expected_output: u64,
@@ -1799,95 +1682,166 @@ impl<'c> VerdictEngine<'c> {
                 actual: x.dim(),
             });
         }
-        if let Some(cache) = cache {
-            let hull_spec = plan
-                .hull_spec
-                .as_ref()
-                .expect("an enabled cache implies a hull code space");
-            self.build_start(x);
-            cache.import(&plan.shared);
-            let root_code = hull_spec.encode(&self.start_dense);
-            if let Some(summary) = cache.lookup(root_code) {
-                stats.cache_served += 1;
-                if !cache.pool.contains(summary.rset, expected_output) {
-                    return Ok(false);
-                }
-                if plan.limit_certified
-                    || summary.size_bound <= u64::try_from(max_configurations).unwrap_or(u64::MAX)
-                {
-                    return Ok(true);
-                }
-                // The verdict is "pass" but the reference exploration might
-                // exceed its limit: fall through to the exact pass.
-            } else {
-                let hits_before = cache.hits;
-                let limits = ReachabilityLimits { max_configurations };
-                let out_idx = self.crn.output().index();
-                let result = self.state.run_decide_memo(
-                    &self.compiled,
-                    self.stride,
-                    &self.start_dense,
-                    limits,
-                    hull_spec,
-                    out_idx,
-                    expected_output,
-                    plan.limit_certified,
-                    cache,
-                    pending,
-                );
-                stats.configs_explored +=
-                    u64::try_from(self.state.arena.len()).expect("usize fits u64");
-                match result {
-                    Ok(decision) => {
-                        // Publish the finished components — their closures
-                        // were fully summarized even if the decision came
-                        // early.
-                        for &(code, summary) in pending.iter() {
-                            cache.insert(code, summary);
-                        }
-                        cache.export(&plan.shared, pending);
-                        pending.clear();
-                        if cache.hits > hits_before {
-                            stats.cache_served += 1;
-                        }
-                        if let Some(decision) = decision {
-                            stats.decided += 1;
-                            return Ok(decision);
-                        }
-                        // Undecided: a pass the run cannot certify against
-                        // the limit; rerun exactly below.
-                    }
-                    Err(e) => {
-                        // The summaries die with the error: publishing
-                        // partial work could make cache contents (and thus
-                        // hit counters) depend on which worker errored first.
-                        stats.publish_suppressed +=
-                            u64::try_from(pending.len()).expect("usize fits u64");
-                        pending.clear();
-                        return Err(e);
-                    }
-                }
+        self.build_start(x);
+        let mut route = self.pick_route(plan, cache.is_some());
+        if route == Route::HullMemo {
+            let cache = cache.expect("the memo route runs with a cache");
+            if let Some(decision) = self.decide_memo(
+                expected_output,
+                max_configurations,
+                plan,
+                cache,
+                pending,
+                stats,
+            )? {
+                return Ok(decision);
             }
-        } else if let Some(packed) = plan.packed.as_ref() {
-            self.build_start(x);
-            let limits = ReachabilityLimits { max_configurations };
-            let start = packed.pack(&self.start_dense);
-            let result = self
-                .state
-                .run_decide_packed_dag(packed, start, limits, expected_output);
-            stats.configs_explored += u64::try_from(self.state.pk.len()).expect("usize fits u64");
-            stats.decided += 1;
-            return result;
+            route = self.pick_route(plan, false);
         }
         stats.decided += 1;
-        let result = self.decide(x, expected_output, max_configurations);
-        stats.configs_explored += u64::try_from(self.state.arena.len()).expect("usize fits u64");
+        let (result, explored) = self.run_route(route, plan, expected_output, max_configurations);
+        stats.configs_explored += u64::try_from(explored).expect("usize fits u64");
         result
+    }
+
+    /// The memo route: answers from a summary cached for the start itself,
+    /// or runs the memo fold over the hull code and publishes its finished
+    /// components.  `Ok(None)` means "a pass this run cannot certify against
+    /// the limit": the caller reruns the point on an exact route.
+    fn decide_memo(
+        &mut self,
+        expected: u64,
+        limit: usize,
+        plan: &SweepPlan,
+        cache: &mut MemoCache,
+        pending: &mut Vec<(u64, Summary)>,
+        stats: &mut BoxCheckStats,
+    ) -> Result<Option<bool>, CrnError> {
+        let hull = plan
+            .hull_spec
+            .as_ref()
+            .expect("an enabled cache implies a hull code space");
+        cache.import(&plan.shared);
+        // "The reference exploration fits the limit" needs a certificate:
+        // the sweep-wide one, or the closure's size bound.
+        let fits = |size: u64| plan.limit_certified || size <= limit as u64;
+        if let Some(summary) = cache.lookup(hull.encode(&self.start_dense)) {
+            stats.cache_served += 1;
+            if !cache.pool.contains(summary.rset, expected) {
+                return Ok(Some(false));
+            }
+            return Ok(fits(summary.size_bound).then_some(true));
+        }
+        let hits_before = cache.hits;
+        pending.clear();
+        self.memo.comps.clear();
+        self.memo.hits.clear();
+        self.memo.hit_stamps.clear();
+        self.memo.hit_ids.clear();
+        let out = self.crn.output().index();
+        let store = &mut self.state.store;
+        let mut codec = Direct::new(hull, &self.compiled, out, store, &self.start_dense);
+        let mut fold = MemoFold {
+            expected,
+            cache,
+            pending,
+            memo: &mut self.memo,
+        };
+        let result = dfs(&mut codec, &mut fold, &mut self.state.dfs, limit);
+        stats.configs_explored += codec.len() as u64;
+        let decision = match result {
+            Err(e) => {
+                // The summaries die with the error: publishing partial work
+                // could make cache contents (and thus hit counters) depend
+                // on which worker errored first.
+                stats.publish_suppressed += pending.len() as u64;
+                pending.clear();
+                return Err(e);
+            }
+            // A non-recovering component: the full check fails or errors.
+            Ok(false) => Some(false),
+            Ok(true) => {
+                let root = self.memo.comps.last().expect("the root component popped");
+                fits(root.size_bound).then_some(true)
+            }
+        };
+        // Publish the finished components — their closures were fully
+        // summarized even if the decision came early.
+        for &(code, summary) in pending.iter() {
+            cache.insert(code, summary);
+        }
+        cache.export(&plan.shared, pending);
+        pending.clear();
+        if cache.hits > hits_before {
+            stats.cache_served += 1;
+        }
+        if decision.is_some() {
+            stats.decided += 1;
+        }
+        Ok(decision)
+    }
+
+    /// Runs one exact route on the current start; returns the decision and
+    /// the number of configurations stored.
+    fn run_route(
+        &mut self,
+        route: Route,
+        plan: &SweepPlan,
+        expected: u64,
+        limit: usize,
+    ) -> (Result<bool, CrnError>, usize) {
+        let point = matches!(route, Route::DirectScan | Route::DirectFold).then(|| {
+            self.point_spec()
+                .expect("the route checked the point's box")
+        });
+        let packed = plan.packed.as_ref();
+        let (compiled, start) = (&self.compiled, &self.start_dense);
+        let out = self.crn.output().index();
+        let (store, g) = (&mut self.state.store, &mut self.state.dfs);
+        let scan = &mut TerminalScan { expected };
+        self.cells.clear();
+        let fold = &mut RecoverFold {
+            expected,
+            cells: &mut self.cells,
+        };
+        match route {
+            Route::HullMemo => unreachable!("the memo route runs through decide_memo"),
+            Route::PackedDenseScan | Route::PackedHashScan => {
+                let spec = packed.expect("packed routes have a packing");
+                if route == Route::PackedDenseScan {
+                    let mut codec = Packed::<true>::new(spec, store, spec.pack(start));
+                    (bfs(&mut codec, scan, limit), codec.len())
+                } else {
+                    let mut codec = Packed::<false>::new(spec, store, spec.pack(start));
+                    (bfs(&mut codec, scan, limit), codec.len())
+                }
+            }
+            Route::DirectScan | Route::DirectFold => {
+                let spec = point.as_ref().expect("built above");
+                let mut codec = Direct::new(spec, compiled, out, store, start);
+                let result = if route == Route::DirectScan {
+                    bfs(&mut codec, scan, limit)
+                } else {
+                    dfs(&mut codec, fold, g, limit)
+                };
+                (result, codec.len())
+            }
+            Route::HashScan | Route::HashFold => {
+                let mut codec = Hash::new(compiled, out, store, start);
+                let result = if route == Route::HashScan {
+                    bfs(&mut codec, scan, limit)
+                } else {
+                    dfs(&mut codec, fold, g, limit)
+                };
+                (result, codec.len())
+            }
+        }
     }
 
     /// Checks whether the CRN stably computes `expected_output` on `x`.
     /// Equivalent to [`super::check_stable_computation`] (which is this, run
-    /// on a fresh engine).
+    /// on a fresh engine).  The exploration is breadth-first, so ids — and
+    /// the configuration a failure message names — are discovery order.
     pub(super) fn check(
         &mut self,
         x: &NVec,
@@ -1901,32 +1855,13 @@ impl<'c> VerdictEngine<'c> {
             });
         }
         self.build_start(x);
-
-        let spec = if self.refresh_intervals() {
-            let (_, intervals) = self.cached_intervals.as_ref().expect("just refreshed");
-            DirectSpec::build(intervals, &self.compiled, DIRECT_INDEX_CAP)
-        } else {
-            None
-        };
-        let limits = ReachabilityLimits { max_configurations };
-        match &spec {
-            Some(spec) => {
-                self.state.run_direct(
-                    &self.compiled,
-                    self.stride,
-                    &self.start_dense,
-                    limits,
-                    spec,
-                )?;
-            }
-            None => {
-                self.state
-                    .run(&self.compiled, self.stride, &self.start_dense, limits)?;
-            }
-        }
+        let spec = self.point_spec();
+        let start = &self.start_dense;
+        self.state
+            .graph(&self.compiled, start, spec.as_ref(), max_configurations)?;
         self.cond.rebuild(&self.state.csr);
 
-        let arena = &self.state.arena;
+        let arena = &self.state.store.arena;
         let csr = &self.state.csr;
         let cond = &self.cond;
         let out_idx = self.crn.output().index();
@@ -1988,5 +1923,201 @@ impl<'c> VerdictEngine<'c> {
             stable_outputs,
             failure,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::crn::Crn;
+    use crate::examples;
+    use crate::reaction::Reaction;
+    use crate::species::Species;
+    use proptest::prelude::*;
+
+    fn input_indices(crn: &FunctionCrn) -> Vec<usize> {
+        crn.roles().inputs.iter().map(|s| s.index()).collect()
+    }
+
+    #[test]
+    fn max_laws_have_full_input_rank_so_the_cache_stays_off() {
+        let max = examples::max_crn();
+        let analysis = VerdictEngine::analyze(&max);
+        assert_eq!(analysis.laws.len(), 2);
+        let pivots = echelon_pivots(law_matrix(&analysis.laws, &input_indices(&max)));
+        assert_eq!(pivots.map(|p| p.len()), Some(2));
+        assert!(!SweepPlan::build(&max, &analysis, 3, 10_000).cache_enabled);
+    }
+
+    #[test]
+    fn add_law_has_rank_one_so_the_cache_stays_on() {
+        let mut crn = Crn::new();
+        crn.parse_reaction("X1 -> Y").unwrap();
+        crn.parse_reaction("X2 -> Y").unwrap();
+        let add = FunctionCrn::with_named_roles(crn, &["X1", "X2"], "Y", None).unwrap();
+        let analysis = VerdictEngine::analyze(&add);
+        assert_eq!(analysis.laws.len(), 1);
+        let pivots = echelon_pivots(law_matrix(&analysis.laws, &input_indices(&add)));
+        assert_eq!(pivots.map(|p| p.len()), Some(1));
+        assert!(SweepPlan::build(&add, &analysis, 3, 10_000).cache_enabled);
+    }
+
+    #[test]
+    fn overflowing_elimination_gives_none() {
+        assert_eq!(echelon_pivots(vec![vec![i128::MAX, 1], vec![2, 3]]), None);
+        assert_eq!(
+            echelon_pivots(vec![vec![2, 4], vec![1, 2], vec![0, 3]]),
+            Some(vec![0, 1])
+        );
+    }
+
+    #[test]
+    fn oversized_acyclic_boxes_route_to_the_hash_scan() {
+        // X -> A1 + … + A31 at x = 3: four reachable configurations in an
+        // interval box of 4^32 states, past the direct-code cap, and 32
+        // species, past the packing's 8 lanes.
+        let products: Vec<String> = (1..=31).map(|i| format!("A{i}")).collect();
+        let mut crn = Crn::new();
+        crn.parse_reaction(&format!("X -> {}", products.join(" + ")))
+            .unwrap();
+        let fanout = FunctionCrn::with_named_roles(crn, &["X"], "A1", None).unwrap();
+        let analysis = VerdictEngine::analyze(&fanout);
+        assert!(analysis.acyclic);
+        let plan = SweepPlan::build(&fanout, &analysis, 3, 1_000);
+        assert!(plan.hull_spec.is_none() && plan.packed.is_none());
+        let mut engine = VerdictEngine::with_analysis(&fanout, Some(analysis));
+        let x = NVec::from(vec![3]);
+        engine.build_start(&x);
+        assert_eq!(engine.pick_route(&plan, false), Route::HashScan);
+        let mut stats = BoxCheckStats::default();
+        let decided = engine.decide(&x, 3, 1_000, &plan, None, &mut Vec::new(), &mut stats);
+        assert_eq!(decided, Ok(true));
+        assert_eq!((stats.decided, stats.configs_explored), (1, 4));
+    }
+
+    /// Every route [`route`] can select.
+    const ROUTES: [Route; 7] = [
+        Route::HullMemo,
+        Route::PackedDenseScan,
+        Route::PackedHashScan,
+        Route::DirectScan,
+        Route::DirectFold,
+        Route::HashScan,
+        Route::HashFold,
+    ];
+
+    /// Whether `route` can decide the engine's current start: its codec
+    /// exists, and a terminal scan needs the acyclicity certificate (the
+    /// packing is only ever built under it).
+    fn admissible(engine: &mut VerdictEngine<'_>, plan: &SweepPlan, route: Route) -> bool {
+        let acyclic = engine.analysis.as_ref().is_some_and(|a| a.acyclic);
+        let box_fits = engine.point_volume().is_some_and(|v| v <= DIRECT_INDEX_CAP);
+        match route {
+            Route::HullMemo => plan.hull_spec.is_some(),
+            Route::PackedDenseScan => plan.packed.as_ref().is_some_and(|p| p.dense_volume > 0),
+            Route::PackedHashScan => plan.packed.is_some(),
+            Route::DirectScan => box_fits && acyclic,
+            Route::DirectFold => box_fits,
+            Route::HashScan => acyclic,
+            Route::HashFold => true,
+        }
+    }
+
+    /// Decides every point of `[0, bound]` on every admissible route — each
+    /// route with its own plan and cache, swept in box order so later points
+    /// meet summaries of earlier ones as virtual children — and compares
+    /// with the reference engine: `Ok(true)` exactly when the reference
+    /// verdict is correct, otherwise a reference failure or the identical
+    /// error.  The reference verdict comes from `Condensation::rebuild` plus
+    /// `fold_into`, so the fold routes are held to exactly those folds.
+    fn routes_match_reference(crn: &FunctionCrn, f: impl Fn(&NVec) -> u64, bound: u64) {
+        const LIMIT: usize = 300;
+        let analysis = VerdictEngine::analyze(crn);
+        let mut reference = VerdictEngine::reference(crn);
+        for route in ROUTES {
+            let plan = SweepPlan::build(crn, &analysis, bound, LIMIT);
+            let mut engine = VerdictEngine::with_analysis(crn, Some(Arc::clone(&analysis)));
+            engine.route_override = Some(route);
+            let mut cache = MemoCache::default();
+            let (mut pending, mut stats) = (Vec::new(), BoxCheckStats::default());
+            for x in NVec::box_iter(crn.dim(), bound) {
+                engine.build_start(&x);
+                if !admissible(&mut engine, &plan, route) {
+                    continue;
+                }
+                let expected = f(&x);
+                let decided = engine.decide(
+                    &x,
+                    expected,
+                    LIMIT,
+                    &plan,
+                    Some(&mut cache),
+                    &mut pending,
+                    &mut stats,
+                );
+                match (decided, reference.check(&x, expected, LIMIT)) {
+                    (Ok(decision), Ok(verdict)) => {
+                        prop_assert_eq!(decision, verdict.is_correct(), "{:?} at {}", route, x);
+                    }
+                    (Ok(decision), Err(_)) => {
+                        prop_assert!(!decision, "{:?} passed {} past the limit", route, x);
+                    }
+                    (Err(e), truth) => {
+                        prop_assert_eq!(Some(e), truth.err(), "{:?} at {}", route, x);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A CRN over `{X, Y, Z}` from sampled stoichiometries: input `X`,
+    /// output `Y`.
+    fn random_crn(stoich: &[Vec<u64>]) -> FunctionCrn {
+        let mut crn = Crn::new();
+        let species: Vec<Species> = ["X", "Y", "Z"].iter().map(|n| crn.add_species(n)).collect();
+        for row in stoich {
+            let side = |counts: &[u64]| -> Vec<(Species, u64)> {
+                species
+                    .iter()
+                    .copied()
+                    .zip(counts.iter().copied())
+                    .collect()
+            };
+            crn.add_reaction(Reaction::new(side(&row[0..3]), side(&row[3..6])));
+        }
+        FunctionCrn::with_named_roles(crn, &["X"], "Y", None).expect("valid roles")
+    }
+
+    proptest! {
+        #[test]
+        fn every_route_matches_the_reference_engine(
+            stoich in proptest::collection::vec(proptest::collection::vec(0u64..3, 6), 1..4),
+            a in 0u64..3,
+            b in 0u64..2,
+            bound in 0u64..4,
+        ) {
+            routes_match_reference(&random_crn(&stoich), |x| a * x[0] + b, bound);
+        }
+
+        /// Forced-acyclic CRNs: every kept reaction strictly lowers the
+        /// positive weighting `3X + Y + 2Z`, so no firing sequence returns
+        /// to its start, the certificate holds, and the scan and packed
+        /// routes run.
+        #[test]
+        fn every_route_matches_the_reference_engine_on_acyclic_crns(
+            stoich in proptest::collection::vec(proptest::collection::vec(0u64..3, 6), 1..5),
+            a in 0u64..3,
+            b in 0u64..2,
+            bound in 0u64..5,
+        ) {
+            let weight = |c: &[u64]| 3 * c[0] + c[1] + 2 * c[2];
+            let kept: Vec<Vec<u64>> = stoich
+                .into_iter()
+                .filter(|row| weight(&row[3..6]) < weight(&row[0..3]))
+                .collect();
+            let crn = random_crn(&kept);
+            prop_assert!(VerdictEngine::analyze(&crn).acyclic);
+            routes_match_reference(&crn, |x| a * x[0] + b, bound);
+        }
     }
 }

@@ -64,8 +64,8 @@ pub(super) struct SetPool {
 /// The empty set's id in every pool.
 pub(super) const EMPTY_SET: SetId = 0;
 
-impl SetPool {
-    pub(super) fn new() -> Self {
+impl Default for SetPool {
+    fn default() -> Self {
         let empty: Arc<[u64]> = Arc::from(Vec::new());
         let mut intern = HashMap::new();
         intern.insert(Arc::clone(&empty), EMPTY_SET);
@@ -77,7 +77,9 @@ impl SetPool {
             intersections: HashMap::new(),
         }
     }
+}
 
+impl SetPool {
     /// Interns an already-shared sorted set (an import from another worker),
     /// reusing the allocation.
     pub(super) fn intern_shared(&mut self, set: &Arc<[u64]>) -> SetId {
@@ -127,7 +129,9 @@ impl SetPool {
         if let Some(&id) = self.unions.get(&key) {
             return id;
         }
-        let merged = merge_sorted(&self.sets[a as usize], &self.sets[b as usize], true);
+        let mut merged = [&self.sets[a as usize][..], &self.sets[b as usize][..]].concat();
+        merged.sort_unstable();
+        merged.dedup();
         let id = self.intern_vec(merged);
         self.unions.insert(key, id);
         id
@@ -145,61 +149,26 @@ impl SetPool {
         if let Some(&id) = self.intersections.get(&key) {
             return id;
         }
-        let merged = merge_sorted(&self.sets[a as usize], &self.sets[b as usize], false);
+        let other = &self.sets[b as usize];
+        let merged = (self.sets[a as usize].iter())
+            .filter(|v| other.binary_search(v).is_ok())
+            .copied()
+            .collect();
         let id = self.intern_vec(merged);
         self.intersections.insert(key, id);
         id
     }
 }
 
-/// Merges two sorted slices into their union (`keep_single`) or intersection.
-fn merge_sorted(a: &[u64], b: &[u64], keep_single: bool) -> Vec<u64> {
-    let mut out = Vec::with_capacity(if keep_single { a.len() + b.len() } else { 0 });
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                if keep_single {
-                    out.push(a[i]);
-                }
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                if keep_single {
-                    out.push(b[j]);
-                }
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    if keep_single {
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
-    }
-    out
-}
-
-/// A summary with its sets materialized for cross-worker transport
-/// (`SetId`s are pool-local).
-#[derive(Clone)]
-struct SharedSummary {
-    mx: u64,
-    mn: u64,
-    so: Arc<[u64]>,
-    rset: Arc<[u64]>,
-    size_bound: u64,
-}
+/// A summary in cross-worker transport, keyed by its hull code: `SetId`s
+/// are pool-local, so its `so` and `rset` sets travel materialized alongside.
+type SharedEntry = (u64, Summary, Arc<[u64]>, Arc<[u64]>);
 
 /// The sweep-wide summary exchange: an append-only log each worker drains by
 /// cursor before starting a point, so the per-configuration hot path stays
 /// lock-free.
 pub(super) struct SharedLog {
-    entries: Mutex<Vec<(u64, SharedSummary)>>,
+    entries: Mutex<Vec<SharedEntry>>,
 }
 
 impl SharedLog {
@@ -217,6 +186,7 @@ const CACHE_ENTRY_CAP: usize = 1 << 20;
 
 /// One worker's view of the cross-point cache: the hull-code → summary map,
 /// the worker's own [`SetPool`], and its drain cursor into the shared log.
+#[derive(Default)]
 pub(super) struct MemoCache {
     pub(super) pool: SetPool,
     map: HashMap<u64, Summary>,
@@ -227,16 +197,6 @@ pub(super) struct MemoCache {
 }
 
 impl MemoCache {
-    pub(super) fn new() -> Self {
-        MemoCache {
-            pool: SetPool::new(),
-            map: HashMap::new(),
-            cursor: 0,
-            lookups: 0,
-            hits: 0,
-        }
-    }
-
     /// The cached summary of `code`, if any; counts toward the hit-rate
     /// statistics.
     pub(super) fn lookup(&mut self, code: u64) -> Option<Summary> {
@@ -267,18 +227,14 @@ impl MemoCache {
         if batch.is_empty() {
             return;
         }
-        let shared: Vec<(u64, SharedSummary)> = batch
-            .iter()
+        let pool = &self.pool;
+        let shared: Vec<SharedEntry> = (batch.iter())
             .map(|&(code, s)| {
                 (
                     code,
-                    SharedSummary {
-                        mx: s.mx,
-                        mn: s.mn,
-                        so: Arc::clone(self.pool.get(s.so)),
-                        rset: Arc::clone(self.pool.get(s.rset)),
-                        size_bound: s.size_bound,
-                    },
+                    s,
+                    Arc::clone(pool.get(s.so)),
+                    Arc::clone(pool.get(s.rset)),
                 )
             })
             .collect();
@@ -297,7 +253,7 @@ impl MemoCache {
     /// Drains summaries other workers published since the last import,
     /// re-interning their sets into this worker's pool.
     pub(super) fn import(&mut self, log: &SharedLog) {
-        let fresh: Vec<(u64, SharedSummary)> = {
+        let fresh: Vec<SharedEntry> = {
             let entries = lock_recover(&log.entries);
             if self.cursor >= entries.len() {
                 return;
@@ -306,18 +262,12 @@ impl MemoCache {
             self.cursor = entries.len();
             fresh
         };
-        for (code, s) in fresh {
+        for (code, s, so, rset) in fresh {
             if self.map.len() >= CACHE_ENTRY_CAP {
                 break;
             }
-            let summary = Summary {
-                mx: s.mx,
-                mn: s.mn,
-                so: self.pool.intern_shared(&s.so),
-                rset: self.pool.intern_shared(&s.rset),
-                size_bound: s.size_bound,
-            };
-            self.map.entry(code).or_insert(summary);
+            let (so, rset) = (self.pool.intern_shared(&so), self.pool.intern_shared(&rset));
+            self.map.entry(code).or_insert(Summary { so, rset, ..s });
         }
     }
 }
@@ -328,7 +278,7 @@ mod tests {
 
     #[test]
     fn set_algebra_interns_and_memoizes() {
-        let mut pool = SetPool::new();
+        let mut pool = SetPool::default();
         let a = pool.singleton(3);
         let b = pool.singleton(5);
         let ab = pool.union(a, b);
@@ -344,7 +294,7 @@ mod tests {
     #[test]
     fn shared_log_round_trips_summaries() {
         let log = SharedLog::new();
-        let mut producer = MemoCache::new();
+        let mut producer = MemoCache::default();
         let so = producer.pool.singleton(2);
         let summary = Summary {
             mx: 2,
@@ -356,7 +306,7 @@ mod tests {
         producer.insert(41, summary);
         producer.export(&log, &[(41, summary)]);
 
-        let mut consumer = MemoCache::new();
+        let mut consumer = MemoCache::default();
         consumer.import(&log);
         let got = consumer.lookup(41).expect("imported");
         assert_eq!(got.mx, 2);

@@ -22,16 +22,18 @@
 //!   queries behind a verdict (max/min reachable output, recoverability)
 //!   each become one linear pass over the components in reverse topological
 //!   order instead of an iterate-until-stable fixpoint;
-//! * [`check_on_box`] — a **parallel driver** sharding the input box across
-//!   scoped threads with a deterministic, lexicographically-first result;
-//! * [`oracle`] — the seed fixpoint engine, kept as the differential-testing
-//!   baseline and the comparison point of the E13 benchmark.
+//! * the **exploration engine** (internal) — two generic traversals, one
+//!   breadth-first and one depth-first with Tarjan inline, over interchangeable
+//!   state codecs (hash-interned, mixed-radix coded, byte-packed), each
+//!   driving a visitor that builds the graph or decides the verdict;
+//! * [`check_on_box`] / [`BoxCheck`] — a **parallel driver** sharding the
+//!   input box across scoped threads with a deterministic,
+//!   lexicographically-first result.
 
 mod arena;
 mod csr;
 mod engine;
 mod memo;
-pub mod oracle;
 mod parallel;
 mod scc;
 mod symmetry;
@@ -72,8 +74,8 @@ impl Default for ReachabilityLimits {
 
 /// Observability counters for one box sweep: how many points the engine
 /// actually explored versus decided statically, served from the cross-point
-/// cache, or skipped as symmetry replays.  Returned by
-/// [`check_on_box_with_stats`] and surfaced by `crn verify --stats`.
+/// cache, or skipped as symmetry replays.  Returned by [`BoxCheck::run`] and
+/// surfaced by `crn verify --stats`.
 ///
 /// The counters never influence verdicts; they exist so the effect of each
 /// incremental layer is measurable on real sweeps.
@@ -90,8 +92,9 @@ pub struct BoxCheckStats {
     pub static_pass: u64,
     /// Points decided `Fail` by the static interval analysis alone.
     pub static_fail: u64,
-    /// Points settled by a decision pass (fused exploration, packed, or
-    /// memoizing — including runs that populated or consulted the cache).
+    /// Points settled by an exploration: a decision pass (including memo
+    /// runs that populated or consulted the cache), or a full verdict on the
+    /// reference engine.
     pub decided: u64,
     /// Points whose decision came at least partly from cached summaries (a
     /// root-level cache hit, or a frontier that hit summarized territory).
@@ -177,10 +180,10 @@ impl ReachabilityGraph {
         let compiled = crate::compiled::CompiledCrn::compile(crn);
         let stride = arena::stride_for(compiled.stride(), start);
         let start_dense = arena::to_dense(start, stride).expect("stride covers start");
-        let mut state = ExploreState::new();
-        state.run(&compiled, stride, &start_dense, limits)?;
+        let mut state = ExploreState::default();
+        state.graph(&compiled, &start_dense, None, limits.max_configurations)?;
         Ok(ReachabilityGraph {
-            arena: state.arena,
+            arena: state.store.arena,
             csr: state.csr,
             sparse: OnceLock::new(),
         })
@@ -302,23 +305,27 @@ pub fn check_stable_computation(
     expected_output: u64,
     max_configurations: usize,
 ) -> Result<StableComputationVerdict, CrnError> {
-    VerdictEngine::new(crn).check(x, expected_output, max_configurations)
+    VerdictEngine::with_analysis(crn, Some(VerdictEngine::analyze(crn))).check(
+        x,
+        expected_output,
+        max_configurations,
+    )
 }
 
 /// Checks stable computation of `f` on every input in the box `[0, bound]^d`,
 /// sharding the inputs across worker threads (up to one per available core,
 /// with each worker granted enough inputs to amortize its spawn cost).
 ///
-/// The scan runs the *incremental* box engine: on top of the static interval
-/// pruning and direct-indexed exploration of the analysis-pruned engine, it
-/// skips inputs whose symmetry orbit already contains a checked
-/// representative, memoizes per-component output-set summaries across box
-/// points (keyed by the box-wide hull code, shared across workers), and for
-/// certified-acyclic CRNs on small hulls explores through a packed byte
-/// encoding — one `u64` per configuration.  Box points are decoded from a
+/// The scan runs the *incremental* box engine: it decides points statically
+/// from the interval analysis where it can, skips inputs whose symmetry
+/// orbit already contains a checked representative, memoizes per-component
+/// output-set summaries across box points (keyed by the box-wide hull code,
+/// shared across workers), and explores the rest through the cheapest state
+/// codec the analysis admits — for certified-acyclic CRNs with a terminal
+/// scan instead of a condensation.  Box points are decoded from a
 /// mixed-radix index on demand, so the sweep allocates `O(1)` memory in the
 /// box size.  The result is nonetheless bit-identical to
-/// [`check_on_box_reference`] — the first failing verdict in lexicographic
+/// [`BoxCheck::reference`] — the first failing verdict in lexicographic
 /// input order, the same one a sequential unpruned scan would return, byte
 /// identical failure messages and errors included — or `Ok(None)` if all
 /// inputs pass.
@@ -333,235 +340,98 @@ pub fn check_on_box(
     bound: u64,
     max_configurations: usize,
 ) -> Result<Option<StableComputationVerdict>, CrnError> {
-    let workers = default_box_workers(crn.dim(), bound);
-    parallel::check_on_box_sharded(
-        crn,
-        &f,
-        bound,
-        max_configurations,
-        workers,
-        parallel::EngineMode::Incremental,
-    )
-    .0
+    BoxCheck::new(crn, f, bound, max_configurations).run().0
 }
 
-/// [`check_on_box`] with an explicit worker-thread count (mainly for tests
-/// and benchmarks; `workers == 1` runs the plain sequential scan).
+/// A configurable [`check_on_box`] sweep: the engine and the worker count,
+/// with the sweep's [`BoxCheckStats`] returned alongside the outcome.
 ///
-/// # Errors
+/// ```
+/// use crn_model::{examples, BoxCheck};
 ///
-/// Propagates the errors of [`check_stable_computation`] exactly as
-/// [`check_on_box`] does.
-pub fn check_on_box_with_workers(
-    crn: &FunctionCrn,
-    f: impl Fn(&NVec) -> u64 + Sync,
+/// let min = examples::min_crn();
+/// let (outcome, stats) = BoxCheck::new(&min, |x| x[0].min(x[1]), 3, 10_000)
+///     .workers(1)
+///     .run();
+/// assert_eq!(outcome, Ok(None));
+/// assert_eq!(stats.points, 16);
+/// ```
+pub struct BoxCheck<'a, F> {
+    crn: &'a FunctionCrn,
+    f: F,
     bound: u64,
     max_configurations: usize,
-    workers: usize,
-) -> Result<Option<StableComputationVerdict>, CrnError> {
-    parallel::check_on_box_sharded(
-        crn,
-        &f,
-        bound,
-        max_configurations,
-        workers,
-        parallel::EngineMode::Incremental,
-    )
-    .0
+    workers: Option<usize>,
+    reference: bool,
 }
 
-/// [`check_on_box`] returning the sweep's [`BoxCheckStats`] alongside the
-/// outcome, with the default worker count.
-pub fn check_on_box_stats(
-    crn: &FunctionCrn,
-    f: impl Fn(&NVec) -> u64 + Sync,
-    bound: u64,
-    max_configurations: usize,
-) -> (
-    Result<Option<StableComputationVerdict>, CrnError>,
-    BoxCheckStats,
-) {
-    let workers = default_box_workers(crn.dim(), bound);
-    check_on_box_with_stats(crn, f, bound, max_configurations, workers)
-}
+impl<'a, F: Fn(&NVec) -> u64 + Sync> BoxCheck<'a, F> {
+    /// A sweep of `crn` against `f` on `[0, bound]^d` on the incremental
+    /// engine, with the default worker count.
+    pub fn new(crn: &'a FunctionCrn, f: F, bound: u64, max_configurations: usize) -> Self {
+        BoxCheck {
+            crn,
+            f,
+            bound,
+            max_configurations,
+            workers: None,
+            reference: false,
+        }
+    }
 
-/// [`check_on_box`] returning the sweep's [`BoxCheckStats`] alongside the
-/// outcome: how many points the engine evaluated, decided statically, served
-/// from the cross-point cache, or skipped as symmetry replays.  The outcome
-/// is exactly that of [`check_on_box_with_workers`] with the same arguments.
-pub fn check_on_box_with_stats(
-    crn: &FunctionCrn,
-    f: impl Fn(&NVec) -> u64 + Sync,
-    bound: u64,
-    max_configurations: usize,
-    workers: usize,
-) -> (
-    Result<Option<StableComputationVerdict>, CrnError>,
-    BoxCheckStats,
-) {
-    parallel::check_on_box_sharded(
-        crn,
-        &f,
-        bound,
-        max_configurations,
-        workers,
-        parallel::EngineMode::Incremental,
-    )
-}
+    /// Runs the reference engine instead: no static analysis, a full
+    /// hash-interned verdict at every point.  The differential oracle of the
+    /// incremental engine — both return bit-identical outcomes.  Its stats
+    /// count every checked point as decided.
+    #[must_use]
+    pub fn reference(mut self) -> Self {
+        self.reference = true;
+        self
+    }
 
-/// [`check_on_box`] without any static analysis: every input runs the plain
-/// hash-interned exploration, exactly the pre-analysis engine.  Kept as the
-/// differential-testing baseline for the pruned and incremental scans (all
-/// must agree bit-for-bit, errors included).
-///
-/// # Errors
-///
-/// Propagates the errors of [`check_stable_computation`] exactly as
-/// [`check_on_box`] does.
-pub fn check_on_box_reference(
-    crn: &FunctionCrn,
-    f: impl Fn(&NVec) -> u64 + Sync,
-    bound: u64,
-    max_configurations: usize,
-) -> Result<Option<StableComputationVerdict>, CrnError> {
-    let workers = default_box_workers(crn.dim(), bound);
-    parallel::check_on_box_sharded(
-        crn,
-        &f,
-        bound,
-        max_configurations,
-        workers,
-        parallel::EngineMode::Reference,
-    )
-    .0
-}
+    /// Pins the worker-thread count (`1` runs the plain sequential scan).
+    /// Outcomes are identical at every worker count.
+    #[must_use]
+    pub fn workers(mut self, workers: usize) -> Self {
+        self.workers = Some(workers);
+        self
+    }
 
-/// [`check_on_box_reference`] with an explicit worker-thread count, so
-/// benchmarks can pin every engine to one worker and measure the purely
-/// algorithmic speedup.
-///
-/// # Errors
-///
-/// Propagates the errors of [`check_stable_computation`] exactly as
-/// [`check_on_box`] does.
-pub fn check_on_box_reference_with_workers(
-    crn: &FunctionCrn,
-    f: impl Fn(&NVec) -> u64 + Sync,
-    bound: u64,
-    max_configurations: usize,
-    workers: usize,
-) -> Result<Option<StableComputationVerdict>, CrnError> {
-    parallel::check_on_box_sharded(
-        crn,
-        &f,
-        bound,
-        max_configurations,
-        workers,
-        parallel::EngineMode::Reference,
-    )
-    .0
-}
-
-/// The analysis-pruned box scan *without* the incremental layers: static
-/// interval pruning plus the per-point fused decision pass, exactly the
-/// engine that preceded the incremental one.  Kept as the E18 benchmark
-/// subject and the E19 comparison point; verdicts are bit-identical to both
-/// other engines.
-///
-/// # Errors
-///
-/// Propagates the errors of [`check_stable_computation`] exactly as
-/// [`check_on_box`] does.
-pub fn check_on_box_baseline(
-    crn: &FunctionCrn,
-    f: impl Fn(&NVec) -> u64 + Sync,
-    bound: u64,
-    max_configurations: usize,
-) -> Result<Option<StableComputationVerdict>, CrnError> {
-    let workers = default_box_workers(crn.dim(), bound);
-    check_on_box_baseline_with_workers(crn, f, bound, max_configurations, workers)
-}
-
-/// [`check_on_box_baseline`] with an explicit worker-thread count.
-///
-/// # Errors
-///
-/// Propagates the errors of [`check_stable_computation`] exactly as
-/// [`check_on_box`] does.
-pub fn check_on_box_baseline_with_workers(
-    crn: &FunctionCrn,
-    f: impl Fn(&NVec) -> u64 + Sync,
-    bound: u64,
-    max_configurations: usize,
-    workers: usize,
-) -> Result<Option<StableComputationVerdict>, CrnError> {
-    parallel::check_on_box_sharded(
-        crn,
-        &f,
-        bound,
-        max_configurations,
-        workers,
-        parallel::EngineMode::Baseline,
-    )
-    .0
-}
-
-/// [`check_on_box_reference`] returning the sweep's [`BoxCheckStats`]
-/// alongside the outcome (the reference engine fills only the counters it
-/// has: points, evaluated, and symmetry skips are meaningful; the pruning
-/// and cache counters stay zero).
-pub fn check_on_box_reference_stats(
-    crn: &FunctionCrn,
-    f: impl Fn(&NVec) -> u64 + Sync,
-    bound: u64,
-    max_configurations: usize,
-) -> (
-    Result<Option<StableComputationVerdict>, CrnError>,
-    BoxCheckStats,
-) {
-    let workers = default_box_workers(crn.dim(), bound);
-    parallel::check_on_box_sharded(
-        crn,
-        &f,
-        bound,
-        max_configurations,
-        workers,
-        parallel::EngineMode::Reference,
-    )
-}
-
-/// [`check_on_box_baseline`] returning the sweep's [`BoxCheckStats`]
-/// alongside the outcome (static pruning counters are meaningful; the
-/// symmetry and cache counters stay zero).
-pub fn check_on_box_baseline_stats(
-    crn: &FunctionCrn,
-    f: impl Fn(&NVec) -> u64 + Sync,
-    bound: u64,
-    max_configurations: usize,
-) -> (
-    Result<Option<StableComputationVerdict>, CrnError>,
-    BoxCheckStats,
-) {
-    let workers = default_box_workers(crn.dim(), bound);
-    parallel::check_on_box_sharded(
-        crn,
-        &f,
-        bound,
-        max_configurations,
-        workers,
-        parallel::EngineMode::Baseline,
-    )
-}
-
-/// One worker per available core, capped so every worker gets at least
-/// [`parallel::MIN_POINTS_PER_WORKER`] box points.
-fn default_box_workers(dim: usize, bound: u64) -> usize {
-    let points = bound
-        .saturating_add(1)
-        .saturating_pow(u32::try_from(dim).unwrap_or(u32::MAX));
-    parallel::default_workers()
-        .min(usize::try_from(points / parallel::MIN_POINTS_PER_WORKER).unwrap_or(usize::MAX))
-        .max(1)
+    /// Runs the sweep: the verdict of the lexicographically-first input that
+    /// does not pass (or `Ok(None)`), plus the sweep's counters.
+    ///
+    /// # Errors
+    ///
+    /// The outcome propagates the errors of [`check_stable_computation`]
+    /// exactly as [`check_on_box`] does.
+    pub fn run(
+        &self,
+    ) -> (
+        Result<Option<StableComputationVerdict>, CrnError>,
+        BoxCheckStats,
+    ) {
+        // By default, one worker per available core, capped so every worker
+        // gets at least `MIN_POINTS_PER_WORKER` box points.
+        let workers = self.workers.unwrap_or_else(|| {
+            let points = self
+                .bound
+                .saturating_add(1)
+                .saturating_pow(u32::try_from(self.crn.dim()).unwrap_or(u32::MAX));
+            parallel::default_workers()
+                .min(
+                    usize::try_from(points / parallel::MIN_POINTS_PER_WORKER).unwrap_or(usize::MAX),
+                )
+                .max(1)
+        });
+        parallel::check_on_box_sharded(
+            self.crn,
+            &self.f,
+            self.bound,
+            self.max_configurations,
+            workers,
+            self.reference,
+        )
+    }
 }
 
 /// The maximum count of the output species over every configuration reachable
@@ -610,27 +480,7 @@ pub fn target_reachable(
     target: &Configuration,
     max_configurations: usize,
 ) -> Result<bool, CrnError> {
-    let compiled = crate::compiled::CompiledCrn::compile(crn);
-    let stride = arena::stride_for(arena::stride_for(compiled.stride(), start), target);
-    let start_dense = arena::to_dense(start, stride).expect("stride covers start");
-    let target_dense = arena::to_dense(target, stride).expect("stride covers target");
-    // Species at indices past the compiled stride appear in no reaction, so
-    // their counts are constant along every trajectory.
-    if start_dense[compiled.stride()..] != target_dense[compiled.stride()..] {
-        return Ok(false);
-    }
-    let oracle = InvariantOracle::new(&compiled);
-    if oracle.refutes(&start_dense, &target_dense).is_some() {
-        return Ok(false);
-    }
-    let mut state = ExploreState::new();
-    state.run(
-        &compiled,
-        stride,
-        &start_dense,
-        ReachabilityLimits { max_configurations },
-    )?;
-    Ok(state.arena.lookup(&target_dense).is_some())
+    target_search(crn, start, target, max_configurations, true)
 }
 
 /// [`target_reachable`] without the static refutations: always explores.
@@ -647,18 +497,35 @@ pub fn target_reachable_exhaustive(
     target: &Configuration,
     max_configurations: usize,
 ) -> Result<bool, CrnError> {
+    target_search(crn, start, target, max_configurations, false)
+}
+
+/// The target-reachability query, trying the static refutations first when
+/// `refute` is set.
+fn target_search(
+    crn: &Crn,
+    start: &Configuration,
+    target: &Configuration,
+    max_configurations: usize,
+    refute: bool,
+) -> Result<bool, CrnError> {
     let compiled = crate::compiled::CompiledCrn::compile(crn);
     let stride = arena::stride_for(arena::stride_for(compiled.stride(), start), target);
     let start_dense = arena::to_dense(start, stride).expect("stride covers start");
     let target_dense = arena::to_dense(target, stride).expect("stride covers target");
-    let mut state = ExploreState::new();
-    state.run(
-        &compiled,
-        stride,
-        &start_dense,
-        ReachabilityLimits { max_configurations },
-    )?;
-    Ok(state.arena.lookup(&target_dense).is_some())
+    // Species at indices past the compiled stride appear in no reaction, so
+    // their counts are constant along every trajectory.
+    if refute
+        && (start_dense[compiled.stride()..] != target_dense[compiled.stride()..]
+            || InvariantOracle::new(&compiled)
+                .refutes(&start_dense, &target_dense)
+                .is_some())
+    {
+        return Ok(false);
+    }
+    let mut state = ExploreState::default();
+    state.graph(&compiled, &start_dense, None, max_configurations)?;
+    Ok(state.store.arena.lookup(&target_dense).is_some())
 }
 
 /// All configurations reachable from `start` (convenience wrapper).
@@ -679,10 +546,66 @@ pub fn reachable_configurations(
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::examples;
     use crate::reaction::Reaction;
+
+    type Outcome = Result<Option<StableComputationVerdict>, CrnError>;
+
+    fn incremental_scan(
+        crn: &FunctionCrn,
+        f: impl Fn(&NVec) -> u64 + Sync,
+        bound: u64,
+        max_configurations: usize,
+        workers: usize,
+    ) -> Outcome {
+        stats_scan(crn, f, bound, max_configurations, workers).0
+    }
+
+    fn stats_scan(
+        crn: &FunctionCrn,
+        f: impl Fn(&NVec) -> u64 + Sync,
+        bound: u64,
+        max_configurations: usize,
+        workers: usize,
+    ) -> (Outcome, BoxCheckStats) {
+        BoxCheck::new(crn, f, bound, max_configurations)
+            .workers(workers)
+            .run()
+    }
+
+    fn reference_scan(
+        crn: &FunctionCrn,
+        f: impl Fn(&NVec) -> u64 + Sync,
+        bound: u64,
+        max_configurations: usize,
+    ) -> Outcome {
+        BoxCheck::new(crn, f, bound, max_configurations)
+            .reference()
+            .run()
+            .0
+    }
+
+    /// A sequential scan on the fixpoint oracle: the first failing verdict.
+    fn naive_scan(
+        crn: &FunctionCrn,
+        f: impl Fn(&NVec) -> u64,
+        bound: u64,
+        max_configurations: usize,
+    ) -> Outcome {
+        for x in NVec::enumerate_box(crn.dim(), bound) {
+            let verdict =
+                oracle::check_stable_computation_naive(crn, &x, f(&x), max_configurations)?;
+            if !verdict.is_correct() {
+                return Ok(Some(verdict));
+            }
+        }
+        Ok(None)
+    }
     use proptest::prelude::*;
 
     #[test]
@@ -752,10 +675,9 @@ mod tests {
     #[test]
     fn sharded_box_check_is_deterministic_and_matches_sequential() {
         let min = examples::min_crn();
-        let sequential = check_on_box_with_workers(&min, |x| x[0].max(x[1]), 3, 10_000, 1).unwrap();
+        let sequential = incremental_scan(&min, |x| x[0].max(x[1]), 3, 10_000, 1).unwrap();
         for workers in [2usize, 4, 8] {
-            let sharded =
-                check_on_box_with_workers(&min, |x| x[0].max(x[1]), 3, 10_000, workers).unwrap();
+            let sharded = incremental_scan(&min, |x| x[0].max(x[1]), 3, 10_000, workers).unwrap();
             assert_eq!(sharded, sequential, "workers={workers}");
         }
         // The failing input must be the lexicographically first one: (0, 1).
@@ -771,8 +693,8 @@ mod tests {
         let double = examples::double_crn();
         // Every input from x=3 up exceeds the tiny limit; the error reported
         // must be the one at the first such input regardless of sharding.
-        let sequential = check_on_box_with_workers(&double, |x| 2 * x[0], 8, 4, 1).unwrap_err();
-        let sharded = check_on_box_with_workers(&double, |x| 2 * x[0], 8, 4, 4).unwrap_err();
+        let sequential = incremental_scan(&double, |x| 2 * x[0], 8, 4, 1).unwrap_err();
+        let sharded = incremental_scan(&double, |x| 2 * x[0], 8, 4, 4).unwrap_err();
         assert_eq!(sharded, sequential);
     }
 
@@ -782,7 +704,7 @@ mod tests {
         let max = examples::max_crn();
         assert_eq!(
             check_on_box(&max, |x| x[0].max(x[1]), 3, 100_000).unwrap(),
-            check_on_box_reference(&max, |x| x[0].max(x[1]), 3, 100_000).unwrap()
+            reference_scan(&max, |x| x[0].max(x[1]), 3, 100_000).unwrap()
         );
         // Wrong function: 2x+1 is statically refuted at every point (the law
         // 2X + Y caps the output at 2x), so the parallel scan only ever
@@ -790,14 +712,14 @@ mod tests {
         // reference scan's lexicographically-first failure.
         let double = examples::double_crn();
         let pruned = check_on_box(&double, |x| 2 * x[0] + 1, 4, 10_000).unwrap();
-        let reference = check_on_box_reference(&double, |x| 2 * x[0] + 1, 4, 10_000).unwrap();
+        let reference = reference_scan(&double, |x| 2 * x[0] + 1, 4, 10_000).unwrap();
         assert_eq!(pruned, reference);
         assert_eq!(pruned.unwrap().input, NVec::from(vec![0]));
         // Failing box with the failure mid-box.
         let min = examples::min_crn();
         assert_eq!(
             check_on_box(&min, |x| x[0].max(x[1]), 3, 10_000).unwrap(),
-            check_on_box_reference(&min, |x| x[0].max(x[1]), 3, 10_000).unwrap()
+            reference_scan(&min, |x| x[0].max(x[1]), 3, 10_000).unwrap()
         );
     }
 
@@ -806,8 +728,8 @@ mod tests {
         // The search limit blows mid-box; pruned and reference scans must
         // surface the identical (lexicographically-first) error.
         let double = examples::double_crn();
-        let pruned = check_on_box_with_workers(&double, |x| 2 * x[0], 8, 4, 4).unwrap_err();
-        let reference = check_on_box_reference(&double, |x| 2 * x[0], 8, 4).unwrap_err();
+        let pruned = incremental_scan(&double, |x| 2 * x[0], 8, 4, 4).unwrap_err();
+        let reference = reference_scan(&double, |x| 2 * x[0], 8, 4).unwrap_err();
         assert_eq!(pruned, reference);
     }
 
@@ -823,7 +745,7 @@ mod tests {
         crn.parse_reaction("Y -> X").unwrap();
         let flip = FunctionCrn::with_named_roles(crn, &["X"], "Y", None).expect("valid roles");
         let pruned = check_on_box(&flip, |x| x[0], 3, 10_000).unwrap();
-        let reference = check_on_box_reference(&flip, |x| x[0], 3, 10_000).unwrap();
+        let reference = reference_scan(&flip, |x| x[0], 3, 10_000).unwrap();
         assert_eq!(pruned, reference);
         assert_eq!(
             pruned.expect("x = 1 never stabilizes").input,
@@ -838,7 +760,7 @@ mod tests {
         crn.parse_reaction("B -> A").unwrap();
         let id = FunctionCrn::with_named_roles(crn, &["X"], "Y", None).expect("valid roles");
         let pruned = check_on_box(&id, |x| x[0], 3, 10_000).unwrap();
-        let reference = check_on_box_reference(&id, |x| x[0], 3, 10_000).unwrap();
+        let reference = reference_scan(&id, |x| x[0], 3, 10_000).unwrap();
         assert_eq!(pruned, reference);
         assert!(pruned.is_none());
     }
@@ -857,7 +779,7 @@ mod tests {
     fn box_stats_count_symmetry_cache_and_static_work() {
         let sum = sum_crn();
         let f = |x: &NVec| x[0] + x[1];
-        let (result, stats) = check_on_box_with_stats(&sum, f, 2, 10_000, 1);
+        let (result, stats) = stats_scan(&sum, f, 2, 10_000, 1);
         assert_eq!(result.unwrap(), None, "the sum CRN computes the sum");
         assert_eq!(stats.points, 9);
         // The input swap is detected, so the strict lower triangle of the
@@ -877,7 +799,7 @@ mod tests {
             stats.evaluated
         );
         // The sharded sweep agrees with the sequential one.
-        let (sharded, _) = check_on_box_with_stats(&sum, f, 2, 10_000, 3);
+        let (sharded, _) = stats_scan(&sum, f, 2, 10_000, 3);
         assert_eq!(sharded.unwrap(), None);
     }
 
@@ -892,8 +814,8 @@ mod tests {
         // (lexicographically-first) error the reference scan produces.
         let sum = sum_crn();
         let f = |x: &NVec| x[0] + x[1];
-        let (result, stats) = check_on_box_with_stats(&sum, f, 1, 2, 1);
-        let reference = check_on_box_reference(&sum, f, 1, 2);
+        let (result, stats) = stats_scan(&sum, f, 1, 2, 1);
+        let reference = reference_scan(&sum, f, 1, 2);
         assert_eq!(result, reference);
         result.unwrap_err();
         assert_eq!(stats.symmetry_skipped, 1);
@@ -911,16 +833,16 @@ mod tests {
         let max = examples::max_crn();
         let symmetric = |x: &NVec| x[0].min(x[1]);
         let asymmetric = |x: &NVec| x[0];
-        let reference_sym = check_on_box_reference(&max, symmetric, 3, 100_000);
-        let reference_asym = check_on_box_reference(&max, asymmetric, 3, 100_000);
+        let reference_sym = reference_scan(&max, symmetric, 3, 100_000);
+        let reference_asym = reference_scan(&max, asymmetric, 3, 100_000);
         for workers in 1..=4 {
             assert_eq!(
-                check_on_box_with_workers(&max, symmetric, 3, 100_000, workers),
+                incremental_scan(&max, symmetric, 3, 100_000, workers),
                 reference_sym,
                 "workers={workers}"
             );
             assert_eq!(
-                check_on_box_with_workers(&max, asymmetric, 3, 100_000, workers),
+                incremental_scan(&max, asymmetric, 3, 100_000, workers),
                 reference_asym,
                 "workers={workers}"
             );
@@ -1054,16 +976,16 @@ mod tests {
         let min = examples::min_crn();
         assert_eq!(
             check_on_box(&min, |x| x[0].min(x[1]), 3, 10_000).unwrap(),
-            oracle::check_on_box_naive(&min, |x| x[0].min(x[1]), 3, 10_000).unwrap()
+            naive_scan(&min, |x| x[0].min(x[1]), 3, 10_000).unwrap()
         );
         assert_eq!(
             check_on_box(&min, |x| x[0].max(x[1]), 2, 10_000).unwrap(),
-            oracle::check_on_box_naive(&min, |x| x[0].max(x[1]), 2, 10_000).unwrap()
+            naive_scan(&min, |x| x[0].max(x[1]), 2, 10_000).unwrap()
         );
         let max = examples::max_crn();
         assert_eq!(
             check_on_box(&max, |x| x[0].max(x[1]), 3, 100_000).unwrap(),
-            oracle::check_on_box_naive(&max, |x| x[0].max(x[1]), 3, 100_000).unwrap()
+            naive_scan(&max, |x| x[0].max(x[1]), 3, 100_000).unwrap()
         );
     }
 
@@ -1196,20 +1118,20 @@ mod tests {
         ) {
             let crn = symmetric_random_crn(&stoich);
             let symmetric = |x: &NVec| a * (x[0] + x[1]) + b;
-            let reference = check_on_box_reference(&crn, symmetric, bound, 300);
-            let (sequential, stats) = check_on_box_with_stats(&crn, symmetric, bound, 300, 1);
+            let reference = reference_scan(&crn, symmetric, bound, 300);
+            let (sequential, stats) = stats_scan(&crn, symmetric, bound, 300, 1);
             prop_assert_eq!(&sequential, &reference);
-            let sharded = check_on_box_with_workers(&crn, symmetric, bound, 300, 3);
+            let sharded = incremental_scan(&crn, symmetric, bound, 300, 3);
             prop_assert_eq!(&sharded, &reference);
             if matches!(&sequential, Ok(None)) {
                 prop_assert_eq!(stats.symmetry_skipped, bound * (bound + 1) / 2);
                 prop_assert_eq!(stats.evaluated + stats.symmetry_skipped, stats.points);
             }
             let asymmetric = |x: &NVec| a * x[0] + b;
-            let reference = check_on_box_reference(&crn, asymmetric, bound, 300);
-            let sequential = check_on_box_with_workers(&crn, asymmetric, bound, 300, 1);
+            let reference = reference_scan(&crn, asymmetric, bound, 300);
+            let sequential = incremental_scan(&crn, asymmetric, bound, 300, 1);
             prop_assert_eq!(&sequential, &reference);
-            let sharded = check_on_box_with_workers(&crn, asymmetric, bound, 300, 3);
+            let sharded = incremental_scan(&crn, asymmetric, bound, 300, 3);
             prop_assert_eq!(&sharded, &reference);
         }
 
@@ -1291,10 +1213,10 @@ mod tests {
         ) {
             let crn = random_crn(&stoich);
             let f = |x: &NVec| a * x[0] + b;
-            let reference = check_on_box_reference(&crn, f, bound, 300);
-            let sequential = check_on_box_with_workers(&crn, f, bound, 300, 1);
+            let reference = reference_scan(&crn, f, bound, 300);
+            let sequential = incremental_scan(&crn, f, bound, 300, 1);
             prop_assert_eq!(&sequential, &reference);
-            let sharded = check_on_box_with_workers(&crn, f, bound, 300, 3);
+            let sharded = incremental_scan(&crn, f, bound, 300, 3);
             prop_assert_eq!(&sharded, &reference);
         }
 

@@ -1,11 +1,10 @@
-//! The naive fixpoint reference engine.
+//! The naive fixpoint engine, compiled for tests only.
 //!
 //! This is the seed implementation of stable-computation checking, kept
 //! verbatim in spirit: sparse `Configuration` keys in a `HashMap`, per-node
 //! `Vec` successor lists with linear dedup scans, and iterate-until-stable
-//! fixpoint loops for the three reachability queries.  It exists for two
-//! reasons: the property tests differentially check the SCC engine against it
-//! on random CRNs, and the E13 benchmark measures the speedup over it.  It
+//! fixpoint loops for the three reachability queries.  The property tests
+//! differentially check the SCC engine against it on random CRNs, so it
 //! must produce verdicts *identical* to [`super::check_stable_computation`].
 
 use std::collections::{HashMap, VecDeque};
@@ -78,31 +77,20 @@ impl NaiveGraph {
         })
     }
 
-    fn max_reachable_metric(&self, metric: impl Fn(&Configuration) -> u64) -> Vec<u64> {
+    /// For every configuration, the `pick` (max or min) of `metric` over
+    /// everything reachable from it.
+    fn reachable_metric(
+        &self,
+        metric: impl Fn(&Configuration) -> u64,
+        pick: fn(u64, u64) -> u64,
+    ) -> Vec<u64> {
         let mut value: Vec<u64> = self.configurations.iter().map(&metric).collect();
         let mut changed = true;
         while changed {
             changed = false;
             for i in 0..self.configurations.len() {
                 for &j in &self.successors[i] {
-                    if value[j] > value[i] {
-                        value[i] = value[j];
-                        changed = true;
-                    }
-                }
-            }
-        }
-        value
-    }
-
-    fn min_reachable_metric(&self, metric: impl Fn(&Configuration) -> u64) -> Vec<u64> {
-        let mut value: Vec<u64> = self.configurations.iter().map(&metric).collect();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in 0..self.configurations.len() {
-                for &j in &self.successors[i] {
-                    if value[j] < value[i] {
+                    if pick(value[i], value[j]) != value[i] {
                         value[i] = value[j];
                         changed = true;
                     }
@@ -150,8 +138,8 @@ pub fn check_stable_computation_naive(
     let output = crn.output();
     let out_of = |c: &Configuration| c.count(output);
 
-    let max_out = graph.max_reachable_metric(out_of);
-    let min_out = graph.min_reachable_metric(out_of);
+    let max_out = graph.reachable_metric(out_of, u64::max);
+    let min_out = graph.reachable_metric(out_of, u64::min);
 
     let len = graph.configurations.len();
     let stable: Vec<bool> = (0..len).map(|i| max_out[i] == min_out[i]).collect();
@@ -188,52 +176,4 @@ pub fn check_stable_computation_naive(
         stable_outputs,
         failure,
     })
-}
-
-/// Checks every input of the box `[0, bound]^d` sequentially with the
-/// fixpoint reference engine, returning the first failing verdict.
-///
-/// # Errors
-///
-/// Propagates the errors of [`check_stable_computation_naive`].
-pub fn check_on_box_naive(
-    crn: &FunctionCrn,
-    f: impl Fn(&NVec) -> u64,
-    bound: u64,
-    max_configurations: usize,
-) -> Result<Option<StableComputationVerdict>, CrnError> {
-    check_on_box_naive_stats(crn, f, bound, max_configurations).0
-}
-
-/// [`check_on_box_naive`] returning the sweep's [`super::BoxCheckStats`]
-/// alongside
-/// the outcome.  The seed engine has no pruning, symmetry, or cache layers,
-/// so only `points`, `evaluated`, and `configs_explored` are filled; on a
-/// failing (or erroring) sweep `evaluated` reports how far the sequential
-/// scan got.
-pub fn check_on_box_naive_stats(
-    crn: &FunctionCrn,
-    f: impl Fn(&NVec) -> u64,
-    bound: u64,
-    max_configurations: usize,
-) -> (
-    Result<Option<StableComputationVerdict>, CrnError>,
-    super::BoxCheckStats,
-) {
-    let mut stats = super::BoxCheckStats::default();
-    let radix = bound.saturating_add(1);
-    stats.points = (0..crn.dim()).fold(1u64, |acc, _| acc.saturating_mul(radix));
-    let result = (|| {
-        for x in NVec::enumerate_box(crn.dim(), bound) {
-            stats.evaluated += 1;
-            let verdict = check_stable_computation_naive(crn, &x, f(&x), max_configurations)?;
-            stats.configs_explored +=
-                u64::try_from(verdict.reachable_configurations).expect("usize fits u64");
-            if !verdict.is_correct() {
-                return Ok(Some(verdict));
-            }
-        }
-        Ok(None)
-    })();
-    (result, stats)
 }

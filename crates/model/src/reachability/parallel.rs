@@ -12,10 +12,10 @@
 //! and the verdict returned is the one at the smallest index — exactly what
 //! the sequential loop would have produced.
 //!
-//! Three engine modes share the driver (see [`EngineMode`]): the unpruned
-//! reference scan, the analysis-pruned baseline, and the incremental engine
-//! layering symmetry-orbit skipping and the cross-point memo cache on top of
-//! the baseline's static pruning.
+//! Two engines share the driver: the unpruned reference scan, which builds a
+//! full verdict at every point, and the incremental engine, which layers
+//! symmetry-orbit skipping, static interval verdicts and the routed
+//! decision passes (see [`VerdictEngine::decide`]) on top.
 
 use crn_sync::atomic::{AtomicU64, Ordering};
 use crn_sync::Arc;
@@ -41,24 +41,10 @@ enum BadPoint {
     Deferred,
 }
 
-/// How the sharded driver evaluates each box point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum EngineMode {
-    /// Full verdict construction at every point, no static analysis.  The
-    /// differential baseline every other mode must match bit for bit.
-    Reference,
-    /// Static interval pruning plus the per-point fused decision pass — the
-    /// pre-incremental engine, kept as the E19 comparison point.
-    Baseline,
-    /// The incremental engine: symmetry-orbit skipping, adaptive static
-    /// pruning, and cross-point memoization / packed exploration.
-    Incremental,
-}
-
 /// The default shard grants each worker at least this many inputs, so a box
 /// never spawns threads whose startup cost dwarfs their microsecond-scale
 /// share of the work.  An explicit worker count via
-/// [`super::check_on_box_with_workers`] overrides this.
+/// [`super::BoxCheck::workers`] overrides this.
 pub(super) const MIN_POINTS_PER_WORKER: u64 = 8;
 
 /// After this many consecutive static abstentions a worker stops consulting
@@ -96,8 +82,8 @@ fn decode_point(mut index: u64, radix: u64, x: &mut NVec) {
 /// (or error) of the lexicographically-first input that does not pass, plus
 /// the sweep's observability counters.
 ///
-/// All three modes return bit-identical outcomes; they differ only in how
-/// much work each point costs.  Non-reference modes record only the *index*
+/// Both engines return bit-identical outcomes; they differ only in how much
+/// work each point costs.  The incremental engine records only the *index*
 /// of a bad point during the scan; the one bad index that wins the race is
 /// re-checked in full, so the returned outcome is byte-identical to the
 /// reference scan — failure messages and errors included.
@@ -107,7 +93,7 @@ pub(super) fn check_on_box_sharded(
     bound: u64,
     max_configurations: usize,
     workers: usize,
-    mode: EngineMode,
+    reference: bool,
 ) -> (
     Result<Option<StableComputationVerdict>, CrnError>,
     BoxCheckStats,
@@ -119,20 +105,12 @@ pub(super) fn check_on_box_sharded(
     let workers = workers.clamp(1, usize::try_from(total).unwrap_or(usize::MAX).max(1));
 
     // Everything point-independent is computed once for the whole sweep: the
-    // static analysis (baseline and incremental) and the incremental plan
-    // (hull code space, packed spec, input automorphisms, shared cache log).
-    let shared_analysis = match mode {
-        EngineMode::Reference => None,
-        EngineMode::Baseline | EngineMode::Incremental => Some(VerdictEngine::analyze(crn)),
-    };
-    let plan = (mode == EngineMode::Incremental).then(|| {
-        SweepPlan::build(
-            crn,
-            shared_analysis.as_ref().expect("incremental analyzes"),
-            bound,
-            max_configurations,
-        )
-    });
+    // static analysis and the plan (hull code space, packed spec, input
+    // automorphisms, shared cache log).
+    let shared_analysis = (!reference).then(|| VerdictEngine::analyze(crn));
+    let plan = shared_analysis
+        .as_ref()
+        .map(|analysis| SweepPlan::build(crn, analysis, bound, max_configurations));
     let make_engine = || match &shared_analysis {
         Some(analysis) => VerdictEngine::with_analysis(crn, Some(Arc::clone(analysis))),
         None => VerdictEngine::reference(crn),
@@ -164,7 +142,7 @@ pub(super) fn check_on_box_sharded(
         let mut cache = plan
             .as_ref()
             .is_some_and(|p| p.cache_enabled)
-            .then(MemoCache::new);
+            .then(MemoCache::default);
         let mut pending: Vec<(u64, Summary)> = Vec::new();
         let mut x = NVec::zeros(dim);
         let mut y = NVec::zeros(dim);
@@ -214,9 +192,14 @@ pub(super) fn check_on_box_sharded(
             }
             stats.evaluated += 1;
 
-            let passes = match mode {
-                EngineMode::Reference => {
+            let passes = match &plan {
+                None => {
                     let outcome = engine.check(&x, expected, max_configurations);
+                    stats.decided += 1;
+                    if let Ok(verdict) = &outcome {
+                        stats.configs_explored += u64::try_from(verdict.reachable_configurations)
+                            .expect("usize fits u64");
+                    }
                     if matches!(&outcome, Ok(v) if v.is_correct()) {
                         true
                     } else {
@@ -229,27 +212,7 @@ pub(super) fn check_on_box_sharded(
                         break;
                     }
                 }
-                EngineMode::Baseline => {
-                    match engine.static_verdict(&x, expected, max_configurations) {
-                        Some(StaticOutcome::Pass) => {
-                            stats.static_pass += 1;
-                            true
-                        }
-                        Some(StaticOutcome::Fail) => {
-                            stats.static_fail += 1;
-                            false
-                        }
-                        None => {
-                            stats.decided += 1;
-                            // An error (it would recur identically at
-                            // materialization) counts as not passing.
-                            engine
-                                .decide(&x, expected, max_configurations)
-                                .unwrap_or(false)
-                        }
-                    }
-                }
-                EngineMode::Incremental => {
+                Some(plan) => {
                     let static_outcome = if static_armed {
                         engine.static_verdict(&x, expected, max_configurations)
                     } else {
@@ -273,9 +236,10 @@ pub(super) fn check_on_box_sharded(
                                     static_armed = false;
                                 }
                             }
-                            let plan = plan.as_ref().expect("incremental builds a plan");
+                            // An error (it would recur identically at
+                            // materialization) counts as not passing.
                             engine
-                                .decide_incremental(
+                                .decide(
                                     &x,
                                     expected,
                                     max_configurations,

@@ -34,11 +34,6 @@ pub struct Condensation {
     /// `(vertex, next successor position)` frames of the simulated recursion.
     frames: Vec<(usize, usize)>,
     cursor: Vec<usize>,
-    // Per-component DP scratch for `all_recover`, one cell pushed at each
-    // component emission.
-    dp_max: Vec<u64>,
-    dp_min: Vec<u64>,
-    dp_rec: Vec<bool>,
 }
 
 impl Condensation {
@@ -146,131 +141,6 @@ impl Condensation {
         }
     }
 
-    /// Decides "can every reachable configuration still reach a stable
-    /// configuration with output `expected`?" — the verdict engine's
-    /// `all_recover` — in one fused pass: Tarjan emits each component with
-    /// all successor components already final, so the three per-component
-    /// folds (closure max, closure min, recovers) are evaluated right at the
-    /// pop instead of as three separate traversals over a materialized
-    /// member grouping.  Returns exactly what
-    /// [`rebuild`](Condensation::rebuild) followed by the three
-    /// [`fold_into`](Condensation::fold_into) passes would conclude, and
-    /// exits early on the first non-recovering component.
-    ///
-    /// Overwrites the Tarjan scratch and `comp_of` without refreshing the
-    /// member grouping: after this call the public component accessors are
-    /// unspecified until the next `rebuild`.
-    pub(crate) fn all_recover(
-        &mut self,
-        graph: &CsrGraph,
-        out_of: impl Fn(usize) -> u64,
-        expected: u64,
-    ) -> bool {
-        let n = graph.node_count();
-        self.index.clear();
-        self.index.resize(n, UNVISITED);
-        self.lowlink.clear();
-        self.lowlink.resize(n, 0);
-        self.on_stack.clear();
-        self.on_stack.resize(n, false);
-        self.comp_of.clear();
-        self.comp_of.resize(n, 0);
-        self.stack.clear();
-        self.frames.clear();
-        self.dp_max.clear();
-        self.dp_min.clear();
-        self.dp_rec.clear();
-
-        let index = &mut self.index;
-        let lowlink = &mut self.lowlink;
-        let on_stack = &mut self.on_stack;
-        let comp_of = &mut self.comp_of;
-        let stack = &mut self.stack;
-        let frames = &mut self.frames;
-        let dp_max = &mut self.dp_max;
-        let dp_min = &mut self.dp_min;
-        let dp_rec = &mut self.dp_rec;
-        let mut next_index = 0usize;
-        let mut num_components = 0usize;
-
-        for root in 0..n {
-            if index[root] != UNVISITED {
-                continue;
-            }
-            frames.push((root, 0));
-            while let Some(frame) = frames.last_mut() {
-                let v = frame.0;
-                if frame.1 == 0 {
-                    index[v] = next_index;
-                    lowlink[v] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v] = true;
-                }
-                let succs = graph.successors(v);
-                if frame.1 < succs.len() {
-                    let w = succs[frame.1];
-                    frame.1 += 1;
-                    if index[w] == UNVISITED {
-                        frames.push((w, 0));
-                    } else if on_stack[w] {
-                        lowlink[v] = lowlink[v].min(index[w]);
-                    }
-                    continue;
-                }
-                frames.pop();
-                if lowlink[v] == index[v] {
-                    // The component is the stack suffix of Tarjan indices at
-                    // least `index[v]` (the stack is in push = index order).
-                    let mut base = stack.len();
-                    while base > 0 && index[stack[base - 1]] >= index[v] {
-                        base -= 1;
-                    }
-                    let c = num_components;
-                    num_components += 1;
-                    for &w in &stack[base..] {
-                        on_stack[w] = false;
-                        comp_of[w] = c;
-                    }
-                    // Every edge out of the component lands in an
-                    // already-emitted (hence final) component, so the three
-                    // folds complete in this one walk of the members.
-                    let mut mx = u64::MIN;
-                    let mut mn = u64::MAX;
-                    let mut rec = false;
-                    for &m in &stack[base..] {
-                        let val = out_of(m);
-                        mx = mx.max(val);
-                        mn = mn.min(val);
-                        for &w in graph.successors(m) {
-                            let cw = comp_of[w];
-                            if cw != c {
-                                mx = mx.max(dp_max[cw]);
-                                mn = mn.min(dp_min[cw]);
-                                rec = rec || dp_rec[cw];
-                            }
-                        }
-                    }
-                    rec = rec || (mx == mn && mx == expected);
-                    if !rec {
-                        // A non-recovering component decides the answer: its
-                        // own configurations cannot recover no matter what
-                        // the rest of the graph looks like.
-                        return false;
-                    }
-                    dp_max.push(mx);
-                    dp_min.push(mn);
-                    dp_rec.push(rec);
-                    stack.truncate(base);
-                }
-                if let Some(parent) = frames.last() {
-                    lowlink[parent.0] = lowlink[parent.0].min(lowlink[v]);
-                }
-            }
-        }
-        true
-    }
-
     /// The number of strongly connected components.
     #[must_use]
     pub fn component_count(&self) -> usize {
@@ -362,7 +232,7 @@ mod tests {
     use super::*;
 
     fn graph(adj: &[&[usize]]) -> CsrGraph {
-        let mut g = CsrGraph::new();
+        let mut g = CsrGraph::default();
         for succs in adj {
             for &t in *succs {
                 g.push_edge(t);
@@ -430,67 +300,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_decision_matches_the_folds_on_a_failing_graph() {
-        // 0 -> 1 <-> 2 (outputs 1, 2, 3): component {1, 2} never stabilizes
-        // on any single output, so nothing recovers for expected = 2.
-        let g = graph(&[&[1], &[2], &[1]]);
-        let vals = [1u64, 2, 3];
-        let mut c = Condensation::of(&g);
-        assert!(!c.all_recover(&g, |v| vals[v], 2));
-        // A self-stabilizing sink with the expected output recovers everyone.
-        let g = graph(&[&[1], &[2], &[]]);
-        let vals = [1u64, 7, 2];
-        assert!(c.all_recover(&g, |v| vals[v], 2));
-        assert!(!c.all_recover(&g, |v| vals[v], 7));
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
-        /// The fused Tarjan decision pass agrees with `rebuild` plus the
-        /// three `fold_into` traversals on arbitrary graphs.
-        #[test]
-        fn fused_decision_matches_the_folds(
-            adj in proptest::collection::vec(
-                proptest::collection::vec(0usize..8, 0..4), 1..8),
-            raw_vals in proptest::collection::vec(0u64..3, 8),
-            expected in 0u64..3,
-        ) {
-            let n = adj.len();
-            let mut g = CsrGraph::new();
-            for succs in &adj {
-                for &t in succs {
-                    g.push_edge(t % n);
-                }
-                g.seal_node();
-            }
-            let vals = &raw_vals[..n];
-            let mut cond = Condensation::empty();
-            cond.rebuild(&g);
-            let mut comp_max = Vec::new();
-            let mut comp_min = Vec::new();
-            let mut comp_rec = Vec::new();
-            cond.fold_into(&g, u64::MIN, |v| vals[v], u64::max, &mut comp_max);
-            cond.fold_into(&g, u64::MAX, |v| vals[v], u64::min, &mut comp_min);
-            cond.fold_into(
-                &g,
-                false,
-                |v| {
-                    let c = cond.component_of(v);
-                    comp_max[c] == comp_min[c] && comp_max[c] == expected
-                },
-                |a, b| a || b,
-                &mut comp_rec,
-            );
-            let folded = comp_rec.iter().all(|&r| r);
-            proptest::prop_assert_eq!(cond.all_recover(&g, |v| vals[v], expected), folded);
-        }
-    }
-
-    #[test]
     fn deep_chain_does_not_overflow_the_stack() {
         // 0 -> 1 -> … -> 99_999: recursion here would overflow.
         let n = 100_000usize;
-        let mut g = CsrGraph::new();
+        let mut g = CsrGraph::default();
         for v in 0..n {
             if v + 1 < n {
                 g.push_edge(v + 1);
