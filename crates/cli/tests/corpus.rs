@@ -92,6 +92,7 @@ const GOLDENS: &[(&str, &str, &[&str], i32)] = &[
     // span-rendered warning output (exit 0 — findings never block without
     // --deny-warnings; see lint_deny_warnings_exit_code below).
     ("add", "lint", &[], 0),
+    ("coefficient_overflow", "lint", &[], 0),
     ("compound_spec", "lint", &[], 0),
     ("equation2", "lint", &[], 0),
     ("figure1_double", "lint", &[], 0),
@@ -165,6 +166,41 @@ fn lint_deny_warnings_exit_code() {
     assert_eq!(code, 1, "check --deny-warnings must fail on the fixture");
     let (code, _) = run_crn(&["check", "corpus/lint_adversarial.crn"]);
     assert_eq!(code, 0, "warnings alone must not fail plain check");
+}
+
+#[test]
+fn overflowing_coefficients_never_verify_ok() {
+    // The fixture's only conservation law overflows i128. Both engines must
+    // agree byte for byte, and neither may pass it on a wrapped invariant.
+    let args = ["verify", "corpus/coefficient_overflow.crn", "--bound", "1"];
+    let (code, incremental) = run_crn(&args);
+    let mut reference_args = args.to_vec();
+    reference_args.extend(["--engine", "reference"]);
+    let (ref_code, reference) = run_crn(&reference_args);
+    assert_eq!((code, &incremental), (ref_code, &reference));
+    assert_eq!(code, 1, "{incremental}");
+    assert!(!incremental.contains("ok"), "{incremental}");
+}
+
+#[test]
+fn synthesized_figure7_lints_without_truncation() {
+    // The Lemma 6.2 construction for Figure 7 (31 species, 28 reactions):
+    // its potential cones must enumerate within the Farkas row cap.
+    let out = repo_root().join("target/verify-scratch/cli_figure7_synth.crn");
+    std::fs::create_dir_all(out.parent().unwrap()).unwrap();
+    let out_str = out.to_str().unwrap();
+    let (code, _) = run_crn(&["synthesize", "corpus/figure7.crn", "-o", out_str]);
+    assert_eq!(code, 0, "synthesize failed");
+    let output = Command::new(env!("CARGO_BIN_EXE_crn"))
+        .args(["lint", out_str])
+        .current_dir(repo_root())
+        .output()
+        .expect("the crn binary runs");
+    assert_eq!(output.status.code(), Some(0));
+    for stream in [&output.stdout, &output.stderr] {
+        let text = String::from_utf8_lossy(stream);
+        assert!(!text.contains("analysis incomplete"), "{text}");
+    }
 }
 
 #[test]

@@ -6,10 +6,12 @@
 //! nonnegative weight vector `v` with `v·N ≤ 0` makes `v·c` nonincreasing
 //! along every trajectory, so `v(s)·c(s) ≤ v·c ≤ v·c₀` bounds every species
 //! in `v`'s support; `v·N ≥ 0` symmetrically yields lower bounds.  Both
-//! cones are enumerated exactly by the same Farkas construction as
-//! P-semiflows, extended with one slack row per reaction (and therefore
-//! share the [`FARKAS_ROW_CAP`] truncation semantics — sound, possibly
-//! incomplete).
+//! cones are enumerated exactly by the same double-description Farkas core
+//! as P-semiflows, extended with one slack row per reaction, so each cone's
+//! generators are the extreme rays of the `(v, slack)` cone projected onto
+//! `v`.  They share the core's truncation semantics: sound, and incomplete
+//! when [`FARKAS_ROW_CAP`] cut a column short or a combination overflowed
+//! `i128`.
 //!
 //! [`SpeciesBounds::intervals`] combines three sound sources into one
 //! interval per species, given a concrete initial configuration:
@@ -26,7 +28,9 @@
 //! the reachability engine refuse inputs (the output interval excludes the
 //! expected value), prove inputs correct (the output is pinned and the
 //! state space provably fits the search limit), and perfect-hash the arena
-//! (the interval box indexes every reachable configuration).
+//! (the interval box indexes every reachable configuration).  All of it is
+//! checked `i128` arithmetic: a potential or law whose weighing of a
+//! configuration overflows contributes no bound.
 //!
 //! [`FARKAS_ROW_CAP`]: super::invariants::FARKAS_ROW_CAP
 
@@ -34,7 +38,9 @@ use crn_numeric::gcd_i128;
 
 use crate::compiled::CompiledCrn;
 
-use super::invariants::{farkas_annul, retain_minimal_support, ConservationLaw, FARKAS_ROW_CAP};
+use super::invariants::{
+    farkas_annul, weigh, ConservationLaw, FarkasCore, FarkasRows, FARKAS_ROW_CAP,
+};
 use super::liveness::Liveness;
 use super::stoichiometry::Stoichiometry;
 
@@ -48,6 +54,7 @@ pub struct SpeciesBounds {
     /// Nonnegative `v` with `v·N ≥ 0`: `v·c` never decreases.
     increasing: Vec<Vec<i128>>,
     truncated: bool,
+    overflowed: bool,
 }
 
 /// One interval of possible counts per species: every reachable
@@ -65,26 +72,34 @@ impl SpeciesBounds {
         Self::with_cap(compiled, FARKAS_ROW_CAP)
     }
 
-    /// Enumerates both potential cones, keeping at most `max_rows`
-    /// intermediate Farkas rows per column.
+    /// Enumerates both potential cones, letting each Farkas column hold at
+    /// most `max_rows` rows.
     #[must_use]
     pub fn with_cap(compiled: &CompiledCrn, max_rows: usize) -> Self {
         let stoich = Stoichiometry::of(compiled);
-        let (decreasing, cut_dec) = monotone_potentials(&stoich, 1, max_rows);
-        let (increasing, cut_inc) = monotone_potentials(&stoich, -1, max_rows);
+        let decreasing = monotone_potentials(&stoich, 1, max_rows, farkas_annul);
+        let increasing = monotone_potentials(&stoich, -1, max_rows, farkas_annul);
         SpeciesBounds {
             stride: stoich.stride(),
-            decreasing,
-            increasing,
-            truncated: cut_dec || cut_inc,
+            truncated: decreasing.truncated || increasing.truncated,
+            overflowed: decreasing.overflowed || increasing.overflowed,
+            decreasing: decreasing.rows,
+            increasing: increasing.rows,
         }
     }
 
-    /// Whether the Farkas cap truncated either cone: coverage claims (a
-    /// species with *no* covering potential) are then unreliable.
+    /// Whether either cone's enumeration is incomplete (the Farkas row cap
+    /// cut it short, or an overflowing combination was dropped): coverage
+    /// claims (a species with *no* covering potential) are then unreliable.
     #[must_use]
     pub fn truncated(&self) -> bool {
         self.truncated
+    }
+
+    /// Whether either cone dropped a combination that overflowed `i128`.
+    #[must_use]
+    pub fn overflowed(&self) -> bool {
+        self.overflowed
     }
 
     /// The species stride the potentials were computed over.
@@ -134,7 +149,9 @@ impl SpeciesBounds {
 
         // 1. Decreasing potentials: v(s)·c(s) ≤ v·c ≤ v·c₀.
         for v in &self.decreasing {
-            let value = weigh(v, start);
+            let Some(value) = weigh(v, start) else {
+                continue;
+            };
             for (s, &w) in v.iter().enumerate().take(n) {
                 if w > 0 {
                     let bound = clamp_u64(value / w);
@@ -158,27 +175,26 @@ impl SpeciesBounds {
         // least the initial potential minus what the rest of the support
         // can possibly carry (needs finite upper bounds on the rest).
         for v in &self.increasing {
-            let value = weigh(v, start);
+            let Some(value) = weigh(v, start) else {
+                continue;
+            };
             for (s, &w) in v.iter().enumerate().take(n) {
                 if w <= 0 {
                     continue;
                 }
-                let mut rest = 0i128;
-                let mut finite = true;
-                for (t, &wt) in v.iter().enumerate().take(n) {
-                    if t == s || wt == 0 {
-                        continue;
-                    }
-                    match upper[t] {
-                        Some(u) => rest += wt * i128::from(u),
-                        None => {
-                            finite = false;
-                            break;
-                        }
-                    }
-                }
-                if finite {
-                    let bound = clamp_u64(ceil_div(value - rest, w));
+                // v·c − w·c(s) is at most the rest's weight at its upper
+                // bounds; `None` when one is unbounded or the weighing
+                // overflows.
+                let rest = v
+                    .iter()
+                    .enumerate()
+                    .take(n)
+                    .filter(|&(t, &wt)| t != s && wt != 0)
+                    .try_fold(0i128, |rest, (t, &wt)| {
+                        rest.checked_add(wt.checked_mul(i128::from(upper[t]?))?)
+                    });
+                let own = rest.and_then(|rest| ceil_div(value.checked_sub(rest)?, w));
+                if let Some(bound) = own.map(clamp_u64) {
                     if bound > lower[s] {
                         lower[s] = bound;
                     }
@@ -222,7 +238,9 @@ impl SpeciesBounds {
             *u = Some(top[s]);
         }
         for v in &self.decreasing {
-            let value = weigh(v, top);
+            let Some(value) = weigh(v, top) else {
+                continue;
+            };
             for (s, &w) in v.iter().enumerate().take(n) {
                 if w > 0 {
                     let bound = clamp_u64(value / w);
@@ -310,11 +328,6 @@ impl CountIntervals {
     }
 }
 
-/// `v·counts` with counts past `v`'s length weighing zero.
-fn weigh(v: &[i128], counts: &[u64]) -> i128 {
-    v.iter().zip(counts).map(|(&w, &c)| w * i128::from(c)).sum()
-}
-
 fn clamp_u64(x: i128) -> u64 {
     if x <= 0 {
         0
@@ -323,71 +336,37 @@ fn clamp_u64(x: i128) -> u64 {
     }
 }
 
-fn floor_div(a: i128, b: i128) -> i128 {
-    let q = a / b;
-    let r = a % b;
+/// `⌊a / b⌋`, or `None` on `i128` overflow.
+fn floor_div(a: i128, b: i128) -> Option<i128> {
+    let q = a.checked_div(b)?;
+    let r = a.checked_rem(b)?;
     if r != 0 && ((r < 0) != (b < 0)) {
-        q - 1
+        q.checked_sub(1)
     } else {
-        q
+        Some(q)
     }
 }
 
-fn ceil_div(a: i128, b: i128) -> i128 {
-    -floor_div(-a, b)
+/// `⌈a / b⌉`, or `None` on `i128` overflow.
+fn ceil_div(a: i128, b: i128) -> Option<i128> {
+    floor_div(a.checked_neg()?, b)?.checked_neg()
 }
 
 /// Tightens `intervals` with the equality `law·c = law·start`: for each
 /// supported species, the extreme values of the law over the other species'
-/// intervals bound what the species itself can carry.
+/// intervals bound what the species itself can carry.  The law is skipped
+/// from the first weighing that overflows `i128`.
 fn refine_with_law(intervals: &mut CountIntervals, law: &ConservationLaw, start: &[u64]) {
-    let n = intervals.len();
-    let value = law.weigh(start);
-    for s in 0..n.min(law.weights().len()) {
+    let Some(value) = law.weigh(start) else {
+        return;
+    };
+    for s in 0..intervals.len().min(law.weights().len()) {
         let ws = law.weight(s);
         if ws == 0 {
             continue;
         }
-        // The rest of the law, v·c − ws·c(s), ranges over [rest_min, rest_max].
-        let mut rest_min = Some(0i128);
-        let mut rest_max = Some(0i128);
-        for t in 0..n.min(law.weights().len()) {
-            if t == s {
-                continue;
-            }
-            let wt = law.weight(t);
-            if wt == 0 {
-                continue;
-            }
-            let lo = i128::from(intervals.lower(t));
-            let hi = intervals.upper(t).map(i128::from);
-            if wt > 0 {
-                rest_min = rest_min.map(|m| m + wt * lo);
-                rest_max = match (rest_max, hi) {
-                    (Some(m), Some(h)) => Some(m + wt * h),
-                    _ => None,
-                };
-            } else {
-                rest_min = match (rest_min, hi) {
-                    (Some(m), Some(h)) => Some(m + wt * h),
-                    _ => None,
-                };
-                rest_max = rest_max.map(|m| m + wt * lo);
-            }
-        }
-        // ws·c(s) = value − rest ∈ [value − rest_max, value − rest_min].
-        let own_min = rest_max.map(|m| value - m);
-        let own_max = rest_min.map(|m| value - m);
-        let (new_lower, new_upper) = if ws > 0 {
-            (
-                own_min.map(|m| ceil_div(m, ws)),
-                own_max.map(|m| floor_div(m, ws)),
-            )
-        } else {
-            (
-                own_max.map(|m| ceil_div(m, ws)),
-                own_min.map(|m| floor_div(m, ws)),
-            )
+        let Some((new_lower, new_upper)) = law_bounds_on(intervals, law, s, value) else {
+            return;
         };
         if let Some(lb) = new_lower {
             let lb = clamp_u64(lb);
@@ -404,15 +383,64 @@ fn refine_with_law(intervals: &mut CountIntervals, law: &ConservationLaw, start:
     }
 }
 
-/// Minimal-support generators of `{v ≥ 0 : sign · (v·N) ≤ 0}` via Farkas on
+/// The `(lower, upper)` bounds that `law·c = value` puts on the count of
+/// supported species `s` given the other species' intervals (`None` on a
+/// side the intervals leave unbounded), or `None` on `i128` overflow.
+fn law_bounds_on(
+    intervals: &CountIntervals,
+    law: &ConservationLaw,
+    s: usize,
+    value: i128,
+) -> Option<(Option<i128>, Option<i128>)> {
+    // The rest of the law, v·c − ws·c(s), ranges over [rest_min, rest_max]
+    // (`None` = unbounded).
+    let mut rest_min = Some(0i128);
+    let mut rest_max = Some(0i128);
+    for t in 0..intervals.len().min(law.weights().len()) {
+        let wt = law.weight(t);
+        if t == s || wt == 0 {
+            continue;
+        }
+        // `sum + wt·count`, unbounded if either is; the outer `None` is
+        // overflow.
+        let add = |sum: Option<i128>, count: Option<u64>| match (sum, count) {
+            (Some(sum), Some(c)) => Some(Some(sum.checked_add(wt.checked_mul(i128::from(c))?)?)),
+            _ => Some(None),
+        };
+        let (lo, hi) = (Some(intervals.lower(t)), intervals.upper(t));
+        let (at_min, at_max) = if wt > 0 { (lo, hi) } else { (hi, lo) };
+        rest_min = add(rest_min, at_min)?;
+        rest_max = add(rest_max, at_max)?;
+    }
+    // ws·c(s) = value − rest ∈ [value − rest_max, value − rest_min], and
+    // dividing by ws < 0 swaps the ends.
+    let ws = law.weight(s);
+    let own = |rest: Option<i128>, div: fn(i128, i128) -> Option<i128>| match rest {
+        Some(rest) => div(value.checked_sub(rest)?, ws).map(Some),
+        None => Some(None),
+    };
+    let (rest_for_lower, rest_for_upper) = if ws > 0 {
+        (rest_max, rest_min)
+    } else {
+        (rest_min, rest_max)
+    };
+    Some((
+        own(rest_for_lower, ceil_div)?,
+        own(rest_for_upper, floor_div)?,
+    ))
+}
+
+/// Generators of `{v ≥ 0 : sign · (v·N) ≤ 0}` via the Farkas core `core` on
 /// the stoichiometry extended with one nonnegative slack per reaction:
 /// rows of `[sign·N ; I_R]` with combination coefficients `(v, w)` satisfy
-/// `sign·(v·N) = −w ≤ 0` exactly.
-fn monotone_potentials(
+/// `sign·(v·N) = −w ≤ 0` exactly.  The returned rows are the primitive,
+/// sorted, distinct projections of the `(v, w)` cone's extreme rays.
+pub(super) fn monotone_potentials(
     stoich: &Stoichiometry,
     sign: i128,
     max_rows: usize,
-) -> (Vec<Vec<i128>>, bool) {
+    core: FarkasCore,
+) -> FarkasRows {
     let species = stoich.stride();
     let reactions = stoich.reaction_count();
     let width = reactions + species + reactions;
@@ -435,20 +463,16 @@ fn monotone_potentials(
         table.push(row);
     }
 
-    let (table, truncated) = farkas_annul(table, reactions, max_rows);
+    let farkas = core(table, reactions, max_rows);
 
-    // Keep minimal-support rows of the full (v, w) cone — those include all
-    // extreme rays — then project out the slack half.
-    let mut rows: Vec<Vec<i128>> = table
+    // The rows are the extreme rays of the full (v, w) cone; project out the
+    // slack half.
+    let mut potentials: Vec<Vec<i128>> = farkas
+        .rows
         .into_iter()
-        .map(|row| row[reactions..].to_vec())
-        .filter(|payload| payload[..species].iter().any(|&w| w != 0))
-        .collect();
-    retain_minimal_support(&mut rows, |row| row.iter().map(|&w| w != 0).collect());
-    let mut potentials: Vec<Vec<i128>> = rows
-        .into_iter()
-        .map(|row| {
-            let mut v = row[..species].to_vec();
+        .map(|row| row[reactions..reactions + species].to_vec())
+        .filter(|v| v.iter().any(|&w| w != 0))
+        .map(|mut v| {
             let g = v.iter().fold(0i128, |acc, &w| gcd_i128(acc, w));
             if g > 1 {
                 for w in &mut v {
@@ -460,7 +484,10 @@ fn monotone_potentials(
         .collect();
     potentials.sort();
     potentials.dedup();
-    (potentials, truncated)
+    FarkasRows {
+        rows: potentials,
+        ..farkas
+    }
 }
 
 #[cfg(test)]
@@ -541,6 +568,54 @@ mod tests {
         let iv = intervals_from(&compiled, &bounds, &laws, &[1]);
         assert_eq!(iv.upper(0), None);
         assert_eq!(iv.state_space(), None);
+    }
+
+    #[test]
+    fn overflowing_potentials_are_dropped_and_flagged() {
+        // Per unit of A the chain ends in 2^128 E, so every potential
+        // covering E weighs A at 2^128 or more.  Wrapping that weight to 0
+        // would fabricate a potential pinning E at zero.
+        let mut crn = Crn::new();
+        for reaction in [
+            "A -> 4294967296B",
+            "B -> 4294967296C",
+            "C -> 4294967296D",
+            "D -> 4294967296E",
+        ] {
+            crn.parse_reaction(reaction).unwrap();
+        }
+        let (compiled, bounds, laws) = setup(&crn);
+        assert!(bounds.truncated());
+        assert!(bounds.overflowed());
+        let e = crn.species_named("E").unwrap().index();
+        assert!(!bounds.covered(e));
+        let mut start = vec![0u64; compiled.stride()];
+        start[crn.species_named("A").unwrap().index()] = 1;
+        let iv = intervals_from(&compiled, &bounds, &laws, &start);
+        assert_eq!(iv.upper(e), None);
+    }
+
+    #[test]
+    fn a_weighing_that_overflows_bounds_nothing() {
+        // 2^64 A + 2^32 B + C is C's only potential and also the signed law;
+        // weighed at A = u64::MAX it exceeds i128, so both are skipped
+        // rather than wrapped into a bound that excludes the start itself.
+        let mut crn = Crn::new();
+        crn.parse_reaction("A -> 4294967296B").unwrap();
+        crn.parse_reaction("B -> 4294967296C").unwrap();
+        let (compiled, bounds, laws) = setup(&crn);
+        assert!(!bounds.truncated());
+        let idx = |name: &str| crn.species_named(name).unwrap().index();
+        assert!(bounds.covered(idx("C")));
+        let mut start = vec![0u64; compiled.stride()];
+        start[idx("A")] = u64::MAX;
+        let iv = intervals_from(&compiled, &bounds, &laws, &start);
+        assert!(iv.admits(&start));
+        assert_eq!(iv.upper(idx("A")), Some(u64::MAX));
+        assert_eq!(iv.upper(idx("C")), None);
+        start[idx("A")] = 1;
+        let iv = intervals_from(&compiled, &bounds, &laws, &start);
+        assert_eq!(iv.upper(idx("B")), Some(1 << 32));
     }
 
     #[test]

@@ -48,8 +48,9 @@
 //!   T-semiflow (otherwise *every* reaction of a terminating CRN would be
 //!   flagged) and no relevant enumeration truncated.
 //!
-//! When a cap does truncate an enumeration, [`lint_full`] reports it as an
-//! explicit "analysis incomplete" note instead of silently narrowing.
+//! When a cap or an `i128` overflow does truncate an enumeration,
+//! [`lint_full`] reports it as an explicit "analysis incomplete" note naming
+//! the cause, instead of silently narrowing.
 
 use crate::compiled::CompiledCrn;
 use crate::function::FunctionCrn;
@@ -240,9 +241,10 @@ pub fn lint_full(f: &FunctionCrn) -> LintOutcome {
     let leader = f.leader();
     let semiflows = nonnegative_laws_capped(&stoich, FARKAS_ROW_CAP);
     if semiflows.truncated {
-        notes.push(format!(
-            "analysis incomplete: P-semiflow enumeration truncated at {FARKAS_ROW_CAP} rows \
-             (C005/C007 may miss laws)"
+        notes.push(farkas_note(
+            "P-semiflow",
+            semiflows.overflowed,
+            "C005/C007 may miss laws",
         ));
     }
     for law in &semiflows.laws {
@@ -337,9 +339,10 @@ pub fn lint_full(f: &FunctionCrn) -> LintOutcome {
     // Skipped entirely under truncation (the claim is about absence).
     let bounds = SpeciesBounds::of(&compiled);
     if bounds.truncated() {
-        notes.push(format!(
-            "analysis incomplete: potential enumeration truncated at {FARKAS_ROW_CAP} rows \
-             (C008/C009 skipped)"
+        notes.push(farkas_note(
+            "potential",
+            bounds.overflowed(),
+            "C008/C009 skipped",
         ));
     } else {
         for s in 0..species.len() {
@@ -364,9 +367,10 @@ pub fn lint_full(f: &FunctionCrn) -> LintOutcome {
     // the fact is vacuously true of every reaction) stay silent.
     let t_semiflows = nonnegative_t_semiflows(&stoich, FARKAS_ROW_CAP);
     if t_semiflows.truncated {
-        notes.push(format!(
-            "analysis incomplete: T-semiflow enumeration truncated at {FARKAS_ROW_CAP} rows \
-             (C009 skipped)"
+        notes.push(farkas_note(
+            "T-semiflow",
+            t_semiflows.overflowed,
+            "C009 skipped",
         ));
     }
     let structurally_bounded =
@@ -407,6 +411,18 @@ pub fn lint_full(f: &FunctionCrn) -> LintOutcome {
         findings: out,
         notes,
     }
+}
+
+/// The "analysis incomplete" note of a truncated Farkas enumeration of
+/// `what`, naming its cause — an `i128` overflow when one occurred, else the
+/// row cap — and the `consequence` for the lints built on it.
+fn farkas_note(what: &str, overflowed: bool, consequence: &str) -> String {
+    let cause = if overflowed {
+        "dropped combinations that overflow i128".to_owned()
+    } else {
+        format!("truncated at {FARKAS_ROW_CAP} rows")
+    };
+    format!("analysis incomplete: {what} enumeration {cause} ({consequence})")
 }
 
 /// Renders a species-index set as comma-separated names (foreign indices as

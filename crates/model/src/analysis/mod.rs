@@ -24,10 +24,10 @@
 //!   the `crn lint` CLI subcommand ([`lint_full`] adds the "analysis
 //!   incomplete" notes emitted when an enumeration cap truncated).
 //!
-//! Enumerations that can truncate ([`FARKAS_ROW_CAP`], [`SIPHON_NODE_CAP`])
-//! surface the fact in their result types: truncation is always *sound*
-//! (everything returned is genuine) but claims built on absence must check
-//! the flag.
+//! Enumerations that can truncate ([`FARKAS_ROW_CAP`], [`SIPHON_NODE_CAP`],
+//! or an `i128` overflow in the Farkas core) surface the fact in their result
+//! types: truncation is always *sound* (everything returned is genuine) but
+//! claims built on absence must check the flag.
 
 mod bounds;
 mod invariants;

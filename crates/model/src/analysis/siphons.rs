@@ -125,17 +125,18 @@ fn minimal_closed_sets(
         }
     }
 
+    // Keep only set-minimal results: drop every set strictly containing
+    // another one.
+    let inside = |inner: &[bool], outer: &[bool]| inner.iter().zip(outer).all(|(&i, &o)| !i || o);
     let mut sets: Vec<Vec<usize>> = found
-        .into_iter()
+        .iter()
+        .filter(|set| {
+            !found
+                .iter()
+                .any(|other| other != *set && inside(other, set))
+        })
         .map(|set| (0..stride).filter(|&s| set[s]).collect())
         .collect();
-    super::invariants::retain_minimal_support(&mut sets, |set| {
-        let mut sup = vec![false; stride];
-        for &s in set {
-            sup[s] = true;
-        }
-        sup
-    });
     sets.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
     sets.dedup();
     StructuralSets { sets, truncated }

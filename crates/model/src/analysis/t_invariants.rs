@@ -14,12 +14,16 @@
 //! matrix: the left nullspace of `Nᵀ` is the right nullspace of `N`, so
 //! [`t_invariant_basis`] is [`conservation_basis`] on
 //! [`Stoichiometry::transposed`] and [`nonnegative_t_semiflows`] is the same
-//! capped Farkas enumeration (sharing [`FARKAS_ROW_CAP`] semantics: a
-//! truncated run is sound but incomplete).
+//! double-description Farkas enumeration (sharing [`FARKAS_ROW_CAP`]
+//! semantics: a run cut by the cap or by `i128` overflow is sound but
+//! incomplete).  The basis reports overflow as `None` rather than as a
+//! shorter (possibly empty) basis, because an empty basis is a proof that
+//! the CRN has no cycles.
 //!
+//! [`conservation_basis`]: super::invariants::conservation_basis
 //! [`FARKAS_ROW_CAP`]: super::invariants::FARKAS_ROW_CAP
 
-use super::invariants::{conservation_basis, nonnegative_laws_capped};
+use super::invariants::{checked_basis, nonnegative_laws_capped};
 use super::stoichiometry::Stoichiometry;
 
 /// An integer T-invariant: one signed firing count per reaction (in the
@@ -62,28 +66,34 @@ impl TInvariant {
 pub struct TSemiflowEnumeration {
     /// The minimal-support nonnegative T-invariants found.
     pub semiflows: Vec<TInvariant>,
-    /// Whether the intermediate-row cap truncated the enumeration.
+    /// Whether T-semiflows may be missing: the row cap cut a column short,
+    /// or an overflowing combination was dropped.
     pub truncated: bool,
+    /// Whether a combination overflowed `i128` (and was dropped).
+    pub overflowed: bool,
 }
 
 /// A basis of the signed right nullspace `{f : N·f = 0}` as primitive
-/// integer vectors, by rational elimination on the transposed matrix.
+/// integer vectors, by rational elimination on the transposed matrix, or
+/// `None` when the elimination overflows `i128`.
 ///
 /// Complete: every rational T-invariant is a combination of the returned
 /// vectors, so an empty basis proves the CRN admits no reaction cycle that
 /// restores a configuration (every firing makes irreversible progress).
 #[must_use]
-pub fn t_invariant_basis(stoich: &Stoichiometry) -> Vec<TInvariant> {
-    conservation_basis(&stoich.transposed())
-        .into_iter()
-        .map(|law| TInvariant {
-            firings: law.weights().to_vec(),
-        })
-        .collect()
+pub fn t_invariant_basis(stoich: &Stoichiometry) -> Option<Vec<TInvariant>> {
+    let (laws, complete) = checked_basis(&stoich.transposed());
+    complete.then(|| {
+        laws.into_iter()
+            .map(|law| TInvariant {
+                firings: law.weights().to_vec(),
+            })
+            .collect()
+    })
 }
 
 /// Minimal-support nonnegative T-invariants (T-semiflows) by the capped
-/// Farkas enumeration on the transposed matrix.
+/// double-description Farkas enumeration on the transposed matrix.
 #[must_use]
 pub fn nonnegative_t_semiflows(stoich: &Stoichiometry, max_rows: usize) -> TSemiflowEnumeration {
     let enumeration = nonnegative_laws_capped(&stoich.transposed(), max_rows);
@@ -96,6 +106,7 @@ pub fn nonnegative_t_semiflows(stoich: &Stoichiometry, max_rows: usize) -> TSemi
             })
             .collect(),
         truncated: enumeration.truncated,
+        overflowed: enumeration.overflowed,
     }
 }
 
@@ -134,9 +145,9 @@ mod tests {
         // T-invariant space is trivial, so no reaction sequence can restore
         // a configuration.
         let min = stoich(examples::min_crn().crn());
-        assert!(t_invariant_basis(&min).is_empty());
+        assert_eq!(t_invariant_basis(&min), Some(Vec::new()));
         let max = stoich(examples::max_crn().crn());
-        assert!(t_invariant_basis(&max).is_empty());
+        assert_eq!(t_invariant_basis(&max), Some(Vec::new()));
         let flows = nonnegative_t_semiflows(&max, FARKAS_ROW_CAP);
         assert!(flows.semiflows.is_empty());
         assert!(!flows.truncated);
@@ -149,7 +160,7 @@ mod tests {
         crn.parse_reaction("A -> B").unwrap();
         crn.parse_reaction("B -> A").unwrap();
         let n = stoich(&crn);
-        let basis = t_invariant_basis(&n);
+        let basis = t_invariant_basis(&n).expect("small coefficients");
         assert_invariants_hold(&basis, &n);
         assert_eq!(basis.len(), 1);
         assert_eq!(basis[0].firings(), &[0, 1, 1]);
@@ -173,6 +184,30 @@ mod tests {
         assert_invariants_hold(&flows, &n);
         assert_eq!(flows.len(), 1);
         assert_eq!(flows[0].firings(), &[1, 2, 1]);
+    }
+
+    #[test]
+    fn an_overflowing_basis_is_none_not_empty() {
+        // The cycle closes only after E -> 0 fires 2^128 times per 0 -> A,
+        // so its one T-invariant does not fit i128.  Dropping it would leave
+        // an empty basis, which falsely certifies the CRN acyclic.
+        let mut crn = Crn::new();
+        for reaction in [
+            "0 -> A",
+            "A -> 4294967296B",
+            "B -> 4294967296C",
+            "C -> 4294967296D",
+            "D -> 4294967296E",
+            "E -> 0",
+        ] {
+            crn.parse_reaction(reaction).unwrap();
+        }
+        let n = stoich(&crn);
+        assert_eq!(t_invariant_basis(&n), None);
+        let flows = nonnegative_t_semiflows(&n, FARKAS_ROW_CAP);
+        assert!(flows.semiflows.is_empty());
+        assert!(flows.truncated);
+        assert!(flows.overflowed);
     }
 
     #[test]

@@ -61,8 +61,9 @@ pub(super) struct BoxAnalysis {
     /// restore a configuration, so *every* reachability graph of this CRN is
     /// acyclic (a cycle's firing-count vector would be such an invariant).
     /// Certified either by a trivial signed T-invariant basis
-    /// ([`t_invariant_basis`] is complete and uncapped) or by an untruncated
-    /// empty T-semiflow enumeration.
+    /// ([`t_invariant_basis`] is uncapped, and complete whenever it is not
+    /// `None` for overflow) or by an untruncated empty T-semiflow
+    /// enumeration.
     acyclic: bool,
 }
 
@@ -1491,7 +1492,8 @@ impl<'c> VerdictEngine<'c> {
     pub(super) fn analyze(crn: &FunctionCrn) -> Arc<BoxAnalysis> {
         let compiled = CompiledCrn::compile(crn.crn());
         let stoich = Stoichiometry::of(&compiled);
-        let acyclic = t_invariant_basis(&stoich).is_empty() || {
+        // An overflowed basis is `None`, never empty: it certifies nothing.
+        let acyclic = t_invariant_basis(&stoich).is_some_and(|basis| basis.is_empty()) || {
             let flows = nonnegative_t_semiflows(&stoich, FARKAS_ROW_CAP);
             !flows.truncated && flows.semiflows.is_empty()
         };
@@ -2068,6 +2070,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_overflowing_t_invariant_basis_certifies_nothing() {
+        // The cycle closes only after E -> 0 fires 2^128 times per 0 -> A:
+        // its T-invariant does not fit i128, and the CRN is not acyclic.
+        let mut crn = Crn::new();
+        for reaction in [
+            "0 -> A",
+            "A -> 4294967296B",
+            "B -> 4294967296C",
+            "C -> 4294967296D",
+            "D -> 4294967296E",
+            "E -> 0",
+        ] {
+            crn.parse_reaction(reaction).unwrap();
+        }
+        let crn = FunctionCrn::with_named_roles(crn, &["A"], "E", None).expect("valid roles");
+        assert!(!VerdictEngine::analyze(&crn).acyclic);
     }
 
     /// A CRN over `{X, Y, Z}` from sampled stoichiometries: input `X`,

@@ -18,6 +18,24 @@ pub fn gcd_i128(a: i128, b: i128) -> i128 {
     a
 }
 
+/// [`gcd_i128`], or `None` when an argument is `i128::MIN` (its absolute
+/// value does not fit `i128`).
+///
+/// ```
+/// assert_eq!(crn_numeric::checked_gcd_i128(-12, 18), Some(6));
+/// assert_eq!(crn_numeric::checked_gcd_i128(i128::MIN, 2), None);
+/// ```
+#[must_use]
+pub fn checked_gcd_i128(a: i128, b: i128) -> Option<i128> {
+    let (mut a, mut b) = (a.checked_abs()?, b.checked_abs()?);
+    while b != 0 {
+        let r = a % b;
+        a = b;
+        b = r;
+    }
+    Some(a)
+}
+
 /// Least common multiple of two signed 128-bit integers.
 ///
 /// `lcm_i128(0, x) == 0` for any `x`.
@@ -27,11 +45,17 @@ pub fn gcd_i128(a: i128, b: i128) -> i128 {
 /// Panics if the result overflows `i128`.
 #[must_use]
 pub fn lcm_i128(a: i128, b: i128) -> i128 {
+    checked_lcm_i128(a, b).expect("lcm overflow")
+}
+
+/// [`lcm_i128`], or `None` when the result overflows `i128`.
+#[must_use]
+pub fn checked_lcm_i128(a: i128, b: i128) -> Option<i128> {
     if a == 0 || b == 0 {
-        return 0;
+        return Some(0);
     }
-    let g = gcd_i128(a, b);
-    (a / g).checked_mul(b).expect("lcm overflow").abs()
+    let g = checked_gcd_i128(a, b)?;
+    (a / g).checked_mul(b)?.checked_abs()
 }
 
 /// Greatest common divisor of two unsigned 64-bit integers.
@@ -88,6 +112,15 @@ mod tests {
         assert_eq!(lcm_u64(4, 6), 12);
         assert_eq!(lcm_u64(2, 3), 6);
         assert_eq!(lcm_u64(0, 3), 0);
+    }
+
+    #[test]
+    fn checked_variants_report_overflow() {
+        assert_eq!(checked_gcd_i128(-12, 18), Some(6));
+        assert_eq!(checked_gcd_i128(0, i128::MIN), None);
+        assert_eq!(checked_lcm_i128(-4, 6), Some(12));
+        assert_eq!(checked_lcm_i128(i128::MAX, 2), None);
+        assert_eq!(checked_lcm_i128(0, i128::MAX), Some(0));
     }
 
     #[test]

@@ -33,7 +33,7 @@ mod rational;
 mod vector;
 
 pub use congruence::{CongruenceClass, ResidueIter};
-pub use gcd::{gcd_i128, gcd_u64, lcm_i128, lcm_u64};
+pub use gcd::{checked_gcd_i128, checked_lcm_i128, gcd_i128, gcd_u64, lcm_i128, lcm_u64};
 pub use order::{
     dominates, find_dominating_pair, is_increasing, pointwise_le, pointwise_max, pointwise_min,
 };

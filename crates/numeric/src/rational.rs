@@ -7,7 +7,7 @@ use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
-use crate::gcd::gcd_i128;
+use crate::gcd::{checked_gcd_i128, gcd_i128};
 
 /// An exact rational number `numer / denom` with `denom > 0`, always stored in
 /// lowest terms.
@@ -65,6 +65,69 @@ impl Rational {
             numer: numer / g,
             denom: denom / g,
         }
+    }
+
+    /// [`new`](Self::new), or `None` when `denom == 0` or reducing the
+    /// fraction overflows `i128`.
+    #[must_use]
+    pub fn checked_new(numer: i128, denom: i128) -> Option<Self> {
+        if denom == 0 {
+            return None;
+        }
+        let (numer, denom) = if denom < 0 {
+            (numer.checked_neg()?, denom.checked_neg()?)
+        } else {
+            (numer, denom)
+        };
+        let g = checked_gcd_i128(numer, denom)?;
+        Some(Rational {
+            numer: numer / g,
+            denom: denom / g,
+        })
+    }
+
+    /// `self + rhs`, or `None` on `i128` overflow.
+    #[must_use]
+    pub fn checked_add(self, rhs: Rational) -> Option<Rational> {
+        Rational::checked_new(
+            self.numer
+                .checked_mul(rhs.denom)?
+                .checked_add(rhs.numer.checked_mul(self.denom)?)?,
+            self.denom.checked_mul(rhs.denom)?,
+        )
+    }
+
+    /// `-self`, or `None` on `i128` overflow.
+    #[must_use]
+    pub fn checked_neg(self) -> Option<Rational> {
+        Some(Rational {
+            numer: self.numer.checked_neg()?,
+            denom: self.denom,
+        })
+    }
+
+    /// `self - rhs`, or `None` on `i128` overflow.
+    #[must_use]
+    pub fn checked_sub(self, rhs: Rational) -> Option<Rational> {
+        self.checked_add(rhs.checked_neg()?)
+    }
+
+    /// `self * rhs`, or `None` on `i128` overflow.
+    #[must_use]
+    pub fn checked_mul(self, rhs: Rational) -> Option<Rational> {
+        Rational::checked_new(
+            self.numer.checked_mul(rhs.numer)?,
+            self.denom.checked_mul(rhs.denom)?,
+        )
+    }
+
+    /// `self / rhs`, or `None` when `rhs` is zero or on `i128` overflow.
+    #[must_use]
+    pub fn checked_div(self, rhs: Rational) -> Option<Rational> {
+        Rational::checked_new(
+            self.numer.checked_mul(rhs.denom)?,
+            self.denom.checked_mul(rhs.numer)?,
+        )
     }
 
     /// The numerator (sign-carrying) of the reduced fraction.
@@ -408,6 +471,17 @@ mod tests {
     }
 
     #[test]
+    fn checked_ops_report_overflow() {
+        let big = Rational::from(i128::MAX);
+        assert_eq!(big.checked_add(Rational::ONE), None);
+        assert_eq!(big.checked_mul(Rational::from(2)), None);
+        assert_eq!(Rational::from(i128::MIN).checked_sub(Rational::ONE), None);
+        assert_eq!(Rational::ONE.checked_div(Rational::ZERO), None);
+        assert_eq!(Rational::checked_new(i128::MIN, -1), None);
+        assert_eq!(Rational::checked_new(1, 0), None);
+    }
+
+    #[test]
     fn sum_iterator() {
         let total: Rational = (1..=4).map(|i| Rational::new(1, i)).sum();
         assert_eq!(total, Rational::new(25, 12));
@@ -435,6 +509,20 @@ mod tests {
             let fl = Rational::from(x.floor());
             prop_assert!(fl <= x);
             prop_assert!(x - fl < Rational::ONE);
+        }
+
+        #[test]
+        fn checked_ops_agree_with_the_operators(a in -1000i128..1000, b in 1i128..100, c in -1000i128..1000, d in 1i128..100) {
+            let x = Rational::new(a, b);
+            let y = Rational::new(c, d);
+            prop_assert_eq!(x.checked_add(y), Some(x + y));
+            prop_assert_eq!(x.checked_sub(y), Some(x - y));
+            prop_assert_eq!(x.checked_neg(), Some(-x));
+            prop_assert_eq!(x.checked_mul(y), Some(x * y));
+            if !y.is_zero() {
+                prop_assert_eq!(x.checked_div(y), Some(x / y));
+            }
+            prop_assert_eq!(Rational::checked_new(a, -b), Some(Rational::new(a, -b)));
         }
 
         #[test]

@@ -172,7 +172,8 @@ proptest! {
         let laws = conservation_basis(&Stoichiometry::of(&compiled));
         let start = start_config(&crn, (cx, cy, cz));
         let dense_start = DenseState::from_configuration(&start, compiled.stride());
-        let initial: Vec<i128> = laws.iter().map(|law| law.weigh(dense_start.counts())).collect();
+        let initial: Vec<Option<i128>> =
+            laws.iter().map(|law| law.weigh(dense_start.counts())).collect();
         let mut sim = Gillespie::new(crn, seed);
         for depth in [1u64, 10, 100, 1_000, 10_000] {
             sim.reseed(seed);
