@@ -18,12 +18,17 @@ use crate::json::Json;
 /// space outgrows `--max-configs`).
 ///
 /// `--engine` selects the exhaustive backend: `incremental` (default) runs
-/// the incremental box engine (static verdicts, symmetry orbits, cross-point
-/// memoization, routed decision passes), `reference` the unpruned
+/// the incremental box engine (static verdicts, symmetry orbits, routed
+/// decision passes: a stubborn-set terminal scan on certified-acyclic CRNs,
+/// cross-point memoization on the others), `reference` the unpruned
 /// hash-interned engine that builds a full verdict at every point — both
-/// must produce identical verdicts, which the CI corpus smoke step
-/// cross-checks.  `--engine` is meaningless under `--spot` and refused
-/// there.
+/// must produce identical verdicts wherever the reference finishes within
+/// `--max-configs`, which the CI corpus smoke step cross-checks.  The limit
+/// bounds the configurations one exploration stores, and the terminal scan
+/// stores fewer, so the incremental engine may pass a point the reference
+/// gives up on.  A failing point is re-checked by the unreduced
+/// exploration, so FAIL lines are the reference engine's.  `--engine` is
+/// meaningless under `--spot` and refused there.
 ///
 /// `--stats` prints one line of engine counters per verified item to stderr
 /// as JSON — points checked versus statically decided, cache-served or

@@ -67,6 +67,10 @@ COMMANDS:
                          [--engine incremental|reference] [--stats] [--spot]
                          [--max-steps N=1000000] [--seed S=7] [--json]
                          [--deny-warnings]
+                         --max-configs bounds the configurations one
+                         exploration stores; on acyclic CRNs the incremental
+                         engine stores only stubborn-set successors, so it
+                         may pass a point the reference engine gives up on
   sim <file>             Gillespie ensemble simulation; lint warnings go to
                          stderr
                          [--item NAME] [--input a,b,...] [--trials N=16]

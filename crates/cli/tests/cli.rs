@@ -333,6 +333,26 @@ fn verify_stats_reports_engine_counters() {
 }
 
 #[test]
+fn verify_survives_code_offsets_past_i64() {
+    // The dead reaction `D -> 2^62 B` has a mixed-radix code offset past
+    // i64 in the interval-box code.  The offset only matters where the
+    // reaction applies, and it never does, so the sweep passes — in debug
+    // builds too, where the offset arithmetic once panicked on overflow.
+    let path = scratch(
+        "offset_overflow.crn",
+        "fn ident(x) {\n  case x >= 0: x;\n}\n\n\
+         crn offsets {\n  inputs X;\n  output Y;\n  computes ident;\n  \
+         X -> Y;\n  D -> 4611686018427387904B;\n}\n",
+    );
+    let path = path.to_str().unwrap();
+    for engine in ["incremental", "reference"] {
+        let (code, stdout, stderr) = run_crn(&["verify", path, "--bound", "2", "--engine", engine]);
+        assert_eq!(code, 0, "--engine {engine}\n{stdout}\n{stderr}");
+        assert!(stdout.contains("ok (exhaustive)"), "{stdout}");
+    }
+}
+
+#[test]
 fn sim_echoes_lint_warnings_and_honors_deny_warnings() {
     let path = scratch("sim_warnings.crn", WARNING_DOC);
     let path = path.to_str().unwrap();

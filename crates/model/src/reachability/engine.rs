@@ -7,7 +7,8 @@
 //!   are [`CsrBuilder`] (the successor graph behind full verdicts and
 //!   [`ReachabilityGraph`]) and [`TerminalScan`] (the decision for
 //!   certified-acyclic CRNs, whose sinks are exactly the terminal
-//!   configurations).
+//!   configurations; it fires only stubborn sets, see
+//!   [`StubbornSets`]).
 //! * [`dfs`] — depth-first with Tarjan's algorithm inline.  Its visitors
 //!   fold each strongly connected component as it pops: [`RecoverFold`]
 //!   (closure max/min output and recoverability) and [`MemoFold`] (the
@@ -42,6 +43,7 @@ use super::arena::ConfigArena;
 use super::csr::CsrGraph;
 use super::memo::{MemoCache, SetId, SharedLog, Summary, EMPTY_SET};
 use super::scc::Condensation;
+use super::stubborn::{Closure, StubbornSets};
 use super::symmetry;
 use super::{BoxCheckStats, StableComputationVerdict};
 
@@ -52,8 +54,9 @@ use super::{BoxCheckStats, StableComputationVerdict};
 const DIRECT_INDEX_CAP: u128 = 1 << 62;
 
 /// The point-independent static-analysis artifacts of a pruned engine:
-/// monotone potential bounds, the signed conservation-law basis, and the
-/// T-invariant acyclicity certificate.
+/// monotone potential bounds, the signed conservation-law basis, the
+/// T-invariant acyclicity certificate, and the stubborn-set relations of
+/// the terminal scan.
 pub(super) struct BoxAnalysis {
     bounds: SpeciesBounds,
     laws: Vec<ConservationLaw>,
@@ -65,6 +68,7 @@ pub(super) struct BoxAnalysis {
     /// `None` for overflow) or by an untruncated empty T-semiflow
     /// enumeration.
     acyclic: bool,
+    stubborn: StubbornSets,
 }
 
 /// A perfect mixed-radix encoding of the interval box
@@ -83,7 +87,7 @@ pub(super) struct DirectSpec {
     /// reaction `r`'s entries are `reqs[req_offsets[r]..req_offsets[r + 1]]`
     /// — so the hot applicability test walks two dense arrays instead of
     /// chasing one `Vec` per reaction.
-    reqs: Vec<(u32, u64)>,
+    reqs: Vec<(usize, u64)>,
     req_offsets: Vec<u32>,
 }
 
@@ -104,23 +108,24 @@ impl DirectSpec {
             let width = intervals.upper(s).expect("finite volume") - intervals.lower(s) + 1;
             running = running.checked_mul(width).expect("volume fits the cap");
         }
+        // Wrapping, like the code moves themselves: an offset is only ever
+        // added to the code of a configuration the reaction applies to, and
+        // there it is the difference of two in-box codes.  A reaction that
+        // never applies inside the box may overflow, harmlessly.
         let offsets = compiled
             .reactions()
             .iter()
             .map(|reaction| {
-                reaction
-                    .delta()
-                    .iter()
-                    .map(|&(s, d)| d * i64::try_from(place[s]).expect("place fits i64"))
-                    .sum()
+                reaction.delta().iter().fold(0i64, |sum, &(s, d)| {
+                    let place = i64::try_from(place[s]).expect("place fits i64");
+                    sum.wrapping_add(d.wrapping_mul(place))
+                })
             })
             .collect();
         let mut reqs = Vec::new();
         let mut req_offsets = vec![0u32];
         for reaction in compiled.reactions() {
-            for &(s, c) in reaction.reactants() {
-                reqs.push((u32::try_from(s).expect("species index fits u32"), c));
-            }
+            reqs.extend_from_slice(reaction.reactants());
             req_offsets.push(u32::try_from(reqs.len()).expect("requirement count fits u32"));
         }
         Some(DirectSpec {
@@ -130,6 +135,11 @@ impl DirectSpec {
             reqs,
             req_offsets,
         })
+    }
+
+    /// Reaction `r`'s reactant requirements.
+    fn reqs(&self, r: usize) -> &[(usize, u64)] {
+        &self.reqs[self.req_offsets[r] as usize..self.req_offsets[r + 1] as usize]
     }
 
     /// The code of `counts`, which must lie inside the box.
@@ -509,10 +519,8 @@ impl Store {
     }
 }
 
-/// What a codec learns by firing one reaction on the loaded node.
+/// What a codec learns by firing one enabled reaction on the loaded node.
 enum Probe<S, K> {
-    /// The reaction is not applicable.
-    Blocked,
     /// The successor is stored already.
     Seen(S),
     /// The successor is new; the key is what [`Codec::insert`] needs.
@@ -530,11 +538,25 @@ trait Codec {
     fn reactions(&self) -> usize;
     /// Makes `v` the node later probes fire reactions on.
     fn load(&mut self, v: NodeId);
+    /// Whether reaction `r` applies to the loaded node.
+    fn enabled(&self, r: usize) -> bool;
+    /// The lowest species whose count in the loaded node is below the
+    /// requirement of the disabled reaction `r`.
+    fn lacking(&self, r: usize) -> usize;
+    /// Fires the enabled reaction `r` on the loaded node.
     fn probe(&mut self, r: usize) -> Probe<Self::Seen, Self::Key>;
     /// Stores the unseen successor `key` of the loaded node under reaction
     /// `r` as node `id`.
     fn insert(&mut self, r: usize, key: Self::Key, id: NodeId) -> Self::Seen;
     fn output(&self, v: NodeId) -> u64;
+}
+
+/// The lowest species of `reqs` (ascending) whose count falls short.
+fn lowest_lacking(reqs: &[(usize, u64)], counts: &[u64]) -> usize {
+    reqs.iter()
+        .find(|&&(s, c)| counts[s] < c)
+        .expect("the reaction is disabled")
+        .0
 }
 
 /// A codec that names seen successors, so visitors can record edges.
@@ -576,12 +598,16 @@ impl Codec for Hash<'_> {
         self.s.cur.copy_from_slice(self.s.arena.get(v.index()));
     }
 
+    fn enabled(&self, r: usize) -> bool {
+        self.reactions[r].applicable(&self.s.cur)
+    }
+
+    fn lacking(&self, r: usize) -> usize {
+        lowest_lacking(self.reactions[r].reactants(), &self.s.cur)
+    }
+
     fn probe(&mut self, r: usize) -> Probe<NodeId, ()> {
-        let reaction = &self.reactions[r];
-        if !reaction.applicable(&self.s.cur) {
-            return Probe::Blocked;
-        }
-        reaction.apply_into(&self.s.cur, &mut self.s.succ);
+        self.reactions[r].apply_into(&self.s.cur, &mut self.s.succ);
         match self.s.arena.lookup(&self.s.succ) {
             // Stored ids were admitted, so they fit u32.
             Some(id) => Probe::Seen(NodeId(id as u32)),
@@ -674,14 +700,18 @@ impl Codec for Direct<'_> {
     }
 
     #[inline(always)] // per reaction; shared by four traversal instances
+    fn enabled(&self, r: usize) -> bool {
+        self.spec.reqs(r).iter().all(|&(s, c)| self.s.cur[s] >= c)
+    }
+
+    fn lacking(&self, r: usize) -> usize {
+        lowest_lacking(self.spec.reqs(r), &self.s.cur)
+    }
+
+    #[inline(always)]
     fn probe(&mut self, r: usize) -> Probe<NodeId, u64> {
-        let spec = self.spec;
-        let reqs = &spec.reqs[spec.req_offsets[r] as usize..spec.req_offsets[r + 1] as usize];
-        if reqs.iter().any(|&(s, c)| self.s.cur[s as usize] < c) {
-            return Probe::Blocked;
-        }
         // The box bounds are sound, so the translated code stays in range.
-        let code = self.code.wrapping_add_signed(spec.offsets[r]);
+        let code = self.code.wrapping_add_signed(self.spec.offsets[r]);
         let nodes = &self.s.nodes;
         match self.s.index.lookup(code, |i| nodes[i].code) {
             Some(id) => Probe::Seen(id),
@@ -784,6 +814,15 @@ impl<'a, const DENSE: bool> Packed<'a, DENSE> {
             code: 0,
         }
     }
+
+    /// The high bits of the lanes whose count meets reaction `r`'s
+    /// requirement.  With every count lane in [0, 127] and requirement lanes
+    /// clamped to 128, `(cur | HIGH) - req` never borrows across lanes, and
+    /// a lane's high bit survives exactly when its count meets the
+    /// requirement.
+    fn met(&self, r: usize) -> u64 {
+        (self.cur | LANE_HIGH).wrapping_sub(self.reqs[r]) & LANE_HIGH
+    }
 }
 
 impl<const DENSE: bool> Codec for Packed<'_, DENSE> {
@@ -805,14 +844,15 @@ impl<const DENSE: bool> Codec for Packed<'_, DENSE> {
         }
     }
 
+    fn enabled(&self, r: usize) -> bool {
+        self.met(r) == LANE_HIGH
+    }
+
+    fn lacking(&self, r: usize) -> usize {
+        ((self.met(r) ^ LANE_HIGH).trailing_zeros() / 8) as usize
+    }
+
     fn probe(&mut self, r: usize) -> Probe<(), u64> {
-        // Lane-wise `cur >= req`: with every count lane in [0, 127] and
-        // requirement lanes clamped to 128, `(cur | HIGH) - req` never
-        // borrows across lanes, and a lane's high bit survives exactly when
-        // its count meets the requirement.
-        if (self.cur | LANE_HIGH).wrapping_sub(self.reqs[r]) & LANE_HIGH != LANE_HIGH {
-            return Probe::Blocked;
-        }
         // The key is the successor's dense code, or its word.
         let (key, seen) = if DENSE {
             let code = self.code.wrapping_add(self.dense_deltas[r]);
@@ -848,6 +888,9 @@ impl<const DENSE: bool> Codec for Packed<'_, DENSE> {
 
 /// The visitor of a breadth-first traversal.
 trait BfsVisitor<C: Codec> {
+    /// Narrows `enabled`, the ascending enabled reactions of the loaded node
+    /// (at least two), to those the traversal fires; by default all.
+    fn select(&mut self, _codec: &C, _enabled: &mut Vec<usize>) {}
     /// Sees the edge `from → to`, `to` possibly just inserted.
     fn edge(&mut self, codec: &mut C, from: NodeId, to: C::Seen);
     /// Sees `v` fully expanded (`terminal`: no reaction applies); `false`
@@ -856,8 +899,9 @@ trait BfsVisitor<C: Codec> {
 }
 
 /// Explores everything reachable from the codec's start breadth-first:
-/// node ids are discovery order, id 0 is the start.  `Ok(true)` means the
-/// whole reachable set was expanded within `limit` configurations;
+/// node ids are discovery order, id 0 is the start.  Each node fires the
+/// enabled reactions the visitor selects, in ascending order.  `Ok(true)`
+/// means every node reached was expanded within `limit` configurations;
 /// `Ok(false)` is the visitor's early stop, which may pre-empt the limit
 /// error.
 #[inline(never)] // one loop per instance, out of the router's register pressure
@@ -866,18 +910,22 @@ fn bfs<C: Codec, V: BfsVisitor<C>>(
     visitor: &mut V,
     limit: usize,
 ) -> Result<bool, CrnError> {
+    let mut enabled = Vec::with_capacity(codec.reactions());
     let mut next = 0u32;
     while (next as usize) < codec.len() {
         let v = NodeId(next);
         codec.load(v);
-        let mut terminal = true;
-        for r in 0..codec.reactions() {
+        enabled.clear();
+        enabled.extend((0..codec.reactions()).filter(|&r| codec.enabled(r)));
+        let terminal = enabled.is_empty();
+        if enabled.len() > 1 {
+            visitor.select(codec, &mut enabled);
+        }
+        for &r in &enabled {
             let to = match codec.probe(r) {
-                Probe::Blocked => continue,
                 Probe::Seen(to) => to,
                 Probe::Unseen(key) => codec.insert(r, key, admit(codec.len(), limit)?),
             };
-            terminal = false;
             visitor.edge(codec, v, to);
         }
         if !visitor.expanded(codec, v, terminal) {
@@ -910,11 +958,21 @@ impl<C: GraphCodec> BfsVisitor<C> for CsrBuilder<'_> {
 /// the terminal configurations and "every component recovers" collapses to
 /// "every terminal configuration carries the expected output" — checked as
 /// the BFS expands, with no edges, no condensation and no second pass.
-struct TerminalScan {
+/// Only terminal configurations matter, so each node fires just the enabled
+/// members of one stubborn set, which keeps every reachable terminal
+/// configuration reachable (see [`StubbornSets`]).
+struct TerminalScan<'a> {
     expected: u64,
+    stubborn: &'a StubbornSets,
+    closure: &'a mut Closure,
 }
 
-impl<C: Codec> BfsVisitor<C> for TerminalScan {
+impl<C: Codec> BfsVisitor<C> for TerminalScan<'_> {
+    fn select(&mut self, codec: &C, enabled: &mut Vec<usize>) {
+        self.stubborn
+            .reduce(enabled, |r| codec.lacking(r), self.closure);
+    }
+
     fn edge(&mut self, _: &mut C, _: NodeId, _: C::Seen) {}
 
     fn expanded(&mut self, codec: &C, v: NodeId, terminal: bool) -> bool {
@@ -1015,8 +1073,10 @@ fn dfs<C: GraphCodec, V: DfsVisitor<C>>(
             let start = g.edge_pos();
             codec.load(v);
             for r in 0..codec.reactions() {
+                if !codec.enabled(r) {
+                    continue;
+                }
                 let to = match codec.probe(r) {
-                    Probe::Blocked => continue,
                     Probe::Seen(to) => to,
                     Probe::Unseen(key) if visitor.absorb(key, v, &mut g.edges) => continue,
                     Probe::Unseen(key) => {
@@ -1410,27 +1470,30 @@ enum Route {
     HashFold,
 }
 
-/// Picks the route of one point.  The codec comes from the sweep plan —
-/// the hull code under the memo fold when the cross-point cache is on
-/// (`memo`), else the byte packing of a certified-acyclic CRN (`packed`) —
-/// and from the point's interval box (`box_fits`: finite and within
-/// [`DIRECT_INDEX_CAP`], evaluated only when consulted); the visitor comes
-/// from the acyclicity certificate.
+/// Picks the route of one point.  The visitor comes from the acyclicity
+/// certificate: every certified point takes the stubborn-set terminal scan,
+/// on the byte packing of the sweep plan (`packed`, built only under the
+/// certificate) or else on the point's own codec.  Without the certificate
+/// the hull code under the memo fold runs when the cross-point cache is on
+/// (`memo`), and the recover fold otherwise.  The point's codec is its
+/// interval-box code when `box_fits` (finite and within
+/// [`DIRECT_INDEX_CAP`], evaluated only when consulted), hash interning
+/// otherwise.
 fn route(
     memo: bool,
     packed: Option<&PackedSpec>,
     acyclic: bool,
     box_fits: impl FnOnce() -> bool,
 ) -> Route {
-    if memo {
-        return Route::HullMemo;
-    }
     if let Some(packed) = packed {
         return if packed.dense_volume > 0 {
             Route::PackedDenseScan
         } else {
             Route::PackedHashScan
         };
+    }
+    if memo && !acyclic {
+        return Route::HullMemo;
     }
     match (box_fits(), acyclic) {
         (true, true) => Route::DirectScan,
@@ -1453,7 +1516,8 @@ fn route(
 /// and (c) explore through the mixed-radix code index whenever the proven
 /// interval box is finite.  A *reference* engine
 /// ([`reference`](VerdictEngine::reference)) skips all of it and always runs
-/// the hash-interned BFS; both produce bit-identical verdicts.
+/// the hash-interned BFS; both produce bit-identical verdicts wherever the
+/// reference finishes within the limit.
 pub(super) struct VerdictEngine<'c> {
     crn: &'c FunctionCrn,
     compiled: CompiledCrn,
@@ -1470,6 +1534,8 @@ pub(super) struct VerdictEngine<'c> {
     state: ExploreState,
     /// The recover fold's per-component cells.
     cells: Vec<(u64, u64, bool)>,
+    /// The terminal scan's stubborn-set scratch.
+    closure: Closure,
     memo: MemoScratch,
     cond: Condensation,
     start_dense: Vec<u64>,
@@ -1501,6 +1567,7 @@ impl<'c> VerdictEngine<'c> {
             bounds: SpeciesBounds::of(&compiled),
             laws: conservation_basis(&stoich),
             acyclic,
+            stubborn: StubbornSets::of(&compiled),
         })
     }
 
@@ -1535,6 +1602,7 @@ impl<'c> VerdictEngine<'c> {
             cached_intervals: None,
             state: ExploreState::default(),
             cells: Vec::new(),
+            closure: Closure::default(),
             memo: MemoScratch::default(),
             cond: Condensation::empty(),
             start_dense: Vec::new(),
@@ -1660,13 +1728,16 @@ impl<'c> VerdictEngine<'c> {
     }
 
     /// Decides whether the CRN stably computes `expected_output` on `x` —
-    /// exactly the `correct` flag [`check`](VerdictEngine::check) would
-    /// report — without materializing a verdict.  `Ok(true)` certifies the
-    /// point passes within the limit; `Ok(false)` certifies the full check
+    /// the `correct` flag [`check`](VerdictEngine::check) would report —
+    /// without materializing a verdict.  `Ok(true)` certifies the point
+    /// passes with the route's exploration within the limit: a stubborn-set
+    /// terminal scan stores fewer configurations than `check`, which may
+    /// still give up on the point.  `Ok(false)` certifies the full check
     /// fails or errors, and may come early, pre-empting the limit error.
-    /// [`route`] picks the codec and visitor.  With a cache, the memoizing
-    /// pass runs first and falls back to the exact route when it cannot
-    /// certify the limit.  The work is counted into `stats`.
+    /// [`route`] picks the codec and visitor.  On a cyclic CRN with a
+    /// cache, the memoizing pass runs first and falls back to the exact
+    /// route when it cannot certify the limit.  The work is counted into
+    /// `stats`.
     #[allow(clippy::too_many_arguments)] // the point, the sweep plan's layers, the counters
     pub(super) fn decide(
         &mut self,
@@ -1800,7 +1871,15 @@ impl<'c> VerdictEngine<'c> {
         let (compiled, start) = (&self.compiled, &self.start_dense);
         let out = self.crn.output().index();
         let (store, g) = (&mut self.state.store, &mut self.state.dfs);
-        let scan = &mut TerminalScan { expected };
+        let analysis = self
+            .analysis
+            .as_deref()
+            .expect("decisions run on pruned engines");
+        let scan = &mut TerminalScan {
+            expected,
+            stubborn: &analysis.stubborn,
+            closure: &mut self.closure,
+        };
         self.cells.clear();
         let fold = &mut RecoverFold {
             expected,
@@ -2030,13 +2109,27 @@ mod tests {
     /// meet summaries of earlier ones as virtual children — and compares
     /// with the reference engine: `Ok(true)` exactly when the reference
     /// verdict is correct, otherwise a reference failure or the identical
-    /// error.  The reference verdict comes from `Condensation::rebuild` plus
+    /// error.  The one exception is a stubborn-set scan, which stores fewer
+    /// configurations than the reference: it may pass a point past the
+    /// limit, and the reference must then pass it at a raised limit.  Every
+    /// scan codec fires the same stubborn sets in the same order, so all of
+    /// them store the same number of configurations at each point.  The
+    /// reference verdict comes from `Condensation::rebuild` plus
     /// `fold_into`, so the fold routes are held to exactly those folds.
     fn routes_match_reference(crn: &FunctionCrn, f: impl Fn(&NVec) -> u64, bound: u64) {
         const LIMIT: usize = 300;
+        const RAISED: usize = 300_000;
         let analysis = VerdictEngine::analyze(crn);
         let mut reference = VerdictEngine::reference(crn);
+        let mut scanned: HashMap<NVec, u64> = HashMap::new();
         for route in ROUTES {
+            let scan = matches!(
+                route,
+                Route::PackedDenseScan
+                    | Route::PackedHashScan
+                    | Route::DirectScan
+                    | Route::HashScan
+            );
             let plan = SweepPlan::build(crn, &analysis, bound, LIMIT);
             let mut engine = VerdictEngine::with_analysis(crn, Some(Arc::clone(&analysis)));
             engine.route_override = Some(route);
@@ -2048,6 +2141,7 @@ mod tests {
                     continue;
                 }
                 let expected = f(&x);
+                let before = stats.configs_explored;
                 let decided = engine.decide(
                     &x,
                     expected,
@@ -2057,19 +2151,49 @@ mod tests {
                     &mut pending,
                     &mut stats,
                 );
+                if scan {
+                    let stored = stats.configs_explored - before;
+                    let first = *scanned.entry(x.clone()).or_insert(stored);
+                    prop_assert_eq!(stored, first, "{:?} at {}", route, x);
+                }
                 match (decided, reference.check(&x, expected, LIMIT)) {
                     (Ok(decision), Ok(verdict)) => {
                         prop_assert_eq!(decision, verdict.is_correct(), "{:?} at {}", route, x);
                     }
-                    (Ok(decision), Err(_)) => {
-                        prop_assert!(!decision, "{:?} passed {} past the limit", route, x);
+                    (Ok(true), Err(_)) => {
+                        prop_assert!(scan, "{:?} passed {} past the limit", route, x);
+                        let raised = reference.check(&x, expected, RAISED);
+                        prop_assert!(
+                            matches!(&raised, Ok(v) if v.is_correct()),
+                            "{:?} passed {} but the reference says {:?}",
+                            route,
+                            x,
+                            raised
+                        );
                     }
+                    (Ok(false), Err(_)) => {}
                     (Err(e), truth) => {
                         prop_assert_eq!(Some(e), truth.err(), "{:?} at {}", route, x);
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn every_scan_codec_fires_the_same_stubborn_sets() {
+        // At I_(x, c) the seed `X -> Y` conflicts with the disabled
+        // `X + A + B -> Y`, which lacks A and B.  Its lowest lacking species
+        // is A, whose producer `C -> A` joins the closure: nothing is pruned.
+        // A codec that named B instead (nothing produces B) would prune
+        // `C -> A` and store fewer configurations than the others.
+        let mut crn = Crn::new();
+        for reaction in ["X -> Y", "X + A + B -> Y", "C -> A"] {
+            crn.parse_reaction(reaction).unwrap();
+        }
+        let crn = FunctionCrn::with_named_roles(crn, &["X", "C"], "Y", None).unwrap();
+        assert!(VerdictEngine::analyze(&crn).acyclic);
+        routes_match_reference(&crn, |x| x[0], 2);
     }
 
     #[test]
@@ -2107,6 +2231,139 @@ mod tests {
             crn.add_reaction(Reaction::new(side(&row[0..3]), side(&row[3..6])));
         }
         FunctionCrn::with_named_roles(crn, &["X"], "Y", None).expect("valid roles")
+    }
+
+    /// Collects the terminal configurations a hash-coded BFS reaches,
+    /// firing only stubborn sets when `stubborn` is given.
+    struct Terminals<'a> {
+        stubborn: Option<(&'a StubbornSets, Closure)>,
+        found: Vec<Vec<u64>>,
+    }
+
+    impl BfsVisitor<Hash<'_>> for Terminals<'_> {
+        fn select(&mut self, codec: &Hash<'_>, enabled: &mut Vec<usize>) {
+            if let Some((table, closure)) = &mut self.stubborn {
+                table.reduce(enabled, |r| codec.lacking(r), closure);
+            }
+        }
+
+        fn edge(&mut self, _: &mut Hash<'_>, _: NodeId, _: NodeId) {}
+
+        fn expanded(&mut self, codec: &Hash<'_>, v: NodeId, terminal: bool) -> bool {
+            if terminal {
+                self.found.push(codec.s.arena.get(v.index()).to_vec());
+            }
+            true
+        }
+    }
+
+    /// Sorted terminal configurations, and the configurations stored.
+    type TerminalRun = (Vec<Vec<u64>>, usize);
+
+    /// The terminal run of a BFS from `start`, reduced by `stubborn` when
+    /// given.
+    fn terminals(
+        compiled: &CompiledCrn,
+        start: &[u64],
+        stubborn: Option<&StubbornSets>,
+    ) -> Result<TerminalRun, CrnError> {
+        let mut store = Store::default();
+        let mut codec = Hash::new(compiled, 0, &mut store, start);
+        let mut visitor = Terminals {
+            stubborn: stubborn.map(|table| (table, Closure::default())),
+            found: Vec::new(),
+        };
+        bfs(&mut codec, &mut visitor, 20_000)?;
+        visitor.found.sort_unstable();
+        Ok((visitor.found, codec.len()))
+    }
+
+    /// A random forced-acyclic CRN over eight species `S0..S7` with sparse
+    /// reactions — one or two reactant species, up to three products, some
+    /// catalysts — and a start configuration, all drawn from `seed`.  Every
+    /// kept reaction strictly lowers the weighting `Σ (s + 1) · c(s)`, so no
+    /// firing sequence returns to its start.
+    fn sparse_acyclic_crn(seed: u64) -> (FunctionCrn, Vec<u64>) {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut draw = |n: u64| {
+            state = state.wrapping_add(1);
+            mix_code(state) % n
+        };
+        let mut crn = Crn::new();
+        let species: Vec<Species> = (0..8).map(|i| crn.add_species(&format!("S{i}"))).collect();
+        let weight = |side: &[(Species, u64)]| -> u64 {
+            side.iter().map(|&(s, c)| (s.index() as u64 + 1) * c).sum()
+        };
+        for _ in 0..2 + draw(7) {
+            let mut reactants = vec![(species[draw(8) as usize], 1 + draw(2))];
+            if draw(2) == 1 {
+                reactants.push((species[draw(8) as usize], 1 + draw(2)));
+            }
+            let mut products: Vec<(Species, u64)> = (0..draw(4))
+                .map(|_| (species[draw(8) as usize], 1 + draw(2)))
+                .collect();
+            if draw(3) == 0 {
+                products.push(reactants[0]);
+            }
+            if weight(&products) < weight(&reactants) {
+                crn.add_reaction(Reaction::new(reactants, products));
+            }
+        }
+        let start = (0..8).map(|_| draw(3)).collect();
+        let crn = FunctionCrn::with_named_roles(crn, &["S0"], "S1", None).expect("valid roles");
+        (crn, start)
+    }
+
+    /// The reduced and full runs of `sparse_acyclic_crn(seed)`, or `None`
+    /// when the full space exceeds the test limit.
+    fn reduced_and_full(seed: u64) -> Option<(TerminalRun, TerminalRun)> {
+        let (crn, start) = sparse_acyclic_crn(seed);
+        let analysis = VerdictEngine::analyze(&crn);
+        assert!(
+            analysis.acyclic,
+            "seed {seed}: the weighting certifies acyclicity"
+        );
+        let compiled = CompiledCrn::compile(crn.crn());
+        let full = terminals(&compiled, &start, None).ok()?;
+        let reduced = terminals(&compiled, &start, Some(&analysis.stubborn))
+            .expect("the reduced space is no larger than the full one");
+        Some((reduced, full))
+    }
+
+    #[test]
+    fn the_sparse_generator_exercises_the_reduction() {
+        // Fixed seeds: how often the stubborn sets prune anything, how often
+        // there is more than one terminal configuration to keep, and how
+        // often both (356, 249 and 72 of these 4,000 seeds).
+        let (mut pruned, mut several, mut both) = (0, 0, 0);
+        for seed in 0..4_000 {
+            let Some(((reduced, stored), (full, all))) = reduced_and_full(seed) else {
+                continue;
+            };
+            assert_eq!(reduced, full, "seed {seed}");
+            pruned += usize::from(stored < all);
+            several += usize::from(full.len() > 1);
+            both += usize::from(stored < all && full.len() > 1);
+        }
+        assert!(
+            pruned >= 300 && several >= 200 && both >= 50,
+            "{pruned} pruned, {several} with several terminals, {both} both"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Deadlock preservation: on forced-acyclic CRNs with sparse,
+        /// partly catalytic reactions, the stubborn-set BFS reaches exactly
+        /// the full BFS's terminal configurations, storing no more.
+        #[test]
+        fn stubborn_sets_keep_every_terminal_configuration(seed in 0u64..u64::MAX) {
+            if let Some(((reduced, stored), (full, all))) = reduced_and_full(seed) {
+                prop_assert_eq!(reduced, full);
+                prop_assert!(stored <= all);
+            }
+        }
     }
 
     proptest! {

@@ -25,7 +25,9 @@
 //! * the **exploration engine** (internal) — two generic traversals, one
 //!   breadth-first and one depth-first with Tarjan inline, over interchangeable
 //!   state codecs (hash-interned, mixed-radix coded, byte-packed), each
-//!   driving a visitor that builds the graph or decides the verdict;
+//!   driving a visitor that builds the graph or decides the verdict; the
+//!   decision for certified-acyclic CRNs fires only stubborn sets, which
+//!   keep every reachable terminal configuration;
 //! * [`check_on_box`] / [`BoxCheck`] — a **parallel driver** sharding the
 //!   input box across scoped threads with a deterministic,
 //!   lexicographically-first result.
@@ -36,6 +38,7 @@ mod engine;
 mod memo;
 mod parallel;
 mod scc;
+mod stubborn;
 mod symmetry;
 
 use crn_sync::OnceLock;
@@ -318,17 +321,21 @@ pub fn check_stable_computation(
 ///
 /// The scan runs the *incremental* box engine: it decides points statically
 /// from the interval analysis where it can, skips inputs whose symmetry
-/// orbit already contains a checked representative, memoizes per-component
-/// output-set summaries across box points (keyed by the box-wide hull code,
-/// shared across workers), and explores the rest through the cheapest state
-/// codec the analysis admits — for certified-acyclic CRNs with a terminal
-/// scan instead of a condensation.  Box points are decoded from a
-/// mixed-radix index on demand, so the sweep allocates `O(1)` memory in the
-/// box size.  The result is nonetheless bit-identical to
-/// [`BoxCheck::reference`] — the first failing verdict in lexicographic
-/// input order, the same one a sequential unpruned scan would return, byte
-/// identical failure messages and errors included — or `Ok(None)` if all
-/// inputs pass.
+/// orbit already contains a checked representative, and explores the rest
+/// through the cheapest state codec the analysis admits.  Certified-acyclic
+/// CRNs take a terminal scan that fires only stubborn sets; other CRNs
+/// memoize per-component output-set summaries across box points (keyed by
+/// the box-wide hull code, shared across workers) when the conservation
+/// laws allow cross-point hits.  Box points are decoded from a mixed-radix
+/// index on demand, so the sweep allocates `O(1)` memory in the box size.
+/// The result is nonetheless bit-identical to [`BoxCheck::reference`] — the
+/// first failing verdict in lexicographic input order, the same one a
+/// sequential unpruned scan would return, byte identical failure messages
+/// and errors included — or `Ok(None)` if all inputs pass, wherever the
+/// reference finishes within `max_configurations`.  The limit bounds the
+/// configurations each exploration stores, and the terminal scan stores
+/// fewer than the reference, so it may pass a point the reference gives up
+/// on.
 ///
 /// # Errors
 ///
@@ -381,8 +388,9 @@ impl<'a, F: Fn(&NVec) -> u64 + Sync> BoxCheck<'a, F> {
 
     /// Runs the reference engine instead: no static analysis, a full
     /// hash-interned verdict at every point.  The differential oracle of the
-    /// incremental engine — both return bit-identical outcomes.  Its stats
-    /// count every checked point as decided.
+    /// incremental engine — both return bit-identical outcomes wherever the
+    /// reference finishes within the limit.  Its stats count every checked
+    /// point as decided.
     #[must_use]
     pub fn reference(mut self) -> Self {
         self.reference = true;
@@ -765,19 +773,23 @@ mod tests {
         assert!(pruned.is_none());
     }
 
-    /// The two-reaction sum gadget `X1 -> Y; X2 -> Y`: symmetric in its
-    /// inputs, acyclic, and conserving `X1 + X2 + Y` — which leaves the
-    /// input-law rank at 1 < 2, so the cross-point cache stays enabled.
-    fn sum_crn() -> FunctionCrn {
+    /// The sum gadget `X1 -> Y; X2 -> Y` plus the dead cycle `A -> B;
+    /// B -> A`: symmetric in its inputs, and conserving `X1 + X2 + Y` —
+    /// which leaves the input-law rank at 1 < 2, so the cross-point cache
+    /// stays enabled.  `A` and `B` start empty and nothing produces them, so
+    /// the cycle changes no reachable set, but it voids the acyclicity
+    /// certificate: the sweep takes the memo fold, not the terminal scan.
+    fn cyclic_sum_crn() -> FunctionCrn {
         let mut crn = Crn::new();
-        crn.parse_reaction("X1 -> Y").unwrap();
-        crn.parse_reaction("X2 -> Y").unwrap();
+        for reaction in ["X1 -> Y", "X2 -> Y", "A -> B", "B -> A"] {
+            crn.parse_reaction(reaction).unwrap();
+        }
         FunctionCrn::with_named_roles(crn, &["X1", "X2"], "Y", None).expect("valid roles")
     }
 
     #[test]
     fn box_stats_count_symmetry_cache_and_static_work() {
-        let sum = sum_crn();
+        let sum = cyclic_sum_crn();
         let f = |x: &NVec| x[0] + x[1];
         let (result, stats) = stats_scan(&sum, f, 2, 10_000, 1);
         assert_eq!(result.unwrap(), None, "the sum CRN computes the sum");
@@ -812,7 +824,7 @@ mod tests {
         // run must discard its partial summaries, leaving exactly the two
         // entries (0,1) published, and the sweep must surface the identical
         // (lexicographically-first) error the reference scan produces.
-        let sum = sum_crn();
+        let sum = cyclic_sum_crn();
         let f = |x: &NVec| x[0] + x[1];
         let (result, stats) = stats_scan(&sum, f, 1, 2, 1);
         let reference = reference_scan(&sum, f, 1, 2);
@@ -823,6 +835,51 @@ mod tests {
             stats.cache_entries, 2,
             "the truncated run at (1,1) must not leak summaries: {stats:?}"
         );
+    }
+
+    #[test]
+    fn stubborn_scans_may_pass_where_the_reference_gives_up() {
+        // `X1 -> Y; X2 -> Y` is certified acyclic and its reactions never
+        // conflict, so the terminal scan fires only `X1 -> Y` while any X1
+        // is left: a chain of x1 + x2 + 1 configurations instead of the
+        // (x1 + 1)(x2 + 1) grid the reference stores.  At a limit of 10 the
+        // reference gives up at (2, 3), the scan passes the whole box, and
+        // the reference agrees once the limit is raised.
+        let mut crn = Crn::new();
+        crn.parse_reaction("X1 -> Y").unwrap();
+        crn.parse_reaction("X2 -> Y").unwrap();
+        let sum = FunctionCrn::with_named_roles(crn, &["X1", "X2"], "Y", None).unwrap();
+        let f = |x: &NVec| x[0] + x[1];
+        assert!(matches!(
+            reference_scan(&sum, f, 3, 10),
+            Err(CrnError::SearchLimitExceeded { .. })
+        ));
+        let (outcome, stats) = stats_scan(&sum, f, 3, 10, 1);
+        assert_eq!(outcome, Ok(None));
+        // (0,0) is static; (0,1)..(0,3), (1,1)..(1,3), (2,2), (2,3), (3,3).
+        assert_eq!(stats.configs_explored, 2 + 3 + 4 + 3 + 4 + 5 + 5 + 6 + 7);
+        assert_eq!(reference_scan(&sum, f, 3, 10_000), Ok(None));
+    }
+
+    #[test]
+    fn acyclic_sweeps_explore_identically_at_every_worker_count() {
+        // Every point's stubborn sets depend on its configurations alone, so
+        // certified-acyclic sweeps store the same configurations whichever
+        // worker expands them.
+        fn sweep_at_1_2_4(crn: &FunctionCrn, f: fn(&NVec) -> u64, bound: u64) {
+            let (first, first_stats) = stats_scan(crn, f, bound, 100_000, 1);
+            for workers in [2, 4] {
+                let (outcome, stats) = stats_scan(crn, f, bound, 100_000, workers);
+                assert_eq!(outcome, first, "workers={workers}");
+                if first == Ok(None) {
+                    assert_eq!(stats, first_stats, "workers={workers}");
+                }
+            }
+        }
+        let max = examples::max_crn();
+        sweep_at_1_2_4(&max, |x| x[0].max(x[1]), 12);
+        sweep_at_1_2_4(&examples::min_crn(), |x| x[0].min(x[1]), 12);
+        sweep_at_1_2_4(&max, |x| x[0] + x[1], 6);
     }
 
     #[test]

@@ -82,11 +82,13 @@ fn decode_point(mut index: u64, radix: u64, x: &mut NVec) {
 /// (or error) of the lexicographically-first input that does not pass, plus
 /// the sweep's observability counters.
 ///
-/// Both engines return bit-identical outcomes; they differ only in how much
-/// work each point costs.  The incremental engine records only the *index*
-/// of a bad point during the scan; the one bad index that wins the race is
-/// re-checked in full, so the returned outcome is byte-identical to the
-/// reference scan — failure messages and errors included.
+/// Both engines return bit-identical outcomes wherever the reference scan
+/// finishes within the limit; they differ only in how much work each point
+/// costs, and the incremental engine's stubborn-set scans may pass a point
+/// the reference gives up on.  The incremental engine records only the
+/// *index* of a bad point during the scan; the one bad index that wins the
+/// race is re-checked in full, so the returned outcome is byte-identical to
+/// the reference scan — failure messages and errors included.
 pub(super) fn check_on_box_sharded(
     crn: &FunctionCrn,
     f: &(impl Fn(&NVec) -> u64 + Sync),

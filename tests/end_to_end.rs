@@ -5,7 +5,7 @@ use composable_crn::core::characterize::{characterize, Characterization};
 use composable_crn::core::one_dim::{analyze_semilinear_1d, synthesize_1d_leader};
 use composable_crn::core::spec::ObliviousSpec;
 use composable_crn::core::synthesis::synthesize;
-use composable_crn::model::check_stable_computation;
+use composable_crn::model::{check_stable_computation, BoxCheck};
 use composable_crn::numeric::NVec;
 use composable_crn::popproto::run_pairwise;
 use composable_crn::semilinear::examples as sl;
@@ -62,6 +62,34 @@ fn two_dimensional_pipeline_for_the_figure7_example() {
     }
     let mismatches = spot_check_on_box(&crn, |x| f.eval(x).unwrap(), 3, 2_000_000, 5).unwrap();
     assert_eq!(mismatches, 0);
+}
+
+#[test]
+fn synthesized_constructions_verify_exhaustively_at_useful_bounds() {
+    // The Lemma 6.2 / Theorem 3.1 constructions are interleavings of nearly
+    // independent modules; the stubborn-set terminal scan keeps their boxes
+    // well inside the default limit, with the same counters at every worker
+    // count.
+    for (f, bound) in [
+        (sl::staircase_1d(), 3),
+        (sl::min2(), 6),
+        (sl::figure7_example(), 6),
+    ] {
+        let Characterization::ObliviouslyComputable { spec } = characterize(&f, 8).unwrap() else {
+            panic!("every case is obliviously computable");
+        };
+        let crn = synthesize(&spec).unwrap();
+        let eval = |x: &NVec| f.eval(x).unwrap();
+        let (outcome, stats) = BoxCheck::new(&crn, eval, bound, 200_000).workers(1).run();
+        assert_eq!(outcome, Ok(None), "[0,{bound}]^{}", crn.dim());
+        for workers in [2, 4] {
+            let (outcome, again) = BoxCheck::new(&crn, eval, bound, 200_000)
+                .workers(workers)
+                .run();
+            assert_eq!(outcome, Ok(None));
+            assert_eq!(again, stats, "workers={workers}");
+        }
+    }
 }
 
 #[test]
