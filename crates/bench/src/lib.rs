@@ -363,8 +363,8 @@ pub fn e17_box_check(bound: u64, repeats: u32) -> (f64, f64, f64, bool) {
 }
 
 /// The E19 headline workload: the incremental box check (static verdicts,
-/// symmetry orbits, cross-point memoization, packed exploration) of the
-/// `max` CRN against `max(x1, x2)` on `[0, bound]^2`.  Pinned to one worker
+/// symmetry orbits, the packed stubborn-set terminal scan) of the `max` CRN
+/// against `max(x1, x2)` on `[0, bound]^2`.  Pinned to one worker
 /// so the measured speedup over the reference engine is purely algorithmic.
 #[must_use]
 pub fn e19_box_incremental(bound: u64) -> Option<crn_model::StableComputationVerdict> {

@@ -18,10 +18,10 @@ use crate::json::Json;
 /// space outgrows `--max-configs`).
 ///
 /// `--engine` selects the exhaustive backend: `incremental` (default) runs
-/// the incremental box engine (static verdicts, symmetry orbits, routed
-/// decision passes: a stubborn-set terminal scan on certified-acyclic CRNs,
-/// cross-point memoization on the others), `reference` the unpruned
-/// hash-interned engine that builds a full verdict at every point — both
+/// the incremental box engine (static verdicts, symmetry orbits, a
+/// stubborn-set terminal scan on certified-acyclic CRNs and a full verdict
+/// on the others), `reference` the unpruned hash-interned engine that
+/// builds a full verdict at every point — both
 /// must produce identical verdicts wherever the reference finishes within
 /// `--max-configs`, which the CI corpus smoke step cross-checks.  The limit
 /// bounds the configurations one exploration stores, and the terminal scan
@@ -31,11 +31,10 @@ use crate::json::Json;
 /// meaningless under `--spot` and refused there.
 ///
 /// `--stats` prints one line of engine counters per verified item to stderr
-/// as JSON — points checked versus statically decided, cache-served or
-/// symmetry-replayed, cache hit rate, explored configurations — and, with
-/// `--json`, attaches the same object to the item's report.  Both engines
-/// support it; counters the reference engine does not track (symmetry,
-/// static and cache fields) stay zero.  It is refused under `--spot`, which
+/// as JSON — points checked versus statically decided or symmetry-replayed,
+/// explored configurations — and, with `--json`, attaches the same object
+/// to the item's report.  Both engines support it; counters the reference
+/// engine does not track (symmetry and static fields) stay zero.  It is refused under `--spot`, which
 /// never runs a box sweep.
 ///
 /// Structural lint findings on the verified items are echoed to stderr in
@@ -283,12 +282,6 @@ fn stats_object(stats: &BoxCheckStats) -> Json {
         ("static_pass", Json::UInt(stats.static_pass)),
         ("static_fail", Json::UInt(stats.static_fail)),
         ("decided", Json::UInt(stats.decided)),
-        ("cache_served", Json::UInt(stats.cache_served)),
         ("configs_explored", Json::UInt(stats.configs_explored)),
-        ("cache_lookups", Json::UInt(stats.cache_lookups)),
-        ("cache_hits", Json::UInt(stats.cache_hits)),
-        ("cache_entries", Json::UInt(stats.cache_entries)),
-        ("publish_suppressed", Json::UInt(stats.publish_suppressed)),
-        ("cache_hit_rate", Json::Float(stats.cache_hit_rate())),
     ])
 }

@@ -303,7 +303,7 @@ fn verify_stats_reports_engine_counters() {
         .unwrap_or_else(|| panic!("no stats line in stderr:\n{stderr}"));
     assert!(line.contains("\"points\":16"), "{line}");
     assert!(line.contains("\"symmetry_skipped\":6"), "{line}");
-    assert!(line.contains("\"cache_hit_rate\":"), "{line}");
+    assert!(line.contains("\"configs_explored\":"), "{line}");
     // --json attaches the same counters to the item's report on stdout.
     let (code, stdout, _) = run_crn(&["verify", path, "--bound", "3", "--stats", "--json"]);
     assert_eq!(code, 0, "{stdout}");
@@ -334,10 +334,9 @@ fn verify_stats_reports_engine_counters() {
 
 #[test]
 fn verify_survives_code_offsets_past_i64() {
-    // The dead reaction `D -> 2^62 B` has a mixed-radix code offset past
-    // i64 in the interval-box code.  The offset only matters where the
-    // reaction applies, and it never does, so the sweep passes — in debug
-    // builds too, where the offset arithmetic once panicked on overflow.
+    // The dead reaction `D -> 2^62 B` never applies, so the sweep passes.
+    // Its coefficient overflows any code that weighs species by their
+    // interval widths, which once panicked in debug builds.
     let path = scratch(
         "offset_overflow.crn",
         "fn ident(x) {\n  case x >= 0: x;\n}\n\n\
@@ -350,6 +349,43 @@ fn verify_survives_code_offsets_past_i64() {
         assert_eq!(code, 0, "--engine {engine}\n{stdout}\n{stderr}");
         assert!(stdout.contains("ok (exhaustive)"), "{stdout}");
     }
+}
+
+#[test]
+fn coefficients_past_i64_are_usage_errors() {
+    // The engine stores net deltas as signed 64-bit counts, so a side whose
+    // total coefficient of one species exceeds i64::MAX is rejected at
+    // lowering (exit 2) by every command, never analyzed with a wrapped
+    // delta.  i64::MAX itself still verifies.
+    let doc = |side: &str| {
+        format!(
+            "fn big(x) {{\n  case x >= 0: 9223372036854775807 x;\n}}\n\n\
+             crn c {{\n  inputs X;\n  output Y;\n  computes big;\n  X -> {side};\n}}\n"
+        )
+    };
+    for (name, side) in [
+        ("single.crn", "9223372036854775808 Y"),
+        ("sum.crn", "5000000000000000000 Y + 5000000000000000000 Y"),
+        (
+            "wrap.crn",
+            "10000000000000000000 Y + 10000000000000000000 Y",
+        ),
+    ] {
+        let path = scratch(name, &doc(side));
+        let path = path.to_str().unwrap();
+        for args in [&["lint", path][..], &["check", path], &["verify", path]] {
+            let (code, stdout, stderr) = run_crn(args);
+            assert_eq!(code, 2, "crn {args:?} on {side}\n{stdout}\n{stderr}");
+            assert!(
+                stderr.contains("total stoichiometric coefficient of `Y` exceeds"),
+                "{stderr}"
+            );
+        }
+    }
+    let path = scratch("max.crn", &doc("9223372036854775807 Y"));
+    let (code, stdout, stderr) = run_crn(&["verify", path.to_str().unwrap(), "--bound", "1"]);
+    assert_eq!(code, 0, "{stdout}\n{stderr}");
+    assert!(stdout.contains("ok (exhaustive)"), "{stdout}");
 }
 
 #[test]

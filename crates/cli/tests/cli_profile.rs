@@ -140,8 +140,8 @@ fn stats_works_under_every_exhaustive_engine() {
             "--engine {engine} printed no stats line:\n{stderr}"
         );
         assert!(
-            stderr.contains("\"publish_suppressed\":"),
-            "--engine {engine} stats lack publish_suppressed:\n{stderr}"
+            stderr.contains("\"configs_explored\":"),
+            "--engine {engine} stats lack configs_explored:\n{stderr}"
         );
     }
     // The retired engines are usage errors, with or without `--stats`.

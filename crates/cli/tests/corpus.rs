@@ -83,6 +83,7 @@ const GOLDENS: &[(&str, &str, &[&str], i32)] = &[
     ("mod3", "characterize", &[], 0),
     ("equation2", "characterize", &[], 0),
     ("figure1_max", "verify", &[], 0),
+    ("cyclic_identity", "verify", &[], 0),
     ("figure1_min", "check", &[], 0),
     ("figure1_double", "sim", &["--trials", "4"], 0),
     ("pipeline_two_min", "check", &[], 0),
@@ -94,6 +95,7 @@ const GOLDENS: &[(&str, &str, &[&str], i32)] = &[
     ("add", "lint", &[], 0),
     ("coefficient_overflow", "lint", &[], 0),
     ("compound_spec", "lint", &[], 0),
+    ("cyclic_identity", "lint", &[], 0),
     ("equation2", "lint", &[], 0),
     ("figure1_double", "lint", &[], 0),
     ("figure1_max", "lint", &[], 0),

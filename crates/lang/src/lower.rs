@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use crn_core::quilt::QuiltAffine;
 use crn_core::spec::{EventuallyMin, ObliviousSpec};
 use crn_model::compose::{PipeSource, Pipeline, StageId};
-use crn_model::{Crn, FunctionCrn, Reaction};
+use crn_model::{Crn, FunctionCrn, Reaction, Species};
 use crn_numeric::{lcm_u64, CongruenceClass, NVec, QVec, Rational, ZVec};
 use crn_semilinear::{AffinePiece, ModSet, SemilinearFunction, SemilinearSet, ThresholdSet};
 
@@ -43,8 +43,9 @@ pub struct LoweredCrn {
 /// # Errors
 ///
 /// Returns a [`Diagnostic`] when the roles are inconsistent (duplicate
-/// inputs, output used as input, …) or the `init` declaration names a
-/// non-input species.
+/// inputs, output used as input, …), the `init` declaration names a
+/// non-input species, or a species' total coefficient on one side of a
+/// reaction exceeds `i64::MAX`.
 pub fn lower_crn(item: &CrnItem) -> Result<LoweredCrn, Diagnostic> {
     let mut crn = Crn::new();
     // Intern the role species first so they exist even when no reaction
@@ -57,14 +58,33 @@ pub fn lower_crn(item: &CrnItem) -> Result<LoweredCrn, Diagnostic> {
         crn.add_species(leader);
     }
     for reaction in &item.reactions {
+        // Repeated terms of a species add up; checked, since the engine
+        // works with each reaction's net change as a signed 64-bit count.
         let side = |crn: &mut Crn, terms: &[(u64, String)]| {
-            terms
-                .iter()
-                .map(|(count, name)| (crn.add_species(name), *count))
-                .collect::<Vec<_>>()
+            let mut totals: BTreeMap<Species, u64> = BTreeMap::new();
+            for (count, name) in terms {
+                let total = totals.entry(crn.add_species(name)).or_insert(0);
+                *total = total
+                    .checked_add(*count)
+                    .filter(|&t| i64::try_from(t).is_ok())
+                    .ok_or_else(|| {
+                        Diagnostic::new(
+                            format!(
+                                "total stoichiometric coefficient of `{name}` exceeds {}",
+                                i64::MAX
+                            ),
+                            reaction.span,
+                        )
+                        .with_help(
+                            "repeated terms of a species add up, and each side's total \
+                             must fit a signed 64-bit integer",
+                        )
+                    })?;
+            }
+            Ok::<_, Diagnostic>(totals)
         };
-        let reactants = side(&mut crn, &reaction.reactants);
-        let products = side(&mut crn, &reaction.products);
+        let reactants = side(&mut crn, &reaction.reactants)?;
+        let products = side(&mut crn, &reaction.products)?;
         crn.add_reaction(Reaction::new(reactants, products));
     }
     let inputs: Vec<&str> = item.inputs.iter().map(String::as_str).collect();
@@ -760,6 +780,40 @@ mod tests {
         assert!(!lowered.crn.has_leader());
         assert_eq!(lowered.init, Some(NVec::from(vec![0, 5])));
         assert_eq!(lowered.crn.reaction_count(), 4);
+    }
+
+    #[test]
+    fn lower_crn_rejects_coefficients_past_i64() {
+        for reaction in [
+            "X -> 9223372036854775808 Y",
+            "X -> 5000000000000000000 Y + 5000000000000000000 Y",
+            "X -> 10000000000000000000 Y + 10000000000000000000 Y",
+        ] {
+            let source = format!("crn c {{ inputs X; output Y; {reaction}; }}");
+            let err = lower_crn(&crn_item(&source)).unwrap_err();
+            assert!(
+                err.message.contains("coefficient of `Y` exceeds"),
+                "{reaction}: {}",
+                err.message
+            );
+            let start = source.find(reaction).unwrap();
+            assert_eq!(
+                err.span.start, start,
+                "{reaction}: anchored at the reaction"
+            );
+        }
+        // The largest coefficient that fits still lowers, and so does a sum
+        // that reaches it exactly.
+        for reaction in [
+            "X -> 9223372036854775807 Y",
+            "X -> 4611686018427387903 Y + 4611686018427387904 Y",
+        ] {
+            let source = format!("crn c {{ inputs X; output Y; {reaction}; }}");
+            let lowered = lower_crn(&crn_item(&source)).unwrap();
+            let y = lowered.crn.output();
+            let products = lowered.crn.crn().reactions()[0].products().clone();
+            assert_eq!(products.get(&y), Some(&(i64::MAX as u64)), "{reaction}");
+        }
     }
 
     #[test]

@@ -28,20 +28,9 @@ fn hash_counts(counts: &[u64]) -> u64 {
 }
 
 /// An arena of interned configurations over a fixed species stride.
-///
-/// Configurations enter through one of two doors per exploration: the hash
-/// index ([`insert_new`](ConfigArena::insert_new) /
-/// [`lookup`](ConfigArena::lookup)), or — when the engine has proven a
-/// perfect mixed-radix index over the reachable box —
-/// [`push_unindexed`](ConfigArena::push_unindexed), which stores the counts
-/// without hashing at all (the direct index owns deduplication).  The two
-/// modes must not be mixed within one exploration.
 #[derive(Debug, Clone)]
 pub(crate) struct ConfigArena {
     stride: usize,
-    /// The number of stored configurations (`hashes` tracks it only in hash
-    /// mode; unindexed pushes grow `len` without touching the index).
-    len: usize,
     /// Concatenated count vectors; configuration `i` occupies
     /// `counts[i * stride .. (i + 1) * stride]`.
     counts: Vec<u64>,
@@ -69,7 +58,6 @@ impl ConfigArena {
     pub(crate) fn new(stride: usize) -> Self {
         ConfigArena {
             stride,
-            len: 0,
             counts: Vec::new(),
             hashes: Vec::new(),
             slots: vec![EMPTY; 16],
@@ -87,7 +75,6 @@ impl ConfigArena {
     /// keeping every allocation for reuse.
     pub(crate) fn reset(&mut self, stride: usize) {
         self.stride = stride;
-        self.len = 0;
         self.counts.clear();
         self.hashes.clear();
         self.slots.iter_mut().for_each(|s| *s = EMPTY);
@@ -95,19 +82,7 @@ impl ConfigArena {
 
     /// The number of stored configurations.
     pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Stores `v` without entering it into the hash index; the caller owns
-    /// deduplication (the direct-indexed exploration mode).  Must not be
-    /// mixed with [`insert_new`](ConfigArena::insert_new) in one exploration.
-    pub(crate) fn push_unindexed(&mut self, v: &[u64]) -> usize {
-        debug_assert_eq!(v.len(), self.stride);
-        debug_assert!(self.hashes.is_empty(), "mixed indexed and unindexed use");
-        let id = self.len;
-        self.counts.extend_from_slice(v);
-        self.len += 1;
-        id
+        self.hashes.len()
     }
 
     /// The count vector of configuration `id`.
@@ -138,15 +113,9 @@ impl ConfigArena {
     pub(crate) fn insert_new(&mut self, v: &[u64]) -> usize {
         debug_assert_eq!(v.len(), self.stride);
         debug_assert!(self.lookup(v).is_none(), "insert_new of a present vector");
-        debug_assert_eq!(
-            self.hashes.len(),
-            self.len,
-            "mixed indexed and unindexed use"
-        );
-        let id = self.len;
+        let id = self.len();
         self.counts.extend_from_slice(v);
         self.hashes.push(hash_counts(v));
-        self.len += 1;
         // Grow at 7/8 load so probe chains stay short.
         if (self.len() + 1) * 8 > self.slots.len() * 7 {
             self.grow();
@@ -250,21 +219,6 @@ mod tests {
             assert_eq!(arena.lookup(&[i, i * 7 + 1]), Some(i as usize));
         }
         assert_eq!(arena.lookup(&[500, 1]), None);
-    }
-
-    #[test]
-    fn unindexed_pushes_store_without_hashing() {
-        let mut arena = ConfigArena::new(2);
-        let a = arena.push_unindexed(&[1, 2]);
-        let b = arena.push_unindexed(&[3, 4]);
-        assert_eq!((a, b), (0, 1));
-        assert_eq!(arena.len(), 2);
-        assert_eq!(arena.get(1), &[3, 4]);
-        // A reset returns the arena to hash mode.
-        arena.reset(2);
-        assert_eq!(arena.len(), 0);
-        let c = arena.insert_new(&[1, 2]);
-        assert_eq!(arena.lookup(&[1, 2]), Some(c));
     }
 
     #[test]

@@ -1,32 +1,24 @@
-//! State codecs, visitors, and the two traversals that drive them.
+//! State codecs, visitors, and the one traversal that drives them.
 //!
-//! Every exploration of the engine is one of two generic, monomorphized
-//! traversals over a state [`Codec`]:
-//!
-//! * [`bfs`] — breadth-first, node ids in discovery order.  Its visitors
-//!   are [`CsrBuilder`] (the successor graph behind full verdicts and
-//!   [`ReachabilityGraph`]) and [`TerminalScan`] (the decision for
-//!   certified-acyclic CRNs, whose sinks are exactly the terminal
-//!   configurations; it fires only stubborn sets, see
-//!   [`StubbornSets`]).
-//! * [`dfs`] — depth-first with Tarjan's algorithm inline.  Its visitors
-//!   fold each strongly connected component as it pops: [`RecoverFold`]
-//!   (closure max/min output and recoverability) and [`MemoFold`] (the
-//!   cross-point summaries, with cache hits as virtual children).
+//! Every exploration of the engine is [`bfs`], a generic, monomorphized
+//! breadth-first traversal over a state [`Codec`]: node ids are discovery
+//! order.  Its visitors are [`CsrBuilder`] (the successor graph behind full
+//! verdicts and [`ReachabilityGraph`]) and [`TerminalScan`] (the decision
+//! for certified-acyclic CRNs, whose sinks are exactly the terminal
+//! configurations; it fires only stubborn sets, see [`StubbornSets`]).
 //!
 //! The codecs differ only in how a configuration is stored and
-//! deduplicated: [`Hash`] interns count vectors, [`Direct`] keys them by a
-//! mixed-radix code over a proven interval box, and [`Packed`] holds a
-//! whole configuration in one byte-packed word, deduplicated by a dense
-//! visited table or a hashed code index.  [`VerdictEngine::decide`] picks
-//! the codec × visitor pair of each point through [`route`].  The traversals
-//! stay out of line, one function per pair, so each hot loop is compiled on
+//! deduplicated: [`Hash`] interns count vectors, and [`Packed`] holds a
+//! whole configuration in one byte-packed word, deduplicated by a hashed
+//! code index.  [`VerdictEngine::decide`] picks the route of each point
+//! through [`route`]: a terminal scan on one of the codecs, or the full
+//! verdict of [`VerdictEngine::check`].  The traversal stays out of line,
+//! one function per codec × visitor pair, so each hot loop is compiled on
 //! its own.
 //!
 //! [`ReachabilityGraph`]: super::ReachabilityGraph
 
 use crn_sync::Arc;
-use std::collections::HashMap;
 use std::mem;
 
 use crn_numeric::NVec;
@@ -41,17 +33,10 @@ use crate::function::FunctionCrn;
 
 use super::arena::ConfigArena;
 use super::csr::CsrGraph;
-use super::memo::{MemoCache, SetId, SharedLog, Summary, EMPTY_SET};
 use super::scc::Condensation;
 use super::stubborn::{Closure, StubbornSets};
 use super::symmetry;
 use super::{BoxCheckStats, StableComputationVerdict};
-
-/// Largest interval-box volume for which the engine switches from hash
-/// interning to the mixed-radix code index.  The only hard requirement is
-/// that reaction offsets stay representable (`i64`); the cap keeps the
-/// arithmetic comfortably clear of overflow.
-const DIRECT_INDEX_CAP: u128 = 1 << 62;
 
 /// The point-independent static-analysis artifacts of a pruned engine:
 /// monotone potential bounds, the signed conservation-law basis, the
@@ -71,88 +56,6 @@ pub(super) struct BoxAnalysis {
     stubborn: StubbornSets,
 }
 
-/// A perfect mixed-radix encoding of the interval box
-/// `∏ [lower(s), upper(s)]` proven to contain every reachable configuration:
-/// configuration `c` maps to the injective code `Σ (c(s) − lower(s)) ·
-/// place(s)`, and firing reaction `r` *translates* the code by the constant
-/// `offset(r)` — so BFS successor identity is one integer addition plus one
-/// probe of a u64-keyed index, with no count-vector copy, no word-wise
-/// hashing, and no `apply_into` for already-seen configurations.
-pub(super) struct DirectSpec {
-    lower: Vec<u64>,
-    place: Vec<u64>,
-    /// Per-reaction code translation `Σ delta(s) · place(s)`.
-    offsets: Vec<i64>,
-    /// All reactions' reactant requirements flattened into one array —
-    /// reaction `r`'s entries are `reqs[req_offsets[r]..req_offsets[r + 1]]`
-    /// — so the hot applicability test walks two dense arrays instead of
-    /// chasing one `Vec` per reaction.
-    reqs: Vec<(usize, u64)>,
-    req_offsets: Vec<u32>,
-}
-
-impl DirectSpec {
-    /// Builds the encoding when the box is finite and at most
-    /// [`DIRECT_INDEX_CAP`] configurations; `None` otherwise.
-    fn build(intervals: &CountIntervals, compiled: &CompiledCrn) -> Option<DirectSpec> {
-        if intervals.state_space()? > DIRECT_INDEX_CAP {
-            return None;
-        }
-        let n = intervals.len();
-        let mut lower = Vec::with_capacity(n);
-        let mut place = Vec::with_capacity(n);
-        let mut running: u64 = 1;
-        for s in 0..n {
-            lower.push(intervals.lower(s));
-            place.push(running);
-            let width = intervals.upper(s).expect("finite volume") - intervals.lower(s) + 1;
-            running = running.checked_mul(width).expect("volume fits the cap");
-        }
-        // Wrapping, like the code moves themselves: an offset is only ever
-        // added to the code of a configuration the reaction applies to, and
-        // there it is the difference of two in-box codes.  A reaction that
-        // never applies inside the box may overflow, harmlessly.
-        let offsets = compiled
-            .reactions()
-            .iter()
-            .map(|reaction| {
-                reaction.delta().iter().fold(0i64, |sum, &(s, d)| {
-                    let place = i64::try_from(place[s]).expect("place fits i64");
-                    sum.wrapping_add(d.wrapping_mul(place))
-                })
-            })
-            .collect();
-        let mut reqs = Vec::new();
-        let mut req_offsets = vec![0u32];
-        for reaction in compiled.reactions() {
-            reqs.extend_from_slice(reaction.reactants());
-            req_offsets.push(u32::try_from(reqs.len()).expect("requirement count fits u32"));
-        }
-        Some(DirectSpec {
-            lower,
-            place,
-            offsets,
-            reqs,
-            req_offsets,
-        })
-    }
-
-    /// Reaction `r`'s reactant requirements.
-    fn reqs(&self, r: usize) -> &[(usize, u64)] {
-        &self.reqs[self.req_offsets[r] as usize..self.req_offsets[r + 1] as usize]
-    }
-
-    /// The code of `counts`, which must lie inside the box.
-    fn encode(&self, counts: &[u64]) -> u64 {
-        counts
-            .iter()
-            .zip(&self.lower)
-            .zip(&self.place)
-            .map(|((&c, &lo), &p)| (c - lo) * p)
-            .sum()
-    }
-}
-
 /// Per-lane high bits of the packed byte encoding, the borrow sentinels of
 /// the SWAR applicability test.
 const LANE_HIGH: u64 = 0x8080_8080_8080_8080;
@@ -163,9 +66,9 @@ const LANE_HIGH: u64 = 0x8080_8080_8080_8080;
 /// over all species at once.  Eligible when the box-wide interval hull keeps
 /// every count at or below 127 across at most 8 species — every reachable
 /// lane then stays in `[0, 127]`, additions never carry between lanes, and
-/// the packed value *is* a perfect mixed-radix code (radix 256, lower bound
-/// zero), so discovery order, deduplication and the configuration-limit
-/// error are bit-identical to the spec-coded passes.
+/// the packed word identifies its configuration, so discovery order,
+/// deduplication and the configuration-limit error are bit-identical to the
+/// hash codec's.
 pub(super) struct PackedSpec {
     /// Per-reaction packed reactant requirements; lanes are clamped to 128,
     /// which the test below reads as "never applicable" — correct, since no
@@ -175,56 +78,6 @@ pub(super) struct PackedSpec {
     deltas: Vec<u64>,
     /// Bit shift of the output species' lane.
     out_shift: u32,
-    /// Mixed-radix place values of the *dense* hull code (radix
-    /// `upper + 1` per species), when the hull volume fits
-    /// [`DENSE_VISITED_CAP`]; empty otherwise.  With a dense code every
-    /// dedup probe is a single epoch-stamped array load instead of a hash
-    /// chain, and the code itself is maintained incrementally.
-    dense_place: Vec<u64>,
-    /// Per-reaction dense-code deltas in two's complement — firing reaction
-    /// `r` moves the dense code by one `wrapping_add`.
-    dense_deltas: Vec<u64>,
-    /// Hull volume (the dense-code range); `0` disables the dense codec.
-    dense_volume: usize,
-}
-
-/// Largest hull volume the packed codec tracks with a dense visited-stamp
-/// table (u32 stamps, so 8 MiB of reusable scratch at the cap); bigger
-/// hulls fall back to the hashed [`CodeIndex`].
-const DENSE_VISITED_CAP: usize = 1 << 21;
-
-/// The weights of `laws` on the species `cols`, one row per law.
-fn law_matrix(laws: &[ConservationLaw], cols: &[usize]) -> Vec<Vec<i128>> {
-    laws.iter()
-        .map(|law| cols.iter().map(|&s| law.weight(s)).collect())
-        .collect()
-}
-
-/// The pivot columns of `rows` in row-echelon form, by fraction-free `i128`
-/// elimination, or `None` when the elimination overflows.  The pivot
-/// columns are linearly independent and their count is the rank.
-fn echelon_pivots(mut rows: Vec<Vec<i128>>) -> Option<Vec<usize>> {
-    let cols = rows.first().map_or(0, Vec::len);
-    let mut pivots = Vec::new();
-    for col in 0..cols {
-        let rank = pivots.len();
-        let Some(p) = (rank..rows.len()).find(|&r| rows[r][col] != 0) else {
-            continue;
-        };
-        rows.swap(rank, p);
-        let (head, rest) = rows.split_at_mut(rank + 1);
-        let pivot_row = &head[rank];
-        for row in rest.iter_mut().filter(|row| row[col] != 0) {
-            let (pv, q) = (pivot_row[col], row[col]);
-            for j in 0..cols {
-                row[j] = row[j]
-                    .checked_mul(pv)?
-                    .checked_sub(pivot_row[j].checked_mul(q)?)?;
-            }
-        }
-        pivots.push(col);
-    }
-    Some(pivots)
 }
 
 impl PackedSpec {
@@ -233,76 +86,33 @@ impl PackedSpec {
     fn build(
         hull: &CountIntervals,
         compiled: &CompiledCrn,
-        laws: &[ConservationLaw],
         stride: usize,
         out_idx: usize,
     ) -> Option<PackedSpec> {
         if stride > 8 || (0..stride).any(|s| hull.upper(s).map_or(true, |u| u > 127)) {
             return None;
         }
-        // Dense hull code: place values over radix `upper + 1` for the
-        // species that are not law pivots, kept only when the volume fits
-        // the stamp table.  Within one exploration every law's value is
-        // fixed by the start, and the pivots are linearly independent, so
-        // two configurations of one reachable set that agree off the pivots
-        // are equal: dropping the pivots keeps the code injective.  An
-        // overflowing elimination projects nothing.
-        let all: Vec<usize> = (0..stride).collect();
-        let pivots = echelon_pivots(law_matrix(laws, &all)).unwrap_or_default();
-        let mut dense_place = vec![0u64; stride];
-        let mut volume = 1usize;
-        for s in (0..stride).filter(|s| !pivots.contains(s)) {
-            dense_place[s] = volume as u64;
-            let radix = hull.upper(s).expect("uppers checked above") as usize + 1;
-            volume = match volume.checked_mul(radix) {
-                Some(v) if v <= DENSE_VISITED_CAP => v,
-                _ => 0,
-            };
-            if volume == 0 {
-                dense_place.clear();
-                break;
-            }
-        }
         let mut reqs = Vec::with_capacity(compiled.reaction_count());
         let mut deltas = Vec::with_capacity(compiled.reaction_count());
-        let mut dense_deltas = Vec::with_capacity(compiled.reaction_count());
         for reaction in compiled.reactions() {
             let mut req = 0u64;
             for &(s, c) in reaction.reactants() {
                 req |= c.min(128) << (8 * s);
             }
             let mut delta = 0u64;
-            let mut dense_delta = 0u64;
             for &(s, d) in reaction.delta() {
                 // Wrapping mod-2^64 arithmetic: oversized deltas only occur
                 // on reactions the clamped requirement already rules out.
                 delta = delta.wrapping_add((d as u64).wrapping_mul(1u64 << (8 * s)));
-                if let Some(&place) = dense_place.get(s) {
-                    dense_delta = dense_delta.wrapping_add((d as u64).wrapping_mul(place));
-                }
             }
             reqs.push(req);
             deltas.push(delta);
-            dense_deltas.push(dense_delta);
         }
         Some(PackedSpec {
             reqs,
             deltas,
             out_shift: u32::try_from(8 * out_idx).expect("output lane within 8 species"),
-            dense_place,
-            dense_deltas,
-            dense_volume: volume,
         })
-    }
-
-    /// The dense hull code of a byte-packed configuration; meaningful only
-    /// when `dense_volume > 0`.
-    fn dense_code(&self, packed: u64) -> u64 {
-        self.dense_place
-            .iter()
-            .enumerate()
-            .map(|(s, &p)| ((packed >> (8 * s)) & 0xff) * p)
-            .sum()
     }
 
     /// Packs a count vector (all lanes at most 127) into its byte code.
@@ -364,50 +174,12 @@ fn admit(len: usize, limit: usize) -> Result<NodeId, CrnError> {
     Ok(NodeId(len as u32))
 }
 
-/// One out-edge of the DFS graph in 4 bytes: a stored node, or (high bit
-/// set) an entry of the memo visitor's per-run cache-hit table.
-#[derive(Clone, Copy)]
-struct Edge(u32);
-
-/// What an [`Edge`] points at.
-enum Target {
-    Vertex(NodeId),
-    /// A cache hit: a summarized subtree, folded but never traversed.
-    Summary(u32),
-}
-
-impl Edge {
-    const SUMMARY: u32 = 1 << 31;
-
-    fn vertex(id: NodeId) -> Edge {
-        assert!(
-            id.0 & Edge::SUMMARY == 0,
-            "DFS explorations stay below 2^31 configurations"
-        );
-        Edge(id.0)
-    }
-
-    fn summary(hit: u32) -> Edge {
-        assert!(hit & Edge::SUMMARY == 0, "cache hits stay below 2^31");
-        Edge(hit | Edge::SUMMARY)
-    }
-
-    fn target(self) -> Target {
-        if self.0 & Edge::SUMMARY == 0 {
-            Target::Vertex(NodeId(self.0))
-        } else {
-            Target::Summary(self.0 & !Edge::SUMMARY)
-        }
-    }
-}
-
 /// An open-addressing index over codes: like the arena's hash index, but
 /// keyed by one u64 code per configuration instead of the full count
-/// vector, so memory stays proportional to the *reachable* set (cache
-/// resident) rather than the interval box, and every probe compares a single
-/// word.  Slots are epoch-stamped `(epoch << 32) | (id + 1)` cells, so
-/// resetting between the points of a box sweep is O(1) — no memset of a
-/// table sized for the sweep's biggest point.
+/// vector, so every probe compares a single word.  Slots are epoch-stamped
+/// `(epoch << 32) | (id + 1)` cells, so resetting between the points of a
+/// box sweep is O(1) — no memset of a table sized for the sweep's biggest
+/// point.
 #[derive(Default)]
 struct CodeIndex {
     slots: Vec<u64>,
@@ -474,49 +246,20 @@ impl CodeIndex {
     }
 }
 
-/// Per-node record of the direct codec: the code plus the duplicate-edge
-/// stamp (the last node that emitted an edge to this one), deliberately in
-/// one struct so the probe's code confirmation and the edge-dedup check
-/// touch the same cache line.
-#[derive(Clone, Copy)]
-struct DirectNode {
-    code: u64,
-    last_emit: u32,
-}
-
 /// The memory the codecs store configurations in, kept across explorations
 /// so a box sweep allocates only while its largest point grows the buffers.
 #[derive(Default)]
 pub(super) struct Store {
-    /// Count vectors of the hash and direct codecs.
+    /// Count vectors of the hash codec.
     pub(super) arena: ConfigArena,
     /// The hash codec's edge stamps, sized on demand.
     stamps: Vec<u32>,
-    /// The direct codec's per-node records.
-    nodes: Vec<DirectNode>,
-    /// The code index of the direct and hashed packed codecs.
-    index: CodeIndex,
-    /// The packed codecs' words, and the dense-table codec's codes.
+    /// The packed codec's words and their code index.
     words: Vec<u64>,
-    dense: Vec<u64>,
-    /// The dense-table codec's visited stamps; `epoch` marks this run's.
-    visited: Vec<u32>,
-    epoch: u32,
+    index: CodeIndex,
     /// The count vector being expanded, and a successor scratch.
     cur: Vec<u64>,
     succ: Vec<u64>,
-}
-
-impl Store {
-    /// Empties the count-vector state for a run over `stride` species.
-    fn reset_counts(&mut self, stride: usize) {
-        self.arena.reset(stride);
-        self.stamps.clear();
-        self.cur.clear();
-        self.cur.resize(stride, 0);
-        self.succ.clear();
-        self.succ.resize(stride, 0);
-    }
 }
 
 /// What a codec learns by firing one enabled reaction on the loaded node.
@@ -551,22 +294,9 @@ trait Codec {
     fn output(&self, v: NodeId) -> u64;
 }
 
-/// The lowest species of `reqs` (ascending) whose count falls short.
-fn lowest_lacking(reqs: &[(usize, u64)], counts: &[u64]) -> usize {
-    reqs.iter()
-        .find(|&&(s, c)| counts[s] < c)
-        .expect("the reaction is disabled")
-        .0
-}
-
-/// A codec that names seen successors, so visitors can record edges.
-trait GraphCodec: Codec<Seen = NodeId> {
-    /// Records the edge `from → to`; `false` if `from` already emitted it.
-    fn first_edge(&mut self, from: NodeId, to: NodeId) -> bool;
-}
-
-/// Hash-interned count vectors: the codec of points without a proven
-/// interval box, and of every [`ReachabilityGraph`](super::ReachabilityGraph).
+/// Hash-interned count vectors: the codec of every full verdict and
+/// [`ReachabilityGraph`](super::ReachabilityGraph), and of terminal scans
+/// without a packing.
 struct Hash<'a> {
     reactions: &'a [CompiledReaction],
     out: usize,
@@ -575,10 +305,25 @@ struct Hash<'a> {
 
 impl<'a> Hash<'a> {
     fn new(compiled: &'a CompiledCrn, out: usize, s: &'a mut Store, start: &[u64]) -> Self {
-        s.reset_counts(start.len());
+        let stride = start.len();
+        s.arena.reset(stride);
         s.arena.insert_new(start);
+        s.stamps.clear();
+        s.cur.clear();
+        s.cur.resize(stride, 0);
+        s.succ.clear();
+        s.succ.resize(stride, 0);
         let reactions = compiled.reactions();
         Hash { reactions, out, s }
+    }
+
+    /// Records the edge `from → to`; `false` if `from` already emitted it.
+    fn first_edge(&mut self, from: NodeId, to: NodeId) -> bool {
+        let stamps = &mut self.s.stamps;
+        if stamps.len() <= to.index() {
+            stamps.resize(self.s.arena.len(), u32::MAX);
+        }
+        mem::replace(&mut stamps[to.index()], from.0) != from.0
     }
 }
 
@@ -603,7 +348,12 @@ impl Codec for Hash<'_> {
     }
 
     fn lacking(&self, r: usize) -> usize {
-        lowest_lacking(self.reactions[r].reactants(), &self.s.cur)
+        self.reactions[r]
+            .reactants()
+            .iter()
+            .find(|&&(s, c)| self.s.cur[s] < c)
+            .expect("the reaction is disabled")
+            .0
     }
 
     fn probe(&mut self, r: usize) -> Probe<NodeId, ()> {
@@ -625,193 +375,36 @@ impl Codec for Hash<'_> {
     }
 }
 
-impl GraphCodec for Hash<'_> {
-    fn first_edge(&mut self, from: NodeId, to: NodeId) -> bool {
-        let stamps = &mut self.s.stamps;
-        if stamps.len() <= to.index() {
-            stamps.resize(self.s.arena.len(), u32::MAX);
-        }
-        mem::replace(&mut stamps[to.index()], from.0) != from.0
-    }
-}
-
-/// Mixed-radix codes over a proven interval box (one point's, or the sweep
-/// hull): successor identity is one addition plus a single-word probe, and
-/// a seen successor never materializes its counts.  Discovery order — and
-/// therefore every id, edge and verdict — is that of the hash codec.
-struct Direct<'a> {
-    spec: &'a DirectSpec,
-    reactions: &'a [CompiledReaction],
-    out: usize,
-    s: &'a mut Store,
-    /// The loaded node's code.
-    code: u64,
-}
-
-impl<'a> Direct<'a> {
-    fn new(
-        spec: &'a DirectSpec,
-        compiled: &'a CompiledCrn,
-        out: usize,
-        s: &'a mut Store,
-        start: &[u64],
-    ) -> Self {
-        s.reset_counts(start.len());
-        s.arena.push_unindexed(start);
-        s.nodes.clear();
-        let code = spec.encode(start);
-        s.nodes.push(DirectNode {
-            code,
-            last_emit: u32::MAX,
-        });
-        s.index.reset();
-        s.index.insert(NodeId::START, |_| code);
-        let reactions = compiled.reactions();
-        Direct {
-            spec,
-            reactions,
-            out,
-            s,
-            code,
-        }
-    }
-
-    /// The code of node `v` — the memo key when coded over the hull.
-    fn code(&self, v: NodeId) -> u64 {
-        self.s.nodes[v.index()].code
-    }
-}
-
-impl Codec for Direct<'_> {
-    type Seen = NodeId;
-    type Key = u64;
-
-    fn len(&self) -> usize {
-        self.s.nodes.len()
-    }
-
-    fn reactions(&self) -> usize {
-        self.spec.offsets.len()
-    }
-
-    fn load(&mut self, v: NodeId) {
-        self.s.cur.copy_from_slice(self.s.arena.get(v.index()));
-        self.code = self.s.nodes[v.index()].code;
-    }
-
-    #[inline(always)] // per reaction; shared by four traversal instances
-    fn enabled(&self, r: usize) -> bool {
-        self.spec.reqs(r).iter().all(|&(s, c)| self.s.cur[s] >= c)
-    }
-
-    fn lacking(&self, r: usize) -> usize {
-        lowest_lacking(self.spec.reqs(r), &self.s.cur)
-    }
-
-    #[inline(always)]
-    fn probe(&mut self, r: usize) -> Probe<NodeId, u64> {
-        // The box bounds are sound, so the translated code stays in range.
-        let code = self.code.wrapping_add_signed(self.spec.offsets[r]);
-        let nodes = &self.s.nodes;
-        match self.s.index.lookup(code, |i| nodes[i].code) {
-            Some(id) => Probe::Seen(id),
-            None => Probe::Unseen(code),
-        }
-    }
-
-    #[inline(always)]
-    fn insert(&mut self, r: usize, code: u64, id: NodeId) -> NodeId {
-        let s = &mut *self.s;
-        self.reactions[r].apply_into(&s.cur, &mut s.succ);
-        debug_assert_eq!(self.spec.encode(&s.succ), code);
-        s.arena.push_unindexed(&s.succ);
-        s.nodes.push(DirectNode {
-            code,
-            last_emit: u32::MAX,
-        });
-        let nodes = &s.nodes;
-        s.index.insert(id, |i| nodes[i].code);
-        id
-    }
-
-    fn output(&self, v: NodeId) -> u64 {
-        self.s.arena.get(v.index())[self.out]
-    }
-}
-
-impl GraphCodec for Direct<'_> {
-    fn first_edge(&mut self, from: NodeId, to: NodeId) -> bool {
-        mem::replace(&mut self.s.nodes[to.index()].last_emit, from.0) != from.0
-    }
-}
-
 /// One byte-packed word per configuration (see [`PackedSpec`]), so the
-/// loops touch no count vectors at all.  With `DENSE`, deduplicated through
-/// an epoch-stamped visited table indexed by the law-projected hull code,
-/// which firing a reaction moves by one `wrapping_add`; otherwise through
-/// the hashed [`CodeIndex`].  Membership is membership either way, so the
-/// discovery order and the limit error are the same.  Neither variant
-/// names seen successors, so packed codecs pair only with the terminal
-/// scan.
-struct Packed<'a, const DENSE: bool> {
+/// loop touches no count vectors at all, deduplicated through the hashed
+/// [`CodeIndex`].  It names no seen successors, so it pairs only with the
+/// terminal scan, never with the [`CsrBuilder`].
+struct Packed<'a> {
     spec: &'a PackedSpec,
     /// The spec's tables and the store's buffers, borrowed apart so the
-    /// hot loop keeps their headers (and the epoch) in registers.
+    /// hot loop keeps their headers in registers.
     reqs: &'a [u64],
     deltas: &'a [u64],
-    dense_deltas: &'a [u64],
     words: &'a mut Vec<u64>,
-    dense: &'a mut Vec<u64>,
-    visited: &'a mut [u32],
-    epoch: u32,
     index: &'a mut CodeIndex,
-    /// The loaded word, and its dense code.
+    /// The loaded word.
     cur: u64,
-    code: u64,
 }
 
-impl<'a, const DENSE: bool> Packed<'a, DENSE> {
+impl<'a> Packed<'a> {
     fn new(spec: &'a PackedSpec, s: &'a mut Store, start: u64) -> Self {
-        s.words.clear();
-        s.words.push(start);
-        if DENSE {
-            if s.visited.len() < spec.dense_volume {
-                s.visited.resize(spec.dense_volume, 0);
-            }
-            s.epoch = s.epoch.checked_add(1).unwrap_or_else(|| {
-                s.visited.fill(0);
-                1
-            });
-            s.dense.clear();
-            s.dense.push(spec.dense_code(start));
-            s.visited[s.dense[0] as usize] = s.epoch;
-        } else {
-            s.index.reset();
-            s.index.insert(NodeId::START, |_| start);
-        }
-        let Store {
-            words,
-            dense,
-            visited,
-            epoch,
-            index,
-            ..
-        } = s;
-        let epoch = *epoch;
-        let (reqs, deltas, dense_deltas) =
-            (&spec.reqs[..], &spec.deltas[..], &spec.dense_deltas[..]);
+        let Store { words, index, .. } = s;
+        words.clear();
+        words.push(start);
+        index.reset();
+        index.insert(NodeId::START, |_| start);
         Packed {
             spec,
-            reqs,
-            deltas,
-            dense_deltas,
+            reqs: &spec.reqs,
+            deltas: &spec.deltas,
             words,
-            dense,
-            visited,
-            epoch,
             index,
             cur: start,
-            code: 0,
         }
     }
 
@@ -825,7 +418,7 @@ impl<'a, const DENSE: bool> Packed<'a, DENSE> {
     }
 }
 
-impl<const DENSE: bool> Codec for Packed<'_, DENSE> {
+impl Codec for Packed<'_> {
     type Seen = ();
     type Key = u64;
 
@@ -839,9 +432,6 @@ impl<const DENSE: bool> Codec for Packed<'_, DENSE> {
 
     fn load(&mut self, v: NodeId) {
         self.cur = self.words[v.index()];
-        if DENSE {
-            self.code = self.dense[v.index()];
-        }
     }
 
     fn enabled(&self, r: usize) -> bool {
@@ -853,32 +443,18 @@ impl<const DENSE: bool> Codec for Packed<'_, DENSE> {
     }
 
     fn probe(&mut self, r: usize) -> Probe<(), u64> {
-        // The key is the successor's dense code, or its word.
-        let (key, seen) = if DENSE {
-            let code = self.code.wrapping_add(self.dense_deltas[r]);
-            (code, self.visited[code as usize] == self.epoch)
-        } else {
-            let word = self.cur.wrapping_add(self.deltas[r]);
-            let words = &*self.words;
-            (word, self.index.lookup(word, |i| words[i]).is_some())
-        };
-        if seen {
-            Probe::Seen(())
-        } else {
-            Probe::Unseen(key)
+        let word = self.cur.wrapping_add(self.deltas[r]);
+        let words = &*self.words;
+        match self.index.lookup(word, |i| words[i]) {
+            Some(_) => Probe::Seen(()),
+            None => Probe::Unseen(word),
         }
     }
 
-    fn insert(&mut self, r: usize, key: u64, id: NodeId) {
-        if DENSE {
-            self.visited[key as usize] = self.epoch;
-            self.dense.push(key);
-            self.words.push(self.cur.wrapping_add(self.deltas[r]));
-        } else {
-            self.words.push(key);
-            let words = &*self.words;
-            self.index.insert(id, |i| words[i]);
-        }
+    fn insert(&mut self, _: usize, word: u64, id: NodeId) {
+        self.words.push(word);
+        let words = &*self.words;
+        self.index.insert(id, |i| words[i]);
     }
 
     fn output(&self, v: NodeId) -> u64 {
@@ -937,17 +513,17 @@ fn bfs<C: Codec, V: BfsVisitor<C>>(
 }
 
 /// Lays the successor graph out in CSR form as the BFS expands nodes in id
-/// order, with duplicate edges suppressed by the codec's stamps.
+/// order, with duplicate edges suppressed by the hash codec's stamps.
 struct CsrBuilder<'a>(&'a mut CsrGraph);
 
-impl<C: GraphCodec> BfsVisitor<C> for CsrBuilder<'_> {
-    fn edge(&mut self, codec: &mut C, from: NodeId, to: NodeId) {
+impl BfsVisitor<Hash<'_>> for CsrBuilder<'_> {
+    fn edge(&mut self, codec: &mut Hash<'_>, from: NodeId, to: NodeId) {
         if codec.first_edge(from, to) {
             self.0.push_edge(to.index());
         }
     }
 
-    fn expanded(&mut self, _: &C, _: NodeId, _: bool) -> bool {
+    fn expanded(&mut self, _: &Hash<'_>, _: NodeId, _: bool) -> bool {
         self.0.seal_node();
         true
     }
@@ -982,329 +558,28 @@ impl<C: Codec> BfsVisitor<C> for TerminalScan<'_> {
     }
 }
 
-/// Marks a Tarjan index or component id not set yet.
-const UNSET: u32 = u32::MAX;
-
-/// Per-node state of the depth-first traversal's inline Tarjan.  A node is
-/// on the Tarjan stack exactly while it has an index but no component.
-#[derive(Clone, Copy)]
-struct DfsNode {
-    index: u32,
-    low: u32,
-    comp: u32,
-    /// The node's out-edges are `edges[start..end]`.
-    start: u32,
-    end: u32,
-}
-
-/// Reusable scratch of [`dfs`]: the per-node Tarjan state, the flat edge
-/// rows, the Tarjan stack and the simulated recursion's frames.
-#[derive(Default)]
-struct Dfs {
-    nodes: Vec<DfsNode>,
-    edges: Vec<Edge>,
-    stack: Vec<NodeId>,
-    frames: Vec<(NodeId, u32)>,
-}
-
-impl Dfs {
-    /// The out-edges of `v`.
-    fn row(&self, v: NodeId) -> &[Edge] {
-        let node = self.nodes[v.index()];
-        &self.edges[node.start as usize..node.end as usize]
-    }
-
-    /// The component of a popped node.
-    fn comp(&self, v: NodeId) -> u32 {
-        self.nodes[v.index()].comp
-    }
-
-    fn edge_pos(&self) -> u32 {
-        u32::try_from(self.edges.len()).expect("edge count fits u32")
-    }
-}
-
-/// The visitor of the depth-first traversal.
-trait DfsVisitor<C: GraphCodec> {
-    /// Offered each unseen successor of `from` before it is stored; `true`
-    /// absorbs it as a virtual child (the visitor pushed its own edge onto
-    /// `edges`), so it is never stored or expanded.
-    fn absorb(&mut self, _key: C::Key, _from: NodeId, _edges: &mut Vec<Edge>) -> bool {
-        false
-    }
-
-    /// Folds the component `comp` made of `members` as Tarjan pops it;
-    /// every edge leaving it lands in an earlier, already final component.
-    /// `false` ends the traversal with `Ok(false)`.
-    fn component(&mut self, codec: &C, g: &Dfs, comp: u32, members: &[NodeId]) -> bool;
-}
-
-/// Explores everything reachable from the codec's start depth-first with
-/// Tarjan's algorithm inline, handing each strongly connected component to
-/// the visitor as it pops (reverse topological order).  Every node is
-/// expanded exactly once, as in [`bfs`] but in another order; the reachable
-/// set, and so the limit error, is the same.  `Ok(false)` is the visitor's
-/// early stop, which may pre-empt the limit error.
-#[inline(never)]
-fn dfs<C: GraphCodec, V: DfsVisitor<C>>(
-    codec: &mut C,
-    visitor: &mut V,
-    g: &mut Dfs,
-    limit: usize,
-) -> Result<bool, CrnError> {
-    const NEW: DfsNode = DfsNode {
-        index: UNSET,
-        low: 0,
-        comp: UNSET,
-        start: 0,
-        end: 0,
-    };
-    g.nodes.clear();
-    g.nodes.push(NEW);
-    g.edges.clear();
-    g.stack.clear();
-    g.frames.clear();
-    g.frames.push((NodeId::START, 0));
-    let (mut next_index, mut comps) = (0u32, 0u32);
-    while let Some(&(v, cursor)) = g.frames.last() {
-        if cursor == 0 {
-            // First visit: expand the node, so its row is final before its
-            // first edge is followed.
-            let start = g.edge_pos();
-            codec.load(v);
-            for r in 0..codec.reactions() {
-                if !codec.enabled(r) {
-                    continue;
-                }
-                let to = match codec.probe(r) {
-                    Probe::Seen(to) => to,
-                    Probe::Unseen(key) if visitor.absorb(key, v, &mut g.edges) => continue,
-                    Probe::Unseen(key) => {
-                        let id = admit(codec.len(), limit)?;
-                        g.nodes.push(NEW);
-                        codec.insert(r, key, id)
-                    }
-                };
-                if codec.first_edge(v, to) {
-                    g.edges.push(Edge::vertex(to));
-                }
-            }
-            let (index, end) = (next_index, g.edge_pos());
-            g.nodes[v.index()] = DfsNode {
-                index,
-                low: index,
-                comp: UNSET,
-                start,
-                end,
-            };
-            next_index += 1;
-            g.stack.push(v);
-        }
-        let node = g.nodes[v.index()];
-        let pos = node.start + cursor;
-        if pos < node.end {
-            g.frames.last_mut().expect("frame exists").1 += 1;
-            // A summary edge is folded at the pop, never traversed.
-            if let Target::Vertex(w) = g.edges[pos as usize].target() {
-                let child = g.nodes[w.index()];
-                if child.index == UNSET {
-                    g.frames.push((w, 0));
-                } else if child.comp == UNSET {
-                    let low = &mut g.nodes[v.index()].low;
-                    *low = (*low).min(child.index);
-                }
-            }
-            continue;
-        }
-        g.frames.pop();
-        if node.low == node.index {
-            // The component is the stack suffix of Tarjan indices at least
-            // `node.index`.
-            let mut base = g.stack.len();
-            while base > 0 && g.nodes[g.stack[base - 1].index()].index >= node.index {
-                base -= 1;
-            }
-            for &w in &g.stack[base..] {
-                g.nodes[w.index()].comp = comps;
-            }
-            if !visitor.component(codec, g, comps, &g.stack[base..]) {
-                return Ok(false);
-            }
-            comps += 1;
-            g.stack.truncate(base);
-        }
-        if let Some(&(parent, _)) = g.frames.last() {
-            let low = &mut g.nodes[parent.index()].low;
-            *low = (*low).min(node.low);
-        }
-    }
-    Ok(true)
-}
-
-/// Decides "can every reachable configuration still reach a stable
-/// configuration with the expected output?" from each popped component's
-/// closure max/min output and recoverability (one cell per component).
-struct RecoverFold<'a> {
-    expected: u64,
-    cells: &'a mut Vec<(u64, u64, bool)>,
-}
-
-impl<C: GraphCodec> DfsVisitor<C> for RecoverFold<'_> {
-    fn component(&mut self, codec: &C, g: &Dfs, comp: u32, members: &[NodeId]) -> bool {
-        let (mut mx, mut mn, mut rec) = (u64::MIN, u64::MAX, false);
-        for &m in members {
-            let out = codec.output(m);
-            (mx, mn) = (mx.max(out), mn.min(out));
-            for e in g.row(m) {
-                if let Target::Vertex(w) = e.target() {
-                    if g.comp(w) != comp {
-                        let (cmx, cmn, crec) = self.cells[g.comp(w) as usize];
-                        (mx, mn, rec) = (mx.max(cmx), mn.min(cmn), rec || crec);
-                    }
-                }
-            }
-        }
-        // A non-recovering component decides the answer, whatever the rest
-        // of the graph looks like.
-        let rec = rec || (mx == mn && mx == self.expected);
-        self.cells.push((mx, mn, rec));
-        rec
-    }
-}
-
-/// The memo visitor's per-run scratch: the popped components' summaries by
-/// component id, and this run's cache hits (the virtual children) with
-/// their edge stamps and their ids by hull code.
-#[derive(Default)]
-struct MemoScratch {
-    comps: Vec<Summary>,
-    hits: Vec<Summary>,
-    hit_stamps: Vec<u32>,
-    hit_ids: HashMap<u64, u32>,
-}
-
-/// Folds cross-point [`Summary`]s over the hull-coded direct codec.  A
-/// successor whose hull code carries a cached summary becomes a *virtual*
-/// child: its subtree is never expanded, and the folds consume the
-/// summary's output sets instead.  Every finished component's members are
-/// queued in `pending` with their shared summary; the caller publishes them
-/// only when the run returns `Ok` — a truncated exploration never populates
-/// the cache.
-struct MemoFold<'a> {
-    expected: u64,
-    cache: &'a mut MemoCache,
-    pending: &'a mut Vec<(u64, Summary)>,
-    memo: &'a mut MemoScratch,
-}
-
-impl<'d> DfsVisitor<Direct<'d>> for MemoFold<'_> {
-    #[inline(always)]
-    fn absorb(&mut self, code: u64, from: NodeId, edges: &mut Vec<Edge>) -> bool {
-        // Only successors no stored node matched get here, so a
-        // configuration is never both a node and a virtual child of a run.
-        let Some(summary) = self.cache.lookup(code) else {
-            return false;
-        };
-        let memo = &mut *self.memo;
-        let (hits, stamps) = (&mut memo.hits, &mut memo.hit_stamps);
-        let hit = *memo.hit_ids.entry(code).or_insert_with(|| {
-            hits.push(summary);
-            stamps.push(u32::MAX);
-            u32::try_from(hits.len() - 1).expect("hit count fits u32")
-        });
-        if mem::replace(&mut memo.hit_stamps[hit as usize], from.0) != from.0 {
-            edges.push(Edge::summary(hit));
-        }
-        true
-    }
-
-    #[inline(always)]
-    fn component(&mut self, codec: &Direct<'d>, g: &Dfs, comp: u32, members: &[NodeId]) -> bool {
-        let pool = &mut self.cache.pool;
-        // Fold the closure's output extrema, stable-output set `so` (values
-        // some closure configuration is output-stable at) and recoverable
-        // set `rset` (values *every* closure configuration can still reach
-        // stably), plus a size bound.
-        let (mut mx, mut mn, mut so) = (u64::MIN, u64::MAX, EMPTY_SET);
-        let mut rset: Option<SetId> = None;
-        let mut size = members.len() as u64;
-        for &m in members {
-            let out = codec.output(m);
-            (mx, mn) = (mx.max(out), mn.min(out));
-            for e in g.row(m) {
-                let child = match e.target() {
-                    Target::Summary(hit) => self.memo.hits[hit as usize],
-                    Target::Vertex(w) if g.comp(w) == comp => continue,
-                    Target::Vertex(w) => self.memo.comps[g.comp(w) as usize],
-                };
-                (mx, mn) = (mx.max(child.mx), mn.min(child.mn));
-                so = pool.union(so, child.so);
-                rset = Some(rset.map_or(child.rset, |r| pool.intersect(r, child.rset)));
-                size = size.saturating_add(child.size_bound);
-            }
-        }
-        if mx == mn {
-            // One output value across the whole closure: every member is
-            // output-stable with it.
-            let single = pool.singleton(mx);
-            so = pool.union(so, single);
-        }
-        let rset = rset.unwrap_or(so);
-        if !pool.contains(rset, self.expected) {
-            // Some configuration of this closure can never recover the
-            // expected output: the full check fails or errors, never passes.
-            return false;
-        }
-        let size_bound = size;
-        let summary = Summary {
-            mx,
-            mn,
-            so,
-            rset,
-            size_bound,
-        };
-        self.pending
-            .extend(members.iter().map(|&m| (codec.code(m), summary)));
-        self.memo.comps.push(summary);
-        true
-    }
-}
-
-/// Reusable storage for explorations: the codecs' store, the CSR graph of
-/// the last BFS, and the DFS scratch.
+/// Reusable storage for explorations: the codecs' store and the CSR graph
+/// of the last full exploration.
 #[derive(Default)]
 pub(super) struct ExploreState {
     pub(super) store: Store,
     pub(super) csr: CsrGraph,
-    dfs: Dfs,
 }
 
 impl ExploreState {
     /// Explores everything reachable from `start` (a count vector at least
     /// `compiled.stride()` long) breadth-first into `self.store.arena` and
-    /// `self.csr`: ids are discovery order, id 0 is the start.  Coded by
-    /// `spec` when the caller proved an interval box, hash-interned
-    /// otherwise — the order, and so every id and edge, is the same either
-    /// way.
+    /// `self.csr`: ids are discovery order, id 0 is the start.
     pub(super) fn graph(
         &mut self,
         compiled: &CompiledCrn,
         start: &[u64],
-        spec: Option<&DirectSpec>,
         limit: usize,
     ) -> Result<(), CrnError> {
         self.csr.reset();
-        let csr = &mut CsrBuilder(&mut self.csr);
         // The CSR builder reads no outputs, so any output index will do.
-        let store = &mut self.store;
-        match spec {
-            Some(spec) => bfs(
-                &mut Direct::new(spec, compiled, 0, store, start),
-                csr,
-                limit,
-            ),
-            None => bfs(&mut Hash::new(compiled, 0, store, start), csr, limit),
-        }?;
+        let mut codec = Hash::new(compiled, 0, &mut self.store, start);
+        bfs(&mut codec, &mut CsrBuilder(&mut self.csr), limit)?;
         Ok(())
     }
 }
@@ -1366,140 +641,70 @@ pub(super) enum StaticOutcome {
     Fail,
 }
 
-/// Everything the box engine precomputes once per sweep: the box-wide hull
-/// code space, the packed byte encoding, the symmetry group, and the
-/// cross-worker summary exchange.  All of it depends only on the CRN, the
-/// bound and the configuration limit, so the driver builds one plan and
-/// every worker shares it by reference.
+/// Everything the box engine precomputes once per sweep: the packed byte
+/// encoding and the symmetry group.  Both depend only on the CRN and the
+/// bound, so the driver builds one plan and every worker shares it by
+/// reference.
 pub(super) struct SweepPlan {
-    /// The mixed-radix code over the box-wide interval hull — a
-    /// point-independent key space shared by every sweep point, used to key
-    /// the cross-point cache.
-    hull_spec: Option<DirectSpec>,
-    /// The byte packing for certified-acyclic CRNs whose hull fits 7-bit
-    /// lanes.
+    /// The byte packing for certified-acyclic CRNs whose box-wide hull fits
+    /// 7-bit lanes.
     packed: Option<PackedSpec>,
-    /// Whether the hull provably fits the configuration limit: then no point
-    /// of the sweep can error on it, and memo runs skip the per-summary size
-    /// certificates.
-    limit_certified: bool,
-    /// Whether cross-point memoization can ever pay off: a hull code space
-    /// exists and the conservation laws do not already separate every pair
-    /// of box points into disjoint reachable sets.
-    pub(super) cache_enabled: bool,
     /// Input permutations extending to CRN automorphisms, in skip
     /// orientation (see [`symmetry::input_automorphisms`]).
     pub(super) perms: Vec<Vec<usize>>,
-    /// The cross-worker summary exchange.
-    pub(super) shared: SharedLog,
 }
 
 impl SweepPlan {
-    pub(super) fn build(
-        crn: &FunctionCrn,
-        analysis: &Arc<BoxAnalysis>,
-        bound: u64,
-        max_configurations: usize,
-    ) -> SweepPlan {
+    pub(super) fn build(crn: &FunctionCrn, analysis: &BoxAnalysis, bound: u64) -> SweepPlan {
         let compiled = CompiledCrn::compile(crn.crn());
         let stride = compiled.stride().max(crn.role_stride());
-        // The hull is the interval analysis seeded at the box's top corner:
-        // the monotone potentials and the liveness closure both grow with
-        // the start, so the resulting box contains every configuration
-        // reachable from *any* point of the sweep.
-        let mut top = vec![0u64; stride];
-        for species in &crn.roles().inputs {
-            top[species.index()] = bound;
-        }
-        if let Some(leader) = crn.leader() {
-            top[leader.index()] += 1;
-        }
-        let support: Vec<usize> = (0..stride).filter(|&s| top[s] > 0).collect();
-        let live = Liveness::analyze(&compiled, &support);
-        let hull = analysis.bounds.box_hull(&top, &live);
-        let hull_spec = DirectSpec::build(&hull, &compiled);
         let packed = if analysis.acyclic {
-            PackedSpec::build(
-                &hull,
-                &compiled,
-                &analysis.laws,
-                stride,
-                crn.output().index(),
-            )
+            // The hull is the interval analysis seeded at the box's top
+            // corner: the monotone potentials and the liveness closure both
+            // grow with the start, so the resulting box contains every
+            // configuration reachable from *any* point of the sweep.
+            let mut top = vec![0u64; stride];
+            for species in &crn.roles().inputs {
+                top[species.index()] = bound;
+            }
+            if let Some(leader) = crn.leader() {
+                top[leader.index()] += 1;
+            }
+            let support: Vec<usize> = (0..stride).filter(|&s| top[s] > 0).collect();
+            let live = Liveness::analyze(&compiled, &support);
+            let hull = analysis.bounds.box_hull(&top, &live);
+            PackedSpec::build(&hull, &compiled, stride, crn.output().index())
         } else {
             None
         };
-        let limit_certified = hull
-            .state_space()
-            .is_some_and(|v| v <= max_configurations as u128);
-        // At full input rank the laws' values separate every pair of box
-        // points, so reachable sets of distinct points are disjoint and the
-        // cache could never hit.  An overflowing elimination reports rank 0
-        // (the gate is a performance heuristic, never a soundness one).
-        let inputs: Vec<usize> = crn.roles().inputs.iter().map(|s| s.index()).collect();
-        let rank = echelon_pivots(law_matrix(&analysis.laws, &inputs)).map_or(0, |p| p.len());
-        let cache_enabled = hull_spec.is_some() && rank < inputs.len();
-        let perms = symmetry::input_automorphisms(crn, &compiled);
         SweepPlan {
-            hull_spec,
             packed,
-            limit_certified,
-            cache_enabled,
-            perms,
-            shared: SharedLog::new(),
+            perms: symmetry::input_automorphisms(crn, &compiled),
         }
     }
 }
 
-/// The codec × visitor pair that decides one point.
+/// How [`VerdictEngine::decide`] settles one point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Route {
-    /// The hull-coded direct codec under the memo fold.
-    HullMemo,
-    /// Packed words in the dense visited table, terminal scan.
-    PackedDenseScan,
     /// Packed words in the hashed code index, terminal scan.
-    PackedHashScan,
-    /// The point's interval-box code, terminal scan.
-    DirectScan,
-    /// The point's interval-box code, recover fold.
-    DirectFold,
+    PackedScan,
     /// Hash-interned count vectors, terminal scan.
     HashScan,
-    /// Hash-interned count vectors, recover fold.
-    HashFold,
+    /// The full verdict of [`VerdictEngine::check`].
+    Verdict,
 }
 
-/// Picks the route of one point.  The visitor comes from the acyclicity
-/// certificate: every certified point takes the stubborn-set terminal scan,
-/// on the byte packing of the sweep plan (`packed`, built only under the
-/// certificate) or else on the point's own codec.  Without the certificate
-/// the hull code under the memo fold runs when the cross-point cache is on
-/// (`memo`), and the recover fold otherwise.  The point's codec is its
-/// interval-box code when `box_fits` (finite and within
-/// [`DIRECT_INDEX_CAP`], evaluated only when consulted), hash interning
-/// otherwise.
-fn route(
-    memo: bool,
-    packed: Option<&PackedSpec>,
-    acyclic: bool,
-    box_fits: impl FnOnce() -> bool,
-) -> Route {
-    if let Some(packed) = packed {
-        return if packed.dense_volume > 0 {
-            Route::PackedDenseScan
-        } else {
-            Route::PackedHashScan
-        };
-    }
-    if memo && !acyclic {
-        return Route::HullMemo;
-    }
-    match (box_fits(), acyclic) {
-        (true, true) => Route::DirectScan,
-        (true, false) => Route::DirectFold,
-        (false, true) => Route::HashScan,
-        (false, false) => Route::HashFold,
+/// Picks the route of one point from the acyclicity certificate: every
+/// certified point takes the stubborn-set terminal scan, on the byte
+/// packing of the sweep plan when there is one (`packed`, built only under
+/// the certificate) and on hash-interned count vectors otherwise; every
+/// other point takes the full verdict.
+fn route(packed: bool, acyclic: bool) -> Route {
+    match (acyclic, packed) {
+        (false, _) => Route::Verdict,
+        (true, true) => Route::PackedScan,
+        (true, false) => Route::HashScan,
     }
 }
 
@@ -1510,14 +715,14 @@ fn route(
 ///
 /// A *pruned* engine ([`with_analysis`](VerdictEngine::with_analysis))
 /// additionally carries the static-analysis artifacts — monotone-potential
-/// [`SpeciesBounds`] and the signed conservation-law basis — and uses them
-/// to (a) answer [`static_verdict`](VerdictEngine::static_verdict) queries
-/// without building an arena, (b) [`decide`](VerdictEngine::decide) points,
-/// and (c) explore through the mixed-radix code index whenever the proven
-/// interval box is finite.  A *reference* engine
-/// ([`reference`](VerdictEngine::reference)) skips all of it and always runs
-/// the hash-interned BFS; both produce bit-identical verdicts wherever the
-/// reference finishes within the limit.
+/// [`SpeciesBounds`], the signed conservation-law basis and the acyclicity
+/// certificate — and uses them to answer
+/// [`static_verdict`](VerdictEngine::static_verdict) queries without
+/// exploring, and to [`decide`](VerdictEngine::decide) certified points by
+/// a terminal scan.  A *reference* engine
+/// ([`reference`](VerdictEngine::reference)) skips all of it; both run the
+/// same hash-interned BFS for a full verdict, so they produce bit-identical
+/// verdicts wherever the reference finishes within the limit.
 pub(super) struct VerdictEngine<'c> {
     crn: &'c FunctionCrn,
     compiled: CompiledCrn,
@@ -1526,17 +731,9 @@ pub(super) struct VerdictEngine<'c> {
     /// `Arc` because they depend only on the CRN: the box driver computes
     /// them once and every worker engine shares the result.
     analysis: Option<Arc<BoxAnalysis>>,
-    /// The interval analysis of the last analyzed start configuration, so a
-    /// [`static_verdict`](VerdictEngine::static_verdict) followed by a
-    /// [`check`](VerdictEngine::check) on the same point pays for liveness
-    /// and bound propagation once, not twice.
-    cached_intervals: Option<(Vec<u64>, CountIntervals)>,
     state: ExploreState,
-    /// The recover fold's per-component cells.
-    cells: Vec<(u64, u64, bool)>,
     /// The terminal scan's stubborn-set scratch.
     closure: Closure,
-    memo: MemoScratch,
     cond: Condensation,
     start_dense: Vec<u64>,
     start_support: Vec<usize>,
@@ -1544,17 +741,17 @@ pub(super) struct VerdictEngine<'c> {
     comp_min: Vec<u64>,
     comp_recovers: Vec<bool>,
     /// Pins the route of [`decide`](VerdictEngine::decide), so tests can
-    /// run every codec × visitor pair against the reference engine.
+    /// run every route against the reference engine.
     #[cfg(test)]
     route_override: Option<Route>,
 }
 
 impl<'c> VerdictEngine<'c> {
     /// The per-CRN static analysis the pruned engine runs on: monotone
-    /// potential bounds plus the signed conservation-law basis.  Point
-    /// independent, so a box driver computes it once and hands clones of the
-    /// `Arc` to every worker via
-    /// [`with_analysis`](VerdictEngine::with_analysis).
+    /// potential bounds, the signed conservation-law basis, the acyclicity
+    /// certificate and the stubborn-set relations.  Point independent, so a
+    /// box driver computes it once and hands clones of the `Arc` to every
+    /// worker via [`with_analysis`](VerdictEngine::with_analysis).
     pub(super) fn analyze(crn: &FunctionCrn) -> Arc<BoxAnalysis> {
         let compiled = CompiledCrn::compile(crn.crn());
         let stoich = Stoichiometry::of(&compiled);
@@ -1571,9 +768,8 @@ impl<'c> VerdictEngine<'c> {
         })
     }
 
-    /// The analysis-free engine: plain hash-interned BFS on every point,
-    /// exactly the pre-analysis behaviour, and the differential oracle of
-    /// every other route.
+    /// The analysis-free engine: a full hash-interned verdict on every
+    /// point, and the differential oracle of the terminal scans.
     pub(super) fn reference(crn: &'c FunctionCrn) -> Self {
         Self::with_analysis(crn, None)
     }
@@ -1599,11 +795,8 @@ impl<'c> VerdictEngine<'c> {
             compiled,
             stride,
             analysis,
-            cached_intervals: None,
             state: ExploreState::default(),
-            cells: Vec::new(),
             closure: Closure::default(),
-            memo: MemoScratch::default(),
             cond: Condensation::empty(),
             start_dense: Vec::new(),
             start_support: Vec::new(),
@@ -1629,48 +822,6 @@ impl<'c> VerdictEngine<'c> {
         }
     }
 
-    /// Ensures `cached_intervals` holds the reachable-count intervals of the
-    /// current `start_dense`; returns `false` on a reference engine (no
-    /// analysis, nothing cached).
-    fn refresh_intervals(&mut self) -> bool {
-        let Some(analysis) = self.analysis.as_ref() else {
-            return false;
-        };
-        let BoxAnalysis { bounds, laws, .. } = &**analysis;
-        let stale = self
-            .cached_intervals
-            .as_ref()
-            .map_or(true, |(start, _)| *start != self.start_dense);
-        if stale {
-            self.start_support.clear();
-            self.start_support
-                .extend((0..self.stride).filter(|&s| self.start_dense[s] > 0));
-            let live = Liveness::analyze(&self.compiled, &self.start_support);
-            let intervals = bounds.intervals(&self.start_dense, &live, laws);
-            self.cached_intervals = Some((self.start_dense.clone(), intervals));
-        }
-        true
-    }
-
-    /// The volume of the current start's interval box, if finite (always
-    /// `None` on a reference engine).
-    fn point_volume(&mut self) -> Option<u128> {
-        if !self.refresh_intervals() {
-            return None;
-        }
-        self.cached_intervals.as_ref()?.1.state_space()
-    }
-
-    /// The direct code over the current start's interval box, when it is
-    /// finite and within the cap.
-    fn point_spec(&mut self) -> Option<DirectSpec> {
-        if !self.refresh_intervals() {
-            return None;
-        }
-        let (_, intervals) = self.cached_intervals.as_ref()?;
-        DirectSpec::build(intervals, &self.compiled)
-    }
-
     /// Classifies `x` without exploring: `Some(Pass)` and `Some(Fail)` are
     /// proofs about what [`check`](VerdictEngine::check) would return, `None`
     /// means the analysis abstains (always the case on a reference engine or
@@ -1685,10 +836,12 @@ impl<'c> VerdictEngine<'c> {
             return None;
         }
         self.build_start(x);
-        if !self.refresh_intervals() {
-            return None;
-        }
-        let (_, intervals) = self.cached_intervals.as_ref().expect("just refreshed");
+        let BoxAnalysis { bounds, laws, .. } = self.analysis.as_deref()?;
+        self.start_support.clear();
+        self.start_support
+            .extend((0..self.stride).filter(|&s| self.start_dense[s] > 0));
+        let live = Liveness::analyze(&self.compiled, &self.start_support);
+        let intervals = bounds.intervals(&self.start_dense, &live, laws);
         let out = self.crn.output().index();
         if expected_output < intervals.lower(out)
             || intervals.upper(out).is_some_and(|u| expected_output > u)
@@ -1711,42 +864,32 @@ impl<'c> VerdictEngine<'c> {
         None
     }
 
-    /// The route [`decide`](VerdictEngine::decide) takes on the current
-    /// start; `memo` says whether the cross-point cache is on.
-    fn pick_route(&mut self, plan: &SweepPlan, memo: bool) -> Route {
+    /// The route [`decide`](VerdictEngine::decide) takes under `plan`.
+    fn pick_route(&self, plan: &SweepPlan) -> Route {
         #[cfg(test)]
-        if let Some(route) = self
-            .route_override
-            .filter(|&r| memo || r != Route::HullMemo)
-        {
+        if let Some(route) = self.route_override {
             return route;
         }
         let acyclic = self.analysis.as_ref().is_some_and(|a| a.acyclic);
-        route(memo, plan.packed.as_ref(), acyclic, || {
-            self.point_volume().is_some_and(|v| v <= DIRECT_INDEX_CAP)
-        })
+        route(plan.packed.is_some(), acyclic)
     }
 
     /// Decides whether the CRN stably computes `expected_output` on `x` —
-    /// the `correct` flag [`check`](VerdictEngine::check) would report —
-    /// without materializing a verdict.  `Ok(true)` certifies the point
-    /// passes with the route's exploration within the limit: a stubborn-set
-    /// terminal scan stores fewer configurations than `check`, which may
-    /// still give up on the point.  `Ok(false)` certifies the full check
-    /// fails or errors, and may come early, pre-empting the limit error.
-    /// [`route`] picks the codec and visitor.  On a cyclic CRN with a
-    /// cache, the memoizing pass runs first and falls back to the exact
-    /// route when it cannot certify the limit.  The work is counted into
-    /// `stats`.
-    #[allow(clippy::too_many_arguments)] // the point, the sweep plan's layers, the counters
+    /// the `correct` flag [`check`](VerdictEngine::check) would report.
+    /// [`route`] picks how.  A point without the acyclicity certificate
+    /// runs `check` itself.  A certified point runs the stubborn-set
+    /// terminal scan, which materializes no verdict: `Ok(true)` certifies
+    /// the point passes with the scan within the limit, though the scan
+    /// stores fewer configurations than `check`, which may still give up on
+    /// the point; `Ok(false)` certifies the full check fails or errors, and
+    /// may come early, pre-empting the limit error.  The work is counted
+    /// into `stats`.
     pub(super) fn decide(
         &mut self,
         x: &NVec,
         expected_output: u64,
         max_configurations: usize,
         plan: &SweepPlan,
-        cache: Option<&mut MemoCache>,
-        pending: &mut Vec<(u64, Summary)>,
         stats: &mut BoxCheckStats,
     ) -> Result<bool, CrnError> {
         if x.dim() != self.crn.dim() {
@@ -1755,122 +898,33 @@ impl<'c> VerdictEngine<'c> {
                 actual: x.dim(),
             });
         }
-        self.build_start(x);
-        let mut route = self.pick_route(plan, cache.is_some());
-        if route == Route::HullMemo {
-            let cache = cache.expect("the memo route runs with a cache");
-            if let Some(decision) = self.decide_memo(
-                expected_output,
-                max_configurations,
-                plan,
-                cache,
-                pending,
-                stats,
-            )? {
-                return Ok(decision);
-            }
-            route = self.pick_route(plan, false);
-        }
         stats.decided += 1;
-        let (result, explored) = self.run_route(route, plan, expected_output, max_configurations);
+        let (result, explored) = match self.pick_route(plan) {
+            Route::Verdict => {
+                let verdict = self.check(x, expected_output, max_configurations);
+                (verdict.map(|v| v.correct), self.state.store.arena.len())
+            }
+            Route::PackedScan => {
+                let packed = plan.packed.as_ref().expect("the route has a packing");
+                self.scan(x, Some(packed), expected_output, max_configurations)
+            }
+            Route::HashScan => self.scan(x, None, expected_output, max_configurations),
+        };
         stats.configs_explored += u64::try_from(explored).expect("usize fits u64");
         result
     }
 
-    /// The memo route: answers from a summary cached for the start itself,
-    /// or runs the memo fold over the hull code and publishes its finished
-    /// components.  `Ok(None)` means "a pass this run cannot certify against
-    /// the limit": the caller reruns the point on an exact route.
-    fn decide_memo(
-        &mut self,
-        expected: u64,
-        limit: usize,
-        plan: &SweepPlan,
-        cache: &mut MemoCache,
-        pending: &mut Vec<(u64, Summary)>,
-        stats: &mut BoxCheckStats,
-    ) -> Result<Option<bool>, CrnError> {
-        let hull = plan
-            .hull_spec
-            .as_ref()
-            .expect("an enabled cache implies a hull code space");
-        cache.import(&plan.shared);
-        // "The reference exploration fits the limit" needs a certificate:
-        // the sweep-wide one, or the closure's size bound.
-        let fits = |size: u64| plan.limit_certified || size <= limit as u64;
-        if let Some(summary) = cache.lookup(hull.encode(&self.start_dense)) {
-            stats.cache_served += 1;
-            if !cache.pool.contains(summary.rset, expected) {
-                return Ok(Some(false));
-            }
-            return Ok(fits(summary.size_bound).then_some(true));
-        }
-        let hits_before = cache.hits;
-        pending.clear();
-        self.memo.comps.clear();
-        self.memo.hits.clear();
-        self.memo.hit_stamps.clear();
-        self.memo.hit_ids.clear();
-        let out = self.crn.output().index();
-        let store = &mut self.state.store;
-        let mut codec = Direct::new(hull, &self.compiled, out, store, &self.start_dense);
-        let mut fold = MemoFold {
-            expected,
-            cache,
-            pending,
-            memo: &mut self.memo,
-        };
-        let result = dfs(&mut codec, &mut fold, &mut self.state.dfs, limit);
-        stats.configs_explored += codec.len() as u64;
-        let decision = match result {
-            Err(e) => {
-                // The summaries die with the error: publishing partial work
-                // could make cache contents (and thus hit counters) depend
-                // on which worker errored first.
-                stats.publish_suppressed += pending.len() as u64;
-                pending.clear();
-                return Err(e);
-            }
-            // A non-recovering component: the full check fails or errors.
-            Ok(false) => Some(false),
-            Ok(true) => {
-                let root = self.memo.comps.last().expect("the root component popped");
-                fits(root.size_bound).then_some(true)
-            }
-        };
-        // Publish the finished components — their closures were fully
-        // summarized even if the decision came early.
-        for &(code, summary) in pending.iter() {
-            cache.insert(code, summary);
-        }
-        cache.export(&plan.shared, pending);
-        pending.clear();
-        if cache.hits > hits_before {
-            stats.cache_served += 1;
-        }
-        if decision.is_some() {
-            stats.decided += 1;
-        }
-        Ok(decision)
-    }
-
-    /// Runs one exact route on the current start; returns the decision and
+    /// Runs the terminal scan from `I_x`, on `packed` words when given and
+    /// on hash-interned count vectors otherwise; returns the decision and
     /// the number of configurations stored.
-    fn run_route(
+    fn scan(
         &mut self,
-        route: Route,
-        plan: &SweepPlan,
+        x: &NVec,
+        packed: Option<&PackedSpec>,
         expected: u64,
         limit: usize,
     ) -> (Result<bool, CrnError>, usize) {
-        let point = matches!(route, Route::DirectScan | Route::DirectFold).then(|| {
-            self.point_spec()
-                .expect("the route checked the point's box")
-        });
-        let packed = plan.packed.as_ref();
-        let (compiled, start) = (&self.compiled, &self.start_dense);
-        let out = self.crn.output().index();
-        let (store, g) = (&mut self.state.store, &mut self.state.dfs);
+        self.build_start(x);
         let analysis = self
             .analysis
             .as_deref()
@@ -1880,41 +934,16 @@ impl<'c> VerdictEngine<'c> {
             stubborn: &analysis.stubborn,
             closure: &mut self.closure,
         };
-        self.cells.clear();
-        let fold = &mut RecoverFold {
-            expected,
-            cells: &mut self.cells,
-        };
-        match route {
-            Route::HullMemo => unreachable!("the memo route runs through decide_memo"),
-            Route::PackedDenseScan | Route::PackedHashScan => {
-                let spec = packed.expect("packed routes have a packing");
-                if route == Route::PackedDenseScan {
-                    let mut codec = Packed::<true>::new(spec, store, spec.pack(start));
-                    (bfs(&mut codec, scan, limit), codec.len())
-                } else {
-                    let mut codec = Packed::<false>::new(spec, store, spec.pack(start));
-                    (bfs(&mut codec, scan, limit), codec.len())
-                }
+        let (store, start) = (&mut self.state.store, &self.start_dense);
+        match packed {
+            Some(spec) => {
+                let mut codec = Packed::new(spec, store, spec.pack(start));
+                (bfs(&mut codec, scan, limit), codec.len())
             }
-            Route::DirectScan | Route::DirectFold => {
-                let spec = point.as_ref().expect("built above");
-                let mut codec = Direct::new(spec, compiled, out, store, start);
-                let result = if route == Route::DirectScan {
-                    bfs(&mut codec, scan, limit)
-                } else {
-                    dfs(&mut codec, fold, g, limit)
-                };
-                (result, codec.len())
-            }
-            Route::HashScan | Route::HashFold => {
-                let mut codec = Hash::new(compiled, out, store, start);
-                let result = if route == Route::HashScan {
-                    bfs(&mut codec, scan, limit)
-                } else {
-                    dfs(&mut codec, fold, g, limit)
-                };
-                (result, codec.len())
+            None => {
+                let out = self.crn.output().index();
+                let mut codec = Hash::new(&self.compiled, out, store, start);
+                (bfs(&mut codec, scan, limit), codec.len())
             }
         }
     }
@@ -1936,10 +965,8 @@ impl<'c> VerdictEngine<'c> {
             });
         }
         self.build_start(x);
-        let spec = self.point_spec();
-        let start = &self.start_dense;
         self.state
-            .graph(&self.compiled, start, spec.as_ref(), max_configurations)?;
+            .graph(&self.compiled, &self.start_dense, max_configurations)?;
         self.cond.rebuild(&self.state.csr);
 
         let arena = &self.state.store.arena;
@@ -2011,52 +1038,15 @@ impl<'c> VerdictEngine<'c> {
 mod tests {
     use super::*;
     use crate::crn::Crn;
-    use crate::examples;
     use crate::reaction::Reaction;
     use crate::species::Species;
     use proptest::prelude::*;
-
-    fn input_indices(crn: &FunctionCrn) -> Vec<usize> {
-        crn.roles().inputs.iter().map(|s| s.index()).collect()
-    }
-
-    #[test]
-    fn max_laws_have_full_input_rank_so_the_cache_stays_off() {
-        let max = examples::max_crn();
-        let analysis = VerdictEngine::analyze(&max);
-        assert_eq!(analysis.laws.len(), 2);
-        let pivots = echelon_pivots(law_matrix(&analysis.laws, &input_indices(&max)));
-        assert_eq!(pivots.map(|p| p.len()), Some(2));
-        assert!(!SweepPlan::build(&max, &analysis, 3, 10_000).cache_enabled);
-    }
-
-    #[test]
-    fn add_law_has_rank_one_so_the_cache_stays_on() {
-        let mut crn = Crn::new();
-        crn.parse_reaction("X1 -> Y").unwrap();
-        crn.parse_reaction("X2 -> Y").unwrap();
-        let add = FunctionCrn::with_named_roles(crn, &["X1", "X2"], "Y", None).unwrap();
-        let analysis = VerdictEngine::analyze(&add);
-        assert_eq!(analysis.laws.len(), 1);
-        let pivots = echelon_pivots(law_matrix(&analysis.laws, &input_indices(&add)));
-        assert_eq!(pivots.map(|p| p.len()), Some(1));
-        assert!(SweepPlan::build(&add, &analysis, 3, 10_000).cache_enabled);
-    }
-
-    #[test]
-    fn overflowing_elimination_gives_none() {
-        assert_eq!(echelon_pivots(vec![vec![i128::MAX, 1], vec![2, 3]]), None);
-        assert_eq!(
-            echelon_pivots(vec![vec![2, 4], vec![1, 2], vec![0, 3]]),
-            Some(vec![0, 1])
-        );
-    }
+    use std::collections::HashMap;
 
     #[test]
     fn oversized_acyclic_boxes_route_to_the_hash_scan() {
-        // X -> A1 + … + A31 at x = 3: four reachable configurations in an
-        // interval box of 4^32 states, past the direct-code cap, and 32
-        // species, past the packing's 8 lanes.
+        // X -> A1 + … + A31 at x = 3: four reachable configurations over
+        // 32 species, past the packing's 8 lanes.
         let products: Vec<String> = (1..=31).map(|i| format!("A{i}")).collect();
         let mut crn = Crn::new();
         crn.parse_reaction(&format!("X -> {}", products.join(" + ")))
@@ -2064,93 +1054,58 @@ mod tests {
         let fanout = FunctionCrn::with_named_roles(crn, &["X"], "A1", None).unwrap();
         let analysis = VerdictEngine::analyze(&fanout);
         assert!(analysis.acyclic);
-        let plan = SweepPlan::build(&fanout, &analysis, 3, 1_000);
-        assert!(plan.hull_spec.is_none() && plan.packed.is_none());
+        let plan = SweepPlan::build(&fanout, &analysis, 3);
+        assert!(plan.packed.is_none());
         let mut engine = VerdictEngine::with_analysis(&fanout, Some(analysis));
-        let x = NVec::from(vec![3]);
-        engine.build_start(&x);
-        assert_eq!(engine.pick_route(&plan, false), Route::HashScan);
+        assert_eq!(engine.pick_route(&plan), Route::HashScan);
         let mut stats = BoxCheckStats::default();
-        let decided = engine.decide(&x, 3, 1_000, &plan, None, &mut Vec::new(), &mut stats);
+        let decided = engine.decide(&NVec::from(vec![3]), 3, 1_000, &plan, &mut stats);
         assert_eq!(decided, Ok(true));
         assert_eq!((stats.decided, stats.configs_explored), (1, 4));
     }
 
     /// Every route [`route`] can select.
-    const ROUTES: [Route; 7] = [
-        Route::HullMemo,
-        Route::PackedDenseScan,
-        Route::PackedHashScan,
-        Route::DirectScan,
-        Route::DirectFold,
-        Route::HashScan,
-        Route::HashFold,
-    ];
+    const ROUTES: [Route; 3] = [Route::PackedScan, Route::HashScan, Route::Verdict];
 
-    /// Whether `route` can decide the engine's current start: its codec
-    /// exists, and a terminal scan needs the acyclicity certificate (the
-    /// packing is only ever built under it).
-    fn admissible(engine: &mut VerdictEngine<'_>, plan: &SweepPlan, route: Route) -> bool {
-        let acyclic = engine.analysis.as_ref().is_some_and(|a| a.acyclic);
-        let box_fits = engine.point_volume().is_some_and(|v| v <= DIRECT_INDEX_CAP);
+    /// Whether `route` can decide points of `engine`'s CRN under `plan`: a
+    /// terminal scan needs the acyclicity certificate, and the packed one
+    /// a packing (only ever built under the certificate).
+    fn admissible(engine: &VerdictEngine<'_>, plan: &SweepPlan, route: Route) -> bool {
         match route {
-            Route::HullMemo => plan.hull_spec.is_some(),
-            Route::PackedDenseScan => plan.packed.as_ref().is_some_and(|p| p.dense_volume > 0),
-            Route::PackedHashScan => plan.packed.is_some(),
-            Route::DirectScan => box_fits && acyclic,
-            Route::DirectFold => box_fits,
-            Route::HashScan => acyclic,
-            Route::HashFold => true,
+            Route::PackedScan => plan.packed.is_some(),
+            Route::HashScan => engine.analysis.as_ref().is_some_and(|a| a.acyclic),
+            Route::Verdict => true,
         }
     }
 
-    /// Decides every point of `[0, bound]` on every admissible route — each
-    /// route with its own plan and cache, swept in box order so later points
-    /// meet summaries of earlier ones as virtual children — and compares
-    /// with the reference engine: `Ok(true)` exactly when the reference
-    /// verdict is correct, otherwise a reference failure or the identical
-    /// error.  The one exception is a stubborn-set scan, which stores fewer
-    /// configurations than the reference: it may pass a point past the
-    /// limit, and the reference must then pass it at a raised limit.  Every
-    /// scan codec fires the same stubborn sets in the same order, so all of
-    /// them store the same number of configurations at each point.  The
-    /// reference verdict comes from `Condensation::rebuild` plus
-    /// `fold_into`, so the fold routes are held to exactly those folds.
+    /// Decides every point of `[0, bound]` on every admissible route and
+    /// compares with the reference engine: `Ok(true)` exactly when the
+    /// reference verdict is correct, otherwise a reference failure or the
+    /// identical error.  The one exception is a stubborn-set scan, which
+    /// stores fewer configurations than the reference: it may pass a point
+    /// past the limit, and the reference must then pass it at a raised
+    /// limit.  Both scan codecs fire the same stubborn sets in the same
+    /// order, so they store the same number of configurations at each
+    /// point.
     fn routes_match_reference(crn: &FunctionCrn, f: impl Fn(&NVec) -> u64, bound: u64) {
         const LIMIT: usize = 300;
         const RAISED: usize = 300_000;
         let analysis = VerdictEngine::analyze(crn);
+        let plan = SweepPlan::build(crn, &analysis, bound);
         let mut reference = VerdictEngine::reference(crn);
         let mut scanned: HashMap<NVec, u64> = HashMap::new();
         for route in ROUTES {
-            let scan = matches!(
-                route,
-                Route::PackedDenseScan
-                    | Route::PackedHashScan
-                    | Route::DirectScan
-                    | Route::HashScan
-            );
-            let plan = SweepPlan::build(crn, &analysis, bound, LIMIT);
+            let scan = route != Route::Verdict;
             let mut engine = VerdictEngine::with_analysis(crn, Some(Arc::clone(&analysis)));
+            if !admissible(&engine, &plan, route) {
+                continue;
+            }
             engine.route_override = Some(route);
-            let mut cache = MemoCache::default();
-            let (mut pending, mut stats) = (Vec::new(), BoxCheckStats::default());
+            let mut stats = BoxCheckStats::default();
             for x in NVec::box_iter(crn.dim(), bound) {
-                engine.build_start(&x);
-                if !admissible(&mut engine, &plan, route) {
-                    continue;
-                }
                 let expected = f(&x);
                 let before = stats.configs_explored;
-                let decided = engine.decide(
-                    &x,
-                    expected,
-                    LIMIT,
-                    &plan,
-                    Some(&mut cache),
-                    &mut pending,
-                    &mut stats,
-                );
+                let decided = engine.decide(&x, expected, LIMIT, &plan, &mut stats);
                 if scan {
                     let stored = stats.configs_explored - before;
                     let first = *scanned.entry(x.clone()).or_insert(stored);

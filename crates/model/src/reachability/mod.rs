@@ -22,12 +22,13 @@
 //!   queries behind a verdict (max/min reachable output, recoverability)
 //!   each become one linear pass over the components in reverse topological
 //!   order instead of an iterate-until-stable fixpoint;
-//! * the **exploration engine** (internal) — two generic traversals, one
-//!   breadth-first and one depth-first with Tarjan inline, over interchangeable
-//!   state codecs (hash-interned, mixed-radix coded, byte-packed), each
-//!   driving a visitor that builds the graph or decides the verdict; the
-//!   decision for certified-acyclic CRNs fires only stubborn sets, which
-//!   keep every reachable terminal configuration;
+//! * the **exploration engine** (internal) — one generic breadth-first
+//!   traversal over two state codecs (hash-interned count vectors, or one
+//!   byte-packed word per configuration), driving a visitor that builds the
+//!   graph or scans for bad terminal configurations; the scan decides
+//!   certified-acyclic CRNs and fires only stubborn sets, which keep every
+//!   reachable terminal configuration, and every other point takes the full
+//!   verdict;
 //! * [`check_on_box`] / [`BoxCheck`] — a **parallel driver** sharding the
 //!   input box across scoped threads with a deterministic,
 //!   lexicographically-first result.
@@ -35,7 +36,6 @@
 mod arena;
 mod csr;
 mod engine;
-mod memo;
 mod parallel;
 mod scc;
 mod stubborn;
@@ -76,9 +76,9 @@ impl Default for ReachabilityLimits {
 }
 
 /// Observability counters for one box sweep: how many points the engine
-/// actually explored versus decided statically, served from the cross-point
-/// cache, or skipped as symmetry replays.  Returned by [`BoxCheck::run`] and
-/// surfaced by `crn verify --stats`.
+/// actually explored versus decided statically or skipped as symmetry
+/// replays.  Returned by [`BoxCheck::run`] and surfaced by `crn verify
+/// --stats`.
 ///
 /// The counters never influence verdicts; they exist so the effect of each
 /// incremental layer is measurable on real sweeps.
@@ -95,60 +95,23 @@ pub struct BoxCheckStats {
     pub static_pass: u64,
     /// Points decided `Fail` by the static interval analysis alone.
     pub static_fail: u64,
-    /// Points settled by an exploration: a decision pass (including memo
-    /// runs that populated or consulted the cache), or a full verdict on the
-    /// reference engine.
+    /// Points settled by an exploration: a terminal scan, or a full
+    /// verdict.
     pub decided: u64,
-    /// Points whose decision came at least partly from cached summaries (a
-    /// root-level cache hit, or a frontier that hit summarized territory).
-    pub cache_served: u64,
     /// Configurations materialized across every exploration of the sweep.
     pub configs_explored: u64,
-    /// Lookups into the cross-point summary cache.
-    pub cache_lookups: u64,
-    /// Lookups that found a summary.
-    pub cache_hits: u64,
-    /// Distinct summaries held by the largest per-worker cache at the end of
-    /// the sweep.
-    pub cache_entries: u64,
-    /// Component summaries discarded unpublished because their memoizing
-    /// exploration errored out (the error, not the summaries, is the
-    /// exploration's result; publishing partial work could differ between
-    /// worker interleavings).
-    pub publish_suppressed: u64,
 }
 
 impl BoxCheckStats {
-    /// The fraction of cache lookups that hit, or 0.0 for a sweep that never
-    /// looked (cache disabled or no decision pass ran).
-    #[must_use]
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.cache_lookups == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.cache_hits as f64 / self.cache_lookups as f64
-            }
-        }
-    }
-
-    /// Folds one worker's counters into the sweep totals.  `points` is set
-    /// once by the driver, and `cache_entries` reports the largest per-worker
-    /// cache (entries are duplicated across workers by the shared log, so
-    /// summing would double-count).
+    /// Folds one worker's counters into the sweep totals; `points` is set
+    /// once by the driver.
     fn merge(&mut self, other: &BoxCheckStats) {
         self.evaluated += other.evaluated;
         self.symmetry_skipped += other.symmetry_skipped;
         self.static_pass += other.static_pass;
         self.static_fail += other.static_fail;
         self.decided += other.decided;
-        self.cache_served += other.cache_served;
         self.configs_explored += other.configs_explored;
-        self.cache_lookups += other.cache_lookups;
-        self.cache_hits += other.cache_hits;
-        self.cache_entries = self.cache_entries.max(other.cache_entries);
-        self.publish_suppressed += other.publish_suppressed;
     }
 }
 
@@ -184,7 +147,7 @@ impl ReachabilityGraph {
         let stride = arena::stride_for(compiled.stride(), start);
         let start_dense = arena::to_dense(start, stride).expect("stride covers start");
         let mut state = ExploreState::default();
-        state.graph(&compiled, &start_dense, None, limits.max_configurations)?;
+        state.graph(&compiled, &start_dense, limits.max_configurations)?;
         Ok(ReachabilityGraph {
             arena: state.store.arena,
             csr: state.csr,
@@ -308,11 +271,7 @@ pub fn check_stable_computation(
     expected_output: u64,
     max_configurations: usize,
 ) -> Result<StableComputationVerdict, CrnError> {
-    VerdictEngine::with_analysis(crn, Some(VerdictEngine::analyze(crn))).check(
-        x,
-        expected_output,
-        max_configurations,
-    )
+    VerdictEngine::reference(crn).check(x, expected_output, max_configurations)
 }
 
 /// Checks stable computation of `f` on every input in the box `[0, bound]^d`,
@@ -321,21 +280,20 @@ pub fn check_stable_computation(
 ///
 /// The scan runs the *incremental* box engine: it decides points statically
 /// from the interval analysis where it can, skips inputs whose symmetry
-/// orbit already contains a checked representative, and explores the rest
-/// through the cheapest state codec the analysis admits.  Certified-acyclic
-/// CRNs take a terminal scan that fires only stubborn sets; other CRNs
-/// memoize per-component output-set summaries across box points (keyed by
-/// the box-wide hull code, shared across workers) when the conservation
-/// laws allow cross-point hits.  Box points are decoded from a mixed-radix
-/// index on demand, so the sweep allocates `O(1)` memory in the box size.
-/// The result is nonetheless bit-identical to [`BoxCheck::reference`] — the
-/// first failing verdict in lexicographic input order, the same one a
-/// sequential unpruned scan would return, byte identical failure messages
-/// and errors included — or `Ok(None)` if all inputs pass, wherever the
-/// reference finishes within `max_configurations`.  The limit bounds the
-/// configurations each exploration stores, and the terminal scan stores
-/// fewer than the reference, so it may pass a point the reference gives up
-/// on.
+/// orbit already contains a checked representative, and explores the rest.
+/// Certified-acyclic CRNs take a terminal scan that fires only stubborn
+/// sets, on one byte-packed word per configuration when the box-wide
+/// interval hull fits 7-bit lanes; every other point takes the full verdict
+/// of [`check_stable_computation`].  Box points are decoded from a
+/// mixed-radix index on demand, so the sweep allocates `O(1)` memory in the
+/// box size.  The result is nonetheless bit-identical to
+/// [`BoxCheck::reference`] — the first failing verdict in lexicographic
+/// input order, the same one a sequential unpruned scan would return, byte
+/// identical failure messages and errors included — or `Ok(None)` if all
+/// inputs pass, wherever the reference finishes within
+/// `max_configurations`.  The limit bounds the configurations each
+/// exploration stores, and the terminal scan stores fewer than the
+/// reference, so it may pass a point the reference gives up on.
 ///
 /// # Errors
 ///
@@ -532,7 +490,7 @@ fn target_search(
         return Ok(false);
     }
     let mut state = ExploreState::default();
-    state.graph(&compiled, &start_dense, None, max_configurations)?;
+    state.graph(&compiled, &start_dense, max_configurations)?;
     Ok(state.store.arena.lookup(&target_dense).is_some())
 }
 
@@ -745,8 +703,8 @@ mod tests {
     fn pruned_box_check_matches_reference_on_cyclic_crns() {
         // `X -> Y; Y -> X` cycles forever, so no positive input ever
         // stabilizes: the T-invariant acyclicity certificate does not apply
-        // and the pruned scan takes the fused exploration-plus-Tarjan
-        // decision path.  Both the failing box and the passing one (the
+        // and the pruned scan decides each explored point by the full
+        // verdict.  Both the failing box and the passing one (the
         // identity-on-zero slice) must match the reference bit for bit.
         let mut crn = Crn::new();
         crn.parse_reaction("X -> Y").unwrap();
@@ -774,11 +732,10 @@ mod tests {
     }
 
     /// The sum gadget `X1 -> Y; X2 -> Y` plus the dead cycle `A -> B;
-    /// B -> A`: symmetric in its inputs, and conserving `X1 + X2 + Y` —
-    /// which leaves the input-law rank at 1 < 2, so the cross-point cache
-    /// stays enabled.  `A` and `B` start empty and nothing produces them, so
-    /// the cycle changes no reachable set, but it voids the acyclicity
-    /// certificate: the sweep takes the memo fold, not the terminal scan.
+    /// B -> A`: symmetric in its inputs.  `A` and `B` start empty and
+    /// nothing produces them, so the cycle changes no reachable set, but it
+    /// voids the acyclicity certificate: the sweep decides by full
+    /// verdicts, not the terminal scan.
     fn cyclic_sum_crn() -> FunctionCrn {
         let mut crn = Crn::new();
         for reaction in ["X1 -> Y", "X2 -> Y", "A -> B", "B -> A"] {
@@ -799,12 +756,6 @@ mod tests {
         // images.
         assert_eq!(stats.symmetry_skipped, 3);
         assert_eq!(stats.evaluated + stats.symmetry_skipped, stats.points);
-        // Later points stop their expansions on summaries cached by earlier
-        // ones (e.g. (1,1) hits territory summarized under (0,1) and (0,2)).
-        assert!(stats.cache_hits > 0, "no cache hits: {stats:?}");
-        assert!(stats.cache_entries > 0);
-        assert!(stats.cache_lookups >= stats.cache_hits);
-        assert!(stats.cache_hit_rate() > 0.0);
         // Every evaluated point is accounted to exactly one engine pass.
         assert_eq!(
             stats.static_pass + stats.static_fail + stats.decided,
@@ -818,11 +769,9 @@ mod tests {
     #[test]
     fn truncated_explorations_never_populate_the_cache() {
         // With a limit of 2 configurations: (0,0) passes statically, (0,1)
-        // explores exactly 2 configurations and publishes their summaries,
-        // (1,0) is a symmetry replay of (0,1), and (1,1) — 4 reachable
-        // configurations — blows the limit mid-exploration.  The truncated
-        // run must discard its partial summaries, leaving exactly the two
-        // entries (0,1) published, and the sweep must surface the identical
+        // explores exactly 2 configurations, (1,0) is a symmetry replay of
+        // (0,1), and (1,1) — 4 reachable configurations — blows the limit
+        // mid-exploration.  The sweep must surface the identical
         // (lexicographically-first) error the reference scan produces.
         let sum = cyclic_sum_crn();
         let f = |x: &NVec| x[0] + x[1];
@@ -831,10 +780,6 @@ mod tests {
         assert_eq!(result, reference);
         result.unwrap_err();
         assert_eq!(stats.symmetry_skipped, 1);
-        assert_eq!(
-            stats.cache_entries, 2,
-            "the truncated run at (1,1) must not leak summaries: {stats:?}"
-        );
     }
 
     #[test]
@@ -862,10 +807,10 @@ mod tests {
     }
 
     #[test]
-    fn acyclic_sweeps_explore_identically_at_every_worker_count() {
-        // Every point's stubborn sets depend on its configurations alone, so
-        // certified-acyclic sweeps store the same configurations whichever
-        // worker expands them.
+    fn sweeps_explore_identically_at_every_worker_count() {
+        // Every point's stubborn sets depend on its configurations alone,
+        // and full verdicts share nothing across points, so a passing sweep
+        // stores the same configurations whichever worker expands them.
         fn sweep_at_1_2_4(crn: &FunctionCrn, f: fn(&NVec) -> u64, bound: u64) {
             let (first, first_stats) = stats_scan(crn, f, bound, 100_000, 1);
             for workers in [2, 4] {
@@ -880,6 +825,7 @@ mod tests {
         sweep_at_1_2_4(&max, |x| x[0].max(x[1]), 12);
         sweep_at_1_2_4(&examples::min_crn(), |x| x[0].min(x[1]), 12);
         sweep_at_1_2_4(&max, |x| x[0] + x[1], 6);
+        sweep_at_1_2_4(&cyclic_sum_crn(), |x| x[0] + x[1], 6);
     }
 
     #[test]

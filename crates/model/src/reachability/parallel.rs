@@ -26,7 +26,6 @@ use crate::error::CrnError;
 use crate::function::FunctionCrn;
 
 use super::engine::{StaticOutcome, SweepPlan, VerdictEngine};
-use super::memo::{MemoCache, Summary};
 use super::{BoxCheckStats, StableComputationVerdict};
 
 /// One input's outcome: the check failed, or the search errored out.
@@ -107,12 +106,11 @@ pub(super) fn check_on_box_sharded(
     let workers = workers.clamp(1, usize::try_from(total).unwrap_or(usize::MAX).max(1));
 
     // Everything point-independent is computed once for the whole sweep: the
-    // static analysis and the plan (hull code space, packed spec, input
-    // automorphisms, shared cache log).
+    // static analysis and the plan (packed spec, input automorphisms).
     let shared_analysis = (!reference).then(|| VerdictEngine::analyze(crn));
     let plan = shared_analysis
         .as_ref()
-        .map(|analysis| SweepPlan::build(crn, analysis, bound, max_configurations));
+        .map(|analysis| SweepPlan::build(crn, analysis, bound));
     let make_engine = || match &shared_analysis {
         Some(analysis) => VerdictEngine::with_analysis(crn, Some(Arc::clone(analysis))),
         None => VerdictEngine::reference(crn),
@@ -141,11 +139,6 @@ pub(super) fn check_on_box_sharded(
     // its statistics.
     let run_worker = || -> (Option<(u64, BadPoint)>, BoxCheckStats) {
         let mut engine = make_engine();
-        let mut cache = plan
-            .as_ref()
-            .is_some_and(|p| p.cache_enabled)
-            .then(MemoCache::default);
-        let mut pending: Vec<(u64, Summary)> = Vec::new();
         let mut x = NVec::zeros(dim);
         let mut y = NVec::zeros(dim);
         let mut stats = BoxCheckStats::default();
@@ -241,15 +234,7 @@ pub(super) fn check_on_box_sharded(
                             // An error (it would recur identically at
                             // materialization) counts as not passing.
                             engine
-                                .decide(
-                                    &x,
-                                    expected,
-                                    max_configurations,
-                                    plan,
-                                    cache.as_mut(),
-                                    &mut pending,
-                                    &mut stats,
-                                )
+                                .decide(&x, expected, max_configurations, plan, &mut stats)
                                 .unwrap_or(false)
                         }
                     }
@@ -262,11 +247,6 @@ pub(super) fn check_on_box_sharded(
                 first_bad.fetch_min(i, Ordering::AcqRel);
                 break;
             }
-        }
-        if let Some(cache) = &cache {
-            stats.cache_lookups = cache.lookups;
-            stats.cache_hits = cache.hits;
-            stats.cache_entries = u64::try_from(cache.len()).expect("usize fits u64");
         }
         // One registry flush per worker, after the scan: the hot loop above
         // only touches local counters.
@@ -340,7 +320,7 @@ pub(super) fn check_on_box_sharded(
 }
 
 /// Publishes one sweep's merged counters into the observability registry
-/// (names under `model.box.*` / `model.memo.*`); no-op unless profiling is
+/// (names under `model.box.*`); no-op unless profiling is
 /// enabled.  Counts mirror [`BoxCheckStats`] and accumulate across sweeps.
 fn publish_sweep_metrics(stats: &BoxCheckStats, workers: usize) {
     if !crn_obs::enabled() {
@@ -353,12 +333,7 @@ fn publish_sweep_metrics(stats: &BoxCheckStats, workers: usize) {
     crn_obs::add("model.box.static_pass", stats.static_pass);
     crn_obs::add("model.box.static_fail", stats.static_fail);
     crn_obs::add("model.box.decided", stats.decided);
-    crn_obs::add("model.box.cache_served", stats.cache_served);
     crn_obs::add("model.box.configs_explored", stats.configs_explored);
-    crn_obs::add("model.memo.lookups", stats.cache_lookups);
-    crn_obs::add("model.memo.hits", stats.cache_hits);
-    crn_obs::add("model.memo.publish_suppressed", stats.publish_suppressed);
-    crn_obs::gauge_max("model.memo.entries", stats.cache_entries);
     crn_obs::gauge_max(
         "model.box.workers",
         u64::try_from(workers).unwrap_or(u64::MAX),

@@ -16,13 +16,13 @@
 //! when profiling is enabled.  Counter values for interleaving-independent
 //! quantities (points evaluated, simulation steps, trials) are identical at
 //! every worker count because workers accumulate locally and the merge is
-//! commutative addition; timing values and cache-interleaving counters are
-//! measurements, not contracts.
+//! commutative addition; timing values and counters of per-worker state
+//! (arena collisions and grows) are measurements, not contracts.
 //!
 //! # Metric naming
 //!
 //! Names are dot-separated `<crate>.<subsystem>.<metric>` (for example
-//! `model.box.points`, `sim.steps`, `model.memo.hits`).  Span paths are
+//! `model.box.points`, `sim.steps`, `model.arena.grows`).  Span paths are
 //! "/"-joined span names, innermost last (`cli.verify/model.box.sweep`).
 //!
 //! # Usage

@@ -102,7 +102,7 @@ pub mod thread {
 /// Locks `mutex`, recovering the guard if a panicking thread poisoned it.
 ///
 /// This is the facade's documented poisoning policy (see the crate docs):
-/// metrics and memo logs must never turn one panic into a second one, and
+/// metrics and logs must never turn one panic into a second one, and
 /// every facade-guarded structure tolerates a torn critical section.  Under
 /// `--cfg crn_model_check` the same recovery runs against the shim mutex, so
 /// model-checked protocols exercise the identical policy.

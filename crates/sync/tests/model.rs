@@ -4,11 +4,11 @@
 //! Run with `RUSTFLAGS='--cfg crn_model_check' cargo test -p crn-sync --test
 //! model`; under a normal build this file compiles to nothing.  Each test
 //! drives a 2–3 thread miniature of a load-bearing protocol — the
-//! `parallel.rs` cursor + `first_bad` reduction, the memo `SharedLog`
-//! publish path, the `crn_obs` registry (the *real* `Registry`, via the
-//! dev-dependency) — through every schedule within the stated preemption
-//! bound, plus litmus tests pinning the memory model and negative tests
-//! proving a seeded ordering bug is caught with a replayable trace.
+//! `parallel.rs` cursor + `first_bad` reduction, a release/acquire publish,
+//! the `crn_obs` registry (the *real* `Registry`, via the dev-dependency) —
+//! through every schedule within the stated preemption bound, plus litmus
+//! tests pinning the memory model and negative tests proving a seeded
+//! ordering bug is caught with a replayable trace.
 //!
 //! Tests print their explored-execution counts (`cargo test ... --
 //! --nocapture`); EXPERIMENTS.md E21 records the reference numbers.
@@ -102,56 +102,9 @@ fn first_bad_reduction_tolerates_relaxed() {
     );
 }
 
-/// The memo `SharedLog` soundness invariant (`memo.rs`): a worker that
-/// truncates its exploration discards its pending summaries — under no
-/// interleaving can other workers observe them, while a completed worker's
-/// batch is always published exactly once.
-#[test]
-fn memo_truncation_never_publishes() {
-    let report = Checker::new().check("memo_truncation_never_publishes", || {
-        // (code, summary-value) pairs; the log is append-only like SharedLog.
-        let log: Mutex<Vec<(u64, u64)>> = Mutex::new(Vec::new());
-        thread::scope(|scope| {
-            // Complete worker: finishes its component, publishes.
-            scope.spawn(|| {
-                let pending = vec![(7u64, 42u64)];
-                let truncated = false;
-                if !truncated {
-                    lock_recover(&log).extend(pending);
-                }
-            });
-            // Truncated worker: blows the exploration budget mid-component
-            // and must drop, not publish, its pending batch.
-            scope.spawn(|| {
-                let mut pending = vec![(9u64, 13u64)];
-                let budget = 1usize;
-                let explored = 2usize;
-                let truncated = explored > budget;
-                if truncated {
-                    pending.clear();
-                }
-                if !truncated {
-                    lock_recover(&log).extend(pending);
-                }
-            });
-        });
-        let entries = lock_recover(&log);
-        assert_eq!(
-            entries.as_slice(),
-            &[(7, 42)],
-            "only the completed component is ever published"
-        );
-    });
-    assert!(!report.truncated);
-    eprintln!(
-        "E21 memo publish suppression (bound 2): {} executions",
-        report.executions
-    );
-}
-
-/// The memo publish path's ordering contract in miniature: a summary slot
-/// written `Relaxed` is published by a `Release` flag store, and an
-/// `Acquire` reader that sees the flag must see the summary.  Passes
+/// The message-passing publish contract in miniature: a slot written
+/// `Relaxed` is published by a `Release` flag store, and an `Acquire`
+/// reader that sees the flag must see the slot.  Passes
 /// exhaustively; `relaxed_publish_downgrade_is_caught` below proves the
 /// same test fails when the pairing is downgraded.
 #[test]
