@@ -19,8 +19,9 @@ use crn_core::scaling::InfinityScaling;
 use crn_core::spec::{EventuallyMin, ObliviousSpec};
 use crn_core::synthesis::{quilt_crn, synthesize};
 use crn_geometry::Arrangement;
+use crn_model::analysis::CrnAnalysis;
 use crn_model::compose::concatenate;
-use crn_model::{examples, BoxCheck, Configuration, FunctionCrn};
+use crn_model::{examples, BoxCheck, FunctionCrn};
 use crn_numeric::{NVec, QVec, Rational};
 use crn_popproto::run_pairwise;
 use crn_semilinear::examples as sl;
@@ -302,66 +303,6 @@ fn time_repeats<T>(repeats: u32, mut work: impl FnMut() -> T) -> (f64, T) {
     (start.elapsed().as_secs_f64().max(1e-12), last)
 }
 
-/// The E17 query sweep with the invariant oracle: for every `(x1, x2)` in
-/// `[0, bound]^2`, is the pure configuration `{Y: x1 + x2}` reachable from
-/// `I_(x1, x2)` of the `max` CRN?  The conservation laws `X1 + Y - Z2 - K`
-/// and `X2 + Y - Z1 - K` refute every point except the origin without
-/// exploring a single configuration, so this measures the static
-/// short-circuit.  Returns the per-point verdicts in row-major order.
-#[must_use]
-pub fn e17_box_oracle(bound: u64) -> Vec<bool> {
-    e17_box_verdicts(bound, crn_model::target_reachable)
-}
-
-/// The E17 query sweep on the exhaustive engine (no oracle): every query
-/// explores the full state space of `I_(x1, x2)` before answering.
-#[must_use]
-pub fn e17_box_exhaustive(bound: u64) -> Vec<bool> {
-    e17_box_verdicts(bound, crn_model::target_reachable_exhaustive)
-}
-
-fn e17_box_verdicts(
-    bound: u64,
-    decide: impl Fn(
-        &crn_model::Crn,
-        &Configuration,
-        &Configuration,
-        usize,
-    ) -> Result<bool, crn_model::CrnError>,
-) -> Vec<bool> {
-    let max = examples::max_crn();
-    let y = max.output();
-    let mut verdicts = Vec::with_capacity(((bound + 1) * (bound + 1)) as usize);
-    for x1 in 0..=bound {
-        for x2 in 0..=bound {
-            let start = max
-                .initial_configuration(&NVec::from(vec![x1, x2]))
-                .expect("in range");
-            let target = Configuration::from_counts(vec![(y, x1 + x2)]);
-            verdicts.push(decide(max.crn(), &start, &target, 1_000_000).expect("fits"));
-        }
-    }
-    verdicts
-}
-
-/// E17 headline measurement: queries/sec for the `max` box sweep with the
-/// invariant oracle versus the exhaustive engine.  Returns
-/// `(oracle_queries_per_sec, exhaustive_queries_per_sec, speedup,
-/// verdicts_identical)`.
-#[must_use]
-pub fn e17_box_check(bound: u64, repeats: u32) -> (f64, f64, f64, bool) {
-    let queries = f64::from(repeats) * ((bound + 1) * (bound + 1)) as f64;
-    let (oracle_secs, oracle_verdicts) = time_repeats(repeats, || e17_box_oracle(bound));
-    let (exhaustive_secs, exhaustive_verdicts) =
-        time_repeats(repeats, || e17_box_exhaustive(bound));
-    (
-        queries / oracle_secs,
-        queries / exhaustive_secs,
-        exhaustive_secs / oracle_secs,
-        oracle_verdicts == exhaustive_verdicts,
-    )
-}
-
 /// The E19 headline workload: the incremental box check (static verdicts,
 /// symmetry orbits, the packed stubborn-set terminal scan) of the `max` CRN
 /// against `max(x1, x2)` on `[0, bound]^2`.  Pinned to one worker
@@ -369,7 +310,8 @@ pub fn e17_box_check(bound: u64, repeats: u32) -> (f64, f64, f64, bool) {
 #[must_use]
 pub fn e19_box_incremental(bound: u64) -> Option<crn_model::StableComputationVerdict> {
     let max = examples::max_crn();
-    let sweep = BoxCheck::new(&max, |x| x[0].max(x[1]), bound, 1_000_000);
+    let analysis = CrnAnalysis::of(&max);
+    let sweep = BoxCheck::new(&analysis, |x| x[0].max(x[1]), bound, 1_000_000);
     sweep.workers(1).run().0.expect("fits")
 }
 
@@ -378,7 +320,8 @@ pub fn e19_box_incremental(bound: u64) -> Option<crn_model::StableComputationVer
 #[must_use]
 pub fn e19_box_reference(bound: u64) -> Option<crn_model::StableComputationVerdict> {
     let max = examples::max_crn();
-    let sweep = BoxCheck::new(&max, |x| x[0].max(x[1]), bound, 1_000_000);
+    let analysis = CrnAnalysis::of(&max);
+    let sweep = BoxCheck::new(&analysis, |x| x[0].max(x[1]), bound, 1_000_000);
     sweep.reference().workers(1).run().0.expect("fits")
 }
 
@@ -838,20 +781,6 @@ mod tests {
     }
 
     #[test]
-    fn e17_oracle_and_exhaustive_verdicts_are_bit_identical() {
-        let verdicts = e17_box_oracle(2);
-        // Only the origin query (target {Y: 0}, all counts zero besides the
-        // untouched debris) is reachable; every other point is refuted.
-        assert_eq!(verdicts.len(), 9);
-        assert_eq!(verdicts.iter().filter(|&&v| v).count(), 1);
-        assert!(verdicts[0], "origin query must be reachable");
-        assert_eq!(verdicts, e17_box_exhaustive(2));
-        let (oracle_qps, exhaustive_qps, speedup, identical) = e17_box_check(2, 1);
-        assert!(identical, "oracle changed a verdict");
-        assert!(oracle_qps > 0.0 && exhaustive_qps > 0.0 && speedup > 0.0);
-    }
-
-    #[test]
     fn e19_box_check_engines_are_bit_identical() {
         let (incremental_vps, reference_vps, speedup, identical) = e19_box_check(2, 1);
         assert!(identical, "incremental and reference box verdicts diverged");
@@ -860,7 +789,8 @@ mod tests {
         // failure, byte for byte — through the symmetry-replay path (min is
         // input-symmetric, so the box is orbit-reduced).
         let min = examples::min_crn();
-        let sweep = BoxCheck::new(&min, |x| x[0].max(x[1]), 2, 100_000).workers(1);
+        let analysis = CrnAnalysis::of(&min);
+        let sweep = BoxCheck::new(&analysis, |x| x[0].max(x[1]), 2, 100_000).workers(1);
         let incremental = sweep.run().0.unwrap();
         let reference = sweep.reference().run().0.unwrap();
         assert_eq!(incremental, reference);

@@ -2,7 +2,7 @@
 
 use crate::args::Args;
 use crate::commands::lint::{LintNote, LintReport};
-use crate::commands::{resolve_target, usage_error, EXIT_OK, EXIT_USAGE, EXIT_VERDICT};
+use crate::commands::{huge_box, resolve_target, usage_error, EXIT_OK, EXIT_USAGE, EXIT_VERDICT};
 use crate::json::Json;
 use crate::workspace::Workspace;
 
@@ -50,6 +50,31 @@ pub fn run(raw: &[String]) -> i32 {
                 continue;
             }
         };
+        let huge = ws
+            .fns
+            .iter()
+            .map(|(_, f)| f.dim())
+            .chain(ws.specs.iter().map(|(_, spec)| spec.dim()))
+            .chain(
+                ws.crns
+                    .iter()
+                    .filter(|(_, lowered)| lowered.computes.is_some())
+                    .map(|(_, lowered)| lowered.crn.dim()),
+            )
+            .find_map(|dim| huge_box(bound, dim));
+        if let Some(message) = huge {
+            exit = exit.max(EXIT_USAGE);
+            if args.switch("json") {
+                reports.push(Json::obj(vec![
+                    ("file", Json::str(path.as_str())),
+                    ("ok", Json::Bool(false)),
+                    ("problems", Json::Arr(vec![Json::str(message.as_str())])),
+                ]));
+            } else {
+                usage_error(&message);
+            }
+            continue;
+        }
         let mut problems: Vec<String> = Vec::new();
         for (name, f) in &ws.fns {
             if let Err(e) = f.validate_on_box(bound) {
@@ -75,7 +100,7 @@ pub fn run(raw: &[String]) -> i32 {
                 }
             }
         }
-        let summary = crate::commands::lint::collect(&ws);
+        let summary = crate::commands::lint::collect(&ws, &ws.analyses());
         let warnings = summary.warnings;
         if args.switch("json") {
             reports.push(Json::obj(vec![

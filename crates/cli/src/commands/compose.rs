@@ -100,7 +100,7 @@ pub fn run(raw: &[String]) -> i32 {
     // dead or an output that a stage still consumes are exactly the defects
     // composition can introduce.  Warnings go to stderr because stdout
     // carries the composed document.
-    let summary = crate::commands::lint::collect(&ws);
+    let summary = crate::commands::lint::collect(&ws, &ws.analyses());
     let warnings: Vec<LintReport> = summary
         .warnings
         .into_iter()

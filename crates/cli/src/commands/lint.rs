@@ -8,7 +8,7 @@
 
 use crn_lang::ast::Item;
 use crn_lang::span::{Diagnostic, Span};
-use crn_model::analysis::lint_full;
+use crn_model::analysis::CrnAnalysis;
 
 use crate::args::Args;
 use crate::commands::{usage_error, EXIT_OK, EXIT_USAGE, EXIT_VERDICT};
@@ -70,16 +70,17 @@ pub(crate) struct LintSummary {
     pub notes: Vec<LintNote>,
 }
 
-/// Runs every analysis lint over every `crn`/`pipeline` item of `ws`,
+/// Runs every analysis lint over every `crn`/`pipeline` item of `ws`, each
+/// through its analysis in `analyses` (see [`Workspace::analyses`]),
 /// anchoring each finding to the most specific source span available:
 /// the offending reaction when the lint is reaction-anchored, the `output`
 /// declaration for output-starvation findings, the first reaction mentioning
 /// the species for dead-species findings, and the whole item otherwise
 /// (composed pipelines have no per-reaction source).
-pub(crate) fn collect(ws: &Workspace) -> LintSummary {
+pub(crate) fn collect(ws: &Workspace, analyses: &[CrnAnalysis<'_>]) -> LintSummary {
     let mut reports = Vec::new();
     let mut notes = Vec::new();
-    for (name, lowered) in &ws.crns {
+    for ((name, lowered), analysis) in ws.crns.iter().zip(analyses) {
         let ast = ws
             .doc
             .items
@@ -90,7 +91,7 @@ pub(crate) fn collect(ws: &Workspace) -> LintSummary {
             Some(Item::Crn(ci)) => Some(ci),
             _ => None,
         };
-        let outcome = lint_full(&lowered.crn);
+        let outcome = analysis.lint();
         for message in outcome.notes {
             notes.push(LintNote {
                 item: name.clone(),
@@ -186,7 +187,7 @@ pub fn run(raw: &[String]) -> i32 {
                 continue;
             }
         };
-        let summary = collect(&ws);
+        let summary = collect(&ws, &ws.analyses());
         if args.switch("json") {
             reports.push(Json::obj(vec![
                 ("file", Json::str(path.as_str())),

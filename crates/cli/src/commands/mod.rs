@@ -46,6 +46,18 @@ pub(crate) fn usage_error(message: &str) -> i32 {
     EXIT_USAGE
 }
 
+/// Why `--bound` is refused for an item of dimension `dim`, if it is: a box
+/// `[0, bound]^dim` with more points than fit in `u64` (see
+/// [`crn_model::reachability::box_point_count`]) cannot be swept, so
+/// `verify`, `check` and `profile` exit 2 on it before doing any work.
+pub(crate) fn huge_box(bound: u64, dim: usize) -> Option<String> {
+    crn_model::reachability::box_point_count(dim, bound)
+        .is_none()
+        .then(|| {
+            format!("`--bound {bound}` is too large: [0, {bound}]^{dim} has more than 2^64 points")
+        })
+}
+
 /// Resolves the `computes` link of a crn item (existence + dimension check
 /// only; no box validation).  Returns a human-readable problem on failure.
 pub(crate) fn resolve_link<'a>(

@@ -1,13 +1,13 @@
 //! `crn profile`: check, verify and sim back to back, with a per-phase
 //! breakdown.
 
-use crn_model::check_on_box;
+use crn_model::BoxCheck;
 use crn_numeric::NVec;
 use crn_sim::Ensemble;
 
 use crate::args::Args;
 use crate::commands::{
-    load_or_usage, resolve_link, resolve_target, usage_error, EXIT_OK, EXIT_VERDICT,
+    huge_box, load_or_usage, resolve_link, resolve_target, usage_error, EXIT_OK, EXIT_VERDICT,
 };
 use crate::json::Json;
 
@@ -194,10 +194,21 @@ fn phases(
             )));
         }
     }
+    let verified = |name: &str| item.map_or(true, |only| only == name);
+    if let Some(message) = ws
+        .crns
+        .iter()
+        .filter(|(name, lowered)| verified(name) && lowered.computes.is_some())
+        .find_map(|(_, lowered)| huge_box(bound, lowered.crn.dim()))
+    {
+        return Err(usage_error(&message));
+    }
     let mut report = PhaseReport::default();
+    // One analysis per crn item serves both the check and verify phases.
+    let analyses = ws.analyses();
     let summary = {
         let _span = crn_obs::span("check");
-        crate::commands::lint::collect(&ws)
+        crate::commands::lint::collect(&ws, &analyses)
     };
     for warning in &summary.warnings {
         eprintln!(
@@ -212,8 +223,8 @@ fn phases(
     let mut exit = EXIT_OK;
     {
         let _span = crn_obs::span("verify");
-        for (name, lowered) in &ws.crns {
-            if item.is_some_and(|only| only != name) {
+        for ((name, lowered), analysis) in ws.crns.iter().zip(&analyses) {
+            if !verified(name) {
                 continue;
             }
             let Some(computes) = lowered.computes.as_deref() else {
@@ -224,10 +235,8 @@ fn phases(
                 Err(_) => false,
                 Ok(target) => {
                     let eval = |x: &NVec| target.eval(x);
-                    matches!(
-                        check_on_box(&lowered.crn, eval, bound, max_configs),
-                        Ok(None)
-                    )
+                    let sweep = BoxCheck::new(analysis, eval, bound, max_configs);
+                    matches!(sweep.run().0, Ok(None))
                 }
             };
             if !ok {
@@ -236,6 +245,8 @@ fn phases(
             }
         }
     }
+    // The simulations need none of the analyses.
+    drop(analyses);
     {
         let _span = crn_obs::span("sim");
         for (name, lowered) in &ws.crns {

@@ -57,7 +57,7 @@ pub fn run(raw: &[String]) -> i32 {
     };
     // Lint findings ride along on stderr, mirroring `crn verify`: a trial
     // that converges on a structurally defective CRN is still worth flagging.
-    let summary = crate::commands::lint::collect(&ws);
+    let summary = crate::commands::lint::collect(&ws, &ws.analyses());
     for warning in &summary.warnings {
         eprintln!(
             "warning[{}] {}: {}",

@@ -4,7 +4,9 @@ use crn_model::{BoxCheck, BoxCheckStats};
 use crn_sim::runner::spot_check_on_box;
 
 use crate::args::Args;
-use crate::commands::{load_or_usage, resolve_target, usage_error, EXIT_OK, EXIT_VERDICT};
+use crate::commands::{
+    huge_box, load_or_usage, resolve_target, usage_error, EXIT_OK, EXIT_VERDICT,
+};
 use crate::json::Json;
 
 /// Runs `crn verify <file> [--item NAME] [--bound N] [--max-configs N]
@@ -90,9 +92,11 @@ pub fn run(raw: &[String]) -> i32 {
         Ok(ws) => ws,
         Err(code) => return code,
     };
+    // One analysis per crn item serves both the lints and the sweep.
+    let analyses = ws.analyses();
     // Lint findings ride along on stderr so a verified-but-smelly document is
     // never silently blessed; stdout stays reserved for the verdicts.
-    let summary = crate::commands::lint::collect(&ws);
+    let summary = crate::commands::lint::collect(&ws, &analyses);
     for warning in &summary.warnings {
         eprintln!(
             "warning[{}] {}: {}",
@@ -103,25 +107,29 @@ pub fn run(raw: &[String]) -> i32 {
         eprintln!("note: {}: {}", note.item, note.message);
     }
     let denied_warnings = !summary.warnings.is_empty() && args.switch("deny-warnings");
-    let targets: Vec<&String> = match args.value("item") {
-        Some(name) => match ws.crns.iter().find(|(n, _)| n == name) {
-            Some((n, lowered)) => {
-                if lowered.computes.is_none() {
+    // Indices into `ws.crns` (and `analyses`).
+    let targets: Vec<usize> = match args.value("item") {
+        Some(name) => match ws.crns.iter().position(|(n, _)| n == name) {
+            Some(i) => {
+                if ws.crns[i].1.computes.is_none() {
                     return usage_error(&format!(
                         "crn `{name}` has no `computes` link, so there is nothing to verify against"
                     ));
                 }
-                vec![n]
+                vec![i]
             }
             None => return usage_error(&format!("`{path}` has no crn item named `{name}`")),
         },
-        None => ws
-            .crns
-            .iter()
-            .filter(|(_, lowered)| lowered.computes.is_some())
-            .map(|(n, _)| n)
+        None => (0..ws.crns.len())
+            .filter(|&i| ws.crns[i].1.computes.is_some())
             .collect(),
     };
+    if let Some(message) = targets
+        .iter()
+        .find_map(|&i| huge_box(bound, ws.crns[i].1.crn.dim()))
+    {
+        return usage_error(&message);
+    }
     if targets.is_empty() {
         println!("{path}: no crn items with a `computes` link; nothing to verify");
         return if denied_warnings {
@@ -136,12 +144,10 @@ pub fn run(raw: &[String]) -> i32 {
         EXIT_OK
     };
     let mut reports = Vec::new();
-    for name in targets {
-        // Both lookups were established above, but re-resolve defensively:
-        // an inconsistency is a usage error (exit 2), never a panic.
-        let Some(lowered) = ws.crn(name) else {
-            return usage_error(&format!("`{path}` has no crn item named `{name}`"));
-        };
+    for i in targets {
+        let (name, lowered) = &ws.crns[i];
+        // The link was established above, but re-resolve defensively: an
+        // inconsistency is a usage error (exit 2), never a panic.
         let Some(computes) = lowered.computes.as_deref() else {
             return usage_error(&format!(
                 "crn `{name}` has no `computes` link, so there is nothing to verify against"
@@ -193,7 +199,7 @@ pub fn run(raw: &[String]) -> i32 {
             // Both engines share one verdict contract; the stdout success
             // line is engine-independent on purpose, so CI can diff the
             // incremental run against the reference engine byte for byte.
-            let mut sweep = BoxCheck::new(&lowered.crn, eval, bound, max_configs);
+            let mut sweep = BoxCheck::new(&analyses[i], eval, bound, max_configs);
             if engine == "reference" {
                 sweep = sweep.reference();
             }

@@ -12,6 +12,7 @@
 use crn_core::ObliviousSpec;
 use crn_lang::ast::Document;
 use crn_lang::lower::{lower_document, LoweredCrn};
+use crn_model::analysis::CrnAnalysis;
 use crn_numeric::NVec;
 use crn_semilinear::SemilinearFunction;
 
@@ -180,6 +181,15 @@ impl Workspace {
     #[must_use]
     pub fn crn(&self, name: &str) -> Option<&LoweredCrn> {
         self.crns.iter().find(|(n, _)| n == name).map(|(_, c)| c)
+    }
+
+    /// A fresh [`CrnAnalysis`] of every crn item, in [`Workspace::crns`]
+    /// order: a command lints and verifies an item through the same one.
+    pub(crate) fn analyses(&self) -> Vec<CrnAnalysis<'_>> {
+        self.crns
+            .iter()
+            .map(|(_, lowered)| CrnAnalysis::of(&lowered.crn))
+            .collect()
     }
 
     /// The composition metadata of the `pipeline` item named `name`.

@@ -475,3 +475,28 @@ fn exit_2_usage_or_parse_error_class() {
     let (code, _, _) = run_crn(&["sim", good.to_str().unwrap(), "--input", "1,2,3"]);
     assert_eq!(code, 2);
 }
+
+/// `corpus/<name>` as an absolute path.
+fn corpus(name: &str) -> String {
+    format!("{}/../../corpus/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+#[test]
+fn boxes_past_u64_points_are_refused_up_front() {
+    // [0, 2^64 - 1] has 2^64 points, one more than a u64 cursor indexes;
+    // collecting it once aborted the process on a 1.5 GB allocation.
+    let double = corpus("figure1_double.crn");
+    for command in ["verify", "check", "profile"] {
+        let (code, _, stderr) = run_crn(&[command, &double, "--bound", "18446744073709551615"]);
+        assert_eq!(code, 2, "crn {command}\n{stderr}");
+        assert!(
+            stderr.contains("[0, 18446744073709551615]^1"),
+            "crn {command} names the box:\n{stderr}"
+        );
+    }
+    // Two inputs overflow at a far smaller bound: (2^32)^2 = 2^64.
+    let min = corpus("figure1_min.crn");
+    let (code, _, stderr) = run_crn(&["verify", &min, "--bound", "4294967295"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("[0, 4294967295]^2"), "{stderr}");
+}

@@ -222,6 +222,45 @@ fn json_counter(json: &str, name: &str) -> u64 {
 }
 
 #[test]
+fn one_analysis_serves_lint_and_verify_per_item() {
+    // `crn verify` lints every crn item and sweeps the linked ones through
+    // one shared analysis, so the potential cones are enumerated once per
+    // item; the sweep's set-up shows as its own spans.
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    std::fs::create_dir_all(&dir).unwrap();
+    let min2 = dir.join("one_analysis_min2.crn");
+    let min2 = min2.to_str().unwrap();
+    let (code, _, stderr) = run_crn(&["synthesize", "corpus/min_spec.crn", "-o", min2]);
+    assert_eq!(code, 0, "{stderr}");
+    let (code, json, _) = run_crn(&["verify", min2, "--bound", "2", "--json", "--profile"]);
+    assert_eq!(code, 0, "{json}");
+    assert_eq!(json_counter(&json, "model.analysis.species_bounds"), 1);
+    for span in ["model.box.analyze", "model.box.plan", "model.analysis.lint"] {
+        assert!(
+            json.contains(&format!("/{span}\":")),
+            "{span} missing:\n{json}"
+        );
+    }
+    // Three crn items (two stages and the composed pipeline), one verified.
+    for command in ["verify", "profile"] {
+        let (code, json, _) = run_crn(&[
+            command,
+            "corpus/pipeline_two_min.crn",
+            "--bound",
+            "2",
+            "--json",
+            "--profile",
+        ]);
+        assert_eq!(code, 0, "crn {command}:\n{json}");
+        assert_eq!(
+            json_counter(&json, "model.analysis.species_bounds"),
+            3,
+            "crn {command}"
+        );
+    }
+}
+
+#[test]
 fn interleaving_independent_counters_match_at_every_worker_count() {
     let path = scratch("profile_workers.crn", DOUBLE_DOC);
     let mut step_counts = Vec::new();

@@ -193,14 +193,11 @@ impl ObliviousSpec {
         bound: u64,
     ) -> Result<Option<(NVec, NVec)>, CoreError> {
         let dim = self.dim();
-        for x in NVec::enumerate_box(dim, bound) {
+        for x in NVec::box_iter(dim, bound) {
             let fx = self.eval(&x)?;
-            for i in 0..dim {
+            for i in (0..dim).filter(|&i| x[i] < bound) {
                 let mut y = x.clone();
                 y[i] += 1;
-                if y.iter().any(|&c| c > bound) {
-                    continue;
-                }
                 if self.eval(&y)? < fx {
                     return Ok(Some((x, y)));
                 }

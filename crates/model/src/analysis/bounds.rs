@@ -76,9 +76,16 @@ impl SpeciesBounds {
     /// most `max_rows` rows.
     #[must_use]
     pub fn with_cap(compiled: &CompiledCrn, max_rows: usize) -> Self {
-        let stoich = Stoichiometry::of(compiled);
-        let decreasing = monotone_potentials(&stoich, 1, max_rows, farkas_annul);
-        let increasing = monotone_potentials(&stoich, -1, max_rows, farkas_annul);
+        Self::of_stoichiometry(&Stoichiometry::of(compiled), max_rows)
+    }
+
+    /// [`SpeciesBounds::with_cap`] on an already extracted stoichiometry.
+    /// Each call is one enumeration, counted as
+    /// `model.analysis.species_bounds`.
+    pub(crate) fn of_stoichiometry(stoich: &Stoichiometry, max_rows: usize) -> Self {
+        crn_obs::add("model.analysis.species_bounds", 1);
+        let decreasing = monotone_potentials(stoich, 1, max_rows, farkas_annul);
+        let increasing = monotone_potentials(stoich, -1, max_rows, farkas_annul);
         SpeciesBounds {
             stride: stoich.stride(),
             truncated: decreasing.truncated || increasing.truncated,

@@ -310,7 +310,8 @@ pub(super) type FarkasCore = fn(Vec<Vec<i128>>, usize, usize) -> FarkasRows;
 /// positive/negative pair (see the module docs) contributes the primitive
 /// positive combination that zeroes the column.  Since payloads are
 /// nonnegative, a combination's payload support is the union of its
-/// parents', so adjacency is a subset test on per-row support bitsets.
+/// parents', so each row's support bitset is computed once, from the table
+/// or as that union, and adjacency is a subset test on the bitsets.
 ///
 /// The table never needs deduplication: a row whose support equals a
 /// pair's union lies inside that union and so blocks the pair, hence no two
@@ -319,13 +320,14 @@ pub(super) type FarkasCore = fn(Vec<Vec<i128>>, usize, usize) -> FarkasRows;
 pub(super) fn farkas_annul(mut table: Vec<Vec<i128>>, annul: usize, max_rows: usize) -> FarkasRows {
     let mut capped = false;
     let mut overflowed = false;
+    let mut supports = PayloadSupports::of(&table, annul);
     for col in 0..annul {
-        let supports = PayloadSupports::of(&table, annul);
         debug_assert!(supports.distinct(), "two Farkas rows share a support");
         let positive: Vec<usize> = (0..table.len()).filter(|&i| table[i][col] > 0).collect();
         let negative: Vec<usize> = (0..table.len()).filter(|&i| table[i][col] < 0).collect();
         let kept = table.len() - positive.len() - negative.len();
         let mut combined: Vec<Vec<i128>> = Vec::new();
+        let mut combined_supports = Vec::new();
         'pairs: for &p in &positive {
             for &n in &negative {
                 if !supports.adjacent(p, n) {
@@ -336,12 +338,19 @@ pub(super) fn farkas_annul(mut table: Vec<Vec<i128>>, annul: usize, max_rows: us
                     break 'pairs;
                 }
                 match combine(&table[p], &table[n], col) {
-                    Some(row) => combined.push(row),
+                    Some(row) => {
+                        combined.push(row);
+                        supports.union_into(p, n, &mut combined_supports);
+                    }
                     None => overflowed = true,
                 }
             }
         }
-        table.retain(|row| row[col] == 0);
+        let zero: Vec<bool> = table.iter().map(|row| row[col] == 0).collect();
+        supports.retain(&zero);
+        supports.bits.append(&mut combined_supports);
+        let mut zero = zero.into_iter();
+        table.retain(|_| zero.next() == Some(true));
         table.append(&mut combined);
     }
     FarkasRows {
@@ -353,16 +362,25 @@ pub(super) fn farkas_annul(mut table: Vec<Vec<i128>>, annul: usize, max_rows: us
 
 /// The positive combination `−n[col]·p + p[col]·n` (zero at `col`), divided
 /// by the gcd of its entries, or `None` when an entry overflows `i128`.
+/// Rows are mostly zero, so entries where both parents are zero stay zero
+/// without any arithmetic.
 fn combine(p: &[i128], n: &[i128], col: usize) -> Option<Vec<i128>> {
     let (a, b) = (n[col].checked_neg()?, p[col]);
     let mut row = p
         .iter()
         .zip(n)
-        .map(|(&x, &y)| x.checked_mul(a)?.checked_add(y.checked_mul(b)?))
+        .map(|(&x, &y)| {
+            if x == 0 && y == 0 {
+                Some(0)
+            } else {
+                x.checked_mul(a)?.checked_add(y.checked_mul(b)?)
+            }
+        })
         .collect::<Option<Vec<i128>>>()?;
     debug_assert_eq!(row[col], 0);
     let g = row
         .iter()
+        .filter(|&&w| w != 0)
         .try_fold(0i128, |acc, &w| checked_gcd_i128(acc, w))?;
     if g > 1 {
         for w in &mut row {
@@ -373,7 +391,7 @@ fn combine(p: &[i128], n: &[i128], col: usize) -> Option<Vec<i128>> {
 }
 
 /// The payload supports of a Farkas table as bitsets, one `words`-long run
-/// of `u64`s per row.
+/// of `u64`s per row, in row order.
 struct PayloadSupports {
     words: usize,
     bits: Vec<u64>,
@@ -396,6 +414,24 @@ impl PayloadSupports {
 
     fn row(&self, i: usize) -> &[u64] {
         &self.bits[i * self.words..(i + 1) * self.words]
+    }
+
+    /// Appends the union of rows `p` and `n` to `out`: the support of every
+    /// positive combination of the two.
+    fn union_into(&self, p: usize, n: usize, out: &mut Vec<u64>) {
+        out.extend(self.row(p).iter().zip(self.row(n)).map(|(&x, &y)| x | y));
+    }
+
+    /// Keeps the rows `i` with `keep[i]`, in order.
+    fn retain(&mut self, keep: &[bool]) {
+        let words = self.words;
+        let mut kept = 0;
+        for (i, _) in keep.iter().enumerate().filter(|&(_, &k)| k) {
+            self.bits
+                .copy_within(i * words..(i + 1) * words, kept * words);
+            kept += 1;
+        }
+        self.bits.truncate(kept * words);
     }
 
     /// Whether no two rows share a support.

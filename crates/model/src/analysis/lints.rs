@@ -52,16 +52,13 @@
 //! [`lint_full`] reports it as an explicit "analysis incomplete" note naming
 //! the cause, instead of silently narrowing.
 
-use crate::compiled::CompiledCrn;
 use crate::function::FunctionCrn;
 use crate::species::Species;
 
-use super::bounds::SpeciesBounds;
 use super::invariants::{nonnegative_laws_capped, ConservationLaw, FARKAS_ROW_CAP};
 use super::liveness::Liveness;
+use super::shared::CrnAnalysis;
 use super::siphons::{minimal_siphons, minimal_traps, SIPHON_NODE_CAP};
-use super::stoichiometry::Stoichiometry;
-use super::t_invariants::nonnegative_t_semiflows;
 
 /// Stable lint identifiers.  The numeric suffix never changes meaning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -149,9 +146,25 @@ pub fn lint(f: &FunctionCrn) -> Vec<Lint> {
 /// with the "analysis incomplete" notes.
 #[must_use]
 pub fn lint_full(f: &FunctionCrn) -> LintOutcome {
+    CrnAnalysis::of(f).lint()
+}
+
+impl CrnAnalysis<'_> {
+    /// Runs every lint against the analyzed CRN, in stable code order,
+    /// together with the "analysis incomplete" notes (see [`lint_full`]).
+    #[must_use]
+    pub fn lint(&self) -> LintOutcome {
+        let _span = crn_obs::span("model.analysis.lint");
+        lint_analyzed(self)
+    }
+}
+
+/// The body of [`CrnAnalysis::lint`].
+fn lint_analyzed(analysis: &CrnAnalysis<'_>) -> LintOutcome {
+    let f = analysis.crn();
     let crn = f.crn();
     let species = crn.species();
-    let compiled = CompiledCrn::compile(crn);
+    let compiled = analysis.compiled();
     let mut out = Vec::new();
     let mut notes = Vec::new();
 
@@ -160,7 +173,7 @@ pub fn lint_full(f: &FunctionCrn) -> LintOutcome {
     if let Some(leader) = f.leader() {
         initial.push(leader.index());
     }
-    let live = Liveness::analyze(&compiled, &initial);
+    let live = Liveness::analyze(compiled, &initial);
     for s in live.dead_species() {
         // Only named species can be dead here: the compiled stride covers
         // exactly the interner plus reaction-mentioned species, and every
@@ -236,10 +249,10 @@ pub fn lint_full(f: &FunctionCrn) -> LintOutcome {
     }
 
     // C005 — a nonnegative conservation law proves the output stays zero.
-    let stoich = Stoichiometry::of(&compiled);
+    let stoich = analysis.stoichiometry();
     let inputs = &f.roles().inputs;
     let leader = f.leader();
-    let semiflows = nonnegative_laws_capped(&stoich, FARKAS_ROW_CAP);
+    let semiflows = nonnegative_laws_capped(stoich, FARKAS_ROW_CAP);
     if semiflows.truncated {
         notes.push(farkas_note(
             "P-semiflow",
@@ -267,7 +280,7 @@ pub fn lint_full(f: &FunctionCrn) -> LintOutcome {
             marked[s] = true;
         }
     }
-    let siphons = minimal_siphons(&compiled, SIPHON_NODE_CAP);
+    let siphons = minimal_siphons(compiled, SIPHON_NODE_CAP);
     if siphons.truncated {
         notes.push(format!(
             "analysis incomplete: siphon enumeration truncated at {SIPHON_NODE_CAP} nodes \
@@ -296,7 +309,7 @@ pub fn lint_full(f: &FunctionCrn) -> LintOutcome {
     // C007 — a markable trap whose species all sink input-independent
     // conservation budget the output needs: once the trap is marked, the
     // output's reachable ceiling drops for good.
-    let traps = minimal_traps(&compiled, SIPHON_NODE_CAP);
+    let traps = minimal_traps(compiled, SIPHON_NODE_CAP);
     if traps.truncated {
         notes.push(format!(
             "analysis incomplete: trap enumeration truncated at {SIPHON_NODE_CAP} nodes \
@@ -337,7 +350,7 @@ pub fn lint_full(f: &FunctionCrn) -> LintOutcome {
     // C008 — a producible species no decreasing potential covers: no
     // invariant reasoning bounds its count, so it may grow without bound.
     // Skipped entirely under truncation (the claim is about absence).
-    let bounds = SpeciesBounds::of(&compiled);
+    let bounds = analysis.bounds();
     if bounds.truncated() {
         notes.push(farkas_note(
             "potential",
@@ -365,7 +378,7 @@ pub fn lint_full(f: &FunctionCrn) -> LintOutcome {
     // T-semiflow support fires at most finitely often.  Reported only when
     // the CRN actually has repeatable cycles, so terminating CRNs (where
     // the fact is vacuously true of every reaction) stay silent.
-    let t_semiflows = nonnegative_t_semiflows(&stoich, FARKAS_ROW_CAP);
+    let t_semiflows = analysis.t_semiflows();
     if t_semiflows.truncated {
         notes.push(farkas_note(
             "T-semiflow",

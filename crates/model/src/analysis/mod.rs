@@ -8,8 +8,8 @@
 //! * [`conservation_basis`] / [`nonnegative_laws`] — P-invariants `v·N = 0`,
 //!   computed with exact rational arithmetic and scaled to primitive integer
 //!   vectors; a law weighing two configurations differently refutes
-//!   reachability between them (see
-//!   [`InvariantOracle`](crate::reachability::InvariantOracle));
+//!   reachability between them, which the box engine's interval analysis
+//!   uses;
 //! * [`t_invariant_basis`] / [`nonnegative_t_semiflows`] — T-invariants
 //!   `N·f = 0` (certificates of repeatable reaction cycles), by the same
 //!   elimination and Farkas machinery on the transposed matrix;
@@ -22,7 +22,9 @@
 //!   negative verdicts are exact (dead means dead);
 //! * [`lint`] — stable-coded structural findings `C001`–`C009` consumed by
 //!   the `crn lint` CLI subcommand ([`lint_full`] adds the "analysis
-//!   incomplete" notes emitted when an enumeration cap truncated).
+//!   incomplete" notes emitted when an enumeration cap truncated);
+//! * [`CrnAnalysis`] — the per-CRN bundle of these artifacts, computed at
+//!   most once each and shared by [`CrnAnalysis::lint`] and the box engine.
 //!
 //! Enumerations that can truncate ([`FARKAS_ROW_CAP`], [`SIPHON_NODE_CAP`],
 //! or an `i128` overflow in the Farkas core) surface the fact in their result
@@ -33,6 +35,7 @@ mod bounds;
 mod invariants;
 mod lints;
 mod liveness;
+mod shared;
 mod siphons;
 mod stoichiometry;
 mod t_invariants;
@@ -44,6 +47,7 @@ pub use invariants::{
 };
 pub use lints::{lint, lint_full, Lint, LintCode, LintOutcome};
 pub use liveness::Liveness;
+pub use shared::CrnAnalysis;
 pub use siphons::{minimal_siphons, minimal_traps, StructuralSets, SIPHON_NODE_CAP};
 pub use stoichiometry::Stoichiometry;
 pub use t_invariants::{

@@ -1,0 +1,135 @@
+//! The per-CRN analysis that `crn lint` and the box engine share.
+//!
+//! Linting and verifying a CRN need much of the same static analysis: the
+//! compiled reactions, the stoichiometry and, costliest of all, the
+//! [`SpeciesBounds`] potential cones.  A [`CrnAnalysis`] computes each
+//! artifact at most once, on first use, and keeps it for every later
+//! reader — [`CrnAnalysis::lint`], and every worker of a
+//! [`BoxCheck`](crate::BoxCheck) sweep, which shares the analysis by
+//! reference.  A command builds one per item and drops it once it is done
+//! with it, so nothing outlives the command.
+
+use crn_sync::OnceLock;
+
+use crate::compiled::CompiledCrn;
+use crate::function::FunctionCrn;
+use crate::reachability::stubborn::StubbornSets;
+use crate::reachability::symmetry::{input_automorphisms, Automorphism};
+
+use super::bounds::SpeciesBounds;
+use super::invariants::{conservation_basis, ConservationLaw, FARKAS_ROW_CAP};
+use super::stoichiometry::Stoichiometry;
+use super::t_invariants::{nonnegative_t_semiflows, t_invariant_basis, TSemiflowEnumeration};
+
+/// The static analysis of one function CRN, each artifact computed lazily
+/// and at most once.
+///
+/// ```
+/// use crn_model::analysis::CrnAnalysis;
+/// use crn_model::{examples, BoxCheck};
+///
+/// let min = examples::min_crn();
+/// let analysis = CrnAnalysis::of(&min);
+/// assert!(analysis.lint().findings.is_empty());
+/// // The sweep reuses the analysis the lint run already computed.
+/// let (outcome, stats) = BoxCheck::new(&analysis, |x| x[0].min(x[1]), 3, 10_000).run();
+/// assert_eq!(outcome, Ok(None));
+/// assert_eq!(stats.symmetry_skipped, 6);
+/// ```
+pub struct CrnAnalysis<'a> {
+    crn: &'a FunctionCrn,
+    compiled: CompiledCrn,
+    stoich: OnceLock<Stoichiometry>,
+    bounds: OnceLock<SpeciesBounds>,
+    laws: OnceLock<Vec<ConservationLaw>>,
+    t_semiflows: OnceLock<TSemiflowEnumeration>,
+    acyclic: OnceLock<bool>,
+    stubborn: OnceLock<StubbornSets>,
+    automorphisms: OnceLock<Vec<Automorphism>>,
+}
+
+impl<'a> CrnAnalysis<'a> {
+    /// Compiles `crn`; every other artifact waits for its first reader.
+    #[must_use]
+    pub fn of(crn: &'a FunctionCrn) -> Self {
+        CrnAnalysis {
+            crn,
+            compiled: CompiledCrn::compile(crn.crn()),
+            stoich: OnceLock::new(),
+            bounds: OnceLock::new(),
+            laws: OnceLock::new(),
+            t_semiflows: OnceLock::new(),
+            acyclic: OnceLock::new(),
+            stubborn: OnceLock::new(),
+            automorphisms: OnceLock::new(),
+        }
+    }
+
+    /// The analyzed CRN.
+    pub(crate) fn crn(&self) -> &'a FunctionCrn {
+        self.crn
+    }
+
+    /// The compiled reactions.
+    pub(crate) fn compiled(&self) -> &CompiledCrn {
+        &self.compiled
+    }
+
+    pub(crate) fn stoichiometry(&self) -> &Stoichiometry {
+        self.stoich
+            .get_or_init(|| Stoichiometry::of(&self.compiled))
+    }
+
+    /// The monotone-potential bounds (see [`SpeciesBounds::of`]).
+    pub(crate) fn bounds(&self) -> &SpeciesBounds {
+        self.bounds
+            .get_or_init(|| SpeciesBounds::of_stoichiometry(self.stoichiometry(), FARKAS_ROW_CAP))
+    }
+
+    /// The signed conservation-law basis (see [`conservation_basis`]).
+    pub(crate) fn laws(&self) -> &[ConservationLaw] {
+        self.laws
+            .get_or_init(|| conservation_basis(self.stoichiometry()))
+    }
+
+    /// The minimal T-semiflows (see [`nonnegative_t_semiflows`]).
+    pub(crate) fn t_semiflows(&self) -> &TSemiflowEnumeration {
+        self.t_semiflows
+            .get_or_init(|| nonnegative_t_semiflows(self.stoichiometry(), FARKAS_ROW_CAP))
+    }
+
+    /// No nonzero nonnegative T-invariant exists: no firing sequence can
+    /// restore a configuration, so *every* reachability graph of this CRN is
+    /// acyclic (a cycle's firing-count vector would be such an invariant).
+    /// Certified either by a trivial signed T-invariant basis
+    /// ([`t_invariant_basis`] is uncapped, and complete whenever it is not
+    /// `None` for overflow) or by an untruncated empty T-semiflow
+    /// enumeration.
+    pub(crate) fn acyclic(&self) -> bool {
+        *self.acyclic.get_or_init(|| {
+            // An overflowed basis is `None`, never empty: it certifies
+            // nothing.
+            t_invariant_basis(self.stoichiometry()).is_some_and(|basis| basis.is_empty()) || {
+                let flows = self.t_semiflows();
+                !flows.truncated && flows.semiflows.is_empty()
+            }
+        })
+    }
+
+    /// The stubborn-set relations of the terminal scan.
+    pub(crate) fn stubborn(&self) -> &StubbornSets {
+        self.stubborn
+            .get_or_init(|| StubbornSets::of(&self.compiled))
+    }
+
+    /// The detected automorphisms that permute the inputs and fix the
+    /// output and leader, one per non-identity input permutation they
+    /// induce.  Sound but deliberately incomplete: only CRNs with two to
+    /// six inputs are searched, and a missed automorphism only costs a box
+    /// sweep redundant work.
+    #[must_use]
+    pub fn automorphisms(&self) -> &[Automorphism] {
+        self.automorphisms
+            .get_or_init(|| input_automorphisms(self.crn, &self.compiled))
+    }
+}

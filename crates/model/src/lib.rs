@@ -15,7 +15,7 @@
 //!   species and an optional leader, including the stable-computation
 //!   semantics of Section 2.2,
 //! * exhaustive bounded reachability and stable-computation checking
-//!   ([`reachability`]), with a conservation-law refutation oracle,
+//!   ([`reachability`]),
 //! * a static-analysis layer ([`analysis`]): the exact stoichiometry matrix,
 //!   integer conservation laws, producible/fireable liveness and the typed
 //!   structural and semantic lints `C001`–`C009` (siphons, traps,
@@ -72,8 +72,7 @@ pub use error::CrnError;
 pub use function::{FunctionCrn, Roles};
 pub use reachability::{
     check_on_box, check_stable_computation, max_output_reachable, reachable_configurations,
-    target_reachable, target_reachable_exhaustive, BoxCheck, BoxCheckStats, InvariantOracle,
-    ReachabilityLimits, StableComputationVerdict,
+    BoxCheck, BoxCheckStats, ReachabilityLimits, StableComputationVerdict,
 };
 pub use reaction::Reaction;
 pub use species::{Species, SpeciesSet};

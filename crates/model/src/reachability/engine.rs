@@ -18,15 +18,11 @@
 //!
 //! [`ReachabilityGraph`]: super::ReachabilityGraph
 
-use crn_sync::Arc;
 use std::mem;
 
 use crn_numeric::NVec;
 
-use crate::analysis::{
-    conservation_basis, nonnegative_t_semiflows, t_invariant_basis, ConservationLaw,
-    CountIntervals, Liveness, SpeciesBounds, Stoichiometry, FARKAS_ROW_CAP,
-};
+use crate::analysis::{CountIntervals, CrnAnalysis, Liveness};
 use crate::compiled::{CompiledCrn, CompiledReaction};
 use crate::error::CrnError;
 use crate::function::FunctionCrn;
@@ -35,26 +31,8 @@ use super::arena::ConfigArena;
 use super::csr::CsrGraph;
 use super::scc::Condensation;
 use super::stubborn::{Closure, StubbornSets};
-use super::symmetry;
+use super::symmetry::Automorphism;
 use super::{BoxCheckStats, StableComputationVerdict};
-
-/// The point-independent static-analysis artifacts of a pruned engine:
-/// monotone potential bounds, the signed conservation-law basis, the
-/// T-invariant acyclicity certificate, and the stubborn-set relations of
-/// the terminal scan.
-pub(super) struct BoxAnalysis {
-    bounds: SpeciesBounds,
-    laws: Vec<ConservationLaw>,
-    /// No nonzero nonnegative T-invariant exists: no firing sequence can
-    /// restore a configuration, so *every* reachability graph of this CRN is
-    /// acyclic (a cycle's firing-count vector would be such an invariant).
-    /// Certified either by a trivial signed T-invariant basis
-    /// ([`t_invariant_basis`] is uncapped, and complete whenever it is not
-    /// `None` for overflow) or by an untruncated empty T-semiflow
-    /// enumeration.
-    acyclic: bool,
-    stubborn: StubbornSets,
-}
 
 /// Per-lane high bits of the packed byte encoding, the borrow sentinels of
 /// the SWAR applicability test.
@@ -584,49 +562,6 @@ impl ExploreState {
     }
 }
 
-/// A conservation-law refutation oracle: answers "is `target` provably
-/// unreachable from `source`?" in `O(laws × species)` without exploring any
-/// state space.
-///
-/// Built once per CRN from the *signed* conservation-law basis of the
-/// stoichiometry matrix (see [`conservation_basis`]).  Every reachable
-/// configuration `c'` satisfies `v·c' = v·c` for each basis law `v`, so a
-/// law weighing source and target differently is a proof of unreachability.
-/// The basis spans the whole left nullspace, which makes the oracle
-/// *complete for linear refutation*: if any rational invariant separates the
-/// two configurations, some basis law does.
-///
-/// The oracle is sound but (necessarily) incomplete overall — reachability
-/// also fails for non-linear reasons — so a `None` answer means "explore".
-pub struct InvariantOracle {
-    laws: Vec<ConservationLaw>,
-}
-
-impl InvariantOracle {
-    /// Computes the conservation-law basis of `compiled`.
-    #[must_use]
-    pub fn new(compiled: &CompiledCrn) -> Self {
-        InvariantOracle {
-            laws: conservation_basis(&Stoichiometry::of(compiled)),
-        }
-    }
-
-    /// Returns a law weighing `source` and `target` differently, if one
-    /// exists — a static proof that neither configuration can reach the
-    /// other.  Both slices are dense count vectors; indices beyond the law
-    /// stride (species untouched by every reaction) weigh zero.
-    #[must_use]
-    pub fn refutes(&self, source: &[u64], target: &[u64]) -> Option<&ConservationLaw> {
-        self.laws.iter().find(|law| law.refutes(source, target))
-    }
-
-    /// The basis laws the oracle consults.
-    #[must_use]
-    pub fn laws(&self) -> &[ConservationLaw] {
-        &self.laws
-    }
-}
-
 /// The outcome of a purely static look at one box point: the interval
 /// abstraction either proves the point passes, proves it cannot pass, or
 /// abstains.
@@ -645,20 +580,21 @@ pub(super) enum StaticOutcome {
 /// encoding and the symmetry group.  Both depend only on the CRN and the
 /// bound, so the driver builds one plan and every worker shares it by
 /// reference.
-pub(super) struct SweepPlan {
+pub(super) struct SweepPlan<'a> {
     /// The byte packing for certified-acyclic CRNs whose box-wide hull fits
     /// 7-bit lanes.
     packed: Option<PackedSpec>,
-    /// Input permutations extending to CRN automorphisms, in skip
-    /// orientation (see [`symmetry::input_automorphisms`]).
-    pub(super) perms: Vec<Vec<usize>>,
+    /// The automorphisms whose input permutations the sweep skips by (see
+    /// [`Automorphism::inputs`]).
+    pub(super) perms: &'a [Automorphism],
 }
 
-impl SweepPlan {
-    pub(super) fn build(crn: &FunctionCrn, analysis: &BoxAnalysis, bound: u64) -> SweepPlan {
-        let compiled = CompiledCrn::compile(crn.crn());
+impl<'a> SweepPlan<'a> {
+    pub(super) fn build(analysis: &'a CrnAnalysis<'_>, bound: u64) -> SweepPlan<'a> {
+        let crn = analysis.crn();
+        let compiled = analysis.compiled();
         let stride = compiled.stride().max(crn.role_stride());
-        let packed = if analysis.acyclic {
+        let packed = if analysis.acyclic() {
             // The hull is the interval analysis seeded at the box's top
             // corner: the monotone potentials and the liveness closure both
             // grow with the start, so the resulting box contains every
@@ -671,15 +607,15 @@ impl SweepPlan {
                 top[leader.index()] += 1;
             }
             let support: Vec<usize> = (0..stride).filter(|&s| top[s] > 0).collect();
-            let live = Liveness::analyze(&compiled, &support);
-            let hull = analysis.bounds.box_hull(&top, &live);
-            PackedSpec::build(&hull, &compiled, stride, crn.output().index())
+            let live = Liveness::analyze(compiled, &support);
+            let hull = analysis.bounds().box_hull(&top, &live);
+            PackedSpec::build(&hull, compiled, stride, crn.output().index())
         } else {
             None
         };
         SweepPlan {
             packed,
-            perms: symmetry::input_automorphisms(crn, &compiled),
+            perms: analysis.automorphisms(),
         }
     }
 }
@@ -708,15 +644,16 @@ fn route(packed: bool, acyclic: bool) -> Route {
     }
 }
 
-/// A reusable stable-computation checker for one CRN: reactions are compiled
-/// once, and the exploration state, condensation scratch and component arrays
-/// are recycled across [`check`](VerdictEngine::check) calls.  The parallel
-/// box driver gives each worker thread one engine.
+/// A reusable stable-computation checker for one CRN: the exploration
+/// state, condensation scratch and component arrays are recycled across
+/// [`check`](VerdictEngine::check) calls.  The parallel box driver gives
+/// each worker thread one engine, and every engine borrows the one
+/// [`CrnAnalysis`] of the CRN, compiled reactions included.
 ///
-/// A *pruned* engine ([`with_analysis`](VerdictEngine::with_analysis))
-/// additionally carries the static-analysis artifacts — monotone-potential
-/// [`SpeciesBounds`], the signed conservation-law basis and the acyclicity
-/// certificate — and uses them to answer
+/// A *pruned* engine ([`pruned`](VerdictEngine::pruned)) additionally reads
+/// the static-analysis artifacts — monotone-potential bounds, the signed
+/// conservation-law basis, the acyclicity certificate and the stubborn-set
+/// relations — and uses them to answer
 /// [`static_verdict`](VerdictEngine::static_verdict) queries without
 /// exploring, and to [`decide`](VerdictEngine::decide) certified points by
 /// a terminal scan.  A *reference* engine
@@ -725,12 +662,11 @@ fn route(packed: bool, acyclic: bool) -> Route {
 /// verdicts wherever the reference finishes within the limit.
 pub(super) struct VerdictEngine<'c> {
     crn: &'c FunctionCrn,
-    compiled: CompiledCrn,
+    compiled: &'c CompiledCrn,
     stride: usize,
-    /// Static-analysis artifacts; `None` on a reference engine.  Behind an
-    /// `Arc` because they depend only on the CRN: the box driver computes
-    /// them once and every worker engine shares the result.
-    analysis: Option<Arc<BoxAnalysis>>,
+    /// The static analysis a pruned engine reads; `None` on a reference
+    /// engine.
+    analysis: Option<&'c CrnAnalysis<'c>>,
     state: ExploreState,
     /// The terminal scan's stubborn-set scratch.
     closure: Closure,
@@ -747,31 +683,17 @@ pub(super) struct VerdictEngine<'c> {
 }
 
 impl<'c> VerdictEngine<'c> {
-    /// The per-CRN static analysis the pruned engine runs on: monotone
-    /// potential bounds, the signed conservation-law basis, the acyclicity
-    /// certificate and the stubborn-set relations.  Point independent, so a
-    /// box driver computes it once and hands clones of the `Arc` to every
-    /// worker via [`with_analysis`](VerdictEngine::with_analysis).
-    pub(super) fn analyze(crn: &FunctionCrn) -> Arc<BoxAnalysis> {
-        let compiled = CompiledCrn::compile(crn.crn());
-        let stoich = Stoichiometry::of(&compiled);
-        // An overflowed basis is `None`, never empty: it certifies nothing.
-        let acyclic = t_invariant_basis(&stoich).is_some_and(|basis| basis.is_empty()) || {
-            let flows = nonnegative_t_semiflows(&stoich, FARKAS_ROW_CAP);
-            !flows.truncated && flows.semiflows.is_empty()
-        };
-        Arc::new(BoxAnalysis {
-            bounds: SpeciesBounds::of(&compiled),
-            laws: conservation_basis(&stoich),
-            acyclic,
-            stubborn: StubbornSets::of(&compiled),
-        })
+    /// The engine that reads `analysis`: static verdicts, and the terminal
+    /// scan on certified-acyclic CRNs.
+    pub(super) fn pruned(analysis: &'c CrnAnalysis<'c>) -> Self {
+        Self::new(analysis, Some(analysis))
     }
 
     /// The analysis-free engine: a full hash-interned verdict on every
-    /// point, and the differential oracle of the terminal scans.
-    pub(super) fn reference(crn: &'c FunctionCrn) -> Self {
-        Self::with_analysis(crn, None)
+    /// point, and the differential oracle of the terminal scans.  It reads
+    /// only the CRN and its compiled reactions from `analysis`.
+    pub(super) fn reference(analysis: &'c CrnAnalysis<'c>) -> Self {
+        Self::new(analysis, None)
     }
 
     /// `(collisions, grows)` of the engine's configuration arena, cumulative
@@ -780,10 +702,10 @@ impl<'c> VerdictEngine<'c> {
         self.state.store.arena.metrics()
     }
 
-    /// An engine with the given (possibly shared) analysis artifacts, or a
-    /// reference engine when `None`.
-    pub(super) fn with_analysis(crn: &'c FunctionCrn, analysis: Option<Arc<BoxAnalysis>>) -> Self {
-        let compiled = CompiledCrn::compile(crn.crn());
+    /// An engine on `shared`'s CRN and compiled reactions that reads the
+    /// static analysis only when `analysis` is given.
+    fn new(shared: &'c CrnAnalysis<'c>, analysis: Option<&'c CrnAnalysis<'c>>) -> Self {
+        let (crn, compiled) = (shared.crn(), shared.compiled());
         // The stride must cover every species the check can touch: the
         // compiled stride spans the CRN's own set plus any foreign species a
         // reaction sneaks in (`add_reaction` does not validate membership),
@@ -836,12 +758,14 @@ impl<'c> VerdictEngine<'c> {
             return None;
         }
         self.build_start(x);
-        let BoxAnalysis { bounds, laws, .. } = self.analysis.as_deref()?;
+        let analysis = self.analysis?;
         self.start_support.clear();
         self.start_support
             .extend((0..self.stride).filter(|&s| self.start_dense[s] > 0));
-        let live = Liveness::analyze(&self.compiled, &self.start_support);
-        let intervals = bounds.intervals(&self.start_dense, &live, laws);
+        let live = Liveness::analyze(self.compiled, &self.start_support);
+        let intervals = analysis
+            .bounds()
+            .intervals(&self.start_dense, &live, analysis.laws());
         let out = self.crn.output().index();
         if expected_output < intervals.lower(out)
             || intervals.upper(out).is_some_and(|u| expected_output > u)
@@ -870,7 +794,7 @@ impl<'c> VerdictEngine<'c> {
         if let Some(route) = self.route_override {
             return route;
         }
-        let acyclic = self.analysis.as_ref().is_some_and(|a| a.acyclic);
+        let acyclic = self.analysis.is_some_and(CrnAnalysis::acyclic);
         route(plan.packed.is_some(), acyclic)
     }
 
@@ -925,13 +849,10 @@ impl<'c> VerdictEngine<'c> {
         limit: usize,
     ) -> (Result<bool, CrnError>, usize) {
         self.build_start(x);
-        let analysis = self
-            .analysis
-            .as_deref()
-            .expect("decisions run on pruned engines");
+        let analysis = self.analysis.expect("decisions run on pruned engines");
         let scan = &mut TerminalScan {
             expected,
-            stubborn: &analysis.stubborn,
+            stubborn: analysis.stubborn(),
             closure: &mut self.closure,
         };
         let (store, start) = (&mut self.state.store, &self.start_dense);
@@ -942,7 +863,7 @@ impl<'c> VerdictEngine<'c> {
             }
             None => {
                 let out = self.crn.output().index();
-                let mut codec = Hash::new(&self.compiled, out, store, start);
+                let mut codec = Hash::new(self.compiled, out, store, start);
                 (bfs(&mut codec, scan, limit), codec.len())
             }
         }
@@ -966,7 +887,7 @@ impl<'c> VerdictEngine<'c> {
         }
         self.build_start(x);
         self.state
-            .graph(&self.compiled, &self.start_dense, max_configurations)?;
+            .graph(self.compiled, &self.start_dense, max_configurations)?;
         self.cond.rebuild(&self.state.csr);
 
         let arena = &self.state.store.arena;
@@ -1052,11 +973,11 @@ mod tests {
         crn.parse_reaction(&format!("X -> {}", products.join(" + ")))
             .unwrap();
         let fanout = FunctionCrn::with_named_roles(crn, &["X"], "A1", None).unwrap();
-        let analysis = VerdictEngine::analyze(&fanout);
-        assert!(analysis.acyclic);
-        let plan = SweepPlan::build(&fanout, &analysis, 3);
+        let analysis = CrnAnalysis::of(&fanout);
+        assert!(analysis.acyclic());
+        let plan = SweepPlan::build(&analysis, 3);
         assert!(plan.packed.is_none());
-        let mut engine = VerdictEngine::with_analysis(&fanout, Some(analysis));
+        let mut engine = VerdictEngine::pruned(&analysis);
         assert_eq!(engine.pick_route(&plan), Route::HashScan);
         let mut stats = BoxCheckStats::default();
         let decided = engine.decide(&NVec::from(vec![3]), 3, 1_000, &plan, &mut stats);
@@ -1073,7 +994,7 @@ mod tests {
     fn admissible(engine: &VerdictEngine<'_>, plan: &SweepPlan, route: Route) -> bool {
         match route {
             Route::PackedScan => plan.packed.is_some(),
-            Route::HashScan => engine.analysis.as_ref().is_some_and(|a| a.acyclic),
+            Route::HashScan => engine.analysis.is_some_and(CrnAnalysis::acyclic),
             Route::Verdict => true,
         }
     }
@@ -1090,13 +1011,13 @@ mod tests {
     fn routes_match_reference(crn: &FunctionCrn, f: impl Fn(&NVec) -> u64, bound: u64) {
         const LIMIT: usize = 300;
         const RAISED: usize = 300_000;
-        let analysis = VerdictEngine::analyze(crn);
-        let plan = SweepPlan::build(crn, &analysis, bound);
-        let mut reference = VerdictEngine::reference(crn);
+        let analysis = CrnAnalysis::of(crn);
+        let plan = SweepPlan::build(&analysis, bound);
+        let mut reference = VerdictEngine::reference(&analysis);
         let mut scanned: HashMap<NVec, u64> = HashMap::new();
         for route in ROUTES {
             let scan = route != Route::Verdict;
-            let mut engine = VerdictEngine::with_analysis(crn, Some(Arc::clone(&analysis)));
+            let mut engine = VerdictEngine::pruned(&analysis);
             if !admissible(&engine, &plan, route) {
                 continue;
             }
@@ -1147,7 +1068,7 @@ mod tests {
             crn.parse_reaction(reaction).unwrap();
         }
         let crn = FunctionCrn::with_named_roles(crn, &["X", "C"], "Y", None).unwrap();
-        assert!(VerdictEngine::analyze(&crn).acyclic);
+        assert!(CrnAnalysis::of(&crn).acyclic());
         routes_match_reference(&crn, |x| x[0], 2);
     }
 
@@ -1167,7 +1088,7 @@ mod tests {
             crn.parse_reaction(reaction).unwrap();
         }
         let crn = FunctionCrn::with_named_roles(crn, &["A"], "E", None).expect("valid roles");
-        assert!(!VerdictEngine::analyze(&crn).acyclic);
+        assert!(!CrnAnalysis::of(&crn).acyclic());
     }
 
     /// A CRN over `{X, Y, Z}` from sampled stoichiometries: input `X`,
@@ -1273,14 +1194,14 @@ mod tests {
     /// when the full space exceeds the test limit.
     fn reduced_and_full(seed: u64) -> Option<(TerminalRun, TerminalRun)> {
         let (crn, start) = sparse_acyclic_crn(seed);
-        let analysis = VerdictEngine::analyze(&crn);
+        let analysis = CrnAnalysis::of(&crn);
         assert!(
-            analysis.acyclic,
+            analysis.acyclic(),
             "seed {seed}: the weighting certifies acyclicity"
         );
-        let compiled = CompiledCrn::compile(crn.crn());
-        let full = terminals(&compiled, &start, None).ok()?;
-        let reduced = terminals(&compiled, &start, Some(&analysis.stubborn))
+        let compiled = analysis.compiled();
+        let full = terminals(compiled, &start, None).ok()?;
+        let reduced = terminals(compiled, &start, Some(analysis.stubborn()))
             .expect("the reduced space is no larger than the full one");
         Some((reduced, full))
     }
@@ -1349,7 +1270,7 @@ mod tests {
                 .filter(|row| weight(&row[3..6]) < weight(&row[0..3]))
                 .collect();
             let crn = random_crn(&kept);
-            prop_assert!(VerdictEngine::analyze(&crn).acyclic);
+            prop_assert!(CrnAnalysis::of(&crn).acyclic());
             routes_match_reference(&crn, |x| a * x[0] + b, bound);
         }
     }

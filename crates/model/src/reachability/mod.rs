@@ -38,8 +38,8 @@ mod csr;
 mod engine;
 mod parallel;
 mod scc;
-mod stubborn;
-mod symmetry;
+pub(crate) mod stubborn;
+pub(crate) mod symmetry;
 
 use crn_sync::OnceLock;
 
@@ -47,6 +47,7 @@ use serde::{Deserialize, Serialize};
 
 use crn_numeric::NVec;
 
+use crate::analysis::CrnAnalysis;
 use crate::config::Configuration;
 use crate::crn::Crn;
 use crate::error::CrnError;
@@ -57,8 +58,9 @@ use arena::ConfigArena;
 use engine::{ExploreState, VerdictEngine};
 
 pub use csr::CsrGraph;
-pub use engine::InvariantOracle;
+pub use parallel::box_point_count;
 pub use scc::Condensation;
+pub use symmetry::Automorphism;
 
 /// Limits for exhaustive exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -271,12 +273,16 @@ pub fn check_stable_computation(
     expected_output: u64,
     max_configurations: usize,
 ) -> Result<StableComputationVerdict, CrnError> {
-    VerdictEngine::reference(crn).check(x, expected_output, max_configurations)
+    VerdictEngine::reference(&CrnAnalysis::of(crn)).check(x, expected_output, max_configurations)
 }
 
 /// Checks stable computation of `f` on every input in the box `[0, bound]^d`,
 /// sharding the inputs across worker threads (up to one per available core,
 /// with each worker granted enough inputs to amortize its spawn cost).
+///
+/// The sweep builds the CRN's [`CrnAnalysis`] and drops it when done; a
+/// caller that also lints the CRN builds the analysis itself and runs
+/// [`BoxCheck::new`] on it, so both share every artifact.
 ///
 /// The scan runs the *incremental* box engine: it decides points statically
 /// from the interval analysis where it can, skips inputs whose symmetry
@@ -298,31 +304,39 @@ pub fn check_stable_computation(
 /// # Errors
 ///
 /// Propagates the errors of [`check_stable_computation`]; when several inputs
-/// fail or error, the outcome of the lexicographically-first one wins.
+/// fail or error, the outcome of the lexicographically-first one wins.  A
+/// box with more points than fit in `u64` (see [`box_point_count`]) is
+/// refused with [`CrnError::SearchLimitExceeded`] before any point is
+/// checked.
 pub fn check_on_box(
     crn: &FunctionCrn,
     f: impl Fn(&NVec) -> u64 + Sync,
     bound: u64,
     max_configurations: usize,
 ) -> Result<Option<StableComputationVerdict>, CrnError> {
-    BoxCheck::new(crn, f, bound, max_configurations).run().0
+    BoxCheck::new(&CrnAnalysis::of(crn), f, bound, max_configurations)
+        .run()
+        .0
 }
 
-/// A configurable [`check_on_box`] sweep: the engine and the worker count,
-/// with the sweep's [`BoxCheckStats`] returned alongside the outcome.
+/// A configurable [`check_on_box`] sweep over a CRN's shared
+/// [`CrnAnalysis`]: the engine and the worker count, with the sweep's
+/// [`BoxCheckStats`] returned alongside the outcome.
 ///
 /// ```
+/// use crn_model::analysis::CrnAnalysis;
 /// use crn_model::{examples, BoxCheck};
 ///
 /// let min = examples::min_crn();
-/// let (outcome, stats) = BoxCheck::new(&min, |x| x[0].min(x[1]), 3, 10_000)
+/// let analysis = CrnAnalysis::of(&min);
+/// let (outcome, stats) = BoxCheck::new(&analysis, |x| x[0].min(x[1]), 3, 10_000)
 ///     .workers(1)
 ///     .run();
 /// assert_eq!(outcome, Ok(None));
 /// assert_eq!(stats.points, 16);
 /// ```
 pub struct BoxCheck<'a, F> {
-    crn: &'a FunctionCrn,
+    analysis: &'a CrnAnalysis<'a>,
     f: F,
     bound: u64,
     max_configurations: usize,
@@ -331,11 +345,11 @@ pub struct BoxCheck<'a, F> {
 }
 
 impl<'a, F: Fn(&NVec) -> u64 + Sync> BoxCheck<'a, F> {
-    /// A sweep of `crn` against `f` on `[0, bound]^d` on the incremental
-    /// engine, with the default worker count.
-    pub fn new(crn: &'a FunctionCrn, f: F, bound: u64, max_configurations: usize) -> Self {
+    /// A sweep of the analyzed CRN against `f` on `[0, bound]^d` on the
+    /// incremental engine, with the default worker count.
+    pub fn new(analysis: &'a CrnAnalysis<'a>, f: F, bound: u64, max_configurations: usize) -> Self {
         BoxCheck {
-            crn,
+            analysis,
             f,
             bound,
             max_configurations,
@@ -382,7 +396,7 @@ impl<'a, F: Fn(&NVec) -> u64 + Sync> BoxCheck<'a, F> {
             let points = self
                 .bound
                 .saturating_add(1)
-                .saturating_pow(u32::try_from(self.crn.dim()).unwrap_or(u32::MAX));
+                .saturating_pow(u32::try_from(self.analysis.crn().dim()).unwrap_or(u32::MAX));
             parallel::default_workers()
                 .min(
                     usize::try_from(points / parallel::MIN_POINTS_PER_WORKER).unwrap_or(usize::MAX),
@@ -390,7 +404,7 @@ impl<'a, F: Fn(&NVec) -> u64 + Sync> BoxCheck<'a, F> {
                 .max(1)
         });
         parallel::check_on_box_sharded(
-            self.crn,
+            self.analysis,
             &self.f,
             self.bound,
             self.max_configurations,
@@ -421,77 +435,6 @@ pub fn max_output_reachable(
         .into_iter()
         .max()
         .unwrap_or(0))
-}
-
-/// Whether `target` is reachable from `start` in `crn`, with conservation-law
-/// refutation before exploration.
-///
-/// The query first tries two static refutations: (a) species untouched by
-/// every reaction must have identical counts in `start` and `target`, and
-/// (b) no basis law of the [`InvariantOracle`] may weigh the two
-/// configurations differently.  Either failing proves unreachability in
-/// `O(species)` per law, without building an arena.  Only when both pass is
-/// the reachable space explored exhaustively.
-///
-/// The verdict is always identical to [`target_reachable_exhaustive`]; the
-/// oracle only ever converts an expensive `false` into a cheap one.
-///
-/// # Errors
-///
-/// Returns [`CrnError::SearchLimitExceeded`] if a (non-refuted) exploration
-/// exceeds `max_configurations`.
-pub fn target_reachable(
-    crn: &Crn,
-    start: &Configuration,
-    target: &Configuration,
-    max_configurations: usize,
-) -> Result<bool, CrnError> {
-    target_search(crn, start, target, max_configurations, true)
-}
-
-/// [`target_reachable`] without the static refutations: always explores.
-/// Kept as the differential-testing baseline for the oracle (a refutation
-/// must never contradict this function) and as the E17 comparison point.
-///
-/// # Errors
-///
-/// Returns [`CrnError::SearchLimitExceeded`] if the exploration exceeds
-/// `max_configurations`.
-pub fn target_reachable_exhaustive(
-    crn: &Crn,
-    start: &Configuration,
-    target: &Configuration,
-    max_configurations: usize,
-) -> Result<bool, CrnError> {
-    target_search(crn, start, target, max_configurations, false)
-}
-
-/// The target-reachability query, trying the static refutations first when
-/// `refute` is set.
-fn target_search(
-    crn: &Crn,
-    start: &Configuration,
-    target: &Configuration,
-    max_configurations: usize,
-    refute: bool,
-) -> Result<bool, CrnError> {
-    let compiled = crate::compiled::CompiledCrn::compile(crn);
-    let stride = arena::stride_for(arena::stride_for(compiled.stride(), start), target);
-    let start_dense = arena::to_dense(start, stride).expect("stride covers start");
-    let target_dense = arena::to_dense(target, stride).expect("stride covers target");
-    // Species at indices past the compiled stride appear in no reaction, so
-    // their counts are constant along every trajectory.
-    if refute
-        && (start_dense[compiled.stride()..] != target_dense[compiled.stride()..]
-            || InvariantOracle::new(&compiled)
-                .refutes(&start_dense, &target_dense)
-                .is_some())
-    {
-        return Ok(false);
-    }
-    let mut state = ExploreState::default();
-    state.graph(&compiled, &start_dense, max_configurations)?;
-    Ok(state.store.arena.lookup(&target_dense).is_some())
 }
 
 /// All configurations reachable from `start` (convenience wrapper).
@@ -539,7 +482,7 @@ mod tests {
         max_configurations: usize,
         workers: usize,
     ) -> (Outcome, BoxCheckStats) {
-        BoxCheck::new(crn, f, bound, max_configurations)
+        BoxCheck::new(&CrnAnalysis::of(crn), f, bound, max_configurations)
             .workers(workers)
             .run()
     }
@@ -550,7 +493,7 @@ mod tests {
         bound: u64,
         max_configurations: usize,
     ) -> Outcome {
-        BoxCheck::new(crn, f, bound, max_configurations)
+        BoxCheck::new(&CrnAnalysis::of(crn), f, bound, max_configurations)
             .reference()
             .run()
             .0
@@ -1016,67 +959,6 @@ mod tests {
         FunctionCrn::with_named_roles(crn, &["X"], "Y", None).expect("valid roles")
     }
 
-    #[test]
-    fn oracle_refutes_max_overshoot_statically() {
-        // From I_(x1,x2) of the max CRN, the pure configuration {Y: x1+x2}
-        // is unreachable whenever x1+x2 > 0 (the Z/K debris cannot all be
-        // cleared while keeping every Y), and the laws X1+Y-Z2-K and
-        // X2+Y-Z1-K prove it without exploration.
-        let max = examples::max_crn();
-        let compiled = crate::compiled::CompiledCrn::compile(max.crn());
-        let oracle = InvariantOracle::new(&compiled);
-        assert_eq!(oracle.laws().len(), 2);
-        let y = max.output();
-        for x1 in 0..4u64 {
-            for x2 in 0..4u64 {
-                let input = NVec::from(vec![x1, x2]);
-                let start = max.initial_configuration(&input).unwrap();
-                let target = Configuration::from_counts(vec![(y, x1 + x2)]);
-                let start_dense = arena::to_dense(&start, compiled.stride()).unwrap();
-                let target_dense = arena::to_dense(&target, compiled.stride()).unwrap();
-                let refuted = oracle.refutes(&start_dense, &target_dense).is_some();
-                assert_eq!(refuted, x1 + x2 > 0, "at ({x1},{x2})");
-                // Bit-identical verdicts with and without the oracle.
-                let fast = target_reachable(max.crn(), &start, &target, 100_000).unwrap();
-                let slow =
-                    target_reachable_exhaustive(max.crn(), &start, &target, 100_000).unwrap();
-                assert_eq!(fast, slow, "at ({x1},{x2})");
-                assert_eq!(fast, x1 + x2 == 0, "at ({x1},{x2})");
-            }
-        }
-    }
-
-    #[test]
-    fn target_reachable_finds_reachable_targets() {
-        let double = examples::double_crn();
-        let start = double.initial_configuration(&NVec::from(vec![3])).unwrap();
-        let x = double.roles().inputs[0];
-        let y = double.output();
-        for k in 0..=3u64 {
-            let target = Configuration::from_counts(vec![(x, 3 - k), (y, 2 * k)]);
-            assert!(target_reachable(double.crn(), &start, &target, 1_000).unwrap());
-        }
-        // {Y: 3} is refuted by the law 2X + Y: 2·3 + 0 = 6 ≠ 2·0 + 3.
-        let odd = Configuration::from_counts(vec![(y, 3)]);
-        let compiled = crate::compiled::CompiledCrn::compile(double.crn());
-        let oracle = InvariantOracle::new(&compiled);
-        let s = arena::to_dense(&start, compiled.stride()).unwrap();
-        let t = arena::to_dense(&odd, compiled.stride()).unwrap();
-        assert!(oracle.refutes(&s, &t).is_some());
-        assert!(!target_reachable(double.crn(), &start, &odd, 1_000).unwrap());
-    }
-
-    #[test]
-    fn foreign_species_mismatch_is_refuted_without_exploring() {
-        // A species no reaction touches differs between start and target: the
-        // constant-species precheck refutes it even with a limit of 1.
-        let double = examples::double_crn();
-        let start = double.initial_configuration(&NVec::from(vec![2])).unwrap();
-        let mut target = start.clone();
-        target.add(Species(40), 1);
-        assert!(!target_reachable(double.crn(), &start, &target, 1).unwrap());
-    }
-
     /// Builds a CRN over `{X1, X2, Y, Z}` that is symmetric in its inputs by
     /// construction: each sampled reaction is added twice, once as drawn and
     /// once with X1 and X2 swapped, so the input swap is always an
@@ -1105,7 +987,57 @@ mod tests {
         FunctionCrn::with_named_roles(crn, &["X1", "X2"], "Y", None).expect("valid roles")
     }
 
+    /// Whether renaming every species `s` to `sigma[s]` maps the reactions
+    /// of `crn` onto themselves as a multiset, each reaction compared as its
+    /// sorted reactant and product counts.
+    fn maps_reactions_onto_themselves(crn: &Crn, sigma: &[usize]) -> bool {
+        type Side = Vec<(usize, u64)>;
+        let renamed = |rename: &dyn Fn(usize) -> usize| -> Vec<(Side, Side)> {
+            let side = |counts: &std::collections::BTreeMap<Species, u64>| -> Side {
+                let mut side: Side = counts
+                    .iter()
+                    .map(|(s, &c)| (rename(s.index()), c))
+                    .collect();
+                side.sort_unstable();
+                side
+            };
+            let mut reactions: Vec<(Side, Side)> = crn
+                .reactions()
+                .iter()
+                .map(|r| (side(r.reactants()), side(r.products())))
+                .collect();
+            reactions.sort_unstable();
+            reactions
+        };
+        renamed(&|s| s) == renamed(&|s| sigma[s])
+    }
+
     proptest! {
+        /// The detector finds the swap `symmetric_random_crn` forces, and
+        /// every automorphism it reports maps the reaction multiset onto
+        /// itself — rebuilt here from the `Crn`'s own reactions, not through
+        /// the detector's final gate — fixes the output and moves the
+        /// inputs as its skip orientation says.
+        #[test]
+        fn the_detector_finds_every_forced_swap(
+            stoich in proptest::collection::vec(proptest::collection::vec(0u64..3, 8), 1..5),
+        ) {
+            let crn = symmetric_random_crn(&stoich);
+            let analysis = CrnAnalysis::of(&crn);
+            let found = analysis.automorphisms();
+            let skips: Vec<&[usize]> = found.iter().map(Automorphism::inputs).collect();
+            prop_assert_eq!(skips, vec![&[1usize, 0][..]]);
+            let inputs: Vec<usize> = crn.roles().inputs.iter().map(|s| s.index()).collect();
+            for automorphism in found {
+                let sigma = automorphism.species();
+                prop_assert!(maps_reactions_onto_themselves(crn.crn(), sigma));
+                prop_assert_eq!(sigma[crn.output().index()], crn.output().index());
+                for (k, &j) in automorphism.inputs().iter().enumerate() {
+                    prop_assert_eq!(sigma[inputs[j]], inputs[k]);
+                }
+            }
+        }
+
         /// Orbit-reduced sweeps on CRNs with forced input symmetry return
         /// outcomes bit-identical to the reference scan — for symmetric
         /// *and* asymmetric expected functions (the latter disables most
@@ -1136,52 +1068,6 @@ mod tests {
             prop_assert_eq!(&sequential, &reference);
             let sharded = incremental_scan(&crn, asymmetric, bound, 300, 3);
             prop_assert_eq!(&sharded, &reference);
-        }
-
-        /// Differential soundness of the invariant oracle: whenever it
-        /// refutes a start/target pair of a random CRN, the exhaustive
-        /// engine must agree the target is unreachable — and with or
-        /// without the oracle the final verdicts are bit-identical.
-        #[test]
-        fn invariant_oracle_agrees_with_exhaustive_search(
-            stoich in proptest::collection::vec(proptest::collection::vec(0u64..3, 6), 1..4),
-            x in 0u64..5,
-            target_counts in proptest::collection::vec(0u64..5, 3),
-        ) {
-            let crn = random_crn(&stoich);
-            let start = crn.initial_configuration(&NVec::from(vec![x])).unwrap();
-            let species = [
-                crn.roles().inputs[0],
-                crn.output(),
-                crn.crn().species_named("Z").unwrap(),
-            ];
-            let target = Configuration::from_counts(
-                species
-                    .iter()
-                    .zip(&target_counts)
-                    .map(|(&s, &c)| (s, c))
-                    .collect::<Vec<_>>(),
-            );
-            let fast = target_reachable(crn.crn(), &start, &target, 5_000);
-            let slow = target_reachable_exhaustive(crn.crn(), &start, &target, 5_000);
-            match (&fast, &slow) {
-                // The oracle may refute without exploring, so it can succeed
-                // where the exhaustive engine blows the limit; it must never
-                // claim reachable in that case.
-                (Ok(v), Err(_)) => prop_assert!(!v),
-                _ => prop_assert_eq!(fast, slow),
-            }
-            // A refutation must never contradict a completed exploration.
-            let compiled = crate::compiled::CompiledCrn::compile(crn.crn());
-            let oracle = InvariantOracle::new(&compiled);
-            let stride = arena::stride_for(compiled.stride(), &start);
-            let s = arena::to_dense(&start, stride).unwrap();
-            let t = arena::to_dense(&target, stride).unwrap();
-            if oracle.refutes(&s, &t).is_some() {
-                if let Ok(reachable) = slow {
-                    prop_assert!(!reachable, "oracle refuted a reachable target");
-                }
-            }
         }
 
         /// Additivity of reachability (Section 2.2): if A ->* B then A + C ->* B + C.

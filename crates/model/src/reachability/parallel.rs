@@ -18,14 +18,14 @@
 //! decision passes (see [`VerdictEngine::decide`]) on top.
 
 use crn_sync::atomic::{AtomicU64, Ordering};
-use crn_sync::Arc;
 
 use crn_numeric::NVec;
 
+use crate::analysis::CrnAnalysis;
 use crate::error::CrnError;
-use crate::function::FunctionCrn;
 
 use super::engine::{StaticOutcome, SweepPlan, VerdictEngine};
+use super::symmetry::Automorphism;
 use super::{BoxCheckStats, StableComputationVerdict};
 
 /// One input's outcome: the check failed, or the search errored out.
@@ -52,18 +52,15 @@ pub(super) const MIN_POINTS_PER_WORKER: u64 = 8;
 /// verdicts are unaffected.  Any static answer re-arms the counter.
 const STATIC_ABSTAIN_CUTOFF: u32 = 16;
 
-/// The number of points in `[0, bound]^d`, saturating at `u64::MAX` (a box
-/// that large cannot be swept anyway).
-fn box_point_count(dim: usize, bound: u64) -> u64 {
-    let radix = bound.saturating_add(1);
-    let mut total = 1u64;
-    for _ in 0..dim {
-        total = match total.checked_mul(radix) {
-            Some(t) => t,
-            None => return u64::MAX,
-        };
-    }
-    total
+/// The number of points in `[0, bound]^dim`, or `None` when it does not fit
+/// in `u64`: a sweep's `u64` cursor cannot index every point of such a box,
+/// so [`check_on_box`](super::check_on_box) refuses it with an error.
+#[must_use]
+pub fn box_point_count(dim: usize, bound: u64) -> Option<u64> {
+    let radix = u128::from(bound) + 1;
+    (0..dim).try_fold(1u64, |total, _| {
+        u64::try_from(u128::from(total) * radix).ok()
+    })
 }
 
 /// Decodes a lexicographic box index into the point it names, writing into a
@@ -89,7 +86,7 @@ fn decode_point(mut index: u64, radix: u64, x: &mut NVec) {
 /// race is re-checked in full, so the returned outcome is byte-identical to
 /// the reference scan — failure messages and errors included.
 pub(super) fn check_on_box_sharded(
-    crn: &FunctionCrn,
+    analysis: &CrnAnalysis<'_>,
     f: &(impl Fn(&NVec) -> u64 + Sync),
     bound: u64,
     max_configurations: usize,
@@ -100,20 +97,38 @@ pub(super) fn check_on_box_sharded(
     BoxCheckStats,
 ) {
     let _sweep = crn_obs::span("model.box.sweep");
-    let dim = crn.dim();
+    let dim = analysis.crn().dim();
     let radix = bound.saturating_add(1);
-    let total = box_point_count(dim, bound);
+    let Some(total) = box_point_count(dim, bound) else {
+        let limit = format!("[0, {bound}]^{dim} has more points than fit in u64");
+        return (
+            Err(CrnError::SearchLimitExceeded { limit }),
+            BoxCheckStats::default(),
+        );
+    };
     let workers = workers.clamp(1, usize::try_from(total).unwrap_or(usize::MAX).max(1));
 
-    // Everything point-independent is computed once for the whole sweep: the
-    // static analysis and the plan (packed spec, input automorphisms).
-    let shared_analysis = (!reference).then(|| VerdictEngine::analyze(crn));
-    let plan = shared_analysis
-        .as_ref()
-        .map(|analysis| SweepPlan::build(crn, analysis, bound));
-    let make_engine = || match &shared_analysis {
-        Some(analysis) => VerdictEngine::with_analysis(crn, Some(Arc::clone(analysis))),
-        None => VerdictEngine::reference(crn),
+    // Everything point-independent is computed once for the whole sweep:
+    // the static analysis every pruned worker reads, forced here rather than
+    // by whichever worker first needs it, and the plan (packed spec, input
+    // automorphisms).
+    let plan = (!reference).then(|| {
+        {
+            let _analyze = crn_obs::span("model.box.analyze");
+            analysis.bounds();
+            analysis.laws();
+            analysis.acyclic();
+            analysis.stubborn();
+        }
+        let _plan = crn_obs::span("model.box.plan");
+        SweepPlan::build(analysis, bound)
+    });
+    let make_engine = || {
+        if reference {
+            VerdictEngine::reference(analysis)
+        } else {
+            VerdictEngine::pruned(analysis)
+        }
     };
 
     // Ordering audit (model-checked in crn-sync tests/model.rs; see
@@ -175,7 +190,7 @@ pub(super) fn check_on_box_sharded(
                 // verdict.  The lexicographically-first bad point maps only
                 // to larger-or-equal bad points, so it is never skipped and
                 // the winner is unchanged.
-                for p in &plan.perms {
+                for p in plan.perms.iter().map(Automorphism::inputs) {
                     for k in 0..dim {
                         y[k] = x[p[k]];
                     }
@@ -363,15 +378,27 @@ mod tests {
             }
             assert_eq!(
                 box_point_count(dim, bound),
-                u64::try_from(NVec::box_iter(dim, bound).count()).unwrap()
+                u64::try_from(NVec::box_iter(dim, bound).count()).ok()
             );
         }
     }
 
+    /// A box with more points than `u64` holds has no count (a `u64` cursor
+    /// could scan only a prefix of it), and the sweep refuses it up front.
     #[test]
     fn box_point_count_saturates() {
-        assert_eq!(box_point_count(0, 7), 1);
-        assert_eq!(box_point_count(4, u64::MAX), u64::MAX);
-        assert_eq!(box_point_count(64, 2), u64::MAX);
+        assert_eq!(box_point_count(0, 7), Some(1));
+        assert_eq!(box_point_count(1, u64::MAX - 1), Some(u64::MAX));
+        assert_eq!(box_point_count(1, u64::MAX), None);
+        assert_eq!(box_point_count(4, u64::MAX), None);
+        assert_eq!(box_point_count(63, 1), Some(1 << 63));
+        assert_eq!(box_point_count(64, 1), None);
+        assert_eq!(box_point_count(64, 2), None);
+        assert_eq!(box_point_count(0, u64::MAX), Some(1));
+        let double = crate::examples::double_crn();
+        assert!(matches!(
+            super::super::check_on_box(&double, |x| 2 * x[0], u64::MAX, 10),
+            Err(CrnError::SearchLimitExceeded { .. })
+        ));
     }
 }

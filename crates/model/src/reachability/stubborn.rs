@@ -55,7 +55,7 @@ use crate::compiled::{CompiledCrn, CompiledReaction};
 use super::csr::CsrGraph;
 
 /// The per-CRN relations behind the stubborn-set closure.
-pub(super) struct StubbornSets {
+pub(crate) struct StubbornSets {
     /// Row `t`: the reactions `u ≠ t` that conflict with `t`, ascending.
     conflicts: CsrGraph,
     /// Row `s`: the reactions whose net delta on species `s` is positive,
@@ -82,7 +82,7 @@ fn lowers(t: &CompiledReaction, u: &CompiledReaction) -> bool {
 
 impl StubbornSets {
     /// Builds the conflict and producer relations of `compiled`.
-    pub(super) fn of(compiled: &CompiledCrn) -> StubbornSets {
+    pub(crate) fn of(compiled: &CompiledCrn) -> StubbornSets {
         let reactions = compiled.reactions();
         let mut conflicts = CsrGraph::default();
         for (i, t) in reactions.iter().enumerate() {

@@ -113,14 +113,16 @@ impl SemilinearFunction {
         Err(SemilinearFunctionError::NotCovered(x.clone()))
     }
 
-    /// Validates the presentation on every point of `[0, bound]^d`: total
-    /// coverage, disjoint domains, and values in `N`.
+    /// Validates the presentation on every point of `[0, bound]^d`, in
+    /// lexicographic order: total coverage, disjoint domains, and values in
+    /// `N`.  Points are visited one at a time, so the first violation comes
+    /// back at once however large the box.
     ///
     /// # Errors
     ///
     /// Returns the first violation found.
     pub fn validate_on_box(&self, bound: u64) -> Result<(), SemilinearFunctionError> {
-        for x in NVec::enumerate_box(self.dim, bound) {
+        for x in NVec::box_iter(self.dim, bound) {
             let mut matches = 0;
             for (domain, piece) in &self.pieces {
                 if domain.contains(&x) {
@@ -144,22 +146,18 @@ impl SemilinearFunction {
     /// pair rules out oblivious computability).
     #[must_use]
     pub fn is_nondecreasing_on_box(&self, bound: u64) -> Option<(NVec, NVec)> {
-        let points = NVec::enumerate_box(self.dim, bound);
-        for x in &points {
-            let fx = match self.eval(x) {
+        for x in NVec::box_iter(self.dim, bound) {
+            let fx = match self.eval(&x) {
                 Ok(v) => v,
                 Err(_) => continue,
             };
             // It suffices to compare against the d successors x + e_i.
-            for i in 0..self.dim {
+            for i in (0..self.dim).filter(|&i| x[i] < bound) {
                 let mut y = x.clone();
                 y[i] += 1;
-                if y.iter().any(|&c| c > bound) {
-                    continue;
-                }
                 if let Ok(fy) = self.eval(&y) {
                     if fy < fx {
-                        return Some((x.clone(), y));
+                        return Some((x, y));
                     }
                 }
             }
@@ -301,6 +299,52 @@ mod tests {
             empty.eval(&NVec::from(vec![0])),
             Err(SemilinearFunctionError::NotCovered(_))
         ));
+    }
+
+    #[test]
+    fn huge_boxes_are_validated_lazily() {
+        use crate::set::SemilinearSet;
+        use crate::threshold::ThresholdSet;
+        // Covered on [0, 2] and from 4 on, but not at 3: the first
+        // violation of a box with 2^64 - 1 points comes back at once.
+        let gap = SemilinearFunction::new(
+            1,
+            vec![
+                (
+                    SemilinearSet::threshold(ThresholdSet::component_at_most(1, 0, 2)),
+                    AffinePiece::integer(vec![0], 0),
+                ),
+                (
+                    SemilinearSet::threshold(ThresholdSet::component_at_least(1, 0, 4)),
+                    AffinePiece::integer(vec![0], 1),
+                ),
+            ],
+        )
+        .unwrap();
+        assert_eq!(
+            gap.validate_on_box(u64::MAX - 1),
+            Err(SemilinearFunctionError::NotCovered(NVec::from(vec![3])))
+        );
+        // The nondecreasing scan also stops at its first violating pair,
+        // however large the box.
+        let decreasing = SemilinearFunction::new(
+            1,
+            vec![
+                (
+                    SemilinearSet::threshold(ThresholdSet::component_at_most(1, 0, 0)),
+                    AffinePiece::integer(vec![0], 1),
+                ),
+                (
+                    SemilinearSet::threshold(ThresholdSet::component_at_least(1, 0, 1)),
+                    AffinePiece::integer(vec![0], 0),
+                ),
+            ],
+        )
+        .unwrap();
+        assert_eq!(
+            decreasing.is_nondecreasing_on_box(u64::MAX),
+            Some((NVec::from(vec![0]), NVec::from(vec![1])))
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@ use composable_crn::core::characterize::{characterize, Characterization};
 use composable_crn::core::one_dim::{analyze_semilinear_1d, synthesize_1d_leader};
 use composable_crn::core::spec::ObliviousSpec;
 use composable_crn::core::synthesis::synthesize;
+use composable_crn::model::analysis::CrnAnalysis;
 use composable_crn::model::{check_stable_computation, BoxCheck};
 use composable_crn::numeric::NVec;
 use composable_crn::popproto::run_pairwise;
@@ -79,11 +80,14 @@ fn synthesized_constructions_verify_exhaustively_at_useful_bounds() {
             panic!("every case is obliviously computable");
         };
         let crn = synthesize(&spec).unwrap();
+        let analysis = CrnAnalysis::of(&crn);
         let eval = |x: &NVec| f.eval(x).unwrap();
-        let (outcome, stats) = BoxCheck::new(&crn, eval, bound, 200_000).workers(1).run();
+        let (outcome, stats) = BoxCheck::new(&analysis, eval, bound, 200_000)
+            .workers(1)
+            .run();
         assert_eq!(outcome, Ok(None), "[0,{bound}]^{}", crn.dim());
         for workers in [2, 4] {
-            let (outcome, again) = BoxCheck::new(&crn, eval, bound, 200_000)
+            let (outcome, again) = BoxCheck::new(&analysis, eval, bound, 200_000)
                 .workers(workers)
                 .run();
             assert_eq!(outcome, Ok(None));
