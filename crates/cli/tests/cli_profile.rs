@@ -260,6 +260,51 @@ fn one_analysis_serves_lint_and_verify_per_item() {
     }
 }
 
+/// The calls recorded under every span path ending in `/name` of a one-line
+/// JSON report.
+fn span_calls(json: &str, name: &str) -> u64 {
+    let key = format!("/{name}\":{{\"count\":");
+    json.match_indices(&key)
+        .map(|(at, _)| {
+            json[at + key.len()..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect::<String>()
+                .parse::<u64>()
+                .expect("integer span count")
+        })
+        .sum()
+}
+
+#[test]
+fn per_crn_set_up_shows_one_span_per_artifact_and_item() {
+    // The cone enumeration used to hide inside `model.analysis.lint` and
+    // the bases inside `model.box.analyze`; each initializer of the shared
+    // analysis now has a span of its own, entered once per crn item.
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fig7 = dir.join("set_up_spans_fig7.crn");
+    let fig7 = fig7.to_str().unwrap();
+    let (code, _, stderr) = run_crn(&["synthesize", "corpus/figure7.crn", "-o", fig7]);
+    assert_eq!(code, 0, "{stderr}");
+    let document = std::fs::read_to_string(fig7).unwrap();
+    let items = document
+        .lines()
+        .filter(|line| line.starts_with("crn "))
+        .count();
+    assert_eq!(items, 1, "{document}");
+    let (code, json, _) = run_crn(&["verify", fig7, "--bound", "1", "--json", "--profile"]);
+    assert_eq!(code, 0, "{json}");
+    for span in [
+        "model.analysis.bounds",
+        "model.analysis.laws",
+        "model.analysis.t_semiflows",
+        "model.analysis.acyclic",
+    ] {
+        assert_eq!(span_calls(&json, span), 1, "{span}:\n{json}");
+    }
+}
+
 #[test]
 fn interleaving_independent_counters_match_at_every_worker_count() {
     let path = scratch("profile_workers.crn", DOUBLE_DOC);

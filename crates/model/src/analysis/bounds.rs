@@ -39,7 +39,8 @@ use crn_numeric::gcd_i128;
 use crate::compiled::CompiledCrn;
 
 use super::invariants::{
-    farkas_annul, weigh, ConservationLaw, FarkasCore, FarkasRows, FARKAS_ROW_CAP,
+    farkas_annul, project, species_rows, weigh, ConservationLaw, FarkasCore, FarkasRow, FarkasRows,
+    FARKAS_ROW_CAP,
 };
 use super::liveness::Liveness;
 use super::stoichiometry::Stoichiometry;
@@ -437,6 +438,17 @@ fn law_bounds_on(
     ))
 }
 
+/// The Farkas table of the `sign` potential cone: the species rows
+/// `[sign·N[s][·] | e_s]` and one slack row `[e_r | e_{S+r}]` per reaction,
+/// with the `(v, w)` payload after the `R` reaction columns.
+pub(super) fn potential_table(stoich: &Stoichiometry, sign: i128) -> Vec<FarkasRow> {
+    let species = stoich.stride();
+    let reactions = stoich.reaction_count();
+    let mut table = species_rows(stoich, sign);
+    table.extend((0..reactions).map(|r| vec![(r, 1), (reactions + species + r, 1)]));
+    table
+}
+
 /// Generators of `{v ≥ 0 : sign · (v·N) ≤ 0}` via the Farkas core `core` on
 /// the stoichiometry extended with one nonnegative slack per reaction:
 /// rows of `[sign·N ; I_R]` with combination coefficients `(v, w)` satisfy
@@ -447,37 +459,17 @@ pub(super) fn monotone_potentials(
     sign: i128,
     max_rows: usize,
     core: FarkasCore,
-) -> FarkasRows {
+) -> FarkasRows<Vec<i128>> {
     let species = stoich.stride();
     let reactions = stoich.reaction_count();
-    let width = reactions + species + reactions;
-    // Species rows: [sign·N[s][·] | e_s in the (v, w) payload].
-    let mut table: Vec<Vec<i128>> = (0..species)
-        .map(|s| {
-            let mut row = vec![0i128; width];
-            for (r, cell) in row[..reactions].iter_mut().enumerate() {
-                *cell = sign * i128::from(stoich.entry(s, r));
-            }
-            row[reactions + s] = 1;
-            row
-        })
-        .collect();
-    // Slack rows: [e_r | e_{S+r} in the payload].
-    for r in 0..reactions {
-        let mut row = vec![0i128; width];
-        row[r] = 1;
-        row[reactions + species + r] = 1;
-        table.push(row);
-    }
-
-    let farkas = core(table, reactions, max_rows);
+    let farkas = core(potential_table(stoich, sign), reactions, max_rows);
 
     // The rows are the extreme rays of the full (v, w) cone; project out the
     // slack half.
     let mut potentials: Vec<Vec<i128>> = farkas
         .rows
-        .into_iter()
-        .map(|row| row[reactions..reactions + species].to_vec())
+        .iter()
+        .map(|row| project(row, reactions, species))
         .filter(|v| v.iter().any(|&w| w != 0))
         .map(|mut v| {
             let g = v.iter().fold(0i128, |acc, &w| gcd_i128(acc, w));
@@ -493,7 +485,8 @@ pub(super) fn monotone_potentials(
     potentials.dedup();
     FarkasRows {
         rows: potentials,
-        ..farkas
+        truncated: farkas.truncated,
+        overflowed: farkas.overflowed,
     }
 }
 

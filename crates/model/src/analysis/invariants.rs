@@ -36,7 +36,7 @@
 
 use std::collections::HashSet;
 
-use crn_numeric::{checked_gcd_i128, checked_lcm_i128, Rational};
+use crn_numeric::{checked_gcd_i128, checked_lcm_i128, gcd_i128, Rational};
 
 use crate::species::SpeciesSet;
 
@@ -211,15 +211,18 @@ fn reduce_to_rref(a: &mut [Vec<Rational>], cols: usize) -> Option<Vec<usize>> {
         };
         a.swap(rank, pivot_row);
         let pivot = a[rank][col];
-        for cell in &mut a[rank] {
-            *cell = cell.checked_div(pivot)?;
+        // Zero cells of the pivot row change nothing below, so only its
+        // nonzero columns are divided and eliminated.
+        let nonzero: Vec<usize> = (0..cols).filter(|&c| !a[rank][c].is_zero()).collect();
+        for &c in &nonzero {
+            a[rank][c] = a[rank][c].checked_div(pivot)?;
         }
         let pivot_row = a[rank].clone();
         for (r, row) in a.iter_mut().enumerate() {
             if r != rank && !row[col].is_zero() {
                 let factor = row[col];
-                for (cell, &p) in row.iter_mut().zip(&pivot_row) {
-                    *cell = cell.checked_sub(p.checked_mul(factor)?)?;
+                for &c in &nonzero {
+                    row[c] = row[c].checked_sub(pivot_row[c].checked_mul(factor)?)?;
                 }
             }
         }
@@ -284,10 +287,15 @@ pub struct SemiflowEnumeration {
     pub overflowed: bool,
 }
 
+/// One row of a Farkas table: its nonzero entries as `(column, value)`
+/// pairs in ascending column order.
+pub(super) type FarkasRow = Vec<(usize, i128)>;
+
 /// The rows a Farkas enumeration found, and whether it is incomplete.
-pub(super) struct FarkasRows {
+#[derive(Debug, PartialEq, Eq)]
+pub(super) struct FarkasRows<Row = FarkasRow> {
     /// The rows found; a core's rows are zero on every annulled column.
-    pub(super) rows: Vec<Vec<i128>>,
+    pub(super) rows: Vec<Row>,
     /// Rows may be missing: the row cap cut a column short, or an
     /// overflowing combination was dropped.
     pub(super) truncated: bool,
@@ -298,13 +306,13 @@ pub(super) struct FarkasRows {
 /// A Farkas core: annuls the first `annul` columns of a table whose rows are
 /// `[constraint part | nonnegative payload]`, holding at most `max_rows`
 /// rows per column.
-pub(super) type FarkasCore = fn(Vec<Vec<i128>>, usize, usize) -> FarkasRows;
+pub(super) type FarkasCore = fn(Vec<FarkasRow>, usize, usize) -> FarkasRows;
 
 /// The double-description Farkas core.  Rows are `[annulled part |
-/// payload]`; the payload columns (everything after the first `annul`)
-/// must be nonnegative, with the initial rows the unit payload vectors, so
-/// every row is determined by its payload and the table starts as the
-/// extreme rays of the nonnegative orthant.
+/// payload]`; the payload columns (everything from `annul` on) must be
+/// nonnegative, with the initial rows the unit payload vectors, so every
+/// row is determined by its payload and the table starts as the extreme
+/// rays of the nonnegative orthant.
 ///
 /// Column by column, rows with a zero entry carry over, and each adjacent
 /// positive/negative pair (see the module docs) contributes the primitive
@@ -313,20 +321,27 @@ pub(super) type FarkasCore = fn(Vec<Vec<i128>>, usize, usize) -> FarkasRows;
 /// parents', so each row's support bitset is computed once, from the table
 /// or as that union, and adjacency is a subset test on the bitsets.
 ///
+/// Rows are sparse.  Every column before the one being annulled is zero in
+/// every row, so a row's entry at that column is its first entry, if any.
+///
 /// The table never needs deduplication: a row whose support equals a
 /// pair's union lies inside that union and so blocks the pair, hence no two
 /// rows ever share a support, even when the cap or an overflow cuts the
 /// enumeration short.
-pub(super) fn farkas_annul(mut table: Vec<Vec<i128>>, annul: usize, max_rows: usize) -> FarkasRows {
+pub(super) fn farkas_annul(mut table: Vec<FarkasRow>, annul: usize, max_rows: usize) -> FarkasRows {
     let mut capped = false;
     let mut overflowed = false;
     let mut supports = PayloadSupports::of(&table, annul);
     for col in 0..annul {
         debug_assert!(supports.distinct(), "two Farkas rows share a support");
-        let positive: Vec<usize> = (0..table.len()).filter(|&i| table[i][col] > 0).collect();
-        let negative: Vec<usize> = (0..table.len()).filter(|&i| table[i][col] < 0).collect();
+        let lead = |row: &FarkasRow| match row.first() {
+            Some(&(c, v)) if c == col => v,
+            _ => 0,
+        };
+        let positive: Vec<usize> = (0..table.len()).filter(|&i| lead(&table[i]) > 0).collect();
+        let negative: Vec<usize> = (0..table.len()).filter(|&i| lead(&table[i]) < 0).collect();
         let kept = table.len() - positive.len() - negative.len();
-        let mut combined: Vec<Vec<i128>> = Vec::new();
+        let mut combined: Vec<FarkasRow> = Vec::new();
         let mut combined_supports = Vec::new();
         'pairs: for &p in &positive {
             for &n in &negative {
@@ -337,7 +352,7 @@ pub(super) fn farkas_annul(mut table: Vec<Vec<i128>>, annul: usize, max_rows: us
                     capped = true;
                     break 'pairs;
                 }
-                match combine(&table[p], &table[n], col) {
+                match combine(&table[p], &table[n]) {
                     Some(row) => {
                         combined.push(row);
                         supports.union_into(p, n, &mut combined_supports);
@@ -346,7 +361,7 @@ pub(super) fn farkas_annul(mut table: Vec<Vec<i128>>, annul: usize, max_rows: us
                 }
             }
         }
-        let zero: Vec<bool> = table.iter().map(|row| row[col] == 0).collect();
+        let zero: Vec<bool> = table.iter().map(|row| lead(row) == 0).collect();
         supports.retain(&zero);
         supports.bits.append(&mut combined_supports);
         let mut zero = zero.into_iter();
@@ -360,34 +375,77 @@ pub(super) fn farkas_annul(mut table: Vec<Vec<i128>>, annul: usize, max_rows: us
     }
 }
 
-/// The positive combination `−n[col]·p + p[col]·n` (zero at `col`), divided
-/// by the gcd of its entries, or `None` when an entry overflows `i128`.
-/// Rows are mostly zero, so entries where both parents are zero stay zero
-/// without any arithmetic.
-fn combine(p: &[i128], n: &[i128], col: usize) -> Option<Vec<i128>> {
-    let (a, b) = (n[col].checked_neg()?, p[col]);
-    let mut row = p
-        .iter()
-        .zip(n)
-        .map(|(&x, &y)| {
-            if x == 0 && y == 0 {
-                Some(0)
-            } else {
-                x.checked_mul(a)?.checked_add(y.checked_mul(b)?)
+/// The positive combination `−n₀·p + p₀·n` of a row `p` and a row `n` whose
+/// first entries `p₀ > 0` and `n₀ < 0` sit in the column being annulled,
+/// divided by the gcd of its entries.  `None` when an entry overflows
+/// `i128` or is `i128::MIN`, whose magnitude the gcd cannot take; the
+/// annulled entry `p₀·(−n₀) − (−n₀)·p₀` counts, though it cancels.
+fn combine(p: &[(usize, i128)], n: &[(usize, i128)]) -> Option<FarkasRow> {
+    let (a, b) = (n[0].1.checked_neg()?, p[0].1);
+    debug_assert!(a > 0 && b > 0 && p[0].0 == n[0].0);
+    scale(b, a)?;
+    let (mut ps, mut ns) = (p[1..].iter().peekable(), n[1..].iter().peekable());
+    let mut row = Vec::with_capacity(p.len() + n.len() - 2);
+    loop {
+        let entry = match (ps.peek(), ns.peek()) {
+            (None, None) => break,
+            (Some(&&(c, x)), Some(&&(d, y))) if c == d => {
+                ps.next();
+                ns.next();
+                (c, scale(x, a)?.checked_add(scale(y, b)?)?)
             }
-        })
-        .collect::<Option<Vec<i128>>>()?;
-    debug_assert_eq!(row[col], 0);
-    let g = row
-        .iter()
-        .filter(|&&w| w != 0)
-        .try_fold(0i128, |acc, &w| checked_gcd_i128(acc, w))?;
+            (Some(&&(c, x)), Some(&&(d, _))) if c < d => {
+                ps.next();
+                (c, scale(x, a)?)
+            }
+            (Some(&&(c, x)), None) => {
+                ps.next();
+                (c, scale(x, a)?)
+            }
+            (_, Some(&&(d, y))) => {
+                ns.next();
+                (d, scale(y, b)?)
+            }
+        };
+        if entry.1 != 0 {
+            row.push(entry);
+        }
+    }
+    // Once the gcd reaches 1 it stays there, but an `i128::MIN` entry must
+    // still be rejected.
+    let mut g = 0;
+    for &(_, w) in &row {
+        if w == i128::MIN {
+            return None;
+        }
+        if g != 1 {
+            g = gcd_i128(g, w);
+        }
+    }
     if g > 1 {
-        for w in &mut row {
-            *w /= g;
+        for (_, w) in &mut row {
+            *w = divide_exact(*w, g);
         }
     }
     Some(row)
+}
+
+/// `x·k`: one widening `i64 × i64` multiply when both fit `i64` (the
+/// product then always fits `i128`), checked `i128` arithmetic otherwise.
+fn scale(x: i128, k: i128) -> Option<i128> {
+    match (i64::try_from(x), i64::try_from(k)) {
+        (Ok(x), Ok(k)) => Some(i128::from(x) * i128::from(k)),
+        _ => x.checked_mul(k),
+    }
+}
+
+/// `w / g` for a divisor `g > 0` of `w`, in machine words when both fit
+/// `i64`.
+fn divide_exact(w: i128, g: i128) -> i128 {
+    match (i64::try_from(w), i64::try_from(g)) {
+        (Ok(w), Ok(g)) => i128::from(w / g),
+        _ => w / g,
+    }
 }
 
 /// The payload supports of a Farkas table as bitsets, one `words`-long run
@@ -398,15 +456,19 @@ struct PayloadSupports {
 }
 
 impl PayloadSupports {
-    fn of(table: &[Vec<i128>], annul: usize) -> Self {
-        let width = table.first().map_or(0, |row| row.len() - annul);
+    fn of(table: &[FarkasRow], annul: usize) -> Self {
+        let width = table
+            .iter()
+            .filter_map(|row| row.last())
+            .map(|&(c, _)| (c + 1).saturating_sub(annul))
+            .max()
+            .unwrap_or(0);
         let words = width.div_ceil(64).max(1);
         let mut bits = vec![0u64; table.len() * words];
         for (row, out) in table.iter().zip(bits.chunks_exact_mut(words)) {
-            for (j, &w) in row[annul..].iter().enumerate() {
-                if w != 0 {
-                    out[j / 64] |= 1 << (j % 64);
-                }
+            for &(c, _) in row.iter().filter(|&&(c, _)| c >= annul) {
+                let j = c - annul;
+                out[j / 64] |= 1 << (j % 64);
             }
         }
         PayloadSupports { words, bits }
@@ -481,23 +543,12 @@ fn semiflows_with(
     let species = stoich.stride();
     let reactions = stoich.reaction_count();
     // Each row is [reaction part (length R) | species weights (length S)].
-    let table: Vec<Vec<i128>> = (0..species)
-        .map(|s| {
-            let mut row = vec![0i128; reactions + species];
-            for (r, cell) in row[..reactions].iter_mut().enumerate() {
-                *cell = i128::from(stoich.entry(s, r));
-            }
-            row[reactions + s] = 1;
-            row
-        })
-        .collect();
-
-    let farkas = core(table, reactions, max_rows);
+    let farkas = core(species_rows(stoich, 1), reactions, max_rows);
 
     let mut laws: Vec<ConservationLaw> = farkas
         .rows
         .into_iter()
-        .filter_map(|row| ConservationLaw::primitive(row[reactions..].to_vec()))
+        .filter_map(|row| ConservationLaw::primitive(project(&row, reactions, species)))
         .collect();
     laws.sort_by(|a, b| a.weights().cmp(b.weights()));
     laws.dedup();
@@ -506,6 +557,33 @@ fn semiflows_with(
         truncated: farkas.truncated,
         overflowed: farkas.overflowed,
     }
+}
+
+/// The Farkas rows `[sign·N[s][·] | e_s]`, one per species: the nonzero
+/// reaction entries, then a unit weight after the `R` reaction columns.
+pub(super) fn species_rows(stoich: &Stoichiometry, sign: i128) -> Vec<FarkasRow> {
+    let reactions = stoich.reaction_count();
+    (0..stoich.stride())
+        .map(|s| {
+            let mut row: FarkasRow = (0..reactions)
+                .filter(|&r| stoich.entry(s, r) != 0)
+                .map(|r| (r, sign * i128::from(stoich.entry(s, r))))
+                .collect();
+            row.push((reactions + s, 1));
+            row
+        })
+        .collect()
+}
+
+/// Columns `from..from + len` of a sparse row, as a dense vector.
+pub(super) fn project(row: &[(usize, i128)], from: usize, len: usize) -> Vec<i128> {
+    let mut dense = vec![0; len];
+    for &(c, w) in row {
+        if let Some(cell) = c.checked_sub(from).and_then(|j| dense.get_mut(j)) {
+            *cell = w;
+        }
+    }
+    dense
 }
 
 /// [`nonnegative_laws_capped`] without the truncation flag, for callers that
@@ -518,7 +596,7 @@ pub fn nonnegative_laws(stoich: &Stoichiometry, max_rows: usize) -> Vec<Conserva
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::bounds::monotone_potentials;
+    use crate::analysis::bounds::{monotone_potentials, potential_table};
     use crate::compiled::CompiledCrn;
     use crate::crn::Crn;
     use crate::examples;
@@ -708,16 +786,110 @@ mod tests {
         assert_eq!(basis, conservation_basis(&n));
     }
 
+    /// A sparse table as dense rows as wide as its widest column.
+    fn densify(table: &[FarkasRow]) -> Vec<Vec<i128>> {
+        let width = table
+            .iter()
+            .filter_map(|row| row.last())
+            .map(|&(c, _)| c + 1)
+            .max()
+            .unwrap_or(0);
+        table.iter().map(|row| project(row, 0, width)).collect()
+    }
+
+    /// Dense rows as sparse Farkas rows.
+    fn sparsify(rows: Vec<Vec<i128>>) -> Vec<FarkasRow> {
+        rows.into_iter()
+            .map(|row| {
+                row.into_iter()
+                    .enumerate()
+                    .filter(|&(_, w)| w != 0)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The double-description core on dense `i128` rows, the differential
+    /// oracle of [`farkas_annul`]: the same pairs in the same order, but
+    /// every combination walks, multiplies and divides all columns with
+    /// checked `i128` arithmetic and folds the gcd over every nonzero.
+    fn farkas_annul_dense(table: Vec<FarkasRow>, annul: usize, max_rows: usize) -> FarkasRows {
+        let mut capped = false;
+        let mut overflowed = false;
+        let mut supports = PayloadSupports::of(&table, annul);
+        let mut table = densify(&table);
+        for col in 0..annul {
+            let positive: Vec<usize> = (0..table.len()).filter(|&i| table[i][col] > 0).collect();
+            let negative: Vec<usize> = (0..table.len()).filter(|&i| table[i][col] < 0).collect();
+            let kept = table.len() - positive.len() - negative.len();
+            let mut combined: Vec<Vec<i128>> = Vec::new();
+            let mut combined_supports = Vec::new();
+            'pairs: for &p in &positive {
+                for &n in &negative {
+                    if !supports.adjacent(p, n) {
+                        continue;
+                    }
+                    if kept + combined.len() >= max_rows {
+                        capped = true;
+                        break 'pairs;
+                    }
+                    match combine_dense(&table[p], &table[n], col) {
+                        Some(row) => {
+                            combined.push(row);
+                            supports.union_into(p, n, &mut combined_supports);
+                        }
+                        None => overflowed = true,
+                    }
+                }
+            }
+            let zero: Vec<bool> = table.iter().map(|row| row[col] == 0).collect();
+            supports.retain(&zero);
+            supports.bits.append(&mut combined_supports);
+            let mut zero = zero.into_iter();
+            table.retain(|_| zero.next() == Some(true));
+            table.append(&mut combined);
+        }
+        FarkasRows {
+            rows: sparsify(table),
+            truncated: capped || overflowed,
+            overflowed,
+        }
+    }
+
+    /// [`combine`] on dense rows.
+    fn combine_dense(p: &[i128], n: &[i128], col: usize) -> Option<Vec<i128>> {
+        let (a, b) = (n[col].checked_neg()?, p[col]);
+        let mut row = p
+            .iter()
+            .zip(n)
+            .map(|(&x, &y)| {
+                if x == 0 && y == 0 {
+                    Some(0)
+                } else {
+                    x.checked_mul(a)?.checked_add(y.checked_mul(b)?)
+                }
+            })
+            .collect::<Option<Vec<i128>>>()?;
+        debug_assert_eq!(row[col], 0);
+        let g = row
+            .iter()
+            .filter(|&&w| w != 0)
+            .try_fold(0i128, |acc, &w| checked_gcd_i128(acc, w))?;
+        if g > 1 {
+            for w in &mut row {
+                *w /= g;
+            }
+        }
+        Some(row)
+    }
+
     /// The classical quadratic Farkas loop, the differential oracle of
     /// [`farkas_annul`]: every positive/negative pair is combined,
     /// duplicates are found by linear scan, and non-minimal payload supports
     /// are filtered out at the end.  Unchecked arithmetic: callers keep
     /// coefficients small.
-    fn farkas_annul_quadratic(
-        mut table: Vec<Vec<i128>>,
-        annul: usize,
-        max_rows: usize,
-    ) -> FarkasRows {
+    fn farkas_annul_quadratic(table: Vec<FarkasRow>, annul: usize, max_rows: usize) -> FarkasRows {
+        let mut table = densify(&table);
         let mut truncated = false;
         for col in 0..annul {
             let (zero, nonzero): (Vec<_>, Vec<_>) = table.drain(..).partition(|row| row[col] == 0);
@@ -760,17 +932,17 @@ mod tests {
             inner.iter().zip(outer).all(|(&i, &o)| !i || o) && inner != outer
         };
         let rows = table
-            .into_iter()
+            .iter()
             .enumerate()
             .filter(|(i, _)| {
                 !supports
                     .iter()
                     .any(|other| strictly_inside(other, &supports[*i]))
             })
-            .map(|(_, row)| row)
+            .map(|(_, row)| row.clone())
             .collect();
         FarkasRows {
-            rows,
+            rows: sparsify(rows),
             truncated,
             overflowed: false,
         }
@@ -868,5 +1040,148 @@ mod tests {
                 .collect();
             core_matches_oracle(&sampled_crn(&kept));
         }
+
+        /// On the real table shapes, with coefficients straddling 2^31 and
+        /// 2^63 so that values cross the widening multiply's limit, take the
+        /// checked path and overflow: the same rows in the same order and
+        /// the same flags at every cap.
+        #[test]
+        fn sparse_core_returns_the_dense_cores_rows_on_stoichiometries(
+            rows in proptest::collection::vec(proptest::collection::vec(0usize..COUNTS.len(), 8), 1..7),
+            max_rows in 1usize..65,
+        ) {
+            let rows: Vec<Vec<u64>> = rows
+                .iter()
+                .map(|row| row.iter().map(|&i| COUNTS[i]).collect())
+                .collect();
+            let n = stoich(&sampled_crn(&rows));
+            let t = n.transposed();
+            let tables = [
+                (species_rows(&n, 1), n.reaction_count()),
+                (species_rows(&t, 1), t.reaction_count()),
+                (potential_table(&n, 1), n.reaction_count()),
+                (potential_table(&n, -1), n.reaction_count()),
+            ];
+            for (table, annul) in tables {
+                assert_eq!(
+                    farkas_annul(table.clone(), annul, max_rows),
+                    farkas_annul_dense(table, annul, max_rows)
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// Tables with raw `i128` entries up to the overflow edge, `i128::MIN`
+        /// included, which no stoichiometry reaches directly.  Each case
+        /// draws its entries from a prefix of [`EDGES`] of sampled length.
+        #[test]
+        fn sparse_core_returns_the_dense_cores_rows_on_edge_tables(
+            constraints in proptest::collection::vec(proptest::collection::vec(0usize..EDGES.len(), 4), 1..9),
+            prefix in 8usize..EDGES.len() + 1,
+            max_rows in 1usize..65,
+        ) {
+            let table: Vec<FarkasRow> = constraints
+                .iter()
+                .enumerate()
+                .map(|(i, row)| {
+                    let mut sparse: FarkasRow = row
+                        .iter()
+                        .map(|&e| EDGES[e % prefix])
+                        .enumerate()
+                        .filter(|&(_, w)| w != 0)
+                        .collect();
+                    sparse.push((4 + i, 1));
+                    sparse
+                })
+                .collect();
+            assert_eq!(
+                farkas_annul(table.clone(), 4, max_rows),
+                farkas_annul_dense(table, 4, max_rows)
+            );
+        }
+    }
+
+    /// Reactant and product counts for sampled stoichiometries: mostly
+    /// small, some at ±2^31 and up to `i64::MAX`, so net changes reach the
+    /// `i64` limits of the widening multiply.
+    const COUNTS: [u64; 12] = [
+        0,
+        0,
+        0,
+        0,
+        1,
+        1,
+        2,
+        3,
+        (1 << 31) - 1,
+        1 << 31,
+        (1 << 31) + 1,
+        i64::MAX as u64,
+    ];
+
+    /// Raw table entries: mostly small, and at the edges the arithmetic
+    /// switches on: ±2^31; ±2^63 and ±(2^64 − 1), where the widening
+    /// multiply stops; 2^64 and 2^100, which only the checked path takes;
+    /// ±2^126, whose sums leave `i128`; and `i128::MAX`, `i128::MIN`.  The
+    /// first eight concentrate on a gcd of 1 next to `i128::MIN`.
+    const EDGES: [i128; 28] = [
+        0,
+        0,
+        0,
+        1,
+        -1,
+        1,
+        -1,
+        i128::MIN,
+        0,
+        0,
+        2,
+        -2,
+        3,
+        -6,
+        1 << 31,
+        -(1 << 31),
+        i64::MAX as i128,
+        i64::MIN as i128,
+        1 << 63,
+        -(1 << 63) - 1,
+        u64::MAX as i128,
+        -(u64::MAX as i128),
+        1 << 64,
+        1 << 100,
+        -(1 << 100),
+        (1 << 126) + 1,
+        -(1 << 126),
+        i128::MAX,
+    ];
+
+    #[test]
+    fn a_min_entry_is_rejected_after_the_gcd_reaches_one() {
+        // The combination is (0, 1, i128::MIN, 1, 1): its gcd is 1 from the
+        // first entry on, yet i128::MIN has no magnitude and must drop it.
+        let table = vec![
+            vec![(0, 1), (1, 1), (2, i128::MIN), (3, 1)],
+            vec![(0, -1), (4, 1)],
+        ];
+        assert_eq!(combine(&table[0], &table[1]), None);
+        let rows = farkas_annul(table.clone(), 1, FARKAS_ROW_CAP);
+        assert_eq!(rows, farkas_annul_dense(table, 1, FARKAS_ROW_CAP));
+        assert!(rows.rows.is_empty() && rows.truncated && rows.overflowed);
+    }
+
+    #[test]
+    fn combinations_divide_by_the_gcd_in_both_widths() {
+        // 2·p + 2·n = (0, 12, 2^65, 12): the gcd 4 divides out, in machine
+        // words below 2^63 and in i128 above it.
+        let p = vec![(0, 2), (1, 4), (2, 1 << 64)];
+        let n = vec![(0, -2), (1, 2), (3, 6)];
+        assert_eq!(combine(&p, &n), Some(vec![(1, 3), (2, 1 << 63), (3, 3)]));
+        // A gcd of 2^63 does not fit i64 even though -2^63 does.
+        let p = vec![(0, 1), (1, i128::from(i64::MIN))];
+        let n = vec![(0, -1), (2, i128::from(i64::MIN))];
+        assert_eq!(combine(&p, &n), Some(vec![(1, -1), (2, -1)]));
     }
 }

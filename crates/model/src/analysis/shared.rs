@@ -8,6 +8,12 @@
 //! [`BoxCheck`](crate::BoxCheck) sweep, which shares the analysis by
 //! reference.  A command builds one per item and drops it once it is done
 //! with it, so nothing outlives the command.
+//!
+//! Under `--profile`, the costly initializers show as their own spans:
+//! `model.analysis.bounds` (both potential cones), `model.analysis.laws`
+//! (the conservation basis), `model.analysis.t_semiflows` and
+//! `model.analysis.acyclic` (the T-invariant basis, and the T-semiflows
+//! when the basis certifies nothing), each once per analysis.
 
 use crn_sync::OnceLock;
 
@@ -82,20 +88,26 @@ impl<'a> CrnAnalysis<'a> {
 
     /// The monotone-potential bounds (see [`SpeciesBounds::of`]).
     pub(crate) fn bounds(&self) -> &SpeciesBounds {
-        self.bounds
-            .get_or_init(|| SpeciesBounds::of_stoichiometry(self.stoichiometry(), FARKAS_ROW_CAP))
+        self.bounds.get_or_init(|| {
+            let _span = crn_obs::span("model.analysis.bounds");
+            SpeciesBounds::of_stoichiometry(self.stoichiometry(), FARKAS_ROW_CAP)
+        })
     }
 
     /// The signed conservation-law basis (see [`conservation_basis`]).
     pub(crate) fn laws(&self) -> &[ConservationLaw] {
-        self.laws
-            .get_or_init(|| conservation_basis(self.stoichiometry()))
+        self.laws.get_or_init(|| {
+            let _span = crn_obs::span("model.analysis.laws");
+            conservation_basis(self.stoichiometry())
+        })
     }
 
     /// The minimal T-semiflows (see [`nonnegative_t_semiflows`]).
     pub(crate) fn t_semiflows(&self) -> &TSemiflowEnumeration {
-        self.t_semiflows
-            .get_or_init(|| nonnegative_t_semiflows(self.stoichiometry(), FARKAS_ROW_CAP))
+        self.t_semiflows.get_or_init(|| {
+            let _span = crn_obs::span("model.analysis.t_semiflows");
+            nonnegative_t_semiflows(self.stoichiometry(), FARKAS_ROW_CAP)
+        })
     }
 
     /// No nonzero nonnegative T-invariant exists: no firing sequence can
@@ -107,6 +119,7 @@ impl<'a> CrnAnalysis<'a> {
     /// enumeration.
     pub(crate) fn acyclic(&self) -> bool {
         *self.acyclic.get_or_init(|| {
+            let _span = crn_obs::span("model.analysis.acyclic");
             // An overflowed basis is `None`, never empty: it certifies
             // nothing.
             t_invariant_basis(self.stoichiometry()).is_some_and(|basis| basis.is_empty()) || {

@@ -40,6 +40,12 @@ pub struct CompiledReaction {
 
 impl CompiledReaction {
     /// Compiles `reaction` for dense application.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coefficient exceeds `i64::MAX`, which the net change
+    /// cannot represent.  [`Crn::parse_reaction`](crate::Crn::parse_reaction)
+    /// and the `crn-lang` lowering reject such reactions.
     #[must_use]
     pub fn compile(reaction: &Reaction) -> Self {
         let reactants: Vec<(usize, u64)> = reaction
@@ -47,14 +53,17 @@ impl CompiledReaction {
             .iter()
             .map(|(&s, &c)| (s.index(), c))
             .collect();
+        let signed =
+            |c: u64| i64::try_from(c).expect("a stoichiometric coefficient exceeds i64::MAX");
         let mut delta: Vec<(usize, i64)> = Vec::new();
         for (&s, &c) in reaction.reactants() {
-            delta.push((s.index(), -(c as i64)));
+            delta.push((s.index(), -signed(c)));
         }
+        // A reactant's −c plus a product's c' stays within ±i64::MAX.
         for (&s, &c) in reaction.products() {
             match delta.iter_mut().find(|(i, _)| *i == s.index()) {
-                Some((_, d)) => *d += c as i64,
-                None => delta.push((s.index(), c as i64)),
+                Some((_, d)) => *d += signed(c),
+                None => delta.push((s.index(), signed(c))),
             }
         }
         delta.retain(|&(_, d)| d != 0);
@@ -321,6 +330,14 @@ impl DenseState {
 mod tests {
     use super::*;
     use crate::examples;
+
+    #[test]
+    #[should_panic(expected = "exceeds i64::MAX")]
+    fn a_coefficient_past_i64_max_panics_instead_of_wrapping() {
+        let mut species = crate::species::SpeciesSet::new();
+        let (x, y) = (species.intern("X"), species.intern("Y"));
+        let _ = CompiledReaction::compile(&Reaction::new(vec![(x, 1)], vec![(y, u64::MAX)]));
+    }
 
     #[test]
     fn compiled_reaction_matches_sparse_apply() {

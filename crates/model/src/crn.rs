@@ -1,5 +1,6 @@
 //! The CRN type: a finite set of species and reactions.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -73,7 +74,9 @@ impl Crn {
     /// # Errors
     ///
     /// Returns [`CrnError::InvalidRoles`] if the string is not of the form
-    /// `lhs -> rhs` with each side a `+`-separated list of `count name` terms.
+    /// `lhs -> rhs` with each side a `+`-separated list of `count name` terms,
+    /// or if a species' total count on one side (repeated terms add up)
+    /// exceeds `i64::MAX`, the largest net change the engines represent.
     pub fn parse_reaction(&mut self, text: &str) -> Result<&Reaction, CrnError> {
         let (lhs, rhs) = text
             .split_once("->")
@@ -89,7 +92,7 @@ impl Crn {
         if side.is_empty() || side == "0" || side == "∅" {
             return Ok(vec![]);
         }
-        let mut out = Vec::new();
+        let mut totals: BTreeMap<Species, u64> = BTreeMap::new();
         for term in side.split('+') {
             let term = term.trim();
             if term.is_empty() {
@@ -116,9 +119,18 @@ impl Crn {
                     .parse()
                     .map_err(|_| CrnError::InvalidRoles(format!("bad count in `{term}`")))?
             };
-            out.push((self.species.intern(name), count));
+            let total = totals.entry(self.species.intern(name)).or_insert(0);
+            *total = total
+                .checked_add(count)
+                .filter(|&t| i64::try_from(t).is_ok())
+                .ok_or_else(|| {
+                    CrnError::InvalidRoles(format!(
+                        "total count of `{name}` in `{side}` exceeds {}",
+                        i64::MAX
+                    ))
+                })?;
         }
-        Ok(out)
+        Ok(totals.into_iter().collect())
     }
 
     /// Indices of the reactions applicable in `config`.
@@ -220,6 +232,37 @@ mod tests {
         assert!(crn.parse_reaction("A + B").is_err());
         assert!(crn.parse_reaction("A + -> B").is_err());
         assert!(crn.parse_reaction("3 -> B").is_err());
+    }
+
+    #[test]
+    fn coefficients_past_i64_max_are_rejected_not_wrapped() {
+        // No i64 net change represents these totals (u64::MAX would wrap
+        // to -1), so they are refused at parse time.
+        let mut crn = Crn::new();
+        for text in [
+            "X -> 18446744073709551615 Y",
+            "9223372036854775808 X -> Y",
+            "X -> 9223372036854775807 Y + Y",
+            "X -> 18446744073709551615 Y + 18446744073709551615 Y",
+        ] {
+            assert!(
+                matches!(crn.parse_reaction(text), Err(CrnError::InvalidRoles(_))),
+                "{text}"
+            );
+        }
+        assert!(crn.reactions().is_empty());
+        crn.parse_reaction("X -> 9223372036854775807 Y").unwrap();
+        crn.parse_reaction("X -> 9223372036854775806 Y + Y")
+            .unwrap();
+        let y = crn.species_named("Y").unwrap().index();
+        for reaction in crn.reactions() {
+            let compiled = crate::compiled::CompiledReaction::compile(reaction);
+            assert!(compiled.delta().contains(&(y, i64::MAX)), "{compiled:?}");
+        }
+        let mut counts = vec![0u64; crn.species().len()];
+        counts[crn.species_named("X").unwrap().index()] = 1;
+        crate::compiled::CompiledReaction::compile(&crn.reactions()[0]).apply_in_place(&mut counts);
+        assert_eq!(counts[y], i64::MAX as u64);
     }
 
     #[test]

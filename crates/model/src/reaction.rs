@@ -32,30 +32,35 @@ pub struct Reaction {
     products: BTreeMap<Species, u64>,
 }
 
+/// The multiset of `(species, count)` terms: zero counts dropped, repeated
+/// species summed, panicking past `u64::MAX`.
+fn multiset(terms: impl IntoIterator<Item = (Species, u64)>) -> BTreeMap<Species, u64> {
+    let mut side = BTreeMap::new();
+    for (s, c) in terms.into_iter().filter(|&(_, c)| c > 0) {
+        let total: &mut u64 = side.entry(s).or_insert(0);
+        *total = total
+            .checked_add(c)
+            .expect("a species' count on one side of a reaction exceeds u64::MAX");
+    }
+    side
+}
+
 impl Reaction {
     /// Creates a reaction from reactant and product `(species, count)` pairs.
     ///
     /// Zero-count entries are dropped; repeated species accumulate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a species' repeated counts on one side sum past `u64::MAX`.
     #[must_use]
     pub fn new(
         reactants: impl IntoIterator<Item = (Species, u64)>,
         products: impl IntoIterator<Item = (Species, u64)>,
     ) -> Self {
-        let mut r = BTreeMap::new();
-        for (s, c) in reactants {
-            if c > 0 {
-                *r.entry(s).or_insert(0) += c;
-            }
-        }
-        let mut p = BTreeMap::new();
-        for (s, c) in products {
-            if c > 0 {
-                *p.entry(s).or_insert(0) += c;
-            }
-        }
         Reaction {
-            reactants: r,
-            products: p,
+            reactants: multiset(reactants),
+            products: multiset(products),
         }
     }
 
@@ -243,6 +248,13 @@ mod tests {
         let mapped = r.map_species(|s| if s == b { a } else { s });
         assert_eq!(mapped.reactant_count(a), 2);
         assert_eq!(mapped.product_count(c), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u64::MAX")]
+    fn repeated_terms_past_u64_max_panic_instead_of_wrapping() {
+        let (_, a, b, _) = sp3();
+        let _ = Reaction::new(vec![(a, u64::MAX), (a, 1)], vec![(b, 1)]);
     }
 
     #[test]

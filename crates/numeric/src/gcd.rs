@@ -9,6 +9,9 @@
 /// ```
 #[must_use]
 pub fn gcd_i128(a: i128, b: i128) -> i128 {
+    if let Some(g) = gcd_in_u64(a, b) {
+        return g;
+    }
     let (mut a, mut b) = (a.abs(), b.abs());
     while b != 0 {
         let r = a % b;
@@ -16,6 +19,13 @@ pub fn gcd_i128(a: i128, b: i128) -> i128 {
         b = r;
     }
     a
+}
+
+/// The gcd of `a` and `b` in machine words, when both magnitudes fit `u64`.
+fn gcd_in_u64(a: i128, b: i128) -> Option<i128> {
+    let a = u64::try_from(a.unsigned_abs()).ok()?;
+    let b = u64::try_from(b.unsigned_abs()).ok()?;
+    Some(i128::from(gcd_u64(a, b)))
 }
 
 /// [`gcd_i128`], or `None` when an argument is `i128::MIN` (its absolute
@@ -27,6 +37,9 @@ pub fn gcd_i128(a: i128, b: i128) -> i128 {
 /// ```
 #[must_use]
 pub fn checked_gcd_i128(a: i128, b: i128) -> Option<i128> {
+    if let Some(g) = gcd_in_u64(a, b) {
+        return Some(g);
+    }
     let (mut a, mut b) = (a.checked_abs()?, b.checked_abs()?);
     while b != 0 {
         let r = a % b;
@@ -121,6 +134,75 @@ mod tests {
         assert_eq!(checked_lcm_i128(-4, 6), Some(12));
         assert_eq!(checked_lcm_i128(i128::MAX, 2), None);
         assert_eq!(checked_lcm_i128(0, i128::MAX), Some(0));
+    }
+
+    /// The plain `i128` Euclid loop the `u64` fast path must agree with.
+    fn euclid(a: i128, b: i128) -> Option<i128> {
+        let (mut a, mut b) = (a.checked_abs()?, b.checked_abs()?);
+        while b != 0 {
+            let r = a % b;
+            a = b;
+            b = r;
+        }
+        Some(a)
+    }
+
+    /// Magnitudes at the fast path's edges: 0, 1, `u64::MAX` (the largest
+    /// that fits), 2^64 (the smallest that does not), `i64::MIN` and
+    /// `i128::MAX`, with neighbours and signs.
+    const EDGES: [i128; 16] = [
+        0,
+        1,
+        -1,
+        2,
+        -6,
+        u64::MAX as i128,
+        -(u64::MAX as i128),
+        u64::MAX as i128 - 1,
+        1 << 64,
+        -(1 << 64),
+        (1 << 64) + 2,
+        i64::MIN as i128,
+        i64::MAX as i128,
+        i128::MAX,
+        -i128::MAX,
+        3 << 70,
+    ];
+
+    #[test]
+    fn the_u64_fast_path_agrees_with_euclid_at_its_edges() {
+        for &a in &EDGES {
+            for &b in &EDGES {
+                let expected = euclid(a, b).expect("no i128::MIN among the edges");
+                assert_eq!(gcd_i128(a, b), expected, "gcd_i128({a}, {b})");
+                assert_eq!(checked_gcd_i128(a, b), Some(expected), "checked({a}, {b})");
+            }
+            assert_eq!(checked_gcd_i128(i128::MIN, a), None);
+            assert_eq!(checked_gcd_i128(a, i128::MIN), None);
+        }
+        assert_eq!(gcd_i128(u64::MAX as i128, 1 << 64), 1);
+        assert_eq!(gcd_i128(i64::MIN as i128, 1 << 64), 1 << 63);
+    }
+
+    proptest::proptest! {
+        /// Pairs straddling 2^64, where the fast path hands over to `i128`:
+        /// each operand is a random word below or above 2^64, rounded down
+        /// to a multiple of a shared factor so the gcd is not always 1.
+        #[test]
+        fn gcd_matches_euclid_across_two_to_the_64(
+            high in proptest::collection::vec(0u64..2, 2),
+            low in proptest::collection::vec(0u64..u64::MAX, 2),
+            negate in proptest::collection::vec(0u64..2, 2),
+            common in 1i128..1000,
+        ) {
+            let operand = |i: usize| {
+                let magnitude = (i128::from(high[i]) << 64 | i128::from(low[i])) / common * common;
+                if negate[i] == 1 { -magnitude } else { magnitude }
+            };
+            let (a, b) = (operand(0), operand(1));
+            proptest::prop_assert_eq!(gcd_i128(a, b), euclid(a, b).unwrap());
+            proptest::prop_assert_eq!(checked_gcd_i128(a, b), euclid(a, b));
+        }
     }
 
     #[test]
