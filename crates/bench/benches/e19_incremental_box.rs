@@ -1,7 +1,7 @@
 //! Criterion benchmarks for the incremental box-reachability engine
 //! (experiment E19 of DESIGN.md): box-check verdicts/sec on the `max` CRN
-//! sweep — static verdicts, symmetry-orbit skipping and the packed
-//! stubborn-set terminal scan versus the reference engine.
+//! sweep — symmetry-orbit skipping and the packed stubborn-set terminal
+//! scan versus the reference engine.
 
 use std::time::Duration;
 

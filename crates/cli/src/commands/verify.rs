@@ -20,9 +20,9 @@ use crate::json::Json;
 /// space outgrows `--max-configs`).
 ///
 /// `--engine` selects the exhaustive backend: `incremental` (default) runs
-/// the incremental box engine (static verdicts, symmetry orbits, a
-/// stubborn-set terminal scan on certified-acyclic CRNs and a full verdict
-/// on the others), `reference` the unpruned hash-interned engine that
+/// the incremental box engine (symmetry orbits, then a stubborn-set
+/// terminal scan on certified-acyclic CRNs and a full verdict on the
+/// others), `reference` the unpruned hash-interned engine that
 /// builds a full verdict at every point — both
 /// must produce identical verdicts wherever the reference finishes within
 /// `--max-configs`, which the CI corpus smoke step cross-checks.  The limit
@@ -33,11 +33,11 @@ use crate::json::Json;
 /// meaningless under `--spot` and refused there.
 ///
 /// `--stats` prints one line of engine counters per verified item to stderr
-/// as JSON — points checked versus statically decided or symmetry-replayed,
-/// explored configurations — and, with `--json`, attaches the same object
-/// to the item's report.  Both engines support it; counters the reference
-/// engine does not track (symmetry and static fields) stay zero.  It is refused under `--spot`, which
-/// never runs a box sweep.
+/// as JSON — points explored versus symmetry-replayed, explored
+/// configurations — and, with `--json`, attaches the same object to the
+/// item's report.  Both engines support it; the reference engine replays
+/// no symmetry, so its `symmetry_skipped` stays zero.  It is refused under
+/// `--spot`, which never runs a box sweep.
 ///
 /// Structural lint findings on the verified items are echoed to stderr in
 /// short form (stdout carries the verdicts); with `--deny-warnings` any
@@ -285,8 +285,6 @@ fn stats_object(stats: &BoxCheckStats) -> Json {
         ("points", Json::UInt(stats.points)),
         ("evaluated", Json::UInt(stats.evaluated)),
         ("symmetry_skipped", Json::UInt(stats.symmetry_skipped)),
-        ("static_pass", Json::UInt(stats.static_pass)),
-        ("static_fail", Json::UInt(stats.static_fail)),
         ("decided", Json::UInt(stats.decided)),
         ("configs_explored", Json::UInt(stats.configs_explored)),
     ])

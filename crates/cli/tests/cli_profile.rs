@@ -224,7 +224,7 @@ fn json_counter(json: &str, name: &str) -> u64 {
 #[test]
 fn one_analysis_serves_lint_and_verify_per_item() {
     // `crn verify` lints every crn item and sweeps the linked ones through
-    // one shared analysis, so the potential cones are enumerated once per
+    // one shared analysis, so the potential cone is enumerated once per
     // item; the sweep's set-up shows as its own spans.
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     std::fs::create_dir_all(&dir).unwrap();
@@ -297,7 +297,6 @@ fn per_crn_set_up_shows_one_span_per_artifact_and_item() {
     assert_eq!(code, 0, "{json}");
     for span in [
         "model.analysis.bounds",
-        "model.analysis.laws",
         "model.analysis.t_semiflows",
         "model.analysis.acyclic",
     ] {

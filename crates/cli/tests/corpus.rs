@@ -187,7 +187,7 @@ fn overflowing_coefficients_never_verify_ok() {
 #[test]
 fn synthesized_figure7_lints_without_truncation() {
     // The Lemma 6.2 construction for Figure 7 (31 species, 28 reactions):
-    // its potential cones must enumerate within the Farkas row cap.
+    // its potential cone must enumerate within the Farkas row cap.
     let out = repo_root().join("target/verify-scratch/cli_figure7_synth.crn");
     std::fs::create_dir_all(out.parent().unwrap()).unwrap();
     let out_str = out.to_str().unwrap();

@@ -8,16 +8,16 @@
 //! * [`conservation_basis`] / [`nonnegative_laws`] — P-invariants `v·N = 0`,
 //!   computed with exact rational arithmetic and scaled to primitive integer
 //!   vectors; a law weighing two configurations differently refutes
-//!   reachability between them, which the box engine's interval analysis
-//!   uses;
+//!   reachability between them;
 //! * [`t_invariant_basis`] / [`nonnegative_t_semiflows`] — T-invariants
 //!   `N·f = 0` (certificates of repeatable reaction cycles), by the same
 //!   elimination and Farkas machinery on the transposed matrix;
 //! * [`minimal_siphons`] / [`minimal_traps`] — minimal structural deadlock
 //!   and lock-in sets by seeded saturation, capped at [`SIPHON_NODE_CAP`];
-//! * [`SpeciesBounds`] — per-species reachable-count intervals from
-//!   monotone potentials, liveness and signed laws, which the reachability
-//!   engine consumes to refuse, prove, or perfect-hash box points;
+//! * [`SpeciesBounds`] — the decreasing monotone-potential cone: which
+//!   species some potential bounds (lint `C008`), and the per-species upper
+//!   bounds of a whole input box, which size the box engine's byte-packed
+//!   codec;
 //! * [`Liveness`] — a producible-species / fireable-reaction fixpoint whose
 //!   negative verdicts are exact (dead means dead);
 //! * [`lint`] — stable-coded structural findings `C001`–`C009` consumed by
@@ -40,7 +40,7 @@ mod siphons;
 mod stoichiometry;
 mod t_invariants;
 
-pub use bounds::{CountIntervals, SpeciesBounds};
+pub use bounds::SpeciesBounds;
 pub use invariants::{
     conservation_basis, nonnegative_laws, nonnegative_laws_capped, ConservationLaw,
     SemiflowEnumeration, FARKAS_ROW_CAP,

@@ -2,7 +2,7 @@
 //!
 //! Linting and verifying a CRN need much of the same static analysis: the
 //! compiled reactions, the stoichiometry and, costliest of all, the
-//! [`SpeciesBounds`] potential cones.  A [`CrnAnalysis`] computes each
+//! [`SpeciesBounds`] potential cone.  A [`CrnAnalysis`] computes each
 //! artifact at most once, on first use, and keeps it for every later
 //! reader — [`CrnAnalysis::lint`], and every worker of a
 //! [`BoxCheck`](crate::BoxCheck) sweep, which shares the analysis by
@@ -10,10 +10,10 @@
 //! with it, so nothing outlives the command.
 //!
 //! Under `--profile`, the costly initializers show as their own spans:
-//! `model.analysis.bounds` (both potential cones), `model.analysis.laws`
-//! (the conservation basis), `model.analysis.t_semiflows` and
-//! `model.analysis.acyclic` (the T-invariant basis, and the T-semiflows
-//! when the basis certifies nothing), each once per analysis.
+//! `model.analysis.bounds` (the decreasing-potential cone),
+//! `model.analysis.t_semiflows` and `model.analysis.acyclic` (the
+//! T-invariant basis, and the T-semiflows when the basis certifies
+//! nothing), each once per analysis.
 
 use crn_sync::OnceLock;
 
@@ -23,7 +23,7 @@ use crate::reachability::stubborn::StubbornSets;
 use crate::reachability::symmetry::{input_automorphisms, Automorphism};
 
 use super::bounds::SpeciesBounds;
-use super::invariants::{conservation_basis, ConservationLaw, FARKAS_ROW_CAP};
+use super::invariants::FARKAS_ROW_CAP;
 use super::stoichiometry::Stoichiometry;
 use super::t_invariants::{nonnegative_t_semiflows, t_invariant_basis, TSemiflowEnumeration};
 
@@ -47,7 +47,6 @@ pub struct CrnAnalysis<'a> {
     compiled: CompiledCrn,
     stoich: OnceLock<Stoichiometry>,
     bounds: OnceLock<SpeciesBounds>,
-    laws: OnceLock<Vec<ConservationLaw>>,
     t_semiflows: OnceLock<TSemiflowEnumeration>,
     acyclic: OnceLock<bool>,
     stubborn: OnceLock<StubbornSets>,
@@ -63,7 +62,6 @@ impl<'a> CrnAnalysis<'a> {
             compiled: CompiledCrn::compile(crn.crn()),
             stoich: OnceLock::new(),
             bounds: OnceLock::new(),
-            laws: OnceLock::new(),
             t_semiflows: OnceLock::new(),
             acyclic: OnceLock::new(),
             stubborn: OnceLock::new(),
@@ -91,14 +89,6 @@ impl<'a> CrnAnalysis<'a> {
         self.bounds.get_or_init(|| {
             let _span = crn_obs::span("model.analysis.bounds");
             SpeciesBounds::of_stoichiometry(self.stoichiometry(), FARKAS_ROW_CAP)
-        })
-    }
-
-    /// The signed conservation-law basis (see [`conservation_basis`]).
-    pub(crate) fn laws(&self) -> &[ConservationLaw] {
-        self.laws.get_or_init(|| {
-            let _span = crn_obs::span("model.analysis.laws");
-            conservation_basis(self.stoichiometry())
         })
     }
 

@@ -15,9 +15,8 @@
 //!   (`crn-sim`) and incremental applicable-set maintenance possible.
 //!
 //! Configurations on the dense side are [`DenseState`]: one flat `u64` count
-//! vector with in-place [`apply`](DenseState::apply) /
-//! [`unapply`](DenseState::unapply), convertible losslessly to and from the
-//! sparse [`Configuration`].
+//! vector with in-place [`apply`](DenseState::apply), convertible losslessly
+//! to and from the sparse [`Configuration`].
 
 use serde::{Deserialize, Serialize};
 
@@ -108,18 +107,6 @@ impl CompiledReaction {
             }
         }
     }
-
-    /// Reverses one firing in place.  The caller must ensure the reaction was
-    /// actually fired from this state (products present to take back).
-    pub fn unapply_in_place(&self, counts: &mut [u64]) {
-        for &(i, d) in &self.delta {
-            if d >= 0 {
-                counts[i] -= d as u64;
-            } else {
-                counts[i] += (-d) as u64;
-            }
-        }
-    }
 }
 
 /// A CRN lowered once into dense reaction tables plus the dependency graph
@@ -132,11 +119,10 @@ impl CompiledReaction {
 /// let compiled = CompiledCrn::compile(max.crn());
 /// let start = max.initial_configuration(&crn_numeric::NVec::from(vec![2, 3])).unwrap();
 /// let mut state = DenseState::from_configuration(&start, compiled.stride());
-/// // Fire reaction 0 (X1 -> Z1 + Y) in place and undo it again.
+/// // Fire reaction 0 (X1 -> Z1 + Y) in place.
 /// assert!(compiled.reactions()[0].applicable(state.counts()));
 /// state.apply(&compiled.reactions()[0]);
-/// state.unapply(&compiled.reactions()[0]);
-/// assert_eq!(state.to_configuration(), start);
+/// assert_eq!(state.count(max.output()), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CompiledCrn {
@@ -308,11 +294,6 @@ impl DenseState {
         reaction.apply_in_place(&mut self.counts);
     }
 
-    /// Reverses one firing of `reaction` in place.
-    pub fn unapply(&mut self, reaction: &CompiledReaction) {
-        reaction.unapply_in_place(&mut self.counts);
-    }
-
     /// Materializes the sparse configuration (zero counts dropped).
     #[must_use]
     pub fn to_configuration(&self) -> Configuration {
@@ -353,19 +334,6 @@ mod tests {
         // Y is a catalyst: its delta must have been cancelled out.
         assert!(!compiled.applicable(&[4, 0, 0]));
         assert!(!compiled.applicable(&[1, 1, 0]));
-    }
-
-    #[test]
-    fn apply_then_unapply_roundtrips() {
-        let mut crn = Crn::new();
-        crn.parse_reaction("2X + Y -> Y + 3Z").unwrap();
-        let compiled = CompiledCrn::compile(&crn);
-        let mut counts = vec![5u64, 2, 1];
-        let before = counts.clone();
-        compiled.reactions()[0].apply_in_place(&mut counts);
-        assert_eq!(counts, vec![3, 2, 4]);
-        compiled.reactions()[0].unapply_in_place(&mut counts);
-        assert_eq!(counts, before);
     }
 
     #[test]

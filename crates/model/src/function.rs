@@ -211,12 +211,6 @@ impl FunctionCrn {
     pub fn reaction_count(&self) -> usize {
         self.crn.reactions().len()
     }
-
-    /// Decomposes into the underlying CRN and roles.
-    #[must_use]
-    pub fn into_parts(self) -> (Crn, Roles) {
-        (self.crn, self.roles)
-    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use std::mem;
 
 use crn_numeric::NVec;
 
-use crate::analysis::{CountIntervals, CrnAnalysis, Liveness};
+use crate::analysis::{CrnAnalysis, Liveness};
 use crate::compiled::{CompiledCrn, CompiledReaction};
 use crate::error::CrnError;
 use crate::function::FunctionCrn;
@@ -41,12 +41,14 @@ const LANE_HIGH: u64 = 0x8080_8080_8080_8080;
 /// A whole-configuration byte packing for certified-acyclic CRNs on small
 /// hulls: species `s` is byte lane `s` of one `u64`, so firing a reaction is
 /// a single wrapping addition and the applicability test is branch-free SWAR
-/// over all species at once.  Eligible when the box-wide interval hull keeps
-/// every count at or below 127 across at most 8 species — every reachable
-/// lane then stays in `[0, 127]`, additions never carry between lanes, and
-/// the packed word identifies its configuration, so discovery order,
-/// deduplication and the configuration-limit error are bit-identical to the
-/// hash codec's.
+/// over all species at once.  Eligible when the box hull
+/// ([`SpeciesBounds::box_hull`]) keeps every count at or below 127 across at
+/// most 8 species — every reachable lane then stays in `[0, 127]`, additions
+/// never carry between lanes, and the packed word identifies its
+/// configuration, so discovery order, deduplication and the
+/// configuration-limit error are bit-identical to the hash codec's.
+///
+/// [`SpeciesBounds::box_hull`]: crate::analysis::SpeciesBounds::box_hull
 pub(super) struct PackedSpec {
     /// Per-reaction packed reactant requirements; lanes are clamped to 128,
     /// which the test below reads as "never applicable" — correct, since no
@@ -59,15 +61,15 @@ pub(super) struct PackedSpec {
 }
 
 impl PackedSpec {
-    /// Builds the packing when every hull count of the `stride` species fits
-    /// a 7-bit lane; `None` otherwise.
+    /// Builds the packing when the hull's upper bound on each of the
+    /// `stride` species fits a 7-bit lane; `None` otherwise.
     fn build(
-        hull: &CountIntervals,
+        hull: &[Option<u64>],
         compiled: &CompiledCrn,
         stride: usize,
         out_idx: usize,
     ) -> Option<PackedSpec> {
-        if stride > 8 || (0..stride).any(|s| hull.upper(s).map_or(true, |u| u > 127)) {
+        if stride > 8 || hull[..stride].iter().any(|u| u.map_or(true, |u| u > 127)) {
             return None;
         }
         let mut reqs = Vec::with_capacity(compiled.reaction_count());
@@ -562,20 +564,6 @@ impl ExploreState {
     }
 }
 
-/// The outcome of a purely static look at one box point: the interval
-/// abstraction either proves the point passes, proves it cannot pass, or
-/// abstains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum StaticOutcome {
-    /// Every reachable configuration carries the expected output count and
-    /// the reachable space provably fits the search limit: the full check
-    /// would return a correct verdict without erroring.
-    Pass,
-    /// The expected output count lies outside the reachable interval of the
-    /// output species: the full check would fail or error, never pass.
-    Fail,
-}
-
 /// Everything the box engine precomputes once per sweep: the packed byte
 /// encoding and the symmetry group.  Both depend only on the CRN and the
 /// bound, so the driver builds one plan and every worker shares it by
@@ -595,10 +583,10 @@ impl<'a> SweepPlan<'a> {
         let compiled = analysis.compiled();
         let stride = compiled.stride().max(crn.role_stride());
         let packed = if analysis.acyclic() {
-            // The hull is the interval analysis seeded at the box's top
-            // corner: the monotone potentials and the liveness closure both
-            // grow with the start, so the resulting box contains every
-            // configuration reachable from *any* point of the sweep.
+            // The hull is seeded at the box's top corner: the monotone
+            // potentials and the liveness closure both grow with the start,
+            // so its bounds hold for every configuration reachable from
+            // *any* point of the sweep.
             let mut top = vec![0u64; stride];
             for species in &crn.roles().inputs {
                 top[species.index()] = bound;
@@ -651,12 +639,10 @@ fn route(packed: bool, acyclic: bool) -> Route {
 /// [`CrnAnalysis`] of the CRN, compiled reactions included.
 ///
 /// A *pruned* engine ([`pruned`](VerdictEngine::pruned)) additionally reads
-/// the static-analysis artifacts — monotone-potential bounds, the signed
-/// conservation-law basis, the acyclicity certificate and the stubborn-set
-/// relations — and uses them to answer
-/// [`static_verdict`](VerdictEngine::static_verdict) queries without
-/// exploring, and to [`decide`](VerdictEngine::decide) certified points by
-/// a terminal scan.  A *reference* engine
+/// the acyclicity certificate and the stubborn-set relations, and uses them
+/// to [`decide`](VerdictEngine::decide) certified points by a terminal scan
+/// (on the byte packing its [`SweepPlan`] sized from the box hull, when
+/// there is one).  A *reference* engine
 /// ([`reference`](VerdictEngine::reference)) skips all of it; both run the
 /// same hash-interned BFS for a full verdict, so they produce bit-identical
 /// verdicts wherever the reference finishes within the limit.
@@ -672,7 +658,6 @@ pub(super) struct VerdictEngine<'c> {
     closure: Closure,
     cond: Condensation,
     start_dense: Vec<u64>,
-    start_support: Vec<usize>,
     comp_max: Vec<u64>,
     comp_min: Vec<u64>,
     comp_recovers: Vec<bool>,
@@ -683,8 +668,8 @@ pub(super) struct VerdictEngine<'c> {
 }
 
 impl<'c> VerdictEngine<'c> {
-    /// The engine that reads `analysis`: static verdicts, and the terminal
-    /// scan on certified-acyclic CRNs.
+    /// The engine that reads `analysis`: the terminal scan on
+    /// certified-acyclic CRNs.
     pub(super) fn pruned(analysis: &'c CrnAnalysis<'c>) -> Self {
         Self::new(analysis, Some(analysis))
     }
@@ -703,7 +688,8 @@ impl<'c> VerdictEngine<'c> {
     }
 
     /// An engine on `shared`'s CRN and compiled reactions that reads the
-    /// static analysis only when `analysis` is given.
+    /// acyclicity certificate and stubborn sets only when `analysis` is
+    /// given.
     fn new(shared: &'c CrnAnalysis<'c>, analysis: Option<&'c CrnAnalysis<'c>>) -> Self {
         let (crn, compiled) = (shared.crn(), shared.compiled());
         // The stride must cover every species the check can touch: the
@@ -721,7 +707,6 @@ impl<'c> VerdictEngine<'c> {
             closure: Closure::default(),
             cond: Condensation::empty(),
             start_dense: Vec::new(),
-            start_support: Vec::new(),
             comp_max: Vec::new(),
             comp_min: Vec::new(),
             comp_recovers: Vec::new(),
@@ -742,50 +727,6 @@ impl<'c> VerdictEngine<'c> {
         if let Some(leader) = self.crn.leader() {
             self.start_dense[leader.index()] += 1;
         }
-    }
-
-    /// Classifies `x` without exploring: `Some(Pass)` and `Some(Fail)` are
-    /// proofs about what [`check`](VerdictEngine::check) would return, `None`
-    /// means the analysis abstains (always the case on a reference engine or
-    /// a dimension mismatch — the full check owns those errors).
-    pub(super) fn static_verdict(
-        &mut self,
-        x: &NVec,
-        expected_output: u64,
-        max_configurations: usize,
-    ) -> Option<StaticOutcome> {
-        if x.dim() != self.crn.dim() {
-            return None;
-        }
-        self.build_start(x);
-        let analysis = self.analysis?;
-        self.start_support.clear();
-        self.start_support
-            .extend((0..self.stride).filter(|&s| self.start_dense[s] > 0));
-        let live = Liveness::analyze(self.compiled, &self.start_support);
-        let intervals = analysis
-            .bounds()
-            .intervals(&self.start_dense, &live, analysis.laws());
-        let out = self.crn.output().index();
-        if expected_output < intervals.lower(out)
-            || intervals.upper(out).is_some_and(|u| expected_output > u)
-        {
-            // No reachable configuration carries the expected count, so no
-            // stable-with-expected-output configuration exists: the full
-            // check fails (or exceeds the search limit trying).
-            return Some(StaticOutcome::Fail);
-        }
-        if intervals.pinned(out) == Some(expected_output)
-            && intervals
-                .state_space()
-                .is_some_and(|v| v <= max_configurations as u128)
-        {
-            // The output count is invariant across the whole reachable
-            // space, so every configuration is output-stable with the
-            // expected value, and the space provably fits the limit.
-            return Some(StaticOutcome::Pass);
-        }
-        None
     }
 
     /// The route [`decide`](VerdictEngine::decide) takes under `plan`.

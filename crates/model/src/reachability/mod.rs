@@ -78,9 +78,9 @@ impl Default for ReachabilityLimits {
 }
 
 /// Observability counters for one box sweep: how many points the engine
-/// actually explored versus decided statically or skipped as symmetry
-/// replays.  Returned by [`BoxCheck::run`] and surfaced by `crn verify
-/// --stats`.
+/// explored versus skipped as symmetry replays, and how many configurations
+/// the explorations stored.  Returned by [`BoxCheck::run`] and surfaced by
+/// `crn verify --stats`.
 ///
 /// The counters never influence verdicts; they exist so the effect of each
 /// incremental layer is measurable on real sweeps.
@@ -93,10 +93,6 @@ pub struct BoxCheckStats {
     /// Points skipped because an input automorphism maps them to a
     /// lexicographically smaller point with the same expected output.
     pub symmetry_skipped: u64,
-    /// Points decided `Pass` by the static interval analysis alone.
-    pub static_pass: u64,
-    /// Points decided `Fail` by the static interval analysis alone.
-    pub static_fail: u64,
     /// Points settled by an exploration: a terminal scan, or a full
     /// verdict.
     pub decided: u64,
@@ -110,8 +106,6 @@ impl BoxCheckStats {
     fn merge(&mut self, other: &BoxCheckStats) {
         self.evaluated += other.evaluated;
         self.symmetry_skipped += other.symmetry_skipped;
-        self.static_pass += other.static_pass;
-        self.static_fail += other.static_fail;
         self.decided += other.decided;
         self.configs_explored += other.configs_explored;
     }
@@ -284,15 +278,14 @@ pub fn check_stable_computation(
 /// caller that also lints the CRN builds the analysis itself and runs
 /// [`BoxCheck::new`] on it, so both share every artifact.
 ///
-/// The scan runs the *incremental* box engine: it decides points statically
-/// from the interval analysis where it can, skips inputs whose symmetry
-/// orbit already contains a checked representative, and explores the rest.
-/// Certified-acyclic CRNs take a terminal scan that fires only stubborn
-/// sets, on one byte-packed word per configuration when the box-wide
-/// interval hull fits 7-bit lanes; every other point takes the full verdict
-/// of [`check_stable_computation`].  Box points are decoded from a
-/// mixed-radix index on demand, so the sweep allocates `O(1)` memory in the
-/// box size.  The result is nonetheless bit-identical to
+/// The scan runs the *incremental* box engine: it skips inputs whose
+/// symmetry orbit already contains a checked representative and explores
+/// every other point.  Certified-acyclic CRNs take a terminal scan that
+/// fires only stubborn sets, on one byte-packed word per configuration when
+/// the box hull of the monotone potentials fits 7-bit lanes; every other
+/// point takes the full verdict of [`check_stable_computation`].  Box
+/// points are decoded from a mixed-radix index on demand, so the sweep
+/// allocates `O(1)` memory in the box size.  The result is nonetheless bit-identical to
 /// [`BoxCheck::reference`] — the first failing verdict in lexicographic
 /// input order, the same one a sequential unpruned scan would return, byte
 /// identical failure messages and errors included — or `Ok(None)` if all
@@ -615,10 +608,10 @@ mod tests {
             check_on_box(&max, |x| x[0].max(x[1]), 3, 100_000).unwrap(),
             reference_scan(&max, |x| x[0].max(x[1]), 3, 100_000).unwrap()
         );
-        // Wrong function: 2x+1 is statically refuted at every point (the law
-        // 2X + Y caps the output at 2x), so the parallel scan only ever
-        // materializes the winner — which must be bit-identical to the
-        // reference scan's lexicographically-first failure.
+        // Wrong function: 2x+1 fails at every point (the law 2X + Y caps
+        // the output at 2x), and the parallel scan materializes only the
+        // winner — which must be bit-identical to the reference scan's
+        // lexicographically-first failure.
         let double = examples::double_crn();
         let pruned = check_on_box(&double, |x| 2 * x[0] + 1, 4, 10_000).unwrap();
         let reference = reference_scan(&double, |x| 2 * x[0] + 1, 4, 10_000).unwrap();
@@ -699,11 +692,8 @@ mod tests {
         // images.
         assert_eq!(stats.symmetry_skipped, 3);
         assert_eq!(stats.evaluated + stats.symmetry_skipped, stats.points);
-        // Every evaluated point is accounted to exactly one engine pass.
-        assert_eq!(
-            stats.static_pass + stats.static_fail + stats.decided,
-            stats.evaluated
-        );
+        // Every evaluated point is settled by exactly one exploration.
+        assert_eq!(stats.decided, stats.evaluated);
         // The sharded sweep agrees with the sequential one.
         let (sharded, _) = stats_scan(&sum, f, 2, 10_000, 3);
         assert_eq!(sharded.unwrap(), None);
@@ -711,8 +701,8 @@ mod tests {
 
     #[test]
     fn truncated_explorations_never_populate_the_cache() {
-        // With a limit of 2 configurations: (0,0) passes statically, (0,1)
-        // explores exactly 2 configurations, (1,0) is a symmetry replay of
+        // With a limit of 2 configurations: (0,0) explores its one
+        // configuration, (0,1) explores exactly 2, (1,0) is a symmetry replay of
         // (0,1), and (1,1) — 4 reachable configurations — blows the limit
         // mid-exploration.  The sweep must surface the identical
         // (lexicographically-first) error the reference scan produces.
@@ -744,8 +734,11 @@ mod tests {
         ));
         let (outcome, stats) = stats_scan(&sum, f, 3, 10, 1);
         assert_eq!(outcome, Ok(None));
-        // (0,0) is static; (0,1)..(0,3), (1,1)..(1,3), (2,2), (2,3), (3,3).
-        assert_eq!(stats.configs_explored, 2 + 3 + 4 + 3 + 4 + 5 + 5 + 6 + 7);
+        // (0,0)..(0,3), (1,1)..(1,3), (2,2), (2,3), (3,3).
+        assert_eq!(
+            stats.configs_explored,
+            1 + 2 + 3 + 4 + 3 + 4 + 5 + 5 + 6 + 7
+        );
         assert_eq!(reference_scan(&sum, f, 3, 10_000), Ok(None));
     }
 
@@ -1089,8 +1082,8 @@ mod tests {
         }
 
         /// The tentpole determinism contract: the analysis-pruned box scan
-        /// (static pass/fail verdicts plus direct-indexed exploration) and
-        /// the unpruned reference scan return bit-identical outcomes on
+        /// (symmetry skips plus routed explorations) and the unpruned
+        /// reference scan return bit-identical outcomes on
         /// arbitrary small CRNs — same verdict fields, same
         /// lexicographically-first failure, same errors.
         #[test]

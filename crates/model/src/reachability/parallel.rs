@@ -13,9 +13,9 @@
 //! the sequential loop would have produced.
 //!
 //! Two engines share the driver: the unpruned reference scan, which builds a
-//! full verdict at every point, and the incremental engine, which layers
-//! symmetry-orbit skipping, static interval verdicts and the routed
-//! decision passes (see [`VerdictEngine::decide`]) on top.
+//! full verdict at every point, and the incremental engine, which skips
+//! symmetry replays and settles every other point by exploring it on the
+//! route [`VerdictEngine::decide`] picks.
 
 use crn_sync::atomic::{AtomicU64, Ordering};
 
@@ -24,7 +24,7 @@ use crn_numeric::NVec;
 use crate::analysis::CrnAnalysis;
 use crate::error::CrnError;
 
-use super::engine::{StaticOutcome, SweepPlan, VerdictEngine};
+use super::engine::{SweepPlan, VerdictEngine};
 use super::symmetry::Automorphism;
 use super::{BoxCheckStats, StableComputationVerdict};
 
@@ -32,9 +32,9 @@ use super::{BoxCheckStats, StableComputationVerdict};
 type BoxOutcome = Result<StableComputationVerdict, CrnError>;
 
 /// A worker's record of one non-passing input: the full outcome, or a bad
-/// point left unmaterialized (statically refuted, or rejected by a decision
-/// pass) — only the lexicographically smallest bad input is ever expanded
-/// into a real verdict.
+/// point a decision rejected without materializing it — only the
+/// lexicographically smallest bad input is ever expanded into a real
+/// verdict.
 enum BadPoint {
     Full(BoxOutcome),
     Deferred,
@@ -45,12 +45,6 @@ enum BadPoint {
 /// share of the work.  An explicit worker count via
 /// [`super::BoxCheck::workers`] overrides this.
 pub(super) const MIN_POINTS_PER_WORKER: u64 = 8;
-
-/// After this many consecutive static abstentions a worker stops consulting
-/// the static verdict and goes straight to the decision pass.  Purely a
-/// performance valve: the decision pass subsumes the static answer, so
-/// verdicts are unaffected.  Any static answer re-arms the counter.
-const STATIC_ABSTAIN_CUTOFF: u32 = 16;
 
 /// The number of points in `[0, bound]^dim`, or `None` when it does not fit
 /// in `u64`: a sweep's `u64` cursor cannot index every point of such a box,
@@ -110,13 +104,11 @@ pub(super) fn check_on_box_sharded(
 
     // Everything point-independent is computed once for the whole sweep:
     // the static analysis every pruned worker reads, forced here rather than
-    // by whichever worker first needs it, and the plan (packed spec, input
-    // automorphisms).
+    // by whichever worker first needs it, and the plan (the packed spec from
+    // the box hull, input automorphisms).
     let plan = (!reference).then(|| {
         {
             let _analyze = crn_obs::span("model.box.analyze");
-            analysis.bounds();
-            analysis.laws();
             analysis.acyclic();
             analysis.stubborn();
         }
@@ -158,8 +150,6 @@ pub(super) fn check_on_box_sharded(
         let mut y = NVec::zeros(dim);
         let mut stats = BoxCheckStats::default();
         let mut best: Option<(u64, BadPoint)> = None;
-        let mut abstains = 0u32;
-        let mut static_armed = true;
         let mut draws = 0u64;
         'scan: loop {
             // Ordering: Relaxed — the cursor is a pure ticket dispenser; the
@@ -222,38 +212,11 @@ pub(super) fn check_on_box_sharded(
                         break;
                     }
                 }
-                Some(plan) => {
-                    let static_outcome = if static_armed {
-                        engine.static_verdict(&x, expected, max_configurations)
-                    } else {
-                        None
-                    };
-                    match static_outcome {
-                        Some(StaticOutcome::Pass) => {
-                            stats.static_pass += 1;
-                            abstains = 0;
-                            true
-                        }
-                        Some(StaticOutcome::Fail) => {
-                            stats.static_fail += 1;
-                            abstains = 0;
-                            false
-                        }
-                        None => {
-                            if static_armed {
-                                abstains += 1;
-                                if abstains >= STATIC_ABSTAIN_CUTOFF {
-                                    static_armed = false;
-                                }
-                            }
-                            // An error (it would recur identically at
-                            // materialization) counts as not passing.
-                            engine
-                                .decide(&x, expected, max_configurations, plan, &mut stats)
-                                .unwrap_or(false)
-                        }
-                    }
-                }
+                // An error (it would recur identically at materialization)
+                // counts as not passing.
+                Some(plan) => engine
+                    .decide(&x, expected, max_configurations, plan, &mut stats)
+                    .unwrap_or(false),
             };
             if !passes {
                 best = Some((i, BadPoint::Deferred));
@@ -345,8 +308,6 @@ fn publish_sweep_metrics(stats: &BoxCheckStats, workers: usize) {
     crn_obs::add("model.box.points", stats.points);
     crn_obs::add("model.box.evaluated", stats.evaluated);
     crn_obs::add("model.box.symmetry_skipped", stats.symmetry_skipped);
-    crn_obs::add("model.box.static_pass", stats.static_pass);
-    crn_obs::add("model.box.static_fail", stats.static_fail);
     crn_obs::add("model.box.decided", stats.decided);
     crn_obs::add("model.box.configs_explored", stats.configs_explored);
     crn_obs::gauge_max(
