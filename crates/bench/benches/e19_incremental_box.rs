@@ -1,7 +1,7 @@
 //! Criterion benchmarks for the incremental box-reachability engine
 //! (experiment E19 of DESIGN.md): box-check verdicts/sec on the `max` CRN
 //! sweep — symmetry-orbit skipping and the packed stubborn-set terminal
-//! scan versus the reference engine.
+//! scan versus a sequential loop of full verdicts.
 
 use std::time::Duration;
 
@@ -16,9 +16,9 @@ fn configured() -> Criterion {
 
 fn incremental_box_throughput(c: &mut Criterion) {
     let (incremental_vps, reference_vps, speedup, identical) = crn_bench::e19_box_check(16, 3);
-    eprintln!("\n[E19] incremental vs reference box check (max CRN, bound 16, 1 worker)");
+    eprintln!("\n[E19] box check vs sequential full verdicts (max CRN, bound 16, 1 worker)");
     eprintln!(
-        "  {incremental_vps:.1} verdicts/s incremental vs {reference_vps:.1} reference, \
+        "  {incremental_vps:.1} verdicts/s incremental vs {reference_vps:.1} full-verdict loop, \
          speedup {speedup:.1}x, bit-identical={identical}"
     );
     assert!(
@@ -27,7 +27,7 @@ fn incremental_box_throughput(c: &mut Criterion) {
     );
     assert!(
         speedup >= 5.0,
-        "E19 acceptance: incremental engine must be at least 5x the reference, got {speedup:.1}x"
+        "E19 acceptance: the box check must be at least 5x the full-verdict loop, got {speedup:.1}x"
     );
 
     let mut group = c.benchmark_group("E19_box_check_max_bound16");

@@ -102,13 +102,13 @@ pub(crate) fn resolve_target<'a>(
     Ok(target)
 }
 
-/// Appends the versioned `metrics` object (see [`crn_report::metrics_json`])
+/// Appends the versioned `metrics` object (see [`crate::json::metrics_json`])
 /// to a `--json` report's top-level fields when profiling is enabled.  The
 /// field is absent without `--profile`, so stdout stays byte-identical for
 /// unprofiled runs.
 pub(crate) fn push_metrics(fields: &mut Vec<(&str, Json)>) {
     if crn_obs::enabled() {
-        fields.push(("metrics", crn_report::metrics_json(&crn_obs::snapshot())));
+        fields.push(("metrics", crate::json::metrics_json(&crn_obs::snapshot())));
     }
 }
 

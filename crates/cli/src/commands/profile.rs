@@ -126,7 +126,7 @@ pub fn run(raw: &[String]) -> i32 {
                 ]),
             ),
             ("ok", Json::Bool(exit == EXIT_OK)),
-            ("metrics", crn_report::metrics_json(&snapshot)),
+            ("metrics", crate::json::metrics_json(&snapshot)),
         ];
         println!("{}", Json::obj(fields));
     } else {

@@ -10,34 +10,29 @@ use crate::commands::{
 use crate::json::Json;
 
 /// Runs `crn verify <file> [--item NAME] [--bound N] [--max-configs N]
-/// [--engine incremental|reference] [--stats] [--spot] [--max-steps N]
-/// [--seed S] [--json] [--deny-warnings]`.
+/// [--stats] [--spot] [--max-steps N] [--seed S] [--json]
+/// [--deny-warnings]`.
 ///
 /// For each `crn` item with a `computes` link (or the named one), checks
 /// stable computation of the linked function on every input of
-/// `[0, bound]^d`: exhaustively via the reachability engine by default, or by
+/// `[0, bound]^d`: exhaustively via the box engine by default, or by
 /// seeded stochastic spot checks with `--spot` (for CRNs whose reachable
 /// space outgrows `--max-configs`).
 ///
-/// `--engine` selects the exhaustive backend: `incremental` (default) runs
-/// the incremental box engine (symmetry orbits, then a stubborn-set
-/// terminal scan on certified-acyclic CRNs and a full verdict on the
-/// others), `reference` the unpruned hash-interned engine that
-/// builds a full verdict at every point — both
-/// must produce identical verdicts wherever the reference finishes within
-/// `--max-configs`, which the CI corpus smoke step cross-checks.  The limit
-/// bounds the configurations one exploration stores, and the terminal scan
-/// stores fewer, so the incremental engine may pass a point the reference
-/// gives up on.  A failing point is re-checked by the unreduced
-/// exploration, so FAIL lines are the reference engine's.  `--engine` is
-/// meaningless under `--spot` and refused there.
+/// The box engine skips symmetry orbits, then runs a stubborn-set terminal
+/// scan on certified-acyclic CRNs and a full verdict on the others; its
+/// outcome equals a sequential loop of full verdicts over the box wherever
+/// that loop finishes within `--max-configs`, which the tier-1 tests
+/// cross-check.  The limit bounds the configurations one exploration
+/// stores, and the terminal scan stores fewer, so the engine may pass a
+/// point a full verdict gives up on.  A failing point is re-checked by the
+/// unreduced exploration, so FAIL lines are the full verdict's.
 ///
 /// `--stats` prints one line of engine counters per verified item to stderr
 /// as JSON — points explored versus symmetry-replayed, explored
 /// configurations — and, with `--json`, attaches the same object to the
-/// item's report.  Both engines support it; the reference engine replays
-/// no symmetry, so its `symmetry_skipped` stays zero.  It is refused under
-/// `--spot`, which never runs a box sweep.
+/// item's report.  It is refused under `--spot`, which never runs a box
+/// sweep.
 ///
 /// Structural lint findings on the verified items are echoed to stderr in
 /// short form (stdout carries the verdicts); with `--deny-warnings` any
@@ -47,14 +42,7 @@ use crate::json::Json;
 pub fn run(raw: &[String]) -> i32 {
     let args = match Args::parse(
         raw,
-        &[
-            "item",
-            "bound",
-            "max-configs",
-            "max-steps",
-            "seed",
-            "engine",
-        ],
+        &["item", "bound", "max-configs", "max-steps", "seed"],
         &["spot", "json", "deny-warnings", "stats"],
     ) {
         Ok(args) => args,
@@ -74,15 +62,6 @@ pub fn run(raw: &[String]) -> i32 {
             return usage_error(&m)
         }
     };
-    let engine = args.value("engine").unwrap_or("incremental");
-    if !matches!(engine, "incremental" | "reference") {
-        return usage_error(&format!(
-            "unknown engine `{engine}`; expected `incremental` or `reference`"
-        ));
-    }
-    if args.value("engine").is_some() && args.switch("spot") {
-        return usage_error("`--engine` selects the exhaustive backend; drop it or drop `--spot`");
-    }
     if args.switch("stats") && args.switch("spot") {
         return usage_error(
             "`--stats` reports the exhaustive engines' box-sweep counters; drop `--spot`",
@@ -196,20 +175,14 @@ pub fn run(raw: &[String]) -> i32 {
                 }
             }
         } else {
-            // Both engines share one verdict contract; the stdout success
-            // line is engine-independent on purpose, so CI can diff the
-            // incremental run against the reference engine byte for byte.
-            let mut sweep = BoxCheck::new(&analyses[i], eval, bound, max_configs);
-            if engine == "reference" {
-                sweep = sweep.reference();
-            }
-            let (outcome, sweep_stats) = sweep.run();
+            let (outcome, sweep_stats) =
+                BoxCheck::new(&analyses[i], eval, bound, max_configs).run();
             if args.switch("stats") {
                 stats = Some(sweep_stats);
             }
             if let Some(sweep_stats) = &stats {
                 // One self-contained JSON line per item on stderr, so stdout
-                // stays byte-comparable across engines.
+                // carries only the verdicts.
                 eprintln!(
                     "{}",
                     Json::obj(vec![

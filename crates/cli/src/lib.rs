@@ -64,13 +64,12 @@ COMMANDS:
   verify <file>          check `computes` links by exhaustive reachability;
                          lint warnings go to stderr
                          [--item NAME] [--bound N=4] [--max-configs N=200000]
-                         [--engine incremental|reference] [--stats] [--spot]
-                         [--max-steps N=1000000] [--seed S=7] [--json]
-                         [--deny-warnings]
+                         [--stats] [--spot] [--max-steps N=1000000] [--seed S=7]
+                         [--json] [--deny-warnings]
                          --max-configs bounds the configurations one
-                         exploration stores; on acyclic CRNs the incremental
-                         engine stores only stubborn-set successors, so it
-                         may pass a point the reference engine gives up on
+                         exploration stores; on acyclic CRNs the box engine
+                         stores only stubborn-set successors, so it may pass
+                         a point a full verdict gives up on
   sim <file>             Gillespie ensemble simulation; lint warnings go to
                          stderr
                          [--item NAME] [--input a,b,...] [--trials N=16]
@@ -161,6 +160,8 @@ fn dispatch(args: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{metrics_json, Json};
+    use crn_obs::{MetricsSnapshot, Registry};
 
     #[test]
     fn no_command_and_unknown_command_are_usage_errors() {
@@ -171,5 +172,62 @@ mod tests {
     #[test]
     fn help_succeeds() {
         assert_eq!(run(&["help".to_owned()]), EXIT_OK);
+    }
+
+    #[test]
+    fn renders_nested_values() {
+        let value = Json::obj(vec![
+            ("command", Json::str("sim")),
+            ("outputs", Json::uints([3, 4])),
+            ("silent_fraction", Json::Float(1.0)),
+            ("correct", Json::Bool(true)),
+            ("witness", Json::Null),
+        ]);
+        assert_eq!(
+            value.to_string(),
+            r#"{"command":"sim","outputs":[3,4],"silent_fraction":1,"correct":true,"witness":null}"#
+        );
+    }
+
+    #[test]
+    fn escapes_strings() {
+        assert_eq!(
+            Json::str("a\"b\\c\nd\u{1}").to_string(),
+            "\"a\\\"b\\\\c\\nd\\u0001\""
+        );
+    }
+
+    #[test]
+    fn non_finite_floats_become_null() {
+        assert_eq!(Json::Float(f64::NAN).to_string(), "null");
+        assert_eq!(Json::Float(f64::INFINITY).to_string(), "null");
+    }
+
+    #[test]
+    fn metrics_serialization_is_versioned_and_sorted() {
+        let reg = Registry::new();
+        reg.add("b", 2);
+        reg.add("a", 1);
+        reg.gauge_max("g", 5);
+        reg.observe("h", 3);
+        reg.record_span("cli.sim", 1000);
+        let json = metrics_json(&reg.snapshot()).to_string();
+        assert_eq!(
+            json,
+            "{\"version\":1,\
+             \"counters\":{\"a\":1,\"b\":2},\
+             \"gauges\":{\"g\":5},\
+             \"histograms\":{\"h\":{\"count\":1,\"sum\":3,\"buckets\":[[2,1]]}},\
+             \"spans\":{\"cli.sim\":{\"count\":1,\"total_nanos\":1000}}}"
+        );
+    }
+
+    #[test]
+    fn empty_snapshot_serializes_to_empty_sections() {
+        let json = metrics_json(&MetricsSnapshot::default()).to_string();
+        assert_eq!(
+            json,
+            "{\"version\":1,\"counters\":{},\"gauges\":{},\"histograms\":{},\"spans\":{}}"
+        );
     }
 }

@@ -5,6 +5,13 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use crn_cli::workspace::Workspace;
+use crn_model::analysis::CrnAnalysis;
+use crn_model::{
+    check_stable_computation, BoxCheck, CrnError, FunctionCrn, StableComputationVerdict,
+};
+use crn_numeric::NVec;
+
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -172,16 +179,66 @@ fn lint_deny_warnings_exit_code() {
 
 #[test]
 fn overflowing_coefficients_never_verify_ok() {
-    // The fixture's only conservation law overflows i128. Both engines must
-    // agree byte for byte, and neither may pass it on a wrapped invariant.
-    let args = ["verify", "corpus/coefficient_overflow.crn", "--bound", "1"];
-    let (code, incremental) = run_crn(&args);
-    let mut reference_args = args.to_vec();
-    reference_args.extend(["--engine", "reference"]);
-    let (ref_code, reference) = run_crn(&reference_args);
-    assert_eq!((code, &incremental), (ref_code, &reference));
-    assert_eq!(code, 1, "{incremental}");
-    assert!(!incremental.contains("ok"), "{incremental}");
+    // The fixture's only conservation law overflows i128; the sweep must not
+    // pass it on a wrapped invariant.  The box engine's outcome on it is
+    // compared with sequential full verdicts in
+    // `box_engine_matches_sequential_full_verdicts_on_every_corpus_link`.
+    let (code, stdout) = run_crn(&["verify", "corpus/coefficient_overflow.crn", "--bound", "1"]);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(!stdout.contains("ok"), "{stdout}");
+}
+
+/// The per-point reference of the box engine: a sequential loop of full
+/// verdicts over the box in lexicographic order, sharing no code with the
+/// sweep driver.
+fn sequential_full_verdicts(
+    crn: &FunctionCrn,
+    f: impl Fn(&NVec) -> u64,
+    bound: u64,
+    max_configurations: usize,
+) -> Result<Option<StableComputationVerdict>, CrnError> {
+    for x in NVec::box_iter(crn.dim(), bound) {
+        let verdict = check_stable_computation(crn, &x, f(&x), max_configurations)?;
+        if !verdict.is_correct() {
+            return Ok(Some(verdict));
+        }
+    }
+    Ok(None)
+}
+
+#[test]
+fn box_engine_matches_sequential_full_verdicts_on_every_corpus_link() {
+    // Every `computes` link of the corpus, swept as `crn verify --bound 2`
+    // sweeps it: the whole outcome — each field of the first failing
+    // verdict, or the error — must equal the sequential loop's.  The links
+    // include an uncertified CRN (`cyclic_identity`, decided by full
+    // verdicts) and an error path (`coefficient_overflow`).
+    const BOUND: u64 = 2;
+    const MAX_CONFIGS: usize = 200_000;
+    let mut compared = Vec::new();
+    for path in corpus_files() {
+        let ws = Workspace::load(path.to_str().unwrap()).expect("corpus documents load");
+        for (name, lowered) in &ws.crns {
+            let Some(computes) = lowered.computes.as_deref() else {
+                continue;
+            };
+            let target = ws.target(computes).expect("corpus links resolve");
+            target
+                .validate_on_box(BOUND)
+                .expect("corpus links evaluate");
+            let f = |x: &NVec| target.eval(x);
+            let crn = &lowered.crn;
+            let (sweep, _) = BoxCheck::new(&CrnAnalysis::of(crn), f, BOUND, MAX_CONFIGS).run();
+            let reference = sequential_full_verdicts(crn, f, BOUND, MAX_CONFIGS);
+            let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
+            assert_eq!(sweep, reference, "{stem}: crn {name} vs {computes}");
+            compared.push((stem, reference));
+        }
+    }
+    assert_eq!(compared.len(), 12, "{compared:?}");
+    let outcome = |stem: &str| &compared.iter().find(|(s, _)| s == stem).unwrap().1;
+    assert!(outcome("coefficient_overflow").is_err());
+    assert!(outcome("cyclic_identity").is_ok());
 }
 
 #[test]

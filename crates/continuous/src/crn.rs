@@ -9,13 +9,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crn_numeric::Rational;
 
 /// A continuous reaction: consumes `reactants` and produces `products`, each
 /// with rational stoichiometry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContinuousReaction {
     /// Reactant stoichiometries, keyed by species name.
     pub reactants: BTreeMap<String, Rational>,
@@ -54,7 +52,7 @@ impl ContinuousReaction {
 }
 
 /// A continuous CRN with named species.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ContinuousCrn {
     reactions: Vec<ContinuousReaction>,
 }

@@ -1,12 +1,10 @@
 //! Rational-linear functions and their finite minima: the positive-orthant
 //! form of the continuous obliviously-computable class.
 
-use serde::{Deserialize, Serialize};
-
 use crn_numeric::{QVec, Rational};
 
 /// A rational-linear function `z ↦ ∇ · z` with a nonnegative gradient.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RationalLinear {
     gradient: QVec,
 }
@@ -50,7 +48,7 @@ impl RationalLinear {
 /// `f̂(z) = min_k ∇_k · z`, the canonical representative of the continuous
 /// obliviously-computable class on the positive orthant (Lemma 8 of \[9\],
 /// quoted in the proof of Theorem 8.2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MinOfLinear {
     pieces: Vec<RationalLinear>,
 }

@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crn_numeric::{CongruenceClass, NVec, QVec, Rational};
 
 use crate::error::CoreError;
@@ -23,7 +21,7 @@ use crate::error::CoreError;
 /// assert_eq!(g.eval(&NVec::from(vec![5])).unwrap(), 7);
 /// assert!(g.is_nondecreasing());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuiltAffine {
     dim: usize,
     period: u64,

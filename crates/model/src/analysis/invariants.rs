@@ -805,11 +805,11 @@ mod tests {
     /// oracle of [`farkas_annul`]: the same pairs in the same order, but
     /// every combination walks, multiplies and divides all columns with
     /// checked `i128` arithmetic and folds the gcd over every nonzero.
-    fn farkas_annul_dense(table: Vec<FarkasRow>, annul: usize, max_rows: usize) -> FarkasRows {
+    fn farkas_annul_dense(table: &[FarkasRow], annul: usize, max_rows: usize) -> FarkasRows {
         let mut capped = false;
         let mut overflowed = false;
-        let mut supports = PayloadSupports::of(&table, annul);
-        let mut table = densify(&table);
+        let mut supports = PayloadSupports::of(table, annul);
+        let mut table = densify(table);
         for col in 0..annul {
             let positive: Vec<usize> = (0..table.len()).filter(|&i| table[i][col] > 0).collect();
             let negative: Vec<usize> = (0..table.len()).filter(|&i| table[i][col] < 0).collect();
@@ -880,8 +880,8 @@ mod tests {
     /// duplicates are found by linear scan, and non-minimal payload supports
     /// are filtered out at the end.  Unchecked arithmetic: callers keep
     /// coefficients small.
-    fn farkas_annul_quadratic(table: Vec<FarkasRow>, annul: usize, max_rows: usize) -> FarkasRows {
-        let mut table = densify(&table);
+    fn farkas_annul_quadratic(table: &[FarkasRow], annul: usize, max_rows: usize) -> FarkasRows {
+        let mut table = densify(table);
         let mut truncated = false;
         for col in 0..annul {
             let (zero, nonzero): (Vec<_>, Vec<_>) = table.drain(..).partition(|row| row[col] == 0);
@@ -990,7 +990,9 @@ mod tests {
                     .iter()
                     .all(|&d| d == 0));
             }
-            let slow = semiflows_with(matrix, ORACLE_CAP, farkas_annul_quadratic);
+            let slow = semiflows_with(matrix, ORACLE_CAP, |t, a, m| {
+                farkas_annul_quadratic(&t, a, m)
+            });
             if !slow.truncated {
                 assert!(!fast.truncated, "{name}-semiflows truncated");
                 assert_eq!(&fast.laws, &slow.laws, "{}-semiflows", name);
@@ -1002,7 +1004,9 @@ mod tests {
                 assert!(v.iter().all(|&w| w >= 0));
                 assert!(checked_products(v, &n).iter().all(|&d| sign * d <= 0));
             }
-            let slow = monotone_potentials(&n, sign, ORACLE_CAP, farkas_annul_quadratic);
+            let slow = monotone_potentials(&n, sign, ORACLE_CAP, |t, a, m| {
+                farkas_annul_quadratic(&t, a, m)
+            });
             if !slow.truncated {
                 assert!(!fast.truncated, "cone {sign} truncated");
                 assert_eq!(&fast.rows, &slow.rows, "cone {}", sign);
@@ -1057,7 +1061,7 @@ mod tests {
             for (table, annul) in tables {
                 assert_eq!(
                     farkas_annul(table.clone(), annul, max_rows),
-                    farkas_annul_dense(table, annul, max_rows)
+                    farkas_annul_dense(&table, annul, max_rows)
                 );
             }
         }
@@ -1091,7 +1095,7 @@ mod tests {
                 .collect();
             assert_eq!(
                 farkas_annul(table.clone(), 4, max_rows),
-                farkas_annul_dense(table, 4, max_rows)
+                farkas_annul_dense(&table, 4, max_rows)
             );
         }
     }
@@ -1160,7 +1164,7 @@ mod tests {
         ];
         assert_eq!(combine(&table[0], &table[1]), None);
         let rows = farkas_annul(table.clone(), 1, FARKAS_ROW_CAP);
-        assert_eq!(rows, farkas_annul_dense(table, 1, FARKAS_ROW_CAP));
+        assert_eq!(rows, farkas_annul_dense(&table, 1, FARKAS_ROW_CAP));
         assert!(rows.rows.is_empty() && rows.truncated && rows.overflowed);
     }
 

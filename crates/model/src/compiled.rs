@@ -18,8 +18,6 @@
 //! vector with in-place [`apply`](DenseState::apply), convertible losslessly
 //! to and from the sparse [`Configuration`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::Configuration;
 use crate::crn::Crn;
 use crate::reaction::Reaction;
@@ -31,7 +29,7 @@ use crate::species::Species;
 /// Reactant entries are in ascending species order (the iteration order of
 /// the sparse reactant map), so mass-action products computed from them are
 /// bit-identical to products computed from the sparse representation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledReaction {
     reactants: Vec<(usize, u64)>,
     delta: Vec<(usize, i64)>,
@@ -124,7 +122,7 @@ impl CompiledReaction {
 /// state.apply(&compiled.reactions()[0]);
 /// assert_eq!(state.count(max.output()), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledCrn {
     stride: usize,
     reactions: Vec<CompiledReaction>,
@@ -222,7 +220,7 @@ impl CompiledCrn {
 
 /// A configuration as one flat `u64` count vector, indexed by
 /// [`Species::index`], supporting in-place firing.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DenseState {
     counts: Vec<u64>,
 }

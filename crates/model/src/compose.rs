@@ -428,33 +428,6 @@ pub fn compose_feed_forward(
     pipeline.build(down)
 }
 
-/// Adds explicit fan-out reactions `X_i -> X_i^{(1)} + … + X_i^{(copies)}` for
-/// a `dim`-ary input, returning the fresh CRN together with the global input
-/// species and the per-copy input species.
-///
-/// This is the standalone form of the fan-out wiring used inside
-/// [`Pipeline::build`]; it is exposed for constructions that need to copy
-/// inputs without immediately composing (e.g. benchmarks measuring fan-out
-/// cost).
-#[must_use]
-pub fn fan_out(dim: usize, copies: usize) -> (Crn, Vec<Species>, Vec<Vec<Species>>) {
-    let mut crn = Crn::new();
-    let globals: Vec<Species> = (0..dim)
-        .map(|i| crn.add_species(&format!("X{}", i + 1)))
-        .collect();
-    let mut per_copy: Vec<Vec<Species>> = vec![Vec::new(); copies];
-    for (i, &global) in globals.iter().enumerate() {
-        let mut products = Vec::new();
-        for (k, copy_inputs) in per_copy.iter_mut().enumerate() {
-            let s = crn.add_species(&format!("X{}_{}", i + 1, k));
-            copy_inputs.push(s);
-            products.push((s, 1));
-        }
-        crn.add_reaction(Reaction::new(vec![(global, 1)], products));
-    }
-    (crn, globals, per_copy)
-}
-
 /// Places two function CRNs side by side with disjoint species (no wiring).
 ///
 /// The result has the concatenated input list and reports the *first* CRN's
@@ -604,15 +577,6 @@ mod tests {
             compose_feed_forward(&[double], &min, false),
             Err(CrnError::InvalidRoles(_))
         ));
-    }
-
-    #[test]
-    fn fan_out_builds_copy_reactions() {
-        let (crn, globals, copies) = fan_out(2, 3);
-        assert_eq!(globals.len(), 2);
-        assert_eq!(copies.len(), 3);
-        assert_eq!(crn.reactions().len(), 2);
-        assert_eq!(crn.reactions()[0].product_size(), 3);
     }
 
     #[test]

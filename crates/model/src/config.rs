@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::reaction::Reaction;
 use crate::species::{Species, SpeciesSet};
 
@@ -29,7 +27,7 @@ use crate::species::{Species, SpeciesSet};
 /// assert_eq!(c2.count(x), 2);
 /// assert_eq!(c2.count(y), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Configuration {
     counts: BTreeMap<Species, u64>,
 }

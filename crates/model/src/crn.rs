@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::Configuration;
 use crate::error::CrnError;
 use crate::reaction::Reaction;
@@ -25,7 +23,7 @@ use crate::species::{Species, SpeciesSet};
 /// assert_eq!(crn.reactions().len(), 2);
 /// assert_eq!(crn.species().len(), 4);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Crn {
     species: SpeciesSet,
     reactions: Vec<Reaction>,

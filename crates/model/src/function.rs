@@ -1,7 +1,5 @@
 //! Function-computing CRNs: a CRN plus input/output/leader roles.
 
-use serde::{Deserialize, Serialize};
-
 use crn_numeric::NVec;
 
 use crate::config::Configuration;
@@ -12,7 +10,7 @@ use crate::species::Species;
 /// The species roles of a function-computing CRN (Section 2.2 of the paper):
 /// an ordered list of input species `X_1, …, X_d`, an output species `Y`, and
 /// an optional leader species `L` present with count 1 initially.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Roles {
     /// The ordered input species `X_1, …, X_d`.
     pub inputs: Vec<Species>,
@@ -33,7 +31,7 @@ pub struct Roles {
 /// assert_eq!(initial.count(double.roles().inputs[0]), 3);
 /// assert!(double.is_output_oblivious());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionCrn {
     crn: Crn,
     roles: Roles,

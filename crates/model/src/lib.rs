@@ -65,7 +65,7 @@ pub use analysis::{
     Stoichiometry,
 };
 pub use compiled::{CompiledCrn, CompiledReaction, DenseState};
-pub use compose::{concatenate, fan_out, parallel_union, PipeSource, Pipeline, StageId};
+pub use compose::{concatenate, parallel_union, PipeSource, Pipeline, StageId};
 pub use config::Configuration;
 pub use crn::Crn;
 pub use error::CrnError;
@@ -76,6 +76,4 @@ pub use reachability::{
 };
 pub use reaction::Reaction;
 pub use species::{Species, SpeciesSet};
-pub use transform::{
-    bimolecularize, hardcode_input, import_module, make_output_oblivious, rename_species,
-};
+pub use transform::{bimolecularize, hardcode_input, make_output_oblivious, rename_species};

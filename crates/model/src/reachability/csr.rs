@@ -8,7 +8,7 @@
 
 /// A forward-star (CSR) successor graph over dense node ids.
 #[derive(Debug, Clone)]
-pub struct CsrGraph {
+pub(crate) struct CsrGraph {
     /// `offsets[i]..offsets[i + 1]` indexes the successors of node `i`.
     offsets: Vec<usize>,
     targets: Vec<usize>,
@@ -45,19 +45,13 @@ impl CsrGraph {
 
     /// The number of nodes.
     #[must_use]
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.offsets.len() - 1
-    }
-
-    /// The number of (deduplicated) edges.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.targets.len()
     }
 
     /// The successors of node `v`, in discovery order.
     #[must_use]
-    pub fn successors(&self, v: usize) -> &[usize] {
+    pub(crate) fn successors(&self, v: usize) -> &[usize] {
         &self.targets[self.offsets[v]..self.offsets[v + 1]]
     }
 }
@@ -83,7 +77,6 @@ mod tests {
     fn layout_matches_adjacency() {
         let g = from_adjacency(&[&[1, 2], &[], &[0, 2]]);
         assert_eq!(g.node_count(), 3);
-        assert_eq!(g.edge_count(), 4);
         assert_eq!(g.successors(0), &[1, 2]);
         assert_eq!(g.successors(1), &[] as &[usize]);
         assert_eq!(g.successors(2), &[0, 2]);
@@ -93,6 +86,5 @@ mod tests {
     fn empty_graph_has_no_nodes() {
         let g = from_adjacency(&[]);
         assert_eq!(g.node_count(), 0);
-        assert_eq!(g.edge_count(), 0);
     }
 }

@@ -3,7 +3,8 @@
 //! Every exploration of the engine is [`bfs`], a generic, monomorphized
 //! breadth-first traversal over a state [`Codec`]: node ids are discovery
 //! order.  Its visitors are [`CsrBuilder`] (the successor graph behind full
-//! verdicts and [`ReachabilityGraph`]) and [`TerminalScan`] (the decision
+//! verdicts; [`ReachabilityGraph`] keeps only the configurations it
+//! stores) and [`TerminalScan`] (the decision
 //! for certified-acyclic CRNs, whose sinks are exactly the terminal
 //! configurations; it fires only stubborn sets, see [`StubbornSets`]).
 //!
@@ -25,7 +26,6 @@ use crn_numeric::NVec;
 use crate::analysis::{CrnAnalysis, Liveness};
 use crate::compiled::{CompiledCrn, CompiledReaction};
 use crate::error::CrnError;
-use crate::function::FunctionCrn;
 
 use super::arena::ConfigArena;
 use super::csr::CsrGraph;
@@ -543,7 +543,7 @@ impl<C: Codec> BfsVisitor<C> for TerminalScan<'_> {
 #[derive(Default)]
 pub(super) struct ExploreState {
     pub(super) store: Store,
-    pub(super) csr: CsrGraph,
+    csr: CsrGraph,
 }
 
 impl ExploreState {
@@ -638,21 +638,15 @@ fn route(packed: bool, acyclic: bool) -> Route {
 /// each worker thread one engine, and every engine borrows the one
 /// [`CrnAnalysis`] of the CRN, compiled reactions included.
 ///
-/// A *pruned* engine ([`pruned`](VerdictEngine::pruned)) additionally reads
-/// the acyclicity certificate and the stubborn-set relations, and uses them
-/// to [`decide`](VerdictEngine::decide) certified points by a terminal scan
-/// (on the byte packing its [`SweepPlan`] sized from the box hull, when
-/// there is one).  A *reference* engine
-/// ([`reference`](VerdictEngine::reference)) skips all of it; both run the
-/// same hash-interned BFS for a full verdict, so they produce bit-identical
-/// verdicts wherever the reference finishes within the limit.
+/// [`check`](VerdictEngine::check) builds the full verdict on the
+/// hash-interned BFS and reads nothing else of the analysis;
+/// [`decide`](VerdictEngine::decide) additionally reads the acyclicity
+/// certificate and the stubborn-set relations, and settles certified points
+/// by a terminal scan (on the byte packing its [`SweepPlan`] sized from the
+/// box hull, when there is one).
 pub(super) struct VerdictEngine<'c> {
-    crn: &'c FunctionCrn,
-    compiled: &'c CompiledCrn,
+    analysis: &'c CrnAnalysis<'c>,
     stride: usize,
-    /// The static analysis a pruned engine reads; `None` on a reference
-    /// engine.
-    analysis: Option<&'c CrnAnalysis<'c>>,
     state: ExploreState,
     /// The terminal scan's stubborn-set scratch.
     closure: Closure,
@@ -662,36 +656,15 @@ pub(super) struct VerdictEngine<'c> {
     comp_min: Vec<u64>,
     comp_recovers: Vec<bool>,
     /// Pins the route of [`decide`](VerdictEngine::decide), so tests can
-    /// run every route against the reference engine.
+    /// run every route against the full verdict.
     #[cfg(test)]
     route_override: Option<Route>,
 }
 
 impl<'c> VerdictEngine<'c> {
-    /// The engine that reads `analysis`: the terminal scan on
-    /// certified-acyclic CRNs.
-    pub(super) fn pruned(analysis: &'c CrnAnalysis<'c>) -> Self {
-        Self::new(analysis, Some(analysis))
-    }
-
-    /// The analysis-free engine: a full hash-interned verdict on every
-    /// point, and the differential oracle of the terminal scans.  It reads
-    /// only the CRN and its compiled reactions from `analysis`.
-    pub(super) fn reference(analysis: &'c CrnAnalysis<'c>) -> Self {
-        Self::new(analysis, None)
-    }
-
-    /// `(collisions, grows)` of the engine's configuration arena, cumulative
-    /// over its lifetime — the observability layer's dedup metrics.
-    pub(super) fn arena_metrics(&self) -> (u64, u64) {
-        self.state.store.arena.metrics()
-    }
-
-    /// An engine on `shared`'s CRN and compiled reactions that reads the
-    /// acyclicity certificate and stubborn sets only when `analysis` is
-    /// given.
-    fn new(shared: &'c CrnAnalysis<'c>, analysis: Option<&'c CrnAnalysis<'c>>) -> Self {
-        let (crn, compiled) = (shared.crn(), shared.compiled());
+    /// An engine on `analysis`'s CRN and compiled reactions.
+    pub(super) fn new(analysis: &'c CrnAnalysis<'c>) -> Self {
+        let (crn, compiled) = (analysis.crn(), analysis.compiled());
         // The stride must cover every species the check can touch: the
         // compiled stride spans the CRN's own set plus any foreign species a
         // reaction sneaks in (`add_reaction` does not validate membership),
@@ -699,10 +672,8 @@ impl<'c> VerdictEngine<'c> {
         // built from.
         let stride = compiled.stride().max(crn.role_stride());
         VerdictEngine {
-            crn,
-            compiled,
-            stride,
             analysis,
+            stride,
             state: ExploreState::default(),
             closure: Closure::default(),
             cond: Condensation::empty(),
@@ -715,16 +686,23 @@ impl<'c> VerdictEngine<'c> {
         }
     }
 
+    /// `(collisions, grows)` of the engine's configuration arena, cumulative
+    /// over its lifetime — the observability layer's dedup metrics.
+    pub(super) fn arena_metrics(&self) -> (u64, u64) {
+        self.state.store.arena.metrics()
+    }
+
     /// Builds the initial configuration `I_x` densely into `start_dense`:
     /// input counts plus one leader.  Roles are validated distinct, so plain
     /// stores suffice.
     fn build_start(&mut self, x: &NVec) {
         self.start_dense.clear();
         self.start_dense.resize(self.stride, 0);
-        for (i, species) in self.crn.roles().inputs.iter().enumerate() {
+        let crn = self.analysis.crn();
+        for (i, species) in crn.roles().inputs.iter().enumerate() {
             self.start_dense[species.index()] = x[i];
         }
-        if let Some(leader) = self.crn.leader() {
+        if let Some(leader) = crn.leader() {
             self.start_dense[leader.index()] += 1;
         }
     }
@@ -735,8 +713,7 @@ impl<'c> VerdictEngine<'c> {
         if let Some(route) = self.route_override {
             return route;
         }
-        let acyclic = self.analysis.is_some_and(CrnAnalysis::acyclic);
-        route(plan.packed.is_some(), acyclic)
+        route(plan.packed.is_some(), self.analysis.acyclic())
     }
 
     /// Decides whether the CRN stably computes `expected_output` on `x` —
@@ -757,9 +734,9 @@ impl<'c> VerdictEngine<'c> {
         plan: &SweepPlan,
         stats: &mut BoxCheckStats,
     ) -> Result<bool, CrnError> {
-        if x.dim() != self.crn.dim() {
+        if x.dim() != self.analysis.crn().dim() {
             return Err(CrnError::DimensionMismatch {
-                expected: self.crn.dim(),
+                expected: self.analysis.crn().dim(),
                 actual: x.dim(),
             });
         }
@@ -790,10 +767,9 @@ impl<'c> VerdictEngine<'c> {
         limit: usize,
     ) -> (Result<bool, CrnError>, usize) {
         self.build_start(x);
-        let analysis = self.analysis.expect("decisions run on pruned engines");
         let scan = &mut TerminalScan {
             expected,
-            stubborn: analysis.stubborn(),
+            stubborn: self.analysis.stubborn(),
             closure: &mut self.closure,
         };
         let (store, start) = (&mut self.state.store, &self.start_dense);
@@ -803,8 +779,8 @@ impl<'c> VerdictEngine<'c> {
                 (bfs(&mut codec, scan, limit), codec.len())
             }
             None => {
-                let out = self.crn.output().index();
-                let mut codec = Hash::new(self.compiled, out, store, start);
+                let out = self.analysis.crn().output().index();
+                let mut codec = Hash::new(self.analysis.compiled(), out, store, start);
                 (bfs(&mut codec, scan, limit), codec.len())
             }
         }
@@ -820,21 +796,24 @@ impl<'c> VerdictEngine<'c> {
         expected_output: u64,
         max_configurations: usize,
     ) -> Result<StableComputationVerdict, CrnError> {
-        if x.dim() != self.crn.dim() {
+        if x.dim() != self.analysis.crn().dim() {
             return Err(CrnError::DimensionMismatch {
-                expected: self.crn.dim(),
+                expected: self.analysis.crn().dim(),
                 actual: x.dim(),
             });
         }
         self.build_start(x);
-        self.state
-            .graph(self.compiled, &self.start_dense, max_configurations)?;
+        self.state.graph(
+            self.analysis.compiled(),
+            &self.start_dense,
+            max_configurations,
+        )?;
         self.cond.rebuild(&self.state.csr);
 
         let arena = &self.state.store.arena;
         let csr = &self.state.csr;
         let cond = &self.cond;
-        let out_idx = self.crn.output().index();
+        let out_idx = self.analysis.crn().output().index();
         let out_of = |v: usize| arena.get(v)[out_idx];
 
         // Every configuration of a strongly connected component reaches the
@@ -879,7 +858,9 @@ impl<'c> VerdictEngine<'c> {
                 .expect("some bad index");
             Some(format!(
                 "configuration {} cannot reach a stable configuration with output {}",
-                arena.sparse(bad).display(self.crn.crn().species()),
+                arena
+                    .sparse(bad)
+                    .display(self.analysis.crn().crn().species()),
                 expected_output
             ))
         };
@@ -900,6 +881,8 @@ impl<'c> VerdictEngine<'c> {
 mod tests {
     use super::*;
     use crate::crn::Crn;
+    use crate::function::FunctionCrn;
+    use crate::reachability::check_stable_computation;
     use crate::reaction::Reaction;
     use crate::species::Species;
     use proptest::prelude::*;
@@ -918,7 +901,7 @@ mod tests {
         assert!(analysis.acyclic());
         let plan = SweepPlan::build(&analysis, 3);
         assert!(plan.packed.is_none());
-        let mut engine = VerdictEngine::pruned(&analysis);
+        let mut engine = VerdictEngine::new(&analysis);
         assert_eq!(engine.pick_route(&plan), Route::HashScan);
         let mut stats = BoxCheckStats::default();
         let decided = engine.decide(&NVec::from(vec![3]), 3, 1_000, &plan, &mut stats);
@@ -935,15 +918,16 @@ mod tests {
     fn admissible(engine: &VerdictEngine<'_>, plan: &SweepPlan, route: Route) -> bool {
         match route {
             Route::PackedScan => plan.packed.is_some(),
-            Route::HashScan => engine.analysis.is_some_and(CrnAnalysis::acyclic),
+            Route::HashScan => engine.analysis.acyclic(),
             Route::Verdict => true,
         }
     }
 
     /// Decides every point of `[0, bound]` on every admissible route and
-    /// compares with the reference engine: `Ok(true)` exactly when the
-    /// reference verdict is correct, otherwise a reference failure or the
-    /// identical error.  The one exception is a stubborn-set scan, which
+    /// compares with the per-point reference, a fresh
+    /// [`check_stable_computation`] at each point: `Ok(true)` exactly when
+    /// the reference verdict is correct, otherwise a reference failure or
+    /// the identical error.  The one exception is a stubborn-set scan, which
     /// stores fewer configurations than the reference: it may pass a point
     /// past the limit, and the reference must then pass it at a raised
     /// limit.  Both scan codecs fire the same stubborn sets in the same
@@ -952,13 +936,14 @@ mod tests {
     fn routes_match_reference(crn: &FunctionCrn, f: impl Fn(&NVec) -> u64, bound: u64) {
         const LIMIT: usize = 300;
         const RAISED: usize = 300_000;
+        let reference =
+            |x: &NVec, expected, limit| check_stable_computation(crn, x, expected, limit);
         let analysis = CrnAnalysis::of(crn);
         let plan = SweepPlan::build(&analysis, bound);
-        let mut reference = VerdictEngine::reference(&analysis);
         let mut scanned: HashMap<NVec, u64> = HashMap::new();
         for route in ROUTES {
             let scan = route != Route::Verdict;
-            let mut engine = VerdictEngine::pruned(&analysis);
+            let mut engine = VerdictEngine::new(&analysis);
             if !admissible(&engine, &plan, route) {
                 continue;
             }
@@ -973,13 +958,13 @@ mod tests {
                     let first = *scanned.entry(x.clone()).or_insert(stored);
                     prop_assert_eq!(stored, first, "{:?} at {}", route, x);
                 }
-                match (decided, reference.check(&x, expected, LIMIT)) {
+                match (decided, reference(&x, expected, LIMIT)) {
                     (Ok(decision), Ok(verdict)) => {
                         prop_assert_eq!(decision, verdict.is_correct(), "{:?} at {}", route, x);
                     }
                     (Ok(true), Err(_)) => {
                         prop_assert!(scan, "{:?} passed {} past the limit", route, x);
-                        let raised = reference.check(&x, expected, RAISED);
+                        let raised = reference(&x, expected, RAISED);
                         prop_assert!(
                             matches!(&raised, Ok(v) if v.is_correct()),
                             "{:?} passed {} but the reference says {:?}",

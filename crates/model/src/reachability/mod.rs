@@ -16,9 +16,9 @@
 //! * [`arena`](self) (internal) — an interned **configuration arena**: dense
 //!   count vectors in one allocation, with an open-addressing hash index over
 //!   arena ids, so exploration never clones a sparse configuration per edge;
-//! * [`CsrGraph`] — successor storage laid out in **compressed sparse row**
-//!   form directly during the breadth-first exploration;
-//! * [`Condensation`] — **Tarjan SCC condensation**; the three reachability
+//! * `csr` (internal) — successor storage laid out in **compressed sparse
+//!   row** form directly during the breadth-first exploration;
+//! * `scc` (internal) — **Tarjan SCC condensation**; the three reachability
 //!   queries behind a verdict (max/min reachable output, recoverability)
 //!   each become one linear pass over the components in reverse topological
 //!   order instead of an iterate-until-stable fixpoint;
@@ -43,8 +43,6 @@ pub(crate) mod symmetry;
 
 use crn_sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 use crn_numeric::NVec;
 
 use crate::analysis::CrnAnalysis;
@@ -57,13 +55,11 @@ use crate::species::Species;
 use arena::ConfigArena;
 use engine::{ExploreState, VerdictEngine};
 
-pub use csr::CsrGraph;
 pub use parallel::box_point_count;
-pub use scc::Condensation;
 pub use symmetry::Automorphism;
 
 /// Limits for exhaustive exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReachabilityLimits {
     /// Maximum number of distinct configurations to explore before giving up.
     pub max_configurations: usize,
@@ -84,7 +80,7 @@ impl Default for ReachabilityLimits {
 ///
 /// The counters never influence verdicts; they exist so the effect of each
 /// incremental layer is measurable on real sweeps.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BoxCheckStats {
     /// Total number of points in the box.
     pub points: u64,
@@ -111,8 +107,7 @@ impl BoxCheckStats {
     }
 }
 
-/// The reachability graph over the configurations reachable from a start
-/// configuration.
+/// The configurations reachable from a start configuration.
 ///
 /// Configurations live in a dense interned arena; sparse [`Configuration`]
 /// values are materialized lazily, only if [`configurations`] is called.
@@ -121,7 +116,6 @@ impl BoxCheckStats {
 #[derive(Debug, Clone)]
 pub struct ReachabilityGraph {
     arena: ConfigArena,
-    csr: CsrGraph,
     sparse: OnceLock<Vec<Configuration>>,
 }
 
@@ -146,7 +140,6 @@ impl ReachabilityGraph {
         state.graph(&compiled, &start_dense, limits.max_configurations)?;
         Ok(ReachabilityGraph {
             arena: state.store.arena,
-            csr: state.csr,
             sparse: OnceLock::new(),
         })
     }
@@ -189,24 +182,6 @@ impl ReachabilityGraph {
         }
     }
 
-    /// The successors of configuration `id`, in discovery order.
-    #[must_use]
-    pub fn successors(&self, id: usize) -> &[usize] {
-        self.csr.successors(id)
-    }
-
-    /// The CSR successor structure of the graph.
-    #[must_use]
-    pub fn graph(&self) -> &CsrGraph {
-        &self.csr
-    }
-
-    /// The Tarjan condensation of the graph (one linear pass).
-    #[must_use]
-    pub fn condensation(&self) -> Condensation {
-        Condensation::of(&self.csr)
-    }
-
     /// The count of `species` in every reachable configuration, by id.
     #[must_use]
     pub fn species_counts(&self, species: Species) -> Vec<u64> {
@@ -221,7 +196,7 @@ impl ReachabilityGraph {
 }
 
 /// The result of checking whether a CRN stably computes a value on one input.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StableComputationVerdict {
     /// The input that was checked.
     pub input: NVec,
@@ -267,7 +242,7 @@ pub fn check_stable_computation(
     expected_output: u64,
     max_configurations: usize,
 ) -> Result<StableComputationVerdict, CrnError> {
-    VerdictEngine::reference(&CrnAnalysis::of(crn)).check(x, expected_output, max_configurations)
+    VerdictEngine::new(&CrnAnalysis::of(crn)).check(x, expected_output, max_configurations)
 }
 
 /// Checks stable computation of `f` on every input in the box `[0, bound]^d`,
@@ -278,21 +253,20 @@ pub fn check_stable_computation(
 /// caller that also lints the CRN builds the analysis itself and runs
 /// [`BoxCheck::new`] on it, so both share every artifact.
 ///
-/// The scan runs the *incremental* box engine: it skips inputs whose
-/// symmetry orbit already contains a checked representative and explores
-/// every other point.  Certified-acyclic CRNs take a terminal scan that
-/// fires only stubborn sets, on one byte-packed word per configuration when
-/// the box hull of the monotone potentials fits 7-bit lanes; every other
-/// point takes the full verdict of [`check_stable_computation`].  Box
-/// points are decoded from a mixed-radix index on demand, so the sweep
-/// allocates `O(1)` memory in the box size.  The result is nonetheless bit-identical to
-/// [`BoxCheck::reference`] — the first failing verdict in lexicographic
-/// input order, the same one a sequential unpruned scan would return, byte
-/// identical failure messages and errors included — or `Ok(None)` if all
-/// inputs pass, wherever the reference finishes within
-/// `max_configurations`.  The limit bounds the configurations each
-/// exploration stores, and the terminal scan stores fewer than the
-/// reference, so it may pass a point the reference gives up on.
+/// The sweep skips inputs whose symmetry orbit already contains a checked
+/// representative and explores every other point.  Certified-acyclic CRNs
+/// take a terminal scan that fires only stubborn sets, on one byte-packed
+/// word per configuration when the box hull of the monotone potentials fits
+/// 7-bit lanes; every other point takes the full verdict of
+/// [`check_stable_computation`].  Box points are decoded from a mixed-radix
+/// index on demand, so the sweep allocates `O(1)` memory in the box size.
+/// The result is nonetheless bit-identical to a sequential loop of
+/// [`check_stable_computation`] over the box in lexicographic order — the
+/// first failing verdict, byte identical failure messages and errors
+/// included — or `Ok(None)` if all inputs pass, wherever that loop finishes
+/// within `max_configurations`.  The limit bounds the configurations each
+/// exploration stores, and the terminal scan stores fewer than a full
+/// verdict, so it may pass a point the loop gives up on.
 ///
 /// # Errors
 ///
@@ -313,8 +287,8 @@ pub fn check_on_box(
 }
 
 /// A configurable [`check_on_box`] sweep over a CRN's shared
-/// [`CrnAnalysis`]: the engine and the worker count, with the sweep's
-/// [`BoxCheckStats`] returned alongside the outcome.
+/// [`CrnAnalysis`]: the worker count, with the sweep's [`BoxCheckStats`]
+/// returned alongside the outcome.
 ///
 /// ```
 /// use crn_model::analysis::CrnAnalysis;
@@ -334,12 +308,11 @@ pub struct BoxCheck<'a, F> {
     bound: u64,
     max_configurations: usize,
     workers: Option<usize>,
-    reference: bool,
 }
 
 impl<'a, F: Fn(&NVec) -> u64 + Sync> BoxCheck<'a, F> {
-    /// A sweep of the analyzed CRN against `f` on `[0, bound]^d` on the
-    /// incremental engine, with the default worker count.
+    /// A sweep of the analyzed CRN against `f` on `[0, bound]^d`, with the
+    /// default worker count.
     pub fn new(analysis: &'a CrnAnalysis<'a>, f: F, bound: u64, max_configurations: usize) -> Self {
         BoxCheck {
             analysis,
@@ -347,19 +320,7 @@ impl<'a, F: Fn(&NVec) -> u64 + Sync> BoxCheck<'a, F> {
             bound,
             max_configurations,
             workers: None,
-            reference: false,
         }
-    }
-
-    /// Runs the reference engine instead: no static analysis, a full
-    /// hash-interned verdict at every point.  The differential oracle of the
-    /// incremental engine — both return bit-identical outcomes wherever the
-    /// reference finishes within the limit.  Its stats count every checked
-    /// point as decided.
-    #[must_use]
-    pub fn reference(mut self) -> Self {
-        self.reference = true;
-        self
     }
 
     /// Pins the worker-thread count (`1` runs the plain sequential scan).
@@ -402,7 +363,6 @@ impl<'a, F: Fn(&NVec) -> u64 + Sync> BoxCheck<'a, F> {
             self.bound,
             self.max_configurations,
             workers,
-            self.reference,
         )
     }
 }
@@ -480,16 +440,21 @@ mod tests {
             .run()
     }
 
+    /// The per-point reference: a sequential loop of full verdicts over the
+    /// box in lexicographic order, sharing no code with the sweep driver.
     fn reference_scan(
         crn: &FunctionCrn,
-        f: impl Fn(&NVec) -> u64 + Sync,
+        f: impl Fn(&NVec) -> u64,
         bound: u64,
         max_configurations: usize,
     ) -> Outcome {
-        BoxCheck::new(&CrnAnalysis::of(crn), f, bound, max_configurations)
-            .reference()
-            .run()
-            .0
+        for x in NVec::box_iter(crn.dim(), bound) {
+            let verdict = check_stable_computation(crn, &x, f(&x), max_configurations)?;
+            if !verdict.is_correct() {
+                return Ok(Some(verdict));
+            }
+        }
+        Ok(None)
     }
 
     /// A sequential scan on the fixpoint oracle: the first failing verdict.
@@ -1081,11 +1046,11 @@ mod tests {
             }
         }
 
-        /// The tentpole determinism contract: the analysis-pruned box scan
-        /// (symmetry skips plus routed explorations) and the unpruned
-        /// reference scan return bit-identical outcomes on
-        /// arbitrary small CRNs — same verdict fields, same
-        /// lexicographically-first failure, same errors.
+        /// The determinism contract: the box sweep (symmetry skips plus
+        /// routed explorations) and the sequential loop of full verdicts
+        /// return bit-identical outcomes on arbitrary small CRNs — same
+        /// verdict fields, same lexicographically-first failure, same
+        /// errors.
         #[test]
         fn pruned_box_check_matches_reference(
             stoich in proptest::collection::vec(proptest::collection::vec(0u64..3, 6), 1..4),

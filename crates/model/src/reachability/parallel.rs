@@ -10,12 +10,9 @@
 //! interleaving: every worker records the index of the first failing (or
 //! erroring) input it sees, indices past the best-known failure are skipped,
 //! and the verdict returned is the one at the smallest index — exactly what
-//! the sequential loop would have produced.
-//!
-//! Two engines share the driver: the unpruned reference scan, which builds a
-//! full verdict at every point, and the incremental engine, which skips
-//! symmetry replays and settles every other point by exploring it on the
-//! route [`VerdictEngine::decide`] picks.
+//! the sequential loop would have produced.  The sweep skips symmetry
+//! replays and settles every other point by exploring it on the route
+//! [`VerdictEngine::decide`] picks.
 
 use crn_sync::atomic::{AtomicU64, Ordering};
 
@@ -27,18 +24,6 @@ use crate::error::CrnError;
 use super::engine::{SweepPlan, VerdictEngine};
 use super::symmetry::Automorphism;
 use super::{BoxCheckStats, StableComputationVerdict};
-
-/// One input's outcome: the check failed, or the search errored out.
-type BoxOutcome = Result<StableComputationVerdict, CrnError>;
-
-/// A worker's record of one non-passing input: the full outcome, or a bad
-/// point a decision rejected without materializing it — only the
-/// lexicographically smallest bad input is ever expanded into a real
-/// verdict.
-enum BadPoint {
-    Full(BoxOutcome),
-    Deferred,
-}
 
 /// The default shard grants each worker at least this many inputs, so a box
 /// never spawns threads whose startup cost dwarfs their microsecond-scale
@@ -72,20 +57,19 @@ fn decode_point(mut index: u64, radix: u64, x: &mut NVec) {
 /// (or error) of the lexicographically-first input that does not pass, plus
 /// the sweep's observability counters.
 ///
-/// Both engines return bit-identical outcomes wherever the reference scan
-/// finishes within the limit; they differ only in how much work each point
-/// costs, and the incremental engine's stubborn-set scans may pass a point
-/// the reference gives up on.  The incremental engine records only the
-/// *index* of a bad point during the scan; the one bad index that wins the
-/// race is re-checked in full, so the returned outcome is byte-identical to
-/// the reference scan — failure messages and errors included.
+/// Workers record only the *index* of a bad point during the scan; the one
+/// bad index that wins the race is re-checked in full by
+/// [`VerdictEngine::check`], so the returned outcome is byte-identical to a
+/// sequential loop of full verdicts — failure messages and errors included
+/// — wherever that loop finishes within the limit.  The stubborn-set scans
+/// store fewer configurations than a full verdict, so they may pass a point
+/// the loop gives up on.
 pub(super) fn check_on_box_sharded(
     analysis: &CrnAnalysis<'_>,
     f: &(impl Fn(&NVec) -> u64 + Sync),
     bound: u64,
     max_configurations: usize,
     workers: usize,
-    reference: bool,
 ) -> (
     Result<Option<StableComputationVerdict>, CrnError>,
     BoxCheckStats,
@@ -103,24 +87,17 @@ pub(super) fn check_on_box_sharded(
     let workers = workers.clamp(1, usize::try_from(total).unwrap_or(usize::MAX).max(1));
 
     // Everything point-independent is computed once for the whole sweep:
-    // the static analysis every pruned worker reads, forced here rather than
-    // by whichever worker first needs it, and the plan (the packed spec from
+    // the static analysis every worker reads, forced here rather than by
+    // whichever worker first needs it, and the plan (the packed spec from
     // the box hull, input automorphisms).
-    let plan = (!reference).then(|| {
-        {
-            let _analyze = crn_obs::span("model.box.analyze");
-            analysis.acyclic();
-            analysis.stubborn();
-        }
+    {
+        let _analyze = crn_obs::span("model.box.analyze");
+        analysis.acyclic();
+        analysis.stubborn();
+    }
+    let plan = {
         let _plan = crn_obs::span("model.box.plan");
         SweepPlan::build(analysis, bound)
-    });
-    let make_engine = || {
-        if reference {
-            VerdictEngine::reference(analysis)
-        } else {
-            VerdictEngine::pruned(analysis)
-        }
     };
 
     // Ordering audit (model-checked in crn-sync tests/model.rs; see
@@ -144,12 +121,12 @@ pub(super) fn check_on_box_sharded(
     // (or the best-known bad prefix) is exhausted.  Returns its first bad
     // index — its draws strictly increase, so it may stop at the first — and
     // its statistics.
-    let run_worker = || -> (Option<(u64, BadPoint)>, BoxCheckStats) {
-        let mut engine = make_engine();
+    let run_worker = || -> (Option<u64>, BoxCheckStats) {
+        let mut engine = VerdictEngine::new(analysis);
         let mut x = NVec::zeros(dim);
         let mut y = NVec::zeros(dim);
         let mut stats = BoxCheckStats::default();
-        let mut best: Option<(u64, BadPoint)> = None;
+        let mut best = None;
         let mut draws = 0u64;
         'scan: loop {
             // Ordering: Relaxed — the cursor is a pure ticket dispenser; the
@@ -172,56 +149,34 @@ pub(super) fn check_on_box_sharded(
             decode_point(i, radix, &mut x);
             let expected = f(&x);
 
-            if let Some(plan) = &plan {
-                // Symmetry-orbit reduction: skip `x` whenever some detected
-                // automorphism maps it to a lexicographically smaller point
-                // with the same expected output — that point's verdict (at
-                // a smaller index, so inside the scanned prefix) is `x`'s
-                // verdict.  The lexicographically-first bad point maps only
-                // to larger-or-equal bad points, so it is never skipped and
-                // the winner is unchanged.
-                for p in plan.perms.iter().map(Automorphism::inputs) {
-                    for k in 0..dim {
-                        y[k] = x[p[k]];
-                    }
-                    if y.as_slice() < x.as_slice() && f(&y) == expected {
-                        stats.symmetry_skipped += 1;
-                        continue 'scan;
-                    }
+            // Symmetry-orbit reduction: skip `x` whenever some detected
+            // automorphism maps it to a lexicographically smaller point with
+            // the same expected output — that point's verdict (at a smaller
+            // index, so inside the scanned prefix) is `x`'s verdict.  The
+            // lexicographically-first bad point maps only to
+            // larger-or-equal bad points, so it is never skipped and the
+            // winner is unchanged.
+            for p in plan.perms.iter().map(Automorphism::inputs) {
+                for k in 0..dim {
+                    y[k] = x[p[k]];
+                }
+                if y.as_slice() < x.as_slice() && f(&y) == expected {
+                    stats.symmetry_skipped += 1;
+                    continue 'scan;
                 }
             }
             stats.evaluated += 1;
 
-            let passes = match &plan {
-                None => {
-                    let outcome = engine.check(&x, expected, max_configurations);
-                    stats.decided += 1;
-                    if let Ok(verdict) = &outcome {
-                        stats.configs_explored += u64::try_from(verdict.reachable_configurations)
-                            .expect("usize fits u64");
-                    }
-                    if matches!(&outcome, Ok(v) if v.is_correct()) {
-                        true
-                    } else {
-                        best = Some((i, BadPoint::Full(outcome)));
-                        // Ordering: AcqRel — see the audit note at the
-                        // declarations: fetch_min atomicity keeps the bound
-                        // monotone; the release half is protocol
-                        // documentation for the Acquire load above.
-                        first_bad.fetch_min(i, Ordering::AcqRel);
-                        break;
-                    }
-                }
-                // An error (it would recur identically at materialization)
-                // counts as not passing.
-                Some(plan) => engine
-                    .decide(&x, expected, max_configurations, plan, &mut stats)
-                    .unwrap_or(false),
-            };
+            // An error (it would recur identically at materialization)
+            // counts as not passing.
+            let passes = engine
+                .decide(&x, expected, max_configurations, &plan, &mut stats)
+                .unwrap_or(false);
             if !passes {
-                best = Some((i, BadPoint::Deferred));
-                // Ordering: AcqRel — same audit note as the Reference-mode
-                // reduction above.
+                best = Some(i);
+                // Ordering: AcqRel — see the audit note at the declarations:
+                // fetch_min atomicity keeps the bound monotone; the release
+                // half is protocol documentation for the Acquire load above.
                 first_bad.fetch_min(i, Ordering::AcqRel);
                 break;
             }
@@ -237,7 +192,7 @@ pub(super) fn check_on_box_sharded(
         (best, stats)
     };
 
-    let mut results: Vec<(Option<(u64, BadPoint)>, BoxCheckStats)> = if workers == 1 {
+    let results: Vec<(Option<u64>, BoxCheckStats)> = if workers == 1 {
         vec![run_worker()]
     } else {
         let parent = crn_obs::SpanPath::current();
@@ -263,38 +218,24 @@ pub(super) fn check_on_box_sharded(
         points: total,
         ..BoxCheckStats::default()
     };
-    let mut winner: Option<(u64, BadPoint)> = None;
-    for (best, worker_stats) in results.drain(..) {
-        stats.merge(&worker_stats);
-        if let Some((i, bad)) = best {
-            if winner.as_ref().map_or(true, |&(w, _)| i < w) {
-                winner = Some((i, bad));
-            }
-        }
+    for (_, worker_stats) in &results {
+        stats.merge(worker_stats);
     }
     publish_sweep_metrics(&stats, workers);
 
-    let outcome = match winner {
-        None => return (Ok(None), stats),
-        Some((_, BadPoint::Full(outcome))) => outcome,
-        Some((i, BadPoint::Deferred)) => {
-            // Materialize the winning bad point into the exact outcome the
-            // reference scan would have produced at this input.
-            let mut x = NVec::zeros(dim);
-            decode_point(i, radix, &mut x);
-            let outcome = make_engine().check(&x, f(&x), max_configurations);
-            debug_assert!(
-                !matches!(&outcome, Ok(v) if v.is_correct()),
-                "a deferred bad input passed the full check"
-            );
-            outcome
-        }
+    let Some(i) = results.iter().filter_map(|&(best, _)| best).min() else {
+        return (Ok(None), stats);
     };
-    let result = match outcome {
-        Ok(verdict) => Ok(Some(verdict)),
-        Err(e) => Err(e),
-    };
-    (result, stats)
+    // Materialize the winning bad point into the full verdict (or error)
+    // at this input.
+    let mut x = NVec::zeros(dim);
+    decode_point(i, radix, &mut x);
+    let outcome = VerdictEngine::new(analysis).check(&x, f(&x), max_configurations);
+    debug_assert!(
+        !matches!(&outcome, Ok(v) if v.is_correct()),
+        "a bad input passed the full check"
+    );
+    (outcome.map(Some), stats)
 }
 
 /// Publishes one sweep's merged counters into the observability registry

@@ -20,7 +20,7 @@ const UNVISITED: usize = usize::MAX;
 /// condensation and every edge `v → w` of the underlying graph satisfies
 /// `component_of(w) <= component_of(v)`.
 #[derive(Debug, Clone, Default)]
-pub struct Condensation {
+pub(crate) struct Condensation {
     comp_of: Vec<usize>,
     /// Vertex ids grouped by component: component `c`'s members are
     /// `members[member_offsets[c]..member_offsets[c + 1]]`.
@@ -39,24 +39,16 @@ pub struct Condensation {
 impl Condensation {
     /// An empty condensation, ready for [`rebuild`](Condensation::rebuild).
     #[must_use]
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Condensation::default()
     }
 
-    /// Computes the condensation of `graph` with an iterative Tarjan pass
-    /// (explicit stack, so deep chains of configurations cannot overflow the
-    /// call stack).
-    #[must_use]
-    pub fn of(graph: &CsrGraph) -> Self {
-        let mut cond = Condensation::empty();
-        cond.rebuild(graph);
-        cond
-    }
-
-    /// Recomputes the condensation of `graph` in place, reusing every
-    /// internal buffer — the engine calls this once per verdict, so a box
-    /// check condenses thousands of graphs with a handful of allocations.
-    pub fn rebuild(&mut self, graph: &CsrGraph) {
+    /// Recomputes the condensation of `graph` in place with an iterative
+    /// Tarjan pass (explicit stack, so deep chains of configurations cannot
+    /// overflow the call stack), reusing every internal buffer — the engine
+    /// calls this once per verdict, so a box check condenses thousands of
+    /// graphs with a handful of allocations.
+    pub(crate) fn rebuild(&mut self, graph: &CsrGraph) {
         let n = graph.node_count();
         self.index.clear();
         self.index.resize(n, UNVISITED);
@@ -143,19 +135,19 @@ impl Condensation {
 
     /// The number of strongly connected components.
     #[must_use]
-    pub fn component_count(&self) -> usize {
+    pub(crate) fn component_count(&self) -> usize {
         self.member_offsets.len() - 1
     }
 
     /// The component id of vertex `v` (emission order, sinks first).
     #[must_use]
-    pub fn component_of(&self, v: usize) -> usize {
+    pub(crate) fn component_of(&self, v: usize) -> usize {
         self.comp_of[v]
     }
 
     /// The vertices of component `c`.
     #[must_use]
-    pub fn component_members(&self, c: usize) -> &[usize] {
+    pub(crate) fn component_members(&self, c: usize) -> &[usize] {
         &self.members[self.member_offsets[c]..self.member_offsets[c + 1]]
     }
 
@@ -164,9 +156,8 @@ impl Condensation {
     /// into `comp_val` (cleared and refilled; a reusable buffer avoids
     /// allocating per query).  Component `c`'s result merges `value_of(v)`
     /// over its members and the results of all successor components, which
-    /// are final before `c` by emission order.  This is the single
-    /// implementation behind both the public per-vertex queries and the
-    /// verdict engine's component arrays.
+    /// are final before `c` by emission order.  This is the one query path
+    /// behind the verdict engine's component arrays.
     ///
     /// `merge` must be idempotent (`merge(a, a) == a`, like max/min/or): an
     /// intra-component edge merges the partially-built cell into itself, so a
@@ -190,41 +181,6 @@ impl Condensation {
             }
         }
     }
-
-    /// [`fold_into`](Condensation::fold_into) expanded back to one result per
-    /// vertex.
-    fn fold<T: Copy>(
-        &self,
-        graph: &CsrGraph,
-        value: &[T],
-        identity: T,
-        merge: impl Fn(T, T) -> T,
-    ) -> Vec<T> {
-        let mut comp_val = Vec::new();
-        self.fold_into(graph, identity, |v| value[v], merge, &mut comp_val);
-        self.comp_of.iter().map(|&c| comp_val[c]).collect()
-    }
-
-    /// For every vertex, the maximum of `value` over all vertices reachable
-    /// from it (including itself).
-    #[must_use]
-    pub fn max_reachable(&self, graph: &CsrGraph, value: &[u64]) -> Vec<u64> {
-        self.fold(graph, value, u64::MIN, u64::max)
-    }
-
-    /// For every vertex, the minimum of `value` over all vertices reachable
-    /// from it (including itself).
-    #[must_use]
-    pub fn min_reachable(&self, graph: &CsrGraph, value: &[u64]) -> Vec<u64> {
-        self.fold(graph, value, u64::MAX, u64::min)
-    }
-
-    /// For every vertex, whether some vertex satisfying `good` is reachable
-    /// from it (including itself).
-    #[must_use]
-    pub fn can_reach(&self, graph: &CsrGraph, good: &[bool]) -> Vec<bool> {
-        self.fold(graph, good, false, |a, b| a || b)
-    }
 }
 
 #[cfg(test)]
@@ -242,11 +198,44 @@ mod tests {
         g
     }
 
+    fn condense(g: &CsrGraph) -> Condensation {
+        let mut c = Condensation::empty();
+        c.rebuild(g);
+        c
+    }
+
+    /// [`Condensation::fold_into`] expanded back to one result per vertex.
+    fn per_vertex<T: Copy>(
+        c: &Condensation,
+        g: &CsrGraph,
+        value: &[T],
+        identity: T,
+        merge: impl Fn(T, T) -> T,
+    ) -> Vec<T> {
+        let mut comp_val = Vec::new();
+        c.fold_into(g, identity, |v| value[v], merge, &mut comp_val);
+        (0..g.node_count())
+            .map(|v| comp_val[c.component_of(v)])
+            .collect()
+    }
+
+    fn max_reach(c: &Condensation, g: &CsrGraph, value: &[u64]) -> Vec<u64> {
+        per_vertex(c, g, value, u64::MIN, u64::max)
+    }
+
+    fn min_reach(c: &Condensation, g: &CsrGraph, value: &[u64]) -> Vec<u64> {
+        per_vertex(c, g, value, u64::MAX, u64::min)
+    }
+
+    fn reaches(c: &Condensation, g: &CsrGraph, good: &[bool]) -> Vec<bool> {
+        per_vertex(c, g, good, false, |a, b| a || b)
+    }
+
     #[test]
     fn condensation_of_two_cycles_and_a_bridge() {
         // 0 <-> 1 -> 2 <-> 3, 4 isolated.
         let g = graph(&[&[1], &[0, 2], &[3], &[2], &[]]);
-        let c = Condensation::of(&g);
+        let c = condense(&g);
         assert_eq!(c.component_count(), 3);
         assert_eq!(c.component_of(0), c.component_of(1));
         assert_eq!(c.component_of(2), c.component_of(3));
@@ -264,7 +253,7 @@ mod tests {
     #[test]
     fn self_loops_are_singleton_components() {
         let g = graph(&[&[0, 1], &[]]);
-        let c = Condensation::of(&g);
+        let c = condense(&g);
         assert_eq!(c.component_count(), 2);
         assert_ne!(c.component_of(0), c.component_of(1));
     }
@@ -273,15 +262,15 @@ mod tests {
     fn reachability_folds_on_a_chain() {
         // 0 -> 1 -> 2 with values [5, 1, 3].
         let g = graph(&[&[1], &[2], &[]]);
-        let c = Condensation::of(&g);
-        assert_eq!(c.max_reachable(&g, &[5, 1, 3]), vec![5, 3, 3]);
-        assert_eq!(c.min_reachable(&g, &[5, 1, 3]), vec![1, 1, 3]);
+        let c = condense(&g);
+        assert_eq!(max_reach(&c, &g, &[5, 1, 3]), vec![5, 3, 3]);
+        assert_eq!(min_reach(&c, &g, &[5, 1, 3]), vec![1, 1, 3]);
         assert_eq!(
-            c.can_reach(&g, &[false, false, true]),
+            reaches(&c, &g, &[false, false, true]),
             vec![true, true, true]
         );
         assert_eq!(
-            c.can_reach(&g, &[true, false, false]),
+            reaches(&c, &g, &[true, false, false]),
             vec![true, false, false]
         );
     }
@@ -290,12 +279,12 @@ mod tests {
     fn folds_see_through_cycles() {
         // 0 -> 1 <-> 2, 2 -> 3.
         let g = graph(&[&[1], &[2], &[1, 3], &[]]);
-        let c = Condensation::of(&g);
-        let max = c.max_reachable(&g, &[0, 9, 2, 4]);
+        let c = condense(&g);
+        let max = max_reach(&c, &g, &[0, 9, 2, 4]);
         assert_eq!(max, vec![9, 9, 9, 4]);
-        let min = c.min_reachable(&g, &[7, 9, 2, 4]);
+        let min = min_reach(&c, &g, &[7, 9, 2, 4]);
         assert_eq!(min, vec![2, 2, 2, 4]);
-        let reach = c.can_reach(&g, &[false, false, false, true]);
+        let reach = reaches(&c, &g, &[false, false, false, true]);
         assert_eq!(reach, vec![true, true, true, true]);
     }
 
@@ -310,10 +299,10 @@ mod tests {
             }
             g.seal_node();
         }
-        let c = Condensation::of(&g);
+        let c = condense(&g);
         assert_eq!(c.component_count(), n);
         let values: Vec<u64> = (0..n as u64).collect();
-        let max = c.max_reachable(&g, &values);
+        let max = max_reach(&c, &g, &values);
         assert!(max.iter().all(|&m| m == n as u64 - 1));
     }
 }

@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::species::{Species, SpeciesSet};
 
 /// A reaction with multiset of reactants `R` and multiset of products `P`.
@@ -26,7 +24,7 @@ use crate::species::{Species, SpeciesSet};
 /// assert_eq!(r.net_change(y), 2);
 /// assert_eq!(r.display(&sp).to_string(), "X -> 2Y");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Reaction {
     reactants: BTreeMap<Species, u64>,
     products: BTreeMap<Species, u64>,

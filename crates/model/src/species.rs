@@ -3,13 +3,11 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A chemical species, identified by a dense index into a [`SpeciesSet`].
 ///
 /// Species are cheap copyable handles; their human-readable names live in the
 /// owning [`SpeciesSet`] (and therefore in the owning [`crate::Crn`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Species(pub(crate) usize);
 
 impl Species {
@@ -39,10 +37,9 @@ impl fmt::Display for Species {
 /// assert_eq!(set.name(x), "X");
 /// assert_eq!(set.len(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpeciesSet {
     names: Vec<String>,
-    #[serde(skip)]
     by_name: HashMap<String, usize>,
 }
 
@@ -104,17 +101,6 @@ impl SpeciesSet {
             .enumerate()
             .map(|(i, n)| (Species(i), n.as_str()))
     }
-
-    /// Rebuilds the name lookup table (needed after deserialization, which
-    /// skips the derived map).
-    pub fn rebuild_index(&mut self) {
-        self.by_name = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -152,27 +138,5 @@ mod tests {
         let collected: Vec<&str> = set.iter_named().map(|(_, n)| n).collect();
         assert_eq!(collected, names);
         assert_eq!(set.iter().count(), 4);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let mut set = SpeciesSet::new();
-        set.intern("A");
-        set.intern("B");
-        let json = serde_json_like_roundtrip(&set);
-        let mut restored: SpeciesSet = json;
-        assert_eq!(restored.get("A"), None, "index is skipped by serde");
-        restored.rebuild_index();
-        assert_eq!(restored.get("A"), Some(Species(0)));
-        assert_eq!(restored.get("B"), Some(Species(1)));
-    }
-
-    /// Simulates a serialize/deserialize cycle without pulling in a format
-    /// crate: clears the skipped field the way serde would.
-    fn serde_json_like_roundtrip(set: &SpeciesSet) -> SpeciesSet {
-        SpeciesSet {
-            names: set.names.clone(),
-            by_name: HashMap::new(),
-        }
     }
 }

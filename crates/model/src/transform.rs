@@ -2,7 +2,7 @@
 //! (Observation 5.3), the output-monotonic → output-oblivious rewrite
 //! (Observation 2.4), and conversion to bimolecular form (footnote 5).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::crn::Crn;
 use crate::error::CrnError;
@@ -38,56 +38,6 @@ pub fn rename_species(crn: &Crn, rename: &HashMap<String, String>) -> Result<Crn
         out.add_reaction(reaction.map_species(|s| map[&s]));
     }
     Ok(out)
-}
-
-/// Copies every species and reaction of `module` into `target`.
-///
-/// Species listed in `shared` keep (or acquire) exactly the given target name
-/// — this is the deliberate identification used by the concatenation
-/// construction of Section 2.3; all other species are prefixed with `prefix`
-/// to keep modules disjoint.  Returns the mapping from the module's species
-/// to the target's species.
-///
-/// For composition that can never collide regardless of the module's species
-/// names, prefer [`crate::compose::Pipeline`], which allocates guaranteed
-/// fresh names instead of relying on a prefix convention.
-///
-/// # Errors
-///
-/// Returns [`CrnError::SpeciesCollision`] when a *non*-shared species, after
-/// prefixing, would be captured by a species that already exists in `target`,
-/// or when two distinct module species land on the same target species (two
-/// `shared` entries with the same name).  Silent capture would quietly merge
-/// unrelated species, so it is rejected.
-pub fn import_module(
-    target: &mut Crn,
-    module: &Crn,
-    prefix: &str,
-    shared: &HashMap<Species, String>,
-) -> Result<HashMap<Species, Species>, CrnError> {
-    let mut map = HashMap::new();
-    let mut used: std::collections::HashSet<Species> = HashSet::new();
-    for (species, name) in module.species().iter_named() {
-        let new_name = match shared.get(&species) {
-            Some(n) => n.clone(),
-            None => {
-                let prefixed = format!("{prefix}{name}");
-                if target.species_named(&prefixed).is_some() {
-                    return Err(CrnError::SpeciesCollision { name: prefixed });
-                }
-                prefixed
-            }
-        };
-        let imported = target.add_species(&new_name);
-        if !used.insert(imported) {
-            return Err(CrnError::SpeciesCollision { name: new_name });
-        }
-        map.insert(species, imported);
-    }
-    for reaction in module.reactions() {
-        target.add_reaction(reaction.map_species(|s| map[&s]));
-    }
-    Ok(map)
 }
 
 /// Observation 5.3: hardcodes input `i` of `crn` to the constant `j`.
@@ -326,52 +276,6 @@ mod tests {
             rename_species(&crn, &rename).unwrap_err(),
             CrnError::SpeciesCollision { name: "Y".into() }
         );
-    }
-
-    #[test]
-    fn import_module_rejects_capture_by_existing_species() {
-        // The target already holds `f0.X`; importing a module containing `X`
-        // under prefix `f0.` must not silently merge the two.
-        let mut target = Crn::new();
-        target.parse_reaction("f0.X -> f0.X").unwrap();
-        let mut module = Crn::new();
-        module.parse_reaction("X -> Y").unwrap();
-        assert_eq!(
-            import_module(&mut target, &module, "f0.", &HashMap::new()).unwrap_err(),
-            CrnError::SpeciesCollision {
-                name: "f0.X".into()
-            }
-        );
-    }
-
-    #[test]
-    fn import_module_rejects_shared_names_that_collapse() {
-        let mut target = Crn::new();
-        let mut module = Crn::new();
-        module.parse_reaction("X -> Y").unwrap();
-        let x = module.species_named("X").unwrap();
-        let y = module.species_named("Y").unwrap();
-        let mut shared = HashMap::new();
-        shared.insert(x, "W".to_owned());
-        shared.insert(y, "W".to_owned());
-        assert_eq!(
-            import_module(&mut target, &module, "m.", &shared).unwrap_err(),
-            CrnError::SpeciesCollision { name: "W".into() }
-        );
-    }
-
-    #[test]
-    fn import_module_identifies_shared_species_on_purpose() {
-        let mut target = Crn::new();
-        let wire = target.add_species("W");
-        let mut module = Crn::new();
-        module.parse_reaction("X -> Y").unwrap();
-        let y = module.species_named("Y").unwrap();
-        let mut shared = HashMap::new();
-        shared.insert(y, "W".to_owned());
-        let map = import_module(&mut target, &module, "m.", &shared).unwrap();
-        assert_eq!(map[&y], wire);
-        assert!(target.species_named("m.X").is_some());
     }
 
     #[test]

@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::vector::NVec;
 
 /// A congruence class `x mod p` in the group `Z^d / p Z^d`.
@@ -21,7 +19,7 @@ use crate::vector::NVec;
 /// let b = a.add_basis(1); // a + e_2 mod 3
 /// assert_eq!(b.residues(), &[1, 1]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CongruenceClass {
     residues: Vec<u64>,
     period: u64,

@@ -5,8 +5,6 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::gcd::{checked_gcd_i128, gcd_i128};
 
 /// An exact rational number `numer / denom` with `denom > 0`, always stored in
@@ -23,7 +21,7 @@ use crate::gcd::{checked_gcd_i128, gcd_i128};
 /// assert_eq!(g * Rational::from(4), Rational::from(6));
 /// assert_eq!(Rational::new(15, 2).floor(), 7);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rational {
     numer: i128,
     denom: i128,

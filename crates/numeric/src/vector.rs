@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::rational::Rational;
 
 /// A vector in `N^d`: nonnegative integer counts, used for CRN inputs `x` and
@@ -17,16 +15,16 @@ use crate::rational::Rational;
 /// assert_eq!(x.join(&n), NVec::from(vec![3, 5]));       // x ∨ n
 /// assert_eq!(x.saturating_sub(&n), NVec::from(vec![0, 2])); // (x − n)+
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NVec(Vec<u64>);
 
 /// A vector in `Z^d`: signed integers, used for hyperplane normals and
 /// difference vectors.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ZVec(Vec<i64>);
 
 /// A vector in `Q^d`: rationals, used for gradients of quilt-affine functions.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct QVec(Vec<Rational>);
 
 impl NVec {

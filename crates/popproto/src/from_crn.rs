@@ -10,13 +10,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crn_model::{CrnError, FunctionCrn};
 use crn_numeric::NVec;
 
 /// The result of a pairwise-collision run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairwiseOutcome {
     /// The output count when the run stopped.
     pub output: u64,

@@ -3,7 +3,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A population protocol with states `0, …, states − 1`.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// The output of a configuration is the number of agents whose state is
 /// marked as an output state (the "output counter" convention used for
 /// function computation in population protocols).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PopulationProtocol {
     states: usize,
     transitions: Vec<Vec<(usize, usize)>>,
@@ -20,7 +19,7 @@ pub struct PopulationProtocol {
 }
 
 /// The result of running a protocol until silence or an interaction bound.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtocolOutcome {
     /// Number of agents in an output state when the run stopped.
     pub output: u64,

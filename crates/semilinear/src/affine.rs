@@ -1,7 +1,5 @@
 //! Rational affine partial functions `x ↦ ∇·x + b`.
 
-use serde::{Deserialize, Serialize};
-
 use crn_numeric::{NVec, QVec, Rational};
 
 /// A rational affine function `x ↦ gradient·x + offset` used as one piece of a
@@ -10,7 +8,7 @@ use crn_numeric::{NVec, QVec, Rational};
 /// The gradient and offset may be rational, but on the piece's domain the
 /// value must be a nonnegative integer (the codomain of the computed function
 /// is `N`); [`AffinePiece::eval_integer`] checks this at evaluation time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AffinePiece {
     gradient: QVec,
     offset: Rational,

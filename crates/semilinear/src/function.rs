@@ -1,8 +1,6 @@
 //! Semilinear functions: finite unions of affine partial functions on disjoint
 //! semilinear domains (Definition 2.6).
 
-use serde::{Deserialize, Serialize};
-
 use crn_numeric::NVec;
 
 use crate::affine::AffinePiece;
@@ -57,7 +55,7 @@ impl std::error::Error for SemilinearFunctionError {}
 /// assert_eq!(f.eval(&NVec::from(vec![5])).unwrap(), 7);   // ⌊15/2⌋
 /// assert_eq!(f.eval(&NVec::from(vec![4])).unwrap(), 6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SemilinearFunction {
     dim: usize,
     pieces: Vec<(SemilinearSet, AffinePiece)>,

@@ -1,7 +1,5 @@
 //! Mod sets `{x ∈ N^d : a·x ≡ b (mod c)}` (Definition 2.5).
 
-use serde::{Deserialize, Serialize};
-
 use crn_numeric::{NVec, ZVec};
 
 /// A mod set `{x ∈ N^d : a·x ≡ b (mod c)}` with `a ∈ Z^d`, `b ∈ Z`, `c ∈ N⁺`.
@@ -18,7 +16,7 @@ use crn_numeric::{NVec, ZVec};
 /// assert!(even.contains(&NVec::from(vec![4])));
 /// assert!(!even.contains(&NVec::from(vec![3])));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ModSet {
     coefficients: ZVec,
     residue: i64,

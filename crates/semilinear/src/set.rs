@@ -1,7 +1,5 @@
 //! Semilinear sets: finite Boolean combinations of threshold and mod sets.
 
-use serde::{Deserialize, Serialize};
-
 use crn_numeric::NVec;
 
 use crate::modset::ModSet;
@@ -21,7 +19,7 @@ use crate::threshold::ThresholdSet;
 /// assert!(band.contains(&NVec::from(vec![5, 4])));
 /// assert!(!band.contains(&NVec::from(vec![6, 4])));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SemilinearSet {
     /// The full set `N^d`.
     All {

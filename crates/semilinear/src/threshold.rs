@@ -1,7 +1,5 @@
 //! Threshold sets `{x ∈ N^d : a·x ≥ b}` (Definition 2.5).
 
-use serde::{Deserialize, Serialize};
-
 use crn_numeric::{NVec, ZVec};
 
 /// A threshold set `{x ∈ N^d : a·x ≥ b}` with `a ∈ Z^d`, `b ∈ Z`.
@@ -19,7 +17,7 @@ use crn_numeric::{NVec, ZVec};
 /// assert!(le.contains(&NVec::from(vec![2, 5])));
 /// assert!(!le.contains(&NVec::from(vec![5, 2])));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ThresholdSet {
     normal: ZVec,
     offset: i64,

@@ -7,8 +7,6 @@
 //! alive so a batch of inputs (e.g. [`crate::runner::spot_check_on_box`])
 //! compiles once and allocates per run only what the report itself needs.
 
-use serde::{Deserialize, Serialize};
-
 use crn_model::{CompiledCrn, CrnError, DenseState, FunctionCrn};
 use crn_numeric::NVec;
 
@@ -17,7 +15,7 @@ use crate::scheduler::Scheduler;
 
 /// The result of running a function CRN on one input until silence (or a step
 /// bound).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConvergenceReport {
     /// The input supplied.
     pub input: NVec,

@@ -18,7 +18,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crn_model::{CompiledCrn, Configuration, Crn, DenseState};
 
@@ -26,7 +25,7 @@ use crate::kernel::PropensityTable;
 use crate::scheduler::propensity;
 
 /// The outcome of one Gillespie run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GillespieOutcome {
     /// The final configuration when the run stopped.
     pub final_configuration: Configuration,
@@ -187,45 +186,6 @@ impl Gillespie {
             silent: false,
         }
     }
-
-    /// Runs from `start`, recording `(time, count-of-species)` after every
-    /// firing — the trajectory data behind the convergence-time figures.
-    #[must_use]
-    pub fn run_recording(
-        &mut self,
-        start: &Configuration,
-        tracked: crn_model::Species,
-        max_steps: u64,
-    ) -> (GillespieOutcome, Vec<(f64, u64)>) {
-        self.load_start(start);
-        let mut time = 0.0f64;
-        let mut steps = 0u64;
-        let mut trajectory = vec![(0.0, self.state.count(tracked))];
-        while steps < max_steps {
-            if !self.step(&mut time) {
-                return (
-                    GillespieOutcome {
-                        final_configuration: self.state.to_configuration(),
-                        steps,
-                        time,
-                        silent: true,
-                    },
-                    trajectory,
-                );
-            }
-            steps += 1;
-            trajectory.push((time, self.state.count(tracked)));
-        }
-        (
-            GillespieOutcome {
-                final_configuration: self.state.to_configuration(),
-                steps,
-                time,
-                silent: false,
-            },
-            trajectory,
-        )
-    }
 }
 
 /// The seed Gillespie implementation on sparse configurations: every step
@@ -356,18 +316,6 @@ mod tests {
         let out = sim.run(&start, 10);
         assert!(!out.silent);
         assert_eq!(out.steps, 10);
-    }
-
-    #[test]
-    fn recording_tracks_output_monotonically_for_oblivious_crn() {
-        let double = examples::double_crn();
-        let start = double.initial_configuration(&NVec::from(vec![12])).unwrap();
-        let mut sim = Gillespie::new(double.crn().clone(), 4);
-        let (out, trajectory) = sim.run_recording(&start, double.output(), 1_000_000);
-        assert!(out.silent);
-        assert!(trajectory.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert_eq!(trajectory.last().unwrap().1, 24);
-        assert!(trajectory.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 
     #[test]

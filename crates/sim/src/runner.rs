@@ -6,8 +6,6 @@
 //! SplitMix64-decorrelated per-trial seeds — whose determinism contract makes
 //! every public result here independent of the worker count.
 
-use serde::{Deserialize, Serialize};
-
 use crn_model::{CrnError, FunctionCrn};
 use crn_numeric::NVec;
 
@@ -17,7 +15,7 @@ use crate::scheduler::UniformScheduler;
 use crate::stats::Summary;
 
 /// Summary of repeated trials of one CRN on one input.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrialSummary {
     /// The input supplied to every trial.
     pub input: NVec,
@@ -74,7 +72,7 @@ pub fn measure_convergence_with_workers(
 }
 
 /// One point of a convergence-versus-input-size series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConvergencePoint {
     /// Total input size `‖x‖₁`.
     pub input_size: u64,

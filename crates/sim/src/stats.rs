@@ -1,10 +1,8 @@
 //! Summary statistics for batches of measurements.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of a batch of nonnegative measurements (step counts,
 /// interaction counts, simulated times).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,
@@ -66,7 +64,7 @@ impl Summary {
 /// run regardless of the worker count.  Samples are retained (the summary's
 /// median and p95 are exact nearest-rank percentiles, which no constant-space
 /// sketch reproduces); pushes and merges are amortized O(1) per sample.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SummaryAccumulator {
     samples: Vec<f64>,
 }

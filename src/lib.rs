@@ -20,9 +20,7 @@
 //! * [`obs`] — the opt-in metrics/span registry behind `--profile`;
 //! * [`sync`] — the concurrency facade every crate threads and counts
 //!   through: `std::sync`/`std::thread` re-exports in normal builds, a
-//!   deterministic model-checking scheduler under `--cfg crn_model_check`;
-//! * [`report`] — the JSON emitter and metrics-report schema shared by
-//!   the CLI and future service front ends.
+//!   deterministic model-checking scheduler under `--cfg crn_model_check`.
 //!
 //! ```
 //! use composable_crn::model::examples;
@@ -45,7 +43,6 @@ pub use crn_model as model;
 pub use crn_numeric as numeric;
 pub use crn_obs as obs;
 pub use crn_popproto as popproto;
-pub use crn_report as report;
 pub use crn_semilinear as semilinear;
 pub use crn_sim as sim;
 pub use crn_sync as sync;

@@ -1,12 +1,17 @@
 //! Integration tests spanning the whole workspace: semilinear presentation →
 //! characterization → synthesis → model-level verification → simulation.
 
+use std::path::Path;
+
 use composable_crn::core::characterize::{characterize, Characterization};
 use composable_crn::core::one_dim::{analyze_semilinear_1d, synthesize_1d_leader};
 use composable_crn::core::spec::ObliviousSpec;
 use composable_crn::core::synthesis::synthesize;
+use composable_crn::lang::lower::lower_document;
 use composable_crn::model::analysis::CrnAnalysis;
-use composable_crn::model::{check_stable_computation, BoxCheck};
+use composable_crn::model::{
+    check_stable_computation, BoxCheck, CrnError, FunctionCrn, StableComputationVerdict,
+};
 use composable_crn::numeric::NVec;
 use composable_crn::popproto::run_pairwise;
 use composable_crn::semilinear::examples as sl;
@@ -93,6 +98,66 @@ fn synthesized_constructions_verify_exhaustively_at_useful_bounds() {
             assert_eq!(outcome, Ok(None));
             assert_eq!(again, stats, "workers={workers}");
         }
+    }
+}
+
+/// The spec `crn synthesize corpus/<stem>.crn` compiles: the document's
+/// `spec` item, or its `fn` item characterized at the default bound 8.
+fn corpus_spec(stem: &str) -> ObliviousSpec {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("corpus/{stem}.crn"));
+    let source = std::fs::read_to_string(path).expect("corpus document exists");
+    let doc = composable_crn::lang::parse(&source).expect("corpus document parses");
+    let lowered = lower_document(&doc).expect("corpus document lowers");
+    if let Some((_, spec)) = lowered.specs.into_iter().next() {
+        return spec;
+    }
+    let (_, f) = &lowered.fns[0];
+    let Characterization::ObliviouslyComputable { spec } = characterize(f, 8).unwrap() else {
+        panic!("corpus/{stem}.crn is obliviously computable");
+    };
+    spec
+}
+
+/// Sweeps `crn` against `f` on `[0, bound]^d` with [`BoxCheck::run`] at the
+/// default worker count, asserts the whole outcome equals a sequential loop
+/// of full verdicts over the box in lexicographic order, and returns it.
+fn sweep_matching_full_verdicts(
+    crn: &FunctionCrn,
+    f: impl Fn(&NVec) -> u64 + Sync,
+    bound: u64,
+) -> Result<Option<StableComputationVerdict>, CrnError> {
+    const MAX_CONFIGS: usize = 200_000;
+    let (sweep, _) = BoxCheck::new(&CrnAnalysis::of(crn), &f, bound, MAX_CONFIGS).run();
+    let mut sequential = Ok(None);
+    for x in NVec::box_iter(crn.dim(), bound) {
+        match check_stable_computation(crn, &x, f(&x), MAX_CONFIGS) {
+            Ok(verdict) if verdict.is_correct() => {}
+            outcome => {
+                sequential = outcome.map(Some);
+                break;
+            }
+        }
+    }
+    assert_eq!(sweep, sequential, "[0,{bound}]^{}", crn.dim());
+    sweep
+}
+
+#[test]
+fn box_engine_matches_sequential_full_verdicts_on_synthesized_constructions() {
+    // The box engine against its per-point reference on the paper's own
+    // constructions: a passing sweep against the linked spec, and a failing
+    // one against a claim wrong at a single point.
+    for (stem, bound, wrong_at) in [("min_spec", 3, [1, 2]), ("figure7", 1, [1, 0])] {
+        let spec = corpus_spec(stem);
+        let crn = synthesize(&spec).unwrap();
+        let linked = |x: &NVec| spec.eval(x).unwrap();
+        assert_eq!(sweep_matching_full_verdicts(&crn, linked, bound), Ok(None));
+        let wrong = |x: &NVec| linked(x) + u64::from(x.as_slice() == wrong_at);
+        let verdict = sweep_matching_full_verdicts(&crn, wrong, bound)
+            .unwrap()
+            .unwrap_or_else(|| panic!("{stem}: the wrong claim passed"));
+        assert_eq!(verdict.input, NVec::from(wrong_at.to_vec()), "{stem}");
+        assert!(!verdict.is_correct() && verdict.failure.is_some(), "{stem}");
     }
 }
 
