@@ -21,7 +21,11 @@ fn ssa_throughput(c: &mut Criterion) {
         group.bench_function(format!("max_crn_n{n}"), |b| {
             let max = examples::max_crn();
             let start = max.initial_configuration(&NVec::from(vec![n, n])).unwrap();
-            b.iter(|| Gillespie::new(max.crn().clone(), 1).run(&start, 10_000_000));
+            b.iter(|| {
+                Gillespie::new(max.crn(), 1)
+                    .run(&start, 10_000_000)
+                    .unwrap()
+            });
         });
     }
     group.finish();

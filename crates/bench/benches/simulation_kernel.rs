@@ -8,7 +8,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 use crn_model::examples;
 use crn_numeric::NVec;
-use crn_sim::{measure_convergence_with_workers, Gillespie, SparseGillespie};
+use crn_sim::{Ensemble, Gillespie, SparseGillespie};
 
 fn configured() -> Criterion {
     Criterion::default()
@@ -34,10 +34,10 @@ fn kernel_throughput(c: &mut Criterion) {
         .unwrap();
     let mut group = c.benchmark_group("E14_max_crn_n1000_single_run");
     group.bench_function("dense_kernel", |b| {
-        let mut sim = Gillespie::new(max.crn().clone(), 0);
+        let mut sim = Gillespie::new(max.crn(), 0);
         b.iter(|| {
             sim.reseed(1);
-            sim.run(&start, 100_000_000)
+            sim.run(&start, 100_000_000).unwrap()
         });
     });
     group.bench_function("sparse_seed_path", |b| {
@@ -64,10 +64,11 @@ fn ensemble_scaling(c: &mut Criterion) {
     let x = NVec::from(vec![200u64, 200]);
     let mut group = c.benchmark_group("E14_ensemble_64_trials");
     for workers in [1usize, 4] {
+        let ensemble = Ensemble::new(&max)
+            .with_max_steps(100_000_000)
+            .with_workers(workers);
         group.bench_function(format!("workers_{workers}"), |b| {
-            b.iter(|| {
-                measure_convergence_with_workers(&max, &x, 64, 100_000_000, 5, workers).unwrap()
-            });
+            b.iter(|| ensemble.run(&x, 64, 5).unwrap());
         });
     }
     group.finish();

@@ -423,10 +423,10 @@ pub fn e14_kernel_throughput(n: u64, repeats: u32) -> Vec<KernelThroughputRow> {
             let start = crn.initial_configuration(&x).expect("arity");
             // One simulator per engine, reseeded per repeat: what the
             // ensemble runner does per trial.
-            let mut dense = crn_sim::Gillespie::new(crn.crn().clone(), 0);
+            let mut dense = crn_sim::Gillespie::new(crn.crn(), 0);
             let (dense_secs, dense_out) = time_repeats(repeats, || {
                 dense.reseed(1);
-                dense.run(&start, 100_000_000)
+                dense.run(&start, 100_000_000).expect("no count overflows")
             });
             let mut sparse = crn_sim::SparseGillespie::new(crn.crn().clone(), 0);
             let (sparse_secs, sparse_out) = time_repeats(repeats, || {
@@ -461,9 +461,8 @@ pub struct EnsembleScalingRow {
     pub identical: bool,
 }
 
-/// E14 (ensemble half): trial throughput of
-/// [`crn_sim::measure_convergence_with_workers`] on the `max` CRN at input
-/// `(n, n)`, for each worker count.
+/// E14 (ensemble half): trial throughput of a [`crn_sim::Ensemble`] on the
+/// `max` CRN at input `(n, n)`, for each worker count.
 ///
 /// The determinism contract makes every row's `TrialSummary` bit-identical
 /// to the one-worker run; `identical` records that check.  Wall-clock
@@ -476,20 +475,21 @@ pub fn e14_ensemble_scaling(
 ) -> Vec<EnsembleScalingRow> {
     let max = examples::max_crn();
     let x = NVec::from(vec![n, n]);
+    let run = |workers: usize| {
+        crn_sim::Ensemble::new(&max)
+            .with_max_steps(100_000_000)
+            .with_workers(workers)
+            .run(&x, trials, 5)
+            .expect("arity")
+    };
     // One timed 1-worker pass serves as both the baseline summary (every
     // other worker count must reproduce it bit-for-bit) and the unit of the
     // speedup column.
-    let (one_secs, baseline) = time_repeats(1, || {
-        crn_sim::measure_convergence_with_workers(&max, &x, trials, 100_000_000, 5, 1)
-            .expect("arity")
-    });
+    let (one_secs, baseline) = time_repeats(1, || run(1));
     worker_counts
         .iter()
         .map(|&workers| {
-            let (secs, summary) = time_repeats(1, || {
-                crn_sim::measure_convergence_with_workers(&max, &x, trials, 100_000_000, 5, workers)
-                    .expect("arity")
-            });
+            let (secs, summary) = time_repeats(1, || run(workers));
             EnsembleScalingRow {
                 workers,
                 trials_per_sec: f64::from(trials) / secs,

@@ -6,6 +6,7 @@ use crn_numeric::NVec;
 use crn_sim::Ensemble;
 
 use crate::args::Args;
+use crate::commands::sim::judge;
 use crate::commands::{
     huge_box, load_or_usage, resolve_link, resolve_target, usage_error, EXIT_OK, EXIT_VERDICT,
 };
@@ -264,19 +265,12 @@ fn phases(
                 .as_deref()
                 .and_then(|computes| resolve_link(&ws, name, computes).ok())
                 .and_then(|target| target.try_eval(&x).ok());
-            let ok = match Ensemble::new(&lowered.crn)
+            // An ensemble error (a count overflow) fails the item, as in
+            // `crn sim`.
+            let ok = Ensemble::new(&lowered.crn)
                 .with_max_steps(max_steps)
                 .run(&x, trials, seed)
-            {
-                Err(_) => false,
-                Ok(summary) => {
-                    let converged = summary.silent_fraction == 1.0 && summary.outputs.len() == 1;
-                    match expected {
-                        None => converged,
-                        Some(value) => converged && summary.outputs == vec![value],
-                    }
-                }
-            };
+                .is_ok_and(|summary| judge(&summary, expected).correct);
             if !ok {
                 report.sim_failures += 1;
                 exit = EXIT_VERDICT;

@@ -1,7 +1,7 @@
 //! `crn sim`: stochastic (Gillespie) ensemble simulation.
 
 use crn_numeric::NVec;
-use crn_sim::Ensemble;
+use crn_sim::{Ensemble, TrialSummary};
 
 use crate::args::Args;
 use crate::commands::{load_or_usage, parse_input, resolve_link, usage_error};
@@ -15,7 +15,8 @@ use crate::json::Json;
 /// Gillespie trials on its input — `--input` if given, otherwise the item's
 /// `init` declaration.  A run *converges* when every trial reaches silence
 /// with one common output value; when the item has a `computes` link the
-/// output must also equal the linked function's value.
+/// output must also equal the linked function's value.  A simulation that
+/// stops with an error (a count overflow) fails its item.
 ///
 /// Structural lint findings on the document are echoed to stderr in short
 /// form; with `--deny-warnings` any finding forces exit 1 even when every
@@ -161,13 +162,24 @@ pub fn run(raw: &[String]) -> i32 {
         }
         let summary = match ensemble.run(&x, trials, seed) {
             Ok(summary) => summary,
-            Err(e) => return usage_error(&format!("simulation of crn `{name}` failed: {e}")),
+            Err(e) => {
+                let problem = format!("simulation failed: {e}");
+                if args.switch("json") {
+                    reports.push(Json::obj(vec![
+                        ("item", Json::str(name.as_str())),
+                        ("input", Json::uints(x.iter().copied())),
+                        ("error", Json::str(problem.as_str())),
+                        ("converged", Json::Bool(false)),
+                        ("correct", Json::Bool(false)),
+                    ]));
+                } else {
+                    println!("{path}: crn {name} on {x}: FAIL\n  {problem}");
+                }
+                exit = EXIT_VERDICT;
+                continue;
+            }
         };
-        let converged = summary.silent_fraction == 1.0 && summary.outputs.len() == 1;
-        let correct = match expected {
-            None => converged,
-            Some(value) => converged && summary.outputs == vec![value],
-        };
+        let Judgement { converged, correct } = judge(&summary, expected);
         if !correct {
             exit = EXIT_VERDICT;
         }
@@ -213,4 +225,23 @@ pub fn run(raw: &[String]) -> i32 {
         println!("{}", Json::obj(fields));
     }
     exit
+}
+
+/// How an ensemble ended: `converged` when every trial reached silence with
+/// one common output value, `correct` when it also equals the `computes`
+/// link's value (if the item has one).
+pub(crate) struct Judgement {
+    pub(crate) converged: bool,
+    pub(crate) correct: bool,
+}
+
+/// Judges an ensemble summary against the expected output, for `crn sim`
+/// and `crn profile` alike.
+pub(crate) fn judge(summary: &TrialSummary, expected: Option<u64>) -> Judgement {
+    let converged = summary.silent_fraction == 1.0 && summary.outputs.len() == 1;
+    let correct = match expected {
+        None => converged,
+        Some(value) => converged && summary.outputs == [value],
+    };
+    Judgement { converged, correct }
 }

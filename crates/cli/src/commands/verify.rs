@@ -1,6 +1,6 @@
 //! `crn verify`: reachability-based verification of `computes` claims.
 
-use crn_model::{BoxCheck, BoxCheckStats};
+use crn_model::{BoxCheck, BoxCheckStats, CrnError};
 use crn_sim::runner::spot_check_on_box;
 
 use crate::args::Args;
@@ -205,6 +205,12 @@ pub fn run(raw: &[String]) -> i32 {
                         ),
                         &mut reports,
                     );
+                    continue;
+                }
+                // An overflowing count is a property of the CRN, which no
+                // other method or limit would get past.
+                Err(e @ CrnError::CountOverflow { .. }) => {
+                    exit = fail(e.to_string(), &mut reports);
                     continue;
                 }
                 Err(e) => {

@@ -114,6 +114,19 @@ fn exit_1_verdict_failure_class() {
         "50",
     ]);
     assert_eq!(code, 1, "sim of a restless CRN must exit 1\n{stdout}");
+
+    // A count past u64::MAX fails the simulated item (its --json report
+    // too) and `crn profile`'s verify phase.
+    let overflow = corpus("count_overflow.crn");
+    let (code, stdout, _) = run_crn(&["sim", &overflow, "--input", "3", "--json"]);
+    assert_eq!(code, 1, "sim of an overflowing count must exit 1\n{stdout}");
+    assert!(
+        stdout.contains(r#""correct":false"#) && stdout.contains("count overflow"),
+        "{stdout}"
+    );
+    let (code, stdout, _) = run_crn(&["profile", &overflow]);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(stdout.contains("(1 item(s), 1 failure(s))"), "{stdout}");
 }
 
 const PIPELINE_DOC: &str = "\

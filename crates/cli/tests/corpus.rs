@@ -91,6 +91,10 @@ const GOLDENS: &[(&str, &str, &[&str], i32)] = &[
     ("equation2", "characterize", &[], 0),
     ("figure1_max", "verify", &[], 0),
     ("cyclic_identity", "verify", &[], 0),
+    // Counts past u64::MAX are errors, never wrapped values: the fixture's
+    // claim is the wrapped count, so a wrapping add would pass both.
+    ("count_overflow", "verify", &["--bound", "3"], 1),
+    ("count_overflow", "sim", &["--input", "3"], 1),
     ("figure1_min", "check", &[], 0),
     ("figure1_double", "sim", &["--trials", "4"], 0),
     ("pipeline_two_min", "check", &[], 0),
@@ -102,6 +106,7 @@ const GOLDENS: &[(&str, &str, &[&str], i32)] = &[
     ("add", "lint", &[], 0),
     ("coefficient_overflow", "lint", &[], 0),
     ("compound_spec", "lint", &[], 0),
+    ("count_overflow", "lint", &[], 0),
     ("cyclic_identity", "lint", &[], 0),
     ("equation2", "lint", &[], 0),
     ("figure1_double", "lint", &[], 0),
@@ -179,13 +184,27 @@ fn lint_deny_warnings_exit_code() {
 
 #[test]
 fn overflowing_coefficients_never_verify_ok() {
-    // The fixture's only conservation law overflows i128; the sweep must not
-    // pass it on a wrapped invariant.  The box engine's outcome on it is
-    // compared with sequential full verdicts in
+    // `coefficient_overflow`'s only conservation law overflows i128; the
+    // sweep must not pass it on a wrapped invariant.  `count_overflow`
+    // makes more copies of its output than u64 holds at x = 3; neither the
+    // sweep nor the spot check may pass it on a wrapped count.  The box
+    // engine's outcome on both is compared with sequential full verdicts in
     // `box_engine_matches_sequential_full_verdicts_on_every_corpus_link`.
-    let (code, stdout) = run_crn(&["verify", "corpus/coefficient_overflow.crn", "--bound", "1"]);
-    assert_eq!(code, 1, "{stdout}");
-    assert!(!stdout.contains("ok"), "{stdout}");
+    for args in [
+        &["verify", "corpus/coefficient_overflow.crn", "--bound", "1"][..],
+        &["verify", "corpus/count_overflow.crn", "--bound", "3"],
+        &[
+            "verify",
+            "corpus/count_overflow.crn",
+            "--bound",
+            "3",
+            "--spot",
+        ],
+    ] {
+        let (code, stdout) = run_crn(args);
+        assert_eq!(code, 1, "{args:?}: {stdout}");
+        assert!(!stdout.contains("ok"), "{args:?}: {stdout}");
+    }
 }
 
 /// The per-point reference of the box engine: a sequential loop of full
@@ -235,7 +254,7 @@ fn box_engine_matches_sequential_full_verdicts_on_every_corpus_link() {
             compared.push((stem, reference));
         }
     }
-    assert_eq!(compared.len(), 12, "{compared:?}");
+    assert_eq!(compared.len(), 13, "{compared:?}");
     let outcome = |stem: &str| &compared.iter().find(|(s, _)| s == stem).unwrap().1;
     assert!(outcome("coefficient_overflow").is_err());
     assert!(outcome("cyclic_identity").is_ok());

@@ -6,14 +6,12 @@
 //! continuous CRN iff it is superadditive, positive-continuous, and piecewise
 //! rational-linear; on the strictly positive orthant it is a minimum of
 //! finitely many rational-linear functions.  This crate provides that class
-//! ([`MinOfLinear`]), its membership predicates, and a small rate-independent
-//! continuous CRN executor used to sanity-check the composable examples.
+//! ([`MinOfLinear`]) and its membership predicates, which the Theorem 8.2
+//! ∞-scaling of `crn-core` lands in (experiment E11).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod crn;
 pub mod minlinear;
 
-pub use crn::{ContinuousCrn, ContinuousReaction};
 pub use minlinear::{MinOfLinear, RationalLinear};

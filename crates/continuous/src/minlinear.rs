@@ -131,8 +131,7 @@ impl MinOfLinear {
 }
 
 fn grid(dim: usize, resolution: u64) -> Vec<QVec> {
-    crn_numeric::NVec::enumerate_box(dim, resolution)
-        .into_iter()
+    crn_numeric::NVec::box_iter(dim, resolution)
         .map(|x| x.iter().map(|&c| Rational::from(c)).collect())
         .collect()
 }

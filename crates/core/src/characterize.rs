@@ -266,7 +266,7 @@ fn characterize_multi(f: &SemilinearFunction, bound: u64) -> Result<Characteriza
     let eventual = EventuallyMin::new(NVec::constant(dim, t), pieces)?;
     let spec = ObliviousSpec::compound(eventual, restrictions)?;
     // Final sanity check: the spec reproduces f on the whole box.
-    for x in NVec::enumerate_box(dim, bound) {
+    for x in NVec::box_iter(dim, bound) {
         if spec.eval(&x)? != eval_or_zero(f, &x) {
             return Ok(Characterization::Inconclusive {
                 reason: format!("assembled spec disagrees with f at {x}"),
@@ -399,7 +399,7 @@ fn fit_strip_extension(
         let rep = class.representative();
         let mut best: Option<Rational> = None;
         for strip_class in &strip_classes {
-            for y in NVec::enumerate_box(dim, bound) {
+            for y in NVec::box_iter(dim, bound) {
                 if !strip_class.contains(&y) || !y.ge(&rep) {
                     continue;
                 }
@@ -425,7 +425,7 @@ fn find_valid_threshold(f: &SemilinearFunction, pieces: &[QuiltAffine], bound: u
     let dim = f.dim();
     'outer: for t in 0..=bound / 2 {
         let corner = NVec::constant(dim, t);
-        for x in NVec::enumerate_box(dim, bound) {
+        for x in NVec::box_iter(dim, bound) {
             if !x.ge(&corner) {
                 continue;
             }

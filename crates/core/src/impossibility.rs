@@ -71,23 +71,16 @@ pub fn find_lemma41_witness(
         }
         out
     };
-    let bases = NVec::enumerate_box(dim, bound);
-    let small = NVec::enumerate_box(dim, bound.min(3));
-    for base in &bases {
-        for step in &small {
-            if step.is_zero() {
-                continue;
-            }
-            'delta: for delta in &small {
-                if delta.is_zero() {
-                    continue;
-                }
+    let small = || NVec::box_iter(dim, bound.min(3)).filter(|v| !v.is_zero());
+    for base in NVec::box_iter(dim, bound) {
+        for step in small() {
+            'delta: for delta in small() {
                 for j in 1..=repeats {
-                    let a_j = base + &scale(step, j);
-                    let shift = scale(delta, j);
+                    let a_j = &base + &scale(&step, j);
+                    let shift = scale(&delta, j);
                     let rhs = i128::from(f(&(&a_j + &shift))) - i128::from(f(&a_j));
                     for i in 0..j {
-                        let a_i = base + &scale(step, i);
+                        let a_i = &base + &scale(&step, i);
                         let lhs = i128::from(f(&(&a_i + &shift))) - i128::from(f(&a_i));
                         if lhs <= rhs {
                             continue 'delta;
@@ -95,9 +88,9 @@ pub fn find_lemma41_witness(
                     }
                 }
                 return Some(Lemma41Witness {
-                    base: base.clone(),
-                    step: step.clone(),
-                    delta: delta.clone(),
+                    base,
+                    step,
+                    delta,
                     verified_elements: repeats + 1,
                 });
             }

@@ -96,7 +96,7 @@ impl Arrangement {
     #[must_use]
     pub fn regions_in_box(&self, bound: u64) -> Vec<Region> {
         let mut regions: Vec<Region> = Vec::new();
-        for x in NVec::enumerate_box(self.dim, bound) {
+        for x in NVec::box_iter(self.dim, bound) {
             let region = self.region_of(&x);
             if !regions.iter().any(|r| r.signs() == region.signs()) {
                 regions.push(region);
@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn region_of_is_consistent_with_regions_in_box() {
         let arrangement = Arrangement::from_function(&examples::figure7_example());
-        for x in NVec::enumerate_box(2, 5) {
+        for x in NVec::box_iter(2, 5) {
             let region = arrangement.region_of(&x);
             assert!(region.contains(&x));
         }

@@ -89,21 +89,33 @@ impl CompiledReaction {
 
     /// Copies `src` into `dst` and fires the reaction there.  The caller must
     /// have checked [`CompiledReaction::applicable`].
-    pub fn apply_into(&self, src: &[u64], dst: &mut [u64]) {
+    ///
+    /// # Errors
+    ///
+    /// Returns the species whose count the firing would push past
+    /// `u64::MAX`; `dst` is then unspecified.
+    pub fn apply_into(&self, src: &[u64], dst: &mut [u64]) -> Result<(), Species> {
         dst.copy_from_slice(src);
-        self.apply_in_place(dst);
+        self.apply_in_place(dst)
     }
 
     /// Fires the reaction in place.  The caller must have checked
-    /// [`CompiledReaction::applicable`].
-    pub fn apply_in_place(&self, counts: &mut [u64]) {
+    /// [`CompiledReaction::applicable`], so only a product count can leave
+    /// `u64`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the species whose count the firing would push past
+    /// `u64::MAX`; `counts` is then unspecified.
+    pub fn apply_in_place(&self, counts: &mut [u64]) -> Result<(), Species> {
         for &(i, d) in &self.delta {
             if d >= 0 {
-                counts[i] += d as u64;
+                counts[i] = counts[i].checked_add(d as u64).ok_or(Species(i))?;
             } else {
                 counts[i] -= (-d) as u64;
             }
         }
+        Ok(())
     }
 }
 
@@ -119,7 +131,7 @@ impl CompiledReaction {
 /// let mut state = DenseState::from_configuration(&start, compiled.stride());
 /// // Fire reaction 0 (X1 -> Z1 + Y) in place.
 /// assert!(compiled.reactions()[0].applicable(state.counts()));
-/// state.apply(&compiled.reactions()[0]);
+/// state.apply(&compiled.reactions()[0]).unwrap();
 /// assert_eq!(state.count(max.output()), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -288,8 +300,13 @@ impl DenseState {
 
     /// Fires `reaction` in place.  The caller must have checked
     /// [`CompiledReaction::applicable`].
-    pub fn apply(&mut self, reaction: &CompiledReaction) {
-        reaction.apply_in_place(&mut self.counts);
+    ///
+    /// # Errors
+    ///
+    /// Returns the species whose count the firing would push past
+    /// `u64::MAX`; the state is then unspecified.
+    pub fn apply(&mut self, reaction: &CompiledReaction) -> Result<(), Species> {
+        reaction.apply_in_place(&mut self.counts)
     }
 
     /// Materializes the sparse configuration (zero counts dropped).
@@ -319,6 +336,22 @@ mod tests {
     }
 
     #[test]
+    fn a_firing_past_u64_max_is_an_overflow_not_a_wrap() {
+        let mut crn = Crn::new();
+        crn.parse_reaction("X -> 9223372036854775807 Y").unwrap();
+        let compiled = CompiledReaction::compile(&crn.reactions()[0]);
+        let y = crn.species_named("Y").unwrap();
+        // Two firings make 2^64 - 2 copies of Y; a third would wrap.
+        let mut counts = [3u64, 0];
+        compiled.apply_in_place(&mut counts).unwrap();
+        compiled.apply_in_place(&mut counts).unwrap();
+        assert_eq!(counts[y.index()], u64::MAX - 1);
+        assert_eq!(compiled.apply_in_place(&mut counts), Err(y));
+        let mut dst = [0u64; 2];
+        assert_eq!(compiled.apply_into(&[1, u64::MAX], &mut dst), Err(y));
+    }
+
+    #[test]
     fn compiled_reaction_matches_sparse_apply() {
         let mut crn = Crn::new();
         crn.parse_reaction("2X + Y -> Y + 3Z").unwrap();
@@ -327,7 +360,7 @@ mod tests {
         let src = [4u64, 1, 0];
         assert!(compiled.applicable(&src));
         let mut dst = [0u64; 3];
-        compiled.apply_into(&src, &mut dst);
+        compiled.apply_into(&src, &mut dst).unwrap();
         assert_eq!(dst, [2, 1, 3]);
         // Y is a catalyst: its delta must have been cancelled out.
         assert!(!compiled.applicable(&[4, 0, 0]));

@@ -131,6 +131,27 @@ impl Crn {
         Ok(totals.into_iter().collect())
     }
 
+    /// The error for firing reaction `index`, which would push the count of
+    /// `species` past `u64::MAX`.  Species outside the interner (a reaction
+    /// added through [`add_reaction`](Crn::add_reaction) may name them) are
+    /// written by index.
+    #[must_use]
+    pub fn count_overflow(&self, index: usize, species: Species) -> CrnError {
+        let known = |s: &Species| s.index() < self.species.len();
+        let reaction = &self.reactions[index];
+        let reaction = if reaction.species().iter().all(known) {
+            reaction.display(&self.species).to_string()
+        } else {
+            format!("reaction {index}")
+        };
+        let species = if known(&species) {
+            self.species.name(species).to_owned()
+        } else {
+            species.to_string()
+        };
+        CrnError::CountOverflow { reaction, species }
+    }
+
     /// Indices of the reactions applicable in `config`.
     #[must_use]
     pub fn applicable_reactions(&self, config: &Configuration) -> Vec<usize> {
@@ -259,8 +280,32 @@ mod tests {
         }
         let mut counts = vec![0u64; crn.species().len()];
         counts[crn.species_named("X").unwrap().index()] = 1;
-        crate::compiled::CompiledReaction::compile(&crn.reactions()[0]).apply_in_place(&mut counts);
+        crate::compiled::CompiledReaction::compile(&crn.reactions()[0])
+            .apply_in_place(&mut counts)
+            .unwrap();
         assert_eq!(counts[y], i64::MAX as u64);
+    }
+
+    #[test]
+    fn count_overflow_names_the_reaction_and_the_species() {
+        let mut crn = Crn::new();
+        crn.parse_reaction("X -> 9223372036854775807 Y").unwrap();
+        let y = crn.species_named("Y").unwrap();
+        assert_eq!(
+            crn.count_overflow(0, y).to_string(),
+            "count overflow: firing `X -> 9223372036854775807Y` would push the count of `Y` \
+             past 18446744073709551615"
+        );
+        // A species outside the interner has no name to print.
+        let x = crn.species_named("X").unwrap();
+        crn.add_reaction(Reaction::new(vec![(x, 1)], vec![(Species(7), 1)]));
+        assert_eq!(
+            crn.count_overflow(1, Species(7)),
+            CrnError::CountOverflow {
+                reaction: "reaction 1".into(),
+                species: "#7".into(),
+            }
+        );
     }
 
     #[test]

@@ -32,6 +32,15 @@ pub enum CrnError {
         /// The name two distinct species would share.
         name: String,
     },
+    /// Firing a reaction would push a species count past `u64::MAX`.  Counts
+    /// are never wrapped, so an exploration or simulation that meets such a
+    /// firing stops with this error instead of a value.
+    CountOverflow {
+        /// The reaction, as written in the CRN.
+        reaction: String,
+        /// The species whose count overflows.
+        species: String,
+    },
 }
 
 impl fmt::Display for CrnError {
@@ -52,6 +61,11 @@ impl fmt::Display for CrnError {
             CrnError::SpeciesCollision { name } => {
                 write!(f, "two distinct species would collapse onto `{name}`")
             }
+            CrnError::CountOverflow { reaction, species } => write!(
+                f,
+                "count overflow: firing `{reaction}` would push the count of `{species}` past {}",
+                u64::MAX
+            ),
         }
     }
 }

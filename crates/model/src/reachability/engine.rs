@@ -25,6 +25,7 @@ use crn_numeric::NVec;
 
 use crate::analysis::{CrnAnalysis, Liveness};
 use crate::compiled::{CompiledCrn, CompiledReaction};
+use crate::crn::Crn;
 use crate::error::CrnError;
 
 use super::arena::ConfigArena;
@@ -266,8 +267,9 @@ trait Codec {
     /// The lowest species whose count in the loaded node is below the
     /// requirement of the disabled reaction `r`.
     fn lacking(&self, r: usize) -> usize;
-    /// Fires the enabled reaction `r` on the loaded node.
-    fn probe(&mut self, r: usize) -> Probe<Self::Seen, Self::Key>;
+    /// Fires the enabled reaction `r` on the loaded node; a count the
+    /// firing pushes past `u64::MAX` is an error, never a wrapped value.
+    fn probe(&mut self, r: usize) -> Result<Probe<Self::Seen, Self::Key>, CrnError>;
     /// Stores the unseen successor `key` of the loaded node under reaction
     /// `r` as node `id`.
     fn insert(&mut self, r: usize, key: Self::Key, id: NodeId) -> Self::Seen;
@@ -278,13 +280,21 @@ trait Codec {
 /// [`ReachabilityGraph`](super::ReachabilityGraph), and of terminal scans
 /// without a packing.
 struct Hash<'a> {
+    /// Names the reaction and species of a count overflow.
+    crn: &'a Crn,
     reactions: &'a [CompiledReaction],
     out: usize,
     s: &'a mut Store,
 }
 
 impl<'a> Hash<'a> {
-    fn new(compiled: &'a CompiledCrn, out: usize, s: &'a mut Store, start: &[u64]) -> Self {
+    fn new(
+        crn: &'a Crn,
+        compiled: &'a CompiledCrn,
+        out: usize,
+        s: &'a mut Store,
+        start: &[u64],
+    ) -> Self {
         let stride = start.len();
         s.arena.reset(stride);
         s.arena.insert_new(start);
@@ -294,7 +304,12 @@ impl<'a> Hash<'a> {
         s.succ.clear();
         s.succ.resize(stride, 0);
         let reactions = compiled.reactions();
-        Hash { reactions, out, s }
+        Hash {
+            crn,
+            reactions,
+            out,
+            s,
+        }
     }
 
     /// Records the edge `from → to`; `false` if `from` already emitted it.
@@ -336,13 +351,15 @@ impl Codec for Hash<'_> {
             .0
     }
 
-    fn probe(&mut self, r: usize) -> Probe<NodeId, ()> {
-        self.reactions[r].apply_into(&self.s.cur, &mut self.s.succ);
-        match self.s.arena.lookup(&self.s.succ) {
+    fn probe(&mut self, r: usize) -> Result<Probe<NodeId, ()>, CrnError> {
+        self.reactions[r]
+            .apply_into(&self.s.cur, &mut self.s.succ)
+            .map_err(|species| self.crn.count_overflow(r, species))?;
+        Ok(match self.s.arena.lookup(&self.s.succ) {
             // Stored ids were admitted, so they fit u32.
             Some(id) => Probe::Seen(NodeId(id as u32)),
             None => Probe::Unseen(()),
-        }
+        })
     }
 
     fn insert(&mut self, _: usize, _: (), id: NodeId) -> NodeId {
@@ -422,13 +439,14 @@ impl Codec for Packed<'_> {
         ((self.met(r) ^ LANE_HIGH).trailing_zeros() / 8) as usize
     }
 
-    fn probe(&mut self, r: usize) -> Probe<(), u64> {
+    /// Never an overflow: the hull keeps every lane at or below 127.
+    fn probe(&mut self, r: usize) -> Result<Probe<(), u64>, CrnError> {
         let word = self.cur.wrapping_add(self.deltas[r]);
         let words = &*self.words;
-        match self.index.lookup(word, |i| words[i]) {
+        Ok(match self.index.lookup(word, |i| words[i]) {
             Some(_) => Probe::Seen(()),
             None => Probe::Unseen(word),
-        }
+        })
     }
 
     fn insert(&mut self, _: usize, word: u64, id: NodeId) {
@@ -478,7 +496,7 @@ fn bfs<C: Codec, V: BfsVisitor<C>>(
             visitor.select(codec, &mut enabled);
         }
         for &r in &enabled {
-            let to = match codec.probe(r) {
+            let to = match codec.probe(r)? {
                 Probe::Seen(to) => to,
                 Probe::Unseen(key) => codec.insert(r, key, admit(codec.len(), limit)?),
             };
@@ -548,17 +566,19 @@ pub(super) struct ExploreState {
 
 impl ExploreState {
     /// Explores everything reachable from `start` (a count vector at least
-    /// `compiled.stride()` long) breadth-first into `self.store.arena` and
-    /// `self.csr`: ids are discovery order, id 0 is the start.
+    /// `compiled.stride()` long) in `crn`, compiled as `compiled`,
+    /// breadth-first into `self.store.arena` and `self.csr`: ids are
+    /// discovery order, id 0 is the start.
     pub(super) fn graph(
         &mut self,
+        crn: &Crn,
         compiled: &CompiledCrn,
         start: &[u64],
         limit: usize,
     ) -> Result<(), CrnError> {
         self.csr.reset();
         // The CSR builder reads no outputs, so any output index will do.
-        let mut codec = Hash::new(compiled, 0, &mut self.store, start);
+        let mut codec = Hash::new(crn, compiled, 0, &mut self.store, start);
         bfs(&mut codec, &mut CsrBuilder(&mut self.csr), limit)?;
         Ok(())
     }
@@ -779,8 +799,9 @@ impl<'c> VerdictEngine<'c> {
                 (bfs(&mut codec, scan, limit), codec.len())
             }
             None => {
-                let out = self.analysis.crn().output().index();
-                let mut codec = Hash::new(self.analysis.compiled(), out, store, start);
+                let crn = self.analysis.crn();
+                let out = crn.output().index();
+                let mut codec = Hash::new(crn.crn(), self.analysis.compiled(), out, store, start);
                 (bfs(&mut codec, scan, limit), codec.len())
             }
         }
@@ -804,6 +825,7 @@ impl<'c> VerdictEngine<'c> {
         }
         self.build_start(x);
         self.state.graph(
+            self.analysis.crn().crn(),
             self.analysis.compiled(),
             &self.start_dense,
             max_configurations,
@@ -1065,12 +1087,13 @@ mod tests {
     /// The terminal run of a BFS from `start`, reduced by `stubborn` when
     /// given.
     fn terminals(
-        compiled: &CompiledCrn,
+        analysis: &CrnAnalysis<'_>,
         start: &[u64],
         stubborn: Option<&StubbornSets>,
     ) -> Result<TerminalRun, CrnError> {
         let mut store = Store::default();
-        let mut codec = Hash::new(compiled, 0, &mut store, start);
+        let (crn, compiled) = (analysis.crn().crn(), analysis.compiled());
+        let mut codec = Hash::new(crn, compiled, 0, &mut store, start);
         let mut visitor = Terminals {
             stubborn: stubborn.map(|table| (table, Closure::default())),
             found: Vec::new(),
@@ -1125,9 +1148,8 @@ mod tests {
             analysis.acyclic(),
             "seed {seed}: the weighting certifies acyclicity"
         );
-        let compiled = analysis.compiled();
-        let full = terminals(compiled, &start, None).ok()?;
-        let reduced = terminals(compiled, &start, Some(analysis.stubborn()))
+        let full = terminals(&analysis, &start, None).ok()?;
+        let reduced = terminals(&analysis, &start, Some(analysis.stubborn()))
             .expect("the reduced space is no larger than the full one");
         Some((reduced, full))
     }

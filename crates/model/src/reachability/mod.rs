@@ -127,7 +127,9 @@ impl ReachabilityGraph {
     /// # Errors
     ///
     /// Returns [`CrnError::SearchLimitExceeded`] if more than
-    /// `limits.max_configurations` distinct configurations are found.
+    /// `limits.max_configurations` distinct configurations are found, and
+    /// [`CrnError::CountOverflow`] if a reachable firing would push a count
+    /// past `u64::MAX`.
     pub fn explore(
         crn: &Crn,
         start: &Configuration,
@@ -137,7 +139,7 @@ impl ReachabilityGraph {
         let stride = arena::stride_for(compiled.stride(), start);
         let start_dense = arena::to_dense(start, stride).expect("stride covers start");
         let mut state = ExploreState::default();
-        state.graph(&compiled, &start_dense, limits.max_configurations)?;
+        state.graph(crn, &compiled, &start_dense, limits.max_configurations)?;
         Ok(ReachabilityGraph {
             arena: state.store.arena,
             sparse: OnceLock::new(),
@@ -233,9 +235,10 @@ impl StableComputationVerdict {
 ///
 /// # Errors
 ///
-/// Returns [`CrnError::DimensionMismatch`] for an input of the wrong arity and
+/// Returns [`CrnError::DimensionMismatch`] for an input of the wrong arity,
 /// [`CrnError::SearchLimitExceeded`] if the reachable space exceeds
-/// `max_configurations`.
+/// `max_configurations`, and [`CrnError::CountOverflow`] if a reachable
+/// firing would push a count past `u64::MAX`.
 pub fn check_stable_computation(
     crn: &FunctionCrn,
     x: &NVec,
@@ -464,7 +467,7 @@ mod tests {
         bound: u64,
         max_configurations: usize,
     ) -> Outcome {
-        for x in NVec::enumerate_box(crn.dim(), bound) {
+        for x in NVec::box_iter(crn.dim(), bound) {
             let verdict =
                 oracle::check_stable_computation_naive(crn, &x, f(&x), max_configurations)?;
             if !verdict.is_correct() {
@@ -497,6 +500,30 @@ mod tests {
                 assert!(v.is_correct());
             }
         }
+    }
+
+    #[test]
+    fn a_count_overflow_is_an_error_on_the_scan_and_the_full_verdict() {
+        // `X -> (2^63 - 1) Y` on x = 3 makes 3·(2^63 - 1) copies of `Y`,
+        // more than `u64` holds.  The claim is the count wrapped modulo 2^64,
+        // which a wrapping add would have confirmed.
+        let mut crn = Crn::new();
+        crn.parse_reaction("X -> 9223372036854775807 Y").unwrap();
+        let crn = FunctionCrn::with_named_roles(crn, &["X"], "Y", None).unwrap();
+        let wrapped = |x: &NVec| x[0].wrapping_mul(i64::MAX as u64);
+        let overflow = CrnError::CountOverflow {
+            reaction: "X -> 9223372036854775807Y".into(),
+            species: "Y".into(),
+        };
+        let x = NVec::from(vec![3]);
+        assert_eq!(
+            check_stable_computation(&crn, &x, wrapped(&x), 100).unwrap_err(),
+            overflow
+        );
+        // The sweep decides x = 3 by a hash-coded terminal scan, which must
+        // fail the point, and its full re-check reports the overflow.
+        assert_eq!(incremental_scan(&crn, wrapped, 3, 100, 1), Err(overflow));
+        assert_eq!(incremental_scan(&crn, wrapped, 2, 100, 1), Ok(None));
     }
 
     #[test]

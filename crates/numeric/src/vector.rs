@@ -196,30 +196,6 @@ impl NVec {
         NVec(v)
     }
 
-    /// Enumerates all vectors in the box `[0, bound]^d` (inclusive), in
-    /// lexicographic order.
-    ///
-    /// Materializes the whole box; for large boxes prefer the lazy
-    /// [`NVec::box_iter`].
-    #[must_use]
-    pub fn enumerate_box(dim: usize, bound: u64) -> Vec<NVec> {
-        Self::enumerate_box_corners(&NVec::zeros(dim), &NVec::constant(dim, bound))
-    }
-
-    /// Enumerates all integer vectors `lo ≤ x ≤ hi` (inclusive), in
-    /// lexicographic order.
-    ///
-    /// Materializes the whole box; for large boxes prefer the lazy
-    /// [`NVec::box_iter_corners`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ or `lo !≤ hi` in some component.
-    #[must_use]
-    pub fn enumerate_box_corners(lo: &NVec, hi: &NVec) -> Vec<NVec> {
-        Self::box_iter_corners(lo, hi).collect()
-    }
-
     /// Lazily iterates over the box `[0, bound]^d` (inclusive) in
     /// lexicographic order, one point at a time — `(bound + 1)^d` points
     /// without ever materializing them.
@@ -681,7 +657,7 @@ mod tests {
 
     #[test]
     fn enumerate_box_has_expected_size_and_membership() {
-        let points = NVec::enumerate_box(2, 3);
+        let points: Vec<NVec> = NVec::box_iter(2, 3).collect();
         assert_eq!(points.len(), 16);
         assert!(points.contains(&NVec::from(vec![0, 0])));
         assert!(points.contains(&NVec::from(vec![3, 3])));
@@ -697,27 +673,35 @@ mod tests {
     fn enumerate_box_corners() {
         let lo = NVec::from(vec![1, 2]);
         let hi = NVec::from(vec![2, 4]);
-        let points = NVec::enumerate_box_corners(&lo, &hi);
+        let points: Vec<NVec> = NVec::box_iter_corners(&lo, &hi).collect();
         assert_eq!(points.len(), 6);
         assert!(points.iter().all(|p| p.ge(&lo) && hi.ge(p)));
     }
 
     #[test]
     fn enumerate_box_dimension_zero() {
-        assert_eq!(NVec::enumerate_box(0, 5).len(), 1);
         assert_eq!(NVec::box_iter(0, 5).count(), 1);
     }
 
     #[test]
     fn box_iter_matches_materialized_enumeration() {
-        for (dim, bound) in [(1usize, 0u64), (1, 5), (2, 3), (3, 2)] {
-            let lazy: Vec<NVec> = NVec::box_iter(dim, bound).collect();
-            assert_eq!(lazy, NVec::enumerate_box(dim, bound), "({dim},{bound})");
+        // The materialized reference: nested loops, last coordinate fastest.
+        let mut nested = Vec::new();
+        for a in 0..=2u64 {
+            for b in 0..=3u64 {
+                for c in 0..=1u64 {
+                    nested.push(NVec::from(vec![a, b, c]));
+                }
+            }
         }
-        let lo = NVec::from(vec![1, 2]);
-        let hi = NVec::from(vec![2, 4]);
+        let hi = NVec::from(vec![2, 3, 1]);
+        let lazy: Vec<NVec> = NVec::box_iter_corners(&NVec::zeros(3), &hi).collect();
+        assert_eq!(lazy, nested);
+        let lo = NVec::from(vec![1, 2, 0]);
         let lazy: Vec<NVec> = NVec::box_iter_corners(&lo, &hi).collect();
-        assert_eq!(lazy, NVec::enumerate_box_corners(&lo, &hi));
+        let expected: Vec<NVec> = nested.into_iter().filter(|p| p.ge(&lo)).collect();
+        assert_eq!(lazy, expected);
+        assert_eq!(NVec::box_iter(2, 3).count(), 16);
     }
 
     #[test]

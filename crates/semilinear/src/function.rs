@@ -168,16 +168,15 @@ impl SemilinearFunction {
     /// Observation 9.1).  Returns a violating pair if one exists.
     #[must_use]
     pub fn is_superadditive_on_box(&self, bound: u64) -> Option<(NVec, NVec)> {
-        let points = NVec::enumerate_box(self.dim, bound);
-        for x in &points {
-            for y in &points {
-                let sum = x + y;
-                let (Ok(fx), Ok(fy), Ok(fsum)) = (self.eval(x), self.eval(y), self.eval(&sum))
+        for x in NVec::box_iter(self.dim, bound) {
+            for y in NVec::box_iter(self.dim, bound) {
+                let sum = &x + &y;
+                let (Ok(fx), Ok(fy), Ok(fsum)) = (self.eval(&x), self.eval(&y), self.eval(&sum))
                 else {
                     continue;
                 };
                 if fx + fy > fsum {
-                    return Some((x.clone(), y.clone()));
+                    return Some((x, y));
                 }
             }
         }
@@ -207,8 +206,7 @@ impl SemilinearFunction {
     /// where evaluation fails.  Used by the figure-regeneration experiments.
     #[must_use]
     pub fn table(&self, bound: u64) -> Vec<(NVec, u64)> {
-        NVec::enumerate_box(self.dim, bound)
-            .into_iter()
+        NVec::box_iter(self.dim, bound)
             .filter_map(|x| self.eval(&x).ok().map(|v| (x, v)))
             .collect()
     }

@@ -183,8 +183,7 @@ impl SemilinearSet {
     /// Enumerates the members of the set within the box `[0, bound]^d`.
     #[must_use]
     pub fn members_in_box(&self, bound: u64) -> Vec<NVec> {
-        NVec::enumerate_box(self.dim(), bound)
-            .into_iter()
+        NVec::box_iter(self.dim(), bound)
             .filter(|x| self.contains(x))
             .collect()
     }

@@ -232,7 +232,9 @@ impl<'a> Ensemble<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`CrnError::DimensionMismatch`] if `x` has the wrong arity.
+    /// Returns [`CrnError::DimensionMismatch`] if `x` has the wrong arity, and
+    /// the error of the lowest-numbered trial that fails (a
+    /// [`CrnError::CountOverflow`]) at every worker count.
     ///
     /// # Panics
     ///
@@ -251,16 +253,16 @@ impl<'a> Ensemble<'a> {
         // trial loop stays clean of registry traffic, and `Gillespie::run`
         // itself is uninstrumented (a per-run flush would cost a lock per
         // trial, well over the E20 overhead budget).
-        let run_range = |lo: u64, hi: u64| -> TrialAccumulator {
+        let run_range = |lo: u64, hi: u64| -> Result<TrialAccumulator, CrnError> {
             let profiling = crn_obs::enabled();
             let batch_start = profiling.then(std::time::Instant::now);
             let mut trial_steps = crn_obs::LocalHistogram::new();
             let mut batch_steps = 0u64;
             let mut acc = TrialAccumulator::new();
-            let mut sim = Gillespie::new(self.crn.crn().clone(), 0);
+            let mut sim = Gillespie::new(self.crn.crn(), 0);
             for t in lo..hi {
                 sim.reseed(stream.seed(t));
-                let outcome = sim.run(&start, self.max_steps);
+                let outcome = sim.run(&start, self.max_steps)?;
                 let out_count = outcome.final_configuration.count(output);
                 if profiling {
                     trial_steps.observe(outcome.steps);
@@ -279,14 +281,14 @@ impl<'a> Ensemble<'a> {
                 let nanos = u64::try_from(batch_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 crn_obs::observe("sim.batch_nanos", nanos);
             }
-            acc
+            Ok(acc)
         };
 
         let workers = effective_workers(self.workers, default_workers(), trials);
         let merged = if workers <= 1 {
             // Fast path: no scoped thread, no spawn/join overhead — the
             // single worker's range runs inline on the calling thread.
-            run_range(0, trials)
+            run_range(0, trials)?
         } else {
             // Split [0, trials) into `workers` contiguous chunks, the first
             // `trials % workers` of them one trial longer.
@@ -296,7 +298,7 @@ impl<'a> Ensemble<'a> {
                 .map(|w| w * base + w.min(extra))
                 .collect();
             let parent = crn_obs::SpanPath::current();
-            let accs: Vec<TrialAccumulator> = crn_sync::thread::scope(|scope| {
+            let accs: Vec<Result<TrialAccumulator, CrnError>> = crn_sync::thread::scope(|scope| {
                 let handles: Vec<_> = bounds
                     .windows(2)
                     .map(|range| {
@@ -314,9 +316,11 @@ impl<'a> Ensemble<'a> {
                     .map(|h| h.join().expect("ensemble worker panicked"))
                     .collect()
             });
+            // Workers hold contiguous ranges in trial order, so the first
+            // error met here is the lowest-numbered failing trial's.
             let mut merged = TrialAccumulator::new();
             for acc in accs {
-                merged.merge(acc);
+                merged.merge(acc?);
             }
             merged
         };
@@ -399,6 +403,27 @@ mod tests {
     fn wrong_arity_is_an_error() {
         let min = examples::min_crn();
         assert!(Ensemble::new(&min).run(&NVec::from(vec![1]), 3, 0).is_err());
+    }
+
+    #[test]
+    fn a_count_overflow_is_an_error_at_every_worker_count() {
+        let mut crn = crn_model::Crn::new();
+        crn.parse_reaction("X -> 9223372036854775807 Y").unwrap();
+        let crn = FunctionCrn::with_named_roles(crn, &["X"], "Y", None).unwrap();
+        let fits = Ensemble::new(&crn).run(&NVec::from(vec![2]), 4, 0).unwrap();
+        assert_eq!(fits.outputs, vec![u64::MAX - 1]);
+        for workers in [1usize, 2, 4] {
+            assert_eq!(
+                Ensemble::new(&crn)
+                    .with_workers(workers)
+                    .run(&NVec::from(vec![3]), 4, 0),
+                Err(CrnError::CountOverflow {
+                    reaction: "X -> 9223372036854775807Y".into(),
+                    species: "Y".into(),
+                }),
+                "workers={workers}"
+            );
+        }
     }
 
     #[test]

@@ -19,10 +19,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crn_model::{CompiledCrn, Configuration, Crn, DenseState};
+use crn_model::{CompiledCrn, Configuration, Crn, CrnError, DenseState};
 
 use crate::kernel::PropensityTable;
-use crate::scheduler::propensity;
 
 /// The outcome of one Gillespie run.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,6 +34,31 @@ pub struct GillespieOutcome {
     pub time: f64,
     /// Whether the run stopped because no reaction was applicable.
     pub silent: bool,
+}
+
+/// The mass-action propensity of reaction `index` in a sparse `config`: the
+/// number of distinct ways to choose its reactant multiset,
+/// `∏_s C(count_s, r_s)·r_s!` (i.e. the falling factorial), with unit rate
+/// constant.
+///
+/// This is the sparse reference implementation behind [`SparseGillespie`]
+/// and the differential tests; the hot path uses
+/// [`propensity_dense`](crate::kernel::propensity_dense), which agrees with
+/// it bit-for-bit.
+#[must_use]
+pub fn propensity(crn: &Crn, config: &Configuration, index: usize) -> f64 {
+    let reaction = &crn.reactions()[index];
+    let mut a = 1.0f64;
+    for (&s, &r) in reaction.reactants() {
+        let count = config.count(s);
+        if count < r {
+            return 0.0;
+        }
+        for k in 0..r {
+            a *= (count - k) as f64;
+        }
+    }
+    a
 }
 
 /// Selects the reaction whose propensity interval contains `target`, given a
@@ -67,14 +91,15 @@ fn select_reaction(propensities: &[f64], mut target: f64) -> usize {
 ///
 /// let double = examples::double_crn();
 /// let start = double.initial_configuration(&NVec::from(vec![10])).unwrap();
-/// let mut sim = Gillespie::new(double.crn().clone(), 42);
-/// let outcome = sim.run(&start, 1_000_000);
+/// let mut sim = Gillespie::new(double.crn(), 42);
+/// let outcome = sim.run(&start, 1_000_000).unwrap();
 /// assert!(outcome.silent);
 /// assert_eq!(outcome.final_configuration.count(double.output()), 20);
 /// ```
 #[derive(Debug, Clone)]
-pub struct Gillespie {
-    crn: Crn,
+pub struct Gillespie<'a> {
+    /// Names the reaction and species of a count overflow.
+    crn: &'a Crn,
     compiled: CompiledCrn,
     rng: StdRng,
     /// Incrementally-maintained per-reaction propensities.
@@ -83,12 +108,12 @@ pub struct Gillespie {
     state: DenseState,
 }
 
-impl Gillespie {
+impl<'a> Gillespie<'a> {
     /// Creates a simulator for `crn` with a deterministic RNG seed, compiling
     /// the CRN once.
     #[must_use]
-    pub fn new(crn: Crn, seed: u64) -> Self {
-        let compiled = CompiledCrn::compile(&crn);
+    pub fn new(crn: &'a Crn, seed: u64) -> Self {
+        let compiled = CompiledCrn::compile(crn);
         let state = DenseState::zero(compiled.stride());
         Gillespie {
             crn,
@@ -97,18 +122,6 @@ impl Gillespie {
             propensities: PropensityTable::new(),
             state,
         }
-    }
-
-    /// The simulated CRN.
-    #[must_use]
-    pub fn crn(&self) -> &Crn {
-        &self.crn
-    }
-
-    /// The compiled form of the CRN.
-    #[must_use]
-    pub fn compiled(&self) -> &CompiledCrn {
-        &self.compiled
     }
 
     /// Restarts the RNG stream from `seed`, keeping the compiled CRN and all
@@ -137,12 +150,11 @@ impl Gillespie {
     /// waiting time, selects a reaction proportionally to its propensity and
     /// applies it in place, refreshing only the propensities the firing can
     /// have changed.  Returns `false` (leaving the state and `time` untouched)
-    /// when the CRN is silent.  Both run modes share this step so the
-    /// selection logic cannot drift between them.
-    fn step(&mut self, time: &mut f64) -> bool {
+    /// when the CRN is silent.
+    fn step(&mut self, time: &mut f64) -> Result<bool, CrnError> {
         let total = self.propensities.total();
         if total <= 0.0 {
-            return false;
+            return Ok(false);
         }
         // Exponential waiting time with rate `total`.
         let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
@@ -150,41 +162,49 @@ impl Gillespie {
         // Choose the reaction proportionally to its propensity.
         let target = self.rng.gen::<f64>() * total;
         let chosen = select_reaction(self.propensities.values(), target);
-        self.state.apply(&self.compiled.reactions()[chosen]);
+        self.state
+            .apply(&self.compiled.reactions()[chosen])
+            .map_err(|species| self.crn.count_overflow(chosen, species))?;
         self.propensities
             .refresh_after(&self.compiled, self.state.counts(), chosen);
-        true
+        Ok(true)
     }
 
     /// Runs from `start` until the CRN is silent or `max_steps` reactions have
     /// fired.
     ///
     /// Deliberately uninstrumented: a single run is often one iteration of a
-    /// caller's hot loop (ensemble trials, spot checks), so the
-    /// observability counters for it are accumulated by those callers and
-    /// flushed per batch, never per run.
-    #[must_use]
-    pub fn run(&mut self, start: &Configuration, max_steps: u64) -> GillespieOutcome {
+    /// caller's hot loop (ensemble trials), so the observability counters
+    /// for it are accumulated by those callers and flushed per batch, never
+    /// per run.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CrnError::CountOverflow`] if a firing would push a count
+    /// past `u64::MAX`.
+    pub fn run(
+        &mut self,
+        start: &Configuration,
+        max_steps: u64,
+    ) -> Result<GillespieOutcome, CrnError> {
         self.load_start(start);
         let mut time = 0.0f64;
         let mut steps = 0u64;
-        while steps < max_steps {
-            if !self.step(&mut time) {
-                return GillespieOutcome {
-                    final_configuration: self.state.to_configuration(),
-                    steps,
-                    time,
-                    silent: true,
-                };
+        let silent = loop {
+            if steps >= max_steps {
+                break false;
+            }
+            if !self.step(&mut time)? {
+                break true;
             }
             steps += 1;
-        }
-        GillespieOutcome {
+        };
+        Ok(GillespieOutcome {
             final_configuration: self.state.to_configuration(),
             steps,
             time,
-            silent: false,
-        }
+            silent,
+        })
     }
 }
 
@@ -267,15 +287,68 @@ impl SparseGillespie {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::propensity_dense;
     use crn_model::examples;
     use crn_numeric::NVec;
+
+    #[test]
+    fn propensity_counts_ordered_tuples() {
+        let min = examples::min_crn();
+        let crn = min.crn();
+        let x1 = crn.species_named("X1").unwrap();
+        let x2 = crn.species_named("X2").unwrap();
+        let config = Configuration::from_counts(vec![(x1, 3), (x2, 2)]);
+        // X1 + X2 -> Y has propensity 3 * 2 = 6.
+        assert_eq!(propensity(crn, &config, 0), 6.0);
+        let empty = Configuration::new();
+        assert_eq!(propensity(crn, &empty, 0), 0.0);
+    }
+
+    #[test]
+    fn propensity_uses_falling_factorials_for_homodimers() {
+        let mut crn = Crn::new();
+        crn.parse_reaction("2Z -> Y").unwrap();
+        let z = crn.species_named("Z").unwrap();
+        let config = Configuration::from_counts(vec![(z, 4)]);
+        // 4 * 3 = 12 ordered pairs.
+        assert_eq!(propensity(&crn, &config, 0), 12.0);
+        let compiled = CompiledCrn::compile(&crn);
+        let state = DenseState::from_configuration(&config, compiled.stride());
+        assert_eq!(
+            propensity_dense(&compiled.reactions()[0], state.counts()),
+            12.0
+        );
+    }
+
+    #[test]
+    fn a_count_overflow_ends_the_run_with_an_error() {
+        // X -> (2^63 - 1) Y: two firings fit in u64, a third does not.
+        let mut crn = Crn::new();
+        crn.parse_reaction("X -> 9223372036854775807 Y").unwrap();
+        let (x, y) = (
+            crn.species_named("X").unwrap(),
+            crn.species_named("Y").unwrap(),
+        );
+        let mut sim = Gillespie::new(&crn, 0);
+        let two = sim
+            .run(&Configuration::from_counts(vec![(x, 2)]), 100)
+            .unwrap();
+        assert_eq!(two.final_configuration.count(y), u64::MAX - 1);
+        assert_eq!(
+            sim.run(&Configuration::from_counts(vec![(x, 3)]), 100),
+            Err(CrnError::CountOverflow {
+                reaction: "X -> 9223372036854775807Y".into(),
+                species: "Y".into(),
+            })
+        );
+    }
 
     #[test]
     fn double_crn_terminates_with_exact_output() {
         let double = examples::double_crn();
         let start = double.initial_configuration(&NVec::from(vec![25])).unwrap();
-        let mut sim = Gillespie::new(double.crn().clone(), 1);
-        let out = sim.run(&start, 1_000_000);
+        let mut sim = Gillespie::new(double.crn(), 1);
+        let out = sim.run(&start, 1_000_000).unwrap();
         assert!(out.silent);
         assert_eq!(out.steps, 25);
         assert_eq!(out.final_configuration.count(double.output()), 50);
@@ -288,8 +361,8 @@ mod tests {
         let start = min
             .initial_configuration(&NVec::from(vec![17, 40]))
             .unwrap();
-        let mut sim = Gillespie::new(min.crn().clone(), 2);
-        let out = sim.run(&start, 1_000_000);
+        let mut sim = Gillespie::new(min.crn(), 2);
+        let out = sim.run(&start, 1_000_000).unwrap();
         assert!(out.silent);
         assert_eq!(out.final_configuration.count(min.output()), 17);
     }
@@ -299,8 +372,8 @@ mod tests {
         let max = examples::max_crn();
         for seed in 0..5 {
             let start = max.initial_configuration(&NVec::from(vec![8, 13])).unwrap();
-            let mut sim = Gillespie::new(max.crn().clone(), seed);
-            let out = sim.run(&start, 1_000_000);
+            let mut sim = Gillespie::new(max.crn(), seed);
+            let out = sim.run(&start, 1_000_000).unwrap();
             assert!(out.silent);
             assert_eq!(out.final_configuration.count(max.output()), 13);
         }
@@ -312,8 +385,8 @@ mod tests {
         let start = double
             .initial_configuration(&NVec::from(vec![100]))
             .unwrap();
-        let mut sim = Gillespie::new(double.crn().clone(), 3);
-        let out = sim.run(&start, 10);
+        let mut sim = Gillespie::new(double.crn(), 3);
+        let out = sim.run(&start, 10).unwrap();
         assert!(!out.silent);
         assert_eq!(out.steps, 10);
     }
@@ -322,7 +395,11 @@ mod tests {
     fn identical_seeds_reproduce_runs() {
         let max = examples::max_crn();
         let start = max.initial_configuration(&NVec::from(vec![5, 9])).unwrap();
-        let run = |seed| Gillespie::new(max.crn().clone(), seed).run(&start, 1_000_000);
+        let run = |seed| {
+            Gillespie::new(max.crn(), seed)
+                .run(&start, 1_000_000)
+                .unwrap()
+        };
         let a = run(11);
         let b = run(11);
         assert_eq!(a.steps, b.steps);
@@ -333,14 +410,16 @@ mod tests {
     fn reseed_replays_the_same_trajectory_on_one_simulator() {
         let max = examples::max_crn();
         let start = max.initial_configuration(&NVec::from(vec![6, 4])).unwrap();
-        let mut sim = Gillespie::new(max.crn().clone(), 0);
+        let mut sim = Gillespie::new(max.crn(), 0);
         sim.reseed(11);
-        let a = sim.run(&start, 1_000_000);
+        let a = sim.run(&start, 1_000_000).unwrap();
         sim.reseed(11);
-        let b = sim.run(&start, 1_000_000);
+        let b = sim.run(&start, 1_000_000).unwrap();
         assert_eq!(a, b);
         // And a reused simulator matches a fresh one.
-        let fresh = Gillespie::new(max.crn().clone(), 11).run(&start, 1_000_000);
+        let fresh = Gillespie::new(max.crn(), 11)
+            .run(&start, 1_000_000)
+            .unwrap();
         assert_eq!(a, fresh);
     }
 
@@ -349,7 +428,9 @@ mod tests {
         let max = examples::max_crn();
         let start = max.initial_configuration(&NVec::from(vec![9, 6])).unwrap();
         for seed in 0..10 {
-            let dense = Gillespie::new(max.crn().clone(), seed).run(&start, 1_000_000);
+            let dense = Gillespie::new(max.crn(), seed)
+                .run(&start, 1_000_000)
+                .unwrap();
             let sparse = SparseGillespie::new(max.crn().clone(), seed).run(&start, 1_000_000);
             assert_eq!(dense, sparse, "diverged at seed {seed}");
         }
@@ -369,8 +450,8 @@ mod tests {
         }
         let mut start = double.initial_configuration(&NVec::from(vec![3])).unwrap();
         start.set(foreign, 9);
-        let mut sim = Gillespie::new(double.crn().clone(), 5);
-        let out = sim.run(&start, 1_000_000);
+        let mut sim = Gillespie::new(double.crn(), 5);
+        let out = sim.run(&start, 1_000_000).unwrap();
         assert!(out.silent);
         assert_eq!(out.final_configuration.count(foreign), 9);
         assert_eq!(out.final_configuration.count(double.output()), 6);
@@ -439,8 +520,8 @@ mod tests {
         for seed in 0..50 {
             let mut start = Configuration::new();
             start.set(x, 20);
-            let mut sim = Gillespie::new(crn.clone(), seed);
-            let out = sim.run(&start, 1_000_000);
+            let mut sim = Gillespie::new(&crn, seed);
+            let out = sim.run(&start, 1_000_000).unwrap();
             assert!(out.silent);
             assert_eq!(out.final_configuration.count(y), 20);
         }

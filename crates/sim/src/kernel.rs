@@ -23,7 +23,7 @@ use crn_model::{CompiledCrn, CompiledReaction};
 ///
 /// The reactant list of a [`CompiledReaction`] preserves the sparse
 /// reactant-map iteration order, and the factors are multiplied in the same
-/// order as [`crate::scheduler::propensity`], so the two functions agree
+/// order as [`crate::gillespie::propensity`], so the two functions agree
 /// bit-for-bit — which is what lets the dense Gillespie kernel replay the
 /// sparse oracle seed-for-seed.
 #[must_use]
@@ -166,7 +166,7 @@ mod tests {
         let state = DenseState::from_configuration(&config, compiled.stride());
         assert_eq!(
             propensity_dense(&compiled.reactions()[0], state.counts()),
-            crate::scheduler::propensity(crn, &config, 0)
+            crate::gillespie::propensity(crn, &config, 0)
         );
         let empty = DenseState::zero(compiled.stride());
         assert_eq!(
@@ -186,7 +186,7 @@ mod tests {
         let mut table = PropensityTable::new();
         table.rebuild(&compiled, state.counts());
         // Fire X1 -> Z1 + Y and verify against a fresh rebuild.
-        state.apply(&compiled.reactions()[0]);
+        state.apply(&compiled.reactions()[0]).unwrap();
         table.refresh_after(&compiled, state.counts(), 0);
         let mut fresh = PropensityTable::new();
         fresh.rebuild(&compiled, state.counts());
@@ -206,11 +206,11 @@ mod tests {
         assert_eq!(set.indices(), &[0, 1]);
         // Fire both input reactions: Z1 + Z2 -> K and K + Y -> 0 wake up.
         for fired in [0usize, 1] {
-            state.apply(&compiled.reactions()[fired]);
+            state.apply(&compiled.reactions()[fired]).unwrap();
             set.refresh_after(&compiled, state.counts(), fired);
         }
         assert_eq!(set.indices(), &[2]);
-        state.apply(&compiled.reactions()[2]);
+        state.apply(&compiled.reactions()[2]).unwrap();
         set.refresh_after(&compiled, state.counts(), 2);
         assert_eq!(set.indices(), &[3]);
     }

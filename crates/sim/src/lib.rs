@@ -4,34 +4,37 @@
 //! correctness notion ("stable computation") is rate-independent, but the
 //! simulator lets us *measure* the constructions: convergence time versus
 //! input size (experiment E9), composition overhead (E10), and the behaviour
-//! of the Figure 1 examples (E1).  The crate provides:
+//! of the Figure 1 examples (E1).  The crate has two simulators:
 //!
 //! * exact Gillespie stochastic simulation ([`gillespie`]) on the dense
 //!   compiled kernel, with mass-action propensities maintained
 //!   **incrementally** through the reaction dependency graph of
 //!   [`crn_model::CompiledCrn`] (the sparse seed implementation survives as
-//!   [`SparseGillespie`], the differential oracle),
-//! * the shared dense-kernel pieces ([`kernel`]): the incremental propensity
-//!   table and the incrementally-maintained applicable set,
-//! * discrete schedulers ([`scheduler`]) — uniform, propensity-weighted and
-//!   adversarial priority schedulers — for exploring reachability-style
-//!   executions without a notion of real time,
-//! * convergence runs ([`convergence`]) that execute until the CRN is silent
-//!   or a step bound is hit, with a reusable compiled kernel for batches,
-//! * a parallel ensemble runner ([`ensemble`]) fanning independent trials
-//!   across scoped threads with decorrelated seed streams and worker-count
-//!   independent (bit-identical) results, and
-//! * a batch experiment runner ([`runner`]) with summary statistics.
+//!   [`SparseGillespie`], the differential oracle), fanned out by the
+//!   parallel ensemble runner ([`ensemble`]) across scoped threads with
+//!   decorrelated seed streams and worker-count independent (bit-identical)
+//!   results; and
+//! * the seeded uniform runner ([`convergence`]), a fair discrete scheduler
+//!   that fires a uniformly drawn applicable reaction until the CRN is
+//!   silent or a step bound is hit, behind the box-wide spot checks of
+//!   [`runner`].
+//!
+//! Both share the dense-kernel pieces ([`kernel`]): the incremental
+//! propensity table and the incrementally-maintained applicable set.  The
+//! [`runner`] module also builds the convergence-versus-input-size series,
+//! with summary statistics from [`stats`].  A count that a firing would push
+//! past `u64::MAX` stops either simulator with
+//! [`crn_model::CrnError::CountOverflow`].
 //!
 //! ```
 //! use crn_model::examples;
 //! use crn_numeric::NVec;
-//! use crn_sim::convergence::run_to_silence;
-//! use crn_sim::scheduler::UniformScheduler;
+//! use crn_sim::ConvergenceKernel;
 //!
 //! let min = examples::min_crn();
-//! let mut scheduler = UniformScheduler::seeded(7);
-//! let report = run_to_silence(&min, &NVec::from(vec![30, 40]), &mut scheduler, 100_000).unwrap();
+//! let report = ConvergenceKernel::new(&min)
+//!     .run_to_silence(&NVec::from(vec![30, 40]), 7, 100_000)
+//!     .unwrap();
 //! assert_eq!(report.output, 30);
 //! assert!(report.silent);
 //! ```
@@ -44,16 +47,11 @@ pub mod ensemble;
 pub mod gillespie;
 pub mod kernel;
 pub mod runner;
-pub mod scheduler;
 pub mod stats;
 
-pub use convergence::{run_to_silence, ConvergenceKernel, ConvergenceReport};
+pub use convergence::{ConvergenceKernel, ConvergenceReport};
 pub use ensemble::{Ensemble, SeedStream, TrialAccumulator};
 pub use gillespie::{Gillespie, GillespieOutcome, SparseGillespie};
 pub use kernel::{ApplicableSet, PropensityTable};
-pub use runner::{
-    convergence_series, measure_convergence, measure_convergence_with_workers, ConvergencePoint,
-    TrialSummary,
-};
-pub use scheduler::{PriorityScheduler, PropensityScheduler, Scheduler, UniformScheduler};
+pub use runner::{convergence_series, ConvergencePoint, TrialSummary};
 pub use stats::{Summary, SummaryAccumulator};

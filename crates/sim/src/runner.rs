@@ -1,5 +1,5 @@
-//! Batch experiment runner: repeated trials and convergence-versus-input-size
-//! series (the data behind experiments E1, E9, E10, E12).
+//! Batch experiment runner: convergence-versus-input-size series (the data
+//! behind experiments E1, E9 and E10) and box-wide spot checks.
 //!
 //! Repeated trials run on the [`Ensemble`] —
 //! independent simulations fanned across scoped worker threads with
@@ -11,7 +11,6 @@ use crn_numeric::NVec;
 
 use crate::convergence::ConvergenceKernel;
 use crate::ensemble::{Ensemble, SeedStream};
-use crate::scheduler::UniformScheduler;
 use crate::stats::Summary;
 
 /// Summary of repeated trials of one CRN on one input.
@@ -28,47 +27,6 @@ pub struct TrialSummary {
     pub outputs: Vec<u64>,
     /// Fraction of trials that reached silence before the step bound.
     pub silent_fraction: f64,
-}
-
-/// Runs `trials` independent Gillespie simulations of `crn` on `x`, fanned
-/// across one worker thread per available core.
-///
-/// Trial `t` is seeded with `SeedStream::new(seed).seed(t)`, so the result is
-/// deterministic in `seed` and identical for every worker count.
-///
-/// # Errors
-///
-/// Returns [`CrnError::DimensionMismatch`] if `x` has the wrong arity.
-pub fn measure_convergence(
-    crn: &FunctionCrn,
-    x: &NVec,
-    trials: u32,
-    max_steps: u64,
-    seed: u64,
-) -> Result<TrialSummary, CrnError> {
-    Ensemble::new(crn)
-        .with_max_steps(max_steps)
-        .run(x, trials, seed)
-}
-
-/// [`measure_convergence`] with an explicit worker-thread count (mainly for
-/// scaling benchmarks; the results are identical for every value).
-///
-/// # Errors
-///
-/// Returns [`CrnError::DimensionMismatch`] if `x` has the wrong arity.
-pub fn measure_convergence_with_workers(
-    crn: &FunctionCrn,
-    x: &NVec,
-    trials: u32,
-    max_steps: u64,
-    seed: u64,
-    workers: usize,
-) -> Result<TrialSummary, CrnError> {
-    Ensemble::new(crn)
-        .with_max_steps(max_steps)
-        .with_workers(workers)
-        .run(x, trials, seed)
 }
 
 /// One point of a convergence-versus-input-size series.
@@ -93,7 +51,7 @@ pub struct ConvergencePoint {
 ///
 /// # Errors
 ///
-/// Propagates errors from [`measure_convergence`].
+/// Propagates errors from [`Ensemble::run`].
 pub fn convergence_series(
     crn: &FunctionCrn,
     sizes: &[u64],
@@ -107,7 +65,11 @@ pub fn convergence_series(
     let mut series = Vec::with_capacity(sizes.len());
     for (k, &n) in sizes.iter().enumerate() {
         let input = make_input(n);
-        let summary = measure_convergence(crn, &input, trials, max_steps, stream.seed(k as u64))?;
+        let summary = Ensemble::new(crn).with_max_steps(max_steps).run(
+            &input,
+            trials,
+            stream.seed(k as u64),
+        )?;
         let want = expected(&input);
         series.push(ConvergencePoint {
             input_size: input.total(),
@@ -120,19 +82,19 @@ pub fn convergence_series(
     Ok(series)
 }
 
-/// Runs one discrete-scheduler trial per input in a box and checks the output
-/// against `expected`; returns the number of mismatches.  This is a cheap
-/// smoke test used by examples (the exhaustive checker in `crn-model`
-/// provides the real guarantee).
+/// Runs one seeded uniform trial per input in a box and checks the output
+/// against `expected`; returns the number of mismatches.  This is the cheap
+/// smoke test of `crn verify --spot` and the examples (the exhaustive
+/// checker in `crn-model` provides the real guarantee).
 ///
 /// The CRN is compiled once (one [`ConvergenceKernel`] reused across every
 /// input) and the box is streamed lazily, so arbitrarily large boxes cost no
-/// up-front materialization.
+/// up-front materialization.  The `k`-th input of the box runs with seed
+/// `SeedStream::new(seed).seed(k)`.
 ///
 /// # Errors
 ///
-/// Propagates errors from
-/// [`run_to_silence`](crate::convergence::run_to_silence).
+/// Propagates errors from [`ConvergenceKernel::run_to_silence`].
 pub fn spot_check_on_box(
     crn: &FunctionCrn,
     expected: impl Fn(&NVec) -> u64,
@@ -144,8 +106,7 @@ pub fn spot_check_on_box(
     let mut kernel = ConvergenceKernel::new(crn);
     let mut mismatches = 0;
     for (k, x) in NVec::box_iter(crn.dim(), bound).enumerate() {
-        let mut scheduler = UniformScheduler::seeded(stream.seed(k as u64));
-        let report = kernel.run_to_silence(&x, &mut scheduler, max_steps)?;
+        let report = kernel.run_to_silence(&x, stream.seed(k as u64), max_steps)?;
         if !report.silent || report.output != expected(&x) {
             mismatches += 1;
         }
@@ -157,17 +118,6 @@ pub fn spot_check_on_box(
 mod tests {
     use super::*;
     use crn_model::examples;
-
-    #[test]
-    fn measure_convergence_of_min() {
-        let min = examples::min_crn();
-        let summary =
-            measure_convergence(&min, &NVec::from(vec![20, 35]), 10, 1_000_000, 7).unwrap();
-        assert_eq!(summary.outputs, vec![20]);
-        assert_eq!(summary.silent_fraction, 1.0);
-        assert_eq!(summary.steps.mean, 20.0);
-        assert!(summary.time.mean > 0.0);
-    }
 
     #[test]
     fn convergence_series_grows_with_input_size() {
@@ -186,19 +136,6 @@ mod tests {
         assert!(series.iter().all(|p| p.all_correct));
         assert!(series[0].mean_steps < series[2].mean_steps);
         assert!(series[0].input_size < series[2].input_size);
-    }
-
-    #[test]
-    fn measurement_is_independent_of_worker_count() {
-        let max = examples::max_crn();
-        let x = NVec::from(vec![6, 9]);
-        let one = measure_convergence_with_workers(&max, &x, 8, 1_000_000, 3, 1).unwrap();
-        for workers in [2usize, 4, 8] {
-            let many =
-                measure_convergence_with_workers(&max, &x, 8, 1_000_000, 3, workers).unwrap();
-            assert_eq!(many, one, "workers={workers}");
-        }
-        assert_eq!(measure_convergence(&max, &x, 8, 1_000_000, 3).unwrap(), one);
     }
 
     #[test]

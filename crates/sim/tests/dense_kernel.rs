@@ -12,9 +12,8 @@ use crn_model::{
     conservation_basis, CompiledCrn, Configuration, Crn, DenseState, Reaction, Species,
     Stoichiometry,
 };
-use crn_sim::gillespie::{Gillespie, SparseGillespie};
+use crn_sim::gillespie::{propensity, Gillespie, SparseGillespie};
 use crn_sim::kernel::{propensity_dense, ApplicableSet, PropensityTable};
-use crn_sim::scheduler::propensity;
 
 /// Builds a small arbitrary CRN over species `{X, Y, Z}` from sampled
 /// stoichiometries (each row: three reactant counts, three product counts).
@@ -70,7 +69,7 @@ proptest! {
     ) {
         let crn = random_crn(&stoich);
         let start = start_config(&crn, (cx, cy, cz));
-        let dense = Gillespie::new(crn.clone(), seed).run(&start, 300);
+        let dense = Gillespie::new(&crn, seed).run(&start, 300).unwrap();
         let sparse = SparseGillespie::new(crn, seed).run(&start, 300);
         prop_assert_eq!(&dense.final_configuration, &sparse.final_configuration);
         prop_assert_eq!(dense.steps, sparse.steps);
@@ -103,7 +102,7 @@ proptest! {
                 break;
             }
             let fired = applicable[pick % applicable.len()];
-            state.apply(&compiled.reactions()[fired]);
+            state.apply(&compiled.reactions()[fired]).unwrap();
             table.refresh_after(&compiled, state.counts(), fired);
 
             let mut fresh = PropensityTable::new();
@@ -142,7 +141,7 @@ proptest! {
                 break;
             }
             let fired = set.indices()[pick % set.indices().len()];
-            state.apply(&compiled.reactions()[fired]);
+            state.apply(&compiled.reactions()[fired]).unwrap();
             set.refresh_after(&compiled, state.counts(), fired);
 
             let rescan: Vec<usize> = (0..compiled.reaction_count())
@@ -174,10 +173,10 @@ proptest! {
         let dense_start = DenseState::from_configuration(&start, compiled.stride());
         let initial: Vec<Option<i128>> =
             laws.iter().map(|law| law.weigh(dense_start.counts())).collect();
-        let mut sim = Gillespie::new(crn, seed);
+        let mut sim = Gillespie::new(&crn, seed);
         for depth in [1u64, 10, 100, 1_000, 10_000] {
             sim.reseed(seed);
-            let out = sim.run(&start, depth);
+            let out = sim.run(&start, depth).unwrap();
             let state = DenseState::from_configuration(&out.final_configuration, compiled.stride());
             for (law, &expected) in laws.iter().zip(&initial) {
                 prop_assert_eq!(

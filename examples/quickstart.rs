@@ -6,8 +6,7 @@
 use composable_crn::model::compose::concatenate;
 use composable_crn::model::{check_stable_computation, examples};
 use composable_crn::numeric::NVec;
-use composable_crn::sim::convergence::run_to_silence;
-use composable_crn::sim::UniformScheduler;
+use composable_crn::sim::ConvergenceKernel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The three CRNs of Figure 1.
@@ -40,8 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Stochastic simulation of the max CRN: the output converges to max even
     // though it can transiently overshoot.
-    let mut scheduler = UniformScheduler::seeded(1);
-    let report = run_to_silence(&max, &NVec::from(vec![40, 25]), &mut scheduler, 1_000_000)?;
+    let report =
+        ConvergenceKernel::new(&max).run_to_silence(&NVec::from(vec![40, 25]), 1, 1_000_000)?;
     println!(
         "SSA run of max on (40, 25): output {} after {} steps (silent: {})",
         report.output, report.steps, report.silent

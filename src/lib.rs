@@ -7,12 +7,14 @@
 //! can depend on a single package:
 //!
 //! * [`model`] — the discrete CRN model, stable computation, composition;
-//! * [`sim`] — stochastic simulation (Gillespie, schedulers, batch runs);
+//! * [`sim`] — stochastic simulation (Gillespie ensembles, the seeded
+//!   uniform runner behind spot checks, convergence series);
 //! * [`semilinear`] — semilinear sets and functions;
 //! * [`geometry`] — regions, recession cones, arrangements (Section 7);
 //! * [`core`] — quilt-affine functions, the Theorem 5.2 characterization,
 //!   Lemma 6.1/6.2 synthesis, Lemma 4.1 witnesses, the Theorem 8.2 scaling;
-//! * [`continuous`] — the continuous (rate-independent) CRN function class;
+//! * [`continuous`] — the continuous (rate-independent) CRN function class
+//!   (min of rational-linear functions);
 //! * [`popproto`] — population protocols and pairwise-collision scheduling;
 //! * [`numeric`] — exact rationals and lattice utilities;
 //! * [`lang`] — the textual `.crn` language (parser, printer, lowering)

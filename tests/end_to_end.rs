@@ -15,9 +15,8 @@ use composable_crn::model::{
 use composable_crn::numeric::NVec;
 use composable_crn::popproto::run_pairwise;
 use composable_crn::semilinear::examples as sl;
-use composable_crn::sim::convergence::run_to_silence;
 use composable_crn::sim::runner::spot_check_on_box;
-use composable_crn::sim::UniformScheduler;
+use composable_crn::sim::ConvergenceKernel;
 
 #[test]
 fn one_dimensional_pipeline_from_presentation_to_simulation() {
@@ -27,6 +26,7 @@ fn one_dimensional_pipeline_from_presentation_to_simulation() {
     let structure = analyze_semilinear_1d(&f, 8, 4).unwrap();
     let crn = synthesize_1d_leader(&structure);
     assert!(crn.is_output_oblivious());
+    let mut kernel = ConvergenceKernel::new(&crn);
     for x in 0..8u64 {
         let expected = f.eval(&NVec::from(vec![x])).unwrap();
         assert!(
@@ -34,8 +34,9 @@ fn one_dimensional_pipeline_from_presentation_to_simulation() {
                 .unwrap()
                 .is_correct()
         );
-        let mut scheduler = UniformScheduler::seeded(x);
-        let report = run_to_silence(&crn, &NVec::from(vec![x]), &mut scheduler, 1_000_000).unwrap();
+        let report = kernel
+            .run_to_silence(&NVec::from(vec![x]), x, 1_000_000)
+            .unwrap();
         assert!(report.silent);
         assert_eq!(report.output, expected);
         let pairwise = run_pairwise(&crn, &NVec::from(vec![x]), x + 1, 1_000_000).unwrap();
@@ -51,13 +52,13 @@ fn two_dimensional_pipeline_for_the_figure7_example() {
         panic!("Figure 7 example must be obliviously computable");
     };
     // The spec reproduces f everywhere we look.
-    for x in NVec::enumerate_box(2, 7) {
+    for x in NVec::box_iter(2, 7) {
         assert_eq!(spec.eval(&x).unwrap(), f.eval(&x).unwrap());
     }
     // Synthesize and verify: exhaustive on tiny inputs, SSA spot checks beyond.
     let crn = synthesize(&spec).unwrap();
     assert!(crn.is_output_oblivious());
-    for x in NVec::enumerate_box(2, 1) {
+    for x in NVec::box_iter(2, 1) {
         let expected = f.eval(&x).unwrap();
         assert!(
             check_stable_computation(&crn, &x, expected, 500_000)
