@@ -393,8 +393,8 @@ pub struct KernelThroughputRow {
 }
 
 /// E14 (single-run half): Gillespie steps/sec of the dense compiled kernel
-/// versus the sparse seed implementation on the Figure 1 CRNs at input
-/// size `n`.
+/// versus the sparse seed implementation on the Figure 1 CRNs and the
+/// synthesized 72-reaction `gated_min` at input size `n`.
 ///
 /// Both engines run the same seed, so besides the timing the rows double as
 /// a differential check: `identical` must be true on every row.
@@ -414,6 +414,11 @@ pub fn e14_kernel_throughput(n: u64, repeats: u32) -> Vec<KernelThroughputRow> {
         (
             format!("max (4 reactions), x=({n},{n})"),
             examples::max_crn(),
+            NVec::from(vec![n, n]),
+        ),
+        (
+            format!("synthesized gated_min (72 reactions), x=({n},{n})"),
+            synthesized_gated_min().1,
             NVec::from(vec![n, n]),
         ),
     ];
@@ -527,6 +532,21 @@ fn lang_compile(source: &str) -> usize {
     doc.items.len()
 }
 
+/// The `gated_min` spec item of `corpus/compound_spec.crn` and its Lemma 6.2
+/// construction (72 reactions).
+fn synthesized_gated_min() -> (crn_lang::ast::SpecItem, FunctionCrn) {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus/compound_spec.crn");
+    let source = std::fs::read_to_string(path).expect("compound_spec exists");
+    let doc = crn_lang::parse(&source).expect("compound_spec parses");
+    let crn_lang::Item::Spec(spec_item) = &doc.items[0] else {
+        panic!("compound_spec.crn starts with a spec item");
+    };
+    let spec = crn_lang::lower_spec(spec_item).expect("spec lowers");
+    let crn = synthesize(&spec).expect("Lemma 6.2 synthesis succeeds");
+    (spec_item.clone(), crn)
+}
+
 /// The E15 documents: the largest checked-in corpus file, plus a large
 /// synthesized document (the Lemma 6.2 construction for the corpus
 /// `gated_min` spec, printed back to text — ~90 species of dotted composed
@@ -545,14 +565,7 @@ pub fn e15_documents() -> Vec<(String, String)> {
     let largest_name = largest.file_name().unwrap().to_string_lossy().into_owned();
     let largest_text = std::fs::read_to_string(&largest).expect("corpus file reads");
 
-    let spec_source =
-        std::fs::read_to_string(corpus.join("compound_spec.crn")).expect("compound_spec exists");
-    let doc = crn_lang::parse(&spec_source).expect("compound_spec parses");
-    let crn_lang::Item::Spec(spec_item) = &doc.items[0] else {
-        panic!("compound_spec.crn starts with a spec item");
-    };
-    let spec = crn_lang::lower_spec(spec_item).expect("spec lowers");
-    let crn = synthesize(&spec).expect("Lemma 6.2 synthesis succeeds");
+    let (spec_item, crn) = synthesized_gated_min();
     let synthesized = crn_lang::print(&crn_lang::Document {
         items: vec![
             crn_lang::Item::Spec(spec_item.clone()),
@@ -818,7 +831,7 @@ mod tests {
     #[test]
     fn e14_kernel_rows_are_identical_and_positive() {
         let rows = e14_kernel_throughput(64, 2);
-        assert_eq!(rows.len(), 3);
+        assert_eq!(rows.len(), 4);
         for row in &rows {
             assert!(row.identical, "{}: engines diverged", row.name);
             assert!(row.steps > 0, "{}: fired nothing", row.name);

@@ -265,8 +265,8 @@ fn phases(
                 .as_deref()
                 .and_then(|computes| resolve_link(&ws, name, computes).ok())
                 .and_then(|target| target.try_eval(&x).ok());
-            // An ensemble error (a count overflow) fails the item, as in
-            // `crn sim`.
+            // An ensemble error (a count or propensity overflow) fails the
+            // item, as in `crn sim`.
             let ok = Ensemble::new(&lowered.crn)
                 .with_max_steps(max_steps)
                 .run(&x, trials, seed)

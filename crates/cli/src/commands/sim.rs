@@ -16,7 +16,7 @@ use crate::json::Json;
 /// `init` declaration.  A run *converges* when every trial reaches silence
 /// with one common output value; when the item has a `computes` link the
 /// output must also equal the linked function's value.  A simulation that
-/// stops with an error (a count overflow) fails its item.
+/// stops with an error (a count or propensity overflow) fails its item.
 ///
 /// Structural lint findings on the document are echoed to stderr in short
 /// form; with `--deny-warnings` any finding forces exit 1 even when every

@@ -127,6 +127,39 @@ fn exit_1_verdict_failure_class() {
     let (code, stdout, _) = run_crn(&["profile", &overflow]);
     assert_eq!(code, 1, "{stdout}");
     assert!(stdout.contains("(1 item(s), 1 failure(s))"), "{stdout}");
+
+    // A propensity past f64's range fails the item too: the roulette cannot
+    // weigh `200 X -> Y` on a million X, so no trial may run biased.
+    let huge = scratch(
+        "huge_propensity.crn",
+        "crn huge {\n  inputs X;\n  output Z;\n  init X = 1000000;\n  200 X -> Y;\n  X -> Z;\n}\n",
+    );
+    let huge = huge.to_str().unwrap();
+    let (code, stdout, _) = run_crn(&[
+        "sim",
+        huge,
+        "--input",
+        "1000000",
+        "--max-steps",
+        "1000",
+        "--json",
+    ]);
+    assert_eq!(
+        code, 1,
+        "sim of an infinite propensity must exit 1\n{stdout}"
+    );
+    assert!(
+        stdout.contains(r#""correct":false"#)
+            && stdout.contains("propensity overflow")
+            && stdout.contains("200X -> Y"),
+        "{stdout}"
+    );
+    let (code, stdout, _) = run_crn(&["profile", huge]);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(
+        stdout.contains("sim") && stdout.contains("(1 item(s), 1 failure(s))"),
+        "{stdout}"
+    );
 }
 
 const PIPELINE_DOC: &str = "\

@@ -97,6 +97,17 @@ const GOLDENS: &[(&str, &str, &[&str], i32)] = &[
     ("count_overflow", "sim", &["--input", "3"], 1),
     ("figure1_min", "check", &[], 0),
     ("figure1_double", "sim", &["--trials", "4"], 0),
+    // A seeded ensemble pinned to the bit: on this CRN every trial fires
+    // the same number of reactions, so `mean_time` is what pins the
+    // trajectories.
+    (
+        "figure1_max",
+        "sim",
+        &[
+            "--input", "200,300", "--trials", "8", "--seed", "7", "--json",
+        ],
+        0,
+    ),
     ("pipeline_two_min", "check", &[], 0),
     ("pipeline_two_min", "compose", &[], 0),
     ("pipeline_adversarial", "compose", &[], 0),
@@ -402,7 +413,9 @@ fn synthesize_verify_sim_pipeline_from_the_cli() {
 
     let (code, stdout) = run_crn(&["sim", out_str, "--input", "6,9", "--trials", "6", "--json"]);
     assert_eq!(code, 0, "sim failed:\n{stdout}");
-    assert!(stdout.contains("\"outputs\":[6]"), "{stdout}");
-    assert!(stdout.contains("\"correct\":true"), "{stdout}");
-    assert!(stdout.contains("\"silent_fraction\":1"), "{stdout}");
+    // The whole result is pinned, `mean_time` to the bit: every trial fires
+    // the same number of reactions, so the clock is what pins the
+    // trajectories, and the 16-reaction CRN spans two roulette blocks.
+    let results = r#""results":[{"item":"min2_crn","input":[6,9],"trials":6,"seed":1,"outputs":[6],"expected":6,"silent_fraction":1,"mean_steps":86,"p95_steps":86,"mean_time":8.224133118393441,"converged":true,"correct":true}]"#;
+    assert!(stdout.contains(results), "{stdout}");
 }

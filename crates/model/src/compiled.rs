@@ -33,6 +33,8 @@ use crate::species::Species;
 pub struct CompiledReaction {
     reactants: Vec<(usize, u64)>,
     delta: Vec<(usize, i64)>,
+    /// The number of leading `delta` entries that are negative.
+    consumed: usize,
 }
 
 impl CompiledReaction {
@@ -64,25 +66,37 @@ impl CompiledReaction {
             }
         }
         delta.retain(|&(_, d)| d != 0);
-        CompiledReaction { reactants, delta }
+        // Consumed entries first; the sort is stable, so the produced
+        // entries keep their order and an overflow names the same species.
+        delta.sort_by_key(|&(_, d)| d > 0);
+        let consumed = delta.partition_point(|&(_, d)| d < 0);
+        CompiledReaction {
+            reactants,
+            delta,
+            consumed,
+        }
     }
 
     /// The `(species index, required count)` reactant list, in ascending
     /// species order.
     #[must_use]
+    #[inline]
     pub fn reactants(&self) -> &[(usize, u64)] {
         &self.reactants
     }
 
-    /// The net `(species index, count delta)` effect of one firing.  Catalyst
-    /// species (consumed and re-produced in equal amounts) do not appear.
+    /// The net `(species index, count delta)` effect of one firing, the
+    /// consumed (negative) entries first.  Catalyst species (consumed and
+    /// re-produced in equal amounts) do not appear.
     #[must_use]
+    #[inline]
     pub fn delta(&self) -> &[(usize, i64)] {
         &self.delta
     }
 
     /// Whether the reaction's reactants are present in `counts`.
     #[must_use]
+    #[inline]
     pub fn applicable(&self, counts: &[u64]) -> bool {
         self.reactants.iter().all(|&(i, c)| counts[i] >= c)
     }
@@ -107,13 +121,14 @@ impl CompiledReaction {
     ///
     /// Returns the species whose count the firing would push past
     /// `u64::MAX`; `counts` is then unspecified.
+    #[inline]
     pub fn apply_in_place(&self, counts: &mut [u64]) -> Result<(), Species> {
-        for &(i, d) in &self.delta {
-            if d >= 0 {
-                counts[i] = counts[i].checked_add(d as u64).ok_or(Species(i))?;
-            } else {
-                counts[i] -= (-d) as u64;
-            }
+        let (consumed, produced) = self.delta.split_at(self.consumed);
+        for &(i, d) in consumed {
+            counts[i] -= d.unsigned_abs();
+        }
+        for &(i, d) in produced {
+            counts[i] = counts[i].checked_add(d as u64).ok_or(Species(i))?;
         }
         Ok(())
     }
@@ -210,6 +225,7 @@ impl CompiledCrn {
 
     /// The compiled reactions, in the CRN's reaction order.
     #[must_use]
+    #[inline]
     pub fn reactions(&self) -> &[CompiledReaction] {
         &self.reactions
     }
@@ -225,6 +241,7 @@ impl CompiledCrn {
     /// `fired` changes.  Ascending, duplicate-free; includes `fired` itself
     /// whenever it consumes what it changes (i.e. almost always).
     #[must_use]
+    #[inline]
     pub fn dependents(&self, fired: usize) -> &[usize] {
         &self.dep_targets[self.dep_offsets[fired]..self.dep_offsets[fired + 1]]
     }
@@ -282,6 +299,7 @@ impl DenseState {
 
     /// The flat count vector.
     #[must_use]
+    #[inline]
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }
@@ -305,6 +323,7 @@ impl DenseState {
     ///
     /// Returns the species whose count the firing would push past
     /// `u64::MAX`; the state is then unspecified.
+    #[inline]
     pub fn apply(&mut self, reaction: &CompiledReaction) -> Result<(), Species> {
         reaction.apply_in_place(&mut self.counts)
     }
@@ -349,6 +368,22 @@ mod tests {
         assert_eq!(compiled.apply_in_place(&mut counts), Err(y));
         let mut dst = [0u64; 2];
         assert_eq!(compiled.apply_into(&[1, u64::MAX], &mut dst), Err(y));
+    }
+
+    #[test]
+    fn delta_lists_consumed_entries_first_in_stable_order() {
+        let mut crn = Crn::new();
+        // A is a reactant that the firing nets up, so it counts as produced.
+        crn.parse_reaction("A + 3B -> 2A + C + 4D").unwrap();
+        let compiled = CompiledReaction::compile(&crn.reactions()[0]);
+        let [a, b, c, d] = ["A", "B", "C", "D"].map(|n| crn.species_named(n).unwrap().index());
+        assert_eq!(compiled.delta(), &[(b, -3), (a, 1), (c, 1), (d, 4)]);
+        let mut counts = [1u64, 3, 0, 0];
+        compiled.apply_in_place(&mut counts).unwrap();
+        assert_eq!(counts, [2, 0, 1, 4]);
+        // Both C and D would overflow: the first produced species is named.
+        let mut counts = [1u64, 3, u64::MAX, u64::MAX];
+        assert_eq!(compiled.apply_in_place(&mut counts), Err(Species(c)));
     }
 
     #[test]

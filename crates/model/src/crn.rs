@@ -137,19 +137,39 @@ impl Crn {
     /// written by index.
     #[must_use]
     pub fn count_overflow(&self, index: usize, species: Species) -> CrnError {
-        let known = |s: &Species| s.index() < self.species.len();
-        let reaction = &self.reactions[index];
-        let reaction = if reaction.species().iter().all(known) {
-            reaction.display(&self.species).to_string()
-        } else {
-            format!("reaction {index}")
-        };
-        let species = if known(&species) {
+        let species = if species.index() < self.species.len() {
             self.species.name(species).to_owned()
         } else {
             species.to_string()
         };
-        CrnError::CountOverflow { reaction, species }
+        CrnError::CountOverflow {
+            reaction: self.reaction_text(index),
+            species,
+        }
+    }
+
+    /// The error for a configuration whose in-order propensity sum stops
+    /// being finite at reaction `index`.
+    #[must_use]
+    pub fn propensity_overflow(&self, index: usize) -> CrnError {
+        CrnError::PropensityOverflow {
+            reaction: self.reaction_text(index),
+        }
+    }
+
+    /// Reaction `index` as written, or by index when it names a species
+    /// outside the interner.
+    fn reaction_text(&self, index: usize) -> String {
+        let reaction = &self.reactions[index];
+        if reaction
+            .species()
+            .iter()
+            .all(|s| s.index() < self.species.len())
+        {
+            reaction.display(&self.species).to_string()
+        } else {
+            format!("reaction {index}")
+        }
     }
 
     /// Indices of the reactions applicable in `config`.
@@ -305,6 +325,17 @@ mod tests {
                 reaction: "reaction 1".into(),
                 species: "#7".into(),
             }
+        );
+    }
+
+    #[test]
+    fn propensity_overflow_names_the_reaction() {
+        let mut crn = Crn::new();
+        crn.parse_reaction("200X -> Y").unwrap();
+        assert_eq!(
+            crn.propensity_overflow(0).to_string(),
+            "propensity overflow: the total propensity passes 1.7976931348623157e308 at \
+             `200X -> Y`"
         );
     }
 

@@ -41,6 +41,15 @@ pub enum CrnError {
         /// The species whose count overflows.
         species: String,
     },
+    /// A mass-action propensity, or the total of a configuration's
+    /// propensities, is past the largest `f64`.  A simulation that meets
+    /// such a configuration stops with this error: it cannot draw a
+    /// reaction or a waiting time from an infinite rate.
+    PropensityOverflow {
+        /// The reaction, as written in the CRN, at which the in-order sum
+        /// of propensities stops being finite.
+        reaction: String,
+    },
 }
 
 impl fmt::Display for CrnError {
@@ -65,6 +74,11 @@ impl fmt::Display for CrnError {
                 f,
                 "count overflow: firing `{reaction}` would push the count of `{species}` past {}",
                 u64::MAX
+            ),
+            CrnError::PropensityOverflow { reaction } => write!(
+                f,
+                "propensity overflow: the total propensity passes {:e} at `{reaction}`",
+                f64::MAX
             ),
         }
     }

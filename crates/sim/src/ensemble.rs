@@ -234,7 +234,8 @@ impl<'a> Ensemble<'a> {
     ///
     /// Returns [`CrnError::DimensionMismatch`] if `x` has the wrong arity, and
     /// the error of the lowest-numbered trial that fails (a
-    /// [`CrnError::CountOverflow`]) at every worker count.
+    /// [`CrnError::CountOverflow`] or [`CrnError::PropensityOverflow`]) at
+    /// every worker count.
     ///
     /// # Panics
     ///

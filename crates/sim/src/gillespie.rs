@@ -9,12 +9,21 @@
 //! ([`CompiledCrn`]), the configuration is a flat count vector fired in
 //! place, and the per-reaction propensity table is refreshed **incrementally**
 //! through the compiled dependency graph — after a firing only the reactions
-//! sharing a species with the fired one are recomputed.  [`SparseGillespie`]
-//! is the seed implementation on sparse `BTreeMap` configurations, kept as
-//! the differential oracle: for the same seed the two produce bit-identical
-//! trajectories (the dense propensities, their summation order and the RNG
-//! draws all match), which the property tests in `tests/dense_kernel.rs`
-//! check seed-for-seed on random CRNs.
+//! sharing a species with the fired one are recomputed.  The table keeps the
+//! total and per-block sums as exact running sums, so a step selects its
+//! reaction block by block instead of re-adding and scanning every
+//! propensity; past the exact range it falls back to the in-order sum and
+//! the flat scan of `select_reaction` (see [`crate::kernel`]).
+//! [`SparseGillespie`] is the seed implementation on sparse `BTreeMap`
+//! configurations, kept as the differential oracle: for the same seed the
+//! two produce bit-identical trajectories (the dense propensities, their
+//! sums, the selected reactions and the RNG draws all match), which the
+//! tests in `tests/dense_kernel.rs` check seed-for-seed on random CRNs and
+//! on runs that cross the exact range both ways.
+//!
+//! A configuration whose total propensity is past the largest `f64` has no
+//! meaningful roulette or waiting time, so [`Gillespie::run`] stops with
+//! [`CrnError::PropensityOverflow`] there.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -136,14 +145,15 @@ impl<'a> Gillespie<'a> {
     /// configuration mentions species past the current stride (the public API
     /// allows start configurations over foreign species; their counts are
     /// inert but must be carried into the final configuration).
-    fn load_start(&mut self, start: &Configuration) {
+    fn load_start(&mut self, start: &Configuration) -> Result<(), CrnError> {
         if start.iter().all(|(s, _)| s.index() < self.state.stride()) {
             self.state.load(start);
         } else {
             self.state = DenseState::from_configuration(start, self.compiled.stride());
         }
         self.propensities
-            .rebuild(&self.compiled, self.state.counts());
+            .rebuild(&self.compiled, self.state.counts())
+            .map_err(|r| self.crn.propensity_overflow(r))
     }
 
     /// Advances the chain by one reaction firing: draws the exponential
@@ -159,14 +169,19 @@ impl<'a> Gillespie<'a> {
         // Exponential waiting time with rate `total`.
         let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
         *time += -u.ln() / total;
-        // Choose the reaction proportionally to its propensity.
+        // Choose the reaction proportionally to its propensity: block by
+        // block inside the table's exact range, by the flat scan past it.
         let target = self.rng.gen::<f64>() * total;
-        let chosen = select_reaction(self.propensities.values(), target);
+        let chosen = self
+            .propensities
+            .select(target)
+            .unwrap_or_else(|| select_reaction(self.propensities.values(), target));
         self.state
             .apply(&self.compiled.reactions()[chosen])
             .map_err(|species| self.crn.count_overflow(chosen, species))?;
         self.propensities
-            .refresh_after(&self.compiled, self.state.counts(), chosen);
+            .refresh_after(&self.compiled, self.state.counts(), chosen)
+            .map_err(|r| self.crn.propensity_overflow(r))?;
         Ok(true)
     }
 
@@ -181,13 +196,14 @@ impl<'a> Gillespie<'a> {
     /// # Errors
     ///
     /// Returns [`CrnError::CountOverflow`] if a firing would push a count
-    /// past `u64::MAX`.
+    /// past `u64::MAX`, and [`CrnError::PropensityOverflow`] if the total
+    /// propensity of a configuration is past the largest `f64`.
     pub fn run(
         &mut self,
         start: &Configuration,
         max_steps: u64,
     ) -> Result<GillespieOutcome, CrnError> {
-        self.load_start(start);
+        self.load_start(start)?;
         let mut time = 0.0f64;
         let mut steps = 0u64;
         let silent = loop {
@@ -339,6 +355,38 @@ mod tests {
             Err(CrnError::CountOverflow {
                 reaction: "X -> 9223372036854775807Y".into(),
                 species: "Y".into(),
+            })
+        );
+    }
+
+    #[test]
+    fn an_infinite_propensity_ends_the_run_with_an_error() {
+        let mut crn = Crn::new();
+        crn.parse_reaction("200X -> Y").unwrap();
+        crn.parse_reaction("X -> Z").unwrap();
+        let x = crn.species_named("X").unwrap();
+        let mut sim = Gillespie::new(&crn, 0);
+        // A million X give `200X -> Y` a propensity past f64::MAX: the
+        // roulette cannot weigh it, so the run fails before its first step.
+        let overflow = Err(CrnError::PropensityOverflow {
+            reaction: "200X -> Y".into(),
+        });
+        let start = |n| Configuration::from_counts(vec![(x, n)]);
+        assert_eq!(sim.run(&start(1_000_000), 1000), overflow);
+        // 199 X weigh nothing on the first reaction.
+        let out = sim.run(&start(199), 1000).unwrap();
+        assert!(out.silent && out.time > 0.0);
+
+        // A run can also climb out of f64's range: each firing of the
+        // autocatalytic `150X -> 151X` multiplies its propensity by about
+        // 1.3, from 1e304 at 190 X past f64::MAX a few X later.
+        let mut crn = Crn::new();
+        crn.parse_reaction("150X -> 151X").unwrap();
+        let x = crn.species_named("X").unwrap();
+        assert_eq!(
+            Gillespie::new(&crn, 0).run(&Configuration::from_counts(vec![(x, 190)]), 100),
+            Err(CrnError::PropensityOverflow {
+                reaction: "150X -> 151X".into(),
             })
         );
     }
@@ -510,6 +558,36 @@ mod tests {
         assert_eq!(select_reaction(&p, 3.5), 3);
         // Trailing zero propensity is never selected, even on overshoot.
         assert_eq!(select_reaction(&[1.0, 0.0], 2.0), 0);
+    }
+
+    #[test]
+    fn block_roulette_picks_what_the_in_order_scan_picks() {
+        // 19 reactions in three blocks: `kX -> Y` with k = i mod 7 weighs
+        // 1, 5, 20, 60, 120, 120 and 0 at X = 5 for k = 0, …, 6.
+        let mut crn = Crn::new();
+        for i in 1..=19 {
+            crn.parse_reaction(&format!("{}X -> Y", i % 7)).unwrap();
+        }
+        let compiled = CompiledCrn::compile(&crn);
+        let mut table = PropensityTable::new();
+        table.rebuild(&compiled, &[5, 0]).unwrap();
+        let total = table.total();
+        assert_eq!(total, table.values().iter().sum::<f64>());
+        let mut target = 0.0;
+        while target < total {
+            assert_eq!(
+                table.select(target),
+                Some(select_reaction(table.values(), target)),
+                "target {target}"
+            );
+            target += 0.25;
+        }
+        // A target rounded up to the total falls back to the last
+        // reaction with positive propensity, as the in-order scan does.
+        assert_eq!(
+            table.select(total),
+            Some(select_reaction(table.values(), total))
+        );
     }
 
     #[test]

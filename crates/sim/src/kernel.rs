@@ -13,6 +13,16 @@
 //! the same deterministic function of the same counts a full rebuild would
 //! evaluate, so the table is bit-identical to a fresh rebuild after any
 //! firing sequence (property-tested in `tests/dense_kernel.rs`).
+//!
+//! The [`PropensityTable`] also keeps the total and the sums over blocks of
+//! eight reactions as running sums, so a step neither re-adds every
+//! propensity nor scans every reaction to select one.  Unit-rate propensities
+//! are integers, so while each is below `2^53 / (R + 1)` every sum of them is
+//! an integer below 2^53 and f64 arithmetic on them is exact: the running
+//! total equals the in-order sum bit for bit, and the block roulette picks the
+//! reaction the in-order scan would.  Past that limit the table falls back to
+//! the in-order sum and the flat scan until every propensity is below it
+//! again.
 
 use crn_model::{CompiledCrn, CompiledReaction};
 
@@ -41,11 +51,66 @@ pub fn propensity_dense(reaction: &CompiledReaction, counts: &[u64]) -> f64 {
     a
 }
 
+/// The number of reactions per block of the propensity roulette.
+const BLOCK: usize = 8;
+
+/// How a reaction's propensity is computed, fixed once per CRN.  Each form
+/// multiplies the same factors in the same order as [`propensity_dense`]
+/// (whose leading `1.0 ·` is exact), so it returns the same bits.
+#[derive(Debug, Clone, Copy)]
+enum Form {
+    /// No reactants: 1.
+    Constant,
+    /// `X → …`: the count `c` of `X`.
+    Linear(usize),
+    /// `X + Y → …`: `c₁·c₂`.
+    Pair(usize, usize),
+    /// `2X → …`: `c·(c−1)`.
+    Dimer(usize),
+    /// Any other reactant multiset: [`propensity_dense`].
+    General,
+}
+
+impl Form {
+    fn of(reaction: &CompiledReaction) -> Form {
+        match *reaction.reactants() {
+            [] => Form::Constant,
+            [(s, 1)] => Form::Linear(s),
+            [(s, 1), (t, 1)] => Form::Pair(s, t),
+            [(s, 2)] => Form::Dimer(s),
+            _ => Form::General,
+        }
+    }
+
+    #[inline]
+    fn eval(self, reaction: &CompiledReaction, counts: &[u64]) -> f64 {
+        match self {
+            Form::Constant => 1.0,
+            Form::Linear(s) => counts[s] as f64,
+            Form::Pair(s, t) => counts[s] as f64 * counts[t] as f64,
+            Form::Dimer(s) => counts[s] as f64 * counts[s].saturating_sub(1) as f64,
+            Form::General => propensity_dense(reaction, counts),
+        }
+    }
+}
+
 /// A per-reaction propensity table kept current across firings via the
-/// compiled dependency graph.
+/// compiled dependency graph, with its total and its sums over blocks of
+/// eight reactions.
 #[derive(Debug, Clone, Default)]
 pub struct PropensityTable {
+    forms: Vec<Form>,
     values: Vec<f64>,
+    /// `blocks[b]` is the sum of `values[b * BLOCK ..][.. BLOCK]`, exact (and
+    /// read) only while `exact`.
+    blocks: Vec<f64>,
+    total: f64,
+    /// `2^53 / (R + 1)`: below it, every sum of propensities is exact.
+    limit: f64,
+    /// Whether every value is below `limit`, so that `total` and `blocks`
+    /// are running sums.  Otherwise `total` is re-summed in order after
+    /// every refresh.
+    exact: bool,
 }
 
 impl PropensityTable {
@@ -55,19 +120,80 @@ impl PropensityTable {
         PropensityTable::default()
     }
 
-    /// Recomputes every entry from scratch (run start, or after an arbitrary
-    /// state change).
-    pub fn rebuild(&mut self, crn: &CompiledCrn, counts: &[u64]) {
+    /// Compiles each reaction's propensity form and recomputes every entry
+    /// from scratch (run start, or after an arbitrary state change).
+    ///
+    /// # Errors
+    ///
+    /// Returns the index of the reaction at which the in-order sum of the
+    /// propensities stops being finite.
+    pub fn rebuild(&mut self, crn: &CompiledCrn, counts: &[u64]) -> Result<(), usize> {
+        self.forms.clear();
+        self.forms.extend(crn.reactions().iter().map(Form::of));
         self.values.clear();
-        self.values
-            .extend(crn.reactions().iter().map(|r| propensity_dense(r, counts)));
+        self.values.extend(
+            self.forms
+                .iter()
+                .zip(crn.reactions())
+                .map(|(form, reaction)| form.eval(reaction, counts)),
+        );
+        self.limit = (1u64 << 53) as f64 / (self.values.len() + 1) as f64;
+        self.resum()
     }
 
-    /// Recomputes only the entries that firing `fired` can have changed.
-    pub fn refresh_after(&mut self, crn: &CompiledCrn, counts: &[u64], fired: usize) {
+    /// Recomputes only the entries that firing `fired` can have changed,
+    /// updating the running sums by the difference.
+    ///
+    /// # Errors
+    ///
+    /// As [`rebuild`](Self::rebuild), checked only once the table has left
+    /// its exact range.
+    #[inline]
+    pub fn refresh_after(
+        &mut self,
+        crn: &CompiledCrn,
+        counts: &[u64],
+        fired: usize,
+    ) -> Result<(), usize> {
+        let reactions = crn.reactions();
+        let mut below = true;
         for &j in crn.dependents(fired) {
-            self.values[j] = propensity_dense(&crn.reactions()[j], counts);
+            let a = self.forms[j].eval(&reactions[j], counts);
+            let change = a - self.values[j];
+            self.values[j] = a;
+            self.blocks[j / BLOCK] += change;
+            self.total += change;
+            below &= a < self.limit;
         }
+        if self.exact && below {
+            return Ok(());
+        }
+        self.resum()
+    }
+
+    /// Sums the values in reaction order and restarts the block sums; they
+    /// run from here if every value is below the limit.
+    fn resum(&mut self) -> Result<(), usize> {
+        self.total = self.values.iter().sum();
+        if !self.total.is_finite() {
+            let mut partial = 0.0f64;
+            return Err(self
+                .values
+                .iter()
+                .position(|&a| {
+                    partial += a;
+                    !partial.is_finite()
+                })
+                .expect("an infinite sum has an infinite prefix"));
+        }
+        self.exact = self.values.iter().all(|&a| a < self.limit);
+        self.blocks.clear();
+        self.blocks.extend(
+            self.values
+                .chunks(BLOCK)
+                .map(|block| block.iter().sum::<f64>()),
+        );
+        Ok(())
     }
 
     /// The per-reaction propensities, in reaction order.
@@ -76,11 +202,46 @@ impl PropensityTable {
         &self.values
     }
 
-    /// The total propensity, summed in reaction order (the same order and
-    /// rounding as a full sparse recompute, for seed-for-seed parity).
+    /// The total propensity.  Bit for bit the sum of [`values`](Self::values)
+    /// in reaction order: a running sum while the table is exact, the
+    /// in-order sum itself otherwise.
     #[must_use]
     pub fn total(&self) -> f64 {
-        self.values.iter().sum()
+        self.total
+    }
+
+    /// The reaction whose propensity interval contains `target` (drawn from
+    /// `[0, total)`), found by skipping whole blocks whose sum does not
+    /// exceed what is left of `target` and scanning the one that does.
+    ///
+    /// Exact arithmetic makes this the reaction the in-order scan picks,
+    /// including its fallback to the last reaction with positive propensity
+    /// when rounding puts `target` at `total`.  Returns `None` when the table
+    /// is past its exact range; the caller then scans [`values`](Self::values)
+    /// in order.
+    #[inline]
+    #[must_use]
+    pub fn select(&self, mut target: f64) -> Option<usize> {
+        if !self.exact {
+            return None;
+        }
+        let mut passed = |sum: f64| {
+            if target < sum {
+                return true;
+            }
+            target -= sum;
+            false
+        };
+        let Some(block) = self.blocks.iter().position(|&sum| passed(sum)) else {
+            return self.values.iter().rposition(|&a| a > 0.0);
+        };
+        let start = block * BLOCK;
+        let end = self.values.len().min(start + BLOCK);
+        let offset = self.values[start..end]
+            .iter()
+            .position(|&a| passed(a))
+            .expect("the block's sum exceeds the target, so one of its values does");
+        Some(start + offset)
     }
 }
 
@@ -153,7 +314,7 @@ impl ApplicableSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crn_model::{examples, Configuration, DenseState};
+    use crn_model::{examples, Configuration, Crn, DenseState};
 
     #[test]
     fn dense_propensity_matches_sparse() {
@@ -184,13 +345,67 @@ mod tests {
             .unwrap();
         let mut state = DenseState::from_configuration(&start, compiled.stride());
         let mut table = PropensityTable::new();
-        table.rebuild(&compiled, state.counts());
+        table.rebuild(&compiled, state.counts()).unwrap();
         // Fire X1 -> Z1 + Y and verify against a fresh rebuild.
         state.apply(&compiled.reactions()[0]).unwrap();
-        table.refresh_after(&compiled, state.counts(), 0);
+        table.refresh_after(&compiled, state.counts(), 0).unwrap();
         let mut fresh = PropensityTable::new();
-        fresh.rebuild(&compiled, state.counts());
+        fresh.rebuild(&compiled, state.counts()).unwrap();
         assert_eq!(table.values(), fresh.values());
+        assert_eq!(table.total().to_bits(), fresh.total().to_bits());
+    }
+
+    #[test]
+    fn compiled_forms_match_the_general_product() {
+        let mut crn = Crn::new();
+        for reaction in [
+            "0 -> X",
+            "X -> Y",
+            "X + Y -> Z",
+            "2X -> Y",
+            "3X -> Y",
+            "2X + Y -> Z",
+            "X + Y + Z -> X",
+        ] {
+            crn.parse_reaction(reaction).unwrap();
+        }
+        let compiled = CompiledCrn::compile(&crn);
+        let mut table = PropensityTable::new();
+        for counts in [
+            [0u64, 0, 0],
+            [1, 1, 1],
+            [2, 0, 5],
+            [7, 3, 2],
+            [u64::MAX, 1 << 60, 3],
+        ] {
+            table.rebuild(&compiled, &counts).unwrap();
+            for (reaction, &a) in compiled.reactions().iter().zip(table.values()) {
+                assert_eq!(a.to_bits(), propensity_dense(reaction, &counts).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn the_table_leaves_and_regains_its_exact_range() {
+        // Two reactions: the limit is 2^53 / 3, which X(X - 1) passes
+        // between X = 54,794,158 and 54,794,159.
+        let mut crn = Crn::new();
+        crn.parse_reaction("2X -> 3X").unwrap();
+        crn.parse_reaction("2X -> X").unwrap();
+        let compiled = CompiledCrn::compile(&crn);
+        let mut table = PropensityTable::new();
+        let mut counts = [54_794_158u64];
+        table.rebuild(&compiled, &counts).unwrap();
+        assert!(table.select(0.0).is_some());
+        // Growing past the limit falls back to the in-order arithmetic.
+        compiled.reactions()[0].apply_in_place(&mut counts).unwrap();
+        table.refresh_after(&compiled, &counts, 0).unwrap();
+        assert_eq!(table.select(0.0), None);
+        assert_eq!(table.total(), table.values().iter().sum::<f64>());
+        // Shrinking below it restarts the running sums.
+        compiled.reactions()[1].apply_in_place(&mut counts).unwrap();
+        table.refresh_after(&compiled, &counts, 1).unwrap();
+        assert_eq!(table.select(0.0), Some(0));
     }
 
     #[test]

@@ -20,11 +20,15 @@
 //!   [`runner`].
 //!
 //! Both share the dense-kernel pieces ([`kernel`]): the incremental
-//! propensity table and the incrementally-maintained applicable set.  The
+//! propensity table, whose exact running total and block sums let a
+//! Gillespie step select a reaction without re-adding or scanning every
+//! propensity, and the incrementally-maintained applicable set.  The
 //! [`runner`] module also builds the convergence-versus-input-size series,
 //! with summary statistics from [`stats`].  A count that a firing would push
 //! past `u64::MAX` stops either simulator with
-//! [`crn_model::CrnError::CountOverflow`].
+//! [`crn_model::CrnError::CountOverflow`], and a total propensity past the
+//! largest `f64` stops the Gillespie simulator with
+//! [`crn_model::CrnError::PropensityOverflow`].
 //!
 //! ```
 //! use crn_model::examples;

@@ -2,9 +2,10 @@
 //!
 //! The dense Gillespie kernel must be a *drop-in* replacement for the sparse
 //! seed implementation: identical seed, identical trajectory.  These tests
-//! check that seed-for-seed on random CRNs, and check the incremental
-//! propensity-table / applicable-set maintenance against full recomputation
-//! after random firing sequences.
+//! check that seed-for-seed on random CRNs and on deterministic runs that
+//! cross the propensity table's exact range both ways, and check the
+//! incremental propensity-table / applicable-set maintenance against full
+//! recomputation after random firing sequences.
 
 use proptest::prelude::*;
 
@@ -46,6 +47,91 @@ fn start_config(crn: &Crn, counts: (u64, u64, u64)) -> Configuration {
         (crn.species_named("Y").unwrap(), counts.1),
         (crn.species_named("Z").unwrap(), counts.2),
     ])
+}
+
+/// Runs the dense kernel and the sparse oracle from `start` with `seed` for
+/// at most `max_steps` firings and asserts the same trajectory: steps,
+/// silence, final configuration and the clock's bits.
+fn assert_replays_oracle(crn: &Crn, start: &Configuration, seed: u64, max_steps: u64) {
+    let dense = Gillespie::new(crn, seed).run(start, max_steps).unwrap();
+    let sparse = SparseGillespie::new(crn.clone(), seed).run(start, max_steps);
+    assert_eq!(dense.steps, sparse.steps, "seed {seed}");
+    assert_eq!(dense.silent, sparse.silent, "seed {seed}");
+    assert_eq!(
+        dense.final_configuration, sparse.final_configuration,
+        "seed {seed}"
+    );
+    assert_eq!(dense.time.to_bits(), sparse.time.to_bits(), "seed {seed}");
+}
+
+/// `crn`'s single species `name` at `count`.
+fn only(crn: &Crn, name: &str, count: u64) -> Configuration {
+    Configuration::from_counts(vec![(crn.species_named(name).unwrap(), count)])
+}
+
+/// The largest `c` whose falling power `c·(c − 1)⋯(c − order + 1)` stays
+/// below `2^53 / (reactions + 1)`, the propensity table's exact range.
+fn last_exact_count(order: u64, reactions: u64) -> u64 {
+    let limit = (1u64 << 53) as f64 / (reactions + 1) as f64;
+    let falling = |c: u64| (0..order).map(|k| (c - k) as f64).product::<f64>();
+    let mut c = limit.powf(1.0 / order as f64) as u64 + order;
+    while falling(c) >= limit {
+        c -= 1;
+    }
+    c
+}
+
+/// A run that starts above the exact range and falls into it: `2Z -> Y`
+/// weighs 3.0086e15 at Z = 54,850,000, above the limit 2^53 / 3, and drops
+/// below it after some 28,000 firings.
+#[test]
+fn runs_falling_into_the_exact_range_replay_the_oracle() {
+    let mut crn = Crn::new();
+    crn.parse_reaction("2Z -> Y").unwrap();
+    crn.parse_reaction("Z -> W").unwrap();
+    assert!(54_850_000 > last_exact_count(2, 2));
+    let start = only(&crn, "Z", 54_850_000);
+    for seed in 0..2 {
+        assert_replays_oracle(&crn, &start, seed, 100_000);
+    }
+}
+
+/// A run that climbs out of the exact range: each firing of the
+/// autocatalytic `3X -> 100X` adds 97 X, from a few X below the limit
+/// (X ≈ 144,000) past X = 208,064, where its propensity alone passes 2^53
+/// and a running total would round.
+#[test]
+fn runs_climbing_out_of_the_exact_range_replay_the_oracle() {
+    let mut crn = Crn::new();
+    crn.parse_reaction("3X -> 100X").unwrap();
+    crn.parse_reaction("2X -> X").unwrap();
+    let start = only(&crn, "X", last_exact_count(3, 2) - 20);
+    for seed in 0..4 {
+        assert_replays_oracle(&crn, &start, seed, 2_000);
+    }
+}
+
+/// Many reactions across three blocks, with a birth-death pair that walks X
+/// back and forth across the limit, so the table leaves and regains its
+/// exact range again and again within one run.
+#[test]
+fn runs_straddling_the_exact_range_replay_the_oracle() {
+    let mut crn = Crn::new();
+    for i in 0..17 {
+        let reaction = match i {
+            3 => "2X -> 3X".to_owned(),
+            12 => "2X -> X".to_owned(),
+            _ if i % 2 == 0 => format!("Y -> A{i}"),
+            _ => format!("Y + A{} -> Y", i - 1),
+        };
+        crn.parse_reaction(&reaction).unwrap();
+    }
+    let x = crn.species_named("X").unwrap();
+    let y = crn.species_named("Y").unwrap();
+    let start = Configuration::from_counts(vec![(x, last_exact_count(2, 17)), (y, 500)]);
+    for seed in 0..3 {
+        assert_replays_oracle(&crn, &start, seed, 5_000);
+    }
 }
 
 /// A proptest strategy for small stoichiometry matrices: 1–4 reactions over
@@ -93,7 +179,7 @@ proptest! {
         let start = start_config(&crn, (cx, cy, cz));
         let mut state = DenseState::from_configuration(&start, compiled.stride());
         let mut table = PropensityTable::new();
-        table.rebuild(&compiled, state.counts());
+        table.rebuild(&compiled, state.counts()).unwrap();
         for pick in picks {
             let applicable: Vec<usize> = (0..compiled.reaction_count())
                 .filter(|&i| compiled.reactions()[i].applicable(state.counts()))
@@ -103,11 +189,16 @@ proptest! {
             }
             let fired = applicable[pick % applicable.len()];
             state.apply(&compiled.reactions()[fired]).unwrap();
-            table.refresh_after(&compiled, state.counts(), fired);
+            table.refresh_after(&compiled, state.counts(), fired).unwrap();
 
             let mut fresh = PropensityTable::new();
-            fresh.rebuild(&compiled, state.counts());
+            fresh.rebuild(&compiled, state.counts()).unwrap();
             prop_assert_eq!(table.values(), fresh.values());
+            // The running total is the in-order sum, bit for bit.
+            prop_assert_eq!(
+                table.total().to_bits(),
+                table.values().iter().sum::<f64>().to_bits()
+            );
             // And both agree with the sparse reference on the sparse view.
             let sparse_view = state.to_configuration();
             for i in 0..compiled.reaction_count() {
