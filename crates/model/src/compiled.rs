@@ -33,8 +33,6 @@ use crate::species::Species;
 pub struct CompiledReaction {
     reactants: Vec<(usize, u64)>,
     delta: Vec<(usize, i64)>,
-    /// The number of leading `delta` entries that are negative.
-    consumed: usize,
 }
 
 impl CompiledReaction {
@@ -66,15 +64,7 @@ impl CompiledReaction {
             }
         }
         delta.retain(|&(_, d)| d != 0);
-        // Consumed entries first; the sort is stable, so the produced
-        // entries keep their order and an overflow names the same species.
-        delta.sort_by_key(|&(_, d)| d > 0);
-        let consumed = delta.partition_point(|&(_, d)| d < 0);
-        CompiledReaction {
-            reactants,
-            delta,
-            consumed,
-        }
+        CompiledReaction { reactants, delta }
     }
 
     /// The `(species index, required count)` reactant list, in ascending
@@ -85,9 +75,8 @@ impl CompiledReaction {
         &self.reactants
     }
 
-    /// The net `(species index, count delta)` effect of one firing, the
-    /// consumed (negative) entries first.  Catalyst species (consumed and
-    /// re-produced in equal amounts) do not appear.
+    /// The net `(species index, count delta)` effect of one firing.  Catalyst
+    /// species (consumed and re-produced in equal amounts) do not appear.
     #[must_use]
     #[inline]
     pub fn delta(&self) -> &[(usize, i64)] {
@@ -123,12 +112,12 @@ impl CompiledReaction {
     /// `u64::MAX`; `counts` is then unspecified.
     #[inline]
     pub fn apply_in_place(&self, counts: &mut [u64]) -> Result<(), Species> {
-        let (consumed, produced) = self.delta.split_at(self.consumed);
-        for &(i, d) in consumed {
-            counts[i] -= d.unsigned_abs();
-        }
-        for &(i, d) in produced {
-            counts[i] = counts[i].checked_add(d as u64).ok_or(Species(i))?;
+        for &(i, d) in &self.delta {
+            if d >= 0 {
+                counts[i] = counts[i].checked_add(d as u64).ok_or(Species(i))?;
+            } else {
+                counts[i] -= (-d) as u64;
+            }
         }
         Ok(())
     }
@@ -368,22 +357,6 @@ mod tests {
         assert_eq!(compiled.apply_in_place(&mut counts), Err(y));
         let mut dst = [0u64; 2];
         assert_eq!(compiled.apply_into(&[1, u64::MAX], &mut dst), Err(y));
-    }
-
-    #[test]
-    fn delta_lists_consumed_entries_first_in_stable_order() {
-        let mut crn = Crn::new();
-        // A is a reactant that the firing nets up, so it counts as produced.
-        crn.parse_reaction("A + 3B -> 2A + C + 4D").unwrap();
-        let compiled = CompiledReaction::compile(&crn.reactions()[0]);
-        let [a, b, c, d] = ["A", "B", "C", "D"].map(|n| crn.species_named(n).unwrap().index());
-        assert_eq!(compiled.delta(), &[(b, -3), (a, 1), (c, 1), (d, 4)]);
-        let mut counts = [1u64, 3, 0, 0];
-        compiled.apply_in_place(&mut counts).unwrap();
-        assert_eq!(counts, [2, 0, 1, 4]);
-        // Both C and D would overflow: the first produced species is named.
-        let mut counts = [1u64, 3, u64::MAX, u64::MAX];
-        assert_eq!(compiled.apply_in_place(&mut counts), Err(Species(c)));
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub fn propensity(crn: &Crn, config: &Configuration, index: usize) -> f64 {
 /// past every interval; the fallback must then be the **last reaction with
 /// positive propensity** — never a zero-propensity (inapplicable) reaction,
 /// whose firing would corrupt the state (or panic, on the sparse oracle).
-fn select_reaction(propensities: &[f64], mut target: f64) -> usize {
+pub(crate) fn select_reaction(propensities: &[f64], mut target: f64) -> usize {
     let mut last_positive = None;
     for (i, &a) in propensities.iter().enumerate() {
         if a > 0.0 {
@@ -169,13 +169,8 @@ impl<'a> Gillespie<'a> {
         // Exponential waiting time with rate `total`.
         let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
         *time += -u.ln() / total;
-        // Choose the reaction proportionally to its propensity: block by
-        // block inside the table's exact range, by the flat scan past it.
-        let target = self.rng.gen::<f64>() * total;
-        let chosen = self
-            .propensities
-            .select(target)
-            .unwrap_or_else(|| select_reaction(self.propensities.values(), target));
+        // Choose the reaction proportionally to its propensity.
+        let chosen = self.propensities.select(self.rng.gen::<f64>() * total);
         self.state
             .apply(&self.compiled.reactions()[chosen])
             .map_err(|species| self.crn.count_overflow(chosen, species))?;
@@ -577,17 +572,14 @@ mod tests {
         while target < total {
             assert_eq!(
                 table.select(target),
-                Some(select_reaction(table.values(), target)),
+                select_reaction(table.values(), target),
                 "target {target}"
             );
             target += 0.25;
         }
         // A target rounded up to the total falls back to the last
         // reaction with positive propensity, as the in-order scan does.
-        assert_eq!(
-            table.select(total),
-            Some(select_reaction(table.values(), total))
-        );
+        assert_eq!(table.select(total), select_reaction(table.values(), total));
     }
 
     #[test]

@@ -26,6 +26,8 @@
 
 use crn_model::{CompiledCrn, CompiledReaction};
 
+use crate::gillespie::select_reaction;
+
 /// The mass-action propensity of `reaction` on a dense count vector: the
 /// number of distinct ways to choose its reactant multiset,
 /// `∏_s C(count_s, r_s)·r_s!` (i.e. the falling factorial), with unit rate
@@ -54,52 +56,11 @@ pub fn propensity_dense(reaction: &CompiledReaction, counts: &[u64]) -> f64 {
 /// The number of reactions per block of the propensity roulette.
 const BLOCK: usize = 8;
 
-/// How a reaction's propensity is computed, fixed once per CRN.  Each form
-/// multiplies the same factors in the same order as [`propensity_dense`]
-/// (whose leading `1.0 ·` is exact), so it returns the same bits.
-#[derive(Debug, Clone, Copy)]
-enum Form {
-    /// No reactants: 1.
-    Constant,
-    /// `X → …`: the count `c` of `X`.
-    Linear(usize),
-    /// `X + Y → …`: `c₁·c₂`.
-    Pair(usize, usize),
-    /// `2X → …`: `c·(c−1)`.
-    Dimer(usize),
-    /// Any other reactant multiset: [`propensity_dense`].
-    General,
-}
-
-impl Form {
-    fn of(reaction: &CompiledReaction) -> Form {
-        match *reaction.reactants() {
-            [] => Form::Constant,
-            [(s, 1)] => Form::Linear(s),
-            [(s, 1), (t, 1)] => Form::Pair(s, t),
-            [(s, 2)] => Form::Dimer(s),
-            _ => Form::General,
-        }
-    }
-
-    #[inline]
-    fn eval(self, reaction: &CompiledReaction, counts: &[u64]) -> f64 {
-        match self {
-            Form::Constant => 1.0,
-            Form::Linear(s) => counts[s] as f64,
-            Form::Pair(s, t) => counts[s] as f64 * counts[t] as f64,
-            Form::Dimer(s) => counts[s] as f64 * counts[s].saturating_sub(1) as f64,
-            Form::General => propensity_dense(reaction, counts),
-        }
-    }
-}
-
 /// A per-reaction propensity table kept current across firings via the
 /// compiled dependency graph, with its total and its sums over blocks of
 /// eight reactions.
 #[derive(Debug, Clone, Default)]
 pub struct PropensityTable {
-    forms: Vec<Form>,
     values: Vec<f64>,
     /// `blocks[b]` is the sum of `values[b * BLOCK ..][.. BLOCK]`, exact (and
     /// read) only while `exact`.
@@ -120,23 +81,17 @@ impl PropensityTable {
         PropensityTable::default()
     }
 
-    /// Compiles each reaction's propensity form and recomputes every entry
-    /// from scratch (run start, or after an arbitrary state change).
+    /// Recomputes every entry from scratch (run start, or after an arbitrary
+    /// state change).
     ///
     /// # Errors
     ///
     /// Returns the index of the reaction at which the in-order sum of the
     /// propensities stops being finite.
     pub fn rebuild(&mut self, crn: &CompiledCrn, counts: &[u64]) -> Result<(), usize> {
-        self.forms.clear();
-        self.forms.extend(crn.reactions().iter().map(Form::of));
         self.values.clear();
-        self.values.extend(
-            self.forms
-                .iter()
-                .zip(crn.reactions())
-                .map(|(form, reaction)| form.eval(reaction, counts)),
-        );
+        self.values
+            .extend(crn.reactions().iter().map(|r| propensity_dense(r, counts)));
         self.limit = (1u64 << 53) as f64 / (self.values.len() + 1) as f64;
         self.resum()
     }
@@ -158,7 +113,7 @@ impl PropensityTable {
         let reactions = crn.reactions();
         let mut below = true;
         for &j in crn.dependents(fired) {
-            let a = self.forms[j].eval(&reactions[j], counts);
+            let a = propensity_dense(&reactions[j], counts);
             let change = a - self.values[j];
             self.values[j] = a;
             self.blocks[j / BLOCK] += change;
@@ -211,37 +166,37 @@ impl PropensityTable {
     }
 
     /// The reaction whose propensity interval contains `target` (drawn from
-    /// `[0, total)`), found by skipping whole blocks whose sum does not
-    /// exceed what is left of `target` and scanning the one that does.
+    /// `[0, total)`): the one `select_reaction` picks on
+    /// [`values`](Self::values).
     ///
-    /// Exact arithmetic makes this the reaction the in-order scan picks,
-    /// including its fallback to the last reaction with positive propensity
-    /// when rounding puts `target` at `total`.  Returns `None` when the table
-    /// is past its exact range; the caller then scans [`values`](Self::values)
-    /// in order.
+    /// Inside the exact range it skips whole blocks whose sum does not
+    /// exceed what is left of `target` and scans the one that does; exact
+    /// arithmetic makes that the reaction the in-order scan picks.  Past the
+    /// range, or when rounding puts `target` at `total` so that no block is
+    /// left, it runs the in-order scan itself.
     #[inline]
     #[must_use]
-    pub fn select(&self, mut target: f64) -> Option<usize> {
-        if !self.exact {
-            return None;
-        }
-        let mut passed = |sum: f64| {
-            if target < sum {
-                return true;
+    pub fn select(&self, target: f64) -> usize {
+        if self.exact {
+            let mut left = target;
+            let mut passed = |sum: f64| {
+                if left < sum {
+                    return true;
+                }
+                left -= sum;
+                false
+            };
+            if let Some(block) = self.blocks.iter().position(|&sum| passed(sum)) {
+                let start = block * BLOCK;
+                let end = self.values.len().min(start + BLOCK);
+                let offset = self.values[start..end]
+                    .iter()
+                    .position(|&a| passed(a))
+                    .expect("the block's sum exceeds the target, so one of its values does");
+                return start + offset;
             }
-            target -= sum;
-            false
-        };
-        let Some(block) = self.blocks.iter().position(|&sum| passed(sum)) else {
-            return self.values.iter().rposition(|&a| a > 0.0);
-        };
-        let start = block * BLOCK;
-        let end = self.values.len().min(start + BLOCK);
-        let offset = self.values[start..end]
-            .iter()
-            .position(|&a| passed(a))
-            .expect("the block's sum exceeds the target, so one of its values does");
-        Some(start + offset)
+        }
+        select_reaction(&self.values, target)
     }
 }
 
@@ -356,36 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_forms_match_the_general_product() {
-        let mut crn = Crn::new();
-        for reaction in [
-            "0 -> X",
-            "X -> Y",
-            "X + Y -> Z",
-            "2X -> Y",
-            "3X -> Y",
-            "2X + Y -> Z",
-            "X + Y + Z -> X",
-        ] {
-            crn.parse_reaction(reaction).unwrap();
-        }
-        let compiled = CompiledCrn::compile(&crn);
-        let mut table = PropensityTable::new();
-        for counts in [
-            [0u64, 0, 0],
-            [1, 1, 1],
-            [2, 0, 5],
-            [7, 3, 2],
-            [u64::MAX, 1 << 60, 3],
-        ] {
-            table.rebuild(&compiled, &counts).unwrap();
-            for (reaction, &a) in compiled.reactions().iter().zip(table.values()) {
-                assert_eq!(a.to_bits(), propensity_dense(reaction, &counts).to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn the_table_leaves_and_regains_its_exact_range() {
         // Two reactions: the limit is 2^53 / 3, which X(X - 1) passes
         // between X = 54,794,158 and 54,794,159.
@@ -396,16 +321,16 @@ mod tests {
         let mut table = PropensityTable::new();
         let mut counts = [54_794_158u64];
         table.rebuild(&compiled, &counts).unwrap();
-        assert!(table.select(0.0).is_some());
+        assert!(table.exact);
         // Growing past the limit falls back to the in-order arithmetic.
         compiled.reactions()[0].apply_in_place(&mut counts).unwrap();
         table.refresh_after(&compiled, &counts, 0).unwrap();
-        assert_eq!(table.select(0.0), None);
+        assert!(!table.exact);
         assert_eq!(table.total(), table.values().iter().sum::<f64>());
         // Shrinking below it restarts the running sums.
         compiled.reactions()[1].apply_in_place(&mut counts).unwrap();
         table.refresh_after(&compiled, &counts, 1).unwrap();
-        assert_eq!(table.select(0.0), Some(0));
+        assert!(table.exact);
     }
 
     #[test]
