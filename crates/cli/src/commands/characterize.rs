@@ -5,7 +5,7 @@ use crn_lang::ast::{Document, Item};
 use crn_lang::spec_to_item;
 
 use crate::args::Args;
-use crate::commands::{load_or_usage, usage_error, EXIT_OK, EXIT_VERDICT};
+use crate::commands::{huge_box, load_or_usage, usage_error, EXIT_OK, EXIT_VERDICT};
 use crate::json::Json;
 
 fn witness_text(witness: &Lemma41Witness) -> String {
@@ -32,7 +32,8 @@ fn witness_json(witness: &Lemma41Witness) -> Json {
 /// Characterizes every `fn` item (or the named one) on `[0, bound]^d`.
 /// Exit codes: 0 when every examined function received a conclusive verdict
 /// (obliviously computable *or* provably impossible), 1 when any verdict was
-/// inconclusive, 2 on usage/parse errors.
+/// inconclusive, 2 on usage/parse errors, including a box with more than
+/// 2^64 points.
 pub fn run(raw: &[String]) -> i32 {
     let args = match Args::parse(raw, &["item", "bound"], &["json"]) {
         Ok(args) => args,
@@ -56,6 +57,9 @@ pub fn run(raw: &[String]) -> i32 {
         },
         None => ws.fns.iter().collect(),
     };
+    if let Some(message) = targets.iter().find_map(|(_, f)| huge_box(bound, f.dim())) {
+        return usage_error(&message);
+    }
     if targets.is_empty() {
         println!("{path}: no fn items to characterize");
         return EXIT_OK;

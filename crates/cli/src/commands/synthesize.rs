@@ -6,7 +6,14 @@ use crn_lang::ast::{Document, Item};
 use crn_lang::{crn_to_item, spec_to_item};
 
 use crate::args::Args;
-use crate::commands::{load_or_usage, usage_error, EXIT_OK, EXIT_USAGE, EXIT_VERDICT};
+use crate::commands::{huge_box, load_or_usage, usage_error, EXIT_OK, EXIT_USAGE, EXIT_VERDICT};
+
+/// The item `crn synthesize` compiles: a spec as it stands, or a `fn` once
+/// characterized.
+enum Source<'a> {
+    Spec(&'a ObliviousSpec),
+    Fn(&'a crn_semilinear::SemilinearFunction),
+}
 
 /// Characterizes a `fn` item and returns its spec, or the exit code for a
 /// non-computable verdict (already reported on stderr).
@@ -43,7 +50,8 @@ fn characterized_spec(
 /// `computes` link, so `crn verify OUT` and `crn sim OUT --input …` work with
 /// no further wiring.  Exit codes: 0 on success, 1 when the function is
 /// impossible/inconclusive or the construction fails, 2 on usage/parse
-/// errors.
+/// errors, including a source item whose box `[0, bound]^d` has more than
+/// 2^64 points.
 pub fn run(raw: &[String]) -> i32 {
     let args = match Args::parse(raw, &["item", "bound", "o"], &[]) {
         Ok(args) => args,
@@ -61,33 +69,40 @@ pub fn run(raw: &[String]) -> i32 {
         Err(code) => return code,
     };
 
-    // Pick the source item and obtain its oblivious spec.
+    // Pick the source item, refuse a box it cannot be characterized on, and
+    // obtain its oblivious spec.
     let find_spec = |name: &str| ws.specs.iter().find(|(n, _)| n == name);
     let find_fn = |name: &str| ws.fns.iter().find(|(n, _)| n == name);
-    let (name, spec): (String, ObliviousSpec) = match args.value("item") {
-        Some(name) => {
-            if let Some((n, spec)) = find_spec(name) {
-                (n.clone(), spec.clone())
-            } else if let Some((n, f)) = find_fn(name) {
-                match characterized_spec(n, f, bound) {
-                    Ok(spec) => (n.clone(), spec),
-                    Err(code) => return code,
-                }
-            } else {
-                return usage_error(&format!("`{path}` has no spec or fn item named `{name}`"));
+    let (name, source) = match args.value("item") {
+        Some(name) => match (find_spec(name), find_fn(name)) {
+            (Some((n, spec)), _) => (n, Source::Spec(spec)),
+            (None, Some((n, f))) => (n, Source::Fn(f)),
+            (None, None) => {
+                return usage_error(&format!("`{path}` has no spec or fn item named `{name}`"))
             }
-        }
+        },
         None => match (ws.specs.as_slice(), ws.fns.as_slice()) {
-            ([(n, spec)], _) => (n.clone(), spec.clone()),
-            ([], [(n, f)]) => match characterized_spec(n, f, bound) {
-                Ok(spec) => (n.clone(), spec),
-                Err(code) => return code,
-            },
+            ([(n, spec)], _) => (n, Source::Spec(spec)),
+            ([], [(n, f)]) => (n, Source::Fn(f)),
             _ => {
                 return usage_error(
                     "the document has several candidate items; pick one with `--item NAME`",
                 )
             }
+        },
+    };
+    let dim = match source {
+        Source::Spec(spec) => spec.dim(),
+        Source::Fn(f) => f.dim(),
+    };
+    if let Some(message) = huge_box(bound, dim) {
+        return usage_error(&message);
+    }
+    let spec = match source {
+        Source::Spec(spec) => spec.clone(),
+        Source::Fn(f) => match characterized_spec(name, f, bound) {
+            Ok(spec) => spec,
+            Err(code) => return code,
         },
     };
 

@@ -30,6 +30,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+// Every command prints through these two macros, which shadow `std`'s: a
+// reader that closes the pipe (`crn check … | head`) ends the output, and
+// the command still finishes and returns its own exit code.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        $crate::print_stdout(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    ($($arg:tt)*) => {
+        print!("{}\n", format_args!($($arg)*))
+    };
+}
+
 mod args;
 pub mod commands;
 pub mod json;
@@ -96,6 +111,17 @@ EXIT CODES:
   Lint warnings never change the exit code unless --deny-warnings is given,
   which promotes any warning to exit 1.
 ";
+
+/// Writes to [`std::io::stdout`], the handle `std`'s `print!` uses, and
+/// ignores a closed pipe.  Any other write error panics, as `std`'s does.
+fn print_stdout(args: std::fmt::Arguments<'_>) {
+    match std::io::Write::write_fmt(&mut std::io::stdout(), args) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            panic!("failed printing to stdout: {e}")
+        }
+        _ => {}
+    }
+}
 
 /// Runs the CLI on `args` (without the program name) and returns the process
 /// exit code.

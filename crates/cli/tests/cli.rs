@@ -3,7 +3,7 @@
 //! binary.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn run_crn(args: &[&str]) -> (i32, String, String) {
     let output = Command::new(env!("CARGO_BIN_EXE_crn"))
@@ -505,7 +505,7 @@ fn boxes_past_u64_points_are_refused_up_front() {
     // [0, 2^64 - 1] has 2^64 points, one more than a u64 cursor indexes;
     // collecting it once aborted the process on a 1.5 GB allocation.
     let double = corpus("figure1_double.crn");
-    for command in ["verify", "check", "profile"] {
+    for command in ["verify", "check", "profile", "characterize", "synthesize"] {
         let (code, _, stderr) = run_crn(&[command, &double, "--bound", "18446744073709551615"]);
         assert_eq!(code, 2, "crn {command}\n{stderr}");
         assert!(
@@ -518,4 +518,28 @@ fn boxes_past_u64_points_are_refused_up_front() {
     let (code, _, stderr) = run_crn(&["verify", &min, "--bound", "4294967295"]);
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("[0, 4294967295]^2"), "{stderr}");
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_without_a_panic() {
+    let mut docs: Vec<String> = std::fs::read_dir(corpus(""))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "crn"))
+        .map(|path| path.to_str().unwrap().to_owned())
+        .collect();
+    docs.sort();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_crn"))
+        .arg("check")
+        .args(&docs)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the crn binary runs");
+    // Close the read end before the command writes its first line.
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("crn check finishes");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

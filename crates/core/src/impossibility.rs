@@ -1,7 +1,7 @@
 //! Lemma 4.1 impossibility witnesses and the negative characterization
 //! (Theorem 5.4).
 
-use crn_model::{max_output_reachable, FunctionCrn};
+use crn_model::{check_stable_computation, FunctionCrn};
 use crn_numeric::NVec;
 
 use crate::error::CoreError;
@@ -103,11 +103,14 @@ pub fn find_lemma41_witness(
 /// output-consuming reactions from a non-output-oblivious CRN (as in
 /// Lemma 2.3) and reports the maximum output reachable on `x`, which for the
 /// `max` CRN exceeds `max(x1, x2)` — demonstrating *why* the consumption of
-/// output is unavoidable.
+/// output is unavoidable.  The maximum is the `max_output_reachable` field
+/// of the stripped CRN's full verdict, which does not depend on the
+/// expected value the verdict is checked against.
 ///
 /// # Errors
 ///
-/// Propagates reachability errors.
+/// Propagates reachability errors: the exploration stops with
+/// `SearchLimitExceeded` past `max_configurations`.
 pub fn overproduction_after_stripping(
     crn: &FunctionCrn,
     x: &NVec,
@@ -126,13 +129,13 @@ pub fn overproduction_after_stripping(
     }
     let roles = crn.roles().clone();
     let stripped_crn = FunctionCrn::new(stripped, roles)?;
-    max_output_reachable(&stripped_crn, x, max_configurations).map_err(CoreError::from)
+    Ok(check_stable_computation(&stripped_crn, x, 0, max_configurations)?.max_output_reachable)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crn_model::examples;
+    use crn_model::{examples, CrnError};
     use crn_semilinear::examples as sl;
 
     #[test]
@@ -185,6 +188,17 @@ mod tests {
         let peak = overproduction_after_stripping(&max, &NVec::from(vec![2, 3]), 100_000).unwrap();
         assert_eq!(peak, 5);
         assert!(peak > 3);
+        for x in NVec::box_iter(2, 4) {
+            let peak = overproduction_after_stripping(&max, &x, 100_000).unwrap();
+            assert_eq!(peak, x[0] + x[1], "at {x}");
+        }
+        // The replay explores under the caller's limit and reports it.
+        assert_eq!(
+            overproduction_after_stripping(&max, &NVec::from(vec![4, 4]), 5),
+            Err(CoreError::Model(CrnError::SearchLimitExceeded {
+                limit: "5 reachable configurations".into()
+            }))
+        );
     }
 
     #[test]
@@ -192,5 +206,9 @@ mod tests {
         let min = examples::min_crn();
         let peak = overproduction_after_stripping(&min, &NVec::from(vec![2, 3]), 100_000).unwrap();
         assert_eq!(peak, 2);
+        for x in NVec::box_iter(2, 4) {
+            let peak = overproduction_after_stripping(&min, &x, 100_000).unwrap();
+            assert_eq!(peak, x[0].min(x[1]), "at {x}");
+        }
     }
 }

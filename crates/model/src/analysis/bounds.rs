@@ -220,7 +220,7 @@ mod tests {
     use crate::config::Configuration;
     use crate::crn::Crn;
     use crate::examples;
-    use crate::reachability::{ReachabilityGraph, ReachabilityLimits};
+    use crate::reachability::oracle::NaiveGraph;
     use crate::reaction::Reaction;
     use crate::species::Species;
     use proptest::prelude::*;
@@ -374,16 +374,15 @@ mod tests {
         ) {
             let crn = random_crn(&stoich);
             let (_, hull) = hull_at(&crn, &top);
-            let limits = ReachabilityLimits { max_configurations: 2_000 };
             for x in crn_numeric::NVec::box_iter(3, 3) {
                 if (0..3).any(|s| x[s] > top[s]) {
                     continue;
                 }
                 let start = Configuration::from_counts((0..3).map(|s| (Species(s), x[s])));
-                let Ok(graph) = ReachabilityGraph::explore(&crn, &start, limits) else {
+                let Ok(graph) = NaiveGraph::explore(&crn, &start, 2_000) else {
                     continue;
                 };
-                for config in graph.configurations() {
+                for config in &graph.configurations {
                     let counts: Vec<u64> = (0..3).map(|s| config.count(Species(s))).collect();
                     prop_assert!(under(&hull, &counts), "{:?} escapes {:?} from {}", counts, hull, x);
                 }

@@ -149,13 +149,6 @@ pub(super) fn weigh(v: &[i128], counts: &[u64]) -> Option<i128> {
 /// combination of the returned vectors.  An overflowing vector is left out.
 #[must_use]
 pub fn conservation_basis(stoich: &Stoichiometry) -> Vec<ConservationLaw> {
-    checked_basis(stoich).0
-}
-
-/// [`conservation_basis`] together with whether the basis is complete:
-/// `false` when `i128` overflow dropped a basis vector, so the returned laws
-/// span only part of the nullspace.
-pub(super) fn checked_basis(stoich: &Stoichiometry) -> (Vec<ConservationLaw>, bool) {
     let cols = stoich.stride();
     let rows = stoich.reaction_count();
     // The constraint matrix A = Nᵀ: A[r][s] = net change of s by reaction r.
@@ -167,21 +160,15 @@ pub(super) fn checked_basis(stoich: &Stoichiometry) -> (Vec<ConservationLaw>, bo
         })
         .collect();
     let Some(pivot_cols) = reduce_to_rref(&mut a, cols) else {
-        return (Vec::new(), false);
+        return Vec::new();
     };
-    let rank = pivot_cols.len();
 
     // One basis vector per free column: set that free variable to 1, every
     // other free variable to 0, and read the pivot variables off the RREF.
-    let mut basis = Vec::with_capacity(cols - rank);
-    let mut complete = true;
-    for free in (0..cols).filter(|c| !pivot_cols.contains(c)) {
-        match basis_vector(&a, &pivot_cols, free, cols) {
-            Some(law) => basis.push(law),
-            None => complete = false,
-        }
-    }
-    (basis, complete)
+    (0..cols)
+        .filter(|c| !pivot_cols.contains(c))
+        .filter_map(|free| basis_vector(&a, &pivot_cols, free, cols))
+        .collect()
 }
 
 /// Forward elimination of `a` (with `cols` columns) to reduced row echelon
@@ -761,21 +748,11 @@ mod tests {
         // Wrapping 2^128 to 0 would fabricate the law
         // E + 2^96 B + 2^64 C + 2^32 D.
         let n = stoich(&overflow_chain());
-        let (basis, complete) = checked_basis(&n);
-        assert!(basis.is_empty());
-        assert!(!complete);
+        assert!(conservation_basis(&n).is_empty());
         let semiflows = nonnegative_laws_capped(&n, FARKAS_ROW_CAP);
         assert!(semiflows.laws.is_empty());
         assert!(semiflows.truncated);
         assert!(semiflows.overflowed);
-    }
-
-    #[test]
-    fn a_complete_basis_reports_itself_complete() {
-        let n = stoich(examples::max_crn().crn());
-        let (basis, complete) = checked_basis(&n);
-        assert!(complete);
-        assert_eq!(basis, conservation_basis(&n));
     }
 
     /// A sparse table as dense rows as wide as its widest column.

@@ -9,9 +9,10 @@
 //!   computed with exact rational arithmetic and scaled to primitive integer
 //!   vectors; a law weighing two configurations differently refutes
 //!   reachability between them;
-//! * [`t_invariant_basis`] / [`nonnegative_t_semiflows`] — T-invariants
-//!   `N·f = 0` (certificates of repeatable reaction cycles), by the same
-//!   elimination and Farkas machinery on the transposed matrix;
+//! * [`nonnegative_t_semiflows`] — nonnegative T-invariants `N·f = 0`
+//!   (certificates of repeatable reaction cycles), by the same Farkas
+//!   machinery on the transposed matrix; an untruncated empty enumeration
+//!   certifies that no firing sequence returns to a configuration it left;
 //! * [`minimal_siphons`] / [`minimal_traps`] — minimal structural deadlock
 //!   and lock-in sets by seeded saturation, capped at [`SIPHON_NODE_CAP`];
 //! * [`SpeciesBounds`] — the decreasing monotone-potential cone: which
@@ -50,6 +51,4 @@ pub use liveness::Liveness;
 pub use shared::CrnAnalysis;
 pub use siphons::{minimal_siphons, minimal_traps, StructuralSets, SIPHON_NODE_CAP};
 pub use stoichiometry::Stoichiometry;
-pub use t_invariants::{
-    nonnegative_t_semiflows, t_invariant_basis, TInvariant, TSemiflowEnumeration,
-};
+pub use t_invariants::{nonnegative_t_semiflows, TInvariant, TSemiflowEnumeration};

@@ -10,10 +10,9 @@
 //! with it, so nothing outlives the command.
 //!
 //! Under `--profile`, the costly initializers show as their own spans:
-//! `model.analysis.bounds` (the decreasing-potential cone),
-//! `model.analysis.t_semiflows` and `model.analysis.acyclic` (the
-//! T-invariant basis, and the T-semiflows when the basis certifies
-//! nothing), each once per analysis.
+//! `model.analysis.bounds` (the decreasing-potential cone) and
+//! `model.analysis.t_semiflows` (the T-semiflows, which both the `C009`
+//! lint and the acyclicity certificate read), each once per analysis.
 
 use crn_sync::OnceLock;
 
@@ -25,7 +24,7 @@ use crate::reachability::symmetry::{input_automorphisms, Automorphism};
 use super::bounds::SpeciesBounds;
 use super::invariants::FARKAS_ROW_CAP;
 use super::stoichiometry::Stoichiometry;
-use super::t_invariants::{nonnegative_t_semiflows, t_invariant_basis, TSemiflowEnumeration};
+use super::t_invariants::{nonnegative_t_semiflows, TSemiflowEnumeration};
 
 /// The static analysis of one function CRN, each artifact computed lazily
 /// and at most once.
@@ -48,7 +47,6 @@ pub struct CrnAnalysis<'a> {
     stoich: OnceLock<Stoichiometry>,
     bounds: OnceLock<SpeciesBounds>,
     t_semiflows: OnceLock<TSemiflowEnumeration>,
-    acyclic: OnceLock<bool>,
     stubborn: OnceLock<StubbornSets>,
     automorphisms: OnceLock<Vec<Automorphism>>,
 }
@@ -63,7 +61,6 @@ impl<'a> CrnAnalysis<'a> {
             stoich: OnceLock::new(),
             bounds: OnceLock::new(),
             t_semiflows: OnceLock::new(),
-            acyclic: OnceLock::new(),
             stubborn: OnceLock::new(),
             automorphisms: OnceLock::new(),
         }
@@ -102,21 +99,13 @@ impl<'a> CrnAnalysis<'a> {
 
     /// No nonzero nonnegative T-invariant exists: no firing sequence can
     /// restore a configuration, so *every* reachability graph of this CRN is
-    /// acyclic (a cycle's firing-count vector would be such an invariant).
-    /// Certified either by a trivial signed T-invariant basis
-    /// ([`t_invariant_basis`] is uncapped, and complete whenever it is not
-    /// `None` for overflow) or by an untruncated empty T-semiflow
-    /// enumeration.
+    /// acyclic (a cycle's firing-count vector would be such an invariant,
+    /// and every such invariant is a nonnegative combination of minimal
+    /// T-semiflows).  Certified by an untruncated, empty T-semiflow
+    /// enumeration; a truncated one certifies nothing.
     pub(crate) fn acyclic(&self) -> bool {
-        *self.acyclic.get_or_init(|| {
-            let _span = crn_obs::span("model.analysis.acyclic");
-            // An overflowed basis is `None`, never empty: it certifies
-            // nothing.
-            t_invariant_basis(self.stoichiometry()).is_some_and(|basis| basis.is_empty()) || {
-                let flows = self.t_semiflows();
-                !flows.truncated && flows.semiflows.is_empty()
-            }
-        })
+        let flows = self.t_semiflows();
+        !flows.truncated && flows.semiflows.is_empty()
     }
 
     /// The stubborn-set relations of the terminal scan.

@@ -10,24 +10,25 @@
 //! A reaction outside *every* T-semiflow support can fire at most finitely
 //! often — the `C009` lint.
 //!
-//! Both computations reuse the P-invariant machinery on the transposed
+//! The enumeration reuses the P-invariant machinery on the transposed
 //! matrix: the left nullspace of `Nᵀ` is the right nullspace of `N`, so
-//! [`t_invariant_basis`] is [`conservation_basis`] on
-//! [`Stoichiometry::transposed`] and [`nonnegative_t_semiflows`] is the same
-//! double-description Farkas enumeration (sharing [`FARKAS_ROW_CAP`]
-//! semantics: a run cut by the cap or by `i128` overflow is sound but
-//! incomplete).  The basis reports overflow as `None` rather than as a
-//! shorter (possibly empty) basis, because an empty basis is a proof that
-//! the CRN has no cycles.
+//! [`nonnegative_t_semiflows`] is the double-description Farkas enumeration
+//! of [`nonnegative_laws_capped`] on [`Stoichiometry::transposed`], with the
+//! same [`FARKAS_ROW_CAP`] semantics: a run cut by the cap or by `i128`
+//! overflow is sound but incomplete, and says so.  Every nonnegative
+//! T-invariant is a nonnegative combination of the minimal T-semiflows, so
+//! an untruncated, empty enumeration proves the CRN has no cycles: it is
+//! the acyclicity certificate of [`CrnAnalysis`](super::CrnAnalysis).
 //!
-//! [`conservation_basis`]: super::invariants::conservation_basis
+//! [`nonnegative_laws_capped`]: super::invariants::nonnegative_laws_capped
 //! [`FARKAS_ROW_CAP`]: super::invariants::FARKAS_ROW_CAP
 
-use super::invariants::{checked_basis, nonnegative_laws_capped};
+use super::invariants::nonnegative_laws_capped;
 use super::stoichiometry::Stoichiometry;
 
-/// An integer T-invariant: one signed firing count per reaction (in the
-/// CRN's reaction order), kept primitive.
+/// An integer T-invariant: one firing count per reaction (in the CRN's
+/// reaction order), kept primitive.  [`nonnegative_t_semiflows`], its only
+/// source, yields T-semiflows, so every count is nonnegative.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TInvariant {
     firings: Vec<i128>,
@@ -53,12 +54,6 @@ impl TInvariant {
             .filter(|&r| self.firings[r] != 0)
             .collect()
     }
-
-    /// Whether every firing count is nonnegative (a T-semiflow).
-    #[must_use]
-    pub fn is_nonnegative(&self) -> bool {
-        self.firings.iter().all(|&c| c >= 0)
-    }
 }
 
 /// The result of a capped T-semiflow enumeration.
@@ -71,25 +66,6 @@ pub struct TSemiflowEnumeration {
     pub truncated: bool,
     /// Whether a combination overflowed `i128` (and was dropped).
     pub overflowed: bool,
-}
-
-/// A basis of the signed right nullspace `{f : N·f = 0}` as primitive
-/// integer vectors, by rational elimination on the transposed matrix, or
-/// `None` when the elimination overflows `i128`.
-///
-/// Complete: every rational T-invariant is a combination of the returned
-/// vectors, so an empty basis proves the CRN admits no reaction cycle that
-/// restores a configuration (every firing makes irreversible progress).
-#[must_use]
-pub fn t_invariant_basis(stoich: &Stoichiometry) -> Option<Vec<TInvariant>> {
-    let (laws, complete) = checked_basis(&stoich.transposed());
-    complete.then(|| {
-        laws.into_iter()
-            .map(|law| TInvariant {
-                firings: law.weights().to_vec(),
-            })
-            .collect()
-    })
 }
 
 /// Minimal-support nonnegative T-invariants (T-semiflows) by the capped
@@ -141,16 +117,14 @@ mod tests {
 
     #[test]
     fn figure1_crns_have_no_cycles() {
-        // min and max both make irreversible progress on every firing: the
-        // T-invariant space is trivial, so no reaction sequence can restore
-        // a configuration.
-        let min = stoich(examples::min_crn().crn());
-        assert_eq!(t_invariant_basis(&min), Some(Vec::new()));
-        let max = stoich(examples::max_crn().crn());
-        assert_eq!(t_invariant_basis(&max), Some(Vec::new()));
-        let flows = nonnegative_t_semiflows(&max, FARKAS_ROW_CAP);
-        assert!(flows.semiflows.is_empty());
-        assert!(!flows.truncated);
+        // min and max both make irreversible progress on every firing: no
+        // T-semiflow exists, so no reaction sequence can restore a
+        // configuration.
+        for crn in [examples::min_crn(), examples::max_crn()] {
+            let flows = nonnegative_t_semiflows(&stoich(crn.crn()), FARKAS_ROW_CAP);
+            assert!(flows.semiflows.is_empty());
+            assert!(!flows.truncated);
+        }
     }
 
     #[test]
@@ -160,15 +134,12 @@ mod tests {
         crn.parse_reaction("A -> B").unwrap();
         crn.parse_reaction("B -> A").unwrap();
         let n = stoich(&crn);
-        let basis = t_invariant_basis(&n).expect("small coefficients");
-        assert_invariants_hold(&basis, &n);
-        assert_eq!(basis.len(), 1);
-        assert_eq!(basis[0].firings(), &[0, 1, 1]);
         let flows = nonnegative_t_semiflows(&n, FARKAS_ROW_CAP);
+        assert_invariants_hold(&flows.semiflows, &n);
         assert!(!flows.truncated);
         assert_eq!(flows.semiflows.len(), 1);
+        assert_eq!(flows.semiflows[0].firings(), &[0, 1, 1]);
         assert_eq!(flows.semiflows[0].support(), vec![1, 2]);
-        assert!(flows.semiflows[0].is_nonnegative());
     }
 
     #[test]
@@ -187,10 +158,11 @@ mod tests {
     }
 
     #[test]
-    fn an_overflowing_basis_is_none_not_empty() {
+    fn an_overflowing_t_semiflow_truncates_the_enumeration() {
         // The cycle closes only after E -> 0 fires 2^128 times per 0 -> A,
-        // so its one T-invariant does not fit i128.  Dropping it would leave
-        // an empty basis, which falsely certifies the CRN acyclic.
+        // so its one T-semiflow does not fit i128.  Dropping it silently
+        // would leave an empty enumeration, which falsely certifies the CRN
+        // acyclic.
         let mut crn = Crn::new();
         for reaction in [
             "0 -> A",
@@ -202,9 +174,7 @@ mod tests {
         ] {
             crn.parse_reaction(reaction).unwrap();
         }
-        let n = stoich(&crn);
-        assert_eq!(t_invariant_basis(&n), None);
-        let flows = nonnegative_t_semiflows(&n, FARKAS_ROW_CAP);
+        let flows = nonnegative_t_semiflows(&stoich(&crn), FARKAS_ROW_CAP);
         assert!(flows.semiflows.is_empty());
         assert!(flows.truncated);
         assert!(flows.overflowed);

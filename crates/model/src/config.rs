@@ -41,6 +41,10 @@ impl Configuration {
 
     /// Builds a configuration from `(species, count)` pairs; zero counts are
     /// dropped and duplicates accumulate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a species' accumulated count exceeds `u64::MAX`.
     #[must_use]
     pub fn from_counts(counts: impl IntoIterator<Item = (Species, u64)>) -> Self {
         let mut c = Configuration::new();
@@ -66,9 +70,16 @@ impl Configuration {
     }
 
     /// Adds `count` molecules of `species`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count of `species` would exceed `u64::MAX`.
     pub fn add(&mut self, species: Species, count: u64) {
         if count > 0 {
-            *self.counts.entry(species).or_insert(0) += count;
+            let total = self.counts.entry(species).or_insert(0);
+            *total = total.checked_add(count).unwrap_or_else(|| {
+                panic!("cannot add {count} of species {species}: the count would exceed u64::MAX")
+            });
         }
     }
 
@@ -114,6 +125,10 @@ impl Configuration {
 
     /// Pointwise sum `self + other` (reachability is additive: if `A →* B`
     /// then `A + C →* B + C`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a count of the sum exceeds `u64::MAX`.
     #[must_use]
     pub fn plus(&self, other: &Configuration) -> Configuration {
         let mut out = self.clone();
@@ -150,7 +165,8 @@ impl Configuration {
     ///
     /// # Panics
     ///
-    /// Panics if the reaction is not applicable.
+    /// Panics if the reaction is not applicable, or if a product count would
+    /// exceed `u64::MAX`.
     #[must_use]
     pub fn apply(&self, reaction: &Reaction) -> Configuration {
         assert!(self.can_apply(reaction), "reaction not applicable");
@@ -220,6 +236,21 @@ mod tests {
         let y = sp.intern("Y");
         let z = sp.intern("Z");
         (sp, x, y, z)
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot add 1 of species #0: the count would exceed u64::MAX")]
+    fn from_counts_refuses_a_count_past_u64_max() {
+        let _ = Configuration::from_counts(vec![(Species(0), u64::MAX), (Species(0), 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot add 2 of species #1: the count would exceed u64::MAX")]
+    fn firing_refuses_a_product_count_past_u64_max() {
+        let (_, x, y, _) = setup();
+        let r = Reaction::new(vec![(x, 1)], vec![(y, 2)]);
+        let c = Configuration::from_counts(vec![(x, 1), (y, u64::MAX)]);
+        let _ = c.apply(&r);
     }
 
     #[test]

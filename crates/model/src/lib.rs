@@ -71,8 +71,7 @@ pub use crn::Crn;
 pub use error::CrnError;
 pub use function::{FunctionCrn, Roles};
 pub use reachability::{
-    check_on_box, check_stable_computation, max_output_reachable, reachable_configurations,
-    BoxCheck, BoxCheckStats, ReachabilityLimits, StableComputationVerdict,
+    check_on_box, check_stable_computation, BoxCheck, BoxCheckStats, StableComputationVerdict,
 };
 pub use reaction::Reaction;
 pub use species::{Species, SpeciesSet};

@@ -28,7 +28,7 @@ fn hash_counts(counts: &[u64]) -> u64 {
 }
 
 /// An arena of interned configurations over a fixed species stride.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ConfigArena {
     stride: usize,
     /// Concatenated count vectors; configuration `i` occupies
@@ -64,11 +64,6 @@ impl ConfigArena {
             collisions: 0,
             grows: 0,
         }
-    }
-
-    /// The species stride (count-vector length) of this arena.
-    pub(crate) fn stride(&self) -> usize {
-        self.stride
     }
 
     /// Empties the arena for a fresh exploration over `stride` species,
@@ -164,33 +159,6 @@ impl ConfigArena {
     }
 }
 
-/// Lowers a sparse configuration onto a dense count vector of length
-/// `stride`, or `None` if it holds a positive count of a species outside the
-/// stride (such a configuration cannot have been interned).
-pub(crate) fn to_dense(config: &Configuration, stride: usize) -> Option<Vec<u64>> {
-    let mut v = vec![0u64; stride];
-    for (s, c) in config.iter() {
-        if s.index() >= stride {
-            return None;
-        }
-        v[s.index()] = c;
-    }
-    Some(v)
-}
-
-/// The smallest stride covering both a base stride (usually
-/// [`crate::compiled::CompiledCrn::stride`], which spans the CRN's species
-/// set and its reactions) and a start configuration (which may, through the
-/// public API, mention further species).
-pub(crate) fn stride_for(base: usize, start: &Configuration) -> usize {
-    start
-        .iter()
-        .map(|(s, _)| s.index() + 1)
-        .max()
-        .unwrap_or(0)
-        .max(base)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,14 +198,5 @@ mod tests {
         assert_eq!(sparse.count(Species(1)), 0);
         assert_eq!(sparse.count(Species(2)), 5);
         assert_eq!(sparse.iter().count(), 2);
-    }
-
-    #[test]
-    fn dense_conversion_rejects_out_of_stride_species() {
-        let c = Configuration::from_counts(vec![(Species(0), 1), (Species(5), 2)]);
-        assert_eq!(to_dense(&c, 3), None);
-        assert_eq!(to_dense(&c, 6), Some(vec![1, 0, 0, 0, 0, 2]));
-        assert_eq!(stride_for(3, &c), 6);
-        assert_eq!(stride_for(9, &c), 9);
     }
 }

@@ -3,10 +3,10 @@
 //! Every exploration of the engine is [`bfs`], a generic, monomorphized
 //! breadth-first traversal over a state [`Codec`]: node ids are discovery
 //! order.  Its visitors are [`CsrBuilder`] (the successor graph behind full
-//! verdicts; [`ReachabilityGraph`] keeps only the configurations it
-//! stores) and [`TerminalScan`] (the decision
-//! for certified-acyclic CRNs, whose sinks are exactly the terminal
-//! configurations; it fires only stubborn sets, see [`StubbornSets`]).
+//! verdicts, built only by [`VerdictEngine::check`]) and [`TerminalScan`]
+//! (the decision for certified-acyclic CRNs, whose sinks are exactly the
+//! terminal configurations; it fires only stubborn sets, see
+//! [`StubbornSets`]).
 //!
 //! The codecs differ only in how a configuration is stored and
 //! deduplicated: [`Hash`] interns count vectors, and [`Packed`] holds a
@@ -16,8 +16,6 @@
 //! verdict of [`VerdictEngine::check`].  The traversal stays out of line,
 //! one function per codec × visitor pair, so each hot loop is compiled on
 //! its own.
-//!
-//! [`ReachabilityGraph`]: super::ReachabilityGraph
 
 use std::mem;
 
@@ -230,9 +228,9 @@ impl CodeIndex {
 /// The memory the codecs store configurations in, kept across explorations
 /// so a box sweep allocates only while its largest point grows the buffers.
 #[derive(Default)]
-pub(super) struct Store {
+struct Store {
     /// Count vectors of the hash codec.
-    pub(super) arena: ConfigArena,
+    arena: ConfigArena,
     /// The hash codec's edge stamps, sized on demand.
     stamps: Vec<u32>,
     /// The packed codec's words and their code index.
@@ -276,9 +274,8 @@ trait Codec {
     fn output(&self, v: NodeId) -> u64;
 }
 
-/// Hash-interned count vectors: the codec of every full verdict and
-/// [`ReachabilityGraph`](super::ReachabilityGraph), and of terminal scans
-/// without a packing.
+/// Hash-interned count vectors: the codec of every full verdict, and of
+/// terminal scans without a packing.
 struct Hash<'a> {
     /// Names the reaction and species of a count overflow.
     crn: &'a Crn,
@@ -556,34 +553,6 @@ impl<C: Codec> BfsVisitor<C> for TerminalScan<'_> {
     }
 }
 
-/// Reusable storage for explorations: the codecs' store and the CSR graph
-/// of the last full exploration.
-#[derive(Default)]
-pub(super) struct ExploreState {
-    pub(super) store: Store,
-    csr: CsrGraph,
-}
-
-impl ExploreState {
-    /// Explores everything reachable from `start` (a count vector at least
-    /// `compiled.stride()` long) in `crn`, compiled as `compiled`,
-    /// breadth-first into `self.store.arena` and `self.csr`: ids are
-    /// discovery order, id 0 is the start.
-    pub(super) fn graph(
-        &mut self,
-        crn: &Crn,
-        compiled: &CompiledCrn,
-        start: &[u64],
-        limit: usize,
-    ) -> Result<(), CrnError> {
-        self.csr.reset();
-        // The CSR builder reads no outputs, so any output index will do.
-        let mut codec = Hash::new(crn, compiled, 0, &mut self.store, start);
-        bfs(&mut codec, &mut CsrBuilder(&mut self.csr), limit)?;
-        Ok(())
-    }
-}
-
 /// Everything the box engine precomputes once per sweep: the packed byte
 /// encoding and the symmetry group.  Both depend only on the CRN and the
 /// bound, so the driver builds one plan and every worker shares it by
@@ -652,10 +621,10 @@ fn route(packed: bool, acyclic: bool) -> Route {
     }
 }
 
-/// A reusable stable-computation checker for one CRN: the exploration
-/// state, condensation scratch and component arrays are recycled across
-/// [`check`](VerdictEngine::check) calls.  The parallel box driver gives
-/// each worker thread one engine, and every engine borrows the one
+/// A reusable stable-computation checker for one CRN: the codecs' store,
+/// the CSR graph, condensation scratch and component arrays are recycled
+/// across [`check`](VerdictEngine::check) calls.  The parallel box driver
+/// gives each worker thread one engine, and every engine borrows the one
 /// [`CrnAnalysis`] of the CRN, compiled reactions included.
 ///
 /// [`check`](VerdictEngine::check) builds the full verdict on the
@@ -667,7 +636,9 @@ fn route(packed: bool, acyclic: bool) -> Route {
 pub(super) struct VerdictEngine<'c> {
     analysis: &'c CrnAnalysis<'c>,
     stride: usize,
-    state: ExploreState,
+    store: Store,
+    /// The successor graph of the last full verdict.
+    csr: CsrGraph,
     /// The terminal scan's stubborn-set scratch.
     closure: Closure,
     cond: Condensation,
@@ -694,7 +665,8 @@ impl<'c> VerdictEngine<'c> {
         VerdictEngine {
             analysis,
             stride,
-            state: ExploreState::default(),
+            store: Store::default(),
+            csr: CsrGraph::default(),
             closure: Closure::default(),
             cond: Condensation::empty(),
             start_dense: Vec::new(),
@@ -709,7 +681,7 @@ impl<'c> VerdictEngine<'c> {
     /// `(collisions, grows)` of the engine's configuration arena, cumulative
     /// over its lifetime — the observability layer's dedup metrics.
     pub(super) fn arena_metrics(&self) -> (u64, u64) {
-        self.state.store.arena.metrics()
+        self.store.arena.metrics()
     }
 
     /// Builds the initial configuration `I_x` densely into `start_dense`:
@@ -764,7 +736,7 @@ impl<'c> VerdictEngine<'c> {
         let (result, explored) = match self.pick_route(plan) {
             Route::Verdict => {
                 let verdict = self.check(x, expected_output, max_configurations);
-                (verdict.map(|v| v.correct), self.state.store.arena.len())
+                (verdict.map(|v| v.correct), self.store.arena.len())
             }
             Route::PackedScan => {
                 let packed = plan.packed.as_ref().expect("the route has a packing");
@@ -792,7 +764,7 @@ impl<'c> VerdictEngine<'c> {
             stubborn: self.analysis.stubborn(),
             closure: &mut self.closure,
         };
-        let (store, start) = (&mut self.state.store, &self.start_dense);
+        let (store, start) = (&mut self.store, &self.start_dense);
         match packed {
             Some(spec) => {
                 let mut codec = Packed::new(spec, store, spec.pack(start));
@@ -809,8 +781,10 @@ impl<'c> VerdictEngine<'c> {
 
     /// Checks whether the CRN stably computes `expected_output` on `x`.
     /// Equivalent to [`super::check_stable_computation`] (which is this, run
-    /// on a fresh engine).  The exploration is breadth-first, so ids — and
-    /// the configuration a failure message names — are discovery order.
+    /// on a fresh engine).  This is the one exploration that builds the
+    /// successor graph: everything reachable from `I_x`, breadth-first into
+    /// the arena and the CSR graph, so ids — and the configuration a failure
+    /// message names — are discovery order.
     pub(super) fn check(
         &mut self,
         x: &NVec,
@@ -824,16 +798,19 @@ impl<'c> VerdictEngine<'c> {
             });
         }
         self.build_start(x);
-        self.state.graph(
-            self.analysis.crn().crn(),
-            self.analysis.compiled(),
-            &self.start_dense,
+        self.csr.reset();
+        // The CSR builder reads no outputs, so any output index will do.
+        let (crn, compiled) = (self.analysis.crn().crn(), self.analysis.compiled());
+        let mut codec = Hash::new(crn, compiled, 0, &mut self.store, &self.start_dense);
+        bfs(
+            &mut codec,
+            &mut CsrBuilder(&mut self.csr),
             max_configurations,
         )?;
-        self.cond.rebuild(&self.state.csr);
+        self.cond.rebuild(&self.csr);
 
-        let arena = &self.state.store.arena;
-        let csr = &self.state.csr;
+        let arena = &self.store.arena;
+        let csr = &self.csr;
         let cond = &self.cond;
         let out_idx = self.analysis.crn().output().index();
         let out_of = |v: usize| arena.get(v)[out_idx];
@@ -1021,9 +998,10 @@ mod tests {
     }
 
     #[test]
-    fn an_overflowing_t_invariant_basis_certifies_nothing() {
+    fn an_overflowing_t_semiflow_certifies_nothing() {
         // The cycle closes only after E -> 0 fires 2^128 times per 0 -> A:
-        // its T-invariant does not fit i128, and the CRN is not acyclic.
+        // its T-semiflow does not fit i128, so the enumeration is truncated
+        // and the CRN is not certified acyclic.
         let mut crn = Crn::new();
         for reaction in [
             "0 -> A",

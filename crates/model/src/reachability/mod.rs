@@ -5,15 +5,15 @@
 //! initial configuration `I_x`, a *stable* configuration with output count
 //! `f(x)` remains reachable.  For the small CRNs used throughout the paper the
 //! reachable configuration space is finite, so the property can be checked
-//! exactly by exhaustive search; this module implements that check plus the
-//! "maximum output ever reachable" query used by the impossibility witnesses
-//! (Lemma 4.1 / Figure 6).
+//! exactly by exhaustive search.  [`check_stable_computation`] is that check;
+//! its verdict also carries the largest output ever reachable, which the
+//! impossibility witnesses read (Lemma 4.1 / Figure 6).
 //!
 //! # Engine architecture
 //!
 //! The checker is organised as a small subsystem:
 //!
-//! * [`arena`](self) (internal) — an interned **configuration arena**: dense
+//! * `arena` (internal) — an interned **configuration arena**: dense
 //!   count vectors in one allocation, with an open-addressing hash index over
 //!   arena ids, so exploration never clones a sparse configuration per edge;
 //! * `csr` (internal) — successor storage laid out in **compressed sparse
@@ -25,10 +25,10 @@
 //! * the **exploration engine** (internal) — one generic breadth-first
 //!   traversal over two state codecs (hash-interned count vectors, or one
 //!   byte-packed word per configuration), driving a visitor that builds the
-//!   graph or scans for bad terminal configurations; the scan decides
-//!   certified-acyclic CRNs and fires only stubborn sets, which keep every
-//!   reachable terminal configuration, and every other point takes the full
-//!   verdict;
+//!   graph of a full verdict or scans for bad terminal configurations; the
+//!   scan decides certified-acyclic CRNs and fires only stubborn sets, which
+//!   keep every reachable terminal configuration, and every other point
+//!   takes the full verdict;
 //! * [`check_on_box`] / [`BoxCheck`] — a **parallel driver** sharding the
 //!   input box across scoped threads with a deterministic,
 //!   lexicographically-first result.
@@ -41,37 +41,16 @@ mod scc;
 pub(crate) mod stubborn;
 pub(crate) mod symmetry;
 
-use crn_sync::OnceLock;
-
 use crn_numeric::NVec;
 
 use crate::analysis::CrnAnalysis;
-use crate::config::Configuration;
-use crate::crn::Crn;
 use crate::error::CrnError;
 use crate::function::FunctionCrn;
-use crate::species::Species;
 
-use arena::ConfigArena;
-use engine::{ExploreState, VerdictEngine};
+use engine::VerdictEngine;
 
 pub use parallel::box_point_count;
 pub use symmetry::Automorphism;
-
-/// Limits for exhaustive exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReachabilityLimits {
-    /// Maximum number of distinct configurations to explore before giving up.
-    pub max_configurations: usize,
-}
-
-impl Default for ReachabilityLimits {
-    fn default() -> Self {
-        ReachabilityLimits {
-            max_configurations: 200_000,
-        }
-    }
-}
 
 /// Observability counters for one box sweep: how many points the engine
 /// explored versus skipped as symmetry replays, and how many configurations
@@ -104,96 +83,6 @@ impl BoxCheckStats {
         self.symmetry_skipped += other.symmetry_skipped;
         self.decided += other.decided;
         self.configs_explored += other.configs_explored;
-    }
-}
-
-/// The configurations reachable from a start configuration.
-///
-/// Configurations live in a dense interned arena; sparse [`Configuration`]
-/// values are materialized lazily, only if [`configurations`] is called.
-///
-/// [`configurations`]: ReachabilityGraph::configurations
-#[derive(Debug, Clone)]
-pub struct ReachabilityGraph {
-    arena: ConfigArena,
-    sparse: OnceLock<Vec<Configuration>>,
-}
-
-impl ReachabilityGraph {
-    /// Explores all configurations reachable from `start` in `crn`,
-    /// breadth-first.  Configuration ids are discovery (BFS) order; id 0 is
-    /// `start`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrnError::SearchLimitExceeded`] if more than
-    /// `limits.max_configurations` distinct configurations are found, and
-    /// [`CrnError::CountOverflow`] if a reachable firing would push a count
-    /// past `u64::MAX`.
-    pub fn explore(
-        crn: &Crn,
-        start: &Configuration,
-        limits: ReachabilityLimits,
-    ) -> Result<Self, CrnError> {
-        let compiled = crate::compiled::CompiledCrn::compile(crn);
-        let stride = arena::stride_for(compiled.stride(), start);
-        let start_dense = arena::to_dense(start, stride).expect("stride covers start");
-        let mut state = ExploreState::default();
-        state.graph(crn, &compiled, &start_dense, limits.max_configurations)?;
-        Ok(ReachabilityGraph {
-            arena: state.store.arena,
-            sparse: OnceLock::new(),
-        })
-    }
-
-    /// The number of distinct reachable configurations.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Whether the graph is empty (never the case after a successful explore).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.arena.len() == 0
-    }
-
-    /// All reachable configurations (index 0 is the start configuration).
-    ///
-    /// Materialized from the arena on first call and cached.
-    #[must_use]
-    pub fn configurations(&self) -> &[Configuration] {
-        self.sparse.get_or_init(|| {
-            (0..self.arena.len())
-                .map(|i| self.arena.sparse(i))
-                .collect()
-        })
-    }
-
-    /// Whether `target` is reachable from the start configuration.
-    ///
-    /// An O(1) expected-time query through the arena's hash index, which stays
-    /// alive after [`explore`](ReachabilityGraph::explore).
-    #[must_use]
-    pub fn contains(&self, target: &Configuration) -> bool {
-        match arena::to_dense(target, self.arena.stride()) {
-            Some(dense) => self.arena.lookup(&dense).is_some(),
-            // A positive count of a species outside the explored stride can
-            // never have been interned.
-            None => false,
-        }
-    }
-
-    /// The count of `species` in every reachable configuration, by id.
-    #[must_use]
-    pub fn species_counts(&self, species: Species) -> Vec<u64> {
-        let idx = species.index();
-        if idx >= self.arena.stride() {
-            return vec![0; self.arena.len()];
-        }
-        (0..self.arena.len())
-            .map(|i| self.arena.get(i)[idx])
-            .collect()
     }
 }
 
@@ -370,54 +259,17 @@ impl<'a, F: Fn(&NVec) -> u64 + Sync> BoxCheck<'a, F> {
     }
 }
 
-/// The maximum count of the output species over every configuration reachable
-/// from `I_x`.  Used to exhibit overproduction: for an output-oblivious CRN the
-/// output can never shrink, so a reachable output above `f(x)` shows the CRN
-/// does not stably compute `f`.
-///
-/// # Errors
-///
-/// Propagates the errors of [`ReachabilityGraph::explore`].
-pub fn max_output_reachable(
-    crn: &FunctionCrn,
-    x: &NVec,
-    max_configurations: usize,
-) -> Result<u64, CrnError> {
-    let start = crn.initial_configuration(x)?;
-    let graph =
-        ReachabilityGraph::explore(crn.crn(), &start, ReachabilityLimits { max_configurations })?;
-    Ok(graph
-        .species_counts(crn.output())
-        .into_iter()
-        .max()
-        .unwrap_or(0))
-}
-
-/// All configurations reachable from `start` (convenience wrapper).
-///
-/// # Errors
-///
-/// Propagates the errors of [`ReachabilityGraph::explore`].
-pub fn reachable_configurations(
-    crn: &Crn,
-    start: &Configuration,
-    max_configurations: usize,
-) -> Result<Vec<Configuration>, CrnError> {
-    Ok(
-        ReachabilityGraph::explore(crn, start, ReachabilityLimits { max_configurations })?
-            .configurations()
-            .to_vec(),
-    )
-}
-
 #[cfg(test)]
-mod oracle;
+pub(crate) mod oracle;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Configuration;
+    use crate::crn::Crn;
     use crate::examples;
     use crate::reaction::Reaction;
+    use crate::species::Species;
 
     type Outcome = Result<Option<StableComputationVerdict>, CrnError>;
 
@@ -785,9 +637,10 @@ mod tests {
 
     #[test]
     fn max_output_reachable_detects_overshoot() {
+        // The field does not depend on the expected value, which fails here.
         let max = examples::max_crn();
-        let m = max_output_reachable(&max, &NVec::from(vec![2, 3]), 50_000).unwrap();
-        assert_eq!(m, 5);
+        let v = check_stable_computation(&max, &NVec::from(vec![2, 3]), 0, 50_000).unwrap();
+        assert_eq!(v.max_output_reachable, 5);
     }
 
     #[test]
@@ -800,26 +653,9 @@ mod tests {
     #[test]
     fn reachable_configurations_of_double() {
         let double = examples::double_crn();
-        let start = double.initial_configuration(&NVec::from(vec![2])).unwrap();
-        let reach = reachable_configurations(double.crn(), &start, 1000).unwrap();
+        let v = check_stable_computation(&double, &NVec::from(vec![2]), 4, 1000).unwrap();
         // {2X}, {1X,2Y}, {0X,4Y}
-        assert_eq!(reach.len(), 3);
-    }
-
-    #[test]
-    fn contains_answers_through_the_arena_index() {
-        let double = examples::double_crn();
-        let start = double.initial_configuration(&NVec::from(vec![2])).unwrap();
-        let graph = ReachabilityGraph::explore(double.crn(), &start, ReachabilityLimits::default())
-            .unwrap();
-        assert!(graph.contains(&start));
-        let x = double.roles().inputs[0];
-        let y = double.output();
-        assert!(graph.contains(&Configuration::from_counts(vec![(x, 1), (y, 2)])));
-        assert!(graph.contains(&Configuration::from_counts(vec![(y, 4)])));
-        assert!(!graph.contains(&Configuration::from_counts(vec![(y, 3)])));
-        // A species the exploration never saw cannot be contained.
-        assert!(!graph.contains(&Configuration::from_counts(vec![(Species(99), 1)])));
+        assert_eq!(v.reachable_configurations, 3);
     }
 
     #[test]
@@ -829,15 +665,17 @@ mod tests {
         // seed's sparse engine accepted such CRNs without crashing).
         let mut crn = Crn::new();
         let a = crn.add_species("A");
+        crn.add_species("B");
         let foreign = Species(5);
         crn.add_reaction(Reaction::new(vec![(a, 1)], vec![(foreign, 1)]));
-        let start = Configuration::from_counts(vec![(a, 2)]);
-        let reach = reachable_configurations(&crn, &start, 100).unwrap();
+        let f = FunctionCrn::with_named_roles(crn, &["A"], "B", None).unwrap();
+        let x = NVec::from(vec![2]);
+        let fast = check_stable_computation(&f, &x, 0, 100).unwrap();
         // {2A}, {1A, 1F}, {2F}
-        assert_eq!(reach.len(), 3);
-        let graph =
-            ReachabilityGraph::explore(&crn, &start, ReachabilityLimits::default()).unwrap();
-        assert!(graph.contains(&Configuration::from_counts(vec![(foreign, 2)])));
+        assert_eq!(fast.reachable_configurations, 3);
+        assert!(fast.is_correct());
+        let slow = oracle::check_stable_computation_naive(&f, &x, 0, 100).unwrap();
+        assert_eq!(fast, slow);
     }
 
     #[test]
@@ -1061,14 +899,16 @@ mod tests {
             let double = examples::double_crn();
             let input = NVec::from(vec![x]);
             let start = double.initial_configuration(&input).unwrap();
-            let reach = reachable_configurations(double.crn(), &start, 10_000).unwrap();
+            let reach = oracle::NaiveGraph::explore(double.crn(), &start, 10_000).unwrap();
             // Add `extra` copies of the input species to both sides.
             let x_species = double.roles().inputs[0];
             let mut addition = Configuration::new();
             addition.add(x_species, extra);
             let start_plus = start.plus(&addition);
-            let reach_plus = reachable_configurations(double.crn(), &start_plus, 10_000).unwrap();
-            for b in &reach {
+            let reach_plus =
+                oracle::NaiveGraph::explore(double.crn(), &start_plus, 10_000).unwrap();
+            let reach_plus = &reach_plus.configurations;
+            for b in &reach.configurations {
                 prop_assert!(reach_plus.contains(&b.plus(&addition)));
             }
         }

@@ -6,6 +6,7 @@
 //! fixpoint loops for the three reachability queries.  The property tests
 //! differentially check the SCC engine against it on random CRNs, so it
 //! must produce verdicts *identical* to [`super::check_stable_computation`].
+//! Tests that need a whole reachable set read it from [`NaiveGraph`].
 
 use std::collections::{HashMap, VecDeque};
 
@@ -16,19 +17,23 @@ use crate::crn::Crn;
 use crate::error::CrnError;
 use crate::function::FunctionCrn;
 
-use super::{ReachabilityLimits, StableComputationVerdict};
+use super::StableComputationVerdict;
 
 /// The seed reachability graph: sparse configurations, `Vec<Vec<_>>` edges.
-struct NaiveGraph {
-    configurations: Vec<Configuration>,
+pub(crate) struct NaiveGraph {
+    /// Every configuration reachable from the start, in BFS order (index 0
+    /// is the start).
+    pub(crate) configurations: Vec<Configuration>,
     successors: Vec<Vec<usize>>,
 }
 
 impl NaiveGraph {
-    fn explore(
+    /// Explores everything reachable from `start` breadth-first, or fails
+    /// with [`CrnError::SearchLimitExceeded`] past `max_configurations`.
+    pub(crate) fn explore(
         crn: &Crn,
         start: &Configuration,
-        limits: ReachabilityLimits,
+        max_configurations: usize,
     ) -> Result<Self, CrnError> {
         let mut index: HashMap<Configuration, usize> = HashMap::new();
         let mut configurations = Vec::new();
@@ -50,12 +55,9 @@ impl NaiveGraph {
                 let next_index = match index.get(&next) {
                     Some(&i) => i,
                     None => {
-                        if configurations.len() >= limits.max_configurations {
+                        if configurations.len() >= max_configurations {
                             return Err(CrnError::SearchLimitExceeded {
-                                limit: format!(
-                                    "{} reachable configurations",
-                                    limits.max_configurations
-                                ),
+                                limit: format!("{max_configurations} reachable configurations"),
                             });
                         }
                         let i = configurations.len();
@@ -127,14 +129,14 @@ impl NaiveGraph {
 /// Returns [`CrnError::DimensionMismatch`] for an input of the wrong arity and
 /// [`CrnError::SearchLimitExceeded`] if the reachable space exceeds
 /// `max_configurations`.
-pub fn check_stable_computation_naive(
+pub(crate) fn check_stable_computation_naive(
     crn: &FunctionCrn,
     x: &NVec,
     expected_output: u64,
     max_configurations: usize,
 ) -> Result<StableComputationVerdict, CrnError> {
     let start = crn.initial_configuration(x)?;
-    let graph = NaiveGraph::explore(crn.crn(), &start, ReachabilityLimits { max_configurations })?;
+    let graph = NaiveGraph::explore(crn.crn(), &start, max_configurations)?;
     let output = crn.output();
     let out_of = |c: &Configuration| c.count(output);
 
