@@ -1,12 +1,16 @@
 //! Observability-surface tests: `--profile` must never change a command's
 //! stdout or exit code, the profile table must follow any lint warnings on
 //! stderr, `--stats` must work under every exhaustive engine, `--json` must
-//! embed the versioned `metrics` object exactly when profiling, and the
-//! counters the determinism contract covers must not depend on the worker
-//! count.
+//! embed the versioned `metrics` object exactly when profiling, the route
+//! counters must name the route of every decided point, and the counters the
+//! determinism contract covers must not depend on the worker count.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use crn_model::analysis::CrnAnalysis;
+use crn_model::{BoxCheck, Crn, FunctionCrn};
+use crn_numeric::NVec;
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -296,6 +300,47 @@ fn per_crn_set_up_shows_one_span_per_artifact_and_item() {
 }
 
 #[test]
+fn route_counters_count_the_points_each_route_decides() {
+    // `add` on [0,96]^2: Y's hull of 192 is past a byte, yet X1, X2 and Y
+    // take 25 bits of one word, so every decided point is a packed scan and
+    // no configuration is hash-interned.
+    let (code, json, _) = run_crn(&[
+        "verify",
+        "corpus/add.crn",
+        "--bound",
+        "96",
+        "--json",
+        "--profile",
+    ]);
+    assert_eq!(code, 0, "{json}");
+    assert_eq!(json_counter(&json, "model.box.decided"), 4753);
+    assert_eq!(json_counter(&json, "model.route.packed_scan"), 4753);
+    assert_eq!(json_counter(&json, "model.arena.collisions"), 0);
+    for route in ["model.route.hash_scan", "model.route.verdict"] {
+        assert!(!json.contains(route), "{route}:\n{json}");
+    }
+    // The synthesized staircase's 55 lanes total more than 64 bits, and the
+    // cyclic fixture has no acyclicity certificate.
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    std::fs::create_dir_all(&dir).unwrap();
+    let staircase = dir.join("route_counters_staircase.crn");
+    let staircase = staircase.to_str().unwrap();
+    let (code, _, stderr) = run_crn(&["synthesize", "corpus/staircase.crn", "-o", staircase]);
+    assert_eq!(code, 0, "{stderr}");
+    for (file, route) in [
+        (staircase, "model.route.hash_scan"),
+        ("corpus/cyclic_identity.crn", "model.route.verdict"),
+    ] {
+        let (code, json, _) = run_crn(&["verify", file, "--bound", "1", "--json", "--profile"]);
+        assert_eq!(code, 0, "{file}:\n{json}");
+        let decided = json_counter(&json, "model.box.decided");
+        assert!(decided > 0, "{file}:\n{json}");
+        assert_eq!(json_counter(&json, route), decided, "{file}:\n{json}");
+        assert_eq!(json.matches("\"model.route.").count(), 1, "{file}:\n{json}");
+    }
+}
+
+#[test]
 fn interleaving_independent_counters_match_at_every_worker_count() {
     let path = scratch("profile_workers.crn", DOUBLE_DOC);
     let mut step_counts = Vec::new();
@@ -327,4 +372,59 @@ fn interleaving_independent_counters_match_at_every_worker_count() {
         step_counts[0], step_counts[2],
         "sim.steps/sim.trials differ between 1 and 4 workers"
     );
+
+    // `crn verify` has no worker flag, so the sweep runs in process: on
+    // every route, the route counter and the `model.box.*` counters match
+    // at 1, 2 and 4 workers.  No other test here profiles in process.
+    let fanout = format!(
+        "X -> {}",
+        (1..=31)
+            .map(|i| format!("A{i}"))
+            .collect::<Vec<_>>()
+            .join(" + ")
+    );
+    let sweeps: [(&[&str], &str, &str, &str); 3] = [
+        (&["X1 + X2 -> Y"], "model.route.packed_scan", "X1 X2", "Y"),
+        (&[&fanout], "model.route.hash_scan", "X", "A1"),
+        (
+            &["X -> Y + A", "A -> B", "B -> A"],
+            "model.route.verdict",
+            "X",
+            "Y",
+        ),
+    ];
+    crn_obs::set_enabled(true);
+    for (reactions, route, inputs, output) in sweeps {
+        let mut crn = Crn::new();
+        for reaction in reactions {
+            crn.parse_reaction(reaction).unwrap();
+        }
+        let inputs: Vec<&str> = inputs.split(' ').collect();
+        let crn = FunctionCrn::with_named_roles(crn, &inputs, output, None).unwrap();
+        let analysis = CrnAnalysis::of(&crn);
+        let f = |x: &NVec| x.as_slice().iter().copied().min().unwrap_or(0);
+        let mut counts = Vec::new();
+        for workers in [1, 2, 4] {
+            crn_obs::reset();
+            let (outcome, stats) = BoxCheck::new(&analysis, f, 6, 10_000)
+                .workers(workers)
+                .run();
+            assert_eq!(outcome, Ok(None), "{route} at {workers} workers");
+            let sweep: Vec<(String, u64)> = crn_obs::snapshot()
+                .counters
+                .into_iter()
+                .filter(|(name, _)| {
+                    name.starts_with("model.box.") || name.starts_with("model.route.")
+                })
+                .collect();
+            assert!(
+                sweep.contains(&(route.to_owned(), stats.decided)) && stats.decided > 0,
+                "{route} at {workers} workers: {sweep:?}"
+            );
+            counts.push(sweep);
+        }
+        assert_eq!(counts[0], counts[1], "{route}: 1 and 2 workers differ");
+        assert_eq!(counts[0], counts[2], "{route}: 1 and 4 workers differ");
+    }
+    crn_obs::set_enabled(false);
 }

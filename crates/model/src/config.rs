@@ -101,9 +101,16 @@ impl Configuration {
     }
 
     /// The total number of molecules.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the total exceeds `u64::MAX`.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.counts.values().sum()
+        self.counts
+            .values()
+            .try_fold(0u64, |total, &c| total.checked_add(c))
+            .expect("the total molecule count exceeds u64::MAX")
     }
 
     /// Whether no molecules are present.
@@ -242,6 +249,13 @@ mod tests {
     #[should_panic(expected = "cannot add 1 of species #0: the count would exceed u64::MAX")]
     fn from_counts_refuses_a_count_past_u64_max() {
         let _ = Configuration::from_counts(vec![(Species(0), u64::MAX), (Species(0), 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "the total molecule count exceeds u64::MAX")]
+    fn total_refuses_a_sum_past_u64_max() {
+        let (_, x, y, _) = setup();
+        let _ = Configuration::from_counts(vec![(x, u64::MAX), (y, 1)]).total();
     }
 
     #[test]

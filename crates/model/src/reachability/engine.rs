@@ -10,7 +10,7 @@
 //!
 //! The codecs differ only in how a configuration is stored and
 //! deduplicated: [`Hash`] interns count vectors, and [`Packed`] holds a
-//! whole configuration in one byte-packed word, deduplicated by a hashed
+//! whole configuration in one bit-packed word, deduplicated by a hashed
 //! code index.  [`VerdictEngine::decide`] picks the route of each point
 //! through [`route`]: a terminal scan on one of the codecs, or the full
 //! verdict of [`VerdictEngine::check`].  The traversal stays out of line,
@@ -33,82 +33,106 @@ use super::stubborn::{Closure, StubbornSets};
 use super::symmetry::Automorphism;
 use super::{BoxCheckStats, StableComputationVerdict};
 
-/// Per-lane high bits of the packed byte encoding, the borrow sentinels of
-/// the SWAR applicability test.
-const LANE_HIGH: u64 = 0x8080_8080_8080_8080;
-
-/// A whole-configuration byte packing for certified-acyclic CRNs on small
-/// hulls: species `s` is byte lane `s` of one `u64`, so firing a reaction is
-/// a single wrapping addition and the applicability test is branch-free SWAR
-/// over all species at once.  Eligible when the box hull
-/// ([`SpeciesBounds::box_hull`]) keeps every count at or below 127 across at
-/// most 8 species — every reachable lane then stays in `[0, 127]`, additions
-/// never carry between lanes, and the packed word identifies its
+/// A whole-configuration bit packing for certified-acyclic CRNs whose box
+/// hull ([`SpeciesBounds::box_hull`]) fits one `u64`: species `s` gets a
+/// lane of `bits(hull_s)` count bits topped by one sentinel bit, lanes in
+/// species order, so firing a reaction is a single wrapping addition and
+/// the applicability test is branch-free SWAR over all species at once.
+/// Eligible when every hull bound is finite and the lanes total at most 64
+/// bits — every reachable count then stays below its lane's sentinel,
+/// additions never carry between lanes, and the packed word identifies its
 /// configuration, so discovery order, deduplication and the
 /// configuration-limit error are bit-identical to the hash codec's.
 ///
 /// [`SpeciesBounds::box_hull`]: crate::analysis::SpeciesBounds::box_hull
 pub(super) struct PackedSpec {
-    /// Per-reaction packed reactant requirements; lanes are clamped to 128,
-    /// which the test below reads as "never applicable" — correct, since no
-    /// reachable lane exceeds 127.
+    /// Per-reaction packed reactant requirements; a lane of `w` count bits
+    /// is clamped to `2^w`, which the test below reads as "never
+    /// applicable" — correct, since no reachable count of the lane reaches
+    /// `2^w`.
     reqs: Vec<u64>,
     /// Per-reaction packed deltas in two's complement (mod 2^64).
     deltas: Vec<u64>,
-    /// Bit shift of the output species' lane.
+    /// The lowest bit of each species' lane.
+    shifts: Vec<u32>,
+    /// The sentinel (top) bit of every lane, the borrow guards of the SWAR
+    /// applicability test.
+    sentinels: u64,
+    /// Bit shift and count mask of the output species' lane.
     out_shift: u32,
+    out_mask: u64,
 }
 
 impl PackedSpec {
-    /// Builds the packing when the hull's upper bound on each of the
-    /// `stride` species fits a 7-bit lane; `None` otherwise.
+    /// Builds the packing when the hull bounds each of the `stride` species
+    /// and their lanes total at most 64 bits; `None` otherwise.
     fn build(
         hull: &[Option<u64>],
         compiled: &CompiledCrn,
         stride: usize,
         out_idx: usize,
     ) -> Option<PackedSpec> {
-        if stride > 8 || hull[..stride].iter().any(|u| u.map_or(true, |u| u > 127)) {
-            return None;
+        let mut shifts = Vec::with_capacity(stride);
+        let mut sentinels = 0u64;
+        let mut width = 0u32;
+        for bound in &hull[..stride] {
+            let sentinel = width + (u64::BITS - (*bound)?.leading_zeros());
+            if sentinel >= u64::BITS {
+                return None;
+            }
+            shifts.push(width);
+            sentinels |= 1 << sentinel;
+            width = sentinel + 1;
         }
+        // The count bits of the lane at `shift`: those below its sentinel.
+        let bits = |shift: u32| (sentinels >> shift).trailing_zeros();
         let mut reqs = Vec::with_capacity(compiled.reaction_count());
         let mut deltas = Vec::with_capacity(compiled.reaction_count());
         for reaction in compiled.reactions() {
             let mut req = 0u64;
             for &(s, c) in reaction.reactants() {
-                req |= c.min(128) << (8 * s);
+                req |= c.min(1 << bits(shifts[s])) << shifts[s];
             }
             let mut delta = 0u64;
             for &(s, d) in reaction.delta() {
-                // Wrapping mod-2^64 arithmetic: oversized deltas only occur
-                // on reactions the clamped requirement already rules out.
-                delta = delta.wrapping_add((d as u64).wrapping_mul(1u64 << (8 * s)));
+                // Wrapping mod-2^64 arithmetic: the hull is sound, so a
+                // reaction enabled at a reachable configuration lands on
+                // one, and the wrapped sum is then its exact packed word.
+                delta = delta.wrapping_add((d as u64).wrapping_mul(1 << shifts[s]));
             }
             reqs.push(req);
             deltas.push(delta);
         }
+        let out_shift = shifts[out_idx];
         Some(PackedSpec {
             reqs,
             deltas,
-            out_shift: u32::try_from(8 * out_idx).expect("output lane within 8 species"),
+            out_mask: (1 << bits(out_shift)) - 1,
+            out_shift,
+            shifts,
+            sentinels,
         })
     }
 
-    /// Packs a count vector (all lanes at most 127) into its byte code.
+    /// Packs a count vector (every count below its lane's sentinel) into
+    /// its word.
     fn pack(&self, counts: &[u64]) -> u64 {
         counts
             .iter()
-            .enumerate()
-            .map(|(s, &c)| {
-                debug_assert!(c <= 127, "hull admits every packed configuration");
-                c << (8 * s)
+            .zip(&self.shifts)
+            .map(|(&c, &shift)| {
+                debug_assert!(
+                    c >> (self.sentinels >> shift).trailing_zeros() == 0,
+                    "hull admits every packed configuration"
+                );
+                c << shift
             })
             .sum()
     }
 
     /// The output count of `word`.
     fn output(&self, word: u64) -> u64 {
-        (word >> self.out_shift) & 0xff
+        (word >> self.out_shift) & self.out_mask
     }
 }
 
@@ -369,7 +393,7 @@ impl Codec for Hash<'_> {
     }
 }
 
-/// One byte-packed word per configuration (see [`PackedSpec`]), so the
+/// One bit-packed word per configuration (see [`PackedSpec`]), so the
 /// loop touches no count vectors at all, deduplicated through the hashed
 /// [`CodeIndex`].  It names no seen successors, so it pairs only with the
 /// terminal scan, never with the [`CsrBuilder`].
@@ -379,6 +403,7 @@ struct Packed<'a> {
     /// hot loop keeps their headers in registers.
     reqs: &'a [u64],
     deltas: &'a [u64],
+    sentinels: u64,
     words: &'a mut Vec<u64>,
     index: &'a mut CodeIndex,
     /// The loaded word.
@@ -396,19 +421,20 @@ impl<'a> Packed<'a> {
             spec,
             reqs: &spec.reqs,
             deltas: &spec.deltas,
+            sentinels: spec.sentinels,
             words,
             index,
             cur: start,
         }
     }
 
-    /// The high bits of the lanes whose count meets reaction `r`'s
-    /// requirement.  With every count lane in [0, 127] and requirement lanes
-    /// clamped to 128, `(cur | HIGH) - req` never borrows across lanes, and
-    /// a lane's high bit survives exactly when its count meets the
-    /// requirement.
+    /// The sentinels of the lanes whose count meets reaction `r`'s
+    /// requirement.  Every count stays below its lane's sentinel and every
+    /// requirement is clamped to it, so `(cur | sentinels) - req` never
+    /// borrows across lanes, and a lane's sentinel survives exactly when
+    /// its count meets the requirement.
     fn met(&self, r: usize) -> u64 {
-        (self.cur | LANE_HIGH).wrapping_sub(self.reqs[r]) & LANE_HIGH
+        (self.cur | self.sentinels).wrapping_sub(self.reqs[r]) & self.sentinels
     }
 }
 
@@ -429,14 +455,17 @@ impl Codec for Packed<'_> {
     }
 
     fn enabled(&self, r: usize) -> bool {
-        self.met(r) == LANE_HIGH
+        self.met(r) == self.sentinels
     }
 
+    /// The species of the lowest failing sentinel: as many as there are
+    /// sentinels below it.
     fn lacking(&self, r: usize) -> usize {
-        ((self.met(r) ^ LANE_HIGH).trailing_zeros() / 8) as usize
+        let lowest = (self.met(r) ^ self.sentinels).trailing_zeros();
+        (self.sentinels & ((1 << lowest) - 1)).count_ones() as usize
     }
 
-    /// Never an overflow: the hull keeps every lane at or below 127.
+    /// Never an overflow: the hull keeps every count below its sentinel.
     fn probe(&mut self, r: usize) -> Result<Probe<(), u64>, CrnError> {
         let word = self.cur.wrapping_add(self.deltas[r]);
         let words = &*self.words;
@@ -553,14 +582,16 @@ impl<C: Codec> BfsVisitor<C> for TerminalScan<'_> {
     }
 }
 
-/// Everything the box engine precomputes once per sweep: the packed byte
-/// encoding and the symmetry group.  Both depend only on the CRN and the
+/// Everything the box engine precomputes once per sweep: the bit packing,
+/// the route and the symmetry group.  All depend only on the CRN and the
 /// bound, so the driver builds one plan and every worker shares it by
 /// reference.
 pub(super) struct SweepPlan<'a> {
-    /// The byte packing for certified-acyclic CRNs whose box-wide hull fits
-    /// 7-bit lanes.
+    /// The bit packing for certified-acyclic CRNs whose box-wide hull fits
+    /// lanes totalling at most 64 bits.
     packed: Option<PackedSpec>,
+    /// The route of every point the sweep decides.
+    route: Route,
     /// The automorphisms whose input permutations the sweep skips by (see
     /// [`Automorphism::inputs`]).
     pub(super) perms: &'a [Automorphism],
@@ -591,8 +622,18 @@ impl<'a> SweepPlan<'a> {
             None
         };
         SweepPlan {
+            route: route(packed.is_some(), analysis.acyclic()),
             packed,
             perms: analysis.automorphisms(),
+        }
+    }
+
+    /// The counter of the points the sweep's route decides.
+    pub(super) fn route_counter(&self) -> &'static str {
+        match self.route {
+            Route::PackedScan => "model.route.packed_scan",
+            Route::HashScan => "model.route.hash_scan",
+            Route::Verdict => "model.route.verdict",
         }
     }
 }
@@ -609,7 +650,7 @@ enum Route {
 }
 
 /// Picks the route of one point from the acyclicity certificate: every
-/// certified point takes the stubborn-set terminal scan, on the byte
+/// certified point takes the stubborn-set terminal scan, on the bit
 /// packing of the sweep plan when there is one (`packed`, built only under
 /// the certificate) and on hash-interned count vectors otherwise; every
 /// other point takes the full verdict.
@@ -631,7 +672,7 @@ fn route(packed: bool, acyclic: bool) -> Route {
 /// hash-interned BFS and reads nothing else of the analysis;
 /// [`decide`](VerdictEngine::decide) additionally reads the acyclicity
 /// certificate and the stubborn-set relations, and settles certified points
-/// by a terminal scan (on the byte packing its [`SweepPlan`] sized from the
+/// by a terminal scan (on the bit packing its [`SweepPlan`] sized from the
 /// box hull, when there is one).
 pub(super) struct VerdictEngine<'c> {
     analysis: &'c CrnAnalysis<'c>,
@@ -705,7 +746,7 @@ impl<'c> VerdictEngine<'c> {
         if let Some(route) = self.route_override {
             return route;
         }
-        route(plan.packed.is_some(), self.analysis.acyclic())
+        plan.route
     }
 
     /// Decides whether the CRN stably computes `expected_output` on `x` —
@@ -890,7 +931,8 @@ mod tests {
     #[test]
     fn oversized_acyclic_boxes_route_to_the_hash_scan() {
         // X -> A1 + … + A31 at x = 3: four reachable configurations over
-        // 32 species, past the packing's 8 lanes.
+        // 32 species, whose lanes of 2 count bits and a sentinel total
+        // 96 bits, past the packing's 64.
         let products: Vec<String> = (1..=31).map(|i| format!("A{i}")).collect();
         let mut crn = Crn::new();
         crn.parse_reaction(&format!("X -> {}", products.join(" + ")))
@@ -906,6 +948,57 @@ mod tests {
         let decided = engine.decide(&NVec::from(vec![3]), 3, 1_000, &plan, &mut stats);
         assert_eq!(decided, Ok(true));
         assert_eq!((stats.decided, stats.configs_explored), (1, 4));
+    }
+
+    /// The packing of `hull` for a CRN without reactions whose output is
+    /// species 0, or `None`.
+    fn packing(hull: &[Option<u64>]) -> Option<PackedSpec> {
+        PackedSpec::build(hull, &CompiledCrn::compile(&Crn::new()), hull.len(), 0)
+    }
+
+    #[test]
+    fn lanes_pack_up_to_exactly_64_bits() {
+        // Four lanes of 15 count bits and a sentinel fill the word; one more
+        // count bit does not fit.
+        let full = [Some((1 << 15) - 1); 4];
+        let spec = packing(&full).expect("64 bits pack");
+        assert_eq!(spec.shifts, [0, 16, 32, 48]);
+        assert_eq!(spec.sentinels, 0x8000_8000_8000_8000);
+        assert_eq!(spec.out_mask, 0x7fff);
+        let mut over = full;
+        over[3] = Some(1 << 15);
+        assert!(packing(&over).is_none());
+        // Every hull 0: 64 sentinel-only lanes pack, 65 do not.
+        assert!(packing(&[Some(0); 64]).is_some());
+        assert!(packing(&[Some(0); 65]).is_none());
+        // A bound of 2^k - 1 takes k count bits, and 2^k takes k + 1.
+        for k in 0..63 {
+            assert_eq!(packing(&[Some((1 << k) - 1)]).unwrap().sentinels, 1 << k);
+            assert_eq!(packing(&[Some(1 << k)]).unwrap().sentinels, 1 << (k + 1));
+        }
+        assert!(packing(&[Some(1 << 63)]).is_none());
+        // An unbounded species never packs, however narrow the others.
+        assert!(packing(&[None]).is_none());
+        assert!(packing(&[Some(0), None]).is_none());
+    }
+
+    #[test]
+    fn hulls_past_127_route_to_the_packed_scan() {
+        // X -> 200Y at bound 1: Y's hull is 200, past a byte lane, and the
+        // lanes take 1 + 1 and 8 + 1 bits.
+        let crn = crate::examples::multiply_crn(200);
+        let analysis = CrnAnalysis::of(&crn);
+        let plan = SweepPlan::build(&analysis, 1);
+        let spec = plan.packed.as_ref().expect("the hull fits one word");
+        assert_eq!(
+            (spec.shifts.as_slice(), spec.sentinels),
+            (&[0, 2][..], 0x402)
+        );
+        assert_eq!(
+            VerdictEngine::new(&analysis).pick_route(&plan),
+            Route::PackedScan
+        );
+        routes_match_reference(&crn, |x| 200 * x[0], 1);
     }
 
     /// Every route [`route`] can select.
@@ -995,6 +1088,26 @@ mod tests {
         let crn = FunctionCrn::with_named_roles(crn, &["X", "C"], "Y", None).unwrap();
         assert!(CrnAnalysis::of(&crn).acyclic());
         routes_match_reference(&crn, |x| x[0], 2);
+    }
+
+    #[test]
+    fn the_packed_codec_finds_the_lowest_lacking_species_on_uneven_lanes() {
+        // The CRN above with `X -> 200Y`: Y's lane takes 9 count bits, so
+        // A's sentinel is the third (bit 15), not byte lane 2 — a codec
+        // that divided the bit by 8 would name Y, whose producers leave
+        // `C -> A` out, and store fewer configurations than the others.
+        let mut crn = Crn::new();
+        for reaction in ["X -> 200Y", "X + A + B -> Y", "C -> A"] {
+            crn.parse_reaction(reaction).unwrap();
+        }
+        let crn = FunctionCrn::with_named_roles(crn, &["X", "C"], "Y", None).unwrap();
+        let analysis = CrnAnalysis::of(&crn);
+        assert!(analysis.acyclic());
+        let plan = SweepPlan::build(&analysis, 2);
+        let spec = plan.packed.as_ref().expect("the hull fits one word");
+        // X, Y, A, B (never produced, so hull 0) and C.
+        assert_eq!(spec.shifts, [0, 3, 13, 16, 17]);
+        routes_match_reference(&crn, |x| 200 * x[0], 2);
     }
 
     #[test]
@@ -1197,6 +1310,37 @@ mod tests {
                 .collect();
             let crn = random_crn(&kept);
             prop_assert!(CrnAnalysis::of(&crn).acyclic());
+            routes_match_reference(&crn, |x| a * x[0] + b, bound);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Wide lanes: `X -> kY` with `k` from 43 to 199 joins rows that
+        /// strictly lower the positive weighting `200X + Y + 2Z`, so the
+        /// certificate holds, Y reaches `k · bound > 127` from the top
+        /// corner, and the packed route runs on a lane wider than a byte.
+        #[test]
+        fn every_route_matches_the_reference_engine_on_wide_hulls(
+            stoich in proptest::collection::vec(proptest::collection::vec(0u64..3, 6), 0..3),
+            k in 43u64..200,
+            a in 0u64..3,
+            b in 0u64..2,
+            bound in 3u64..5,
+        ) {
+            let weight = |c: &[u64]| 200 * c[0] + c[1] + 2 * c[2];
+            let mut kept: Vec<Vec<u64>> = stoich
+                .into_iter()
+                .filter(|row| weight(&row[3..6]) < weight(&row[0..3]))
+                .collect();
+            kept.push(vec![1, 0, 0, 0, k, 0]);
+            let crn = random_crn(&kept);
+            let analysis = CrnAnalysis::of(&crn);
+            prop_assert!(analysis.acyclic());
+            let plan = SweepPlan::build(&analysis, bound);
+            let spec = plan.packed.as_ref().expect("a positive weighting bounds every lane");
+            prop_assert!((spec.sentinels >> spec.shifts[1]).trailing_zeros() >= 8);
             routes_match_reference(&crn, |x| a * x[0] + b, bound);
         }
     }

@@ -24,7 +24,7 @@
 //!   order instead of an iterate-until-stable fixpoint;
 //! * the **exploration engine** (internal) — one generic breadth-first
 //!   traversal over two state codecs (hash-interned count vectors, or one
-//!   byte-packed word per configuration), driving a visitor that builds the
+//!   bit-packed word per configuration), driving a visitor that builds the
 //!   graph of a full verdict or scans for bad terminal configurations; the
 //!   scan decides certified-acyclic CRNs and fires only stubborn sets, which
 //!   keep every reachable terminal configuration, and every other point
@@ -147,9 +147,10 @@ pub fn check_stable_computation(
 ///
 /// The sweep skips inputs whose symmetry orbit already contains a checked
 /// representative and explores every other point.  Certified-acyclic CRNs
-/// take a terminal scan that fires only stubborn sets, on one byte-packed
-/// word per configuration when the box hull of the monotone potentials fits
-/// 7-bit lanes; every other point takes the full verdict of
+/// take a terminal scan that fires only stubborn sets, on one bit-packed
+/// word per configuration when the box hull of the monotone potentials
+/// bounds every species and its lanes (each count's bits plus a sentinel)
+/// total at most 64 bits; every other point takes the full verdict of
 /// [`check_stable_computation`].  Box points are decoded from a mixed-radix
 /// index on demand, so the sweep allocates `O(1)` memory in the box size.
 /// The result is nonetheless bit-identical to a sequential loop of

@@ -221,7 +221,7 @@ pub(super) fn check_on_box_sharded(
     for (_, worker_stats) in &results {
         stats.merge(worker_stats);
     }
-    publish_sweep_metrics(&stats, workers);
+    publish_sweep_metrics(&stats, workers, plan.route_counter());
 
     let Some(i) = results.iter().filter_map(|&(best, _)| best).min() else {
         return (Ok(None), stats);
@@ -239,13 +239,16 @@ pub(super) fn check_on_box_sharded(
 }
 
 /// Publishes one sweep's merged counters into the observability registry
-/// (names under `model.box.*`); no-op unless profiling is
-/// enabled.  Counts mirror [`BoxCheckStats`] and accumulate across sweeps.
-fn publish_sweep_metrics(stats: &BoxCheckStats, workers: usize) {
+/// (names under `model.box.*`, plus the sweep's `route` counter); no-op
+/// unless profiling is enabled.  Counts mirror [`BoxCheckStats`] and
+/// accumulate across sweeps.  Every decided point of a sweep takes the
+/// plan's one route, so `route` counts them all.
+fn publish_sweep_metrics(stats: &BoxCheckStats, workers: usize, route: &str) {
     if !crn_obs::enabled() {
         return;
     }
     crn_obs::add("model.box.sweeps", 1);
+    crn_obs::add(route, stats.decided);
     crn_obs::add("model.box.points", stats.points);
     crn_obs::add("model.box.evaluated", stats.evaluated);
     crn_obs::add("model.box.symmetry_skipped", stats.symmetry_skipped);

@@ -133,9 +133,16 @@ impl NVec {
     }
 
     /// Sum of all components (the "total input size" `‖x‖₁`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sum exceeds `u64::MAX`.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.0.iter().sum()
+        self.0
+            .iter()
+            .try_fold(0u64, |total, &c| total.checked_add(c))
+            .expect("the component sum exceeds u64::MAX")
     }
 
     /// Residue of each component modulo `p`, giving the congruence class
@@ -648,6 +655,12 @@ mod tests {
         assert_eq!(x.without_component(0), NVec::from(vec![9]));
         assert_eq!(x.with_inserted(1, 5), NVec::from(vec![7, 5, 9]));
         assert_eq!(x.total(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "the component sum exceeds u64::MAX")]
+    fn total_refuses_a_sum_past_u64_max() {
+        let _ = NVec::from(vec![u64::MAX, 1]).total();
     }
 
     #[test]
