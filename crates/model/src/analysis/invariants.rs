@@ -2,23 +2,14 @@
 //!
 //! A weight vector `v ∈ Z^S` is a *conservation law* when `v·N = 0` for the
 //! stoichiometry matrix `N` — firing any reaction leaves `v·c` unchanged, so
-//! `v·c` is constant along every trajectory.  Two law families are computed
-//! here, both with exact, overflow-checked `i128` arithmetic (no floating
-//! point anywhere):
-//!
-//! * [`conservation_basis`] — a basis of the full (signed) left nullspace of
-//!   `N`, by rational Gaussian elimination over [`crn_numeric::Rational`] and
-//!   scaling each basis vector to a primitive integer vector.  Complete: any
-//!   linear invariant is a rational combination of these, which makes the
-//!   basis the right engine for reachability *refutation* (if some law weighs
-//!   source and target differently, the target is unreachable).  A basis
-//!   vector whose computation overflows `i128` is dropped (an overflow
-//!   mid-elimination drops them all): a missing law loses refutations, never
-//!   soundness.
-//! * [`nonnegative_laws`] — minimal-support nonnegative laws (P-semiflows) by
-//!   the Farkas construction.  Nonnegative laws bound species counts
-//!   (`v(s)·c(s) ≤ v·c₀` for all `s`), which is what the `C005`
-//!   output-starvation lint consumes.
+//! `v·c` is constant along every trajectory.  [`nonnegative_laws`] computes
+//! the minimal-support nonnegative laws (P-semiflows) by the Farkas
+//! construction, with exact, overflow-checked `i128` arithmetic (no floating
+//! point anywhere).  Nonnegative laws bound species counts
+//! (`v(s)·c(s) ≤ v·c₀` for all `s`), which is what the `C005`
+//! output-starvation lint consumes.  A basis of the full signed law space is
+//! `crn_geometry::QMatrix::nullspace_basis` of the reaction × species delta
+//! matrix; no analysis here needs one.
 //!
 //! The Farkas construction is one double-description core, shared with the
 //! T-semiflows and the decreasing monotone-potential cone (Motzkin et al.
@@ -36,7 +27,7 @@
 
 use std::collections::HashSet;
 
-use crn_numeric::{checked_gcd_i128, checked_lcm_i128, gcd_i128, Rational};
+use crn_numeric::{checked_gcd_i128, gcd_i128};
 
 use crate::species::SpeciesSet;
 
@@ -44,7 +35,7 @@ use super::stoichiometry::Stoichiometry;
 
 /// An integer conservation law: weights `v` with `v·N = 0`, stored as one
 /// weight per dense species index and kept *primitive* (the gcd of the
-/// weights is 1, and the first nonzero weight is positive for signed laws).
+/// weights is 1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConservationLaw {
     weights: Vec<i128>,
@@ -136,108 +127,6 @@ pub(super) fn weigh(v: &[i128], counts: &[u64]) -> Option<i128> {
     v.iter().zip(counts).try_fold(0i128, |sum, (&w, &c)| {
         sum.checked_add(w.checked_mul(i128::from(c))?)
     })
-}
-
-/// A basis of the signed left nullspace `{v : v·N = 0}` as primitive integer
-/// vectors, via rational Gaussian elimination on the transposed system
-/// `Nᵀ·vᵀ = 0` (one equation per reaction, one unknown per species).
-///
-/// Species untouched by any reaction yield unit laws, so a basis always
-/// exists for them; a CRN with no reactions gets one unit law per species
-/// slot.  Unless `i128` overflowed, the basis is complete for linear
-/// refutation: any integer (indeed rational) conservation law is a
-/// combination of the returned vectors.  An overflowing vector is left out.
-#[must_use]
-pub fn conservation_basis(stoich: &Stoichiometry) -> Vec<ConservationLaw> {
-    let cols = stoich.stride();
-    let rows = stoich.reaction_count();
-    // The constraint matrix A = Nᵀ: A[r][s] = net change of s by reaction r.
-    let mut a: Vec<Vec<Rational>> = (0..rows)
-        .map(|r| {
-            (0..cols)
-                .map(|s| Rational::from(stoich.entry(s, r)))
-                .collect()
-        })
-        .collect();
-    let Some(pivot_cols) = reduce_to_rref(&mut a, cols) else {
-        return Vec::new();
-    };
-
-    // One basis vector per free column: set that free variable to 1, every
-    // other free variable to 0, and read the pivot variables off the RREF.
-    (0..cols)
-        .filter(|c| !pivot_cols.contains(c))
-        .filter_map(|free| basis_vector(&a, &pivot_cols, free, cols))
-        .collect()
-}
-
-/// Forward elimination of `a` (with `cols` columns) to reduced row echelon
-/// form; returns the pivot columns, or `None` on `i128` overflow.
-fn reduce_to_rref(a: &mut [Vec<Rational>], cols: usize) -> Option<Vec<usize>> {
-    let rows = a.len();
-    let mut pivot_cols: Vec<usize> = Vec::new();
-    for col in 0..cols {
-        let rank = pivot_cols.len();
-        if rank == rows {
-            break;
-        }
-        let Some(pivot_row) = (rank..rows).find(|&r| !a[r][col].is_zero()) else {
-            continue;
-        };
-        a.swap(rank, pivot_row);
-        let pivot = a[rank][col];
-        // Zero cells of the pivot row change nothing below, so only its
-        // nonzero columns are divided and eliminated.
-        let nonzero: Vec<usize> = (0..cols).filter(|&c| !a[rank][c].is_zero()).collect();
-        for &c in &nonzero {
-            a[rank][c] = a[rank][c].checked_div(pivot)?;
-        }
-        let pivot_row = a[rank].clone();
-        for (r, row) in a.iter_mut().enumerate() {
-            if r != rank && !row[col].is_zero() {
-                let factor = row[col];
-                for &c in &nonzero {
-                    row[c] = row[c].checked_sub(pivot_row[c].checked_mul(factor)?)?;
-                }
-            }
-        }
-        pivot_cols.push(col);
-    }
-    Some(pivot_cols)
-}
-
-/// The basis vector of free column `free` read off the RREF `a`, scaled to a
-/// primitive integer vector, or `None` on `i128` overflow.
-fn basis_vector(
-    a: &[Vec<Rational>],
-    pivot_cols: &[usize],
-    free: usize,
-    cols: usize,
-) -> Option<ConservationLaw> {
-    let mut v = vec![Rational::ZERO; cols];
-    v[free] = Rational::ONE;
-    for (row, &pc) in pivot_cols.iter().enumerate() {
-        v[pc] = a[row][free].checked_neg()?;
-    }
-    // Scale to a primitive integer vector: multiply by the lcm of the
-    // denominators, then divide by the gcd; flip so the first nonzero
-    // weight is positive (a canonical sign for stable output).
-    let scale = v
-        .iter()
-        .try_fold(1i128, |acc, value| checked_lcm_i128(acc, value.denom()))?;
-    let mut weights = v
-        .iter()
-        .map(|value| {
-            let scaled = value.checked_mul(Rational::from(scale))?;
-            Some(scaled.to_integer().expect("scaled by the denominator lcm"))
-        })
-        .collect::<Option<Vec<i128>>>()?;
-    if weights.iter().find(|&&w| w != 0).is_some_and(|&w| w < 0) {
-        for w in &mut weights {
-            *w = w.checked_neg()?;
-        }
-    }
-    ConservationLaw::primitive(weights)
 }
 
 /// Default cap on the rows one column of a Farkas enumeration may hold.  The
@@ -595,29 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn max_crn_has_a_two_dimensional_law_space() {
-        let max = examples::max_crn();
-        let n = stoich(max.crn());
-        let basis = conservation_basis(&n);
-        // 6 species (X1 Z1 Y X2 Z2 K), 4 independent reactions ⇒ 2 basis laws.
-        assert_laws_hold(&basis, &n);
-        assert_eq!(basis.len(), 2);
-        // The basis separates I_(2,3) from the pure target {Y: 5}: some law
-        // weighs them differently, so the overshoot configuration is
-        // unreachable.
-        let crn = max.crn();
-        let idx = |name: &str| crn.species_named(name).unwrap().index();
-        let mut source = vec![0u64; n.stride()];
-        source[idx("X1")] = 2;
-        source[idx("X2")] = 3;
-        let mut target = vec![0u64; n.stride()];
-        target[idx("Y")] = 5;
-        assert!(basis
-            .iter()
-            .any(|law| law.weigh(&source) != law.weigh(&target)));
-    }
-
-    #[test]
     fn min_crn_semiflows_are_the_two_joins() {
         // X1 + X2 -> Y: minimal semiflows are X1 + Y and X2 + Y.
         let min = examples::min_crn();
@@ -632,20 +498,6 @@ mod tests {
             .collect();
         assert!(names.contains(&"X1 + Y".to_owned()), "{names:?}");
         assert!(names.contains(&"X2 + Y".to_owned()), "{names:?}");
-    }
-
-    #[test]
-    fn untouched_species_get_unit_laws() {
-        let mut crn = Crn::new();
-        crn.add_species("A");
-        crn.add_species("B");
-        crn.parse_reaction("A -> 2A").unwrap();
-        let n = stoich(&crn);
-        let basis = conservation_basis(&n);
-        // A -> 2A admits no law on A; B is untouched so e_B is a law.
-        assert_laws_hold(&basis, &n);
-        assert_eq!(basis.len(), 1);
-        assert_eq!(basis[0].display(crn.species()), "B");
     }
 
     #[test]
@@ -724,7 +576,6 @@ mod tests {
         crn.add_species("A");
         crn.add_species("B");
         let n = stoich(&crn);
-        assert_eq!(conservation_basis(&n).len(), 2);
         assert_eq!(nonnegative_laws(&n, FARKAS_ROW_CAP).len(), 2);
     }
 
@@ -748,7 +599,6 @@ mod tests {
         // Wrapping 2^128 to 0 would fabricate the law
         // E + 2^96 B + 2^64 C + 2^32 D.
         let n = stoich(&overflow_chain());
-        assert!(conservation_basis(&n).is_empty());
         let semiflows = nonnegative_laws_capped(&n, FARKAS_ROW_CAP);
         assert!(semiflows.laws.is_empty());
         assert!(semiflows.truncated);

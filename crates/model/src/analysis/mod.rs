@@ -5,9 +5,9 @@
 //! without exploring any state space:
 //!
 //! * [`Stoichiometry`] — the exact integer net-change matrix `N`;
-//! * [`conservation_basis`] / [`nonnegative_laws`] — P-invariants `v·N = 0`,
-//!   computed with exact rational arithmetic and scaled to primitive integer
-//!   vectors; a law weighing two configurations differently refutes
+//! * [`nonnegative_laws`] — nonnegative P-invariants `v·N = 0` (P-semiflows),
+//!   primitive integer vectors by the Farkas construction, which bound
+//!   species counts; a law weighing two configurations differently refutes
 //!   reachability between them;
 //! * [`nonnegative_t_semiflows`] — nonnegative T-invariants `N·f = 0`
 //!   (certificates of repeatable reaction cycles), by the same Farkas
@@ -43,8 +43,7 @@ mod t_invariants;
 
 pub use bounds::SpeciesBounds;
 pub use invariants::{
-    conservation_basis, nonnegative_laws, nonnegative_laws_capped, ConservationLaw,
-    SemiflowEnumeration, FARKAS_ROW_CAP,
+    nonnegative_laws, nonnegative_laws_capped, ConservationLaw, SemiflowEnumeration, FARKAS_ROW_CAP,
 };
 pub use lints::{lint, lint_full, Lint, LintCode, LintOutcome};
 pub use liveness::Liveness;

@@ -61,8 +61,7 @@ pub mod species;
 pub mod transform;
 
 pub use analysis::{
-    conservation_basis, lint, nonnegative_laws, ConservationLaw, Lint, LintCode, Liveness,
-    Stoichiometry,
+    lint, nonnegative_laws, ConservationLaw, Lint, LintCode, Liveness, Stoichiometry,
 };
 pub use compiled::{CompiledCrn, CompiledReaction, DenseState};
 pub use compose::{concatenate, parallel_union, PipeSource, Pipeline, StageId};

@@ -1,23 +1,144 @@
-//! Interned dense storage for explored configurations.
+//! Where an exploration stores its configurations, and the one index that
+//! finds them again.
 //!
-//! The breadth-first exploration of the seed engine kept every configuration
-//! twice (once in the result vector, once as a `HashMap` key) and cloned a
-//! `BTreeMap` per examined edge.  The arena replaces both: each configuration
-//! is a dense count vector of fixed stride (one slot per species), all vectors
-//! live contiguously in a single allocation, and an open-addressing hash index
-//! maps count vectors back to their dense arena ids in O(1) expected time
-//! without a second copy of the keys.
+//! Every stored configuration is a node named by its discovery position
+//! ([`NodeId`]).  A codec keeps its nodes in flat storage of its own — the
+//! hash codec in a [`ConfigArena`] of dense count vectors, the packed codec
+//! in one word per node — and deduplicates them through a [`CodeIndex`]: an
+//! open-addressing table from a node's 64-bit key to its id, which holds no
+//! second copy of the keys and empties in O(1) between the points of a box
+//! sweep.
 
 use crate::config::Configuration;
 use crate::species::Species;
 
-/// Marker for an empty slot in the open-addressing index.
-const EMPTY: usize = usize::MAX;
+/// A node of one exploration: the discovery position of a stored
+/// configuration.  The engine's `admit` mints every id and keeps it below
+/// `u32::MAX`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct NodeId(pub(super) u32);
+
+impl NodeId {
+    /// The start configuration, which every codec stores on construction.
+    pub(super) const START: NodeId = NodeId(0);
+
+    pub(super) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// The SplitMix64 finalizer: a full-avalanche mix of one word, so adjacent
+/// keys spread across the slot table.
+pub(super) fn mix(key: u64) -> u64 {
+    let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The engine's one open-addressing index, from a node's 64-bit key to its
+/// id.  It stores only ids: [`lookup`](CodeIndex::lookup) and
+/// [`insert`](CodeIndex::insert) read keys through the codec's storage.
+/// Slots are epoch-stamped `(epoch << 32) | (id + 1)` cells, so a reset is
+/// O(1) — no memset of a table sized for the sweep's biggest point — and
+/// the table doubles at 1/2 load: probes run on the seen-successor fast
+/// path, so short chains are worth the memory.
+pub(super) struct CodeIndex {
+    /// Length a power of two, at least 16.
+    slots: Vec<u64>,
+    epoch: u32,
+    /// Probe steps past the home slot across every placement, cumulative
+    /// over the index's lifetime (resets do not clear it): the
+    /// dedup-collision metric the observability layer reports.
+    collisions: u64,
+    /// Slot-table doublings over the index's lifetime.
+    grows: u64,
+}
+
+impl Default for CodeIndex {
+    fn default() -> Self {
+        CodeIndex {
+            slots: vec![0; 16],
+            epoch: 0,
+            collisions: 0,
+            grows: 0,
+        }
+    }
+}
+
+impl CodeIndex {
+    /// Empties the index, keeping the allocation: stale slots are recognized
+    /// by their epoch stamp.  Only when the epoch wraps are the slots
+    /// cleared.
+    pub(super) fn reset(&mut self) {
+        match self.epoch.checked_add(1) {
+            Some(e) => self.epoch = e,
+            None => {
+                self.slots.iter_mut().for_each(|s| *s = 0);
+                self.epoch = 1;
+            }
+        }
+    }
+
+    /// The live id in `slot`, if any.
+    fn occupant(&self, slot: usize) -> Option<NodeId> {
+        let cell = self.slots[slot];
+        let id = (cell as u32).checked_sub(1)?;
+        (cell >> 32 == u64::from(self.epoch)).then_some(NodeId(id))
+    }
+
+    /// The first id on `key`'s probe chain that `is` accepts.  Any stored id
+    /// can sit on the chain, so `is` tests the key itself: the packed codec
+    /// compares words, the hash codec cached keys and then count vectors.
+    pub(super) fn lookup(&self, key: u64, is: impl Fn(usize) -> bool) -> Option<NodeId> {
+        let mask = self.slots.len() - 1;
+        let mut slot = (mix(key) as usize) & mask;
+        loop {
+            match self.occupant(slot) {
+                None => return None,
+                Some(id) if is(id.index()) => return Some(id),
+                Some(_) => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Indexes `id`, the newest stored node, where `key_of` maps every
+    /// stored id to its key.
+    pub(super) fn insert(&mut self, id: NodeId, key_of: impl Fn(usize) -> u64) {
+        if (id.index() + 1) * 2 > self.slots.len() {
+            self.grows += 1;
+            let new_len = self.slots.len() * 2;
+            self.slots.clear();
+            self.slots.resize(new_len, 0);
+            for i in 0..=id.0 {
+                self.place(i, &key_of);
+            }
+        } else {
+            self.place(id.0, &key_of);
+        }
+    }
+
+    /// Writes `id` into the first free slot of its probe chain.
+    fn place(&mut self, id: u32, key_of: &impl Fn(usize) -> u64) {
+        let mask = self.slots.len() - 1;
+        let mut slot = (mix(key_of(id as usize)) as usize) & mask;
+        while self.occupant(slot).is_some() {
+            self.collisions += 1;
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = (u64::from(self.epoch) << 32) | u64::from(id + 1);
+    }
+
+    /// `(collisions, grows)` accumulated over the index's lifetime.
+    pub(super) fn metrics(&self) -> (u64, u64) {
+        (self.collisions, self.grows)
+    }
+}
 
 /// FNV-1a over the `u64` words of a count vector, with an extra avalanche
 /// step so that low-entropy counts (almost all configurations are small
 /// integers) still spread across the table.
-fn hash_counts(counts: &[u64]) -> u64 {
+pub(super) fn hash_counts(counts: &[u64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &w in counts {
         h ^= w;
@@ -27,128 +148,56 @@ fn hash_counts(counts: &[u64]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// An arena of interned configurations over a fixed species stride.
-#[derive(Debug)]
-pub(crate) struct ConfigArena {
+/// The count vectors of one exploration over a fixed species stride, with
+/// the [`hash_counts`] key of each, found again through a [`CodeIndex`].
+#[derive(Debug, Default)]
+pub(super) struct ConfigArena {
     stride: usize,
     /// Concatenated count vectors; configuration `i` occupies
     /// `counts[i * stride .. (i + 1) * stride]`.
     counts: Vec<u64>,
-    /// Cached hash of every stored configuration (avoids rehashing on probe
-    /// comparisons and on table growth).
-    hashes: Vec<u64>,
-    /// Open-addressing table of arena ids; length is a power of two.
-    slots: Vec<usize>,
-    /// Probe steps past the home slot across every placement, cumulative over
-    /// the arena's lifetime (resets do not clear it): the dedup-collision
-    /// metric the observability layer reports.
-    collisions: u64,
-    /// Slot-table doublings over the arena's lifetime.
-    grows: u64,
-}
-
-impl Default for ConfigArena {
-    fn default() -> Self {
-        ConfigArena::new(0)
-    }
+    /// The key of every stored configuration, so probes compare a vector
+    /// only on a key match and growth rehashes nothing.
+    keys: Vec<u64>,
 }
 
 impl ConfigArena {
-    /// Creates an empty arena for count vectors of length `stride`.
-    pub(crate) fn new(stride: usize) -> Self {
-        ConfigArena {
-            stride,
-            counts: Vec::new(),
-            hashes: Vec::new(),
-            slots: vec![EMPTY; 16],
-            collisions: 0,
-            grows: 0,
-        }
-    }
-
     /// Empties the arena for a fresh exploration over `stride` species,
     /// keeping every allocation for reuse.
-    pub(crate) fn reset(&mut self, stride: usize) {
+    pub(super) fn reset(&mut self, stride: usize) {
         self.stride = stride;
         self.counts.clear();
-        self.hashes.clear();
-        self.slots.iter_mut().for_each(|s| *s = EMPTY);
+        self.keys.clear();
     }
 
     /// The number of stored configurations.
-    pub(crate) fn len(&self) -> usize {
-        self.hashes.len()
+    pub(super) fn len(&self) -> usize {
+        self.keys.len()
     }
 
     /// The count vector of configuration `id`.
-    pub(crate) fn get(&self, id: usize) -> &[u64] {
+    pub(super) fn get(&self, id: usize) -> &[u64] {
         &self.counts[id * self.stride..(id + 1) * self.stride]
     }
 
-    /// The arena id of `v`, if it has been interned.
-    pub(crate) fn lookup(&self, v: &[u64]) -> Option<usize> {
+    /// The node of `v`, whose key is `key`, if `index` holds it.
+    pub(super) fn lookup(&self, index: &CodeIndex, key: u64, v: &[u64]) -> Option<NodeId> {
         debug_assert_eq!(v.len(), self.stride);
-        let hash = hash_counts(v);
-        let mask = self.slots.len() - 1;
-        let mut slot = (hash as usize) & mask;
-        loop {
-            let id = self.slots[slot];
-            if id == EMPTY {
-                return None;
-            }
-            if self.hashes[id] == hash && self.get(id) == v {
-                return Some(id);
-            }
-            slot = (slot + 1) & mask;
-        }
+        index.lookup(key, |id| self.keys[id] == key && self.get(id) == v)
     }
 
-    /// Interns `v`, which the caller has established is not present, and
-    /// returns its new arena id.
-    pub(crate) fn insert_new(&mut self, v: &[u64]) -> usize {
-        debug_assert_eq!(v.len(), self.stride);
-        debug_assert!(self.lookup(v).is_none(), "insert_new of a present vector");
-        let id = self.len();
+    /// Stores `v`, whose key is `key` and which the caller has established
+    /// is absent, as node `id` (the next discovery position), and indexes
+    /// it.
+    pub(super) fn insert(&mut self, index: &mut CodeIndex, id: NodeId, key: u64, v: &[u64]) {
+        debug_assert_eq!((v.len(), id.index()), (self.stride, self.len()));
         self.counts.extend_from_slice(v);
-        self.hashes.push(hash_counts(v));
-        // Grow at 7/8 load so probe chains stay short.
-        if (self.len() + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
-        }
-        self.place(id);
-        id
-    }
-
-    /// Rebuilds the slot table at twice the capacity from the cached hashes.
-    fn grow(&mut self) {
-        self.grows += 1;
-        let new_len = self.slots.len() * 2;
-        self.slots.clear();
-        self.slots.resize(new_len, EMPTY);
-        for id in 0..self.len() {
-            self.place(id);
-        }
-    }
-
-    /// Writes `id` into the first free slot of its probe chain.
-    fn place(&mut self, id: usize) {
-        let mask = self.slots.len() - 1;
-        let mut slot = (self.hashes[id] as usize) & mask;
-        while self.slots[slot] != EMPTY {
-            self.collisions += 1;
-            slot = (slot + 1) & mask;
-        }
-        self.slots[slot] = id;
-    }
-
-    /// `(collisions, grows)` accumulated over the arena's lifetime — probe
-    /// steps past the home slot on placement, and slot-table doublings.
-    pub(crate) fn metrics(&self) -> (u64, u64) {
-        (self.collisions, self.grows)
+        self.keys.push(key);
+        index.insert(id, |i| self.keys[i]);
     }
 
     /// Materializes configuration `id` as a sparse [`Configuration`].
-    pub(crate) fn sparse(&self, id: usize) -> Configuration {
+    pub(super) fn sparse(&self, id: usize) -> Configuration {
         Configuration::from_counts(
             self.get(id)
                 .iter()
@@ -163,36 +212,88 @@ impl ConfigArena {
 mod tests {
     use super::*;
 
+    /// A fresh arena over `stride` species with its index, as the hash
+    /// codec pairs them.
+    fn arena(stride: usize) -> (ConfigArena, CodeIndex) {
+        let mut arena = ConfigArena::default();
+        arena.reset(stride);
+        (arena, CodeIndex::default())
+    }
+
+    fn find(arena: &ConfigArena, index: &CodeIndex, v: &[u64]) -> Option<usize> {
+        arena.lookup(index, hash_counts(v), v).map(NodeId::index)
+    }
+
+    fn intern(arena: &mut ConfigArena, index: &mut CodeIndex, v: &[u64]) -> usize {
+        let id = NodeId(arena.len() as u32);
+        arena.insert(index, id, hash_counts(v), v);
+        id.index()
+    }
+
     #[test]
     fn intern_lookup_roundtrip() {
-        let mut arena = ConfigArena::new(3);
-        assert_eq!(arena.lookup(&[1, 0, 2]), None);
-        let a = arena.insert_new(&[1, 0, 2]);
-        let b = arena.insert_new(&[0, 0, 0]);
+        let (mut arena, mut index) = arena(3);
+        assert_eq!(find(&arena, &index, &[1, 0, 2]), None);
+        let a = intern(&mut arena, &mut index, &[1, 0, 2]);
+        let b = intern(&mut arena, &mut index, &[0, 0, 0]);
         assert_ne!(a, b);
-        assert_eq!(arena.lookup(&[1, 0, 2]), Some(a));
-        assert_eq!(arena.lookup(&[0, 0, 0]), Some(b));
-        assert_eq!(arena.lookup(&[2, 0, 1]), None);
+        assert_eq!(find(&arena, &index, &[1, 0, 2]), Some(a));
+        assert_eq!(find(&arena, &index, &[0, 0, 0]), Some(b));
+        assert_eq!(find(&arena, &index, &[2, 0, 1]), None);
         assert_eq!(arena.get(a), &[1, 0, 2]);
         assert_eq!(arena.len(), 2);
     }
 
     #[test]
     fn index_survives_growth() {
-        let mut arena = ConfigArena::new(2);
+        let (mut arena, mut index) = arena(2);
         for i in 0..500u64 {
-            arena.insert_new(&[i, i * 7 + 1]);
+            intern(&mut arena, &mut index, &[i, i * 7 + 1]);
         }
         for i in 0..500u64 {
-            assert_eq!(arena.lookup(&[i, i * 7 + 1]), Some(i as usize));
+            assert_eq!(find(&arena, &index, &[i, i * 7 + 1]), Some(i as usize));
         }
-        assert_eq!(arena.lookup(&[500, 1]), None);
+        assert_eq!(find(&arena, &index, &[500, 1]), None);
+        // 500 ids at 1/2 load: 16 slots doubled six times, to 1,024.
+        assert_eq!(index.metrics().1, 6);
+    }
+
+    #[test]
+    fn an_epoch_wrap_forgets_every_stored_id() {
+        let old = [3u64, 5, 8];
+        let new = [13u64, 21];
+        let store = |index: &mut CodeIndex, keys: &[u64]| {
+            for i in 0..keys.len() {
+                index.insert(NodeId(i as u32), |j| keys[j]);
+            }
+        };
+        let found = |index: &CodeIndex, keys: &[u64], key: u64| {
+            index.lookup(key, |j| keys[j] == key).map(NodeId::index)
+        };
+        let mut index = CodeIndex::default();
+        // Stamped at epoch 1, which the wrap restarts at, and at the last
+        // epoch before it.
+        index.reset();
+        store(&mut index, &old);
+        index.epoch = u32::MAX;
+        assert_eq!(found(&index, &old, 3), None);
+        store(&mut index, &old[..2]);
+        assert_eq!(found(&index, &old, 5), Some(1));
+        index.reset();
+        assert_eq!(index.epoch, 1);
+        for key in old {
+            assert_eq!(found(&index, &old, key), None, "{key} survived the wrap");
+        }
+        store(&mut index, &new);
+        assert_eq!(found(&index, &new, 13), Some(0));
+        assert_eq!(found(&index, &new, 21), Some(1));
+        assert_eq!(found(&index, &new, 3), None);
     }
 
     #[test]
     fn sparse_materialization_drops_zeros() {
-        let mut arena = ConfigArena::new(3);
-        let id = arena.insert_new(&[2, 0, 5]);
+        let (mut arena, mut index) = arena(3);
+        let id = intern(&mut arena, &mut index, &[2, 0, 5]);
         let sparse = arena.sparse(id);
         assert_eq!(sparse.count(Species(0)), 2);
         assert_eq!(sparse.count(Species(1)), 0);

@@ -8,14 +8,15 @@
 //! terminal configurations; it fires only stubborn sets, see
 //! [`StubbornSets`]).
 //!
-//! The codecs differ only in how a configuration is stored and
-//! deduplicated: [`Hash`] interns count vectors, and [`Packed`] holds a
-//! whole configuration in one bit-packed word, deduplicated by a hashed
-//! code index.  [`VerdictEngine::decide`] picks the route of each point
-//! through [`route`]: a terminal scan on one of the codecs, or the full
-//! verdict of [`VerdictEngine::check`].  The traversal stays out of line,
-//! one function per codec × visitor pair, so each hot loop is compiled on
-//! its own.
+//! The codecs differ only in how a configuration is stored and keyed:
+//! [`Hash`] keeps count vectors in the arena, keyed by their hash, and
+//! [`Packed`] holds a whole configuration in one bit-packed word, which is
+//! its own key.  Both deduplicate through the one [`CodeIndex`] of the
+//! [`Store`] and name a seen successor by the [`NodeId`] it returns.
+//! [`VerdictEngine::decide`] picks the route of each point through
+//! [`route`]: a terminal scan on one of the codecs, or the full verdict of
+//! [`VerdictEngine::check`].  The traversal stays out of line, one function
+//! per codec × visitor pair, so each hot loop is compiled on its own.
 
 use std::mem;
 
@@ -26,7 +27,7 @@ use crate::compiled::{CompiledCrn, CompiledReaction};
 use crate::crn::Crn;
 use crate::error::CrnError;
 
-use super::arena::ConfigArena;
+use super::arena::{hash_counts, CodeIndex, ConfigArena, NodeId};
 use super::csr::CsrGraph;
 use super::scc::Condensation;
 use super::stubborn::{Closure, StubbornSets};
@@ -136,34 +137,10 @@ impl PackedSpec {
     }
 }
 
-/// The SplitMix64 finalizer: a full-avalanche mix of one word, so
-/// lexicographically adjacent codes spread across the slot table.
-fn mix_code(code: u64) -> u64 {
-    let mut z = code.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A node of one exploration: the discovery position of a stored
-/// configuration.  [`admit`] mints every id past the start and keeps it
-/// below `u32::MAX`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct NodeId(u32);
-
-impl NodeId {
-    /// The start configuration, which every codec stores on construction.
-    const START: NodeId = NodeId(0);
-
-    fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// The id of the node a traversal is about to insert after the `len`
-/// stored so far — the one place the configuration limit is enforced.  The
-/// limit error is order-independent: it fires exactly when the reachable
-/// set exceeds `limit` configurations.
+/// The id of the node a traversal is about to store after the `len` stored
+/// so far — the one place the configuration limit is enforced.  The limit
+/// error is order-independent: it fires exactly when the reachable set
+/// exceeds `limit` configurations.
 fn admit(len: usize, limit: usize) -> Result<NodeId, CrnError> {
     if len >= limit {
         return Err(CrnError::SearchLimitExceeded {
@@ -177,78 +154,6 @@ fn admit(len: usize, limit: usize) -> Result<NodeId, CrnError> {
     Ok(NodeId(len as u32))
 }
 
-/// An open-addressing index over codes: like the arena's hash index, but
-/// keyed by one u64 code per configuration instead of the full count
-/// vector, so every probe compares a single word.  Slots are epoch-stamped
-/// `(epoch << 32) | (id + 1)` cells, so resetting between the points of a
-/// box sweep is O(1) — no memset of a table sized for the sweep's biggest
-/// point.
-#[derive(Default)]
-struct CodeIndex {
-    slots: Vec<u64>,
-    epoch: u32,
-}
-
-impl CodeIndex {
-    /// Empties the index, keeping the allocation: stale slots are recognized
-    /// by their epoch stamp.
-    fn reset(&mut self) {
-        match self.epoch.checked_add(1) {
-            Some(e) => self.epoch = e,
-            None => {
-                self.slots.iter_mut().for_each(|s| *s = 0);
-                self.epoch = 1;
-            }
-        }
-    }
-
-    /// The live id in `slot`, if any.
-    fn occupant(&self, slot: usize) -> Option<NodeId> {
-        let cell = self.slots[slot];
-        let id = (cell as u32).checked_sub(1)?;
-        (cell >> 32 == u64::from(self.epoch)).then_some(NodeId(id))
-    }
-
-    /// The id of `code`, where `code_of` maps stored ids to their codes.
-    fn lookup(&self, code: u64, code_of: impl Fn(usize) -> u64) -> Option<NodeId> {
-        let mask = self.slots.len() - 1;
-        let mut slot = (mix_code(code) as usize) & mask;
-        loop {
-            match self.occupant(slot) {
-                None => return None,
-                Some(id) if code_of(id.index()) == code => return Some(id),
-                Some(_) => slot = (slot + 1) & mask,
-            }
-        }
-    }
-
-    /// Indexes the newest stored id, whose code the caller has established
-    /// is absent.
-    fn insert(&mut self, id: NodeId, code_of: impl Fn(usize) -> u64) {
-        // Grow at 1/2 load: probes run on the seen-successor fast path, so
-        // short chains are worth the memory.
-        if (id.index() + 1) * 2 > self.slots.len() {
-            let new_len = (self.slots.len() * 2).max(16);
-            self.slots.clear();
-            self.slots.resize(new_len, 0);
-            for i in 0..=id.0 {
-                self.place(i, &code_of);
-            }
-        } else {
-            self.place(id.0, &code_of);
-        }
-    }
-
-    fn place(&mut self, id: u32, code_of: &impl Fn(usize) -> u64) {
-        let mask = self.slots.len() - 1;
-        let mut slot = (mix_code(code_of(id as usize)) as usize) & mask;
-        while self.occupant(slot).is_some() {
-            slot = (slot + 1) & mask;
-        }
-        self.slots[slot] = (u64::from(self.epoch) << 32) | u64::from(id + 1);
-    }
-}
-
 /// The memory the codecs store configurations in, kept across explorations
 /// so a box sweep allocates only while its largest point grows the buffers.
 #[derive(Default)]
@@ -257,8 +162,10 @@ struct Store {
     arena: ConfigArena,
     /// The hash codec's edge stamps, sized on demand.
     stamps: Vec<u32>,
-    /// The packed codec's words and their code index.
+    /// The packed codec's words.
     words: Vec<u64>,
+    /// The index of whichever codec runs, the one whose collisions and
+    /// grows the observability layer reports.
     index: CodeIndex,
     /// The count vector being expanded, and a successor scratch.
     cur: Vec<u64>,
@@ -266,20 +173,17 @@ struct Store {
 }
 
 /// What a codec learns by firing one enabled reaction on the loaded node.
-enum Probe<S, K> {
-    /// The successor is stored already.
-    Seen(S),
-    /// The successor is new; the key is what [`Codec::insert`] needs.
-    Unseen(K),
+enum Probe {
+    /// The successor is stored already, as this node.
+    Seen(NodeId),
+    /// The successor is new; its index key is what [`Codec::insert`] needs.
+    Unseen(u64),
 }
 
 /// A state codec: how one exploration stores configurations, tells a seen
-/// successor from a new one, and reads a node's output count.
+/// successor from a new one, and reads a node's output count.  Both codecs
+/// find their nodes through the store's one [`CodeIndex`].
 trait Codec {
-    /// How a probe names a seen successor: its id, or `()` for a codec that
-    /// keeps no ids.
-    type Seen: Copy;
-    type Key: Copy;
     fn len(&self) -> usize;
     fn reactions(&self) -> usize;
     /// Makes `v` the node later probes fire reactions on.
@@ -291,10 +195,10 @@ trait Codec {
     fn lacking(&self, r: usize) -> usize;
     /// Fires the enabled reaction `r` on the loaded node; a count the
     /// firing pushes past `u64::MAX` is an error, never a wrapped value.
-    fn probe(&mut self, r: usize) -> Result<Probe<Self::Seen, Self::Key>, CrnError>;
-    /// Stores the unseen successor `key` of the loaded node under reaction
-    /// `r` as node `id`.
-    fn insert(&mut self, r: usize, key: Self::Key, id: NodeId) -> Self::Seen;
+    fn probe(&mut self, r: usize) -> Result<Probe, CrnError>;
+    /// Stores the successor the last probe found unseen, whose key is
+    /// `key`, as node `id`.
+    fn insert(&mut self, key: u64, id: NodeId);
     fn output(&self, v: NodeId) -> u64;
 }
 
@@ -318,7 +222,9 @@ impl<'a> Hash<'a> {
     ) -> Self {
         let stride = start.len();
         s.arena.reset(stride);
-        s.arena.insert_new(start);
+        s.index.reset();
+        s.arena
+            .insert(&mut s.index, NodeId::START, hash_counts(start), start);
         s.stamps.clear();
         s.cur.clear();
         s.cur.resize(stride, 0);
@@ -344,9 +250,6 @@ impl<'a> Hash<'a> {
 }
 
 impl Codec for Hash<'_> {
-    type Seen = NodeId;
-    type Key = ();
-
     fn len(&self) -> usize {
         self.s.arena.len()
     }
@@ -372,20 +275,21 @@ impl Codec for Hash<'_> {
             .0
     }
 
-    fn probe(&mut self, r: usize) -> Result<Probe<NodeId, ()>, CrnError> {
+    fn probe(&mut self, r: usize) -> Result<Probe, CrnError> {
+        let s = &mut *self.s;
         self.reactions[r]
-            .apply_into(&self.s.cur, &mut self.s.succ)
+            .apply_into(&s.cur, &mut s.succ)
             .map_err(|species| self.crn.count_overflow(r, species))?;
-        Ok(match self.s.arena.lookup(&self.s.succ) {
-            // Stored ids were admitted, so they fit u32.
-            Some(id) => Probe::Seen(NodeId(id as u32)),
-            None => Probe::Unseen(()),
+        let key = hash_counts(&s.succ);
+        Ok(match s.arena.lookup(&s.index, key, &s.succ) {
+            Some(id) => Probe::Seen(id),
+            None => Probe::Unseen(key),
         })
     }
 
-    fn insert(&mut self, _: usize, _: (), id: NodeId) -> NodeId {
-        self.s.arena.insert_new(&self.s.succ);
-        id
+    fn insert(&mut self, key: u64, id: NodeId) {
+        let s = &mut *self.s;
+        s.arena.insert(&mut s.index, id, key, &s.succ);
     }
 
     fn output(&self, v: NodeId) -> u64 {
@@ -394,9 +298,9 @@ impl Codec for Hash<'_> {
 }
 
 /// One bit-packed word per configuration (see [`PackedSpec`]), so the
-/// loop touches no count vectors at all, deduplicated through the hashed
-/// [`CodeIndex`].  It names no seen successors, so it pairs only with the
-/// terminal scan, never with the [`CsrBuilder`].
+/// loop touches no count vectors at all.  The word identifies its
+/// configuration, so it is its own [`CodeIndex`] key and a probe compares
+/// one word per candidate.
 struct Packed<'a> {
     spec: &'a PackedSpec,
     /// The spec's tables and the store's buffers, borrowed apart so the
@@ -439,9 +343,6 @@ impl<'a> Packed<'a> {
 }
 
 impl Codec for Packed<'_> {
-    type Seen = ();
-    type Key = u64;
-
     fn len(&self) -> usize {
         self.words.len()
     }
@@ -466,16 +367,16 @@ impl Codec for Packed<'_> {
     }
 
     /// Never an overflow: the hull keeps every count below its sentinel.
-    fn probe(&mut self, r: usize) -> Result<Probe<(), u64>, CrnError> {
+    fn probe(&mut self, r: usize) -> Result<Probe, CrnError> {
         let word = self.cur.wrapping_add(self.deltas[r]);
         let words = &*self.words;
-        Ok(match self.index.lookup(word, |i| words[i]) {
-            Some(_) => Probe::Seen(()),
+        Ok(match self.index.lookup(word, |i| words[i] == word) {
+            Some(id) => Probe::Seen(id),
             None => Probe::Unseen(word),
         })
     }
 
-    fn insert(&mut self, _: usize, word: u64, id: NodeId) {
+    fn insert(&mut self, word: u64, id: NodeId) {
         self.words.push(word);
         let words = &*self.words;
         self.index.insert(id, |i| words[i]);
@@ -492,7 +393,7 @@ trait BfsVisitor<C: Codec> {
     /// (at least two), to those the traversal fires; by default all.
     fn select(&mut self, _codec: &C, _enabled: &mut Vec<usize>) {}
     /// Sees the edge `from → to`, `to` possibly just inserted.
-    fn edge(&mut self, codec: &mut C, from: NodeId, to: C::Seen);
+    fn edge(&mut self, codec: &mut C, from: NodeId, to: NodeId);
     /// Sees `v` fully expanded (`terminal`: no reaction applies); `false`
     /// ends the traversal with `Ok(false)`.
     fn expanded(&mut self, codec: &C, v: NodeId, terminal: bool) -> bool;
@@ -501,15 +402,17 @@ trait BfsVisitor<C: Codec> {
 /// Explores everything reachable from the codec's start breadth-first:
 /// node ids are discovery order, id 0 is the start.  Each node fires the
 /// enabled reactions the visitor selects, in ascending order.  `Ok(true)`
-/// means every node reached was expanded within `limit` configurations;
-/// `Ok(false)` is the visitor's early stop, which may pre-empt the limit
-/// error.
+/// means every node reached, the start included, was expanded within
+/// `limit` configurations; `Ok(false)` is the visitor's early stop, which
+/// may pre-empt the limit error.
 #[inline(never)] // one loop per instance, out of the router's register pressure
 fn bfs<C: Codec, V: BfsVisitor<C>>(
     codec: &mut C,
     visitor: &mut V,
     limit: usize,
 ) -> Result<bool, CrnError> {
+    // The codec stored the start on construction; it counts like any node.
+    admit(0, limit)?;
     let mut enabled = Vec::with_capacity(codec.reactions());
     let mut next = 0u32;
     while (next as usize) < codec.len() {
@@ -524,7 +427,11 @@ fn bfs<C: Codec, V: BfsVisitor<C>>(
         for &r in &enabled {
             let to = match codec.probe(r)? {
                 Probe::Seen(to) => to,
-                Probe::Unseen(key) => codec.insert(r, key, admit(codec.len(), limit)?),
+                Probe::Unseen(key) => {
+                    let id = admit(codec.len(), limit)?;
+                    codec.insert(key, id);
+                    id
+                }
             };
             visitor.edge(codec, v, to);
         }
@@ -573,7 +480,7 @@ impl<C: Codec> BfsVisitor<C> for TerminalScan<'_> {
             .reduce(enabled, |r| codec.lacking(r), self.closure);
     }
 
-    fn edge(&mut self, _: &mut C, _: NodeId, _: C::Seen) {}
+    fn edge(&mut self, _: &mut C, _: NodeId, _: NodeId) {}
 
     fn expanded(&mut self, codec: &C, v: NodeId, terminal: bool) -> bool {
         // A bad terminal is a sink component whose closure is itself,
@@ -641,7 +548,7 @@ impl<'a> SweepPlan<'a> {
 /// How [`VerdictEngine::decide`] settles one point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Route {
-    /// Packed words in the hashed code index, terminal scan.
+    /// Bit-packed words, terminal scan.
     PackedScan,
     /// Hash-interned count vectors, terminal scan.
     HashScan,
@@ -719,10 +626,10 @@ impl<'c> VerdictEngine<'c> {
         }
     }
 
-    /// `(collisions, grows)` of the engine's configuration arena, cumulative
-    /// over its lifetime — the observability layer's dedup metrics.
-    pub(super) fn arena_metrics(&self) -> (u64, u64) {
-        self.store.arena.metrics()
+    /// `(collisions, grows)` of the engine's index, cumulative over its
+    /// lifetime and every route — the observability layer's dedup metrics.
+    pub(super) fn index_metrics(&self) -> (u64, u64) {
+        self.store.index.metrics()
     }
 
     /// Builds the initial configuration `I_x` densely into `start_dense`:
@@ -922,7 +829,9 @@ mod tests {
     use super::*;
     use crate::crn::Crn;
     use crate::function::FunctionCrn;
+    use crate::reachability::arena::mix;
     use crate::reachability::check_stable_computation;
+    use crate::reachability::oracle::check_stable_computation_naive;
     use crate::reaction::Reaction;
     use crate::species::Species;
     use proptest::prelude::*;
@@ -1075,6 +984,35 @@ mod tests {
     }
 
     #[test]
+    fn the_limit_counts_the_start_on_every_route() {
+        // `X -> Y` at x = 0: the start is terminal and all there is.
+        let mut crn = Crn::new();
+        crn.parse_reaction("X -> Y").unwrap();
+        let crn = FunctionCrn::with_named_roles(crn, &["X"], "Y", None).unwrap();
+        let analysis = CrnAnalysis::of(&crn);
+        let plan = SweepPlan::build(&analysis, 0);
+        let x = NVec::from(vec![0]);
+        let too_many = Err(CrnError::SearchLimitExceeded {
+            limit: "0 reachable configurations".to_owned(),
+        });
+        for route in ROUTES {
+            let mut engine = VerdictEngine::new(&analysis);
+            assert!(admissible(&engine, &plan, route), "{route:?}");
+            engine.route_override = Some(route);
+            let mut stats = BoxCheckStats::default();
+            let mut decide = |limit| engine.decide(&x, 0, limit, &plan, &mut stats);
+            assert_eq!(decide(0), too_many, "{route:?}");
+            assert_eq!(decide(1), Ok(true), "{route:?}");
+        }
+        let check = |limit| check_stable_computation(&crn, &x, 0, limit).map(|v| v.correct);
+        assert_eq!(check(0), too_many);
+        assert_eq!(check(1), Ok(true));
+        let naive = |limit| check_stable_computation_naive(&crn, &x, 0, limit).map(|v| v.correct);
+        assert_eq!(naive(0), too_many);
+        assert_eq!(naive(1), Ok(true));
+    }
+
+    #[test]
     fn every_scan_codec_fires_the_same_stubborn_sets() {
         // At I_(x, c) the seed `X -> Y` conflicts with the disabled
         // `X + A + B -> Y`, which lacks A and B.  Its lowest lacking species
@@ -1203,7 +1141,7 @@ mod tests {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let mut draw = |n: u64| {
             state = state.wrapping_add(1);
-            mix_code(state) % n
+            mix(state) % n
         };
         let mut crn = Crn::new();
         let species: Vec<Species> = (0..8).map(|i| crn.add_species(&format!("S{i}"))).collect();

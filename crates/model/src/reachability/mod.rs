@@ -13,9 +13,11 @@
 //!
 //! The checker is organised as a small subsystem:
 //!
-//! * `arena` (internal) — an interned **configuration arena**: dense
-//!   count vectors in one allocation, with an open-addressing hash index over
-//!   arena ids, so exploration never clones a sparse configuration per edge;
+//! * `arena` (internal) — a **configuration arena** of dense count vectors
+//!   in one allocation, and the engine's one open-addressing **index** from
+//!   a configuration's 64-bit key to its node id, which both codecs
+//!   deduplicate through, so exploration never clones a sparse
+//!   configuration per edge;
 //! * `csr` (internal) — successor storage laid out in **compressed sparse
 //!   row** form directly during the breadth-first exploration;
 //! * `scc` (internal) — **Tarjan SCC condensation**; the three reachability

@@ -35,6 +35,12 @@ impl NaiveGraph {
         start: &Configuration,
         max_configurations: usize,
     ) -> Result<Self, CrnError> {
+        let too_many = || CrnError::SearchLimitExceeded {
+            limit: format!("{max_configurations} reachable configurations"),
+        };
+        if max_configurations == 0 {
+            return Err(too_many());
+        }
         let mut index: HashMap<Configuration, usize> = HashMap::new();
         let mut configurations = Vec::new();
         let mut successors: Vec<Vec<usize>> = Vec::new();
@@ -56,9 +62,7 @@ impl NaiveGraph {
                     Some(&i) => i,
                     None => {
                         if configurations.len() >= max_configurations {
-                            return Err(CrnError::SearchLimitExceeded {
-                                limit: format!("{max_configurations} reachable configurations"),
-                            });
+                            return Err(too_many());
                         }
                         let i = configurations.len();
                         index.insert(next.clone(), i);

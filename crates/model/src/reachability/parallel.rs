@@ -184,7 +184,7 @@ pub(super) fn check_on_box_sharded(
         // One registry flush per worker, after the scan: the hot loop above
         // only touches local counters.
         if crn_obs::enabled() {
-            let (collisions, grows) = engine.arena_metrics();
+            let (collisions, grows) = engine.index_metrics();
             crn_obs::add("model.arena.collisions", collisions);
             crn_obs::add("model.arena.grows", grows);
             crn_obs::observe("model.box.worker_draws", draws);
