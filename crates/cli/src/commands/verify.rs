@@ -24,7 +24,7 @@ use crate::json::Json;
 /// outcome equals a sequential loop of full verdicts over the box wherever
 /// that loop finishes within `--max-configs`, which the tier-1 tests
 /// cross-check.  The limit bounds the configurations one exploration
-/// stores, and the terminal scan stores fewer, so the engine may pass a
+/// visits, and the terminal scan visits fewer, so the engine may pass a
 /// point a full verdict gives up on.  A failing point is re-checked by the
 /// unreduced exploration, so FAIL lines are the full verdict's.
 ///

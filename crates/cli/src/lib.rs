@@ -82,8 +82,8 @@ COMMANDS:
                          [--stats] [--spot] [--max-steps N=1000000] [--seed S=7]
                          [--json] [--deny-warnings]
                          --max-configs bounds the configurations one
-                         exploration stores; on acyclic CRNs the box engine
-                         stores only stubborn-set successors, so it may pass
+                         exploration visits; on acyclic CRNs the box engine
+                         visits only stubborn-set successors, so it may pass
                          a point a full verdict gives up on
   sim <file>             Gillespie ensemble simulation; lint warnings go to
                          stderr

@@ -100,6 +100,18 @@ fn exit_1_verdict_failure_class() {
     );
     assert!(stdout.contains("cannot be evaluated"), "{stdout}");
 
+    // A value past u64::MAX is inconclusive at its point.  Read as 0, f(4)
+    // made this nondecreasing f a false impossibility, printed with exit 0.
+    let big = scratch(
+        "big_fn.crn",
+        "fn big(x) {\n  case x <= 2: 0;\n  otherwise: 9223372036854775807 x - 9223372036854775806;\n}\n",
+    );
+    let (code, stdout, _) = run_crn(&["characterize", big.to_str().unwrap()]);
+    assert_eq!(code, 1, "characterize must not settle on f(4)\n{stdout}");
+    assert!(stdout.contains("verdict: inconclusive"), "{stdout}");
+    assert!(stdout.contains("f(4) cannot be evaluated: "), "{stdout}");
+    assert!(!stdout.contains("not obliviously computable"), "{stdout}");
+
     // A never-silent CRN does not converge.
     let restless = scratch(
         "restless.crn",

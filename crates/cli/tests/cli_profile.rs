@@ -303,7 +303,8 @@ fn per_crn_set_up_shows_one_span_per_artifact_and_item() {
 fn route_counters_count_the_points_each_route_decides() {
     // `add` on [0,96]^2: Y's hull of 192 is past a byte, yet X1, X2 and Y
     // take 25 bits of one word, so every decided point is a packed scan.
-    // The packed words go through the same counted index as count vectors.
+    // Nothing conflicts with `X1 -> Y` or `X2 -> Y`, so every scan is one
+    // run that stores nothing: the index never grows, and no run branches.
     let (code, json, _) = run_crn(&[
         "verify",
         "corpus/add.crn",
@@ -315,7 +316,8 @@ fn route_counters_count_the_points_each_route_decides() {
     assert_eq!(code, 0, "{json}");
     assert_eq!(json_counter(&json, "model.box.decided"), 4753);
     assert_eq!(json_counter(&json, "model.route.packed_scan"), 4753);
-    assert!(json_counter(&json, "model.arena.grows") > 0, "{json}");
+    assert_eq!(json_counter(&json, "model.arena.grows"), 0, "{json}");
+    assert_eq!(json_counter(&json, "model.box.branched"), 0, "{json}");
     for route in ["model.route.hash_scan", "model.route.verdict"] {
         assert!(!json.contains(route), "{route}:\n{json}");
     }
@@ -383,18 +385,35 @@ fn interleaving_independent_counters_match_at_every_worker_count() {
             .collect::<Vec<_>>()
             .join(" + ")
     );
-    let sweeps: [(&[&str], &str, &str, &str); 3] = [
-        (&["X1 + X2 -> Y"], "model.route.packed_scan", "X1 X2", "Y"),
-        (&[&fanout], "model.route.hash_scan", "X", "A1"),
+    // Each sweep names its route and how many of its points branch: the
+    // fork `X -> Y; X -> Z; Z -> Y` branches at every start but x = 0.
+    type Sweep<'a> = (&'a [&'a str], &'a str, &'a str, &'a str, u64);
+    let sweeps: [Sweep; 4] = [
+        (
+            &["X1 + X2 -> Y"],
+            "model.route.packed_scan",
+            "X1 X2",
+            "Y",
+            0,
+        ),
+        (&[&fanout], "model.route.hash_scan", "X", "A1", 0),
         (
             &["X -> Y + A", "A -> B", "B -> A"],
             "model.route.verdict",
             "X",
             "Y",
+            0,
+        ),
+        (
+            &["X -> Y", "X -> Z", "Z -> Y"],
+            "model.route.packed_scan",
+            "X",
+            "Y",
+            6,
         ),
     ];
     crn_obs::set_enabled(true);
-    for (reactions, route, inputs, output) in sweeps {
+    for (reactions, route, inputs, output, branched) in sweeps {
         let mut crn = Crn::new();
         for reaction in reactions {
             crn.parse_reaction(reaction).unwrap();
@@ -419,6 +438,11 @@ fn interleaving_independent_counters_match_at_every_worker_count() {
                 .collect();
             assert!(
                 sweep.contains(&(route.to_owned(), stats.decided)) && stats.decided > 0,
+                "{route} at {workers} workers: {sweep:?}"
+            );
+            assert!(
+                sweep.contains(&("model.box.branched".to_owned(), branched))
+                    && stats.branched == branched,
                 "{route} at {workers} workers: {sweep:?}"
             );
             counts.push(sweep);

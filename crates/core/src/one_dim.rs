@@ -64,7 +64,7 @@ pub fn analyze_1d(
     max_period: u64,
     verify_window: u64,
 ) -> Result<Structure1D, CoreError> {
-    let horizon = max_threshold + max_period * 2 + verify_window + 2;
+    let horizon = horizon(max_threshold, max_period, verify_window);
     let values: Vec<u64> = (0..=horizon).map(&f).collect();
     if let Some(x) = (0..horizon as usize).find(|&x| values[x + 1] < values[x]) {
         return Err(CoreError::NotNondecreasing(format!(
@@ -109,12 +109,19 @@ pub fn analyze_1d(
     )))
 }
 
+/// The last point [`analyze_1d`] evaluates.
+fn horizon(max_threshold: u64, max_period: u64, verify_window: u64) -> u64 {
+    max_threshold + max_period * 2 + verify_window + 2
+}
+
 /// Convenience wrapper of [`analyze_1d`] for a semilinear presentation.
 ///
 /// # Errors
 ///
-/// Propagates [`analyze_1d`] errors; evaluation failures of the presentation
-/// surface as [`CoreError::AnalysisInconclusive`].
+/// Propagates [`analyze_1d`] errors.  The presentation is evaluated on the
+/// whole horizon first, so the first point it cannot be evaluated at
+/// surfaces as [`CoreError::AnalysisInconclusive`] naming that point, never
+/// as a value.
 pub fn analyze_semilinear_1d(
     f: &SemilinearFunction,
     max_threshold: u64,
@@ -126,11 +133,19 @@ pub fn analyze_semilinear_1d(
             f.dim()
         )));
     }
+    let verify_window = 2 * max_period + 4;
+    let values = (0..=horizon(max_threshold, max_period, verify_window))
+        .map(|x| {
+            f.eval(&NVec::from(vec![x])).map_err(|e| {
+                CoreError::AnalysisInconclusive(format!("f({x}) cannot be evaluated: {e}"))
+            })
+        })
+        .collect::<Result<Vec<u64>, CoreError>>()?;
     analyze_1d(
-        |x| f.eval(&NVec::from(vec![x])).unwrap_or(0),
+        |x| values[x as usize],
         max_threshold,
         max_period,
-        2 * max_period + 4,
+        verify_window,
     )
 }
 
@@ -334,6 +349,30 @@ mod tests {
     fn analyze_rejects_decreasing() {
         let err = analyze_1d(|x| 10u64.saturating_sub(x), 3, 3, 5).unwrap_err();
         assert!(matches!(err, CoreError::NotNondecreasing(_)));
+    }
+
+    #[test]
+    fn a_value_past_u64_is_inconclusive_at_its_point_never_zero() {
+        // f(x) = 0 up to 2, then (2^63 - 1) x - (2^63 - 2): f(3) = u64::MAX
+        // and f(4) does not fit.  Read as 0, f(4) made f look decreasing.
+        use crn_semilinear::{AffinePiece, SemilinearSet, ThresholdSet};
+        let below = SemilinearSet::threshold(ThresholdSet::component_at_most(1, 0, 2));
+        let above = SemilinearSet::threshold(ThresholdSet::component_at_least(1, 0, 3));
+        let big = SemilinearFunction::new(
+            1,
+            vec![
+                (below, AffinePiece::constant(1, 0)),
+                (above, AffinePiece::integer(vec![i64::MAX], 1 - i64::MAX)),
+            ],
+        )
+        .unwrap();
+        assert_eq!(big.eval(&NVec::from(vec![3])), Ok(u64::MAX));
+        match analyze_semilinear_1d(&big, 8, 8) {
+            Err(CoreError::AnalysisInconclusive(reason)) => {
+                assert!(reason.starts_with("f(4) cannot be evaluated: "), "{reason}");
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

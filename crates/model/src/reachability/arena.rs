@@ -13,14 +13,21 @@ use crate::config::Configuration;
 use crate::species::Species;
 
 /// A node of one exploration: the discovery position of a stored
-/// configuration.  The engine's `admit` mints every id and keeps it below
-/// `u32::MAX`.
+/// configuration.  The engine's `admit` counts every node before it is
+/// stored and keeps every id below `u32::MAX`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct NodeId(pub(super) u32);
 
 impl NodeId {
-    /// The start configuration, which every codec stores on construction.
+    /// The start configuration, the first node every stored exploration
+    /// stores.
     pub(super) const START: NodeId = NodeId(0);
+
+    /// The node stored after `len` others; `admit` has kept `len` below
+    /// `u32::MAX`.
+    pub(super) fn at(len: usize) -> NodeId {
+        NodeId(u32::try_from(len).expect("admit keeps ids below u32::MAX"))
+    }
 
     pub(super) fn index(self) -> usize {
         self.0 as usize

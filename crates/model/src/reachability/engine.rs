@@ -1,12 +1,21 @@
-//! State codecs, visitors, and the one traversal that drives them.
+//! State codecs, visitors, and the traversals that drive them.
 //!
-//! Every exploration of the engine is [`bfs`], a generic, monomorphized
-//! breadth-first traversal over a state [`Codec`]: node ids are discovery
-//! order.  Its visitors are [`CsrBuilder`] (the successor graph behind full
-//! verdicts, built only by [`VerdictEngine::check`]) and [`TerminalScan`]
-//! (the decision for certified-acyclic CRNs, whose sinks are exactly the
-//! terminal configurations; it fires only stubborn sets, see
-//! [`StubbornSets`]).
+//! Every stored exploration of the engine is [`bfs`], a generic,
+//! monomorphized breadth-first traversal over a state [`Codec`]: node ids
+//! are discovery order.  Its visitors are [`CsrBuilder`] (the successor
+//! graph behind full verdicts, built only by [`VerdictEngine::check`]) and
+//! [`TerminalScan`] (the decision for certified-acyclic CRNs, whose sinks
+//! are exactly the terminal configurations; it fires only stubborn sets,
+//! see [`StubbornSets`]).
+//!
+//! A terminal scan starts with a *run* ([`TerminalScan::run`]), which
+//! stores nothing: while a node's stubborn set is its seed alone, it fires
+//! the seed in place on the codec's loaded configuration.  The reduced
+//! graph is a DAG, so the nodes of such a path are exactly the ancestors of
+//! the current one and no successor can be one of them.  Only at the first
+//! node that fires two or more reactions does the scan store anything: that
+//! node becomes the start of a [`bfs`], whose limit counts the path before
+//! it.
 //!
 //! The codecs differ only in how a configuration is stored and keyed:
 //! [`Hash`] keeps count vectors in the arena, keyed by their hash, and
@@ -15,7 +24,7 @@
 //! [`Store`] and name a seen successor by the [`NodeId`] it returns.
 //! [`VerdictEngine::decide`] picks the route of each point through
 //! [`route`]: a terminal scan on one of the codecs, or the full verdict of
-//! [`VerdictEngine::check`].  The traversal stays out of line, one function
+//! [`VerdictEngine::check`].  The traversals stay out of line, one function
 //! per codec × visitor pair, so each hot loop is compiled on its own.
 
 use std::mem;
@@ -137,21 +146,21 @@ impl PackedSpec {
     }
 }
 
-/// The id of the node a traversal is about to store after the `len` stored
-/// so far — the one place the configuration limit is enforced.  The limit
-/// error is order-independent: it fires exactly when the reachable set
-/// exceeds `limit` configurations.
-fn admit(len: usize, limit: usize) -> Result<NodeId, CrnError> {
-    if len >= limit {
+/// Counts one more node of an exploration after the `counted` so far — the
+/// one place the configuration limit is enforced, for stored nodes and a
+/// run's path alike.  The limit error is order-independent: it fires
+/// exactly when the reachable set exceeds `limit` configurations.
+fn admit(counted: usize, limit: usize) -> Result<(), CrnError> {
+    if counted >= limit {
         return Err(CrnError::SearchLimitExceeded {
             limit: format!("{limit} reachable configurations"),
         });
     }
     assert!(
-        len < u32::MAX as usize,
+        counted < u32::MAX as usize,
         "explorations stay below 2^32 - 1 configurations"
     );
-    Ok(NodeId(len as u32))
+    Ok(())
 }
 
 /// The memory the codecs store configurations in, kept across explorations
@@ -167,7 +176,7 @@ struct Store {
     /// The index of whichever codec runs, the one whose collisions and
     /// grows the observability layer reports.
     index: CodeIndex,
-    /// The count vector being expanded, and a successor scratch.
+    /// The hash codec's loaded count vector, and a successor scratch.
     cur: Vec<u64>,
     succ: Vec<u64>,
 }
@@ -181,11 +190,16 @@ enum Probe {
 }
 
 /// A state codec: how one exploration stores configurations, tells a seen
-/// successor from a new one, and reads a node's output count.  Both codecs
+/// successor from a new one, and reads the output count of its *loaded*
+/// configuration — the start on construction, stored or not.  Both codecs
 /// find their nodes through the store's one [`CodeIndex`].
 trait Codec {
+    /// The number of stored nodes.
     fn len(&self) -> usize;
     fn reactions(&self) -> usize;
+    /// Empties the storage and stores the loaded configuration as node 0,
+    /// the start of a [`bfs`].
+    fn plant(&mut self);
     /// Makes `v` the node later probes fire reactions on.
     fn load(&mut self, v: NodeId);
     /// Whether reaction `r` applies to the loaded node.
@@ -193,13 +207,18 @@ trait Codec {
     /// The lowest species whose count in the loaded node is below the
     /// requirement of the disabled reaction `r`.
     fn lacking(&self, r: usize) -> usize;
-    /// Fires the enabled reaction `r` on the loaded node; a count the
-    /// firing pushes past `u64::MAX` is an error, never a wrapped value.
+    /// Fires the enabled reaction `r` on the loaded node into a successor
+    /// scratch; a count the firing pushes past `u64::MAX` is an error,
+    /// never a wrapped value.
     fn probe(&mut self, r: usize) -> Result<Probe, CrnError>;
+    /// Fires the enabled reaction `r` on the loaded configuration in place,
+    /// with the overflow error of [`probe`](Codec::probe).
+    fn fire(&mut self, r: usize) -> Result<(), CrnError>;
     /// Stores the successor the last probe found unseen, whose key is
-    /// `key`, as node `id`.
-    fn insert(&mut self, key: u64, id: NodeId);
-    fn output(&self, v: NodeId) -> u64;
+    /// `key`, as the next node, and returns its id.
+    fn insert(&mut self, key: u64) -> NodeId;
+    /// The output count of the loaded configuration.
+    fn output(&self) -> u64;
 }
 
 /// Hash-interned count vectors: the codec of every full verdict, and of
@@ -213,6 +232,7 @@ struct Hash<'a> {
 }
 
 impl<'a> Hash<'a> {
+    /// A codec with `start` loaded and nothing stored.
     fn new(
         crn: &'a Crn,
         compiled: &'a CompiledCrn,
@@ -220,16 +240,10 @@ impl<'a> Hash<'a> {
         s: &'a mut Store,
         start: &[u64],
     ) -> Self {
-        let stride = start.len();
-        s.arena.reset(stride);
-        s.index.reset();
-        s.arena
-            .insert(&mut s.index, NodeId::START, hash_counts(start), start);
-        s.stamps.clear();
         s.cur.clear();
-        s.cur.resize(stride, 0);
+        s.cur.extend_from_slice(start);
         s.succ.clear();
-        s.succ.resize(stride, 0);
+        s.succ.resize(start.len(), 0);
         let reactions = compiled.reactions();
         Hash {
             crn,
@@ -256,6 +270,15 @@ impl Codec for Hash<'_> {
 
     fn reactions(&self) -> usize {
         self.reactions.len()
+    }
+
+    fn plant(&mut self) {
+        let s = &mut *self.s;
+        s.arena.reset(s.cur.len());
+        s.index.reset();
+        s.arena
+            .insert(&mut s.index, NodeId::START, hash_counts(&s.cur), &s.cur);
+        s.stamps.clear();
     }
 
     fn load(&mut self, v: NodeId) {
@@ -287,13 +310,21 @@ impl Codec for Hash<'_> {
         })
     }
 
-    fn insert(&mut self, key: u64, id: NodeId) {
-        let s = &mut *self.s;
-        s.arena.insert(&mut s.index, id, key, &s.succ);
+    fn fire(&mut self, r: usize) -> Result<(), CrnError> {
+        self.reactions[r]
+            .apply_in_place(&mut self.s.cur)
+            .map_err(|species| self.crn.count_overflow(r, species))
     }
 
-    fn output(&self, v: NodeId) -> u64 {
-        self.s.arena.get(v.index())[self.out]
+    fn insert(&mut self, key: u64) -> NodeId {
+        let s = &mut *self.s;
+        let id = NodeId::at(s.arena.len());
+        s.arena.insert(&mut s.index, id, key, &s.succ);
+        id
+    }
+
+    fn output(&self) -> u64 {
+        self.s.cur[self.out]
     }
 }
 
@@ -315,12 +346,9 @@ struct Packed<'a> {
 }
 
 impl<'a> Packed<'a> {
+    /// A codec with `start` loaded and nothing stored.
     fn new(spec: &'a PackedSpec, s: &'a mut Store, start: u64) -> Self {
         let Store { words, index, .. } = s;
-        words.clear();
-        words.push(start);
-        index.reset();
-        index.insert(NodeId::START, |_| start);
         Packed {
             spec,
             reqs: &spec.reqs,
@@ -351,6 +379,14 @@ impl Codec for Packed<'_> {
         self.deltas.len()
     }
 
+    fn plant(&mut self) {
+        let cur = self.cur;
+        self.words.clear();
+        self.words.push(cur);
+        self.index.reset();
+        self.index.insert(NodeId::START, |_| cur);
+    }
+
     fn load(&mut self, v: NodeId) {
         self.cur = self.words[v.index()];
     }
@@ -376,14 +412,22 @@ impl Codec for Packed<'_> {
         })
     }
 
-    fn insert(&mut self, word: u64, id: NodeId) {
+    /// One wrapping addition, never an overflow (see [`probe`](Self::probe)).
+    fn fire(&mut self, r: usize) -> Result<(), CrnError> {
+        self.cur = self.cur.wrapping_add(self.deltas[r]);
+        Ok(())
+    }
+
+    fn insert(&mut self, word: u64) -> NodeId {
+        let id = NodeId::at(self.words.len());
         self.words.push(word);
         let words = &*self.words;
         self.index.insert(id, |i| words[i]);
+        id
     }
 
-    fn output(&self, v: NodeId) -> u64 {
-        self.spec.output(self.words[v.index()])
+    fn output(&self) -> u64 {
+        self.spec.output(self.cur)
     }
 }
 
@@ -394,14 +438,16 @@ trait BfsVisitor<C: Codec> {
     fn select(&mut self, _codec: &C, _enabled: &mut Vec<usize>) {}
     /// Sees the edge `from → to`, `to` possibly just inserted.
     fn edge(&mut self, codec: &mut C, from: NodeId, to: NodeId);
-    /// Sees `v` fully expanded (`terminal`: no reaction applies); `false`
-    /// ends the traversal with `Ok(false)`.
+    /// Sees the loaded node `v` fully expanded (`terminal`: no reaction
+    /// applies); `false` ends the traversal with `Ok(false)`.
     fn expanded(&mut self, codec: &C, v: NodeId, terminal: bool) -> bool;
 }
 
-/// Explores everything reachable from the codec's start breadth-first:
-/// node ids are discovery order, id 0 is the start.  Each node fires the
-/// enabled reactions the visitor selects, in ascending order.  `Ok(true)`
+/// Explores everything reachable from the codec's loaded configuration
+/// breadth-first, storing it as the start: node ids are discovery order,
+/// id 0 is the start.  Each node fires the enabled reactions the visitor
+/// selects, in ascending order.  The limit counts the `before` nodes a run
+/// passed through ahead of the start, plus every stored node.  `Ok(true)`
 /// means every node reached, the start included, was expanded within
 /// `limit` configurations; `Ok(false)` is the visitor's early stop, which
 /// may pre-empt the limit error.
@@ -410,9 +456,11 @@ fn bfs<C: Codec, V: BfsVisitor<C>>(
     codec: &mut C,
     visitor: &mut V,
     limit: usize,
+    before: usize,
 ) -> Result<bool, CrnError> {
-    // The codec stored the start on construction; it counts like any node.
-    admit(0, limit)?;
+    // The start is stored first and counts like any node.
+    codec.plant();
+    admit(before, limit)?;
     let mut enabled = Vec::with_capacity(codec.reactions());
     let mut next = 0u32;
     while (next as usize) < codec.len() {
@@ -428,9 +476,8 @@ fn bfs<C: Codec, V: BfsVisitor<C>>(
             let to = match codec.probe(r)? {
                 Probe::Seen(to) => to,
                 Probe::Unseen(key) => {
-                    let id = admit(codec.len(), limit)?;
-                    codec.insert(key, id);
-                    id
+                    admit(before + codec.len(), limit)?;
+                    codec.insert(key)
                 }
             };
             visitor.edge(codec, v, to);
@@ -474,6 +521,55 @@ struct TerminalScan<'a> {
     closure: &'a mut Closure,
 }
 
+impl TerminalScan<'_> {
+    /// The run: the reduced exploration from the codec's loaded
+    /// configuration while it is a path, storing nothing.  At each node it
+    /// finds the seed, the lowest-index enabled reaction, and fires it in
+    /// place when the node's stubborn set is the seed alone; `*path` counts
+    /// the path's nodes ahead of the loaded one.  `Ok(Some(_))` is the
+    /// decision at a terminal configuration; `Ok(None)` stops at the first
+    /// node that fires two or more reactions, loaded and counted, for a
+    /// [`bfs`] to continue from with `before = *path`.
+    ///
+    /// The run is the scan's own [`bfs`] on a path: it fires before it
+    /// counts the successor with [`admit`], so it returns the same result,
+    /// the same error included, and counts the same nodes.  No successor
+    /// needs a lookup: the reduced graph of a certified CRN is a DAG, and
+    /// the nodes so far are exactly the ancestors of the current one.
+    fn run<C: Codec>(
+        &mut self,
+        codec: &mut C,
+        limit: usize,
+        path: &mut usize,
+    ) -> Result<Option<bool>, CrnError> {
+        admit(0, limit)?;
+        let reactions = codec.reactions();
+        let mut enabled = Vec::new();
+        loop {
+            let Some(seed) = (0..reactions).find(|&r| codec.enabled(r)) else {
+                // A bad terminal is a sink component whose closure is
+                // itself, constant on the wrong output: it never recovers.
+                return Ok(Some(codec.output() == self.expected));
+            };
+            if !self.stubborn.lone(seed) {
+                enabled.clear();
+                enabled.push(seed);
+                enabled.extend((seed + 1..reactions).filter(|&r| codec.enabled(r)));
+                if enabled.len() > 1 {
+                    self.stubborn
+                        .reduce(&mut enabled, |r| codec.lacking(r), self.closure);
+                    if enabled.len() > 1 {
+                        return Ok(None);
+                    }
+                }
+            }
+            codec.fire(seed)?;
+            admit(*path + 1, limit)?;
+            *path += 1;
+        }
+    }
+}
+
 impl<C: Codec> BfsVisitor<C> for TerminalScan<'_> {
     fn select(&mut self, codec: &C, enabled: &mut Vec<usize>) {
         self.stubborn
@@ -482,10 +578,33 @@ impl<C: Codec> BfsVisitor<C> for TerminalScan<'_> {
 
     fn edge(&mut self, _: &mut C, _: NodeId, _: NodeId) {}
 
-    fn expanded(&mut self, codec: &C, v: NodeId, terminal: bool) -> bool {
-        // A bad terminal is a sink component whose closure is itself,
-        // constant on the wrong output: it can never recover.
-        !terminal || codec.output(v) == self.expected
+    fn expanded(&mut self, codec: &C, _: NodeId, terminal: bool) -> bool {
+        // As at a terminal of the run.
+        !terminal || codec.output() == self.expected
+    }
+}
+
+/// The terminal scan of the codec's loaded configuration: the run, and a
+/// [`bfs`] from the node where it branches.  Returns the decision, the
+/// configurations counted, and whether the run branched.  Without `run`,
+/// the [`bfs`] starts at the loaded configuration itself.
+#[inline(never)]
+fn terminal_scan<C: Codec>(
+    codec: &mut C,
+    scan: &mut TerminalScan<'_>,
+    limit: usize,
+    run: bool,
+) -> (Result<bool, CrnError>, usize, bool) {
+    if !run {
+        return (bfs(codec, scan, limit, 0), codec.len(), false);
+    }
+    // The path nodes ahead of the loaded one; the loaded one counts too,
+    // stored or not.
+    let mut path = 0;
+    match scan.run(codec, limit, &mut path) {
+        Ok(Some(decision)) => (Ok(decision), path + 1, false),
+        Ok(None) => (bfs(codec, scan, limit, path), path + codec.len(), true),
+        Err(e) => (Err(e), path + 1, false),
     }
 }
 
@@ -598,6 +717,10 @@ pub(super) struct VerdictEngine<'c> {
     /// run every route against the full verdict.
     #[cfg(test)]
     route_override: Option<Route>,
+    /// Starts every terminal scan's [`bfs`] at `I_x`, with no run, so tests
+    /// can compare the run with the plain stubborn-set scan.
+    #[cfg(test)]
+    without_run: bool,
 }
 
 impl<'c> VerdictEngine<'c> {
@@ -623,6 +746,8 @@ impl<'c> VerdictEngine<'c> {
             comp_recovers: Vec::new(),
             #[cfg(test)]
             route_override: None,
+            #[cfg(test)]
+            without_run: false,
         }
     }
 
@@ -656,13 +781,22 @@ impl<'c> VerdictEngine<'c> {
         plan.route
     }
 
+    /// Whether terminal scans start with a run.
+    fn runs(&self) -> bool {
+        #[cfg(test)]
+        if self.without_run {
+            return false;
+        }
+        true
+    }
+
     /// Decides whether the CRN stably computes `expected_output` on `x` —
     /// the `correct` flag [`check`](VerdictEngine::check) would report.
     /// [`route`] picks how.  A point without the acyclicity certificate
     /// runs `check` itself.  A certified point runs the stubborn-set
     /// terminal scan, which materializes no verdict: `Ok(true)` certifies
     /// the point passes with the scan within the limit, though the scan
-    /// stores fewer configurations than `check`, which may still give up on
+    /// visits fewer configurations than `check`, which may still give up on
     /// the point; `Ok(false)` certifies the full check fails or errors, and
     /// may come early, pre-empting the limit error.  The work is counted
     /// into `stats`.
@@ -688,9 +822,9 @@ impl<'c> VerdictEngine<'c> {
             }
             Route::PackedScan => {
                 let packed = plan.packed.as_ref().expect("the route has a packing");
-                self.scan(x, Some(packed), expected_output, max_configurations)
+                self.scan(x, Some(packed), expected_output, max_configurations, stats)
             }
-            Route::HashScan => self.scan(x, None, expected_output, max_configurations),
+            Route::HashScan => self.scan(x, None, expected_output, max_configurations, stats),
         };
         stats.configs_explored += u64::try_from(explored).expect("usize fits u64");
         result
@@ -698,33 +832,38 @@ impl<'c> VerdictEngine<'c> {
 
     /// Runs the terminal scan from `I_x`, on `packed` words when given and
     /// on hash-interned count vectors otherwise; returns the decision and
-    /// the number of configurations stored.
+    /// the number of configurations visited, and counts a run that branched
+    /// into `stats`.
     fn scan(
         &mut self,
         x: &NVec,
         packed: Option<&PackedSpec>,
         expected: u64,
         limit: usize,
+        stats: &mut BoxCheckStats,
     ) -> (Result<bool, CrnError>, usize) {
         self.build_start(x);
+        let run = self.runs();
         let scan = &mut TerminalScan {
             expected,
             stubborn: self.analysis.stubborn(),
             closure: &mut self.closure,
         };
         let (store, start) = (&mut self.store, &self.start_dense);
-        match packed {
+        let (result, visited, branched) = match packed {
             Some(spec) => {
                 let mut codec = Packed::new(spec, store, spec.pack(start));
-                (bfs(&mut codec, scan, limit), codec.len())
+                terminal_scan(&mut codec, scan, limit, run)
             }
             None => {
                 let crn = self.analysis.crn();
                 let out = crn.output().index();
                 let mut codec = Hash::new(crn.crn(), self.analysis.compiled(), out, store, start);
-                (bfs(&mut codec, scan, limit), codec.len())
+                terminal_scan(&mut codec, scan, limit, run)
             }
-        }
+        };
+        stats.branched += u64::from(branched);
+        (result, visited)
     }
 
     /// Checks whether the CRN stably computes `expected_output` on `x`.
@@ -754,6 +893,7 @@ impl<'c> VerdictEngine<'c> {
             &mut codec,
             &mut CsrBuilder(&mut self.csr),
             max_configurations,
+            0,
         )?;
         self.cond.rebuild(&self.csr);
 
@@ -929,10 +1069,10 @@ mod tests {
     /// [`check_stable_computation`] at each point: `Ok(true)` exactly when
     /// the reference verdict is correct, otherwise a reference failure or
     /// the identical error.  The one exception is a stubborn-set scan, which
-    /// stores fewer configurations than the reference: it may pass a point
+    /// visits fewer configurations than the reference: it may pass a point
     /// past the limit, and the reference must then pass it at a raised
     /// limit.  Both scan codecs fire the same stubborn sets in the same
-    /// order, so they store the same number of configurations at each
+    /// order, so they visit the same number of configurations at each
     /// point.
     fn routes_match_reference(crn: &FunctionCrn, f: impl Fn(&NVec) -> u64, bound: u64) {
         const LIMIT: usize = 300;
@@ -1018,7 +1158,7 @@ mod tests {
         // `X + A + B -> Y`, which lacks A and B.  Its lowest lacking species
         // is A, whose producer `C -> A` joins the closure: nothing is pruned.
         // A codec that named B instead (nothing produces B) would prune
-        // `C -> A` and store fewer configurations than the others.
+        // `C -> A` and visit fewer configurations than the others.
         let mut crn = Crn::new();
         for reaction in ["X -> Y", "X + A + B -> Y", "C -> A"] {
             crn.parse_reaction(reaction).unwrap();
@@ -1033,7 +1173,7 @@ mod tests {
         // The CRN above with `X -> 200Y`: Y's lane takes 9 count bits, so
         // A's sentinel is the third (bit 15), not byte lane 2 — a codec
         // that divided the bit by 8 would name Y, whose producers leave
-        // `C -> A` out, and store fewer configurations than the others.
+        // `C -> A` out, and visit fewer configurations than the others.
         let mut crn = Crn::new();
         for reaction in ["X -> 200Y", "X + A + B -> Y", "C -> A"] {
             crn.parse_reaction(reaction).unwrap();
@@ -1071,8 +1211,16 @@ mod tests {
     /// A CRN over `{X, Y, Z}` from sampled stoichiometries: input `X`,
     /// output `Y`.
     fn random_crn(stoich: &[Vec<u64>]) -> FunctionCrn {
+        crn_over(&["X", "Y", "Z"], stoich)
+    }
+
+    /// A CRN over the species `names` (which include `X` and `Y`) from
+    /// stoichiometry rows, each the reactant counts followed by the product
+    /// counts: input `X`, output `Y`.
+    fn crn_over(names: &[&str], stoich: &[Vec<u64>]) -> FunctionCrn {
         let mut crn = Crn::new();
-        let species: Vec<Species> = ["X", "Y", "Z"].iter().map(|n| crn.add_species(n)).collect();
+        let species: Vec<Species> = names.iter().map(|n| crn.add_species(n)).collect();
+        let n = species.len();
         for row in stoich {
             let side = |counts: &[u64]| -> Vec<(Species, u64)> {
                 species
@@ -1081,9 +1229,202 @@ mod tests {
                     .zip(counts.iter().copied())
                     .collect()
             };
-            crn.add_reaction(Reaction::new(side(&row[0..3]), side(&row[3..6])));
+            crn.add_reaction(Reaction::new(side(&row[..n]), side(&row[n..])));
         }
         FunctionCrn::with_named_roles(crn, &["X"], "Y", None).expect("valid roles")
+    }
+
+    /// `X -> A; A -> Y; A -> Z` over `{X, Y, Z, A}`: nothing conflicts with
+    /// `X -> A`, so the run fires it once per copy of `X` and then branches
+    /// at the conflicting pair `A -> Y`, `A -> Z`.
+    const CHAIN_THEN_PAIR: [[u64; 8]; 3] = [
+        [1, 0, 0, 0, 0, 0, 0, 1],
+        [0, 0, 0, 1, 0, 1, 0, 0],
+        [0, 0, 0, 1, 0, 0, 1, 0],
+    ];
+
+    /// A scan engine on `route` that starts with the run, or without it.
+    fn scan_engine<'c>(
+        analysis: &'c CrnAnalysis<'c>,
+        route: Route,
+        run: bool,
+    ) -> VerdictEngine<'c> {
+        let mut engine = VerdictEngine::new(analysis);
+        engine.route_override = Some(route);
+        engine.without_run = !run;
+        engine
+    }
+
+    /// The configurations `engine`'s last scan on `route` stored.
+    fn stored(engine: &VerdictEngine<'_>, route: Route) -> usize {
+        match route {
+            Route::PackedScan => engine.store.words.len(),
+            _ => engine.store.arena.len(),
+        }
+    }
+
+    /// One decision of `x` on fresh engines on `route`, with and without the
+    /// run: both must return the same result, the error included, and count
+    /// the same configurations.  Returns that result and count, and the
+    /// configurations stored with the run and without it.
+    fn decide_both_ways(
+        analysis: &CrnAnalysis<'_>,
+        plan: &SweepPlan,
+        route: Route,
+        x: &NVec,
+        expected: u64,
+        limit: usize,
+    ) -> (Result<bool, CrnError>, u64, [usize; 2]) {
+        let [with_run, plain] = [true, false].map(|run| {
+            let mut engine = scan_engine(analysis, route, run);
+            let mut stats = BoxCheckStats::default();
+            let result = engine.decide(x, expected, limit, plan, &mut stats);
+            (result, stats.configs_explored, stored(&engine, route))
+        });
+        assert_eq!(with_run.0, plain.0, "{route:?} at {x}, limit {limit}");
+        assert_eq!(with_run.1, plain.1, "{route:?} at {x}, limit {limit}");
+        (with_run.0, with_run.1, [with_run.2, plain.2])
+    }
+
+    /// Decides every point of `[0, bound]` on each admissible scan route, on
+    /// one engine with the run and one without, which must agree point by
+    /// point on the result, the error included, and on the configurations
+    /// counted.  Returns the points whose run branched (the same on every
+    /// route).
+    fn run_matches_plain_scan(
+        crn: &FunctionCrn,
+        f: impl Fn(&NVec) -> u64,
+        bound: u64,
+        limit: usize,
+    ) -> u64 {
+        let analysis = CrnAnalysis::of(crn);
+        let plan = SweepPlan::build(&analysis, bound);
+        let mut branched = Vec::new();
+        for route in [Route::PackedScan, Route::HashScan] {
+            let mut with_run = scan_engine(&analysis, route, true);
+            if !admissible(&with_run, &plan, route) {
+                continue;
+            }
+            let mut plain = scan_engine(&analysis, route, false);
+            let (mut ran, mut scanned) = (BoxCheckStats::default(), BoxCheckStats::default());
+            for x in NVec::box_iter(crn.dim(), bound) {
+                let expected = f(&x);
+                let decided = with_run.decide(&x, expected, limit, &plan, &mut ran);
+                let reference = plain.decide(&x, expected, limit, &plan, &mut scanned);
+                assert_eq!(decided, reference, "{route:?} at {x}, limit {limit}");
+                let counted = BoxCheckStats {
+                    branched: ran.branched,
+                    ..scanned
+                };
+                assert_eq!(ran, counted, "{route:?} at {x}, limit {limit}");
+            }
+            assert_eq!(scanned.branched, 0, "no run, no branch");
+            branched.push(ran.branched);
+        }
+        assert!(branched.windows(2).all(|w| w[0] == w[1]), "{branched:?}");
+        branched[0]
+    }
+
+    #[test]
+    fn a_run_stores_only_the_space_from_its_branch() {
+        // At x = 3 the run passes {3X}, {2X, A} and {X, 2A} and branches at
+        // {3A}.  The scan stores {3A} and its descendants, ten splits of
+        // three between A, Y and Z, of the 13 configurations both ways
+        // count.
+        let crn = crn_over(&["X", "Y", "Z", "A"], &CHAIN_THEN_PAIR.map(Vec::from));
+        let analysis = CrnAnalysis::of(&crn);
+        assert!(analysis.acyclic());
+        let plan = SweepPlan::build(&analysis, 3);
+        let x = NVec::from(vec![3]);
+        for route in [Route::PackedScan, Route::HashScan] {
+            let decided = decide_both_ways(&analysis, &plan, route, &x, 3, 100);
+            // {2Y, Z} is a terminal with the wrong output.
+            assert_eq!(decided, (Ok(false), 13, [10, 13]), "{route:?}");
+        }
+        assert_eq!(run_matches_plain_scan(&crn, |x| x[0], 6, 1_000), 6);
+        // `X -> Y` is one path from every start: nothing is ever stored.
+        let chain = crn_over(&["X", "Y"], &[vec![1, 0, 0, 1]]);
+        let analysis = CrnAnalysis::of(&chain);
+        let plan = SweepPlan::build(&analysis, 5);
+        for route in [Route::PackedScan, Route::HashScan] {
+            let decided = decide_both_ways(&analysis, &plan, route, &NVec::from(vec![5]), 5, 100);
+            assert_eq!(decided, (Ok(true), 6, [0, 6]), "{route:?}");
+        }
+    }
+
+    #[test]
+    fn a_limit_cuts_the_run_and_the_scan_after_it_as_it_cuts_the_plain_scan() {
+        let too_many = |limit: usize| {
+            Err(CrnError::SearchLimitExceeded {
+                limit: format!("{limit} reachable configurations"),
+            })
+        };
+        // `X -> Y` at x = 5: a path of six configurations, all counted by the
+        // run.  Every limit below six gives up, having counted the limit (and
+        // the start, at a limit of 0).
+        let chain = crn_over(&["X", "Y"], &[vec![1, 0, 0, 1]]);
+        let analysis = CrnAnalysis::of(&chain);
+        let plan = SweepPlan::build(&analysis, 5);
+        let x = NVec::from(vec![5]);
+        for route in [Route::PackedScan, Route::HashScan] {
+            for limit in 0..=7 {
+                let (result, counted, _) = decide_both_ways(&analysis, &plan, route, &x, 5, limit);
+                if limit < 6 {
+                    assert_eq!(result, too_many(limit), "{route:?}, limit {limit}");
+                    assert_eq!(counted, limit.max(1) as u64, "{route:?}, limit {limit}");
+                } else {
+                    assert_eq!((result, counted), (Ok(true), 6), "{route:?}, limit {limit}");
+                }
+            }
+        }
+        // The chain in front of the pair at x = 4: a path of four
+        // configurations before the branch at {4A}, then 15 configurations
+        // of the stored scan, whose limit counts the path too.
+        let crn = crn_over(&["X", "Y", "Z", "A"], &CHAIN_THEN_PAIR.map(Vec::from));
+        let analysis = CrnAnalysis::of(&crn);
+        let plan = SweepPlan::build(&analysis, 4);
+        let x = NVec::from(vec![4]);
+        for route in [Route::PackedScan, Route::HashScan] {
+            for limit in 0..=20 {
+                let (result, counted, _) = decide_both_ways(&analysis, &plan, route, &x, 2, limit);
+                if limit < 19 {
+                    assert_eq!(result, too_many(limit), "{route:?}, limit {limit}");
+                    assert_eq!(counted, limit.max(1) as u64, "{route:?}, limit {limit}");
+                } else {
+                    assert_eq!(
+                        (result, counted),
+                        (Ok(false), 19),
+                        "{route:?}, limit {limit}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_overflow_at_the_limit_wins_on_both_paths() {
+        // `X -> (2^63 - 1) Y` at x = 3: the third firing would push Y past
+        // u64::MAX.  At a limit of 3, the configuration it would make is the
+        // one the limit refuses, but both paths fire before they count, so
+        // both report the overflow; a limit of 2 refuses the configuration
+        // before it.  Y's hull is past 64 bits, so only the hash scan runs.
+        let mut crn = Crn::new();
+        crn.parse_reaction("X -> 9223372036854775807 Y").unwrap();
+        let crn = FunctionCrn::with_named_roles(crn, &["X"], "Y", None).unwrap();
+        let analysis = CrnAnalysis::of(&crn);
+        let plan = SweepPlan::build(&analysis, 3);
+        assert!(plan.packed.is_none());
+        let x = NVec::from(vec![3]);
+        let overflow = Err(CrnError::CountOverflow {
+            reaction: "X -> 9223372036854775807Y".into(),
+            species: "Y".into(),
+        });
+        let decide = |limit| decide_both_ways(&analysis, &plan, Route::HashScan, &x, 0, limit);
+        assert_eq!(decide(3), (overflow.clone(), 3, [0, 3]));
+        assert_eq!(decide(4), (overflow, 3, [0, 3]));
+        let (refused, counted, _) = decide(2);
+        assert!(matches!(refused, Err(CrnError::SearchLimitExceeded { .. })));
+        assert_eq!(counted, 2);
     }
 
     /// Collects the terminal configurations a hash-coded BFS reaches,
@@ -1102,9 +1443,9 @@ mod tests {
 
         fn edge(&mut self, _: &mut Hash<'_>, _: NodeId, _: NodeId) {}
 
-        fn expanded(&mut self, codec: &Hash<'_>, v: NodeId, terminal: bool) -> bool {
+        fn expanded(&mut self, codec: &Hash<'_>, _: NodeId, terminal: bool) -> bool {
             if terminal {
-                self.found.push(codec.s.arena.get(v.index()).to_vec());
+                self.found.push(codec.s.cur.clone());
             }
             true
         }
@@ -1127,7 +1468,7 @@ mod tests {
             stubborn: stubborn.map(|table| (table, Closure::default())),
             found: Vec::new(),
         };
-        bfs(&mut codec, &mut visitor, 20_000)?;
+        bfs(&mut codec, &mut visitor, 20_000, 0)?;
         visitor.found.sort_unstable();
         Ok((visitor.found, codec.len()))
     }
@@ -1249,6 +1590,38 @@ mod tests {
             let crn = random_crn(&kept);
             prop_assert!(CrnAnalysis::of(&crn).acyclic());
             routes_match_reference(&crn, |x| a * x[0] + b, bound);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The run against the plain stubborn-set scan on certified CRNs
+        /// over `{X, Y, Z, A}`: sampled rows that strictly lower the positive
+        /// weighting `4X + Y + Z + 2A`, half of them behind the chain in
+        /// front of a conflicting pair, so that runs branch after a path.
+        /// Every point gets the same result, the error included, and the
+        /// same count, at limits that cut the run, the scan after it, or
+        /// neither.
+        #[test]
+        fn the_run_matches_the_plain_scan(
+            stoich in proptest::collection::vec(proptest::collection::vec(0u64..3, 8), 0..4),
+            chain in 0u8..2,
+            a in 0u64..3,
+            b in 0u64..2,
+            bound in 0u64..6,
+            limit in 0usize..30,
+        ) {
+            let weight = |c: &[u64]| 4 * c[0] + c[1] + c[2] + 2 * c[3];
+            let mut rows: Vec<Vec<u64>> = if chain == 1 {
+                CHAIN_THEN_PAIR.map(Vec::from).to_vec()
+            } else {
+                Vec::new()
+            };
+            rows.extend(stoich.into_iter().filter(|row| weight(&row[4..]) < weight(&row[..4])));
+            let crn = crn_over(&["X", "Y", "Z", "A"], &rows);
+            prop_assert!(CrnAnalysis::of(&crn).acyclic());
+            run_matches_plain_scan(&crn, |x| a * x[0] + b, bound, limit);
         }
     }
 

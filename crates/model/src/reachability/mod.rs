@@ -29,8 +29,9 @@
 //!   bit-packed word per configuration), driving a visitor that builds the
 //!   graph of a full verdict or scans for bad terminal configurations; the
 //!   scan decides certified-acyclic CRNs and fires only stubborn sets, which
-//!   keep every reachable terminal configuration, and every other point
-//!   takes the full verdict;
+//!   keep every reachable terminal configuration, starting with a run that
+//!   fires lone stubborn reactions in place and stores nothing until the
+//!   first node that fires two; every other point takes the full verdict;
 //! * [`check_on_box`] / [`BoxCheck`] — a **parallel driver** sharding the
 //!   input box across scoped threads with a deterministic,
 //!   lexicographically-first result.
@@ -73,8 +74,13 @@ pub struct BoxCheckStats {
     /// Points settled by an exploration: a terminal scan, or a full
     /// verdict.
     pub decided: u64,
-    /// Configurations materialized across every exploration of the sweep.
+    /// Configurations visited across every exploration of the sweep: each
+    /// one the configuration limit counts, stored or not.
     pub configs_explored: u64,
+    /// Decided points whose terminal scan branched: the run from `I_x`
+    /// reached a node that fires two or more reactions, and the scan stored
+    /// the space from there.  Not a `crn verify --stats` key.
+    pub branched: u64,
 }
 
 impl BoxCheckStats {
@@ -85,6 +91,7 @@ impl BoxCheckStats {
         self.symmetry_skipped += other.symmetry_skipped;
         self.decided += other.decided;
         self.configs_explored += other.configs_explored;
+        self.branched += other.branched;
     }
 }
 
@@ -152,7 +159,9 @@ pub fn check_stable_computation(
 /// take a terminal scan that fires only stubborn sets, on one bit-packed
 /// word per configuration when the box hull of the monotone potentials
 /// bounds every species and its lanes (each count's bits plus a sentinel)
-/// total at most 64 bits; every other point takes the full verdict of
+/// total at most 64 bits; the scan fires a node's lone stubborn reaction in
+/// place and stores configurations only from the first node that fires
+/// two.  Every other point takes the full verdict of
 /// [`check_stable_computation`].  Box points are decoded from a mixed-radix
 /// index on demand, so the sweep allocates `O(1)` memory in the box size.
 /// The result is nonetheless bit-identical to a sequential loop of
@@ -160,7 +169,7 @@ pub fn check_stable_computation(
 /// first failing verdict, byte identical failure messages and errors
 /// included — or `Ok(None)` if all inputs pass, wherever that loop finishes
 /// within `max_configurations`.  The limit bounds the configurations each
-/// exploration stores, and the terminal scan stores fewer than a full
+/// exploration visits, and the terminal scan visits fewer than a full
 /// verdict, so it may pass a point the loop gives up on.
 ///
 /// # Errors
@@ -593,8 +602,9 @@ mod tests {
     fn sweeps_explore_identically_at_every_worker_count() {
         // Every point's stubborn sets depend on its configurations alone,
         // and full verdicts share nothing across points, so a passing sweep
-        // stores the same configurations whichever worker expands them.
-        fn sweep_at_1_2_4(crn: &FunctionCrn, f: fn(&NVec) -> u64, bound: u64) {
+        // visits the same configurations, and its runs branch at the same
+        // points, whichever worker expands them.
+        fn sweep_at_1_2_4(crn: &FunctionCrn, f: fn(&NVec) -> u64, bound: u64) -> BoxCheckStats {
             let (first, first_stats) = stats_scan(crn, f, bound, 100_000, 1);
             for workers in [2, 4] {
                 let (outcome, stats) = stats_scan(crn, f, bound, 100_000, workers);
@@ -603,12 +613,23 @@ mod tests {
                     assert_eq!(stats, first_stats, "workers={workers}");
                 }
             }
+            first_stats
         }
         let max = examples::max_crn();
-        sweep_at_1_2_4(&max, |x| x[0].max(x[1]), 12);
+        let paths = sweep_at_1_2_4(&max, |x| x[0].max(x[1]), 12);
+        assert_eq!(paths.branched, 0, "nothing conflicts in the max CRN");
         sweep_at_1_2_4(&examples::min_crn(), |x| x[0].min(x[1]), 12);
         sweep_at_1_2_4(&max, |x| x[0] + x[1], 6);
         sweep_at_1_2_4(&cyclic_sum_crn(), |x| x[0] + x[1], 6);
+        // `X -> Y` and `X -> Z` conflict wherever X is left, so every run
+        // but the one from the terminal x = 0 branches at once.
+        let mut crn = Crn::new();
+        for reaction in ["X -> Y", "X -> Z", "Z -> Y"] {
+            crn.parse_reaction(reaction).unwrap();
+        }
+        let fork = FunctionCrn::with_named_roles(crn, &["X"], "Y", None).unwrap();
+        let forked = sweep_at_1_2_4(&fork, |x| x[0], 6);
+        assert_eq!((forked.decided, forked.branched), (7, 6));
     }
 
     #[test]

@@ -62,7 +62,7 @@ fn decode_point(mut index: u64, radix: u64, x: &mut NVec) {
 /// [`VerdictEngine::check`], so the returned outcome is byte-identical to a
 /// sequential loop of full verdicts — failure messages and errors included
 /// — wherever that loop finishes within the limit.  The stubborn-set scans
-/// store fewer configurations than a full verdict, so they may pass a point
+/// visit fewer configurations than a full verdict, so they may pass a point
 /// the loop gives up on.
 pub(super) fn check_on_box_sharded(
     analysis: &CrnAnalysis<'_>,
@@ -254,6 +254,7 @@ fn publish_sweep_metrics(stats: &BoxCheckStats, workers: usize, route: &str) {
     crn_obs::add("model.box.symmetry_skipped", stats.symmetry_skipped);
     crn_obs::add("model.box.decided", stats.decided);
     crn_obs::add("model.box.configs_explored", stats.configs_explored);
+    crn_obs::add("model.box.branched", stats.branched);
     crn_obs::gauge_max(
         "model.box.workers",
         u64::try_from(workers).unwrap_or(u64::MAX),

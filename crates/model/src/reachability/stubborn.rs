@@ -17,6 +17,12 @@
 //!   (the lowest species whose count is below its requirement): the
 //!   reactions whose net delta on that species is positive.
 //!
+//! A seed that conflicts with no reaction is its own closure at every
+//! configuration ([`StubbornSets::lone`]).  The terminal scan's run reads
+//! that one lookup to fire such a seed in place without testing any other
+//! reaction, and stores nothing until it reaches a configuration whose
+//! closure keeps two or more enabled reactions.
+//!
 //! # Soundness
 //!
 //! Let `T` be the closure at configuration `M` and `σ` a firing sequence
@@ -108,6 +114,14 @@ impl StubbornSets {
         }
     }
 
+    /// Whether the closure seeded at the enabled reaction `seed` is `{seed}`
+    /// at every configuration: no reaction conflicts with it.  One lookup,
+    /// which lets the terminal scan fire the seed without testing any other
+    /// reaction.
+    pub(super) fn lone(&self, seed: usize) -> bool {
+        self.conflicts.successors(seed).is_empty()
+    }
+
     /// Narrows `enabled` — the enabled reactions of one configuration in
     /// ascending order, at least two — to the enabled members of the
     /// closure seeded at the first, keeping their order.  `lacking(r)` is
@@ -119,6 +133,10 @@ impl StubbornSets {
         lacking: impl Fn(usize) -> usize,
         c: &mut Closure,
     ) {
+        if self.lone(enabled[0]) {
+            enabled.truncate(1);
+            return;
+        }
         let n = self.conflicts.node_count();
         if c.member.len() < n {
             c.member.resize(n, 0);
