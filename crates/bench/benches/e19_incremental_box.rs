@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the incremental box-reachability engine
 //! (experiment E19 of DESIGN.md): box-check verdicts/sec on the `max` CRN
-//! sweep — symmetry-orbit skipping and the packed stubborn-set terminal
+//! sweep — symmetry-orbit skipping and the stubborn-set terminal
 //! scan versus a sequential loop of full verdicts.
 
 use std::time::Duration;

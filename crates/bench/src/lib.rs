@@ -304,7 +304,7 @@ fn time_repeats<T>(repeats: u32, mut work: impl FnMut() -> T) -> (f64, T) {
 }
 
 /// The E19 headline workload: the box check (symmetry orbits, then the
-/// packed stubborn-set terminal scan at every other point) of the `max` CRN
+/// stubborn-set terminal scan at every other point) of the `max` CRN
 /// against `max(x1, x2)` on `[0, bound]^2`.  Pinned to one worker so the
 /// measured speedup over the per-point reference is purely algorithmic.
 #[must_use]

@@ -112,6 +112,35 @@ fn exit_1_verdict_failure_class() {
     assert!(stdout.contains("f(4) cannot be evaluated: "), "{stdout}");
     assert!(!stdout.contains("not obliviously computable"), "{stdout}");
 
+    // In two dimensions the affine fits run on i64: a value past i64::MAX
+    // is inconclusive at its point.  Read as 0, or wrapped by a cast, such
+    // values made these nondecreasing functions "not affine".
+    for (name, body, point) in [
+        (
+            "big2",
+            "case x1 + x2 <= 2: 0;\n  otherwise: 9223372036854775807 x1 + 9223372036854775807 x2 - 9223372036854775806;",
+            "f(0, 3) = 18446744073709551615 is past i64::MAX",
+        ),
+        (
+            "min62",
+            "case x1 <= x2: 4611686018427387904 x1;\n  otherwise: 4611686018427387904 x2;",
+            "f(2, 2) = 9223372036854775808 is past i64::MAX",
+        ),
+    ] {
+        let path = scratch(
+            &format!("{name}_fn.crn"),
+            &format!("fn {name}(x1, x2) {{\n  {body}\n}}\n"),
+        );
+        for bound in ["3", "8"] {
+            let (code, stdout, _) =
+                run_crn(&["characterize", path.to_str().unwrap(), "--bound", bound]);
+            assert_eq!(code, 1, "{name} at bound {bound}\n{stdout}");
+            assert!(stdout.contains("verdict: inconclusive"), "{stdout}");
+            assert!(stdout.contains(point), "{stdout}");
+            assert!(!stdout.contains("not affine"), "{stdout}");
+        }
+    }
+
     // A never-silent CRN does not converge.
     let restless = scratch(
         "restless.crn",

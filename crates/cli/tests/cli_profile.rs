@@ -301,10 +301,10 @@ fn per_crn_set_up_shows_one_span_per_artifact_and_item() {
 
 #[test]
 fn route_counters_count_the_points_each_route_decides() {
-    // `add` on [0,96]^2: Y's hull of 192 is past a byte, yet X1, X2 and Y
-    // take 25 bits of one word, so every decided point is a packed scan.
-    // Nothing conflicts with `X1 -> Y` or `X2 -> Y`, so every scan is one
-    // run that stores nothing: the index never grows, and no run branches.
+    // `add` on [0,96]^2 is certified acyclic, so every decided point is a
+    // terminal scan.  Nothing conflicts with `X1 -> Y` or `X2 -> Y`, so
+    // every scan is one run that stores nothing: the index never grows, and
+    // no run branches.
     let (code, json, _) = run_crn(&[
         "verify",
         "corpus/add.crn",
@@ -315,14 +315,12 @@ fn route_counters_count_the_points_each_route_decides() {
     ]);
     assert_eq!(code, 0, "{json}");
     assert_eq!(json_counter(&json, "model.box.decided"), 4753);
-    assert_eq!(json_counter(&json, "model.route.packed_scan"), 4753);
+    assert_eq!(json_counter(&json, "model.route.scan"), 4753);
     assert_eq!(json_counter(&json, "model.arena.grows"), 0, "{json}");
     assert_eq!(json_counter(&json, "model.box.branched"), 0, "{json}");
-    for route in ["model.route.hash_scan", "model.route.verdict"] {
-        assert!(!json.contains(route), "{route}:\n{json}");
-    }
-    // The synthesized staircase's 55 lanes total more than 64 bits, and the
-    // cyclic fixture has no acyclicity certificate.
+    assert!(!json.contains("model.route.verdict"), "{json}");
+    // The synthesized staircase is certified too, and the cyclic fixture
+    // has no acyclicity certificate.
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     std::fs::create_dir_all(&dir).unwrap();
     let staircase = dir.join("route_counters_staircase.crn");
@@ -330,7 +328,7 @@ fn route_counters_count_the_points_each_route_decides() {
     let (code, _, stderr) = run_crn(&["synthesize", "corpus/staircase.crn", "-o", staircase]);
     assert_eq!(code, 0, "{stderr}");
     for (file, route) in [
-        (staircase, "model.route.hash_scan"),
+        (staircase, "model.route.scan"),
         ("corpus/cyclic_identity.crn", "model.route.verdict"),
     ] {
         let (code, json, _) = run_crn(&["verify", file, "--bound", "1", "--json", "--profile"]);
@@ -389,14 +387,8 @@ fn interleaving_independent_counters_match_at_every_worker_count() {
     // fork `X -> Y; X -> Z; Z -> Y` branches at every start but x = 0.
     type Sweep<'a> = (&'a [&'a str], &'a str, &'a str, &'a str, u64);
     let sweeps: [Sweep; 4] = [
-        (
-            &["X1 + X2 -> Y"],
-            "model.route.packed_scan",
-            "X1 X2",
-            "Y",
-            0,
-        ),
-        (&[&fanout], "model.route.hash_scan", "X", "A1", 0),
+        (&["X1 + X2 -> Y"], "model.route.scan", "X1 X2", "Y", 0),
+        (&[&fanout], "model.route.scan", "X", "A1", 0),
         (
             &["X -> Y + A", "A -> B", "B -> A"],
             "model.route.verdict",
@@ -406,7 +398,7 @@ fn interleaving_independent_counters_match_at_every_worker_count() {
         ),
         (
             &["X -> Y", "X -> Z", "Z -> Y"],
-            "model.route.packed_scan",
+            "model.route.scan",
             "X",
             "Y",
             6,

@@ -98,8 +98,15 @@ pub fn characterize(f: &SemilinearFunction, bound: u64) -> Result<Characterizati
     }
 }
 
-fn eval_or_zero(f: &SemilinearFunction, x: &NVec) -> u64 {
-    f.eval(x).unwrap_or(0)
+/// `f(x)` for the affine fits, which run on `i64`: a point `f` cannot
+/// evaluate, or whose value is past `i64::MAX`, is an inconclusive reason
+/// that names it, never a value `f` does not have.
+fn value_at(f: &SemilinearFunction, x: &NVec) -> Result<i64, CoreError> {
+    let value = f
+        .eval(x)
+        .map_err(|e| CoreError::AnalysisInconclusive(format!("f{x} cannot be evaluated: {e}")))?;
+    i64::try_from(value)
+        .map_err(|_| CoreError::AnalysisInconclusive(format!("f{x} = {value} is past i64::MAX")))
 }
 
 /// 1-D case (Theorem 3.1): semilinear + nondecreasing is sufficient; extract
@@ -219,11 +226,25 @@ fn characterize_multi(f: &SemilinearFunction, bound: u64) -> Result<Characteriza
     }
 
     // Step 3: find a threshold above which f = min of the pieces.
-    let threshold = find_valid_threshold(f, &pieces, bound);
+    let threshold = match find_valid_threshold(f, &pieces, bound) {
+        Ok(threshold) => threshold,
+        Err(e) => {
+            return Ok(Characterization::Inconclusive {
+                reason: format!("could not check the eventual-min representation: {e}"),
+            })
+        }
+    };
     let Some(t) = threshold else {
-        // Verification failed: look for a Lemma 4.1 obstruction.
-        let oracle = |x: &NVec| eval_or_zero(f, x);
+        // Verification failed: look for a Lemma 4.1 obstruction.  The
+        // search reads a point `f` cannot evaluate as 0, so whatever it
+        // finds is only a candidate until `f` confirms it.
+        let oracle = |x: &NVec| f.eval(x).unwrap_or(0);
         if let Some(witness) = find_lemma41_witness(&oracle, dim, bound.min(6), 6) {
+            if let Err(e) = confirm_lemma41_witness(f, &witness) {
+                return Ok(Characterization::Inconclusive {
+                    reason: format!("a Lemma 4.1 witness candidate is not confirmed by f: {e}"),
+                });
+            }
             return Ok(Characterization::NotObliviouslyComputable {
                 reason:
                     "f is not eventually a min of quilt-affine functions (Lemma 4.1 witness found)"
@@ -267,11 +288,12 @@ fn characterize_multi(f: &SemilinearFunction, bound: u64) -> Result<Characteriza
     let spec = ObliviousSpec::compound(eventual, restrictions)?;
     // Final sanity check: the spec reproduces f on the whole box.
     for x in NVec::box_iter(dim, bound) {
-        if spec.eval(&x)? != eval_or_zero(f, &x) {
-            return Ok(Characterization::Inconclusive {
-                reason: format!("assembled spec disagrees with f at {x}"),
-            });
-        }
+        let reason = match f.eval(&x) {
+            Ok(value) if spec.eval(&x)? == value => continue,
+            Ok(_) => format!("assembled spec disagrees with f at {x}"),
+            Err(e) => format!("f{x} cannot be evaluated: {e}"),
+        };
+        return Ok(Characterization::Inconclusive { reason });
     }
     Ok(Characterization::ObliviouslyComputable { spec })
 }
@@ -298,7 +320,10 @@ fn fit_region_extension(
         if points.is_empty() {
             continue;
         }
-        let values: Vec<i64> = points.iter().map(|x| eval_or_zero(f, x) as i64).collect();
+        let values = points
+            .iter()
+            .map(|x| value_at(f, x))
+            .collect::<Result<Vec<i64>, _>>()?;
         let Some((grad, offset, unique)) = crn_geometry::matrix::fit_affine(&points, &values)
         else {
             return Err(CoreError::AnalysisInconclusive(format!(
@@ -350,14 +375,18 @@ fn fit_strip_extension(
     }
     // If the neighbor extensions already agree with f on the region, no extra
     // piece is needed.
-    let covered = members.iter().all(|x| {
+    let mut covered = true;
+    for x in &members {
         let min_neighbor = neighbors
             .iter()
             .filter_map(|g| g.eval(x).ok())
             .min()
             .unwrap_or(i64::MAX);
-        min_neighbor == eval_or_zero(f, x) as i64
-    });
+        if min_neighbor != value_at(f, x)? {
+            covered = false;
+            break;
+        }
+    }
     if covered {
         return Ok(None);
     }
@@ -376,10 +405,10 @@ fn fit_strip_extension(
         if points.is_empty() {
             continue;
         }
-        let candidates: Vec<Rational> = points
+        let candidates = points
             .iter()
-            .map(|x| Rational::from(eval_or_zero(f, x) as i64) - avg.dot_n(x))
-            .collect();
+            .map(|x| Ok(Rational::from(value_at(f, x)?) - avg.dot_n(x)))
+            .collect::<Result<Vec<Rational>, CoreError>>()?;
         if candidates.windows(2).any(|w| w[0] != w[1]) {
             return Err(CoreError::AnalysisInconclusive(
                 "strip values are not quilt-affine with the averaged gradient".into(),
@@ -421,7 +450,15 @@ fn fit_strip_extension(
 
 /// Finds the smallest `t ≤ bound/2` such that `f(x) = min_k g_k(x)` for every
 /// box point `x ≥ (t, …, t)`.
-fn find_valid_threshold(f: &SemilinearFunction, pieces: &[QuiltAffine], bound: u64) -> Option<u64> {
+///
+/// # Errors
+///
+/// The first point compared whose value [`value_at`] cannot give.
+fn find_valid_threshold(
+    f: &SemilinearFunction,
+    pieces: &[QuiltAffine],
+    bound: u64,
+) -> Result<Option<u64>, CoreError> {
     let dim = f.dim();
     'outer: for t in 0..=bound / 2 {
         let corner = NVec::constant(dim, t);
@@ -429,14 +466,48 @@ fn find_valid_threshold(f: &SemilinearFunction, pieces: &[QuiltAffine], bound: u
             if !x.ge(&corner) {
                 continue;
             }
-            let min_piece = pieces.iter().filter_map(|g| g.eval(&x).ok()).min()?;
-            if min_piece != eval_or_zero(f, &x) as i64 {
+            let Some(min_piece) = pieces.iter().filter_map(|g| g.eval(&x).ok()).min() else {
+                return Ok(None);
+            };
+            if min_piece != value_at(f, &x)? {
                 continue 'outer;
             }
         }
-        return Some(t);
+        return Ok(Some(t));
     }
-    None
+    Ok(None)
+}
+
+/// Re-evaluates every value the Lemma 4.1 inequality of `witness` compares
+/// through `f.eval` alone: `f(a_i + j·δ) − f(a_i) > f(a_j + j·δ) − f(a_j)`
+/// for every pair `i < j` of its verified elements.
+///
+/// # Errors
+///
+/// The first point `f` cannot evaluate, or the first pair the inequality
+/// fails on.
+fn confirm_lemma41_witness(f: &SemilinearFunction, witness: &Lemma41Witness) -> Result<(), String> {
+    let value = |x: &NVec| {
+        f.eval(x)
+            .map(i128::from)
+            .map_err(|e| format!("f{x} cannot be evaluated: {e}"))
+    };
+    let gain = |a: &NVec, shift: &NVec| Ok::<_, String>(value(&(a + shift))? - value(a)?);
+    let mut shift = NVec::zeros(witness.delta.dim());
+    for j in 1..witness.verified_elements {
+        shift = &shift + &witness.delta;
+        let a_j = witness.element(j);
+        let later = gain(&a_j, &shift)?;
+        for i in 0..j {
+            let a_i = witness.element(i);
+            if gain(&a_i, &shift)? <= later {
+                return Err(format!(
+                    "the gain of {shift} at {a_i} does not exceed its gain at {a_j}"
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -539,6 +610,47 @@ mod tests {
     fn add2_is_obliviously_computable() {
         let verdict = characterize(&sl::add2(), 6).unwrap();
         assert!(verdict.is_computable(), "{verdict:?}");
+    }
+
+    #[test]
+    fn a_lemma41_witness_is_confirmed_only_by_values_f_has() {
+        // Figure 6: a_i = (i, 0), Δ = (0, 1).  max gains j on Δ_ij at a_0
+        // and nothing at a_j; min gains nothing anywhere along the sequence.
+        let figure6 = Lemma41Witness {
+            base: NVec::from(vec![0, 0]),
+            step: NVec::from(vec![1, 0]),
+            delta: NVec::from(vec![0, 1]),
+            verified_elements: 7,
+        };
+        assert_eq!(confirm_lemma41_witness(&sl::max2(), &figure6), Ok(()));
+        let refuted = confirm_lemma41_witness(&sl::min2(), &figure6).unwrap_err();
+        assert!(refuted.contains("does not exceed"), "{refuted}");
+        // (2^63 - 1)·max(x1, x2) passes u64::MAX at a_3 + 3Δ = (3, 3), after
+        // the pairs up to j = 2 hold: the point is named, and no witness is
+        // confirmed.
+        use crn_semilinear::{AffinePiece, SemilinearFunction, SemilinearSet, ThresholdSet};
+        let side = |normal: Vec<i64>, offset| {
+            SemilinearSet::threshold(ThresholdSet::new(crn_numeric::ZVec::from(normal), offset))
+        };
+        let big = SemilinearFunction::new(
+            2,
+            vec![
+                (
+                    side(vec![-1, 1], 0),
+                    AffinePiece::integer(vec![0, i64::MAX], 0),
+                ),
+                (
+                    side(vec![1, -1], 1),
+                    AffinePiece::integer(vec![i64::MAX, 0], 0),
+                ),
+            ],
+        )
+        .unwrap();
+        let unevaluable = confirm_lemma41_witness(&big, &figure6).unwrap_err();
+        assert!(
+            unevaluable.starts_with("f(3, 3) cannot be evaluated"),
+            "{unevaluable}"
+        );
     }
 
     #[test]

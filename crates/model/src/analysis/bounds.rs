@@ -12,12 +12,8 @@
 //! truncation semantics: sound, and incomplete when [`FARKAS_ROW_CAP`] cut
 //! a column short or a combination overflowed `i128`.
 //!
-//! The cone has two readers: lints C008 and C009 ask which species some
-//! potential covers, and [`SpeciesBounds::box_hull`] bounds every count
-//! reachable from any start of an input box, which is what lets the box
-//! engine pack a whole configuration into one word.  The hull's weighings
-//! are checked `i128` arithmetic: a potential whose weighing overflows
-//! contributes no bound.
+//! The cone's readers are lints C008 and C009, which ask which species
+//! some potential covers.
 //!
 //! [`FARKAS_ROW_CAP`]: super::invariants::FARKAS_ROW_CAP
 
@@ -26,9 +22,8 @@ use crn_numeric::gcd_i128;
 use crate::compiled::CompiledCrn;
 
 use super::invariants::{
-    farkas_annul, project, species_rows, weigh, FarkasCore, FarkasRow, FarkasRows, FARKAS_ROW_CAP,
+    farkas_annul, project, species_rows, FarkasCore, FarkasRow, FarkasRows, FARKAS_ROW_CAP,
 };
-use super::liveness::Liveness;
 use super::stoichiometry::Stoichiometry;
 
 /// The decreasing monotone-potential generators of a compiled CRN,
@@ -99,67 +94,6 @@ impl SpeciesBounds {
             .iter()
             .any(|v| v.get(s).copied().unwrap_or(0) > 0)
     }
-
-    /// Sound per-species upper bounds on every count reachable from *any*
-    /// start `≤ top` componentwise — the hull of a whole input box rather
-    /// than one point, `None` where nothing bounds the species.  `live`
-    /// must be the liveness fixpoint seeded with `top`'s support.  `top`
-    /// may be longer than the analyzed stride; the excess species are
-    /// untouched by every reaction and keep their start counts.
-    ///
-    /// Soundness: decreasing-potential bounds are monotone in the start
-    /// (weights are nonnegative, so `v·c₀ ≤ v·top`), and producibility is
-    /// monotone in the seed support (a species dead from `top`'s full
-    /// support is dead from every sub-support, so it keeps its start
-    /// count).
-    #[must_use]
-    pub fn box_hull(&self, top: &[u64], live: &Liveness) -> Vec<Option<u64>> {
-        let n = top.len();
-        let mut upper: Vec<Option<u64>> = vec![None; n];
-        // Untouched species can never move, so the top value bounds them
-        // across the whole box.
-        for (s, u) in upper.iter_mut().enumerate().skip(self.stride) {
-            *u = Some(top[s]);
-        }
-        for v in &self.decreasing {
-            let Some(value) = weigh(v, top) else {
-                continue;
-            };
-            for (s, &w) in v.iter().enumerate().take(n) {
-                if w > 0 {
-                    let bound = clamp_u64(value / w);
-                    if upper[s].map_or(true, |u| bound < u) {
-                        upper[s] = Some(bound);
-                    }
-                }
-            }
-        }
-        for (s, u) in upper.iter_mut().enumerate().take(self.stride.min(n)) {
-            if !live.producible(s) {
-                // Dead species stay at their start count, which is at most
-                // the top's.
-                let cap = top[s];
-                if u.map_or(true, |b| cap < b) {
-                    *u = Some(cap);
-                }
-            }
-        }
-        debug_assert!(
-            top.iter()
-                .zip(&upper)
-                .all(|(&c, u)| u.map_or(true, |u| c <= u)),
-            "the top corner lies in the hull"
-        );
-        upper
-    }
-}
-
-fn clamp_u64(x: i128) -> u64 {
-    if x <= 0 {
-        0
-    } else {
-        u64::try_from(x).unwrap_or(u64::MAX)
-    }
 }
 
 /// The Farkas table of the `sign` potential cone: the species rows
@@ -217,46 +151,15 @@ pub(super) fn monotone_potentials(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Configuration;
     use crate::crn::Crn;
     use crate::examples;
-    use crate::reachability::oracle::NaiveGraph;
-    use crate::reaction::Reaction;
-    use crate::species::Species;
-    use proptest::prelude::*;
 
-    /// The potentials of `crn` and the box hull of `top` (one count per
-    /// species of the compiled stride), with the liveness fixpoint seeded
-    /// from `top`'s support.
-    fn hull_at(crn: &Crn, top: &[u64]) -> (SpeciesBounds, Vec<Option<u64>>) {
-        let compiled = CompiledCrn::compile(crn);
-        let bounds = SpeciesBounds::of(&compiled);
-        let support: Vec<usize> = (0..top.len()).filter(|&s| top[s] > 0).collect();
-        let live = Liveness::analyze(&compiled, &support);
-        let hull = bounds.box_hull(top, &live);
-        (bounds, hull)
-    }
-
-    /// [`hull_at`] with the top corner given by species name; unnamed
-    /// species sit at zero.
-    fn hull_named(crn: &Crn, top: &[(&str, u64)]) -> (SpeciesBounds, Vec<Option<u64>>) {
-        let mut counts = vec![0u64; crn.species().len()];
-        for &(name, count) in top {
-            counts[crn.species_named(name).unwrap().index()] = count;
-        }
-        hull_at(crn, &counts)
+    fn bounds_of(crn: &Crn) -> SpeciesBounds {
+        SpeciesBounds::of(&CompiledCrn::compile(crn))
     }
 
     fn idx(crn: &Crn, name: &str) -> usize {
         crn.species_named(name).unwrap().index()
-    }
-
-    /// Whether every count lies at or below its species' bound.
-    fn under(hull: &[Option<u64>], counts: &[u64]) -> bool {
-        counts
-            .iter()
-            .zip(hull)
-            .all(|(&c, u)| u.map_or(true, |u| c <= u))
     }
 
     #[test]
@@ -264,19 +167,11 @@ mod tests {
         // max admits no nonnegative conservation law, yet every species is
         // covered by a decreasing potential: X1+Z1, X1+Z1+K, X1+X2+Y, …
         let max = examples::max_crn();
-        let crn = max.crn();
-        let (bounds, hull) = hull_named(crn, &[("X1", 2), ("X2", 3)]);
+        let bounds = bounds_of(max.crn());
         assert!(!bounds.truncated());
         for s in 0..bounds.stride() {
             assert!(bounds.covered(s), "species {s} uncovered");
         }
-        let upper = |name: &str| hull[idx(crn, name)];
-        assert_eq!(upper("X1"), Some(2));
-        assert_eq!(upper("X2"), Some(3));
-        assert_eq!(upper("Z1"), Some(2));
-        assert_eq!(upper("Z2"), Some(3));
-        assert_eq!(upper("K"), Some(2));
-        assert_eq!(upper("Y"), Some(5));
     }
 
     #[test]
@@ -284,9 +179,7 @@ mod tests {
         // X -> 2X admits no decreasing potential on X.
         let mut crn = Crn::new();
         crn.parse_reaction("X -> 2X").unwrap();
-        let (bounds, hull) = hull_at(&crn, &[1]);
-        assert!(!bounds.covered(0));
-        assert_eq!(hull, vec![None]);
+        assert!(!bounds_of(&crn).covered(0));
     }
 
     #[test]
@@ -303,90 +196,9 @@ mod tests {
         ] {
             crn.parse_reaction(reaction).unwrap();
         }
-        let (bounds, hull) = hull_named(&crn, &[("A", 1)]);
+        let bounds = bounds_of(&crn);
         assert!(bounds.truncated());
         assert!(bounds.overflowed());
-        let e = idx(&crn, "E");
-        assert!(!bounds.covered(e));
-        assert_eq!(hull[e], None);
-    }
-
-    #[test]
-    fn a_weighing_that_overflows_bounds_nothing() {
-        // 2^64 A + 2^32 B + C is C's only potential; weighed at A = u64::MAX
-        // it exceeds i128, so it is skipped rather than wrapped into a bound
-        // that excludes the top corner itself.
-        let mut crn = Crn::new();
-        crn.parse_reaction("A -> 4294967296B").unwrap();
-        crn.parse_reaction("B -> 4294967296C").unwrap();
-        let (a, b, c) = (idx(&crn, "A"), idx(&crn, "B"), idx(&crn, "C"));
-        let (bounds, hull) = hull_named(&crn, &[("A", u64::MAX)]);
-        assert!(!bounds.truncated());
-        assert!(bounds.covered(c));
-        let mut top = vec![0u64; bounds.stride()];
-        top[a] = u64::MAX;
-        assert!(under(&hull, &top));
-        assert_eq!(hull[a], Some(u64::MAX));
-        assert_eq!(hull[c], None);
-        let (_, hull) = hull_named(&crn, &[("A", 1)]);
-        assert_eq!(hull[b], Some(1 << 32));
-    }
-
-    #[test]
-    fn dead_species_pin_to_zero() {
-        // Nothing producible from {X} makes D or U, so both are capped at
-        // their (zero) top counts.
-        let mut crn = Crn::new();
-        crn.parse_reaction("X -> Y").unwrap();
-        crn.parse_reaction("D -> U").unwrap();
-        let (_, hull) = hull_named(&crn, &[("X", 3)]);
-        assert_eq!(hull[idx(&crn, "D")], Some(0));
-        assert_eq!(hull[idx(&crn, "U")], Some(0));
-    }
-
-    /// A CRN over `{X, Y, Z}` from sampled stoichiometries.
-    fn random_crn(stoich: &[Vec<u64>]) -> Crn {
-        let mut crn = Crn::new();
-        let species: Vec<Species> = ["X", "Y", "Z"].iter().map(|n| crn.add_species(n)).collect();
-        for row in stoich {
-            let side = |counts: &[u64]| -> Vec<(Species, u64)> {
-                species
-                    .iter()
-                    .copied()
-                    .zip(counts.iter().copied())
-                    .collect()
-            };
-            crn.add_reaction(Reaction::new(side(&row[0..3]), side(&row[3..6])));
-        }
-        crn
-    }
-
-    proptest! {
-        /// The box hull is sound, which the packed codec's wrapping lane
-        /// arithmetic relies on: every configuration an exhaustive
-        /// exploration reaches from any start `≤ top` lies under the hull
-        /// of `top`.  Starts whose reachable space outgrows the limit (a
-        /// divergent CRN) are skipped.
-        #[test]
-        fn box_hull_contains_every_exhaustively_reachable_configuration(
-            stoich in proptest::collection::vec(proptest::collection::vec(0u64..3, 6), 1..4),
-            top in proptest::collection::vec(0u64..4, 3),
-        ) {
-            let crn = random_crn(&stoich);
-            let (_, hull) = hull_at(&crn, &top);
-            for x in crn_numeric::NVec::box_iter(3, 3) {
-                if (0..3).any(|s| x[s] > top[s]) {
-                    continue;
-                }
-                let start = Configuration::from_counts((0..3).map(|s| (Species(s), x[s])));
-                let Ok(graph) = NaiveGraph::explore(&crn, &start, 2_000) else {
-                    continue;
-                };
-                for config in &graph.configurations {
-                    let counts: Vec<u64> = (0..3).map(|s| config.count(Species(s))).collect();
-                    prop_assert!(under(&hull, &counts), "{:?} escapes {:?} from {}", counts, hull, x);
-                }
-            }
-        }
+        assert!(!bounds.covered(idx(&crn, "E")));
     }
 }

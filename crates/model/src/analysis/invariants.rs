@@ -123,7 +123,7 @@ impl ConservationLaw {
 
 /// `v·counts` with counts past `v`'s length weighing zero, or `None` when a
 /// product or the sum overflows `i128`.
-pub(super) fn weigh(v: &[i128], counts: &[u64]) -> Option<i128> {
+fn weigh(v: &[i128], counts: &[u64]) -> Option<i128> {
     v.iter().zip(counts).try_fold(0i128, |sum, (&w, &c)| {
         sum.checked_add(w.checked_mul(i128::from(c))?)
     })

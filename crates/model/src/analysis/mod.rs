@@ -16,9 +16,7 @@
 //! * [`minimal_siphons`] / [`minimal_traps`] — minimal structural deadlock
 //!   and lock-in sets by seeded saturation, capped at [`SIPHON_NODE_CAP`];
 //! * [`SpeciesBounds`] — the decreasing monotone-potential cone: which
-//!   species some potential bounds (lint `C008`), and the per-species upper
-//!   bounds of a whole input box, which size the lanes of the box engine's
-//!   bit-packed codec;
+//!   species some potential bounds (lints `C008` and `C009`);
 //! * [`Liveness`] — a producible-species / fireable-reaction fixpoint whose
 //!   negative verdicts are exact (dead means dead);
 //! * [`lint`] — stable-coded structural findings `C001`–`C009` consumed by

@@ -121,6 +121,58 @@ impl CompiledReaction {
         }
         Ok(())
     }
+
+    /// Fires the reaction in place as often as a loop of
+    /// [`applicable`](Self::applicable) and
+    /// [`apply_in_place`](Self::apply_in_place) would, up to `cap` times,
+    /// and returns how often.  The caller must have checked
+    /// [`applicable`](Self::applicable), and `cap` must be at least 1.
+    ///
+    /// # Errors
+    ///
+    /// Returns the loop's overflow: the first firing (counting from 1) that
+    /// would push a count past `u64::MAX`, and the first species in delta
+    /// order that it pushes there; `counts` is then unspecified.
+    #[inline]
+    pub fn apply_repeatedly(&self, counts: &mut [u64], cap: u64) -> Result<u64, (u64, Species)> {
+        debug_assert!(cap >= 1 && self.applicable(counts));
+        // Each net-consumed reactant allows one firing, plus one more per
+        // `-d` copies it holds above its requirement; a cap of 1 needs no
+        // division, since the reaction applies.
+        let mut times = cap;
+        for &(i, d) in &self.delta {
+            if d < 0 && times > 1 {
+                let &(_, need) = self
+                    .reactants
+                    .iter()
+                    .find(|&&(s, _)| s == i)
+                    .expect("a net-consumed species is a reactant");
+                times = times.min((counts[i] - need) / d.unsigned_abs() + 1);
+            }
+        }
+        let mut overflow: Option<(u64, Species)> = None;
+        for &(i, d) in &self.delta {
+            if d > 0 && (times as u128) * (d as u128) > u128::from(u64::MAX - counts[i]) {
+                // The first firing that carries this count past u64::MAX.
+                let firing = (u64::MAX - counts[i]) / d as u64 + 1;
+                if overflow.map_or(true, |(first, _)| firing < first) {
+                    overflow = Some((firing, Species(i)));
+                }
+            }
+        }
+        if let Some(overflow) = overflow {
+            return Err(overflow);
+        }
+        // Neither loop above lets a count leave `u64`.
+        for &(i, d) in &self.delta {
+            if d >= 0 {
+                counts[i] += times * d as u64;
+            } else {
+                counts[i] -= times * d.unsigned_abs();
+            }
+        }
+        Ok(times)
+    }
 }
 
 /// A CRN lowered once into dense reaction tables plus the dependency graph
@@ -334,6 +386,109 @@ impl DenseState {
 mod tests {
     use super::*;
     use crate::examples;
+    use proptest::prelude::*;
+
+    /// The firings a loop of `applicable` and `apply_in_place` makes from
+    /// `counts`, up to `cap` and while it stays applicable, or the firing
+    /// (counting from 1) and species of its overflow; `None` past
+    /// `steps` firings.
+    fn fire_one_at_a_time(
+        reaction: &CompiledReaction,
+        counts: &mut [u64],
+        cap: u64,
+        steps: u64,
+    ) -> Option<Result<u64, (u64, Species)>> {
+        let mut fired = 0;
+        while fired < cap && reaction.applicable(counts) {
+            if fired == steps {
+                return None;
+            }
+            fired += 1;
+            if let Err(species) = reaction.apply_in_place(counts) {
+                return Some(Err((fired, species)));
+            }
+        }
+        Some(Ok(fired))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// A burst against firing one at a time on random reactions over
+        /// three species: small coefficients, or products near `i64::MAX`;
+        /// counts small, near `u64::MAX` or anywhere in `u64`; caps small
+        /// or `u64::MAX`.  The firings, the final counts, and an overflow's
+        /// firing and species all agree.  Cases whose loop would run past
+        /// 5,000 firings are skipped.
+        #[test]
+        fn a_burst_fires_as_often_as_firing_one_at_a_time(
+            reactants in proptest::collection::vec(0u64..4, 3),
+            products in proptest::collection::vec(0u64..4, 3),
+            wide in proptest::collection::vec(0u8..3, 3),
+            kinds in proptest::collection::vec(0u8..3, 3),
+            small in proptest::collection::vec(0u64..24, 3),
+            anywhere in proptest::collection::vec(0u64..u64::MAX, 3),
+            cap in 1u64..40,
+            unbounded in 0u8..2,
+        ) {
+            let mut species = crate::species::SpeciesSet::new();
+            let names: Vec<Species> = ["A", "B", "C"].iter().map(|n| species.intern(n)).collect();
+            let products: Vec<u64> = products
+                .iter()
+                .zip(&wide)
+                .map(|(&p, &w)| if w == 2 { i64::MAX as u64 - p } else { p })
+                .collect();
+            let side = |counts: &[u64]| -> Vec<(Species, u64)> {
+                names.iter().copied().zip(counts.iter().copied()).collect()
+            };
+            let reaction = CompiledReaction::compile(&Reaction::new(side(&reactants), side(&products)));
+            let start: Vec<u64> = (0..3)
+                .map(|i| match kinds[i] {
+                    0 => small[i],
+                    1 => u64::MAX - small[i],
+                    _ => anywhere[i],
+                })
+                .collect();
+            if !reaction.applicable(&start) {
+                return;
+            }
+            let cap = if unbounded == 1 { u64::MAX } else { cap };
+            let mut looped = start.clone();
+            let Some(expected) = fire_one_at_a_time(&reaction, &mut looped, cap, 5_000) else {
+                return;
+            };
+            let mut burst = start.clone();
+            let fired = reaction.apply_repeatedly(&mut burst, cap);
+            prop_assert_eq!(fired, expected, "{:?} from {:?}, cap {}", reaction, start, cap);
+            prop_assert!(
+                fired.is_err() || burst == looped,
+                "{:?} from {:?}, cap {}: {:?} against {:?}", reaction, start, cap, burst, looped
+            );
+        }
+    }
+
+    #[test]
+    fn a_burst_stops_at_its_cap_at_exhaustion_or_at_its_first_overflow() {
+        let mut crn = Crn::new();
+        crn.parse_reaction("2X -> Y").unwrap();
+        crn.parse_reaction("X -> 9223372036854775807 Y + 9223372036854775807 Z")
+            .unwrap();
+        let halve = CompiledReaction::compile(&crn.reactions()[0]);
+        let (y, z) = (Species(1), Species(2));
+        // {7X}: three firings leave one X, which no longer applies.
+        let mut counts = [7u64, 0, 0];
+        assert_eq!(halve.apply_repeatedly(&mut counts, u64::MAX), Ok(3));
+        assert_eq!(counts, [1, 3, 0]);
+        let mut counts = [7u64, 0, 0];
+        assert_eq!(halve.apply_repeatedly(&mut counts, 2), Ok(2));
+        assert_eq!(counts, [3, 2, 0]);
+        // Y and Z both pass u64::MAX at the third firing: Y comes first in
+        // delta order.  Z alone would pass it at the second.
+        let both = CompiledReaction::compile(&crn.reactions()[1]);
+        assert_eq!(both.apply_repeatedly(&mut [3, 0, 0], 3), Err((3, y)));
+        assert_eq!(both.apply_repeatedly(&mut [3, 0, 0], 2), Ok(2));
+        assert_eq!(both.apply_repeatedly(&mut [3, 0, 2], 3), Err((2, z)));
+    }
 
     #[test]
     #[should_panic(expected = "exceeds i64::MAX")]

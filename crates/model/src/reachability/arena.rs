@@ -2,9 +2,8 @@
 //! finds them again.
 //!
 //! Every stored configuration is a node named by its discovery position
-//! ([`NodeId`]).  A codec keeps its nodes in flat storage of its own — the
-//! hash codec in a [`ConfigArena`] of dense count vectors, the packed codec
-//! in one word per node — and deduplicates them through a [`CodeIndex`]: an
+//! ([`NodeId`]).  The engine keeps its nodes in a [`ConfigArena`] of dense
+//! count vectors and deduplicates them through a [`CodeIndex`]: an
 //! open-addressing table from a node's 64-bit key to its id, which holds no
 //! second copy of the keys and empties in O(1) between the points of a box
 //! sweep.
@@ -45,7 +44,7 @@ pub(super) fn mix(key: u64) -> u64 {
 
 /// The engine's one open-addressing index, from a node's 64-bit key to its
 /// id.  It stores only ids: [`lookup`](CodeIndex::lookup) and
-/// [`insert`](CodeIndex::insert) read keys through the codec's storage.
+/// [`insert`](CodeIndex::insert) read keys through the arena.
 /// Slots are epoch-stamped `(epoch << 32) | (id + 1)` cells, so a reset is
 /// O(1) — no memset of a table sized for the sweep's biggest point — and
 /// the table doubles at 1/2 load: probes run on the seen-successor fast
@@ -95,8 +94,8 @@ impl CodeIndex {
     }
 
     /// The first id on `key`'s probe chain that `is` accepts.  Any stored id
-    /// can sit on the chain, so `is` tests the key itself: the packed codec
-    /// compares words, the hash codec cached keys and then count vectors.
+    /// can sit on the chain, so `is` tests the configuration itself: the
+    /// arena compares cached keys and then count vectors.
     pub(super) fn lookup(&self, key: u64, is: impl Fn(usize) -> bool) -> Option<NodeId> {
         let mask = self.slots.len() - 1;
         let mut slot = (mix(key) as usize) & mask;
@@ -219,8 +218,8 @@ impl ConfigArena {
 mod tests {
     use super::*;
 
-    /// A fresh arena over `stride` species with its index, as the hash
-    /// codec pairs them.
+    /// A fresh arena over `stride` species with its index, as the engine
+    /// pairs them.
     fn arena(stride: usize) -> (ConfigArena, CodeIndex) {
         let mut arena = ConfigArena::default();
         arena.reset(stride);

@@ -1,37 +1,36 @@
-//! State codecs, visitors, and the traversals that drive them.
+//! The state codec, its visitors, and the traversals that drive them.
 //!
-//! Every stored exploration of the engine is [`bfs`], a generic,
-//! monomorphized breadth-first traversal over a state [`Codec`]: node ids
-//! are discovery order.  Its visitors are [`CsrBuilder`] (the successor
-//! graph behind full verdicts, built only by [`VerdictEngine::check`]) and
+//! Every stored exploration of the engine is [`bfs`], a breadth-first
+//! traversal over hash-interned count vectors ([`Hash`]): node ids are
+//! discovery order.  Its visitors are [`CsrBuilder`] (the successor graph
+//! behind full verdicts, built only by [`VerdictEngine::check`]) and
 //! [`TerminalScan`] (the decision for certified-acyclic CRNs, whose sinks
 //! are exactly the terminal configurations; it fires only stubborn sets,
 //! see [`StubbornSets`]).
 //!
 //! A terminal scan starts with a *run* ([`TerminalScan::run`]), which
 //! stores nothing: while a node's stubborn set is its seed alone, it fires
-//! the seed in place on the codec's loaded configuration.  The reduced
-//! graph is a DAG, so the nodes of such a path are exactly the ancestors of
-//! the current one and no successor can be one of them.  Only at the first
-//! node that fires two or more reactions does the scan store anything: that
-//! node becomes the start of a [`bfs`], whose limit counts the path before
-//! it.
+//! the seed in place on the loaded count vector.  When no lower-index
+//! reaction consumes a species the seed changes, the seed stays the seed
+//! until it is disabled, so the run fires it that often in one step, a
+//! *burst*.  The reduced graph is a DAG, so the nodes of such a path are
+//! exactly the ancestors of the current one and no successor can be one of
+//! them.  Only at the first node that fires two or more reactions does the
+//! scan store anything: that node becomes the start of a [`bfs`], whose
+//! limit counts the path before it.
 //!
-//! The codecs differ only in how a configuration is stored and keyed:
-//! [`Hash`] keeps count vectors in the arena, keyed by their hash, and
-//! [`Packed`] holds a whole configuration in one bit-packed word, which is
-//! its own key.  Both deduplicate through the one [`CodeIndex`] of the
-//! [`Store`] and name a seen successor by the [`NodeId`] it returns.
-//! [`VerdictEngine::decide`] picks the route of each point through
-//! [`route`]: a terminal scan on one of the codecs, or the full verdict of
-//! [`VerdictEngine::check`].  The traversals stay out of line, one function
-//! per codec × visitor pair, so each hot loop is compiled on its own.
+//! The codec keeps count vectors in the arena, keyed by their hash, and
+//! finds them again through the [`CodeIndex`] of the [`Store`], which names
+//! a seen successor by its [`NodeId`].  [`VerdictEngine::decide`] picks the
+//! route of each point through [`route`]: the terminal scan, or the full
+//! verdict of [`VerdictEngine::check`].  The traversals stay out of line,
+//! one function per visitor, so each hot loop is compiled on its own.
 
 use std::mem;
 
 use crn_numeric::NVec;
 
-use crate::analysis::{CrnAnalysis, Liveness};
+use crate::analysis::CrnAnalysis;
 use crate::compiled::{CompiledCrn, CompiledReaction};
 use crate::crn::Crn;
 use crate::error::CrnError;
@@ -42,109 +41,6 @@ use super::scc::Condensation;
 use super::stubborn::{Closure, StubbornSets};
 use super::symmetry::Automorphism;
 use super::{BoxCheckStats, StableComputationVerdict};
-
-/// A whole-configuration bit packing for certified-acyclic CRNs whose box
-/// hull ([`SpeciesBounds::box_hull`]) fits one `u64`: species `s` gets a
-/// lane of `bits(hull_s)` count bits topped by one sentinel bit, lanes in
-/// species order, so firing a reaction is a single wrapping addition and
-/// the applicability test is branch-free SWAR over all species at once.
-/// Eligible when every hull bound is finite and the lanes total at most 64
-/// bits — every reachable count then stays below its lane's sentinel,
-/// additions never carry between lanes, and the packed word identifies its
-/// configuration, so discovery order, deduplication and the
-/// configuration-limit error are bit-identical to the hash codec's.
-///
-/// [`SpeciesBounds::box_hull`]: crate::analysis::SpeciesBounds::box_hull
-pub(super) struct PackedSpec {
-    /// Per-reaction packed reactant requirements; a lane of `w` count bits
-    /// is clamped to `2^w`, which the test below reads as "never
-    /// applicable" — correct, since no reachable count of the lane reaches
-    /// `2^w`.
-    reqs: Vec<u64>,
-    /// Per-reaction packed deltas in two's complement (mod 2^64).
-    deltas: Vec<u64>,
-    /// The lowest bit of each species' lane.
-    shifts: Vec<u32>,
-    /// The sentinel (top) bit of every lane, the borrow guards of the SWAR
-    /// applicability test.
-    sentinels: u64,
-    /// Bit shift and count mask of the output species' lane.
-    out_shift: u32,
-    out_mask: u64,
-}
-
-impl PackedSpec {
-    /// Builds the packing when the hull bounds each of the `stride` species
-    /// and their lanes total at most 64 bits; `None` otherwise.
-    fn build(
-        hull: &[Option<u64>],
-        compiled: &CompiledCrn,
-        stride: usize,
-        out_idx: usize,
-    ) -> Option<PackedSpec> {
-        let mut shifts = Vec::with_capacity(stride);
-        let mut sentinels = 0u64;
-        let mut width = 0u32;
-        for bound in &hull[..stride] {
-            let sentinel = width + (u64::BITS - (*bound)?.leading_zeros());
-            if sentinel >= u64::BITS {
-                return None;
-            }
-            shifts.push(width);
-            sentinels |= 1 << sentinel;
-            width = sentinel + 1;
-        }
-        // The count bits of the lane at `shift`: those below its sentinel.
-        let bits = |shift: u32| (sentinels >> shift).trailing_zeros();
-        let mut reqs = Vec::with_capacity(compiled.reaction_count());
-        let mut deltas = Vec::with_capacity(compiled.reaction_count());
-        for reaction in compiled.reactions() {
-            let mut req = 0u64;
-            for &(s, c) in reaction.reactants() {
-                req |= c.min(1 << bits(shifts[s])) << shifts[s];
-            }
-            let mut delta = 0u64;
-            for &(s, d) in reaction.delta() {
-                // Wrapping mod-2^64 arithmetic: the hull is sound, so a
-                // reaction enabled at a reachable configuration lands on
-                // one, and the wrapped sum is then its exact packed word.
-                delta = delta.wrapping_add((d as u64).wrapping_mul(1 << shifts[s]));
-            }
-            reqs.push(req);
-            deltas.push(delta);
-        }
-        let out_shift = shifts[out_idx];
-        Some(PackedSpec {
-            reqs,
-            deltas,
-            out_mask: (1 << bits(out_shift)) - 1,
-            out_shift,
-            shifts,
-            sentinels,
-        })
-    }
-
-    /// Packs a count vector (every count below its lane's sentinel) into
-    /// its word.
-    fn pack(&self, counts: &[u64]) -> u64 {
-        counts
-            .iter()
-            .zip(&self.shifts)
-            .map(|(&c, &shift)| {
-                debug_assert!(
-                    c >> (self.sentinels >> shift).trailing_zeros() == 0,
-                    "hull admits every packed configuration"
-                );
-                c << shift
-            })
-            .sum()
-    }
-
-    /// The output count of `word`.
-    fn output(&self, word: u64) -> u64 {
-        (word >> self.out_shift) & self.out_mask
-    }
-}
 
 /// Counts one more node of an exploration after the `counted` so far — the
 /// one place the configuration limit is enforced, for stored nodes and a
@@ -163,66 +59,41 @@ fn admit(counted: usize, limit: usize) -> Result<(), CrnError> {
     Ok(())
 }
 
-/// The memory the codecs store configurations in, kept across explorations
+/// How many more nodes [`admit`] counts one at a time after the `counted`
+/// so far, up to and including the first it stops at: the most firings one
+/// burst of the run makes before it counts the last of them.
+fn room(counted: usize, limit: usize) -> u64 {
+    u64::try_from(limit.min(u32::MAX as usize) - counted).expect("usize fits u64")
+}
+
+/// The memory the codec stores configurations in, kept across explorations
 /// so a box sweep allocates only while its largest point grows the buffers.
 #[derive(Default)]
 struct Store {
-    /// Count vectors of the hash codec.
+    /// The stored count vectors.
     arena: ConfigArena,
-    /// The hash codec's edge stamps, sized on demand.
+    /// The CSR builder's edge stamps, sized on demand.
     stamps: Vec<u32>,
-    /// The packed codec's words.
-    words: Vec<u64>,
-    /// The index of whichever codec runs, the one whose collisions and
-    /// grows the observability layer reports.
+    /// The arena's index, whose collisions and grows the observability
+    /// layer reports.
     index: CodeIndex,
-    /// The hash codec's loaded count vector, and a successor scratch.
+    /// The loaded count vector, and a successor scratch.
     cur: Vec<u64>,
     succ: Vec<u64>,
 }
 
-/// What a codec learns by firing one enabled reaction on the loaded node.
+/// What the codec learns by firing one enabled reaction on the loaded node.
 enum Probe {
     /// The successor is stored already, as this node.
     Seen(NodeId),
-    /// The successor is new; its index key is what [`Codec::insert`] needs.
+    /// The successor is new; its index key is what [`Hash::insert`] needs.
     Unseen(u64),
 }
 
-/// A state codec: how one exploration stores configurations, tells a seen
-/// successor from a new one, and reads the output count of its *loaded*
-/// configuration — the start on construction, stored or not.  Both codecs
-/// find their nodes through the store's one [`CodeIndex`].
-trait Codec {
-    /// The number of stored nodes.
-    fn len(&self) -> usize;
-    fn reactions(&self) -> usize;
-    /// Empties the storage and stores the loaded configuration as node 0,
-    /// the start of a [`bfs`].
-    fn plant(&mut self);
-    /// Makes `v` the node later probes fire reactions on.
-    fn load(&mut self, v: NodeId);
-    /// Whether reaction `r` applies to the loaded node.
-    fn enabled(&self, r: usize) -> bool;
-    /// The lowest species whose count in the loaded node is below the
-    /// requirement of the disabled reaction `r`.
-    fn lacking(&self, r: usize) -> usize;
-    /// Fires the enabled reaction `r` on the loaded node into a successor
-    /// scratch; a count the firing pushes past `u64::MAX` is an error,
-    /// never a wrapped value.
-    fn probe(&mut self, r: usize) -> Result<Probe, CrnError>;
-    /// Fires the enabled reaction `r` on the loaded configuration in place,
-    /// with the overflow error of [`probe`](Codec::probe).
-    fn fire(&mut self, r: usize) -> Result<(), CrnError>;
-    /// Stores the successor the last probe found unseen, whose key is
-    /// `key`, as the next node, and returns its id.
-    fn insert(&mut self, key: u64) -> NodeId;
-    /// The output count of the loaded configuration.
-    fn output(&self) -> u64;
-}
-
-/// Hash-interned count vectors: the codec of every full verdict, and of
-/// terminal scans without a packing.
+/// Hash-interned count vectors, the engine's state codec: how one
+/// exploration stores configurations, tells a seen successor from a new
+/// one, and reads the output count of its *loaded* configuration — the
+/// start on construction, stored or not.
 struct Hash<'a> {
     /// Names the reaction and species of a count overflow.
     crn: &'a Crn,
@@ -261,17 +132,14 @@ impl<'a> Hash<'a> {
         }
         mem::replace(&mut stamps[to.index()], from.0) != from.0
     }
-}
 
-impl Codec for Hash<'_> {
+    /// The number of stored nodes.
     fn len(&self) -> usize {
         self.s.arena.len()
     }
 
-    fn reactions(&self) -> usize {
-        self.reactions.len()
-    }
-
+    /// Empties the storage and stores the loaded configuration as node 0,
+    /// the start of a [`bfs`].
     fn plant(&mut self) {
         let s = &mut *self.s;
         s.arena.reset(s.cur.len());
@@ -281,14 +149,18 @@ impl Codec for Hash<'_> {
         s.stamps.clear();
     }
 
+    /// Makes `v` the node later probes fire reactions on.
     fn load(&mut self, v: NodeId) {
         self.s.cur.copy_from_slice(self.s.arena.get(v.index()));
     }
 
+    /// Whether reaction `r` applies to the loaded node.
     fn enabled(&self, r: usize) -> bool {
         self.reactions[r].applicable(&self.s.cur)
     }
 
+    /// The lowest species whose count in the loaded node is below the
+    /// requirement of the disabled reaction `r`.
     fn lacking(&self, r: usize) -> usize {
         self.reactions[r]
             .reactants()
@@ -298,6 +170,9 @@ impl Codec for Hash<'_> {
             .0
     }
 
+    /// Fires the enabled reaction `r` on the loaded node into the successor
+    /// scratch; a count the firing pushes past `u64::MAX` is an error,
+    /// never a wrapped value.
     fn probe(&mut self, r: usize) -> Result<Probe, CrnError> {
         let s = &mut *self.s;
         self.reactions[r]
@@ -310,12 +185,19 @@ impl Codec for Hash<'_> {
         })
     }
 
-    fn fire(&mut self, r: usize) -> Result<(), CrnError> {
+    /// Fires the enabled reaction `r` on the loaded configuration in place,
+    /// as often as firing it one at a time while it stays enabled would, up
+    /// to `cap` times, and returns how often.  An overflow comes with the
+    /// firing that makes it, counting from 1, and the error of
+    /// [`probe`](Self::probe).
+    fn fire(&mut self, r: usize, cap: u64) -> Result<u64, (u64, CrnError)> {
         self.reactions[r]
-            .apply_in_place(&mut self.s.cur)
-            .map_err(|species| self.crn.count_overflow(r, species))
+            .apply_repeatedly(&mut self.s.cur, cap)
+            .map_err(|(firing, species)| (firing, self.crn.count_overflow(r, species)))
     }
 
+    /// Stores the successor the last probe found unseen, whose key is
+    /// `key`, as the next node, and returns its id.
     fn insert(&mut self, key: u64) -> NodeId {
         let s = &mut *self.s;
         let id = NodeId::at(s.arena.len());
@@ -323,124 +205,22 @@ impl Codec for Hash<'_> {
         id
     }
 
+    /// The output count of the loaded configuration.
     fn output(&self) -> u64 {
         self.s.cur[self.out]
     }
 }
 
-/// One bit-packed word per configuration (see [`PackedSpec`]), so the
-/// loop touches no count vectors at all.  The word identifies its
-/// configuration, so it is its own [`CodeIndex`] key and a probe compares
-/// one word per candidate.
-struct Packed<'a> {
-    spec: &'a PackedSpec,
-    /// The spec's tables and the store's buffers, borrowed apart so the
-    /// hot loop keeps their headers in registers.
-    reqs: &'a [u64],
-    deltas: &'a [u64],
-    sentinels: u64,
-    words: &'a mut Vec<u64>,
-    index: &'a mut CodeIndex,
-    /// The loaded word.
-    cur: u64,
-}
-
-impl<'a> Packed<'a> {
-    /// A codec with `start` loaded and nothing stored.
-    fn new(spec: &'a PackedSpec, s: &'a mut Store, start: u64) -> Self {
-        let Store { words, index, .. } = s;
-        Packed {
-            spec,
-            reqs: &spec.reqs,
-            deltas: &spec.deltas,
-            sentinels: spec.sentinels,
-            words,
-            index,
-            cur: start,
-        }
-    }
-
-    /// The sentinels of the lanes whose count meets reaction `r`'s
-    /// requirement.  Every count stays below its lane's sentinel and every
-    /// requirement is clamped to it, so `(cur | sentinels) - req` never
-    /// borrows across lanes, and a lane's sentinel survives exactly when
-    /// its count meets the requirement.
-    fn met(&self, r: usize) -> u64 {
-        (self.cur | self.sentinels).wrapping_sub(self.reqs[r]) & self.sentinels
-    }
-}
-
-impl Codec for Packed<'_> {
-    fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    fn reactions(&self) -> usize {
-        self.deltas.len()
-    }
-
-    fn plant(&mut self) {
-        let cur = self.cur;
-        self.words.clear();
-        self.words.push(cur);
-        self.index.reset();
-        self.index.insert(NodeId::START, |_| cur);
-    }
-
-    fn load(&mut self, v: NodeId) {
-        self.cur = self.words[v.index()];
-    }
-
-    fn enabled(&self, r: usize) -> bool {
-        self.met(r) == self.sentinels
-    }
-
-    /// The species of the lowest failing sentinel: as many as there are
-    /// sentinels below it.
-    fn lacking(&self, r: usize) -> usize {
-        let lowest = (self.met(r) ^ self.sentinels).trailing_zeros();
-        (self.sentinels & ((1 << lowest) - 1)).count_ones() as usize
-    }
-
-    /// Never an overflow: the hull keeps every count below its sentinel.
-    fn probe(&mut self, r: usize) -> Result<Probe, CrnError> {
-        let word = self.cur.wrapping_add(self.deltas[r]);
-        let words = &*self.words;
-        Ok(match self.index.lookup(word, |i| words[i] == word) {
-            Some(id) => Probe::Seen(id),
-            None => Probe::Unseen(word),
-        })
-    }
-
-    /// One wrapping addition, never an overflow (see [`probe`](Self::probe)).
-    fn fire(&mut self, r: usize) -> Result<(), CrnError> {
-        self.cur = self.cur.wrapping_add(self.deltas[r]);
-        Ok(())
-    }
-
-    fn insert(&mut self, word: u64) -> NodeId {
-        let id = NodeId::at(self.words.len());
-        self.words.push(word);
-        let words = &*self.words;
-        self.index.insert(id, |i| words[i]);
-        id
-    }
-
-    fn output(&self) -> u64 {
-        self.spec.output(self.cur)
-    }
-}
-
 /// The visitor of a breadth-first traversal.
-trait BfsVisitor<C: Codec> {
+trait BfsVisitor {
     /// Narrows `enabled`, the ascending enabled reactions of the loaded node
     /// (at least two), to those the traversal fires; by default all.
-    fn select(&mut self, _codec: &C, _enabled: &mut Vec<usize>) {}
+    fn select(&mut self, _codec: &Hash<'_>, _enabled: &mut Vec<usize>) {}
     /// Sees the edge `from → to`, `to` possibly just inserted.
-    fn edge(&mut self, codec: &mut C, from: NodeId, to: NodeId);
+    fn edge(&mut self, codec: &mut Hash<'_>, from: NodeId, to: NodeId);
     /// Sees the loaded node `v` fully expanded (`terminal`: no reaction
     /// applies); `false` ends the traversal with `Ok(false)`.
-    fn expanded(&mut self, codec: &C, v: NodeId, terminal: bool) -> bool;
+    fn expanded(&mut self, codec: &Hash<'_>, v: NodeId, terminal: bool) -> bool;
 }
 
 /// Explores everything reachable from the codec's loaded configuration
@@ -451,9 +231,9 @@ trait BfsVisitor<C: Codec> {
 /// means every node reached, the start included, was expanded within
 /// `limit` configurations; `Ok(false)` is the visitor's early stop, which
 /// may pre-empt the limit error.
-#[inline(never)] // one loop per instance, out of the router's register pressure
-fn bfs<C: Codec, V: BfsVisitor<C>>(
-    codec: &mut C,
+#[inline(never)] // one loop per visitor, out of the router's register pressure
+fn bfs<V: BfsVisitor>(
+    codec: &mut Hash<'_>,
     visitor: &mut V,
     limit: usize,
     before: usize,
@@ -461,13 +241,14 @@ fn bfs<C: Codec, V: BfsVisitor<C>>(
     // The start is stored first and counts like any node.
     codec.plant();
     admit(before, limit)?;
-    let mut enabled = Vec::with_capacity(codec.reactions());
+    let reactions = codec.reactions.len();
+    let mut enabled = Vec::with_capacity(reactions);
     let mut next = 0u32;
     while (next as usize) < codec.len() {
         let v = NodeId(next);
         codec.load(v);
         enabled.clear();
-        enabled.extend((0..codec.reactions()).filter(|&r| codec.enabled(r)));
+        enabled.extend((0..reactions).filter(|&r| codec.enabled(r)));
         let terminal = enabled.is_empty();
         if enabled.len() > 1 {
             visitor.select(codec, &mut enabled);
@@ -491,10 +272,10 @@ fn bfs<C: Codec, V: BfsVisitor<C>>(
 }
 
 /// Lays the successor graph out in CSR form as the BFS expands nodes in id
-/// order, with duplicate edges suppressed by the hash codec's stamps.
+/// order, with duplicate edges suppressed by the codec's stamps.
 struct CsrBuilder<'a>(&'a mut CsrGraph);
 
-impl BfsVisitor<Hash<'_>> for CsrBuilder<'_> {
+impl BfsVisitor for CsrBuilder<'_> {
     fn edge(&mut self, codec: &mut Hash<'_>, from: NodeId, to: NodeId) {
         if codec.first_edge(from, to) {
             self.0.push_edge(to.index());
@@ -517,6 +298,7 @@ impl BfsVisitor<Hash<'_>> for CsrBuilder<'_> {
 /// configuration reachable (see [`StubbornSets`]).
 struct TerminalScan<'a> {
     expected: u64,
+    compiled: &'a CompiledCrn,
     stubborn: &'a StubbornSets,
     closure: &'a mut Closure,
 }
@@ -536,14 +318,23 @@ impl TerminalScan<'_> {
     /// the same error included, and counts the same nodes.  No successor
     /// needs a lookup: the reduced graph of a certified CRN is a DAG, and
     /// the nodes so far are exactly the ancestors of the current one.
-    fn run<C: Codec>(
+    ///
+    /// A lone seed whose firing enables no lower-index reaction (the first
+    /// of its ascending [`CompiledCrn::dependents`] is not below it) is the
+    /// seed again at the successor whenever it is still enabled there, so
+    /// the run fires it in one *burst*, as often as one firing per node
+    /// would: until it is disabled, or up to the firing whose node `admit`
+    /// refuses, or up to the first firing that overflows.  That firing's
+    /// error is the one a firing per node meets first, the overflow before
+    /// the limit, so the burst changes no result and no count.
+    fn run(
         &mut self,
-        codec: &mut C,
+        codec: &mut Hash<'_>,
         limit: usize,
         path: &mut usize,
     ) -> Result<Option<bool>, CrnError> {
         admit(0, limit)?;
-        let reactions = codec.reactions();
+        let reactions = codec.reactions.len();
         let mut enabled = Vec::new();
         loop {
             let Some(seed) = (0..reactions).find(|&r| codec.enabled(r)) else {
@@ -551,7 +342,17 @@ impl TerminalScan<'_> {
                 // itself, constant on the wrong output: it never recovers.
                 return Ok(Some(codec.output() == self.expected));
             };
-            if !self.stubborn.lone(seed) {
+            let mut cap = 1;
+            if self.stubborn.lone(seed) {
+                if self
+                    .compiled
+                    .dependents(seed)
+                    .first()
+                    .map_or(true, |&r| r >= seed)
+                {
+                    cap = room(*path, limit);
+                }
+            } else {
                 enabled.clear();
                 enabled.push(seed);
                 enabled.extend((seed + 1..reactions).filter(|&r| codec.enabled(r)));
@@ -563,22 +364,28 @@ impl TerminalScan<'_> {
                     }
                 }
             }
-            codec.fire(seed)?;
+            // Every firing of a burst but its last stays within `room`; the
+            // last is counted as a single firing is.
+            let fired = codec.fire(seed, cap).map_err(|(firing, e)| {
+                *path += (firing - 1) as usize;
+                e
+            })?;
+            *path += (fired - 1) as usize;
             admit(*path + 1, limit)?;
             *path += 1;
         }
     }
 }
 
-impl<C: Codec> BfsVisitor<C> for TerminalScan<'_> {
-    fn select(&mut self, codec: &C, enabled: &mut Vec<usize>) {
+impl BfsVisitor for TerminalScan<'_> {
+    fn select(&mut self, codec: &Hash<'_>, enabled: &mut Vec<usize>) {
         self.stubborn
             .reduce(enabled, |r| codec.lacking(r), self.closure);
     }
 
-    fn edge(&mut self, _: &mut C, _: NodeId, _: NodeId) {}
+    fn edge(&mut self, _: &mut Hash<'_>, _: NodeId, _: NodeId) {}
 
-    fn expanded(&mut self, codec: &C, _: NodeId, terminal: bool) -> bool {
+    fn expanded(&mut self, codec: &Hash<'_>, _: NodeId, terminal: bool) -> bool {
         // As at a terminal of the run.
         !terminal || codec.output() == self.expected
     }
@@ -589,8 +396,8 @@ impl<C: Codec> BfsVisitor<C> for TerminalScan<'_> {
 /// configurations counted, and whether the run branched.  Without `run`,
 /// the [`bfs`] starts at the loaded configuration itself.
 #[inline(never)]
-fn terminal_scan<C: Codec>(
-    codec: &mut C,
+fn terminal_scan(
+    codec: &mut Hash<'_>,
     scan: &mut TerminalScan<'_>,
     limit: usize,
     run: bool,
@@ -608,14 +415,10 @@ fn terminal_scan<C: Codec>(
     }
 }
 
-/// Everything the box engine precomputes once per sweep: the bit packing,
-/// the route and the symmetry group.  All depend only on the CRN and the
-/// bound, so the driver builds one plan and every worker shares it by
-/// reference.
+/// Everything the box engine precomputes once per sweep: the route and the
+/// symmetry group.  Both depend only on the CRN, so a sweep builds one
+/// plan and every worker shares it by reference.
 pub(super) struct SweepPlan<'a> {
-    /// The bit packing for certified-acyclic CRNs whose box-wide hull fits
-    /// lanes totalling at most 64 bits.
-    packed: Option<PackedSpec>,
     /// The route of every point the sweep decides.
     route: Route,
     /// The automorphisms whose input permutations the sweep skips by (see
@@ -624,32 +427,9 @@ pub(super) struct SweepPlan<'a> {
 }
 
 impl<'a> SweepPlan<'a> {
-    pub(super) fn build(analysis: &'a CrnAnalysis<'_>, bound: u64) -> SweepPlan<'a> {
-        let crn = analysis.crn();
-        let compiled = analysis.compiled();
-        let stride = compiled.stride().max(crn.role_stride());
-        let packed = if analysis.acyclic() {
-            // The hull is seeded at the box's top corner: the monotone
-            // potentials and the liveness closure both grow with the start,
-            // so its bounds hold for every configuration reachable from
-            // *any* point of the sweep.
-            let mut top = vec![0u64; stride];
-            for species in &crn.roles().inputs {
-                top[species.index()] = bound;
-            }
-            if let Some(leader) = crn.leader() {
-                top[leader.index()] += 1;
-            }
-            let support: Vec<usize> = (0..stride).filter(|&s| top[s] > 0).collect();
-            let live = Liveness::analyze(compiled, &support);
-            let hull = analysis.bounds().box_hull(&top, &live);
-            PackedSpec::build(&hull, compiled, stride, crn.output().index())
-        } else {
-            None
-        };
+    pub(super) fn build(analysis: &'a CrnAnalysis<'_>) -> SweepPlan<'a> {
         SweepPlan {
-            route: route(packed.is_some(), analysis.acyclic()),
-            packed,
+            route: route(analysis.acyclic()),
             perms: analysis.automorphisms(),
         }
     }
@@ -657,8 +437,7 @@ impl<'a> SweepPlan<'a> {
     /// The counter of the points the sweep's route decides.
     pub(super) fn route_counter(&self) -> &'static str {
         match self.route {
-            Route::PackedScan => "model.route.packed_scan",
-            Route::HashScan => "model.route.hash_scan",
+            Route::Scan => "model.route.scan",
             Route::Verdict => "model.route.verdict",
         }
     }
@@ -667,28 +446,24 @@ impl<'a> SweepPlan<'a> {
 /// How [`VerdictEngine::decide`] settles one point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Route {
-    /// Bit-packed words, terminal scan.
-    PackedScan,
-    /// Hash-interned count vectors, terminal scan.
-    HashScan,
+    /// The stubborn-set terminal scan.
+    Scan,
     /// The full verdict of [`VerdictEngine::check`].
     Verdict,
 }
 
 /// Picks the route of one point from the acyclicity certificate: every
-/// certified point takes the stubborn-set terminal scan, on the bit
-/// packing of the sweep plan when there is one (`packed`, built only under
-/// the certificate) and on hash-interned count vectors otherwise; every
-/// other point takes the full verdict.
-fn route(packed: bool, acyclic: bool) -> Route {
-    match (acyclic, packed) {
-        (false, _) => Route::Verdict,
-        (true, true) => Route::PackedScan,
-        (true, false) => Route::HashScan,
+/// certified point takes the stubborn-set terminal scan, and every other
+/// point the full verdict.
+fn route(acyclic: bool) -> Route {
+    if acyclic {
+        Route::Scan
+    } else {
+        Route::Verdict
     }
 }
 
-/// A reusable stable-computation checker for one CRN: the codecs' store,
+/// A reusable stable-computation checker for one CRN: the codec's store,
 /// the CSR graph, condensation scratch and component arrays are recycled
 /// across [`check`](VerdictEngine::check) calls.  The parallel box driver
 /// gives each worker thread one engine, and every engine borrows the one
@@ -698,8 +473,7 @@ fn route(packed: bool, acyclic: bool) -> Route {
 /// hash-interned BFS and reads nothing else of the analysis;
 /// [`decide`](VerdictEngine::decide) additionally reads the acyclicity
 /// certificate and the stubborn-set relations, and settles certified points
-/// by a terminal scan (on the bit packing its [`SweepPlan`] sized from the
-/// box hull, when there is one).
+/// by a terminal scan.
 pub(super) struct VerdictEngine<'c> {
     analysis: &'c CrnAnalysis<'c>,
     stride: usize,
@@ -820,48 +594,34 @@ impl<'c> VerdictEngine<'c> {
                 let verdict = self.check(x, expected_output, max_configurations);
                 (verdict.map(|v| v.correct), self.store.arena.len())
             }
-            Route::PackedScan => {
-                let packed = plan.packed.as_ref().expect("the route has a packing");
-                self.scan(x, Some(packed), expected_output, max_configurations, stats)
-            }
-            Route::HashScan => self.scan(x, None, expected_output, max_configurations, stats),
+            Route::Scan => self.scan(x, expected_output, max_configurations, stats),
         };
         stats.configs_explored += u64::try_from(explored).expect("usize fits u64");
         result
     }
 
-    /// Runs the terminal scan from `I_x`, on `packed` words when given and
-    /// on hash-interned count vectors otherwise; returns the decision and
-    /// the number of configurations visited, and counts a run that branched
+    /// Runs the terminal scan from `I_x`; returns the decision and the
+    /// number of configurations visited, and counts a run that branched
     /// into `stats`.
     fn scan(
         &mut self,
         x: &NVec,
-        packed: Option<&PackedSpec>,
         expected: u64,
         limit: usize,
         stats: &mut BoxCheckStats,
     ) -> (Result<bool, CrnError>, usize) {
         self.build_start(x);
         let run = self.runs();
+        let (crn, compiled) = (self.analysis.crn(), self.analysis.compiled());
         let scan = &mut TerminalScan {
             expected,
+            compiled,
             stubborn: self.analysis.stubborn(),
             closure: &mut self.closure,
         };
-        let (store, start) = (&mut self.store, &self.start_dense);
-        let (result, visited, branched) = match packed {
-            Some(spec) => {
-                let mut codec = Packed::new(spec, store, spec.pack(start));
-                terminal_scan(&mut codec, scan, limit, run)
-            }
-            None => {
-                let crn = self.analysis.crn();
-                let out = crn.output().index();
-                let mut codec = Hash::new(crn.crn(), self.analysis.compiled(), out, store, start);
-                terminal_scan(&mut codec, scan, limit, run)
-            }
-        };
+        let out = crn.output().index();
+        let mut codec = Hash::new(crn.crn(), compiled, out, &mut self.store, &self.start_dense);
+        let (result, visited, branched) = terminal_scan(&mut codec, scan, limit, run);
         stats.branched += u64::from(branched);
         (result, visited)
     }
@@ -975,93 +735,14 @@ mod tests {
     use crate::reaction::Reaction;
     use crate::species::Species;
     use proptest::prelude::*;
-    use std::collections::HashMap;
-
-    #[test]
-    fn oversized_acyclic_boxes_route_to_the_hash_scan() {
-        // X -> A1 + … + A31 at x = 3: four reachable configurations over
-        // 32 species, whose lanes of 2 count bits and a sentinel total
-        // 96 bits, past the packing's 64.
-        let products: Vec<String> = (1..=31).map(|i| format!("A{i}")).collect();
-        let mut crn = Crn::new();
-        crn.parse_reaction(&format!("X -> {}", products.join(" + ")))
-            .unwrap();
-        let fanout = FunctionCrn::with_named_roles(crn, &["X"], "A1", None).unwrap();
-        let analysis = CrnAnalysis::of(&fanout);
-        assert!(analysis.acyclic());
-        let plan = SweepPlan::build(&analysis, 3);
-        assert!(plan.packed.is_none());
-        let mut engine = VerdictEngine::new(&analysis);
-        assert_eq!(engine.pick_route(&plan), Route::HashScan);
-        let mut stats = BoxCheckStats::default();
-        let decided = engine.decide(&NVec::from(vec![3]), 3, 1_000, &plan, &mut stats);
-        assert_eq!(decided, Ok(true));
-        assert_eq!((stats.decided, stats.configs_explored), (1, 4));
-    }
-
-    /// The packing of `hull` for a CRN without reactions whose output is
-    /// species 0, or `None`.
-    fn packing(hull: &[Option<u64>]) -> Option<PackedSpec> {
-        PackedSpec::build(hull, &CompiledCrn::compile(&Crn::new()), hull.len(), 0)
-    }
-
-    #[test]
-    fn lanes_pack_up_to_exactly_64_bits() {
-        // Four lanes of 15 count bits and a sentinel fill the word; one more
-        // count bit does not fit.
-        let full = [Some((1 << 15) - 1); 4];
-        let spec = packing(&full).expect("64 bits pack");
-        assert_eq!(spec.shifts, [0, 16, 32, 48]);
-        assert_eq!(spec.sentinels, 0x8000_8000_8000_8000);
-        assert_eq!(spec.out_mask, 0x7fff);
-        let mut over = full;
-        over[3] = Some(1 << 15);
-        assert!(packing(&over).is_none());
-        // Every hull 0: 64 sentinel-only lanes pack, 65 do not.
-        assert!(packing(&[Some(0); 64]).is_some());
-        assert!(packing(&[Some(0); 65]).is_none());
-        // A bound of 2^k - 1 takes k count bits, and 2^k takes k + 1.
-        for k in 0..63 {
-            assert_eq!(packing(&[Some((1 << k) - 1)]).unwrap().sentinels, 1 << k);
-            assert_eq!(packing(&[Some(1 << k)]).unwrap().sentinels, 1 << (k + 1));
-        }
-        assert!(packing(&[Some(1 << 63)]).is_none());
-        // An unbounded species never packs, however narrow the others.
-        assert!(packing(&[None]).is_none());
-        assert!(packing(&[Some(0), None]).is_none());
-    }
-
-    #[test]
-    fn hulls_past_127_route_to_the_packed_scan() {
-        // X -> 200Y at bound 1: Y's hull is 200, past a byte lane, and the
-        // lanes take 1 + 1 and 8 + 1 bits.
-        let crn = crate::examples::multiply_crn(200);
-        let analysis = CrnAnalysis::of(&crn);
-        let plan = SweepPlan::build(&analysis, 1);
-        let spec = plan.packed.as_ref().expect("the hull fits one word");
-        assert_eq!(
-            (spec.shifts.as_slice(), spec.sentinels),
-            (&[0, 2][..], 0x402)
-        );
-        assert_eq!(
-            VerdictEngine::new(&analysis).pick_route(&plan),
-            Route::PackedScan
-        );
-        routes_match_reference(&crn, |x| 200 * x[0], 1);
-    }
 
     /// Every route [`route`] can select.
-    const ROUTES: [Route; 3] = [Route::PackedScan, Route::HashScan, Route::Verdict];
+    const ROUTES: [Route; 2] = [Route::Scan, Route::Verdict];
 
-    /// Whether `route` can decide points of `engine`'s CRN under `plan`: a
-    /// terminal scan needs the acyclicity certificate, and the packed one
-    /// a packing (only ever built under the certificate).
-    fn admissible(engine: &VerdictEngine<'_>, plan: &SweepPlan, route: Route) -> bool {
-        match route {
-            Route::PackedScan => plan.packed.is_some(),
-            Route::HashScan => engine.analysis.acyclic(),
-            Route::Verdict => true,
-        }
+    /// Whether `route` can decide points of `engine`'s CRN: the terminal
+    /// scan needs the acyclicity certificate.
+    fn admissible(engine: &VerdictEngine<'_>, route: Route) -> bool {
+        route == Route::Verdict || engine.analysis.acyclic()
     }
 
     /// Decides every point of `[0, bound]` on every admissible route and
@@ -1071,34 +752,25 @@ mod tests {
     /// the identical error.  The one exception is a stubborn-set scan, which
     /// visits fewer configurations than the reference: it may pass a point
     /// past the limit, and the reference must then pass it at a raised
-    /// limit.  Both scan codecs fire the same stubborn sets in the same
-    /// order, so they visit the same number of configurations at each
-    /// point.
+    /// limit.
     fn routes_match_reference(crn: &FunctionCrn, f: impl Fn(&NVec) -> u64, bound: u64) {
         const LIMIT: usize = 300;
         const RAISED: usize = 300_000;
         let reference =
             |x: &NVec, expected, limit| check_stable_computation(crn, x, expected, limit);
         let analysis = CrnAnalysis::of(crn);
-        let plan = SweepPlan::build(&analysis, bound);
-        let mut scanned: HashMap<NVec, u64> = HashMap::new();
+        let plan = SweepPlan::build(&analysis);
         for route in ROUTES {
-            let scan = route != Route::Verdict;
+            let scan = route == Route::Scan;
             let mut engine = VerdictEngine::new(&analysis);
-            if !admissible(&engine, &plan, route) {
+            if !admissible(&engine, route) {
                 continue;
             }
             engine.route_override = Some(route);
             let mut stats = BoxCheckStats::default();
             for x in NVec::box_iter(crn.dim(), bound) {
                 let expected = f(&x);
-                let before = stats.configs_explored;
                 let decided = engine.decide(&x, expected, LIMIT, &plan, &mut stats);
-                if scan {
-                    let stored = stats.configs_explored - before;
-                    let first = *scanned.entry(x.clone()).or_insert(stored);
-                    prop_assert_eq!(stored, first, "{:?} at {}", route, x);
-                }
                 match (decided, reference(&x, expected, LIMIT)) {
                     (Ok(decision), Ok(verdict)) => {
                         prop_assert_eq!(decision, verdict.is_correct(), "{:?} at {}", route, x);
@@ -1130,14 +802,14 @@ mod tests {
         crn.parse_reaction("X -> Y").unwrap();
         let crn = FunctionCrn::with_named_roles(crn, &["X"], "Y", None).unwrap();
         let analysis = CrnAnalysis::of(&crn);
-        let plan = SweepPlan::build(&analysis, 0);
+        let plan = SweepPlan::build(&analysis);
         let x = NVec::from(vec![0]);
         let too_many = Err(CrnError::SearchLimitExceeded {
             limit: "0 reachable configurations".to_owned(),
         });
         for route in ROUTES {
             let mut engine = VerdictEngine::new(&analysis);
-            assert!(admissible(&engine, &plan, route), "{route:?}");
+            assert!(admissible(&engine, route), "{route:?}");
             engine.route_override = Some(route);
             let mut stats = BoxCheckStats::default();
             let mut decide = |limit| engine.decide(&x, 0, limit, &plan, &mut stats);
@@ -1157,35 +829,20 @@ mod tests {
         // At I_(x, c) the seed `X -> Y` conflicts with the disabled
         // `X + A + B -> Y`, which lacks A and B.  Its lowest lacking species
         // is A, whose producer `C -> A` joins the closure: nothing is pruned.
-        // A codec that named B instead (nothing produces B) would prune
-        // `C -> A` and visit fewer configurations than the others.
+        // A scan that named B instead (nothing produces B) would prune
+        // `C -> A` and count 27 configurations over the box, not 33.
         let mut crn = Crn::new();
         for reaction in ["X -> Y", "X + A + B -> Y", "C -> A"] {
             crn.parse_reaction(reaction).unwrap();
         }
         let crn = FunctionCrn::with_named_roles(crn, &["X", "C"], "Y", None).unwrap();
-        assert!(CrnAnalysis::of(&crn).acyclic());
-        routes_match_reference(&crn, |x| x[0], 2);
-    }
-
-    #[test]
-    fn the_packed_codec_finds_the_lowest_lacking_species_on_uneven_lanes() {
-        // The CRN above with `X -> 200Y`: Y's lane takes 9 count bits, so
-        // A's sentinel is the third (bit 15), not byte lane 2 — a codec
-        // that divided the bit by 8 would name Y, whose producers leave
-        // `C -> A` out, and visit fewer configurations than the others.
-        let mut crn = Crn::new();
-        for reaction in ["X -> 200Y", "X + A + B -> Y", "C -> A"] {
-            crn.parse_reaction(reaction).unwrap();
-        }
-        let crn = FunctionCrn::with_named_roles(crn, &["X", "C"], "Y", None).unwrap();
         let analysis = CrnAnalysis::of(&crn);
         assert!(analysis.acyclic());
-        let plan = SweepPlan::build(&analysis, 2);
-        let spec = plan.packed.as_ref().expect("the hull fits one word");
-        // X, Y, A, B (never produced, so hull 0) and C.
-        assert_eq!(spec.shifts, [0, 3, 13, 16, 17]);
-        routes_match_reference(&crn, |x| 200 * x[0], 2);
+        routes_match_reference(&crn, |x| x[0], 2);
+        let counted: u64 = NVec::box_iter(2, 2)
+            .map(|x| decide_both_ways(&analysis, &x, x[0], 100).1)
+            .sum();
+        assert_eq!(counted, 33);
     }
 
     #[test]
@@ -1243,54 +900,40 @@ mod tests {
         [0, 0, 0, 1, 0, 0, 1, 0],
     ];
 
-    /// A scan engine on `route` that starts with the run, or without it.
-    fn scan_engine<'c>(
-        analysis: &'c CrnAnalysis<'c>,
-        route: Route,
-        run: bool,
-    ) -> VerdictEngine<'c> {
+    /// A scan engine that starts with the run, or without it.
+    fn scan_engine<'c>(analysis: &'c CrnAnalysis<'c>, run: bool) -> VerdictEngine<'c> {
         let mut engine = VerdictEngine::new(analysis);
-        engine.route_override = Some(route);
+        engine.route_override = Some(Route::Scan);
         engine.without_run = !run;
         engine
     }
 
-    /// The configurations `engine`'s last scan on `route` stored.
-    fn stored(engine: &VerdictEngine<'_>, route: Route) -> usize {
-        match route {
-            Route::PackedScan => engine.store.words.len(),
-            _ => engine.store.arena.len(),
-        }
-    }
-
-    /// One decision of `x` on fresh engines on `route`, with and without the
-    /// run: both must return the same result, the error included, and count
-    /// the same configurations.  Returns that result and count, and the
+    /// One decision of `x` on fresh scan engines, with and without the run:
+    /// both must return the same result, the error included, and count the
+    /// same configurations.  Returns that result and count, and the
     /// configurations stored with the run and without it.
     fn decide_both_ways(
         analysis: &CrnAnalysis<'_>,
-        plan: &SweepPlan,
-        route: Route,
         x: &NVec,
         expected: u64,
         limit: usize,
     ) -> (Result<bool, CrnError>, u64, [usize; 2]) {
+        let plan = SweepPlan::build(analysis);
         let [with_run, plain] = [true, false].map(|run| {
-            let mut engine = scan_engine(analysis, route, run);
+            let mut engine = scan_engine(analysis, run);
             let mut stats = BoxCheckStats::default();
-            let result = engine.decide(x, expected, limit, plan, &mut stats);
-            (result, stats.configs_explored, stored(&engine, route))
+            let result = engine.decide(x, expected, limit, &plan, &mut stats);
+            (result, stats.configs_explored, engine.store.arena.len())
         });
-        assert_eq!(with_run.0, plain.0, "{route:?} at {x}, limit {limit}");
-        assert_eq!(with_run.1, plain.1, "{route:?} at {x}, limit {limit}");
+        assert_eq!(with_run.0, plain.0, "at {x}, limit {limit}");
+        assert_eq!(with_run.1, plain.1, "at {x}, limit {limit}");
         (with_run.0, with_run.1, [with_run.2, plain.2])
     }
 
-    /// Decides every point of `[0, bound]` on each admissible scan route, on
-    /// one engine with the run and one without, which must agree point by
-    /// point on the result, the error included, and on the configurations
-    /// counted.  Returns the points whose run branched (the same on every
-    /// route).
+    /// Decides every point of `[0, bound]` on one scan engine with the run
+    /// and one without, which must agree point by point on the result, the
+    /// error included, and on the configurations counted.  Returns the
+    /// points whose run branched.
     fn run_matches_plain_scan(
         crn: &FunctionCrn,
         f: impl Fn(&NVec) -> u64,
@@ -1298,58 +941,46 @@ mod tests {
         limit: usize,
     ) -> u64 {
         let analysis = CrnAnalysis::of(crn);
-        let plan = SweepPlan::build(&analysis, bound);
-        let mut branched = Vec::new();
-        for route in [Route::PackedScan, Route::HashScan] {
-            let mut with_run = scan_engine(&analysis, route, true);
-            if !admissible(&with_run, &plan, route) {
-                continue;
-            }
-            let mut plain = scan_engine(&analysis, route, false);
-            let (mut ran, mut scanned) = (BoxCheckStats::default(), BoxCheckStats::default());
-            for x in NVec::box_iter(crn.dim(), bound) {
-                let expected = f(&x);
-                let decided = with_run.decide(&x, expected, limit, &plan, &mut ran);
-                let reference = plain.decide(&x, expected, limit, &plan, &mut scanned);
-                assert_eq!(decided, reference, "{route:?} at {x}, limit {limit}");
-                let counted = BoxCheckStats {
-                    branched: ran.branched,
-                    ..scanned
-                };
-                assert_eq!(ran, counted, "{route:?} at {x}, limit {limit}");
-            }
-            assert_eq!(scanned.branched, 0, "no run, no branch");
-            branched.push(ran.branched);
+        let plan = SweepPlan::build(&analysis);
+        let mut with_run = scan_engine(&analysis, true);
+        let mut plain = scan_engine(&analysis, false);
+        let (mut ran, mut scanned) = (BoxCheckStats::default(), BoxCheckStats::default());
+        for x in NVec::box_iter(crn.dim(), bound) {
+            let expected = f(&x);
+            let decided = with_run.decide(&x, expected, limit, &plan, &mut ran);
+            let reference = plain.decide(&x, expected, limit, &plan, &mut scanned);
+            assert_eq!(decided, reference, "at {x}, limit {limit}");
+            let counted = BoxCheckStats {
+                branched: ran.branched,
+                ..scanned
+            };
+            assert_eq!(ran, counted, "at {x}, limit {limit}");
         }
-        assert!(branched.windows(2).all(|w| w[0] == w[1]), "{branched:?}");
-        branched[0]
+        assert_eq!(scanned.branched, 0, "no run, no branch");
+        ran.branched
     }
 
     #[test]
     fn a_run_stores_only_the_space_from_its_branch() {
-        // At x = 3 the run passes {3X}, {2X, A} and {X, 2A} and branches at
-        // {3A}.  The scan stores {3A} and its descendants, ten splits of
-        // three between A, Y and Z, of the 13 configurations both ways
-        // count.
+        // At x = 3 the run passes {3X}, {2X, A} and {X, 2A} (in one burst of
+        // `X -> A`) and branches at {3A}.  The scan stores {3A} and its
+        // descendants, ten splits of three between A, Y and Z, of the 13
+        // configurations both ways count.
         let crn = crn_over(&["X", "Y", "Z", "A"], &CHAIN_THEN_PAIR.map(Vec::from));
         let analysis = CrnAnalysis::of(&crn);
         assert!(analysis.acyclic());
-        let plan = SweepPlan::build(&analysis, 3);
         let x = NVec::from(vec![3]);
-        for route in [Route::PackedScan, Route::HashScan] {
-            let decided = decide_both_ways(&analysis, &plan, route, &x, 3, 100);
-            // {2Y, Z} is a terminal with the wrong output.
-            assert_eq!(decided, (Ok(false), 13, [10, 13]), "{route:?}");
-        }
+        // {2Y, Z} is a terminal with the wrong output.
+        assert_eq!(
+            decide_both_ways(&analysis, &x, 3, 100),
+            (Ok(false), 13, [10, 13])
+        );
         assert_eq!(run_matches_plain_scan(&crn, |x| x[0], 6, 1_000), 6);
         // `X -> Y` is one path from every start: nothing is ever stored.
         let chain = crn_over(&["X", "Y"], &[vec![1, 0, 0, 1]]);
         let analysis = CrnAnalysis::of(&chain);
-        let plan = SweepPlan::build(&analysis, 5);
-        for route in [Route::PackedScan, Route::HashScan] {
-            let decided = decide_both_ways(&analysis, &plan, route, &NVec::from(vec![5]), 5, 100);
-            assert_eq!(decided, (Ok(true), 6, [0, 6]), "{route:?}");
-        }
+        let decided = decide_both_ways(&analysis, &NVec::from(vec![5]), 5, 100);
+        assert_eq!(decided, (Ok(true), 6, [0, 6]));
     }
 
     #[test]
@@ -1364,17 +995,14 @@ mod tests {
         // the start, at a limit of 0).
         let chain = crn_over(&["X", "Y"], &[vec![1, 0, 0, 1]]);
         let analysis = CrnAnalysis::of(&chain);
-        let plan = SweepPlan::build(&analysis, 5);
         let x = NVec::from(vec![5]);
-        for route in [Route::PackedScan, Route::HashScan] {
-            for limit in 0..=7 {
-                let (result, counted, _) = decide_both_ways(&analysis, &plan, route, &x, 5, limit);
-                if limit < 6 {
-                    assert_eq!(result, too_many(limit), "{route:?}, limit {limit}");
-                    assert_eq!(counted, limit.max(1) as u64, "{route:?}, limit {limit}");
-                } else {
-                    assert_eq!((result, counted), (Ok(true), 6), "{route:?}, limit {limit}");
-                }
+        for limit in 0..=7 {
+            let (result, counted, _) = decide_both_ways(&analysis, &x, 5, limit);
+            if limit < 6 {
+                assert_eq!(result, too_many(limit), "limit {limit}");
+                assert_eq!(counted, limit.max(1) as u64, "limit {limit}");
+            } else {
+                assert_eq!((result, counted), (Ok(true), 6), "limit {limit}");
             }
         }
         // The chain in front of the pair at x = 4: a path of four
@@ -1382,21 +1010,14 @@ mod tests {
         // of the stored scan, whose limit counts the path too.
         let crn = crn_over(&["X", "Y", "Z", "A"], &CHAIN_THEN_PAIR.map(Vec::from));
         let analysis = CrnAnalysis::of(&crn);
-        let plan = SweepPlan::build(&analysis, 4);
         let x = NVec::from(vec![4]);
-        for route in [Route::PackedScan, Route::HashScan] {
-            for limit in 0..=20 {
-                let (result, counted, _) = decide_both_ways(&analysis, &plan, route, &x, 2, limit);
-                if limit < 19 {
-                    assert_eq!(result, too_many(limit), "{route:?}, limit {limit}");
-                    assert_eq!(counted, limit.max(1) as u64, "{route:?}, limit {limit}");
-                } else {
-                    assert_eq!(
-                        (result, counted),
-                        (Ok(false), 19),
-                        "{route:?}, limit {limit}"
-                    );
-                }
+        for limit in 0..=20 {
+            let (result, counted, _) = decide_both_ways(&analysis, &x, 2, limit);
+            if limit < 19 {
+                assert_eq!(result, too_many(limit), "limit {limit}");
+                assert_eq!(counted, limit.max(1) as u64, "limit {limit}");
+            } else {
+                assert_eq!((result, counted), (Ok(false), 19), "limit {limit}");
             }
         }
     }
@@ -1407,24 +1028,85 @@ mod tests {
         // u64::MAX.  At a limit of 3, the configuration it would make is the
         // one the limit refuses, but both paths fire before they count, so
         // both report the overflow; a limit of 2 refuses the configuration
-        // before it.  Y's hull is past 64 bits, so only the hash scan runs.
+        // before it.
         let mut crn = Crn::new();
         crn.parse_reaction("X -> 9223372036854775807 Y").unwrap();
         let crn = FunctionCrn::with_named_roles(crn, &["X"], "Y", None).unwrap();
         let analysis = CrnAnalysis::of(&crn);
-        let plan = SweepPlan::build(&analysis, 3);
-        assert!(plan.packed.is_none());
         let x = NVec::from(vec![3]);
         let overflow = Err(CrnError::CountOverflow {
             reaction: "X -> 9223372036854775807Y".into(),
             species: "Y".into(),
         });
-        let decide = |limit| decide_both_ways(&analysis, &plan, Route::HashScan, &x, 0, limit);
+        let decide = |limit| decide_both_ways(&analysis, &x, 0, limit);
         assert_eq!(decide(3), (overflow.clone(), 3, [0, 3]));
         assert_eq!(decide(4), (overflow, 3, [0, 3]));
         let (refused, counted, _) = decide(2);
         assert!(matches!(refused, Err(CrnError::SearchLimitExceeded { .. })));
         assert_eq!(counted, 2);
+    }
+
+    #[test]
+    fn a_lone_seed_that_enables_a_lower_reaction_fires_once_per_node() {
+        // `A -> Y; X -> A; A -> Z`: nothing conflicts with `X -> A`, but it
+        // feeds the lower-index `A -> Y`, which is the seed at its successor.
+        // A burst of `X -> A` would skip the nodes where `A -> Y` and
+        // `A -> Z` branch, and count fewer configurations than the plain
+        // scan.
+        let crn = crn_over(
+            &["X", "Y", "Z", "A"],
+            &[
+                vec![0, 0, 0, 1, 0, 1, 0, 0],
+                vec![1, 0, 0, 0, 0, 0, 0, 1],
+                vec![0, 0, 0, 1, 0, 0, 1, 0],
+            ],
+        );
+        let analysis = CrnAnalysis::of(&crn);
+        assert!(analysis.acyclic());
+        assert!(analysis.stubborn().lone(1));
+        for x in 0..=4 {
+            let x = NVec::from(vec![x]);
+            for limit in 0..=30 {
+                for expected in [0, x[0]] {
+                    // The run and the plain scan agree, or this panics.
+                    let _ = decide_both_ways(&analysis, &x, expected, limit);
+                }
+            }
+        }
+        // At x = 2 the run branches at {X, A}, before its second firing of
+        // `X -> A`, and the scan counts 9 configurations.
+        let (_, counted, [stored, _]) = decide_both_ways(&analysis, &NVec::from(vec![2]), 0, 100);
+        assert_eq!((counted, stored), (9, 8));
+    }
+
+    #[test]
+    fn a_burst_names_the_first_species_of_its_overflowing_firing() {
+        // `X -> (2^63 - 1) Y + (2^63 - 1) Z` at x = 3: both products pass
+        // u64::MAX at the third firing, and firing one at a time meets Y
+        // first.  The burst of all three firings makes the same error, and
+        // below a limit of 3 the limit comes first.
+        let mut crn = Crn::new();
+        crn.parse_reaction("X -> 9223372036854775807 Y + 9223372036854775807 Z")
+            .unwrap();
+        let crn = FunctionCrn::with_named_roles(crn, &["X"], "Y", None).unwrap();
+        let analysis = CrnAnalysis::of(&crn);
+        let x = NVec::from(vec![3]);
+        for limit in 0..=5 {
+            let (result, counted, _) = decide_both_ways(&analysis, &x, 0, limit);
+            if limit < 3 {
+                assert!(
+                    matches!(result, Err(CrnError::SearchLimitExceeded { .. })),
+                    "limit {limit}: {result:?}"
+                );
+                assert_eq!(counted, limit.max(1) as u64, "limit {limit}");
+            } else {
+                let overflow = Err(CrnError::CountOverflow {
+                    reaction: "X -> 9223372036854775807Y + 9223372036854775807Z".into(),
+                    species: "Y".into(),
+                });
+                assert_eq!((result, counted), (overflow, 3), "limit {limit}");
+            }
+        }
     }
 
     /// Collects the terminal configurations a hash-coded BFS reaches,
@@ -1434,7 +1116,7 @@ mod tests {
         found: Vec<Vec<u64>>,
     }
 
-    impl BfsVisitor<Hash<'_>> for Terminals<'_> {
+    impl BfsVisitor for Terminals<'_> {
         fn select(&mut self, codec: &Hash<'_>, enabled: &mut Vec<usize>) {
             if let Some((table, closure)) = &mut self.stubborn {
                 table.reduce(enabled, |r| codec.lacking(r), closure);
@@ -1573,8 +1255,7 @@ mod tests {
 
         /// Forced-acyclic CRNs: every kept reaction strictly lowers the
         /// positive weighting `3X + Y + 2Z`, so no firing sequence returns
-        /// to its start, the certificate holds, and the scan and packed
-        /// routes run.
+        /// to its start, the certificate holds, and the scan route runs.
         #[test]
         fn every_route_matches_the_reference_engine_on_acyclic_crns(
             stoich in proptest::collection::vec(proptest::collection::vec(0u64..3, 6), 1..5),
@@ -1628,10 +1309,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Wide lanes: `X -> kY` with `k` from 43 to 199 joins rows that
+        /// Wide counts: `X -> kY` with `k` from 43 to 199 joins rows that
         /// strictly lower the positive weighting `200X + Y + 2Z`, so the
         /// certificate holds, Y reaches `k · bound > 127` from the top
-        /// corner, and the packed route runs on a lane wider than a byte.
+        /// corner, and the run fires `X -> kY` in bursts whenever no lower
+        /// row consumes X, Y or Z.
         #[test]
         fn every_route_matches_the_reference_engine_on_wide_hulls(
             stoich in proptest::collection::vec(proptest::collection::vec(0u64..3, 6), 0..3),
@@ -1647,11 +1329,7 @@ mod tests {
                 .collect();
             kept.push(vec![1, 0, 0, 0, k, 0]);
             let crn = random_crn(&kept);
-            let analysis = CrnAnalysis::of(&crn);
-            prop_assert!(analysis.acyclic());
-            let plan = SweepPlan::build(&analysis, bound);
-            let spec = plan.packed.as_ref().expect("a positive weighting bounds every lane");
-            prop_assert!((spec.sentinels >> spec.shifts[1]).trailing_zeros() >= 8);
+            prop_assert!(CrnAnalysis::of(&crn).acyclic());
             routes_match_reference(&crn, |x| a * x[0] + b, bound);
         }
     }

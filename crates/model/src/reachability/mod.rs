@@ -14,24 +14,23 @@
 //! The checker is organised as a small subsystem:
 //!
 //! * `arena` (internal) — a **configuration arena** of dense count vectors
-//!   in one allocation, and the engine's one open-addressing **index** from
-//!   a configuration's 64-bit key to its node id, which both codecs
-//!   deduplicate through, so exploration never clones a sparse
-//!   configuration per edge;
+//!   in one allocation, and the engine's open-addressing **index** from a
+//!   vector's 64-bit hash to its node id, so exploration never clones a
+//!   sparse configuration per edge;
 //! * `csr` (internal) — successor storage laid out in **compressed sparse
 //!   row** form directly during the breadth-first exploration;
 //! * `scc` (internal) — **Tarjan SCC condensation**; the three reachability
 //!   queries behind a verdict (max/min reachable output, recoverability)
 //!   each become one linear pass over the components in reverse topological
 //!   order instead of an iterate-until-stable fixpoint;
-//! * the **exploration engine** (internal) — one generic breadth-first
-//!   traversal over two state codecs (hash-interned count vectors, or one
-//!   bit-packed word per configuration), driving a visitor that builds the
+//! * the **exploration engine** (internal) — one breadth-first traversal
+//!   over hash-interned count vectors, driving a visitor that builds the
 //!   graph of a full verdict or scans for bad terminal configurations; the
 //!   scan decides certified-acyclic CRNs and fires only stubborn sets, which
 //!   keep every reachable terminal configuration, starting with a run that
-//!   fires lone stubborn reactions in place and stores nothing until the
-//!   first node that fires two; every other point takes the full verdict;
+//!   fires lone stubborn reactions in place, each as often as it stays the
+//!   seed in one step where it can, and stores nothing until the first node
+//!   that fires two; every other point takes the full verdict;
 //! * [`check_on_box`] / [`BoxCheck`] — a **parallel driver** sharding the
 //!   input box across scoped threads with a deterministic,
 //!   lexicographically-first result.
@@ -156,11 +155,10 @@ pub fn check_stable_computation(
 ///
 /// The sweep skips inputs whose symmetry orbit already contains a checked
 /// representative and explores every other point.  Certified-acyclic CRNs
-/// take a terminal scan that fires only stubborn sets, on one bit-packed
-/// word per configuration when the box hull of the monotone potentials
-/// bounds every species and its lanes (each count's bits plus a sentinel)
-/// total at most 64 bits; the scan fires a node's lone stubborn reaction in
-/// place and stores configurations only from the first node that fires
+/// take a terminal scan that fires only stubborn sets: it fires a node's
+/// lone stubborn reaction in place, as often in one step as the reaction
+/// stays the node's seed where no lower-index reaction consumes what it
+/// changes, and stores configurations only from the first node that fires
 /// two.  Every other point takes the full verdict of
 /// [`check_stable_computation`].  Box points are decoded from a mixed-radix
 /// index on demand, so the sweep allocates `O(1)` memory in the box size.

@@ -88,8 +88,8 @@ pub(super) fn check_on_box_sharded(
 
     // Everything point-independent is computed once for the whole sweep:
     // the static analysis every worker reads, forced here rather than by
-    // whichever worker first needs it, and the plan (the packed spec from
-    // the box hull, input automorphisms).
+    // whichever worker first needs it, and the plan (the route from the
+    // acyclicity certificate, input automorphisms).
     {
         let _analyze = crn_obs::span("model.box.analyze");
         analysis.acyclic();
@@ -97,7 +97,7 @@ pub(super) fn check_on_box_sharded(
     }
     let plan = {
         let _plan = crn_obs::span("model.box.plan");
-        SweepPlan::build(analysis, bound)
+        SweepPlan::build(analysis)
     };
 
     // Ordering audit (model-checked in crn-sync tests/model.rs; see

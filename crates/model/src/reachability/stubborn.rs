@@ -20,8 +20,9 @@
 //! A seed that conflicts with no reaction is its own closure at every
 //! configuration ([`StubbornSets::lone`]).  The terminal scan's run reads
 //! that one lookup to fire such a seed in place without testing any other
-//! reaction, and stores nothing until it reaches a configuration whose
-//! closure keeps two or more enabled reactions.
+//! reaction (in one burst, while it stays the seed, when no lower-index
+//! reaction consumes what it changes), and stores nothing until it reaches
+//! a configuration whose closure keeps two or more enabled reactions.
 //!
 //! # Soundness
 //!
