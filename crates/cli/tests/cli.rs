@@ -141,6 +141,70 @@ fn exit_1_verdict_failure_class() {
         }
     }
 
+    // In one dimension the eventual piece's offsets run on i64 too: a value
+    // past i64::MAX is inconclusive at its point.  Cast, f(2) became the
+    // spec `min -1`, printed as obliviously computable with exit 0.
+    let big1 = scratch(
+        "big1_fn.crn",
+        "fn big1(x) {\n  case x <= 1: 0;\n  otherwise: 18446744073709551615;\n}\n",
+    );
+    let (code, stdout, _) = run_crn(&["characterize", big1.to_str().unwrap()]);
+    assert_eq!(
+        code, 1,
+        "characterize must not print a spec that is not f\n{stdout}"
+    );
+    assert!(stdout.contains("verdict: inconclusive"), "{stdout}");
+    assert!(
+        stdout.contains("f(2) = 18446744073709551615 is past i64::MAX"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("big1_spec"), "{stdout}");
+
+    // A quilt-affine value past i64::MAX is an error that says so: never a
+    // decrease, "not an integer", or a number wrapped past i128.
+    let steep = scratch(
+        "steep_spec.crn",
+        "spec s(x) {\n  min 18446744073709551615 x;\n}\n",
+    );
+    let (code, _, stderr) = run_crn(&["synthesize", steep.to_str().unwrap()]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(
+        stderr.contains("18446744073709551615 is past i64::MAX"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("not nondecreasing"), "{stderr}");
+    let half = scratch(
+        "half_steep_spec.crn",
+        "spec s(x) {\n  min 9223372036854775807 x;\n}\n",
+    );
+    let (code, synthesized, stderr) = run_crn(&["synthesize", half.to_str().unwrap()]);
+    assert_eq!(code, 0, "{stderr}");
+    let synthesized = scratch("half_steep_crn.crn", &synthesized);
+    let (code, stdout, _) = run_crn(&["verify", synthesized.to_str().unwrap(), "--bound", "3"]);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(
+        stdout.contains("g((2)) = 18446744073709551614 is past i64::MAX"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("not an integer"), "{stdout}");
+    let linked = scratch(
+        "steep_link.crn",
+        "spec s(x) {\n  min 18446744073709551615 x;\n}\n\ncrn c {\n  inputs X;\n  output Y;\n  computes s;\n  X -> Y;\n}\n",
+    );
+    let (code, stdout, _) = run_crn(&[
+        "sim",
+        linked.to_str().unwrap(),
+        "--input",
+        "18446744073709551615",
+    ]);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(stdout.contains("does not fit i128"), "{stdout}");
+    let negative = stdout
+        .as_bytes()
+        .windows(2)
+        .any(|w| w[0] == b'-' && w[1].is_ascii_digit());
+    assert!(!negative, "{stdout}");
+
     // A never-silent CRN does not converge.
     let restless = scratch(
         "restless.crn",

@@ -69,7 +69,8 @@ impl Characterization {
 }
 
 /// Runs the characterization pipeline on a semilinear presentation, examining
-/// the box `[0, bound]^d`.
+/// the box `[0, bound]^d`.  A spec is returned only once it reproduces `f`
+/// on the whole box.
 ///
 /// # Errors
 ///
@@ -84,18 +85,31 @@ pub fn characterize(f: &SemilinearFunction, bound: u64) -> Result<Characterizati
             witness: None,
         });
     }
-    match f.dim() {
+    let verdict = match f.dim() {
         0 => {
             let value = f.eval(&NVec::zeros(0)).map_err(|e| {
                 CoreError::AnalysisInconclusive(format!("cannot evaluate constant: {e}"))
             })?;
-            Ok(Characterization::ObliviouslyComputable {
+            Characterization::ObliviouslyComputable {
                 spec: ObliviousSpec::Constant(value),
-            })
+            }
         }
-        1 => characterize_1d(f, bound),
-        _ => characterize_multi(f, bound),
+        1 => characterize_1d(f, bound)?,
+        _ => characterize_multi(f, bound)?,
+    };
+    let Characterization::ObliviouslyComputable { spec } = &verdict else {
+        return Ok(verdict);
+    };
+    // Final sanity check: the spec reproduces f on the whole box.
+    for x in NVec::box_iter(f.dim(), bound) {
+        let reason = match f.eval(&x) {
+            Ok(value) if spec.eval(&x)? == value => continue,
+            Ok(_) => format!("assembled spec disagrees with f at {x}"),
+            Err(e) => format!("f{x} cannot be evaluated: {e}"),
+        };
+        return Ok(Characterization::Inconclusive { reason });
     }
+    Ok(verdict)
 }
 
 /// `f(x)` for the affine fits, which run on `i64`: a point `f` cannot
@@ -126,15 +140,22 @@ fn characterize_1d(f: &SemilinearFunction, bound: u64) -> Result<Characterizatio
             })
         }
     };
-    Ok(Characterization::ObliviouslyComputable {
-        spec: structure_to_spec(&structure),
+    Ok(match structure_to_spec(&structure) {
+        Ok(spec) => Characterization::ObliviouslyComputable { spec },
+        Err(e) => Characterization::Inconclusive {
+            reason: e.to_string(),
+        },
     })
 }
 
 /// Converts the Theorem 3.1 structure into a one-dimensional spec: a single
 /// quilt-affine eventual piece plus constant restrictions below the threshold.
-#[must_use]
-pub fn structure_to_spec(structure: &Structure1D) -> ObliviousSpec {
+///
+/// # Errors
+///
+/// [`CoreError::OutOfRange`] naming the first value the eventual piece reads
+/// that is past `i64::MAX`, where its offsets are computed.
+pub fn structure_to_spec(structure: &Structure1D) -> Result<ObliviousSpec, CoreError> {
     let n = structure.threshold();
     let p = structure.period;
     let slope_sum: u64 = structure.deltas.iter().sum();
@@ -148,12 +169,15 @@ pub fn structure_to_spec(structure: &Structure1D) -> ObliviousSpec {
             let offset = (a + p - (n % p)) % p;
             n + offset
         };
+        let value = structure.eval(rep);
+        let value = i64::try_from(value)
+            .map_err(|_| CoreError::OutOfRange(format!("f({rep}) = {value} is past i64::MAX")))?;
         offsets.insert(
             vec![a],
-            Rational::from(structure.eval(rep) as i64) - gradient.dot_n(&NVec::from(vec![rep])),
+            Rational::from(value) - gradient.dot_n(&NVec::from(vec![rep])),
         );
     }
-    let piece = QuiltAffine::new(gradient, p, offsets).expect("eventual structure is quilt-affine");
+    let piece = QuiltAffine::new(gradient, p, offsets)?;
     let eventual =
         EventuallyMin::new(NVec::from(vec![n]), vec![piece]).expect("one piece, same dimension");
     let mut restrictions = BTreeMap::new();
@@ -163,7 +187,7 @@ pub fn structure_to_spec(structure: &Structure1D) -> ObliviousSpec {
             ObliviousSpec::Constant(structure.initial_values[j as usize]),
         );
     }
-    ObliviousSpec::compound(eventual, restrictions).expect("restrictions cover the threshold")
+    Ok(ObliviousSpec::compound(eventual, restrictions).expect("restrictions cover the threshold"))
 }
 
 /// Multi-dimensional case: the Section 7 pipeline proper.
@@ -286,15 +310,6 @@ fn characterize_multi(f: &SemilinearFunction, bound: u64) -> Result<Characteriza
 
     let eventual = EventuallyMin::new(NVec::constant(dim, t), pieces)?;
     let spec = ObliviousSpec::compound(eventual, restrictions)?;
-    // Final sanity check: the spec reproduces f on the whole box.
-    for x in NVec::box_iter(dim, bound) {
-        let reason = match f.eval(&x) {
-            Ok(value) if spec.eval(&x)? == value => continue,
-            Ok(_) => format!("assembled spec disagrees with f at {x}"),
-            Err(e) => format!("f{x} cannot be evaluated: {e}"),
-        };
-        return Ok(Characterization::Inconclusive { reason });
-    }
     Ok(Characterization::ObliviouslyComputable { spec })
 }
 
@@ -660,7 +675,7 @@ mod tests {
             period: 2,
             deltas: vec![2, 1],
         };
-        let spec = structure_to_spec(&s);
+        let spec = structure_to_spec(&s).unwrap();
         for x in 0..12u64 {
             assert_eq!(spec.eval(&NVec::from(vec![x])).unwrap(), s.eval(x));
         }

@@ -15,6 +15,9 @@ pub enum CoreError {
     NotNondecreasing(String),
     /// An evaluation produced a non-integer where an integer was required.
     NotInteger(String),
+    /// A value, or an intermediate product or sum, does not fit the integer
+    /// type that holds it.
+    OutOfRange(String),
     /// The requested analysis could not complete within its search bounds.
     AnalysisInconclusive(String),
     /// A specification was structurally invalid (dimension mismatch, missing
@@ -32,6 +35,7 @@ impl fmt::Display for CoreError {
             }
             CoreError::NotNondecreasing(msg) => write!(f, "function is not nondecreasing: {msg}"),
             CoreError::NotInteger(msg) => write!(f, "value is not an integer: {msg}"),
+            CoreError::OutOfRange(msg) => write!(f, "value out of range: {msg}"),
             CoreError::AnalysisInconclusive(msg) => {
                 write!(f, "analysis inconclusive within search bounds: {msg}")
             }

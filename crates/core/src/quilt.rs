@@ -1,6 +1,7 @@
 //! Quilt-affine functions (Definition 5.1): `g(x) = ∇g·x + B(x mod p)`.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use crn_numeric::{CongruenceClass, NVec, QVec, Rational};
 
@@ -19,7 +20,7 @@ use crate::error::CoreError;
 /// let g = QuiltAffine::floor_linear(QVec::from(vec![Rational::new(3, 2)]), 2);
 /// assert_eq!(g.eval(&NVec::from(vec![4])).unwrap(), 6);
 /// assert_eq!(g.eval(&NVec::from(vec![5])).unwrap(), 7);
-/// assert!(g.is_nondecreasing());
+/// assert_eq!(g.is_nondecreasing(), Ok(true));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuiltAffine {
@@ -39,8 +40,9 @@ impl QuiltAffine {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidSpec`] if the gradient has a negative
-    /// component or an offset is missing, and [`CoreError::NotInteger`] if
-    /// some value `∇·x + B(x)` would not be an integer.
+    /// component or an offset is missing, [`CoreError::NotInteger`] if some
+    /// value `∇·x + B(x)` would not be an integer, and
+    /// [`CoreError::OutOfRange`] if one it checks does not fit `i128`.
     pub fn new(
         gradient: QVec,
         period: u64,
@@ -66,7 +68,7 @@ impl QuiltAffine {
         // class and rationality of the gradient, on every point).
         for class in CongruenceClass::enumerate_all(dim, period) {
             let rep = class.representative();
-            let value = g.eval_rational(&rep);
+            let value = g.value(&rep)?;
             if g.offset_of(&rep).is_none() {
                 return Err(CoreError::InvalidSpec(format!(
                     "missing offset for congruence class {class}"
@@ -80,7 +82,7 @@ impl QuiltAffine {
             // Integrality must persist along each axis within the period.
             for i in 0..dim {
                 let shifted = &rep + &NVec::basis(dim, i);
-                if !g.eval_rational(&shifted).is_integer() {
+                if !g.value(&shifted)?.is_integer() {
                     return Err(CoreError::NotInteger(format!(
                         "g({shifted}) is not an integer"
                     )));
@@ -162,8 +164,28 @@ impl QuiltAffine {
         self.offsets.get(&x.mod_p(self.period)).copied()
     }
 
-    fn eval_rational(&self, x: &NVec) -> Rational {
-        self.gradient.dot_n(x) + self.offset_of(x).unwrap_or(Rational::ZERO)
+    /// `g(x) = ∇g·x + B(x mod p)`, exactly.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::OutOfRange`] where a product or sum does not fit `i128`.
+    fn value(&self, x: &NVec) -> Result<Rational, CoreError> {
+        let offset = self.offset_of(x).unwrap_or(Rational::ZERO);
+        self.gradient
+            .checked_dot_n(x)
+            .and_then(|linear| linear.checked_add(offset))
+            .ok_or_else(|| CoreError::OutOfRange(format!("g({x}) does not fit i128")))
+    }
+
+    /// `value` as an `i64`, where `what` names it.
+    fn to_i64(what: impl fmt::Display, value: Rational) -> Result<i64, CoreError> {
+        let integer = value
+            .to_integer()
+            .ok_or_else(|| CoreError::NotInteger(format!("{what} = {value}")))?;
+        i64::try_from(integer).map_err(|_| {
+            let edge = if integer > 0 { "MAX" } else { "MIN" };
+            CoreError::OutOfRange(format!("{what} = {integer} is past i64::{edge}"))
+        })
     }
 
     /// Evaluates `g(x)` as an integer.
@@ -171,54 +193,72 @@ impl QuiltAffine {
     /// # Errors
     ///
     /// Returns [`CoreError::NotInteger`] if the value is not an integer (this
-    /// indicates a malformed offset table, which [`QuiltAffine::new`] rejects).
+    /// indicates a malformed offset table, which [`QuiltAffine::new`]
+    /// rejects), and [`CoreError::OutOfRange`] if it, or a product or sum on
+    /// the way, does not fit `i64`.
     pub fn eval(&self, x: &NVec) -> Result<i64, CoreError> {
-        let value = self.eval_rational(x);
-        value
-            .to_integer()
-            .and_then(|v| i64::try_from(v).ok())
-            .ok_or_else(|| CoreError::NotInteger(format!("g({x}) = {value}")))
+        Self::to_i64(format_args!("g({x})"), self.value(x)?)
     }
 
-    /// The finite difference `δ^i_a = g(x + e_i) − g(x)` for any `x` in class
-    /// `a` (Lemma 6.1): `∇g·e_i + B(a + e_i) − B(a)`.
+    /// The finite difference `δ^i_a = ∇g·e_i + B(a + e_i) − B(a)`, exactly:
+    /// `g(x + e_i) − g(x)` for any `x` in class `a` (Lemma 6.1).
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::NotInteger`] if the difference is not an integer.
-    pub fn finite_difference(&self, i: usize, class: &CongruenceClass) -> Result<i64, CoreError> {
+    /// [`CoreError::OutOfRange`] where the sum does not fit `i128`.
+    fn difference(&self, i: usize, class: &CongruenceClass) -> Result<Rational, CoreError> {
         assert!(i < self.dim, "component index out of range");
         let rep = class.representative();
-        let next = &rep + &NVec::basis(self.dim, i);
-        Ok(self.eval(&next)? - self.eval(&rep)?)
+        let offset = |x: &NVec| self.offset_of(x).unwrap_or(Rational::ZERO);
+        self.gradient[i]
+            .checked_add(offset(&(&rep + &NVec::basis(self.dim, i))))
+            .and_then(|d| d.checked_sub(offset(&rep)))
+            .ok_or_else(|| CoreError::OutOfRange(format!("δ^{i} on {class} does not fit i128")))
+    }
+
+    /// The finite difference `δ^i_a` as an integer (see
+    /// [`is_nondecreasing`](Self::is_nondecreasing) for its sign).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::NotInteger`] if the difference is not an
+    /// integer, and [`CoreError::OutOfRange`] if it does not fit `i64`.
+    pub fn finite_difference(&self, i: usize, class: &CongruenceClass) -> Result<i64, CoreError> {
+        Self::to_i64(format_args!("δ^{i} on {class}"), self.difference(i, class)?)
     }
 
     /// Whether the function is nondecreasing, i.e. every finite difference
-    /// `δ^i_a` is `≥ 0` (the defining requirement of Definition 5.1).
-    #[must_use]
-    pub fn is_nondecreasing(&self) -> bool {
-        CongruenceClass::enumerate_all(self.dim, self.period)
-            .iter()
-            .all(|class| {
-                (0..self.dim).all(|i| {
-                    self.finite_difference(i, class)
-                        .map(|d| d >= 0)
-                        .unwrap_or(false)
-                })
-            })
+    /// `δ^i_a` is `≥ 0` (the defining requirement of Definition 5.1).  The
+    /// differences are read exactly, whatever their size.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::OutOfRange`] where a difference does not fit `i128`.
+    pub fn is_nondecreasing(&self) -> Result<bool, CoreError> {
+        for class in CongruenceClass::enumerate_all(self.dim, self.period) {
+            for i in 0..self.dim {
+                if self.difference(i, &class)?.is_negative() {
+                    return Ok(false);
+                }
+            }
+        }
+        Ok(true)
     }
 
     /// Whether `g(x) ≥ 0` for every `x ∈ N^d`.  For a nondecreasing
-    /// quilt-affine function it suffices to check the box `[0, p)^d`.
-    #[must_use]
-    pub fn is_nonnegative(&self) -> bool {
-        CongruenceClass::enumerate_all(self.dim, self.period)
-            .iter()
-            .all(|class| {
-                self.eval(&class.representative())
-                    .map(|v| v >= 0)
-                    .unwrap_or(false)
-            })
+    /// quilt-affine function it suffices to check the box `[0, p)^d`.  The
+    /// values are read exactly, whatever their size.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::OutOfRange`] where a value does not fit `i128`.
+    pub fn is_nonnegative(&self) -> Result<bool, CoreError> {
+        for class in CongruenceClass::enumerate_all(self.dim, self.period) {
+            if self.value(&class.representative())?.is_negative() {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// The translate `x ↦ g(x + shift)`, still quilt-affine with the same
@@ -324,8 +364,8 @@ mod tests {
         for x in 0..20u64 {
             assert_eq!(g.eval(&NVec::from(vec![x])).unwrap(), (3 * x / 2) as i64);
         }
-        assert!(g.is_nondecreasing());
-        assert!(g.is_nonnegative());
+        assert_eq!(g.is_nondecreasing(), Ok(true));
+        assert_eq!(g.is_nonnegative(), Ok(true));
         assert_eq!(g.period(), 2);
         // Finite differences alternate 1, 2.
         let c0 = CongruenceClass::from_residues(vec![0], 2);
@@ -337,8 +377,8 @@ mod tests {
     #[test]
     fn figure3b_example_is_quilt_affine_and_nondecreasing() {
         let g = fig3b();
-        assert!(g.is_nondecreasing());
-        assert!(g.is_nonnegative());
+        assert_eq!(g.is_nondecreasing(), Ok(true));
+        assert_eq!(g.is_nonnegative(), Ok(true));
         assert_eq!(g.eval(&NVec::from(vec![0, 0])).unwrap(), 0);
         assert_eq!(g.eval(&NVec::from(vec![1, 2])).unwrap(), 1 + 4 - 1);
         assert_eq!(g.eval(&NVec::from(vec![4, 5])).unwrap(), 4 + 10 - 1);
@@ -441,7 +481,7 @@ mod tests {
             offsets,
         )
         .unwrap();
-        assert!(g.is_nondecreasing());
+        assert_eq!(g.is_nondecreasing(), Ok(true));
         for x1 in 0..8u64 {
             for x2 in 0..8u64 {
                 assert_eq!(
@@ -450,6 +490,57 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `x ↦ k·x`, the spec `min k x`.
+    fn linear(k: u64) -> QuiltAffine {
+        QuiltAffine::affine(QVec::from(vec![Rational::from(k)]), Rational::ZERO).unwrap()
+    }
+
+    fn out_of_range(result: Result<i64, CoreError>) -> String {
+        match result {
+            Err(CoreError::OutOfRange(msg)) => msg,
+            other => panic!("expected an out-of-range error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_difference_past_i64_is_no_decrease() {
+        // `min 18446744073709551615 x` rises by u64::MAX per step.  Read
+        // through an i64 evaluation, that step was an error, and the error
+        // a decrease.
+        let g = linear(u64::MAX);
+        assert_eq!(g.is_nondecreasing(), Ok(true));
+        assert_eq!(g.is_nonnegative(), Ok(true));
+        let class = CongruenceClass::zero(1, 1);
+        assert_eq!(
+            out_of_range(g.finite_difference(0, &class)),
+            "δ^0 on [[0] mod 1] = 18446744073709551615 is past i64::MAX"
+        );
+        // Lemma 6.1 cannot emit that many copies of Y in one reaction.
+        let refused = crate::synthesis::quilt_crn(&g).unwrap_err();
+        assert!(matches!(refused, CoreError::OutOfRange(_)), "{refused}");
+    }
+
+    #[test]
+    fn a_value_past_i64_is_out_of_range_not_a_fraction() {
+        // `min 9223372036854775807 x` at 2 is 2^64 - 2, an integer.
+        let g = linear(i64::MAX as u64);
+        assert_eq!(g.eval(&NVec::from(vec![1])), Ok(i64::MAX));
+        assert_eq!(
+            out_of_range(g.eval(&NVec::from(vec![2]))),
+            "g((2)) = 18446744073709551614 is past i64::MAX"
+        );
+    }
+
+    #[test]
+    fn a_product_past_i128_is_out_of_range_not_wrapped() {
+        // (2^64 - 1)^2 wrapped in i128 to -36893488147419103231.
+        let g = linear(u64::MAX);
+        assert_eq!(
+            out_of_range(g.eval(&NVec::from(vec![u64::MAX]))),
+            "g((18446744073709551615)) does not fit i128"
+        );
     }
 
     proptest! {

@@ -25,15 +25,17 @@ use crate::spec::ObliviousSpec;
 ///
 /// Returns [`CoreError::NotNondecreasing`] or [`CoreError::NegativeQuiltValue`]
 /// if `g` is not nondecreasing or takes a negative value (the construction
-/// requires `g : N^d → N`).
+/// requires `g : N^d → N`), and [`CoreError::OutOfRange`] if `g(0)` or a
+/// finite difference, the count of `Y` one reaction emits, is past
+/// `i64::MAX`.
 pub fn quilt_crn(g: &QuiltAffine) -> Result<FunctionCrn, CoreError> {
-    if !g.is_nondecreasing() {
+    if !g.is_nondecreasing()? {
         return Err(CoreError::NotNondecreasing(format!(
             "gradient {} with the given offsets has a negative finite difference",
             g.gradient()
         )));
     }
-    if !g.is_nonnegative() {
+    if !g.is_nonnegative()? {
         return Err(CoreError::NegativeQuiltValue(format!(
             "g takes a negative value near the origin (gradient {})",
             g.gradient()

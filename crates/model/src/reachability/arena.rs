@@ -1,12 +1,11 @@
-//! Where an exploration stores its configurations, and the one index that
-//! finds them again.
+//! Where an exploration stores its configurations, and how it finds them
+//! again.
 //!
 //! Every stored configuration is a node named by its discovery position
-//! ([`NodeId`]).  The engine keeps its nodes in a [`ConfigArena`] of dense
-//! count vectors and deduplicates them through a [`CodeIndex`]: an
-//! open-addressing table from a node's 64-bit key to its id, which holds no
-//! second copy of the keys and empties in O(1) between the points of a box
-//! sweep.
+//! ([`NodeId`]).  The engine keeps its nodes in a [`ConfigArena`]: dense
+//! count vectors in one allocation, deduplicated by an open-addressing
+//! table from a node's 64-bit key to its id, which holds no second copy of
+//! the keys and empties in O(1) between the points of a box sweep.
 
 use crate::config::Configuration;
 use crate::species::Species;
@@ -18,16 +17,6 @@ use crate::species::Species;
 pub(super) struct NodeId(pub(super) u32);
 
 impl NodeId {
-    /// The start configuration, the first node every stored exploration
-    /// stores.
-    pub(super) const START: NodeId = NodeId(0);
-
-    /// The node stored after `len` others; `admit` has kept `len` below
-    /// `u32::MAX`.
-    pub(super) fn at(len: usize) -> NodeId {
-        NodeId(u32::try_from(len).expect("admit keeps ids below u32::MAX"))
-    }
-
     pub(super) fn index(self) -> usize {
         self.0 as usize
     }
@@ -40,105 +29,6 @@ pub(super) fn mix(key: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// The engine's one open-addressing index, from a node's 64-bit key to its
-/// id.  It stores only ids: [`lookup`](CodeIndex::lookup) and
-/// [`insert`](CodeIndex::insert) read keys through the arena.
-/// Slots are epoch-stamped `(epoch << 32) | (id + 1)` cells, so a reset is
-/// O(1) — no memset of a table sized for the sweep's biggest point — and
-/// the table doubles at 1/2 load: probes run on the seen-successor fast
-/// path, so short chains are worth the memory.
-pub(super) struct CodeIndex {
-    /// Length a power of two, at least 16.
-    slots: Vec<u64>,
-    epoch: u32,
-    /// Probe steps past the home slot across every placement, cumulative
-    /// over the index's lifetime (resets do not clear it): the
-    /// dedup-collision metric the observability layer reports.
-    collisions: u64,
-    /// Slot-table doublings over the index's lifetime.
-    grows: u64,
-}
-
-impl Default for CodeIndex {
-    fn default() -> Self {
-        CodeIndex {
-            slots: vec![0; 16],
-            epoch: 0,
-            collisions: 0,
-            grows: 0,
-        }
-    }
-}
-
-impl CodeIndex {
-    /// Empties the index, keeping the allocation: stale slots are recognized
-    /// by their epoch stamp.  Only when the epoch wraps are the slots
-    /// cleared.
-    pub(super) fn reset(&mut self) {
-        match self.epoch.checked_add(1) {
-            Some(e) => self.epoch = e,
-            None => {
-                self.slots.iter_mut().for_each(|s| *s = 0);
-                self.epoch = 1;
-            }
-        }
-    }
-
-    /// The live id in `slot`, if any.
-    fn occupant(&self, slot: usize) -> Option<NodeId> {
-        let cell = self.slots[slot];
-        let id = (cell as u32).checked_sub(1)?;
-        (cell >> 32 == u64::from(self.epoch)).then_some(NodeId(id))
-    }
-
-    /// The first id on `key`'s probe chain that `is` accepts.  Any stored id
-    /// can sit on the chain, so `is` tests the configuration itself: the
-    /// arena compares cached keys and then count vectors.
-    pub(super) fn lookup(&self, key: u64, is: impl Fn(usize) -> bool) -> Option<NodeId> {
-        let mask = self.slots.len() - 1;
-        let mut slot = (mix(key) as usize) & mask;
-        loop {
-            match self.occupant(slot) {
-                None => return None,
-                Some(id) if is(id.index()) => return Some(id),
-                Some(_) => slot = (slot + 1) & mask,
-            }
-        }
-    }
-
-    /// Indexes `id`, the newest stored node, where `key_of` maps every
-    /// stored id to its key.
-    pub(super) fn insert(&mut self, id: NodeId, key_of: impl Fn(usize) -> u64) {
-        if (id.index() + 1) * 2 > self.slots.len() {
-            self.grows += 1;
-            let new_len = self.slots.len() * 2;
-            self.slots.clear();
-            self.slots.resize(new_len, 0);
-            for i in 0..=id.0 {
-                self.place(i, &key_of);
-            }
-        } else {
-            self.place(id.0, &key_of);
-        }
-    }
-
-    /// Writes `id` into the first free slot of its probe chain.
-    fn place(&mut self, id: u32, key_of: &impl Fn(usize) -> u64) {
-        let mask = self.slots.len() - 1;
-        let mut slot = (mix(key_of(id as usize)) as usize) & mask;
-        while self.occupant(slot).is_some() {
-            self.collisions += 1;
-            slot = (slot + 1) & mask;
-        }
-        self.slots[slot] = (u64::from(self.epoch) << 32) | u64::from(id + 1);
-    }
-
-    /// `(collisions, grows)` accumulated over the index's lifetime.
-    pub(super) fn metrics(&self) -> (u64, u64) {
-        (self.collisions, self.grows)
-    }
 }
 
 /// FNV-1a over the `u64` words of a count vector, with an extra avalanche
@@ -155,8 +45,15 @@ pub(super) fn hash_counts(counts: &[u64]) -> u64 {
 }
 
 /// The count vectors of one exploration over a fixed species stride, with
-/// the [`hash_counts`] key of each, found again through a [`CodeIndex`].
-#[derive(Debug, Default)]
+/// the [`hash_counts`] key of each, and the engine's one open-addressing
+/// index from a key to its node.
+///
+/// The index stores only ids and reads keys from `keys`.  Its slots are
+/// epoch-stamped `(epoch << 32) | (id + 1)` cells, so a reset is O(1) — no
+/// memset of a table sized for the sweep's biggest point — and the table
+/// doubles at 1/2 load: probes run on the seen-successor fast path, so
+/// short chains are worth the memory.
+#[derive(Debug)]
 pub(super) struct ConfigArena {
     stride: usize,
     /// Concatenated count vectors; configuration `i` occupies
@@ -165,15 +62,46 @@ pub(super) struct ConfigArena {
     /// The key of every stored configuration, so probes compare a vector
     /// only on a key match and growth rehashes nothing.
     keys: Vec<u64>,
+    /// The index's slots; length a power of two, at least 16.
+    slots: Vec<u64>,
+    epoch: u32,
+    /// Probe steps past the home slot across every placement, cumulative
+    /// over the arena's lifetime (resets do not clear it): the
+    /// dedup-collision metric the observability layer reports.
+    collisions: u64,
+    /// Slot-table doublings over the arena's lifetime.
+    grows: u64,
+}
+
+impl Default for ConfigArena {
+    fn default() -> Self {
+        ConfigArena {
+            stride: 0,
+            counts: Vec::new(),
+            keys: Vec::new(),
+            slots: vec![0; 16],
+            epoch: 0,
+            collisions: 0,
+            grows: 0,
+        }
+    }
 }
 
 impl ConfigArena {
     /// Empties the arena for a fresh exploration over `stride` species,
-    /// keeping every allocation for reuse.
+    /// keeping every allocation for reuse: stale slots are recognized by
+    /// their epoch stamp, and only when the epoch wraps are they cleared.
     pub(super) fn reset(&mut self, stride: usize) {
         self.stride = stride;
         self.counts.clear();
         self.keys.clear();
+        match self.epoch.checked_add(1) {
+            Some(e) => self.epoch = e,
+            None => {
+                self.slots.iter_mut().for_each(|s| *s = 0);
+                self.epoch = 1;
+            }
+        }
     }
 
     /// The number of stored configurations.
@@ -186,20 +114,66 @@ impl ConfigArena {
         &self.counts[id * self.stride..(id + 1) * self.stride]
     }
 
-    /// The node of `v`, whose key is `key`, if `index` holds it.
-    pub(super) fn lookup(&self, index: &CodeIndex, key: u64, v: &[u64]) -> Option<NodeId> {
+    /// The live id in `slot`, if any.
+    fn occupant(&self, slot: usize) -> Option<NodeId> {
+        let cell = self.slots[slot];
+        let id = (cell as u32).checked_sub(1)?;
+        (cell >> 32 == u64::from(self.epoch)).then_some(NodeId(id))
+    }
+
+    /// The node of `v`, whose key is `key`, if the arena holds it.
+    pub(super) fn lookup(&self, key: u64, v: &[u64]) -> Option<NodeId> {
         debug_assert_eq!(v.len(), self.stride);
-        index.lookup(key, |id| self.keys[id] == key && self.get(id) == v)
+        let mask = self.slots.len() - 1;
+        let mut slot = (mix(key) as usize) & mask;
+        loop {
+            match self.occupant(slot) {
+                None => return None,
+                Some(id) if self.keys[id.index()] == key && self.get(id.index()) == v => {
+                    return Some(id)
+                }
+                Some(_) => slot = (slot + 1) & mask,
+            }
+        }
     }
 
     /// Stores `v`, whose key is `key` and which the caller has established
-    /// is absent, as node `id` (the next discovery position), and indexes
-    /// it.
-    pub(super) fn insert(&mut self, index: &mut CodeIndex, id: NodeId, key: u64, v: &[u64]) {
-        debug_assert_eq!((v.len(), id.index()), (self.stride, self.len()));
+    /// is absent, as the next node, indexes it and returns its id.  The
+    /// engine's `admit` has kept the id below `u32::MAX`.
+    pub(super) fn insert(&mut self, key: u64, v: &[u64]) -> NodeId {
+        debug_assert_eq!(v.len(), self.stride);
+        let id = u32::try_from(self.len()).expect("admit keeps ids below u32::MAX");
         self.counts.extend_from_slice(v);
         self.keys.push(key);
-        index.insert(id, |i| self.keys[i]);
+        if self.len() * 2 > self.slots.len() {
+            self.grows += 1;
+            let new_len = self.slots.len() * 2;
+            self.slots.clear();
+            self.slots.resize(new_len, 0);
+            for i in 0..=id {
+                self.place(i);
+            }
+        } else {
+            self.place(id);
+        }
+        NodeId(id)
+    }
+
+    /// Writes `id` into the first free slot of its key's probe chain.
+    fn place(&mut self, id: u32) {
+        let mask = self.slots.len() - 1;
+        let mut slot = (mix(self.keys[id as usize]) as usize) & mask;
+        while self.occupant(slot).is_some() {
+            self.collisions += 1;
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = (u64::from(self.epoch) << 32) | u64::from(id + 1);
+    }
+
+    /// `(collisions, grows)` of the index, accumulated over the arena's
+    /// lifetime.
+    pub(super) fn metrics(&self) -> (u64, u64) {
+        (self.collisions, self.grows)
     }
 
     /// Materializes configuration `id` as a sparse [`Configuration`].
@@ -218,88 +192,80 @@ impl ConfigArena {
 mod tests {
     use super::*;
 
-    /// A fresh arena over `stride` species with its index, as the engine
-    /// pairs them.
-    fn arena(stride: usize) -> (ConfigArena, CodeIndex) {
+    /// A fresh arena over `stride` species, as the engine starts one.
+    fn arena(stride: usize) -> ConfigArena {
         let mut arena = ConfigArena::default();
         arena.reset(stride);
-        (arena, CodeIndex::default())
+        arena
     }
 
-    fn find(arena: &ConfigArena, index: &CodeIndex, v: &[u64]) -> Option<usize> {
-        arena.lookup(index, hash_counts(v), v).map(NodeId::index)
+    fn find(arena: &ConfigArena, v: &[u64]) -> Option<usize> {
+        arena.lookup(hash_counts(v), v).map(NodeId::index)
     }
 
-    fn intern(arena: &mut ConfigArena, index: &mut CodeIndex, v: &[u64]) -> usize {
-        let id = NodeId(arena.len() as u32);
-        arena.insert(index, id, hash_counts(v), v);
-        id.index()
+    fn intern(arena: &mut ConfigArena, v: &[u64]) -> usize {
+        arena.insert(hash_counts(v), v).index()
     }
 
     #[test]
     fn intern_lookup_roundtrip() {
-        let (mut arena, mut index) = arena(3);
-        assert_eq!(find(&arena, &index, &[1, 0, 2]), None);
-        let a = intern(&mut arena, &mut index, &[1, 0, 2]);
-        let b = intern(&mut arena, &mut index, &[0, 0, 0]);
+        let mut arena = arena(3);
+        assert_eq!(find(&arena, &[1, 0, 2]), None);
+        let a = intern(&mut arena, &[1, 0, 2]);
+        let b = intern(&mut arena, &[0, 0, 0]);
         assert_ne!(a, b);
-        assert_eq!(find(&arena, &index, &[1, 0, 2]), Some(a));
-        assert_eq!(find(&arena, &index, &[0, 0, 0]), Some(b));
-        assert_eq!(find(&arena, &index, &[2, 0, 1]), None);
+        assert_eq!(find(&arena, &[1, 0, 2]), Some(a));
+        assert_eq!(find(&arena, &[0, 0, 0]), Some(b));
+        assert_eq!(find(&arena, &[2, 0, 1]), None);
         assert_eq!(arena.get(a), &[1, 0, 2]);
         assert_eq!(arena.len(), 2);
     }
 
     #[test]
     fn index_survives_growth() {
-        let (mut arena, mut index) = arena(2);
+        let mut arena = arena(2);
         for i in 0..500u64 {
-            intern(&mut arena, &mut index, &[i, i * 7 + 1]);
+            intern(&mut arena, &[i, i * 7 + 1]);
         }
         for i in 0..500u64 {
-            assert_eq!(find(&arena, &index, &[i, i * 7 + 1]), Some(i as usize));
+            assert_eq!(find(&arena, &[i, i * 7 + 1]), Some(i as usize));
         }
-        assert_eq!(find(&arena, &index, &[500, 1]), None);
+        assert_eq!(find(&arena, &[500, 1]), None);
         // 500 ids at 1/2 load: 16 slots doubled six times, to 1,024.
-        assert_eq!(index.metrics().1, 6);
+        assert_eq!(arena.metrics().1, 6);
     }
 
     #[test]
     fn an_epoch_wrap_forgets_every_stored_id() {
-        let old = [3u64, 5, 8];
-        let new = [13u64, 21];
-        let store = |index: &mut CodeIndex, keys: &[u64]| {
-            for i in 0..keys.len() {
-                index.insert(NodeId(i as u32), |j| keys[j]);
+        let store = |arena: &mut ConfigArena, counts: &[u64]| {
+            for &c in counts {
+                intern(arena, &[c]);
             }
         };
-        let found = |index: &CodeIndex, keys: &[u64], key: u64| {
-            index.lookup(key, |j| keys[j] == key).map(NodeId::index)
-        };
-        let mut index = CodeIndex::default();
         // Stamped at epoch 1, which the wrap restarts at, and at the last
         // epoch before it.
-        index.reset();
-        store(&mut index, &old);
-        index.epoch = u32::MAX;
-        assert_eq!(found(&index, &old, 3), None);
-        store(&mut index, &old[..2]);
-        assert_eq!(found(&index, &old, 5), Some(1));
-        index.reset();
-        assert_eq!(index.epoch, 1);
-        for key in old {
-            assert_eq!(found(&index, &old, key), None, "{key} survived the wrap");
+        let mut arena = arena(1);
+        store(&mut arena, &[3, 5, 8]);
+        arena.reset(1);
+        arena.epoch = u32::MAX;
+        assert_eq!(find(&arena, &[3]), None);
+        store(&mut arena, &[3, 5]);
+        assert_eq!(find(&arena, &[5]), Some(1));
+        arena.reset(1);
+        assert_eq!(arena.epoch, 1);
+        for slot in 0..arena.slots.len() {
+            assert_eq!(arena.occupant(slot), None, "slot {slot} survived the wrap");
         }
-        store(&mut index, &new);
-        assert_eq!(found(&index, &new, 13), Some(0));
-        assert_eq!(found(&index, &new, 21), Some(1));
-        assert_eq!(found(&index, &new, 3), None);
+        store(&mut arena, &[13, 21]);
+        assert_eq!(find(&arena, &[13]), Some(0));
+        assert_eq!(find(&arena, &[21]), Some(1));
+        assert_eq!(find(&arena, &[3]), None);
     }
 
     #[test]
     fn sparse_materialization_drops_zeros() {
-        let (mut arena, mut index) = arena(3);
-        let id = intern(&mut arena, &mut index, &[2, 0, 5]);
+        let mut arena = arena(3);
+        let id = intern(&mut arena, &[2, 0, 5]);
         let sparse = arena.sparse(id);
         assert_eq!(sparse.count(Species(0)), 2);
         assert_eq!(sparse.count(Species(1)), 0);

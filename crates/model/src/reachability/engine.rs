@@ -19,10 +19,10 @@
 //! scan store anything: that node becomes the start of a [`bfs`], whose
 //! limit counts the path before it.
 //!
-//! The codec keeps count vectors in the arena, keyed by their hash, and
-//! finds them again through the [`CodeIndex`] of the [`Store`], which names
-//! a seen successor by its [`NodeId`].  [`VerdictEngine::decide`] picks the
-//! route of each point through [`route`]: the terminal scan, or the full
+//! The codec keeps count vectors in the [`ConfigArena`] of the [`Store`],
+//! which finds a seen successor by its hash and names it by its
+//! [`NodeId`].  [`VerdictEngine::decide`] takes the terminal scan exactly
+//! when the CRN carries the acyclicity certificate, and otherwise the full
 //! verdict of [`VerdictEngine::check`].  The traversals stay out of line,
 //! one function per visitor, so each hot loop is compiled on its own.
 
@@ -35,11 +35,10 @@ use crate::compiled::{CompiledCrn, CompiledReaction};
 use crate::crn::Crn;
 use crate::error::CrnError;
 
-use super::arena::{hash_counts, CodeIndex, ConfigArena, NodeId};
+use super::arena::{hash_counts, ConfigArena, NodeId};
 use super::csr::CsrGraph;
 use super::scc::Condensation;
 use super::stubborn::{Closure, StubbornSets};
-use super::symmetry::Automorphism;
 use super::{BoxCheckStats, StableComputationVerdict};
 
 /// Counts one more node of an exploration after the `counted` so far — the
@@ -70,13 +69,11 @@ fn room(counted: usize, limit: usize) -> u64 {
 /// so a box sweep allocates only while its largest point grows the buffers.
 #[derive(Default)]
 struct Store {
-    /// The stored count vectors.
+    /// The stored count vectors and their index, whose collisions and
+    /// grows the observability layer reports.
     arena: ConfigArena,
     /// The CSR builder's edge stamps, sized on demand.
     stamps: Vec<u32>,
-    /// The arena's index, whose collisions and grows the observability
-    /// layer reports.
-    index: CodeIndex,
     /// The loaded count vector, and a successor scratch.
     cur: Vec<u64>,
     succ: Vec<u64>,
@@ -143,9 +140,7 @@ impl<'a> Hash<'a> {
     fn plant(&mut self) {
         let s = &mut *self.s;
         s.arena.reset(s.cur.len());
-        s.index.reset();
-        s.arena
-            .insert(&mut s.index, NodeId::START, hash_counts(&s.cur), &s.cur);
+        s.arena.insert(hash_counts(&s.cur), &s.cur);
         s.stamps.clear();
     }
 
@@ -179,7 +174,7 @@ impl<'a> Hash<'a> {
             .apply_into(&s.cur, &mut s.succ)
             .map_err(|species| self.crn.count_overflow(r, species))?;
         let key = hash_counts(&s.succ);
-        Ok(match s.arena.lookup(&s.index, key, &s.succ) {
+        Ok(match s.arena.lookup(key, &s.succ) {
             Some(id) => Probe::Seen(id),
             None => Probe::Unseen(key),
         })
@@ -199,10 +194,7 @@ impl<'a> Hash<'a> {
     /// Stores the successor the last probe found unseen, whose key is
     /// `key`, as the next node, and returns its id.
     fn insert(&mut self, key: u64) -> NodeId {
-        let s = &mut *self.s;
-        let id = NodeId::at(s.arena.len());
-        s.arena.insert(&mut s.index, id, key, &s.succ);
-        id
+        self.s.arena.insert(key, &self.s.succ)
     }
 
     /// The output count of the loaded configuration.
@@ -415,54 +407,6 @@ fn terminal_scan(
     }
 }
 
-/// Everything the box engine precomputes once per sweep: the route and the
-/// symmetry group.  Both depend only on the CRN, so a sweep builds one
-/// plan and every worker shares it by reference.
-pub(super) struct SweepPlan<'a> {
-    /// The route of every point the sweep decides.
-    route: Route,
-    /// The automorphisms whose input permutations the sweep skips by (see
-    /// [`Automorphism::inputs`]).
-    pub(super) perms: &'a [Automorphism],
-}
-
-impl<'a> SweepPlan<'a> {
-    pub(super) fn build(analysis: &'a CrnAnalysis<'_>) -> SweepPlan<'a> {
-        SweepPlan {
-            route: route(analysis.acyclic()),
-            perms: analysis.automorphisms(),
-        }
-    }
-
-    /// The counter of the points the sweep's route decides.
-    pub(super) fn route_counter(&self) -> &'static str {
-        match self.route {
-            Route::Scan => "model.route.scan",
-            Route::Verdict => "model.route.verdict",
-        }
-    }
-}
-
-/// How [`VerdictEngine::decide`] settles one point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Route {
-    /// The stubborn-set terminal scan.
-    Scan,
-    /// The full verdict of [`VerdictEngine::check`].
-    Verdict,
-}
-
-/// Picks the route of one point from the acyclicity certificate: every
-/// certified point takes the stubborn-set terminal scan, and every other
-/// point the full verdict.
-fn route(acyclic: bool) -> Route {
-    if acyclic {
-        Route::Scan
-    } else {
-        Route::Verdict
-    }
-}
-
 /// A reusable stable-computation checker for one CRN: the codec's store,
 /// the CSR graph, condensation scratch and component arrays are recycled
 /// across [`check`](VerdictEngine::check) calls.  The parallel box driver
@@ -490,7 +434,7 @@ pub(super) struct VerdictEngine<'c> {
     /// Pins the route of [`decide`](VerdictEngine::decide), so tests can
     /// run every route against the full verdict.
     #[cfg(test)]
-    route_override: Option<Route>,
+    route_override: Option<tests::Route>,
     /// Starts every terminal scan's [`bfs`] at `I_x`, with no run, so tests
     /// can compare the run with the plain stubborn-set scan.
     #[cfg(test)]
@@ -528,31 +472,39 @@ impl<'c> VerdictEngine<'c> {
     /// `(collisions, grows)` of the engine's index, cumulative over its
     /// lifetime and every route — the observability layer's dedup metrics.
     pub(super) fn index_metrics(&self) -> (u64, u64) {
-        self.store.index.metrics()
+        self.store.arena.metrics()
     }
 
     /// Builds the initial configuration `I_x` densely into `start_dense`:
     /// input counts plus one leader.  Roles are validated distinct, so plain
-    /// stores suffice.
-    fn build_start(&mut self, x: &NVec) {
+    /// stores suffice.  An input of the wrong arity is an error.
+    fn build_start(&mut self, x: &NVec) -> Result<(), CrnError> {
+        let crn = self.analysis.crn();
+        if x.dim() != crn.dim() {
+            return Err(CrnError::DimensionMismatch {
+                expected: crn.dim(),
+                actual: x.dim(),
+            });
+        }
         self.start_dense.clear();
         self.start_dense.resize(self.stride, 0);
-        let crn = self.analysis.crn();
         for (i, species) in crn.roles().inputs.iter().enumerate() {
             self.start_dense[species.index()] = x[i];
         }
         if let Some(leader) = crn.leader() {
             self.start_dense[leader.index()] += 1;
         }
+        Ok(())
     }
 
-    /// The route [`decide`](VerdictEngine::decide) takes under `plan`.
-    fn pick_route(&self, plan: &SweepPlan) -> Route {
+    /// Whether [`decide`](VerdictEngine::decide) takes the terminal scan:
+    /// exactly when the CRN carries the acyclicity certificate.
+    fn scans(&self) -> bool {
         #[cfg(test)]
         if let Some(route) = self.route_override {
-            return route;
+            return route == tests::Route::Scan;
         }
-        plan.route
+        self.analysis.acyclic()
     }
 
     /// Whether terminal scans start with a run.
@@ -565,52 +517,43 @@ impl<'c> VerdictEngine<'c> {
     }
 
     /// Decides whether the CRN stably computes `expected_output` on `x` —
-    /// the `correct` flag [`check`](VerdictEngine::check) would report.
-    /// [`route`] picks how.  A point without the acyclicity certificate
-    /// runs `check` itself.  A certified point runs the stubborn-set
-    /// terminal scan, which materializes no verdict: `Ok(true)` certifies
-    /// the point passes with the scan within the limit, though the scan
-    /// visits fewer configurations than `check`, which may still give up on
-    /// the point; `Ok(false)` certifies the full check fails or errors, and
-    /// may come early, pre-empting the limit error.  The work is counted
-    /// into `stats`.
+    /// the `correct` flag [`check`](VerdictEngine::check) would report.  A
+    /// point without the acyclicity certificate takes the full verdict.  A
+    /// certified point takes the stubborn-set terminal scan, which
+    /// materializes no verdict: `Ok(true)` certifies the point passes with
+    /// the scan within the limit, though the scan visits fewer
+    /// configurations than `check`, which may still give up on the point;
+    /// `Ok(false)` certifies the full check fails or errors, and may come
+    /// early, pre-empting the limit error.  The work is counted into
+    /// `stats`.
     pub(super) fn decide(
         &mut self,
         x: &NVec,
         expected_output: u64,
         max_configurations: usize,
-        plan: &SweepPlan,
         stats: &mut BoxCheckStats,
     ) -> Result<bool, CrnError> {
-        if x.dim() != self.analysis.crn().dim() {
-            return Err(CrnError::DimensionMismatch {
-                expected: self.analysis.crn().dim(),
-                actual: x.dim(),
-            });
-        }
+        self.build_start(x)?;
         stats.decided += 1;
-        let (result, explored) = match self.pick_route(plan) {
-            Route::Verdict => {
-                let verdict = self.check(x, expected_output, max_configurations);
-                (verdict.map(|v| v.correct), self.store.arena.len())
-            }
-            Route::Scan => self.scan(x, expected_output, max_configurations, stats),
+        let (result, explored) = if self.scans() {
+            self.scan(expected_output, max_configurations, stats)
+        } else {
+            let verdict = self.verdict(x, expected_output, max_configurations);
+            (verdict.map(|v| v.correct), self.store.arena.len())
         };
         stats.configs_explored += u64::try_from(explored).expect("usize fits u64");
         result
     }
 
-    /// Runs the terminal scan from `I_x`; returns the decision and the
-    /// number of configurations visited, and counts a run that branched
-    /// into `stats`.
+    /// Runs the terminal scan from the built `I_x`; returns the decision
+    /// and the number of configurations visited, and counts a run that
+    /// branched into `stats`.
     fn scan(
         &mut self,
-        x: &NVec,
         expected: u64,
         limit: usize,
         stats: &mut BoxCheckStats,
     ) -> (Result<bool, CrnError>, usize) {
-        self.build_start(x);
         let run = self.runs();
         let (crn, compiled) = (self.analysis.crn(), self.analysis.compiled());
         let scan = &mut TerminalScan {
@@ -638,13 +581,18 @@ impl<'c> VerdictEngine<'c> {
         expected_output: u64,
         max_configurations: usize,
     ) -> Result<StableComputationVerdict, CrnError> {
-        if x.dim() != self.analysis.crn().dim() {
-            return Err(CrnError::DimensionMismatch {
-                expected: self.analysis.crn().dim(),
-                actual: x.dim(),
-            });
-        }
-        self.build_start(x);
+        self.build_start(x)?;
+        self.verdict(x, expected_output, max_configurations)
+    }
+
+    /// The full verdict of [`check`](VerdictEngine::check) from the built
+    /// `I_x`.
+    fn verdict(
+        &mut self,
+        x: &NVec,
+        expected_output: u64,
+        max_configurations: usize,
+    ) -> Result<StableComputationVerdict, CrnError> {
         self.csr.reset();
         // The CSR builder reads no outputs, so any output index will do.
         let (crn, compiled) = (self.analysis.crn().crn(), self.analysis.compiled());
@@ -736,7 +684,16 @@ mod tests {
     use crate::species::Species;
     use proptest::prelude::*;
 
-    /// Every route [`route`] can select.
+    /// How [`VerdictEngine::decide`] settles one point, when a test pins it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum Route {
+        /// The stubborn-set terminal scan.
+        Scan,
+        /// The full verdict of [`VerdictEngine::check`].
+        Verdict,
+    }
+
+    /// Every route `decide` can take.
     const ROUTES: [Route; 2] = [Route::Scan, Route::Verdict];
 
     /// Whether `route` can decide points of `engine`'s CRN: the terminal
@@ -759,7 +716,6 @@ mod tests {
         let reference =
             |x: &NVec, expected, limit| check_stable_computation(crn, x, expected, limit);
         let analysis = CrnAnalysis::of(crn);
-        let plan = SweepPlan::build(&analysis);
         for route in ROUTES {
             let scan = route == Route::Scan;
             let mut engine = VerdictEngine::new(&analysis);
@@ -770,7 +726,7 @@ mod tests {
             let mut stats = BoxCheckStats::default();
             for x in NVec::box_iter(crn.dim(), bound) {
                 let expected = f(&x);
-                let decided = engine.decide(&x, expected, LIMIT, &plan, &mut stats);
+                let decided = engine.decide(&x, expected, LIMIT, &mut stats);
                 match (decided, reference(&x, expected, LIMIT)) {
                     (Ok(decision), Ok(verdict)) => {
                         prop_assert_eq!(decision, verdict.is_correct(), "{:?} at {}", route, x);
@@ -802,7 +758,6 @@ mod tests {
         crn.parse_reaction("X -> Y").unwrap();
         let crn = FunctionCrn::with_named_roles(crn, &["X"], "Y", None).unwrap();
         let analysis = CrnAnalysis::of(&crn);
-        let plan = SweepPlan::build(&analysis);
         let x = NVec::from(vec![0]);
         let too_many = Err(CrnError::SearchLimitExceeded {
             limit: "0 reachable configurations".to_owned(),
@@ -812,7 +767,7 @@ mod tests {
             assert!(admissible(&engine, route), "{route:?}");
             engine.route_override = Some(route);
             let mut stats = BoxCheckStats::default();
-            let mut decide = |limit| engine.decide(&x, 0, limit, &plan, &mut stats);
+            let mut decide = |limit| engine.decide(&x, 0, limit, &mut stats);
             assert_eq!(decide(0), too_many, "{route:?}");
             assert_eq!(decide(1), Ok(true), "{route:?}");
         }
@@ -918,11 +873,10 @@ mod tests {
         expected: u64,
         limit: usize,
     ) -> (Result<bool, CrnError>, u64, [usize; 2]) {
-        let plan = SweepPlan::build(analysis);
         let [with_run, plain] = [true, false].map(|run| {
             let mut engine = scan_engine(analysis, run);
             let mut stats = BoxCheckStats::default();
-            let result = engine.decide(x, expected, limit, &plan, &mut stats);
+            let result = engine.decide(x, expected, limit, &mut stats);
             (result, stats.configs_explored, engine.store.arena.len())
         });
         assert_eq!(with_run.0, plain.0, "at {x}, limit {limit}");
@@ -941,14 +895,13 @@ mod tests {
         limit: usize,
     ) -> u64 {
         let analysis = CrnAnalysis::of(crn);
-        let plan = SweepPlan::build(&analysis);
         let mut with_run = scan_engine(&analysis, true);
         let mut plain = scan_engine(&analysis, false);
         let (mut ran, mut scanned) = (BoxCheckStats::default(), BoxCheckStats::default());
         for x in NVec::box_iter(crn.dim(), bound) {
             let expected = f(&x);
-            let decided = with_run.decide(&x, expected, limit, &plan, &mut ran);
-            let reference = plain.decide(&x, expected, limit, &plan, &mut scanned);
+            let decided = with_run.decide(&x, expected, limit, &mut ran);
+            let reference = plain.decide(&x, expected, limit, &mut scanned);
             assert_eq!(decided, reference, "at {x}, limit {limit}");
             let counted = BoxCheckStats {
                 branched: ran.branched,
@@ -1283,7 +1236,8 @@ mod tests {
         /// front of a conflicting pair, so that runs branch after a path.
         /// Every point gets the same result, the error included, and the
         /// same count, at limits that cut the run, the scan after it, or
-        /// neither.
+        /// neither.  Both routes of each CRN, the run included, also match
+        /// the per-point reference.
         #[test]
         fn the_run_matches_the_plain_scan(
             stoich in proptest::collection::vec(proptest::collection::vec(0u64..3, 8), 0..4),
@@ -1303,6 +1257,7 @@ mod tests {
             let crn = crn_over(&["X", "Y", "Z", "A"], &rows);
             prop_assert!(CrnAnalysis::of(&crn).acyclic());
             run_matches_plain_scan(&crn, |x| a * x[0] + b, bound, limit);
+            routes_match_reference(&crn, |x| a * x[0] + b, bound);
         }
     }
 

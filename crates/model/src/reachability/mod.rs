@@ -14,9 +14,9 @@
 //! The checker is organised as a small subsystem:
 //!
 //! * `arena` (internal) — a **configuration arena** of dense count vectors
-//!   in one allocation, and the engine's open-addressing **index** from a
-//!   vector's 64-bit hash to its node id, so exploration never clones a
-//!   sparse configuration per edge;
+//!   in one allocation, which owns the engine's one open-addressing
+//!   **index** from a vector's 64-bit hash to its node id, so exploration
+//!   never clones a sparse configuration per edge;
 //! * `csr` (internal) — successor storage laid out in **compressed sparse
 //!   row** form directly during the breadth-first exploration;
 //! * `scc` (internal) — **Tarjan SCC condensation**; the three reachability
@@ -246,25 +246,12 @@ impl<'a, F: Fn(&NVec) -> u64 + Sync> BoxCheck<'a, F> {
         Result<Option<StableComputationVerdict>, CrnError>,
         BoxCheckStats,
     ) {
-        // By default, one worker per available core, capped so every worker
-        // gets at least `MIN_POINTS_PER_WORKER` box points.
-        let workers = self.workers.unwrap_or_else(|| {
-            let points = self
-                .bound
-                .saturating_add(1)
-                .saturating_pow(u32::try_from(self.analysis.crn().dim()).unwrap_or(u32::MAX));
-            parallel::default_workers()
-                .min(
-                    usize::try_from(points / parallel::MIN_POINTS_PER_WORKER).unwrap_or(usize::MAX),
-                )
-                .max(1)
-        });
         parallel::check_on_box_sharded(
             self.analysis,
             &self.f,
             self.bound,
             self.max_configurations,
-            workers,
+            self.workers,
         )
     }
 }

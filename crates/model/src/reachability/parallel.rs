@@ -11,8 +11,9 @@
 //! erroring) input it sees, indices past the best-known failure are skipped,
 //! and the verdict returned is the one at the smallest index — exactly what
 //! the sequential loop would have produced.  The sweep skips symmetry
-//! replays and settles every other point by exploring it on the route
-//! [`VerdictEngine::decide`] picks.
+//! replays and settles every other point by [`VerdictEngine::decide`]: the
+//! terminal scan when the CRN carries the acyclicity certificate, the full
+//! verdict otherwise.
 
 use crn_sync::atomic::{AtomicU64, Ordering};
 
@@ -21,7 +22,7 @@ use crn_numeric::NVec;
 use crate::analysis::CrnAnalysis;
 use crate::error::CrnError;
 
-use super::engine::{SweepPlan, VerdictEngine};
+use super::engine::VerdictEngine;
 use super::symmetry::Automorphism;
 use super::{BoxCheckStats, StableComputationVerdict};
 
@@ -29,7 +30,7 @@ use super::{BoxCheckStats, StableComputationVerdict};
 /// never spawns threads whose startup cost dwarfs their microsecond-scale
 /// share of the work.  An explicit worker count via
 /// [`super::BoxCheck::workers`] overrides this.
-pub(super) const MIN_POINTS_PER_WORKER: u64 = 8;
+const MIN_POINTS_PER_WORKER: usize = 8;
 
 /// The number of points in `[0, bound]^dim`, or `None` when it does not fit
 /// in `u64`: a sweep's `u64` cursor cannot index every point of such a box,
@@ -53,9 +54,10 @@ fn decode_point(mut index: u64, radix: u64, x: &mut NVec) {
     debug_assert_eq!(index, 0, "index lies inside the box");
 }
 
-/// Checks every input of the box on `workers` threads, returning the verdict
-/// (or error) of the lexicographically-first input that does not pass, plus
-/// the sweep's observability counters.
+/// Checks every input of the box on `workers` threads (by default one per
+/// available core, capped by [`MIN_POINTS_PER_WORKER`]), returning the
+/// verdict (or error) of the lexicographically-first input that does not
+/// pass, plus the sweep's observability counters.
 ///
 /// Workers record only the *index* of a bad point during the scan; the one
 /// bad index that wins the race is re-checked in full by
@@ -69,7 +71,7 @@ pub(super) fn check_on_box_sharded(
     f: &(impl Fn(&NVec) -> u64 + Sync),
     bound: u64,
     max_configurations: usize,
-    workers: usize,
+    workers: Option<usize>,
 ) -> (
     Result<Option<StableComputationVerdict>, CrnError>,
     BoxCheckStats,
@@ -84,20 +86,23 @@ pub(super) fn check_on_box_sharded(
             BoxCheckStats::default(),
         );
     };
-    let workers = workers.clamp(1, usize::try_from(total).unwrap_or(usize::MAX).max(1));
+    let points = usize::try_from(total).unwrap_or(usize::MAX);
+    let workers = workers
+        .unwrap_or_else(|| default_workers().min(points / MIN_POINTS_PER_WORKER))
+        .clamp(1, points.max(1));
 
-    // Everything point-independent is computed once for the whole sweep:
-    // the static analysis every worker reads, forced here rather than by
-    // whichever worker first needs it, and the plan (the route from the
-    // acyclicity certificate, input automorphisms).
+    // Everything point-independent is computed once for the whole sweep,
+    // forced here rather than by whichever worker first needs it: the
+    // static analysis every worker reads (the acyclicity certificate picks
+    // every point's route) and the input automorphisms.
     {
         let _analyze = crn_obs::span("model.box.analyze");
         analysis.acyclic();
         analysis.stubborn();
     }
-    let plan = {
+    let perms = {
         let _plan = crn_obs::span("model.box.plan");
-        SweepPlan::build(analysis)
+        analysis.automorphisms()
     };
 
     // Ordering audit (model-checked in crn-sync tests/model.rs; see
@@ -156,7 +161,7 @@ pub(super) fn check_on_box_sharded(
             // lexicographically-first bad point maps only to
             // larger-or-equal bad points, so it is never skipped and the
             // winner is unchanged.
-            for p in plan.perms.iter().map(Automorphism::inputs) {
+            for p in perms.iter().map(Automorphism::inputs) {
                 for k in 0..dim {
                     y[k] = x[p[k]];
                 }
@@ -170,7 +175,7 @@ pub(super) fn check_on_box_sharded(
             // An error (it would recur identically at materialization)
             // counts as not passing.
             let passes = engine
-                .decide(&x, expected, max_configurations, &plan, &mut stats)
+                .decide(&x, expected, max_configurations, &mut stats)
                 .unwrap_or(false);
             if !passes {
                 best = Some(i);
@@ -221,7 +226,7 @@ pub(super) fn check_on_box_sharded(
     for (_, worker_stats) in &results {
         stats.merge(worker_stats);
     }
-    publish_sweep_metrics(&stats, workers, plan.route_counter());
+    publish_sweep_metrics(&stats, workers, analysis.acyclic());
 
     let Some(i) = results.iter().filter_map(|&(best, _)| best).min() else {
         return (Ok(None), stats);
@@ -239,14 +244,19 @@ pub(super) fn check_on_box_sharded(
 }
 
 /// Publishes one sweep's merged counters into the observability registry
-/// (names under `model.box.*`, plus the sweep's `route` counter); no-op
-/// unless profiling is enabled.  Counts mirror [`BoxCheckStats`] and
-/// accumulate across sweeps.  Every decided point of a sweep takes the
-/// plan's one route, so `route` counts them all.
-fn publish_sweep_metrics(stats: &BoxCheckStats, workers: usize, route: &str) {
+/// (names under `model.box.*`, plus the route counter); no-op unless
+/// profiling is enabled.  Counts mirror [`BoxCheckStats`] and accumulate
+/// across sweeps.  Every decided point of a sweep takes the route the
+/// acyclicity certificate picks, so that route's counter counts them all.
+fn publish_sweep_metrics(stats: &BoxCheckStats, workers: usize, acyclic: bool) {
     if !crn_obs::enabled() {
         return;
     }
+    let route = if acyclic {
+        "model.route.scan"
+    } else {
+        "model.route.verdict"
+    };
     crn_obs::add("model.box.sweeps", 1);
     crn_obs::add(route, stats.decided);
     crn_obs::add("model.box.points", stats.points);
@@ -261,9 +271,9 @@ fn publish_sweep_metrics(stats: &BoxCheckStats, workers: usize, route: &str) {
     );
 }
 
-/// The default shard width: one worker per available core, capped by the
-/// number of inputs.
-pub(super) fn default_workers() -> usize {
+/// The default shard width before the cap by box size: one worker per
+/// available core.
+fn default_workers() -> usize {
     crn_sync::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)

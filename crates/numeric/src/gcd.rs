@@ -7,18 +7,15 @@
 /// ```
 /// assert_eq!(crn_numeric::gcd_i128(-12, 18), 6);
 /// ```
+///
+/// # Panics
+///
+/// Panics if an argument is `i128::MIN`, whose absolute value does not fit
+/// `i128` (see [`checked_gcd_i128`]).
 #[must_use]
 pub fn gcd_i128(a: i128, b: i128) -> i128 {
-    if let Some(g) = gcd_in_u64(a, b) {
-        return g;
-    }
-    let (mut a, mut b) = (a.abs(), b.abs());
-    while b != 0 {
-        let r = a % b;
-        a = b;
-        b = r;
-    }
-    a
+    checked_gcd_i128(a, b)
+        .unwrap_or_else(|| panic!("gcd of {a} and {b}: |i128::MIN| does not fit i128"))
 }
 
 /// The gcd of `a` and `b` in machine words, when both magnitudes fit `u64`.

@@ -5,10 +5,14 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::str::FromStr;
 
-use crate::gcd::{checked_gcd_i128, gcd_i128};
+use crate::gcd::checked_gcd_i128;
 
 /// An exact rational number `numer / denom` with `denom > 0`, always stored in
 /// lowest terms.
+///
+/// Every operation is exact or fails: the `checked_*` methods return `None`
+/// where a result does not fit `i128`, and the operators, [`new`](Self::new)
+/// and the ordering panic there, naming the operation, instead of wrapping.
 ///
 /// Gradients of quilt-affine functions (`∇g ∈ Q^d`), periodic offsets
 /// (`B : Z^d/pZ^d → Q`), and the affine partial functions of Lemma 7.3 are all
@@ -49,20 +53,13 @@ impl Rational {
     ///
     /// # Panics
     ///
-    /// Panics if `denom == 0`.
+    /// Panics if `denom == 0`, or if reducing the fraction overflows `i128`
+    /// (an `i128::MIN` numerator or denominator).
     #[must_use]
     pub fn new(numer: i128, denom: i128) -> Self {
         assert!(denom != 0, "denominator must be nonzero");
-        let sign = if denom < 0 { -1 } else { 1 };
-        let (numer, denom) = (numer * sign, denom * sign);
-        let g = gcd_i128(numer, denom);
-        if g == 0 {
-            return Rational { numer: 0, denom: 1 };
-        }
-        Rational {
-            numer: numer / g,
-            denom: denom / g,
-        }
+        Rational::checked_new(numer, denom)
+            .unwrap_or_else(|| panic!("rational overflow: {numer}/{denom} does not fit i128"))
     }
 
     /// [`new`](Self::new), or `None` when `denom == 0` or reducing the
@@ -318,44 +315,52 @@ impl fmt::Display for Rational {
     }
 }
 
+/// Panics for `lhs op rhs`, whose result does not fit `i128`.
+fn overflow(lhs: impl fmt::Display, op: &str, rhs: impl fmt::Display) -> ! {
+    panic!("rational overflow: {lhs} {op} {rhs} does not fit i128")
+}
+
 impl Add for Rational {
     type Output = Rational;
     fn add(self, rhs: Rational) -> Rational {
-        Rational::new(
-            self.numer * rhs.denom + rhs.numer * self.denom,
-            self.denom * rhs.denom,
-        )
+        self.checked_add(rhs)
+            .unwrap_or_else(|| overflow(self, "+", rhs))
     }
 }
 
 impl Sub for Rational {
     type Output = Rational;
     fn sub(self, rhs: Rational) -> Rational {
-        self + (-rhs)
+        self.checked_sub(rhs)
+            .unwrap_or_else(|| overflow(self, "-", rhs))
     }
 }
 
 impl Mul for Rational {
     type Output = Rational;
     fn mul(self, rhs: Rational) -> Rational {
-        Rational::new(self.numer * rhs.numer, self.denom * rhs.denom)
+        self.checked_mul(rhs)
+            .unwrap_or_else(|| overflow(self, "*", rhs))
     }
 }
 
 impl Div for Rational {
     type Output = Rational;
+    /// # Panics
+    ///
+    /// Panics if `rhs` is zero, or if the quotient does not fit `i128`.
     fn div(self, rhs: Rational) -> Rational {
-        Rational::new(self.numer * rhs.denom, self.denom * rhs.numer)
+        assert!(!rhs.is_zero(), "denominator must be nonzero");
+        self.checked_div(rhs)
+            .unwrap_or_else(|| overflow(self, "/", rhs))
     }
 }
 
 impl Neg for Rational {
     type Output = Rational;
     fn neg(self) -> Rational {
-        Rational {
-            numer: -self.numer,
-            denom: self.denom,
-        }
+        self.checked_neg()
+            .unwrap_or_else(|| panic!("rational overflow: -({self}) does not fit i128"))
     }
 }
 
@@ -390,8 +395,16 @@ impl PartialOrd for Rational {
 }
 
 impl Ord for Rational {
+    /// # Panics
+    ///
+    /// Panics if a cross product `numer · denom` does not fit `i128`.
     fn cmp(&self, other: &Self) -> Ordering {
-        (self.numer * other.denom).cmp(&(other.numer * self.denom))
+        let cross = |a: &Rational, b: &Rational| {
+            a.numer
+                .checked_mul(b.denom)
+                .unwrap_or_else(|| overflow(self, "compared with", other))
+        };
+        cross(self, other).cmp(&cross(other, self))
     }
 }
 
@@ -466,6 +479,16 @@ mod tests {
         assert_eq!("-5".parse::<Rational>().unwrap(), Rational::from(-5));
         assert!("1/0".parse::<Rational>().is_err());
         assert!("x".parse::<Rational>().is_err());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "rational overflow: 1267650600228229401496703205376 * 1267650600228229401496703205376 does not fit i128"
+    )]
+    fn a_product_past_i128_panics_instead_of_wrapping() {
+        // 2^100 · 2^100 = 2^200, which a wrapping multiply reads as 0.
+        let big = Rational::from(1i128 << 100);
+        let _ = big * big;
     }
 
     #[test]

@@ -500,14 +500,32 @@ impl QVec {
     }
 
     /// Dot product with a nonnegative integer vector `∇g · x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if dimensions differ, or where
+    /// [`checked_dot_n`](Self::checked_dot_n) overflows.
     #[must_use]
     pub fn dot_n(&self, x: &NVec) -> Rational {
+        self.checked_dot_n(x)
+            .unwrap_or_else(|| panic!("rational overflow: {self} · {x} does not fit i128"))
+    }
+
+    /// [`dot_n`](Self::dot_n), or `None` where a product or a partial sum
+    /// does not fit `i128`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if dimensions differ.
+    #[must_use]
+    pub fn checked_dot_n(&self, x: &NVec) -> Option<Rational> {
         assert_eq!(self.dim(), x.dim(), "dimension mismatch");
         self.0
             .iter()
             .zip(x.iter())
-            .map(|(a, b)| *a * Rational::from(*b))
-            .sum()
+            .try_fold(Rational::ZERO, |sum, (a, &b)| {
+                sum.checked_add(a.checked_mul(Rational::from(b))?)
+            })
     }
 
     /// Dot product with a signed integer vector.

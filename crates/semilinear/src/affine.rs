@@ -63,10 +63,11 @@ impl AffinePiece {
         self.gradient.dot_n(x) + self.offset
     }
 
-    /// The value at `x` if it is a nonnegative integer, else `None`.
+    /// The value at `x` if it is a nonnegative integer, else `None`; a value
+    /// that does not fit `i128` on the way is no such integer either.
     #[must_use]
     pub fn eval_integer(&self, x: &NVec) -> Option<u64> {
-        let v = self.eval(x);
+        let v = self.gradient.checked_dot_n(x)?.checked_add(self.offset)?;
         v.to_integer().and_then(|i| u64::try_from(i).ok())
     }
 
@@ -96,6 +97,16 @@ impl AffinePiece {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_value_past_i128_is_no_integer() {
+        // (2^64 - 1)^2 does not fit i128: a fn evaluated at an input a user
+        // gives fails there instead of panicking or wrapping.
+        let piece = AffinePiece::new(QVec::from(vec![Rational::from(u64::MAX)]), Rational::ZERO);
+        assert_eq!(piece.eval_integer(&NVec::from(vec![1])), Some(u64::MAX));
+        assert_eq!(piece.eval_integer(&NVec::from(vec![2])), None);
+        assert_eq!(piece.eval_integer(&NVec::from(vec![u64::MAX])), None);
+    }
 
     #[test]
     fn evaluation() {
