@@ -88,7 +88,8 @@ pub(crate) fn resolve_link<'a>(
 /// [`Target::eval`] sweep cannot silently coerce failures to 0.  Commands
 /// that evaluate a single point should use [`resolve_link`] +
 /// [`Target::try_eval`] instead (a box sized by the input magnitude would
-/// enumerate `(max+1)^d` points).
+/// enumerate `(max+1)^d` points).  The validation, one evaluation per box
+/// point, runs under the `cli.target.validate` span.
 pub(crate) fn resolve_target<'a>(
     ws: &'a Workspace,
     crn_name: &str,
@@ -96,6 +97,7 @@ pub(crate) fn resolve_target<'a>(
     bound: u64,
 ) -> Result<Target<'a>, String> {
     let target = resolve_link(ws, crn_name, computes)?;
+    let _span = crn_obs::span("cli.target.validate");
     target
         .validate_on_box(bound)
         .map_err(|e| format!("`{computes}` {e}"))?;

@@ -205,6 +205,29 @@ fn exit_1_verdict_failure_class() {
         .any(|w| w[0] == b'-' && w[1].is_ascii_digit());
     assert!(!negative, "{stdout}");
 
+    // A count past i64::MAX is that count in a domain test, and a value
+    // past u64::MAX is named as such.  A cast once read u64::MAX as -1, so
+    // no piece covered it, and both values were "not a nonnegative integer".
+    let past_u64 = scratch(
+        "past_u64.crn",
+        "fn f(x) {\n  case x >= 0: 18446744073709551615 x;\n}\n\ncrn c {\n  inputs X;\n  output Y;\n  computes f;\n  X -> Y;\n}\n",
+    );
+    let past_u64 = past_u64.to_str().unwrap();
+    let (code, stdout, _) = run_crn(&["sim", past_u64, "--input", "18446744073709551615"]);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(
+        stdout.contains("value at (18446744073709551615) is an integer past u64::MAX"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("no piece covers"), "{stdout}");
+    let (code, stdout, _) = run_crn(&["check", past_u64]);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(
+        stdout.contains("value at (2) is an integer past u64::MAX"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("not a nonnegative integer"), "{stdout}");
+
     // A never-silent CRN does not converge.
     let restless = scratch(
         "restless.crn",
@@ -594,6 +617,17 @@ fn exit_2_usage_or_parse_error_class() {
     let (code, _, stderr) = run_crn(&["check", bad_init.to_str().unwrap()]);
     assert_eq!(code, 2);
     assert!(stderr.contains("not an input"), "{stderr}");
+    // Lowering error (a fn value whose common denominator is past i128).
+    let coprime = scratch(
+        "coprime_denominators.crn",
+        "fn g(x1, x2) {\n  case x1 >= 0: 1/18446744073709551615 x1 + 1/18446744073709551614 x2;\n}\n",
+    );
+    let (code, _, stderr) = run_crn(&["check", coprime.to_str().unwrap()]);
+    assert_eq!(code, 2);
+    assert!(
+        stderr.contains("case 1 of fn `g`") && stderr.contains("does not fit i128"),
+        "{stderr}"
+    );
     // Wrong arity for --input.
     let good = scratch("good_arity.crn", VALID_DOC);
     let (code, _, _) = run_crn(&["sim", good.to_str().unwrap(), "--input", "1,2,3"]);

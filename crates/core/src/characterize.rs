@@ -286,7 +286,13 @@ fn characterize_multi(f: &SemilinearFunction, bound: u64) -> Result<Characteriza
     let mut restrictions = BTreeMap::new();
     for i in 0..dim {
         for j in 0..t {
-            let restricted = f.restrict(i, j);
+            let Some(restricted) = f.restrict(i, j) else {
+                return Ok(Characterization::Inconclusive {
+                    reason: format!(
+                        "restriction x({i}) = {j} folds an offset past i128 into a piece"
+                    ),
+                });
+            };
             match characterize(&restricted, bound)? {
                 Characterization::ObliviouslyComputable { spec } => {
                     restrictions.insert((i, j), spec);

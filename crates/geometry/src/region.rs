@@ -1,6 +1,6 @@
 //! Hyperplanes, sign vectors and regions (Definition 7.2).
 
-use crn_numeric::{NVec, ZVec};
+use crn_numeric::{NVec, WideInt, ZVec};
 
 use crate::cone::Cone;
 
@@ -45,7 +45,7 @@ impl Hyperplane {
     /// The sign of the integer point `x`: `+1` if `t·x ≥ h`, otherwise `−1`.
     #[must_use]
     pub fn sign_of(&self, x: &NVec) -> i8 {
-        if self.normal.dot_n(x) >= i128::from(self.offset) {
+        if self.normal.dot_n(x) >= WideInt::from(self.offset) {
             1
         } else {
             -1

@@ -402,8 +402,10 @@ fn lower_atom(atom: &GuardAtom, dim: usize, span: Span) -> Result<SemilinearSet,
 /// # Errors
 ///
 /// Returns a [`Diagnostic`] for guards that cannot be lowered (non-integer
-/// congruence coefficients, overflow) or an `otherwise` in the first case
-/// position with later cases (ambiguous by construction).
+/// congruence coefficients, overflow), a value whose common denominator or
+/// scaled coefficients do not fit `i128` (see [`AffinePiece::new`]), or an
+/// `otherwise` in the first case position with later cases (ambiguous by
+/// construction).
 pub fn lower_fn(item: &FnItem) -> Result<SemilinearFunction, Diagnostic> {
     let dim = item.params.len();
     let mut domains: Vec<SemilinearSet> = Vec::new();
@@ -435,7 +437,18 @@ pub fn lower_fn(item: &FnItem) -> Result<SemilinearFunction, Diagnostic> {
             }
         };
         domains.push(domain.clone());
-        let value = AffinePiece::new(QVec::from(case.value.coeffs.clone()), case.value.constant);
+        let value = AffinePiece::new(QVec::from(case.value.coeffs.clone()), case.value.constant)
+            .ok_or_else(|| {
+                Diagnostic::new(
+                    format!(
+                        "case {} of fn `{}`: the common denominator of its value, or a \
+                         coefficient scaled to it, does not fit i128",
+                        index + 1,
+                        item.name
+                    ),
+                    item.span,
+                )
+            })?;
         pieces.push((domain, value));
     }
     SemilinearFunction::new(dim, pieces).map_err(|e| {
@@ -855,6 +868,23 @@ mod tests {
         let f = lower_fn(&item).unwrap();
         assert_eq!(f.eval(&NVec::from(vec![4, 2])).unwrap(), 1);
         assert_eq!(f.eval(&NVec::from(vec![5, 2])).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_value_without_an_i128_common_denominator_is_rejected() {
+        // lcm(2^64 - 1, 2^64 - 2) is past i128.
+        let item = fn_item(
+            "fn g(x1, x2) { case x1 >= 0: 1/18446744073709551615 x1 + 1/18446744073709551614 x2; }",
+        );
+        let err = lower_fn(&item).unwrap_err();
+        assert!(
+            err.message.contains("case 1 of fn `g`") && err.message.contains("does not fit i128"),
+            "{}",
+            err.message
+        );
+        // One of the two denominators alone fits.
+        let item = fn_item("fn g(x1, x2) { case x1 >= 0: 1/18446744073709551615 x1 + x2; }");
+        assert!(lower_fn(&item).is_ok());
     }
 
     #[test]

@@ -30,8 +30,10 @@ mod congruence;
 mod gcd;
 mod rational;
 mod vector;
+mod wide;
 
 pub use congruence::{CongruenceClass, ResidueIter};
 pub use gcd::{checked_gcd_i128, checked_lcm_i128, gcd_i128, gcd_u64, lcm_i128, lcm_u64};
 pub use rational::{ParseRationalError, Rational};
 pub use vector::{BoxIter, NVec, QVec, ZVec};
+pub use wide::WideInt;

@@ -4,6 +4,7 @@ use std::fmt;
 use std::ops::{Add, Index, IndexMut, Sub};
 
 use crate::rational::Rational;
+use crate::wide::WideInt;
 
 /// A vector in `N^d`: nonnegative integer counts, used for CRN inputs `x` and
 /// thresholds `n`.
@@ -157,12 +158,6 @@ impl NVec {
         self.0.iter().map(|&c| c % p).collect()
     }
 
-    /// Converts to a signed vector.
-    #[must_use]
-    pub fn to_zvec(&self) -> ZVec {
-        ZVec(self.0.iter().map(|&c| c as i64).collect())
-    }
-
     /// Returns a copy with component `i` replaced by `value` (the fixed-input
     /// restriction `x(i) → j` of Theorem 5.2).
     ///
@@ -201,6 +196,22 @@ impl NVec {
         let mut v = self.0.clone();
         v.insert(i, value);
         NVec(v)
+    }
+
+    /// Steps `self` in place to the next point of the box `[0, bound]^d` in
+    /// lexicographic order (the order of [`NVec::box_iter`]), or returns
+    /// `false`, leaving the zero vector, when `self` was the box's last
+    /// point.  A walk from [`NVec::zeros`] visits every point without
+    /// allocating one vector per point.
+    pub fn step_in_box(&mut self, bound: u64) -> bool {
+        for c in self.0.iter_mut().rev() {
+            if *c < bound {
+                *c += 1;
+                return true;
+            }
+            *c = 0;
+        }
+        false
     }
 
     /// Lazily iterates over the box `[0, bound]^d` (inclusive) in
@@ -354,25 +365,25 @@ impl ZVec {
         &self.0
     }
 
-    /// Integer dot product `self · other`.
+    /// The exact dot product `self · x` with a vector of counts.
+    ///
+    /// Each count is read as the `u64` it is, so every `i64` coefficient
+    /// times every count up to `u64::MAX` is exact (each product fits an
+    /// `i128`), and so is their sum, past `i128` included: see
+    /// [`WideInt`].  Nothing is allocated.
     ///
     /// # Panics
     ///
     /// Panics if dimensions differ.
     #[must_use]
-    pub fn dot(&self, other: &ZVec) -> i128 {
-        assert_eq!(self.dim(), other.dim(), "dimension mismatch");
+    pub fn dot_n(&self, x: &NVec) -> WideInt {
+        assert_eq!(self.dim(), x.dim(), "dimension mismatch");
         self.0
             .iter()
-            .zip(&other.0)
-            .map(|(a, b)| i128::from(*a) * i128::from(*b))
-            .sum()
-    }
-
-    /// Dot product with a nonnegative vector.
-    #[must_use]
-    pub fn dot_n(&self, other: &NVec) -> i128 {
-        self.dot(&other.to_zvec())
+            .zip(x.iter())
+            .fold(WideInt::ZERO, |sum, (&a, &c)| {
+                sum + WideInt::from(i128::from(a) * i128::from(c))
+            })
     }
 
     /// Converts to an `NVec` if all components are nonnegative.
@@ -747,9 +758,33 @@ mod tests {
     #[test]
     fn zvec_dot() {
         let a = ZVec::from(vec![1, -1]);
-        let x = ZVec::from(vec![3, 5]);
-        assert_eq!(a.dot(&x), -2);
-        assert_eq!(a.dot_n(&NVec::from(vec![3, 5])), -2);
+        assert_eq!(a.dot_n(&NVec::from(vec![3, 5])), WideInt::from(-2i64));
+        // Counts past i64::MAX with coefficients at the i64 extremes: a sum
+        // past i128 on either side, read exactly.
+        let max = NVec::from(vec![u64::MAX, u64::MAX]);
+        let top = WideInt::product(i128::from(i64::MAX), u64::MAX);
+        assert_eq!(ZVec::from(vec![i64::MAX, i64::MAX]).dot_n(&max), top + top);
+        let bottom = WideInt::product(i128::from(i64::MIN), u64::MAX);
+        assert_eq!(
+            ZVec::from(vec![i64::MIN, i64::MIN]).dot_n(&max),
+            bottom + bottom
+        );
+        assert!(bottom + bottom < WideInt::from(i128::MIN));
+    }
+
+    #[test]
+    fn step_in_box_walks_the_box_in_place() {
+        for (dim, bound) in [(0, 3), (1, 0), (1, 4), (3, 2)] {
+            let mut x = NVec::zeros(dim);
+            let mut walked = vec![x.clone()];
+            while x.step_in_box(bound) {
+                walked.push(x.clone());
+            }
+            assert_eq!(walked, NVec::box_iter(dim, bound).collect::<Vec<_>>());
+            assert!(x.is_zero());
+        }
+        let mut last = NVec::constant(2, u64::MAX);
+        assert!(!last.step_in_box(u64::MAX));
     }
 
     #[test]

@@ -60,17 +60,15 @@ pub fn max2() -> SemilinearFunction {
 pub fn floor_three_halves() -> SemilinearFunction {
     let even = SemilinearSet::modular(ModSet::new(ZVec::from(vec![1]), 0, 2));
     let odd = SemilinearSet::modular(ModSet::new(ZVec::from(vec![1]), 1, 2));
+    let three_halves = |offset| {
+        AffinePiece::new(QVec::from(vec![Rational::new(3, 2)]), offset)
+            .expect("denominator 2 fits i128")
+    };
     SemilinearFunction::new(
         1,
         vec![
-            (
-                even,
-                AffinePiece::new(QVec::from(vec![Rational::new(3, 2)]), Rational::ZERO),
-            ),
-            (
-                odd,
-                AffinePiece::new(QVec::from(vec![Rational::new(3, 2)]), Rational::new(-1, 2)),
-            ),
+            (even, three_halves(Rational::ZERO)),
+            (odd, three_halves(Rational::new(-1, 2))),
         ],
     )
     .expect("valid presentation")

@@ -7,6 +7,11 @@ use crate::affine::AffinePiece;
 use crate::set::SemilinearSet;
 
 /// Errors arising when evaluating or validating a semilinear presentation.
+///
+/// Each names the point it was found at.  A value is classified exactly,
+/// for every count up to `u64::MAX`: a fraction or a negative value is
+/// [`NotNatural`](Self::NotNatural), a nonnegative integer too large for
+/// the `u64` codomain is [`OutOfRange`](Self::OutOfRange).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SemilinearFunctionError {
@@ -15,8 +20,10 @@ pub enum SemilinearFunctionError {
     /// More than one piece's domain contains the point (the domains are
     /// required to be disjoint).
     Overlap(NVec),
-    /// The active piece evaluates to a value outside `N`.
+    /// The active piece's value at the point is a fraction or negative.
     NotNatural(NVec),
+    /// The active piece's value at the point is an integer past `u64::MAX`.
+    OutOfRange(NVec),
     /// A piece has the wrong dimension.
     DimensionMismatch,
 }
@@ -32,6 +39,9 @@ impl std::fmt::Display for SemilinearFunctionError {
             }
             SemilinearFunctionError::NotNatural(x) => {
                 write!(f, "value at {x} is not a nonnegative integer")
+            }
+            SemilinearFunctionError::OutOfRange(x) => {
+                write!(f, "value at {x} is an integer past u64::MAX")
             }
             SemilinearFunctionError::DimensionMismatch => write!(f, "piece dimension mismatch"),
         }
@@ -97,15 +107,13 @@ impl SemilinearFunction {
     /// # Errors
     ///
     /// Returns an error if no domain covers `x` or the active piece's value is
-    /// not a nonnegative integer.  (Overlapping domains are tolerated here and
-    /// resolved in favour of the first piece; use
+    /// not in `N` (see [`AffinePiece::eval_integer`]).  (Overlapping domains
+    /// are tolerated here and resolved in favour of the first piece; use
     /// [`SemilinearFunction::validate_on_box`] to check disjointness.)
     pub fn eval(&self, x: &NVec) -> Result<u64, SemilinearFunctionError> {
         for (domain, piece) in &self.pieces {
             if domain.contains(x) {
-                return piece
-                    .eval_integer(x)
-                    .ok_or_else(|| SemilinearFunctionError::NotNatural(x.clone()));
+                return piece.eval_integer(x);
             }
         }
         Err(SemilinearFunctionError::NotCovered(x.clone()))
@@ -113,21 +121,21 @@ impl SemilinearFunction {
 
     /// Validates the presentation on every point of `[0, bound]^d`, in
     /// lexicographic order: total coverage, disjoint domains, and values in
-    /// `N`.  Points are visited one at a time, so the first violation comes
-    /// back at once however large the box.
+    /// `N`.  One point is stepped through the box in place, so the walk
+    /// allocates nothing and the first violation comes back at once however
+    /// large the box.
     ///
     /// # Errors
     ///
     /// Returns the first violation found.
     pub fn validate_on_box(&self, bound: u64) -> Result<(), SemilinearFunctionError> {
-        for x in NVec::box_iter(self.dim, bound) {
+        let mut x = NVec::zeros(self.dim);
+        loop {
             let mut matches = 0;
             for (domain, piece) in &self.pieces {
                 if domain.contains(&x) {
                     matches += 1;
-                    if piece.eval_integer(&x).is_none() {
-                        return Err(SemilinearFunctionError::NotNatural(x));
-                    }
+                    piece.eval_integer(&x)?;
                 }
             }
             match matches {
@@ -135,8 +143,10 @@ impl SemilinearFunction {
                 1 => {}
                 _ => return Err(SemilinearFunctionError::Overlap(x)),
             }
+            if !x.step_in_box(bound) {
+                return Ok(());
+            }
         }
-        Ok(())
     }
 
     /// Checks that `f` is nondecreasing on `[0, bound]^d`: `x ≤ y ⇒ f(x) ≤ f(y)`.
@@ -184,22 +194,24 @@ impl SemilinearFunction {
     }
 
     /// The fixed-input restriction `f[x(i) → j]` as a semilinear function on
-    /// `N^{d−1}` (Observation 5.3 / condition (iii) of Theorem 5.2).
+    /// `N^{d−1}` (Observation 5.3 / condition (iii) of Theorem 5.2), or
+    /// `None` where a piece's folded offset does not fit `i128` (see
+    /// [`AffinePiece::substitute`]).
     ///
     /// # Panics
     ///
     /// Panics if `i >= dim`.
     #[must_use]
-    pub fn restrict(&self, i: usize, j: u64) -> SemilinearFunction {
+    pub fn restrict(&self, i: usize, j: u64) -> Option<SemilinearFunction> {
         assert!(i < self.dim, "component index out of range");
-        SemilinearFunction {
+        Some(SemilinearFunction {
             dim: self.dim - 1,
             pieces: self
                 .pieces
                 .iter()
-                .map(|(domain, piece)| (domain.substitute(i, j), piece.substitute(i, j)))
-                .collect(),
-        }
+                .map(|(domain, piece)| Some((domain.substitute(i, j), piece.substitute(i, j)?)))
+                .collect::<Option<_>>()?,
+        })
     }
 
     /// Tabulates `f` on `[0, bound]^d` as `(x, f(x))` pairs, skipping points
@@ -216,6 +228,7 @@ impl SemilinearFunction {
 mod tests {
     use super::*;
     use crate::examples;
+    use crn_numeric::{QVec, Rational};
     use proptest::prelude::*;
 
     #[test]
@@ -252,7 +265,7 @@ mod tests {
     #[test]
     fn restriction_of_min_is_min_with_constant() {
         let min = examples::min2();
-        let restricted = min.restrict(1, 2);
+        let restricted = min.restrict(1, 2).unwrap();
         assert_eq!(restricted.dim(), 1);
         for x in 0..7u64 {
             assert_eq!(restricted.eval(&NVec::from(vec![x])).unwrap(), x.min(2));
@@ -344,6 +357,35 @@ mod tests {
     }
 
     #[test]
+    fn a_value_past_u64_is_out_of_range_at_every_count() {
+        use crate::threshold::ThresholdSet;
+        // fn f(x) { case x >= 0: 18446744073709551615 x; }: u64::MAX is in
+        // the domain, and f(2) = 2^65 - 2 is an integer past u64::MAX, not
+        // "not natural".
+        let f = SemilinearFunction::new(
+            1,
+            vec![(
+                SemilinearSet::threshold(ThresholdSet::component_at_least(1, 0, 0)),
+                AffinePiece::new(QVec::from(vec![Rational::from(u64::MAX)]), Rational::ZERO)
+                    .unwrap(),
+            )],
+        )
+        .unwrap();
+        assert_eq!(f.eval(&NVec::from(vec![1])), Ok(u64::MAX));
+        for x in [2, u64::MAX] {
+            let x = NVec::from(vec![x]);
+            assert_eq!(
+                f.eval(&x),
+                Err(SemilinearFunctionError::OutOfRange(x.clone()))
+            );
+        }
+        assert_eq!(
+            f.validate_on_box(5),
+            Err(SemilinearFunctionError::OutOfRange(NVec::from(vec![2])))
+        );
+    }
+
+    #[test]
     fn dimension_mismatch_rejected() {
         let err = SemilinearFunction::new(
             2,
@@ -363,7 +405,7 @@ mod tests {
         #[test]
         fn restriction_agrees_with_direct_evaluation(x1 in 0u64..10, j in 0u64..10) {
             let max = examples::max2();
-            let restricted = max.restrict(1, j);
+            let restricted = max.restrict(1, j).unwrap();
             prop_assert_eq!(
                 restricted.eval(&NVec::from(vec![x1])).unwrap(),
                 max.eval(&NVec::from(vec![x1, j])).unwrap()

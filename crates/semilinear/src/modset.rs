@@ -1,6 +1,6 @@
 //! Mod sets `{x ∈ N^d : a·x ≡ b (mod c)}` (Definition 2.5).
 
-use crn_numeric::{NVec, ZVec};
+use crn_numeric::{NVec, WideInt, ZVec};
 
 /// A mod set `{x ∈ N^d : a·x ≡ b (mod c)}` with `a ∈ Z^d`, `b ∈ Z`, `c ∈ N⁺`.
 ///
@@ -63,12 +63,11 @@ impl ModSet {
         self.coefficients.dim()
     }
 
-    /// Whether `x` satisfies `a·x ≡ b (mod c)`.
+    /// Whether `x` satisfies `a·x ≡ b (mod c)`, exactly for every count.
     #[must_use]
     pub fn contains(&self, x: &NVec) -> bool {
-        let lhs = self.coefficients.dot_n(x);
-        let c = i128::from(self.modulus);
-        (lhs - i128::from(self.residue)).rem_euclid(c) == 0
+        self.coefficients.dot_n(x).rem_euclid(self.modulus)
+            == WideInt::from(self.residue).rem_euclid(self.modulus)
     }
 
     /// The set `{x : x(i) ≡ b (mod c)}`.
@@ -135,6 +134,14 @@ mod tests {
         assert!(m.contains(&NVec::from(vec![2])));
         assert!(m.contains(&NVec::from(vec![5])));
         assert!(!m.contains(&NVec::from(vec![1])));
+    }
+
+    #[test]
+    fn counts_past_i64_max_are_counts() {
+        // u64::MAX = 3 · 6148914691236517205, which a cast to i64 read as -1.
+        let multiple_of_three = ModSet::component_congruent(1, 0, 0, 3);
+        assert!(multiple_of_three.contains(&NVec::from(vec![u64::MAX])));
+        assert!(!multiple_of_three.contains(&NVec::from(vec![u64::MAX - 1])));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Threshold sets `{x ∈ N^d : a·x ≥ b}` (Definition 2.5).
 
-use crn_numeric::{NVec, ZVec};
+use crn_numeric::{NVec, WideInt, ZVec};
 
 /// A threshold set `{x ∈ N^d : a·x ≥ b}` with `a ∈ Z^d`, `b ∈ Z`.
 ///
@@ -48,10 +48,10 @@ impl ThresholdSet {
         self.normal.dim()
     }
 
-    /// Whether `x` satisfies `a·x ≥ b`.
+    /// Whether `x` satisfies `a·x ≥ b`, exactly for every count.
     #[must_use]
     pub fn contains(&self, x: &NVec) -> bool {
-        self.normal.dot_n(x) >= i128::from(self.offset)
+        self.normal.dot_n(x) >= WideInt::from(self.offset)
     }
 
     /// The set `{x : x(i) ≥ b}` ("component `i` at least `b`").
@@ -139,6 +139,18 @@ mod tests {
         assert_eq!(restricted.dim(), 1);
         assert!(restricted.contains(&NVec::from(vec![4])));
         assert!(!restricted.contains(&NVec::from(vec![3])));
+    }
+
+    #[test]
+    fn counts_past_i64_max_are_counts() {
+        // x >= 0 holds at u64::MAX, which a cast to i64 read as -1.
+        let nonnegative = ThresholdSet::component_at_least(1, 0, 0);
+        assert!(nonnegative.contains(&NVec::from(vec![u64::MAX])));
+        // (2^63 - 1)(x1 + x2) at x1 = x2 = u64::MAX is a sum past i128.
+        let wide = ThresholdSet::new(ZVec::from(vec![i64::MAX, i64::MAX]), 0);
+        assert!(wide.contains(&NVec::from(vec![u64::MAX, u64::MAX])));
+        let negated = ThresholdSet::new(ZVec::from(vec![i64::MIN, i64::MIN]), i64::MIN);
+        assert!(!negated.contains(&NVec::from(vec![u64::MAX, u64::MAX])));
     }
 
     proptest! {

@@ -196,7 +196,7 @@ fn characterized_specs_round_trip_through_restrictions() {
         panic!("min is obliviously computable");
     };
     if let ObliviousSpec::Compound { .. } = &spec {
-        let restricted = f.restrict(0, 2);
+        let restricted = f.restrict(0, 2).unwrap();
         let Characterization::ObliviouslyComputable { spec: rspec } =
             characterize(&restricted, 8).unwrap()
         else {
