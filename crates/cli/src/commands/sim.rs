@@ -209,7 +209,7 @@ pub fn run(raw: &[String]) -> i32 {
                     None => String::new(),
                     Some(value) => format!(
                         ", expected {value}: {}",
-                        if correct { "ok" } else { "MISMATCH" }
+                        verdict(&summary, value, correct, max_steps)
                     ),
                 }
             );
@@ -244,4 +244,21 @@ pub(crate) fn judge(summary: &TrialSummary, expected: Option<u64>) -> Judgement 
         Some(value) => converged && summary.outputs == [value],
     };
     Judgement { converged, correct }
+}
+
+/// The verdict after `expected <value>: ` on a `crn sim` line.  A silent
+/// configuration is terminal, so a silent trial's output is final: MISMATCH
+/// when one fell silent with another output, which covers two silent trials
+/// that disagree.  A trial cut by `--max-steps` refutes nothing, so when
+/// only cut trials stand between the run and `ok`, the run gave up.
+fn verdict(summary: &TrialSummary, value: u64, correct: bool, max_steps: u64) -> String {
+    if correct {
+        return "ok".to_owned();
+    }
+    if summary.silent_outputs.iter().any(|&output| output != value) {
+        return "MISMATCH".to_owned();
+    }
+    let trials = summary.steps.count;
+    let cut = ((1.0 - summary.silent_fraction) * trials as f64).round();
+    format!("gave up ({cut} of {trials} trials hit --max-steps {max_steps} before falling silent)")
 }

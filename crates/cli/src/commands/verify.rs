@@ -1,7 +1,7 @@
 //! `crn verify`: reachability-based verification of `computes` claims.
 
 use crn_model::{BoxCheck, BoxCheckStats, CrnError};
-use crn_sim::runner::spot_check_on_box;
+use crn_sim::runner::{spot_check_on_box, SpotCheck};
 
 use crate::args::Args;
 use crate::commands::{
@@ -18,6 +18,14 @@ use crate::json::Json;
 /// `[0, bound]^d`: exhaustively via the box engine by default, or by
 /// seeded stochastic spot checks with `--spot` (for CRNs whose reachable
 /// space outgrows `--max-configs`).
+///
+/// `--spot` samples one Gillespie run per input, on the chain `crn sim`
+/// samples, seeded from `--seed` and the input's index in the box.  A silent
+/// configuration is terminal, so a run that falls silent with a wrong output
+/// refutes the claim: the FAIL line names the first such input, its silent
+/// configuration and its output.  A run cut by `--max-steps` proves nothing,
+/// so cut runs alone make the item give up (exit 1).  A pass says only that
+/// every sampled run fell silent with the expected output.
 ///
 /// The box engine skips symmetry orbits, then runs a stubborn-set terminal
 /// scan on certified-acyclic CRNs and a full verdict on the others; its
@@ -161,10 +169,33 @@ pub fn run(raw: &[String]) -> i32 {
         let mut stats: Option<BoxCheckStats> = None;
         if args.switch("spot") {
             match spot_check_on_box(&lowered.crn, eval, bound, max_steps, seed) {
-                Ok(0) => {}
-                Ok(mismatches) => {
+                Ok(SpotCheck {
+                    wrong: None,
+                    cut: 0,
+                }) => {}
+                // A silent configuration is terminal, so a wrong silent
+                // output refutes the claim whatever the cut runs do.
+                Ok(SpotCheck {
+                    wrong: Some(run), ..
+                }) => {
                     exit = fail(
-                        format!("{mismatches} input(s) missed the expected output within {max_steps} steps"),
+                        format!(
+                            "input {} expects {}: a sampled run falls silent at {} with output {}",
+                            run.input,
+                            run.expected,
+                            run.final_configuration.display(lowered.crn.crn().species()),
+                            run.output
+                        ),
+                        &mut reports,
+                    );
+                    continue;
+                }
+                Ok(SpotCheck { cut, .. }) => {
+                    exit = fail(
+                        format!(
+                            "spot check gave up: {cut} input(s) did not fall silent within \
+                             {max_steps} steps; retry with a larger --max-steps or without --spot"
+                        ),
                         &mut reports,
                     );
                     continue;

@@ -85,6 +85,10 @@ COMMANDS:
                          exploration visits; on acyclic CRNs the box engine
                          visits only stubborn-set successors, so it may pass
                          a point a full verdict gives up on
+                         --spot samples one Gillespie run per input instead:
+                         a run that falls silent with a wrong output fails
+                         the item, a run cut by --max-steps makes it give
+                         up, and a pass covers only the sampled runs
   sim <file>             Gillespie ensemble simulation; lint warnings go to
                          stderr
                          [--item NAME] [--input a,b,...] [--trials N=16]

@@ -72,6 +72,70 @@ fn exit_1_verdict_failure_class() {
     assert_eq!(code, 1, "sim of a false claim must exit 1\n{stdout}");
     assert!(stdout.contains("MISMATCH"), "{stdout}");
 
+    // A trial cut by --max-steps refutes nothing, so sim gives up rather
+    // than printing MISMATCH: on mod3 the budget runs out long before
+    // silence, and the flip-flop never falls silent although every output
+    // equals the claim.
+    for (doc, input, trials, budget, line) in [
+        (
+            "mod3.crn",
+            "30000",
+            "2",
+            "1000",
+            "expected 10000: gave up (2 of 2 trials hit --max-steps 1000 before falling silent)",
+        ),
+        (
+            "cyclic_identity.crn",
+            "4",
+            "4",
+            "1000000",
+            "expected 4: gave up (4 of 4 trials hit --max-steps 1000000 before falling silent)",
+        ),
+    ] {
+        let doc = corpus(doc);
+        let args = [
+            "sim",
+            &doc,
+            "--input",
+            input,
+            "--trials",
+            trials,
+            "--max-steps",
+            budget,
+        ];
+        let (code, stdout, _) = run_crn(&args);
+        assert_eq!(code, 1, "{args:?}: a give-up still exits 1\n{stdout}");
+        assert!(stdout.contains(line), "{args:?}: {stdout}");
+        assert!(!stdout.contains("MISMATCH"), "{args:?}: {stdout}");
+    }
+    // Likewise `verify --spot`: the flip-flop's runs are cut, never wrong.
+    let flip_flop = corpus("cyclic_identity.crn");
+    let args = [
+        "verify",
+        &flip_flop,
+        "--bound",
+        "2",
+        "--spot",
+        "--max-steps",
+        "10000",
+    ];
+    let (code, stdout, _) = run_crn(&args);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(
+        stdout.contains(
+            "spot check gave up: 2 input(s) did not fall silent within 10000 steps; \
+             retry with a larger --max-steps or without --spot"
+        ),
+        "{stdout}"
+    );
+    // A run that falls silent with a wrong output refutes the claim.
+    let (code, stdout, _) = run_crn(&["verify", path, "--bound", "3", "--spot"]);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(
+        stdout.contains("input (1) expects 3: a sampled run falls silent at {2 Y} with output 2"),
+        "{stdout}"
+    );
+
     // A fn whose cases overlap is a check verdict failure (it parses fine).
     let overlapping = scratch(
         "overlap.crn",

@@ -432,8 +432,8 @@ mod tests {
                 assert!(v.is_correct(), "min failed at ({x1},{x2})");
             }
         }
-        let mismatches = spot_check_on_box(&crn, |x| x[0].min(x[1]), 5, 1_000_000, 9).unwrap();
-        assert_eq!(mismatches, 0);
+        let spot = spot_check_on_box(&crn, |x| x[0].min(x[1]), 5, 1_000_000, 9).unwrap();
+        assert_eq!((spot.wrong, spot.cut), (None, 0));
     }
 
     #[test]
@@ -468,8 +468,8 @@ mod tests {
                 check_stable_computation(&crn, &NVec::from(vec![x]), expected(x), 500_000).unwrap();
             assert!(v.is_correct(), "finite-region spec failed at {x}");
         }
-        let mismatches = spot_check_on_box(&crn, |x| expected(x[0]), 6, 1_000_000, 17).unwrap();
-        assert_eq!(mismatches, 0);
+        let spot = spot_check_on_box(&crn, |x| expected(x[0]), 6, 1_000_000, 17).unwrap();
+        assert_eq!((spot.wrong, spot.cut), (None, 0));
     }
 
     #[test]

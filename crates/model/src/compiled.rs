@@ -188,7 +188,7 @@ impl CompiledReaction {
 /// // Fire reaction 0 (X1 -> Z1 + Y) in place.
 /// assert!(compiled.reactions()[0].applicable(state.counts()));
 /// state.apply(&compiled.reactions()[0]).unwrap();
-/// assert_eq!(state.count(max.output()), 1);
+/// assert_eq!(state.to_configuration().count(max.output()), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledCrn {
@@ -349,12 +349,6 @@ impl DenseState {
     #[must_use]
     pub fn stride(&self) -> usize {
         self.counts.len()
-    }
-
-    /// The count of `species` (zero for species outside the stride).
-    #[must_use]
-    pub fn count(&self, species: Species) -> u64 {
-        self.counts.get(species.index()).copied().unwrap_or(0)
     }
 
     /// Fires `reaction` in place.  The caller must have checked
@@ -574,8 +568,6 @@ mod tests {
         assert_eq!(state.stride(), 5);
         assert_eq!(state.counts(), &[2, 0, 0, 0, 7]);
         assert_eq!(state.to_configuration(), config);
-        assert_eq!(state.count(Species(4)), 7);
-        assert_eq!(state.count(Species(99)), 0);
     }
 
     #[test]

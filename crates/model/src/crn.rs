@@ -3,7 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::config::Configuration;
 use crate::error::CrnError;
 use crate::reaction::Reaction;
 use crate::species::{Species, SpeciesSet};
@@ -172,23 +171,6 @@ impl Crn {
         }
     }
 
-    /// Indices of the reactions applicable in `config`.
-    #[must_use]
-    pub fn applicable_reactions(&self, config: &Configuration) -> Vec<usize> {
-        self.reactions
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| config.can_apply(r))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Whether no reaction is applicable in `config` ("the CRN is silent").
-    #[must_use]
-    pub fn is_silent(&self, config: &Configuration) -> bool {
-        self.reactions.iter().all(|r| !config.can_apply(r))
-    }
-
     /// Whether `species` is ever consumed by a reaction.
     #[must_use]
     pub fn any_reaction_consumes(&self, species: Species) -> bool {
@@ -337,22 +319,6 @@ mod tests {
             "propensity overflow: the total propensity passes 1.7976931348623157e308 at \
              `200X -> Y`"
         );
-    }
-
-    #[test]
-    fn applicability_and_silence() {
-        let mut crn = Crn::new();
-        crn.parse_reaction("X1 + X2 -> Y").unwrap();
-        crn.parse_reaction("X1 -> W").unwrap();
-        let x1 = crn.species_named("X1").unwrap();
-        let x2 = crn.species_named("X2").unwrap();
-        let only_x1 = Configuration::from_counts(vec![(x1, 1)]);
-        assert_eq!(crn.applicable_reactions(&only_x1), vec![1]);
-        let both = Configuration::from_counts(vec![(x1, 1), (x2, 1)]);
-        assert_eq!(crn.applicable_reactions(&both), vec![0, 1]);
-        let none = Configuration::from_counts(vec![(x2, 4)]);
-        assert!(crn.is_silent(&none));
-        assert!(!crn.is_silent(&both));
     }
 
     #[test]

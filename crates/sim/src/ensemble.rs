@@ -79,13 +79,14 @@ impl SeedStream {
 }
 
 /// Mergeable per-worker statistics of a batch of trials: step and time
-/// samples (in trial order), observed outputs, and the silent-trial count.
+/// samples (in trial order), observed outputs, and the outputs of the
+/// trials that fell silent.
 #[derive(Debug, Clone, Default)]
 pub struct TrialAccumulator {
     steps: SummaryAccumulator,
     times: SummaryAccumulator,
     outputs: Vec<u64>,
-    silent: u64,
+    silent_outputs: Vec<u64>,
 }
 
 impl TrialAccumulator {
@@ -102,7 +103,7 @@ impl TrialAccumulator {
         self.times.push(outcome.time);
         self.outputs.push(output);
         if outcome.silent {
-            self.silent += 1;
+            self.silent_outputs.push(output);
         }
     }
 
@@ -113,7 +114,7 @@ impl TrialAccumulator {
         self.steps.merge(later.steps);
         self.times.merge(later.times);
         self.outputs.extend(later.outputs);
-        self.silent += later.silent;
+        self.silent_outputs.extend(later.silent_outputs);
     }
 
     /// The number of trials recorded.
@@ -135,15 +136,18 @@ impl TrialAccumulator {
     /// Panics if no trial has been recorded.
     #[must_use]
     pub fn finish(mut self, x: &NVec) -> TrialSummary {
-        let trials = self.outputs.len();
-        self.outputs.sort_unstable();
-        self.outputs.dedup();
+        let silent_fraction = self.silent_outputs.len() as f64 / self.outputs.len() as f64;
+        for outputs in [&mut self.outputs, &mut self.silent_outputs] {
+            outputs.sort_unstable();
+            outputs.dedup();
+        }
         TrialSummary {
             input: x.clone(),
             steps: self.steps.finish(),
             time: self.times.finish(),
             outputs: self.outputs,
-            silent_fraction: self.silent as f64 / trials as f64,
+            silent_outputs: self.silent_outputs,
+            silent_fraction,
         }
     }
 }
@@ -401,6 +405,25 @@ mod tests {
     }
 
     #[test]
+    fn a_cut_trials_output_is_not_a_silent_output() {
+        // From one X, `X -> Y` falls silent with output 1, while `X -> A`
+        // starts `A -> A + Y`, which never falls silent: a run cut after
+        // 5 steps ends with output 4, from no terminal configuration.
+        let mut crn = crn_model::Crn::new();
+        for reaction in ["X -> Y", "X -> A", "A -> A + Y"] {
+            crn.parse_reaction(reaction).unwrap();
+        }
+        let crn = FunctionCrn::with_named_roles(crn, &["X"], "Y", None).unwrap();
+        let summary = Ensemble::new(&crn)
+            .with_max_steps(5)
+            .run(&NVec::from(vec![1]), 16, 3)
+            .unwrap();
+        assert!(summary.silent_fraction > 0.0 && summary.silent_fraction < 1.0);
+        assert_eq!(summary.outputs, vec![1, 4]);
+        assert_eq!(summary.silent_outputs, vec![1]);
+    }
+
+    #[test]
     fn wrong_arity_is_an_error() {
         let min = examples::min_crn();
         assert!(Ensemble::new(&min).run(&NVec::from(vec![1]), 3, 0).is_err());
@@ -446,6 +469,7 @@ mod tests {
         let summary = a.finish(&NVec::from(vec![0]));
         assert_eq!(summary.steps.count, 3);
         assert_eq!(summary.outputs, vec![2, 4]);
+        assert_eq!(summary.silent_outputs, vec![4]);
         assert!((summary.silent_fraction - 2.0 / 3.0).abs() < 1e-12);
     }
 }

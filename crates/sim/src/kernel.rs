@@ -1,12 +1,12 @@
-//! The dense simulation kernel: incremental propensity and applicability
-//! maintenance over a [`CompiledCrn`].
+//! The dense simulation kernel: incremental propensity maintenance over a
+//! [`CompiledCrn`].
 //!
-//! Every simulator in this crate fires one reaction per step, and one firing
-//! only changes the counts of the species in that reaction's delta list.  The
+//! The Gillespie simulator fires one reaction per step, and one firing only
+//! changes the counts of the species in that reaction's delta list.  The
 //! compiled dependency graph ([`CompiledCrn::dependents`]) names exactly the
-//! reactions whose mass-action propensity (or applicability) can have
-//! changed, so after a firing the kernel recomputes *those* instead of
-//! rescanning every reaction — the difference between O(dependents) and
+//! reactions whose mass-action propensity can have changed, so after a
+//! firing the kernel recomputes *those* instead of rescanning every
+//! reaction — the difference between O(dependents) and
 //! O(reactions · reactants) per step.
 //!
 //! Incremental maintenance is *exact*, not approximate: a recomputed entry is
@@ -200,72 +200,6 @@ impl PropensityTable {
     }
 }
 
-/// The set of applicable reaction indices, kept sorted ascending (the order
-/// `Crn::applicable_reactions` produced) and maintained incrementally across
-/// firings instead of rescanned.
-#[derive(Debug, Clone, Default)]
-pub struct ApplicableSet {
-    /// Applicable reaction indices, ascending.
-    indices: Vec<usize>,
-    /// Membership mask, one flag per reaction.
-    mask: Vec<bool>,
-}
-
-impl ApplicableSet {
-    /// An empty set; call [`rebuild`](Self::rebuild) before use.
-    #[must_use]
-    pub fn new() -> Self {
-        ApplicableSet::default()
-    }
-
-    /// Recomputes the set from scratch.
-    pub fn rebuild(&mut self, crn: &CompiledCrn, counts: &[u64]) {
-        self.indices.clear();
-        self.mask.clear();
-        self.mask.resize(crn.reaction_count(), false);
-        for (i, reaction) in crn.reactions().iter().enumerate() {
-            if reaction.applicable(counts) {
-                self.indices.push(i);
-                self.mask[i] = true;
-            }
-        }
-    }
-
-    /// Re-examines only the reactions that firing `fired` can have flipped,
-    /// splicing them in or out of the sorted index list.
-    pub fn refresh_after(&mut self, crn: &CompiledCrn, counts: &[u64], fired: usize) {
-        for &j in crn.dependents(fired) {
-            let now = crn.reactions()[j].applicable(counts);
-            if now == self.mask[j] {
-                continue;
-            }
-            self.mask[j] = now;
-            match self.indices.binary_search(&j) {
-                Ok(pos) => {
-                    debug_assert!(!now);
-                    self.indices.remove(pos);
-                }
-                Err(pos) => {
-                    debug_assert!(now);
-                    self.indices.insert(pos, j);
-                }
-            }
-        }
-    }
-
-    /// The applicable reaction indices, ascending.
-    #[must_use]
-    pub fn indices(&self) -> &[usize] {
-        &self.indices
-    }
-
-    /// Whether no reaction is applicable (the CRN is silent).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,27 +265,5 @@ mod tests {
         compiled.reactions()[1].apply_in_place(&mut counts).unwrap();
         table.refresh_after(&compiled, &counts, 1).unwrap();
         assert!(table.exact);
-    }
-
-    #[test]
-    fn applicable_set_tracks_firings_in_ascending_order() {
-        let max = examples::max_crn();
-        let compiled = CompiledCrn::compile(max.crn());
-        let start = max
-            .initial_configuration(&crn_numeric::NVec::from(vec![1, 1]))
-            .unwrap();
-        let mut state = DenseState::from_configuration(&start, compiled.stride());
-        let mut set = ApplicableSet::new();
-        set.rebuild(&compiled, state.counts());
-        assert_eq!(set.indices(), &[0, 1]);
-        // Fire both input reactions: Z1 + Z2 -> K and K + Y -> 0 wake up.
-        for fired in [0usize, 1] {
-            state.apply(&compiled.reactions()[fired]).unwrap();
-            set.refresh_after(&compiled, state.counts(), fired);
-        }
-        assert_eq!(set.indices(), &[2]);
-        state.apply(&compiled.reactions()[2]).unwrap();
-        set.refresh_after(&compiled, state.counts(), 2);
-        assert_eq!(set.indices(), &[3]);
     }
 }

@@ -4,8 +4,8 @@
 //! seed implementation: identical seed, identical trajectory.  These tests
 //! check that seed-for-seed on random CRNs and on deterministic runs that
 //! cross the propensity table's exact range both ways, and check the
-//! incremental propensity-table / applicable-set maintenance against full
-//! recomputation after random firing sequences.
+//! incremental propensity-table maintenance against full recomputation
+//! after random firing sequences.
 
 use proptest::prelude::*;
 
@@ -13,7 +13,7 @@ use crn_geometry::QMatrix;
 use crn_model::{CompiledCrn, Configuration, Crn, DenseState, Reaction, Species, Stoichiometry};
 use crn_numeric::{NVec, QVec};
 use crn_sim::gillespie::{propensity, Gillespie, SparseGillespie};
-use crn_sim::kernel::{propensity_dense, ApplicableSet, PropensityTable};
+use crn_sim::kernel::{propensity_dense, PropensityTable};
 
 /// Builds a small arbitrary CRN over species `{X, Y, Z}` from sampled
 /// stoichiometries (each row: three reactant counts, three product counts).
@@ -207,39 +207,6 @@ proptest! {
                     "reaction {}", i
                 );
             }
-        }
-    }
-
-    /// The incrementally-maintained applicable set equals an ascending
-    /// rescan after any firing sequence.
-    #[test]
-    fn incremental_applicable_set_matches_rescan(
-        stoich in stoich_strategy(),
-        cx in 0u64..8,
-        cy in 0u64..8,
-        cz in 0u64..8,
-        picks in proptest::collection::vec(0usize..16, 0..40),
-    ) {
-        let crn = random_crn(&stoich);
-        let compiled = CompiledCrn::compile(&crn);
-        let start = start_config(&crn, (cx, cy, cz));
-        let mut state = DenseState::from_configuration(&start, compiled.stride());
-        let mut set = ApplicableSet::new();
-        set.rebuild(&compiled, state.counts());
-        for pick in picks {
-            if set.is_empty() {
-                break;
-            }
-            let fired = set.indices()[pick % set.indices().len()];
-            state.apply(&compiled.reactions()[fired]).unwrap();
-            set.refresh_after(&compiled, state.counts(), fired);
-
-            let rescan: Vec<usize> = (0..compiled.reaction_count())
-                .filter(|&i| compiled.reactions()[i].applicable(state.counts()))
-                .collect();
-            prop_assert_eq!(set.indices(), rescan.as_slice());
-            // The rescan order is the sparse `applicable_reactions` order.
-            prop_assert_eq!(rescan, crn.applicable_reactions(&state.to_configuration()));
         }
     }
 

@@ -6,7 +6,7 @@
 use composable_crn::model::compose::concatenate;
 use composable_crn::model::{check_stable_computation, examples};
 use composable_crn::numeric::NVec;
-use composable_crn::sim::ConvergenceKernel;
+use composable_crn::sim::Gillespie;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The three CRNs of Figure 1.
@@ -39,11 +39,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Stochastic simulation of the max CRN: the output converges to max even
     // though it can transiently overshoot.
-    let report =
-        ConvergenceKernel::new(&max).run_to_silence(&NVec::from(vec![40, 25]), 1, 1_000_000)?;
+    let start = max.initial_configuration(&NVec::from(vec![40, 25]))?;
+    let run = Gillespie::new(max.crn(), 1).run(&start, 1_000_000)?;
     println!(
         "SSA run of max on (40, 25): output {} after {} steps (silent: {})",
-        report.output, report.steps, report.silent
+        run.final_configuration.count(max.output()),
+        run.steps,
+        run.silent
     );
 
     // Composition by concatenation (Section 2.3): 2·min(x1, x2).

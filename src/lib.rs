@@ -7,8 +7,8 @@
 //! can depend on a single package:
 //!
 //! * [`model`] — the discrete CRN model, stable computation, composition;
-//! * [`sim`] — stochastic simulation (Gillespie ensembles, the seeded
-//!   uniform runner behind spot checks, convergence series);
+//! * [`sim`] — stochastic simulation (the Gillespie kernel behind
+//!   ensembles, spot checks and convergence series);
 //! * [`semilinear`] — semilinear sets and functions;
 //! * [`geometry`] — regions, recession cones, arrangements (Section 7);
 //! * [`core`] — quilt-affine functions, the Theorem 5.2 characterization,

@@ -16,7 +16,7 @@ use composable_crn::numeric::NVec;
 use composable_crn::popproto::run_pairwise;
 use composable_crn::semilinear::examples as sl;
 use composable_crn::sim::runner::spot_check_on_box;
-use composable_crn::sim::ConvergenceKernel;
+use composable_crn::sim::Gillespie;
 
 #[test]
 fn one_dimensional_pipeline_from_presentation_to_simulation() {
@@ -26,7 +26,7 @@ fn one_dimensional_pipeline_from_presentation_to_simulation() {
     let structure = analyze_semilinear_1d(&f, 8, 4).unwrap();
     let crn = synthesize_1d_leader(&structure);
     assert!(crn.is_output_oblivious());
-    let mut kernel = ConvergenceKernel::new(&crn);
+    let mut sim = Gillespie::new(crn.crn(), 0);
     for x in 0..8u64 {
         let expected = f.eval(&NVec::from(vec![x])).unwrap();
         assert!(
@@ -34,11 +34,11 @@ fn one_dimensional_pipeline_from_presentation_to_simulation() {
                 .unwrap()
                 .is_correct()
         );
-        let report = kernel
-            .run_to_silence(&NVec::from(vec![x]), x, 1_000_000)
-            .unwrap();
-        assert!(report.silent);
-        assert_eq!(report.output, expected);
+        sim.reseed(x);
+        let start = crn.initial_configuration(&NVec::from(vec![x])).unwrap();
+        let run = sim.run(&start, 1_000_000).unwrap();
+        assert!(run.silent);
+        assert_eq!(run.final_configuration.count(crn.output()), expected);
         let pairwise = run_pairwise(&crn, &NVec::from(vec![x]), x + 1, 1_000_000).unwrap();
         assert!(pairwise.silent);
         assert_eq!(pairwise.output, expected);
@@ -67,8 +67,8 @@ fn two_dimensional_pipeline_for_the_figure7_example() {
             "exhaustive check failed at {x}"
         );
     }
-    let mismatches = spot_check_on_box(&crn, |x| f.eval(x).unwrap(), 3, 2_000_000, 5).unwrap();
-    assert_eq!(mismatches, 0);
+    let spot = spot_check_on_box(&crn, |x| f.eval(x).unwrap(), 3, 2_000_000, 5).unwrap();
+    assert_eq!((spot.wrong, spot.cut), (None, 0));
 }
 
 #[test]
