@@ -72,9 +72,9 @@ pub fn fig1_convergence(sizes: &[u64], trials: u32) -> Vec<(&'static str, Vec<Co
 /// E3: the value table and finite differences of the Figure 3a function
 /// `⌊3x/2⌋`, together with the species/reaction counts of its Lemma 6.1 CRN.
 #[must_use]
-pub fn fig3_quilt_table(bound: u64) -> (Vec<(u64, i64)>, usize, usize) {
+pub fn fig3_quilt_table(bound: u64) -> (Vec<(u64, i128)>, usize, usize) {
     let g = QuiltAffine::floor_linear(QVec::from(vec![Rational::new(3, 2)]), 2);
-    let table: Vec<(u64, i64)> = (0..=bound)
+    let table: Vec<(u64, i128)> = (0..=bound)
         .map(|x| (x, g.eval(&NVec::from(vec![x])).expect("integer value")))
         .collect();
     let crn = quilt_crn(&g).expect("quilt CRN");

@@ -7,6 +7,7 @@ use crn_sim::Ensemble;
 
 use crate::args::Args;
 use crate::commands::sim::judge;
+use crate::commands::verify::Sweep;
 use crate::commands::{
     huge_box, load_or_usage, resolve_link, resolve_target, usage_error, EXIT_OK, EXIT_VERDICT,
 };
@@ -26,8 +27,10 @@ use crate::json::Json;
 ///
 /// The defaults (`--bound 3`, `--trials 8`) are deliberately smaller than the
 /// verify/sim defaults: this command is a profiling sweep, not a gate.  Lint
-/// findings are echoed to stderr as usual.  Exit codes: 0 every phase passed,
-/// 1 any verify or sim failure, 2 usage/parse errors.
+/// findings are echoed to stderr as usual.  Each phase line counts the items
+/// that failed apart from those that gave up, classified as `crn verify` and
+/// `crn sim` classify them.  Exit codes: 0 every phase passed, 1 any verify or
+/// sim item failed or gave up, 2 usage/parse errors.
 pub fn run(raw: &[String]) -> i32 {
     let args = match Args::parse(
         raw,
@@ -115,6 +118,7 @@ pub fn run(raw: &[String]) -> i32 {
                         vec![
                             ("items", Json::UInt(report.verified)),
                             ("failures", Json::UInt(report.verify_failures)),
+                            ("gave_up", Json::UInt(report.verify_gave_up)),
                         ],
                     ),
                     phase(
@@ -122,6 +126,7 @@ pub fn run(raw: &[String]) -> i32 {
                         vec![
                             ("items", Json::UInt(report.simulated)),
                             ("failures", Json::UInt(report.sim_failures)),
+                            ("gave_up", Json::UInt(report.sim_gave_up)),
                         ],
                     ),
                 ]),
@@ -139,29 +144,35 @@ pub fn run(raw: &[String]) -> i32 {
             report.warnings
         );
         println!(
-            "  verify  {}  ({} item(s), {} failure(s))",
+            "  verify  {}  ({} item(s), {} failure(s), {} gave up)",
             crn_obs::format_nanos(nanos("verify")),
             report.verified,
-            report.verify_failures
+            report.verify_failures,
+            report.verify_gave_up
         );
         println!(
-            "  sim     {}  ({} item(s), {} failure(s))",
+            "  sim     {}  ({} item(s), {} failure(s), {} gave up)",
             crn_obs::format_nanos(nanos("sim")),
             report.simulated,
-            report.sim_failures
+            report.sim_failures,
+            report.sim_gave_up
         );
     }
     exit
 }
 
-/// Per-phase outcome counts (wall times live in the span snapshot).
+/// Per-phase outcome counts (wall times live in the span snapshot).  An
+/// item that gave up, as `crn verify` or `crn sim` would report it, is
+/// counted apart from the failures.
 #[derive(Default)]
 struct PhaseReport {
     warnings: u64,
     verified: u64,
     verify_failures: u64,
+    verify_gave_up: u64,
     simulated: u64,
     sim_failures: u64,
+    sim_gave_up: u64,
 }
 
 /// Total nanoseconds of the span named `phase`, wherever it nested (at the
@@ -232,18 +243,19 @@ fn phases(
                 continue;
             };
             report.verified += 1;
-            let ok = match resolve_target(&ws, name, computes, bound) {
-                Err(_) => false,
+            let sweep = match resolve_target(&ws, name, computes, bound) {
+                Err(problem) => Sweep::Fail(problem),
                 Ok(target) => {
                     let eval = |x: &NVec| target.eval(x);
-                    let sweep = BoxCheck::new(analysis, eval, bound, max_configs);
-                    matches!(sweep.run().0, Ok(None))
+                    Sweep::of(BoxCheck::new(analysis, eval, bound, max_configs).run().0)
                 }
             };
-            if !ok {
-                report.verify_failures += 1;
-                exit = EXIT_VERDICT;
+            match sweep {
+                Sweep::Pass => continue,
+                Sweep::Fail(_) => report.verify_failures += 1,
+                Sweep::GaveUp(_) => report.verify_gave_up += 1,
             }
+            exit = EXIT_VERDICT;
         }
     }
     // The simulations need none of the analyses.
@@ -267,14 +279,13 @@ fn phases(
                 .and_then(|target| target.try_eval(&x).ok());
             // An ensemble error (a count or propensity overflow) fails the
             // item, as in `crn sim`.
-            let ok = Ensemble::new(&lowered.crn)
-                .with_max_steps(max_steps)
-                .run(&x, trials, seed)
-                .is_ok_and(|summary| judge(&summary, expected).correct);
-            if !ok {
-                report.sim_failures += 1;
-                exit = EXIT_VERDICT;
+            let ensemble = Ensemble::new(&lowered.crn).with_max_steps(max_steps);
+            match ensemble.run(&x, trials, seed).map(|s| judge(&s, expected)) {
+                Ok(judgement) if judgement.correct => continue,
+                Ok(judgement) if judgement.gave_up => report.sim_gave_up += 1,
+                _ => report.sim_failures += 1,
             }
+            exit = EXIT_VERDICT;
         }
     }
     Ok((exit, report))

@@ -179,8 +179,8 @@ pub fn run(raw: &[String]) -> i32 {
                 continue;
             }
         };
-        let Judgement { converged, correct } = judge(&summary, expected);
-        if !correct {
+        let judgement = judge(&summary, expected);
+        if !judgement.correct {
             exit = EXIT_VERDICT;
         }
         if args.switch("json") {
@@ -195,8 +195,8 @@ pub fn run(raw: &[String]) -> i32 {
                 ("mean_steps", Json::Float(summary.steps.mean)),
                 ("p95_steps", Json::Float(summary.steps.p95)),
                 ("mean_time", Json::Float(summary.time.mean)),
-                ("converged", Json::Bool(converged)),
-                ("correct", Json::Bool(correct)),
+                ("converged", Json::Bool(judgement.converged)),
+                ("correct", Json::Bool(judgement.correct)),
             ]));
         } else {
             let outputs: Vec<String> = summary.outputs.iter().map(u64::to_string).collect();
@@ -209,7 +209,7 @@ pub fn run(raw: &[String]) -> i32 {
                     None => String::new(),
                     Some(value) => format!(
                         ", expected {value}: {}",
-                        verdict(&summary, value, correct, max_steps)
+                        verdict(&summary, &judgement, max_steps)
                     ),
                 }
             );
@@ -229,36 +229,88 @@ pub fn run(raw: &[String]) -> i32 {
 
 /// How an ensemble ended: `converged` when every trial reached silence with
 /// one common output value, `correct` when it also equals the `computes`
-/// link's value (if the item has one).
+/// link's value (if the item has one), and `gave_up` when it is not correct
+/// only because some trial was cut by `--max-steps`.
 pub(crate) struct Judgement {
     pub(crate) converged: bool,
     pub(crate) correct: bool,
+    pub(crate) gave_up: bool,
 }
 
 /// Judges an ensemble summary against the expected output, for `crn sim`
-/// and `crn profile` alike.
+/// and `crn profile` alike.  A silent configuration is terminal, so a silent
+/// trial's output is final: one that differs from the expected value, or
+/// without one from another silent output, contradicts the claim.  A trial
+/// cut by `--max-steps` refutes nothing, so a run that is not correct with
+/// no such contradiction and some trial cut gave up.
 pub(crate) fn judge(summary: &TrialSummary, expected: Option<u64>) -> Judgement {
     let converged = summary.silent_fraction == 1.0 && summary.outputs.len() == 1;
-    let correct = match expected {
-        None => converged,
-        Some(value) => converged && summary.outputs == [value],
+    let (correct, contradicted) = match expected {
+        None => (converged, summary.silent_outputs.len() > 1),
+        Some(value) => (
+            converged && summary.outputs == [value],
+            summary.silent_outputs.iter().any(|&output| output != value),
+        ),
     };
-    Judgement { converged, correct }
+    let gave_up = !correct && !contradicted && summary.silent_fraction < 1.0;
+    Judgement {
+        converged,
+        correct,
+        gave_up,
+    }
 }
 
-/// The verdict after `expected <value>: ` on a `crn sim` line.  A silent
-/// configuration is terminal, so a silent trial's output is final: MISMATCH
-/// when one fell silent with another output, which covers two silent trials
-/// that disagree.  A trial cut by `--max-steps` refutes nothing, so when
-/// only cut trials stand between the run and `ok`, the run gave up.
-fn verdict(summary: &TrialSummary, value: u64, correct: bool, max_steps: u64) -> String {
-    if correct {
+/// The verdict after `expected <value>: ` on a `crn sim` line: `ok`,
+/// MISMATCH where a silent trial contradicts the claim (which covers two
+/// silent trials that disagree), or the give-up.
+fn verdict(summary: &TrialSummary, judgement: &Judgement, max_steps: u64) -> String {
+    if judgement.correct {
         return "ok".to_owned();
     }
-    if summary.silent_outputs.iter().any(|&output| output != value) {
+    if !judgement.gave_up {
         return "MISMATCH".to_owned();
     }
     let trials = summary.steps.count;
     let cut = ((1.0 - summary.silent_fraction) * trials as f64).round();
     format!("gave up ({cut} of {trials} trials hit --max-steps {max_steps} before falling silent)")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crn_sim::Summary;
+
+    /// Four trials, `silent` of which fell silent, with these final outputs.
+    fn trials(outputs: &[u64], silent_outputs: &[u64], silent: u32) -> TrialSummary {
+        TrialSummary {
+            input: NVec::zeros(1),
+            steps: Summary::of(&[5.0; 4]),
+            time: Summary::of(&[1.0; 4]),
+            outputs: outputs.to_vec(),
+            silent_outputs: silent_outputs.to_vec(),
+            silent_fraction: f64::from(silent) / 4.0,
+        }
+    }
+
+    #[test]
+    fn a_run_gives_up_only_where_cut_trials_alone_stand_in_the_way() {
+        let flag = |summary: &TrialSummary, expected| {
+            let judgement = judge(summary, expected);
+            (judgement.correct, judgement.gave_up)
+        };
+        // Two trials fell silent at 3 and two were cut at 2.
+        let cut = trials(&[2, 3], &[3], 2);
+        assert_eq!(flag(&cut, Some(3)), (false, true));
+        assert_eq!(flag(&cut, None), (false, true));
+        // A silent 3 refutes a claim of 2, whatever the cut trials do.
+        assert_eq!(flag(&cut, Some(2)), (false, false));
+        // Without a claim, two silent trials that disagree refute
+        // convergence.
+        let split = trials(&[1, 2, 5], &[1, 2], 2);
+        assert_eq!(flag(&split, None), (false, false));
+        // With every trial silent nothing was cut: a pass or a failure.
+        let done = trials(&[3], &[3], 4);
+        assert_eq!(flag(&done, Some(3)), (true, false));
+        assert_eq!(flag(&done, Some(2)), (false, false));
+    }
 }

@@ -1,6 +1,6 @@
 //! `crn verify`: reachability-based verification of `computes` claims.
 
-use crn_model::{BoxCheck, BoxCheckStats, CrnError};
+use crn_model::{BoxCheck, BoxCheckStats, CrnError, StableComputationVerdict};
 use crn_sim::runner::{spot_check_on_box, SpotCheck};
 
 use crate::args::Args;
@@ -222,33 +222,10 @@ pub fn run(raw: &[String]) -> i32 {
                     ])
                 );
             }
-            match outcome {
-                Ok(None) => {}
-                Ok(Some(verdict)) => {
-                    exit = fail(
-                        format!(
-                            "input {} expects {}: {}",
-                            verdict.input,
-                            verdict.expected_output,
-                            verdict
-                                .failure
-                                .unwrap_or_else(|| "stable computation fails".to_owned())
-                        ),
-                        &mut reports,
-                    );
-                    continue;
-                }
-                // An overflowing count is a property of the CRN, which no
-                // other method or limit would get past.
-                Err(e @ CrnError::CountOverflow { .. }) => {
-                    exit = fail(e.to_string(), &mut reports);
-                    continue;
-                }
-                Err(e) => {
-                    exit = fail(
-                        format!("exhaustive search gave up: {e}; retry with --spot or a larger --max-configs"),
-                        &mut reports,
-                    );
+            match Sweep::of(outcome) {
+                Sweep::Pass => {}
+                Sweep::Fail(message) | Sweep::GaveUp(message) => {
+                    exit = fail(message, &mut reports);
                     continue;
                 }
             }
@@ -287,6 +264,38 @@ pub fn run(raw: &[String]) -> i32 {
         println!("{}", Json::obj(fields));
     }
     exit
+}
+
+/// How an exhaustive sweep ended, for `crn verify` and `crn profile` alike:
+/// a pass, a FAIL, or a give-up, each failure with its message.
+pub(crate) enum Sweep {
+    Pass,
+    Fail(String),
+    GaveUp(String),
+}
+
+impl Sweep {
+    /// Classifies a box sweep's outcome.  A failing verdict refutes the
+    /// claim, and an overflowing count is a property of the CRN, which no
+    /// other method or limit would get past; any other error is a limit the
+    /// search hit.
+    pub(crate) fn of(outcome: Result<Option<StableComputationVerdict>, CrnError>) -> Sweep {
+        match outcome {
+            Ok(None) => Sweep::Pass,
+            Ok(Some(verdict)) => Sweep::Fail(format!(
+                "input {} expects {}: {}",
+                verdict.input,
+                verdict.expected_output,
+                verdict
+                    .failure
+                    .unwrap_or_else(|| "stable computation fails".to_owned())
+            )),
+            Err(e @ CrnError::CountOverflow { .. }) => Sweep::Fail(e.to_string()),
+            Err(e) => Sweep::GaveUp(format!(
+                "exhaustive search gave up: {e}; retry with --spot or a larger --max-configs"
+            )),
+        }
+    }
 }
 
 /// The `--stats` engine counters as a JSON object.

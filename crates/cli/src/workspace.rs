@@ -104,11 +104,14 @@ impl Target<'_> {
                 .validate_on_box(bound)
                 .map_err(|e| format!("not a valid presentation on [0, {bound}]^{}: {e}", f.dim())),
             Target::Spec(s) => {
-                for x in NVec::box_iter(s.dim(), bound) {
+                let mut x = NVec::zeros(s.dim());
+                loop {
                     s.eval(&x)
                         .map_err(|e| format!("cannot be evaluated at {x}: {e}"))?;
+                    if !x.step_in_box(bound) {
+                        return Ok(());
+                    }
                 }
-                Ok(())
             }
         }
     }

@@ -237,6 +237,9 @@ fn exit_1_verdict_failure_class() {
         "{stderr}"
     );
     assert!(!stderr.contains("not nondecreasing"), "{stderr}");
+    // A spec's value is read as exactly as the same `fn` case's: 2^64 - 2
+    // at (2) is a value (it was "past i64::MAX", a false FAIL), and at (3)
+    // both name the point as past u64::MAX.
     let half = scratch(
         "half_steep_spec.crn",
         "spec s(x) {\n  min 9223372036854775807 x;\n}\n",
@@ -244,13 +247,31 @@ fn exit_1_verdict_failure_class() {
     let (code, synthesized, stderr) = run_crn(&["synthesize", half.to_str().unwrap()]);
     assert_eq!(code, 0, "{stderr}");
     let synthesized = scratch("half_steep_crn.crn", &synthesized);
-    let (code, stdout, _) = run_crn(&["verify", synthesized.to_str().unwrap(), "--bound", "3"]);
-    assert_eq!(code, 1, "{stdout}");
-    assert!(
-        stdout.contains("g((2)) = 18446744073709551614 is past i64::MAX"),
-        "{stdout}"
+    let synthesized = synthesized.to_str().unwrap();
+    let half_fn = scratch(
+        "half_steep_fn.crn",
+        "fn big(x) {\n  case x >= 0: 9223372036854775807 x;\n}\n\ncrn c {\n  inputs X;\n  output Y;\n  computes big;\n  X -> 9223372036854775807 Y;\n}\n",
     );
-    assert!(!stdout.contains("not an integer"), "{stdout}");
+    let half_fn = half_fn.to_str().unwrap();
+    for (doc, past) in [
+        (synthesized, "f((3)) is past u64::MAX"),
+        (half_fn, "value at (3) is an integer past u64::MAX"),
+    ] {
+        for command in ["verify", "check"] {
+            let (code, stdout, _) = run_crn(&[command, doc, "--bound", "2"]);
+            assert_eq!(code, 0, "{command} {doc}\n{stdout}");
+            let (code, stdout, _) = run_crn(&[command, doc, "--bound", "3"]);
+            assert_eq!(code, 1, "{command} {doc}\n{stdout}");
+            assert!(stdout.contains(past), "{stdout}");
+            assert!(!stdout.contains("not an integer"), "{stdout}");
+        }
+        let (code, stdout, _) = run_crn(&["sim", doc, "--input", "2"]);
+        assert_eq!(code, 0, "{stdout}");
+        assert!(
+            stdout.contains("expected 18446744073709551614: ok"),
+            "{stdout}"
+        );
+    }
     let linked = scratch(
         "steep_link.crn",
         "spec s(x) {\n  min 18446744073709551615 x;\n}\n\ncrn c {\n  inputs X;\n  output Y;\n  computes s;\n  X -> Y;\n}\n",
@@ -262,7 +283,10 @@ fn exit_1_verdict_failure_class() {
         "18446744073709551615",
     ]);
     assert_eq!(code, 1, "{stdout}");
-    assert!(stdout.contains("does not fit i128"), "{stdout}");
+    assert!(
+        stdout.contains("f((18446744073709551615)) is past u64::MAX"),
+        "{stdout}"
+    );
     let negative = stdout
         .as_bytes()
         .windows(2)
@@ -318,7 +342,10 @@ fn exit_1_verdict_failure_class() {
     );
     let (code, stdout, _) = run_crn(&["profile", &overflow]);
     assert_eq!(code, 1, "{stdout}");
-    assert!(stdout.contains("(1 item(s), 1 failure(s))"), "{stdout}");
+    assert!(
+        stdout.contains("(1 item(s), 1 failure(s), 0 gave up)"),
+        "{stdout}"
+    );
 
     // A propensity past f64's range fails the item too: the roulette cannot
     // weigh `200 X -> Y` on a million X, so no trial may run biased.
@@ -349,9 +376,42 @@ fn exit_1_verdict_failure_class() {
     let (code, stdout, _) = run_crn(&["profile", huge]);
     assert_eq!(code, 1, "{stdout}");
     assert!(
-        stdout.contains("sim") && stdout.contains("(1 item(s), 1 failure(s))"),
+        stdout.contains("sim") && stdout.contains("(1 item(s), 1 failure(s), 0 gave up)"),
         "{stdout}"
     );
+
+    // `crn profile` counts a give-up as `crn sim` and `crn verify` report
+    // it, apart from the failures, and still exits 1: mod3's trials hit
+    // --max-steps, and figure1_max's exploration hits --max-configs.
+    for (doc, limits, phase) in [
+        ("mod3.crn", &["--max-steps", "5"][..], "sim"),
+        (
+            "figure1_max.crn",
+            &["--bound", "2", "--max-configs", "5"][..],
+            "verify",
+        ),
+    ] {
+        let doc = corpus(doc);
+        let mut args = vec!["profile", &doc];
+        args.extend(limits);
+        let (code, stdout, _) = run_crn(&args);
+        assert_eq!(code, 1, "{stdout}");
+        let line = stdout
+            .lines()
+            .find(|l| l.trim_start().starts_with(phase))
+            .unwrap_or_else(|| panic!("no {phase} line\n{stdout}"));
+        assert!(
+            line.ends_with("(1 item(s), 0 failure(s), 1 gave up)"),
+            "{stdout}"
+        );
+        args.push("--json");
+        let (code, json, _) = run_crn(&args);
+        assert_eq!(code, 1, "{json}");
+        assert!(
+            json.contains(r#""items":1,"failures":0,"gave_up":1"#),
+            "{json}"
+        );
+    }
 }
 
 const PIPELINE_DOC: &str = "\

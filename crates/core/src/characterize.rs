@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 
 use crn_geometry::{Arrangement, Region};
-use crn_numeric::{lcm_u64, NVec, QVec, Rational};
+use crn_numeric::{lcm_u64, NVec, QVec, Rational, WideInt};
 use crn_semilinear::SemilinearFunction;
 
 use crate::error::CoreError;
@@ -398,12 +398,8 @@ fn fit_strip_extension(
     // piece is needed.
     let mut covered = true;
     for x in &members {
-        let min_neighbor = neighbors
-            .iter()
-            .filter_map(|g| g.eval(x).ok())
-            .min()
-            .unwrap_or(i64::MAX);
-        if min_neighbor != value_at(f, x)? {
+        let min_neighbor = neighbors.iter().map(|g| g.exact(x)).min();
+        if min_neighbor != Some(WideInt::from(value_at(f, x)?)) {
             covered = false;
             break;
         }
@@ -487,10 +483,10 @@ fn find_valid_threshold(
             if !x.ge(&corner) {
                 continue;
             }
-            let Some(min_piece) = pieces.iter().filter_map(|g| g.eval(&x).ok()).min() else {
+            let Some(min_piece) = pieces.iter().map(|g| g.exact(&x)).min() else {
                 return Ok(None);
             };
-            if min_piece != value_at(f, &x)? {
+            if min_piece != WideInt::from(value_at(f, &x)?) {
                 continue 'outer;
             }
         }

@@ -1,9 +1,9 @@
 //! Quilt-affine functions (Definition 5.1): `g(x) = ∇g·x + B(x mod p)`.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
-use crn_numeric::{CongruenceClass, NVec, QVec, Rational};
+use crn_numeric::{CongruenceClass, NVec, QVec, Rational, WideInt};
+use crn_semilinear::AffinePiece;
 
 use crate::error::CoreError;
 
@@ -11,6 +11,14 @@ use crate::error::CoreError;
 /// `g(x) = ∇g · x + B(x mod p)` with a nonnegative rational gradient `∇g`
 /// and a periodic rational offset `B : Z^d/pZ^d → Q`, required to be
 /// integer-valued and nondecreasing (Definition 5.1).
+///
+/// On the congruence class `a` the function is the affine map
+/// `x ↦ ∇g·x + B(a)`, so it is held as one [`AffinePiece`] per class, the
+/// piece a `fn` case lowers to.  A value is its piece's exact integer
+/// ([`AffinePiece::exact`]), whatever its size: the piece is found from
+/// `x mod p` by index arithmetic, and no `Rational` operation or allocation
+/// is made per point.  The rationals are read only where the function is
+/// built or printed.
 ///
 /// ```
 /// use crn_core::QuiltAffine;
@@ -20,15 +28,14 @@ use crate::error::CoreError;
 /// let g = QuiltAffine::floor_linear(QVec::from(vec![Rational::new(3, 2)]), 2);
 /// assert_eq!(g.eval(&NVec::from(vec![4])).unwrap(), 6);
 /// assert_eq!(g.eval(&NVec::from(vec![5])).unwrap(), 7);
-/// assert_eq!(g.is_nondecreasing(), Ok(true));
+/// assert!(g.is_nondecreasing());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuiltAffine {
-    dim: usize,
     period: u64,
-    gradient: QVec,
-    /// Offset per congruence-class representative (each residue in `[0, p)`).
-    offsets: BTreeMap<Vec<u64>, Rational>,
+    /// The piece `x ↦ ∇g·x + B(a)` of each class `a`, in the order of
+    /// [`CongruenceClass::enumerate_all`].
+    pieces: Vec<AffinePiece>,
 }
 
 impl QuiltAffine {
@@ -42,13 +49,13 @@ impl QuiltAffine {
     /// Returns [`CoreError::InvalidSpec`] if the gradient has a negative
     /// component or an offset is missing, [`CoreError::NotInteger`] if some
     /// value `∇·x + B(x)` would not be an integer, and
-    /// [`CoreError::OutOfRange`] if one it checks does not fit `i128`.
+    /// [`CoreError::OutOfRange`] if a piece's integer form does not fit
+    /// `i128` (see [`AffinePiece::new`]).
     pub fn new(
         gradient: QVec,
         period: u64,
         offsets: BTreeMap<Vec<u64>, Rational>,
     ) -> Result<Self, CoreError> {
-        let dim = gradient.dim();
         if period == 0 {
             return Err(CoreError::InvalidSpec("period must be positive".into()));
         }
@@ -57,39 +64,43 @@ impl QuiltAffine {
                 "quilt-affine gradient must be nonnegative, got {gradient}"
             )));
         }
-        let g = QuiltAffine {
-            dim,
-            period,
-            gradient,
-            offsets,
-        };
-        // Every class must be present and give an integer value on its
-        // canonical representative (hence, by periodicity of the congruence
-        // class and rationality of the gradient, on every point).
+        let g = QuiltAffine::from_offsets(&gradient, period, |class| {
+            offsets.get(class.residues()).copied().ok_or_else(|| {
+                CoreError::InvalidSpec(format!("missing offset for congruence class {class}"))
+            })
+        })?;
+        // Every class must give an integer value on its canonical
+        // representative and one step along each axis: then `p·∇g` is
+        // integral, and so is the value on every point of the class.
+        let dim = g.dim();
         for class in CongruenceClass::enumerate_all(dim, period) {
             let rep = class.representative();
-            let value = g.value(&rep)?;
-            if g.offset_of(&rep).is_none() {
-                return Err(CoreError::InvalidSpec(format!(
-                    "missing offset for congruence class {class}"
-                )));
-            }
-            if !value.is_integer() {
-                return Err(CoreError::NotInteger(format!(
-                    "g({rep}) = {value} is not an integer"
-                )));
-            }
-            // Integrality must persist along each axis within the period.
-            for i in 0..dim {
-                let shifted = &rep + &NVec::basis(dim, i);
-                if !g.value(&shifted)?.is_integer() {
-                    return Err(CoreError::NotInteger(format!(
-                        "g({shifted}) is not an integer"
-                    )));
+            let steps = (0..dim).map(|i| &rep + &NVec::basis(dim, i));
+            for x in std::iter::once(rep.clone()).chain(steps) {
+                if g.piece(x.as_slice()).exact(&x).is_none() {
+                    return Err(CoreError::NotInteger(format!("g({x}) is not an integer")));
                 }
             }
         }
         Ok(g)
+    }
+
+    /// The function whose piece on each class `a` is
+    /// `x ↦ gradient·x + offset(a)`, unchecked for integrality.
+    fn from_offsets(
+        gradient: &QVec,
+        period: u64,
+        mut offset: impl FnMut(&CongruenceClass) -> Result<Rational, CoreError>,
+    ) -> Result<Self, CoreError> {
+        let pieces = CongruenceClass::enumerate_all(gradient.dim(), period)
+            .iter()
+            .map(|class| {
+                AffinePiece::new(gradient.clone(), offset(class)?).ok_or_else(|| {
+                    CoreError::OutOfRange(format!("the piece on {class} does not fit i128"))
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(QuiltAffine { period, pieces })
     }
 
     /// An ordinary affine function `x ↦ gradient·x + offset` viewed as
@@ -143,7 +154,7 @@ impl QuiltAffine {
     /// The input dimension `d`.
     #[must_use]
     pub fn dim(&self) -> usize {
-        self.dim
+        self.pieces[0].dim()
     }
 
     /// The period `p`.
@@ -152,68 +163,56 @@ impl QuiltAffine {
         self.period
     }
 
-    /// The gradient `∇g`.
+    /// The gradient `∇g`, which every piece shares.
     #[must_use]
     pub fn gradient(&self) -> &QVec {
-        &self.gradient
+        self.pieces[0].gradient()
     }
 
-    /// The periodic offset of the class containing `x`.
+    /// The index of the class of `x` in the order of
+    /// [`CongruenceClass::enumerate_all`], which runs the residues
+    /// lexicographically: `Σ_i (x_i mod p) p^(d−1−i)`.  Every partial sum
+    /// is below `p^d`, the number of pieces, so none overflows.
+    pub(crate) fn class_index(&self, x: &[u64]) -> usize {
+        let p = self.period;
+        x.iter().fold(0, |index, &c| index * p + c % p) as usize
+    }
+
+    /// The piece of the class of `x`.
+    fn piece(&self, x: &[u64]) -> &AffinePiece {
+        &self.pieces[self.class_index(x)]
+    }
+
+    /// The periodic offset `B(x mod p)` of the class containing `x`.
     #[must_use]
-    pub fn offset_of(&self, x: &NVec) -> Option<Rational> {
-        self.offsets.get(&x.mod_p(self.period)).copied()
+    pub fn offset_of(&self, x: &NVec) -> Rational {
+        self.piece(x.as_slice()).offset()
     }
 
-    /// `g(x) = ∇g·x + B(x mod p)`, exactly.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::OutOfRange`] where a product or sum does not fit `i128`.
-    fn value(&self, x: &NVec) -> Result<Rational, CoreError> {
-        let offset = self.offset_of(x).unwrap_or(Rational::ZERO);
-        self.gradient
-            .checked_dot_n(x)
-            .and_then(|linear| linear.checked_add(offset))
-            .ok_or_else(|| CoreError::OutOfRange(format!("g({x}) does not fit i128")))
-    }
-
-    /// `value` as an `i64`, where `what` names it.
-    fn to_i64(what: impl fmt::Display, value: Rational) -> Result<i64, CoreError> {
-        let integer = value
-            .to_integer()
-            .ok_or_else(|| CoreError::NotInteger(format!("{what} = {value}")))?;
-        i64::try_from(integer).map_err(|_| {
-            let edge = if integer > 0 { "MAX" } else { "MIN" };
-            CoreError::OutOfRange(format!("{what} = {integer} is past i64::{edge}"))
-        })
+    /// `g(x)`, exactly, whatever its size.
+    pub(crate) fn exact(&self, x: &NVec) -> WideInt {
+        self.piece(x.as_slice())
+            .exact(x)
+            .expect("a quilt-affine function is integer-valued")
     }
 
     /// Evaluates `g(x)` as an integer.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::NotInteger`] if the value is not an integer (this
-    /// indicates a malformed offset table, which [`QuiltAffine::new`]
-    /// rejects), and [`CoreError::OutOfRange`] if it, or a product or sum on
-    /// the way, does not fit `i64`.
-    pub fn eval(&self, x: &NVec) -> Result<i64, CoreError> {
-        Self::to_i64(format_args!("g({x})"), self.value(x)?)
+    /// [`CoreError::OutOfRange`] if the value does not fit `i128`.
+    pub fn eval(&self, x: &NVec) -> Result<i128, CoreError> {
+        self.exact(x)
+            .to_i128()
+            .ok_or_else(|| CoreError::OutOfRange(format!("g({x}) does not fit i128")))
     }
 
-    /// The finite difference `δ^i_a = ∇g·e_i + B(a + e_i) − B(a)`, exactly:
-    /// `g(x + e_i) − g(x)` for any `x` in class `a` (Lemma 6.1).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::OutOfRange`] where the sum does not fit `i128`.
-    fn difference(&self, i: usize, class: &CongruenceClass) -> Result<Rational, CoreError> {
-        assert!(i < self.dim, "component index out of range");
+    /// The finite difference `δ^i_a = g(x + e_i) − g(x)` for any `x` in
+    /// class `a`, exactly: `∇g·e_i + B(a + e_i) − B(a)` (Lemma 6.1).
+    fn difference(&self, i: usize, class: &CongruenceClass) -> WideInt {
+        assert!(i < self.dim(), "component index out of range");
         let rep = class.representative();
-        let offset = |x: &NVec| self.offset_of(x).unwrap_or(Rational::ZERO);
-        self.gradient[i]
-            .checked_add(offset(&(&rep + &NVec::basis(self.dim, i))))
-            .and_then(|d| d.checked_sub(offset(&rep)))
-            .ok_or_else(|| CoreError::OutOfRange(format!("δ^{i} on {class} does not fit i128")))
+        self.exact(&(&rep + &NVec::basis(self.dim(), i))) + -self.exact(&rep)
     }
 
     /// The finite difference `δ^i_a` as an integer (see
@@ -221,66 +220,57 @@ impl QuiltAffine {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::NotInteger`] if the difference is not an
-    /// integer, and [`CoreError::OutOfRange`] if it does not fit `i64`.
-    pub fn finite_difference(&self, i: usize, class: &CongruenceClass) -> Result<i64, CoreError> {
-        Self::to_i64(format_args!("δ^{i} on {class}"), self.difference(i, class)?)
+    /// [`CoreError::OutOfRange`] if the difference does not fit `i128`.
+    pub fn finite_difference(&self, i: usize, class: &CongruenceClass) -> Result<i128, CoreError> {
+        self.difference(i, class)
+            .to_i128()
+            .ok_or_else(|| CoreError::OutOfRange(format!("δ^{i} on {class} does not fit i128")))
     }
 
     /// Whether the function is nondecreasing, i.e. every finite difference
     /// `δ^i_a` is `≥ 0` (the defining requirement of Definition 5.1).  The
     /// differences are read exactly, whatever their size.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::OutOfRange`] where a difference does not fit `i128`.
-    pub fn is_nondecreasing(&self) -> Result<bool, CoreError> {
-        for class in CongruenceClass::enumerate_all(self.dim, self.period) {
-            for i in 0..self.dim {
-                if self.difference(i, &class)?.is_negative() {
-                    return Ok(false);
-                }
-            }
-        }
-        Ok(true)
+    #[must_use]
+    pub fn is_nondecreasing(&self) -> bool {
+        CongruenceClass::enumerate_all(self.dim(), self.period)
+            .iter()
+            .all(|class| (0..self.dim()).all(|i| !self.difference(i, class).is_negative()))
     }
 
     /// Whether `g(x) ≥ 0` for every `x ∈ N^d`.  For a nondecreasing
     /// quilt-affine function it suffices to check the box `[0, p)^d`.  The
     /// values are read exactly, whatever their size.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::OutOfRange`] where a value does not fit `i128`.
-    pub fn is_nonnegative(&self) -> Result<bool, CoreError> {
-        for class in CongruenceClass::enumerate_all(self.dim, self.period) {
-            if self.value(&class.representative())?.is_negative() {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+    #[must_use]
+    pub fn is_nonnegative(&self) -> bool {
+        CongruenceClass::enumerate_all(self.dim(), self.period)
+            .iter()
+            .all(|class| !self.exact(&class.representative()).is_negative())
     }
 
     /// The translate `x ↦ g(x + shift)`, still quilt-affine with the same
     /// gradient and period (used by Lemma 6.2 to turn `g_k` into the
-    /// nonnegative `g_k(x + n)`).
+    /// nonnegative `g_k(x + n)`): the piece of class `a` is that of
+    /// `a + shift` with `∇g·shift` added to its offset.
     ///
     /// # Errors
     ///
-    /// Propagates construction errors (none are expected for valid inputs).
+    /// [`CoreError::OutOfRange`] where an offset leaves `i128`.
     pub fn translate(&self, shift: &NVec) -> Result<QuiltAffine, CoreError> {
-        assert_eq!(shift.dim(), self.dim, "dimension mismatch");
-        let mut offsets = BTreeMap::new();
-        for class in CongruenceClass::enumerate_all(self.dim, self.period) {
-            let rep = class.representative();
-            let value = Rational::from(self.eval(&(&rep + shift))?);
-            offsets.insert(rep.as_slice().to_vec(), value - self.gradient.dot_n(&rep));
-        }
-        QuiltAffine::new(self.gradient.clone(), self.period, offsets)
+        assert_eq!(shift.dim(), self.dim(), "dimension mismatch");
+        let out_of_range = || CoreError::OutOfRange(format!("g(x + {shift}) does not fit i128"));
+        let rise = self
+            .gradient()
+            .checked_dot_n(shift)
+            .ok_or_else(out_of_range)?;
+        QuiltAffine::from_offsets(self.gradient(), self.period, |class| {
+            let offset = self.piece(class.add(shift).residues()).offset();
+            offset.checked_add(rise).ok_or_else(out_of_range)
+        })
     }
 
     /// Re-expresses the function with a period `p* = k·p` (a multiple of the
-    /// current period); the function is unchanged.
+    /// current period); the function is unchanged: the piece of class
+    /// `a mod p*` is that of `a mod p`.
     ///
     /// # Errors
     ///
@@ -293,50 +283,48 @@ impl QuiltAffine {
                 self.period
             )));
         }
-        let mut offsets = BTreeMap::new();
-        for class in CongruenceClass::enumerate_all(self.dim, p_star) {
-            let rep = class.representative();
-            offsets.insert(
-                rep.as_slice().to_vec(),
-                Rational::from(self.eval(&rep)?) - self.gradient.dot_n(&rep),
-            );
-        }
-        QuiltAffine::new(self.gradient.clone(), p_star, offsets)
+        let pieces = CongruenceClass::enumerate_all(self.dim(), p_star)
+            .iter()
+            .map(|class| self.piece(class.residues()).clone())
+            .collect();
+        Ok(QuiltAffine {
+            period: p_star,
+            pieces,
+        })
     }
 
     /// The fixed-input restriction `g[x(i) → j]` as a quilt-affine function of
-    /// the remaining `d − 1` inputs.
+    /// the remaining `d − 1` inputs: each piece is the one whose class holds
+    /// `x(i) = j`, with `x(i) = j` substituted (see
+    /// [`AffinePiece::substitute`]).
     ///
     /// # Errors
     ///
-    /// Propagates construction errors.
+    /// [`CoreError::OutOfRange`] where a substituted offset leaves `i128`.
     pub fn restrict(&self, i: usize, j: u64) -> Result<QuiltAffine, CoreError> {
-        assert!(i < self.dim, "component index out of range");
-        let remaining: Vec<Rational> = self
-            .gradient
+        assert!(i < self.dim(), "component index out of range");
+        let pieces = CongruenceClass::enumerate_all(self.dim() - 1, self.period)
             .iter()
-            .enumerate()
-            .filter(|&(k, _)| k != i)
-            .map(|(_, &c)| c)
-            .collect();
-        let gradient = QVec::from(remaining);
-        let mut offsets = BTreeMap::new();
-        for class in CongruenceClass::enumerate_all(self.dim - 1, self.period) {
-            let rep = class.representative();
-            let full = rep.with_inserted(i, j);
-            offsets.insert(
-                rep.as_slice().to_vec(),
-                Rational::from(self.eval(&full)?) - gradient.dot_n(&rep),
-            );
-        }
-        QuiltAffine::new(gradient, self.period, offsets)
+            .map(|class| {
+                let full = class.representative().with_inserted(i, j);
+                self.piece(full.as_slice()).substitute(i, j).ok_or_else(|| {
+                    CoreError::OutOfRange(format!("g[x({i}) → {j}] on {class} does not fit i128"))
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(QuiltAffine {
+            period: self.period,
+            pieces,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{EventuallyMin, ObliviousSpec};
     use proptest::prelude::*;
+    use std::fmt;
 
     fn fig3b() -> QuiltAffine {
         // Figure 3b: g(x) = (1,2)·x + B(x mod 3) with B = 0 except
@@ -362,10 +350,10 @@ mod tests {
     fn floor_three_halves_matches_closed_form() {
         let g = QuiltAffine::floor_linear(QVec::from(vec![Rational::new(3, 2)]), 2);
         for x in 0..20u64 {
-            assert_eq!(g.eval(&NVec::from(vec![x])).unwrap(), (3 * x / 2) as i64);
+            assert_eq!(g.eval(&NVec::from(vec![x])).unwrap(), i128::from(3 * x / 2));
         }
-        assert_eq!(g.is_nondecreasing(), Ok(true));
-        assert_eq!(g.is_nonnegative(), Ok(true));
+        assert!(g.is_nondecreasing());
+        assert!(g.is_nonnegative());
         assert_eq!(g.period(), 2);
         // Finite differences alternate 1, 2.
         let c0 = CongruenceClass::from_residues(vec![0], 2);
@@ -377,8 +365,8 @@ mod tests {
     #[test]
     fn figure3b_example_is_quilt_affine_and_nondecreasing() {
         let g = fig3b();
-        assert_eq!(g.is_nondecreasing(), Ok(true));
-        assert_eq!(g.is_nonnegative(), Ok(true));
+        assert!(g.is_nondecreasing());
+        assert!(g.is_nonnegative());
         assert_eq!(g.eval(&NVec::from(vec![0, 0])).unwrap(), 0);
         assert_eq!(g.eval(&NVec::from(vec![1, 2])).unwrap(), 1 + 4 - 1);
         assert_eq!(g.eval(&NVec::from(vec![4, 5])).unwrap(), 4 + 10 - 1);
@@ -481,7 +469,7 @@ mod tests {
             offsets,
         )
         .unwrap();
-        assert_eq!(g.is_nondecreasing(), Ok(true));
+        assert!(g.is_nondecreasing());
         for x1 in 0..8u64 {
             for x2 in 0..8u64 {
                 assert_eq!(
@@ -497,11 +485,17 @@ mod tests {
         QuiltAffine::affine(QVec::from(vec![Rational::from(k)]), Rational::ZERO).unwrap()
     }
 
-    fn out_of_range(result: Result<i64, CoreError>) -> String {
+    fn out_of_range<T: fmt::Debug>(result: Result<T, CoreError>) -> String {
         match result {
             Err(CoreError::OutOfRange(msg)) => msg,
             other => panic!("expected an out-of-range error, got {other:?}"),
         }
+    }
+
+    /// The spec `min g` on all of `N^d`.
+    fn min_of(g: QuiltAffine) -> ObliviousSpec {
+        let eventual = EventuallyMin::new(NVec::zeros(g.dim()), vec![g]).unwrap();
+        ObliviousSpec::compound(eventual, BTreeMap::new()).unwrap()
     }
 
     #[test]
@@ -510,26 +504,34 @@ mod tests {
         // through an i64 evaluation, that step was an error, and the error
         // a decrease.
         let g = linear(u64::MAX);
-        assert_eq!(g.is_nondecreasing(), Ok(true));
-        assert_eq!(g.is_nonnegative(), Ok(true));
+        assert!(g.is_nondecreasing());
+        assert!(g.is_nonnegative());
         let class = CongruenceClass::zero(1, 1);
+        assert_eq!(g.finite_difference(0, &class), Ok(i128::from(u64::MAX)));
+        // Lemma 6.1 cannot emit that many copies of Y in one reaction.
         assert_eq!(
-            out_of_range(g.finite_difference(0, &class)),
+            out_of_range(crate::synthesis::quilt_crn(&g)),
             "δ^0 on [[0] mod 1] = 18446744073709551615 is past i64::MAX"
         );
-        // Lemma 6.1 cannot emit that many copies of Y in one reaction.
-        let refused = crate::synthesis::quilt_crn(&g).unwrap_err();
-        assert!(matches!(refused, CoreError::OutOfRange(_)), "{refused}");
     }
 
     #[test]
     fn a_value_past_i64_is_out_of_range_not_a_fraction() {
-        // `min 9223372036854775807 x` at 2 is 2^64 - 2, an integer.
+        // `min 9223372036854775807 x` at 2 is 2^64 - 2: an integer, and a
+        // value of the spec, as of the `fn` with the same case.
         let g = linear(i64::MAX as u64);
-        assert_eq!(g.eval(&NVec::from(vec![1])), Ok(i64::MAX));
+        let two = NVec::from(vec![2]);
+        assert_eq!(g.eval(&two), Ok(i128::from(u64::MAX - 1)));
+        let spec = min_of(g);
+        let ObliviousSpec::Compound { eventual, .. } = &spec else {
+            unreachable!("a compound spec");
+        };
+        assert_eq!(eventual.eval(&two).to_u64(), Some(u64::MAX - 1));
+        assert_eq!(spec.eval(&two), Ok(u64::MAX - 1));
+        // At 3 it is past u64::MAX, which names the point.
         assert_eq!(
-            out_of_range(g.eval(&NVec::from(vec![2]))),
-            "g((2)) = 18446744073709551614 is past i64::MAX"
+            out_of_range(spec.eval(&NVec::from(vec![3]))),
+            "f((3)) is past u64::MAX"
         );
     }
 
@@ -537,10 +539,53 @@ mod tests {
     fn a_product_past_i128_is_out_of_range_not_wrapped() {
         // (2^64 - 1)^2 wrapped in i128 to -36893488147419103231.
         let g = linear(u64::MAX);
+        let max = NVec::from(vec![u64::MAX]);
         assert_eq!(
-            out_of_range(g.eval(&NVec::from(vec![u64::MAX]))),
+            out_of_range(g.eval(&max)),
             "g((18446744073709551615)) does not fit i128"
         );
+        assert_eq!(
+            out_of_range(min_of(g).eval(&max)),
+            "f((18446744073709551615)) is past u64::MAX"
+        );
+    }
+
+    #[test]
+    fn a_translate_past_i128_is_out_of_range() {
+        // g(x) = 2^62 x + B(x mod 2) with B(1) = -2^62 (2^64 - 1), so that
+        // g(2^64 - 1) = 0, and B(0) = 2^126 + 2^62.  The shift by 2^64 - 1
+        // swaps the classes and adds 2^62 (2^64 - 1) to each offset, which
+        // takes B(0) past i128.  Shifting the representative 1 by it
+        // overflowed a u64 count.
+        let rise = (1i128 << 62) * i128::from(u64::MAX);
+        let offsets = BTreeMap::from([
+            (vec![0], Rational::from((1i128 << 126) + (1 << 62))),
+            (vec![1], Rational::from(-rise)),
+        ]);
+        let g =
+            QuiltAffine::new(QVec::from(vec![Rational::from(1i128 << 62)]), 2, offsets).unwrap();
+        let max = NVec::from(vec![u64::MAX]);
+        assert_eq!(g.eval(&max), Ok(0));
+        assert_eq!(
+            out_of_range(g.translate(&max)),
+            "g(x + (18446744073709551615)) does not fit i128"
+        );
+    }
+
+    /// A draw shaped towards the cases that matter: small values, values
+    /// near the top of the range, and arbitrary ones.
+    fn shaped(raw: u64, shape: u64) -> u64 {
+        match shape {
+            0 => raw % 8,
+            1 => u64::MAX - raw % 8,
+            2 => raw >> (raw % 64),
+            _ => raw,
+        }
+    }
+
+    /// The point of dimension `dim` drawn from `raw` and `shapes`.
+    fn point(dim: usize, raw: &[u64], shapes: &[u64]) -> NVec {
+        (0..dim).map(|k| shaped(raw[k], shapes[k])).collect()
     }
 
     proptest! {
@@ -564,6 +609,92 @@ mod tests {
             );
             let expected = (3 * x1 + 4 * x2) / 6; // floor((x1/2 + 2x2/3))
             prop_assert_eq!(g.eval(&NVec::from(vec![x1, x2])).unwrap() as u64, expected);
+        }
+    }
+
+    /// Whether `result` is the `expected` value, or an out-of-range error
+    /// where there is none.
+    fn agrees(result: Result<i128, CoreError>, expected: Option<i128>) -> bool {
+        match result {
+            Ok(value) => expected == Some(value),
+            Err(CoreError::OutOfRange(_)) => expected.is_none(),
+            Err(_) => false,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A function drawn from integer rises `c_i ≥ 0` and integer class
+        /// values `V[a]` is `g(x) = V[x mod p] + Σ c_i ⌊x_i/p⌋`: gradient
+        /// `c/p` and offsets `B(a) = V[a] − c·a/p`.  `eval` gives that value
+        /// for coordinates up to `u64::MAX`, or refuses with it past
+        /// `i128`; the translate, refinement and restriction agree with it
+        /// at the mapped point, or are out of range, and never panic.
+        #[test]
+        fn pieces_match_the_class_values_and_rises(
+            dim in 1usize..4,
+            p in 1u64..5,
+            rises in collection::vec(0i64..(1 << 62) + 1, 3),
+            values in collection::vec(-(1i64 << 62)..(1 << 62) + 1, 64),
+            raw in collection::vec(0u64..u64::MAX, 10),
+            shapes in collection::vec(0u64..4, 10),
+        ) {
+            let classes = CongruenceClass::enumerate_all(dim, p);
+            let value_of: BTreeMap<Vec<u64>, i128> = classes
+                .iter()
+                .zip(&values)
+                .map(|(class, &v)| (class.residues().to_vec(), i128::from(v)))
+                .collect();
+            let gradient: QVec = rises[..dim]
+                .iter()
+                .map(|&c| Rational::new(i128::from(c), i128::from(p)))
+                .collect();
+            let offsets = value_of
+                .iter()
+                .map(|(a, &v)| {
+                    let linear = gradient.dot_n(&NVec::from(a.clone()));
+                    (a.clone(), Rational::from(v) - linear)
+                })
+                .collect();
+            let g = QuiltAffine::new(gradient, p, offsets).unwrap();
+            let reference = |x: &NVec| {
+                x.iter()
+                    .zip(&rises)
+                    .fold(WideInt::from(value_of[&x.mod_p(p)]), |sum, (&c, &rise)| {
+                        sum + WideInt::product(i128::from(rise), c / p)
+                    })
+                    .to_i128()
+            };
+            let x = point(dim, &raw[0..3], &shapes[0..3]);
+            prop_assert!(agrees(g.eval(&x), reference(&x)), "g({x})");
+
+            let shift = point(dim, &raw[3..6], &shapes[3..6]);
+            match g.translate(&shift) {
+                Ok(translate) => {
+                    let y = point(dim, &raw[6..9], &shapes[6..9]);
+                    let moved: Option<NVec> =
+                        y.iter().zip(shift.iter()).map(|(a, b)| a.checked_add(*b)).collect();
+                    if let Some(moved) = moved {
+                        prop_assert!(agrees(translate.eval(&y), reference(&moved)), "{y} + {shift}");
+                    }
+                }
+                Err(e) => prop_assert!(matches!(e, CoreError::OutOfRange(_)), "{e}"),
+            }
+
+            let refined = g.with_period(p * (1 + raw[9] % 3)).unwrap();
+            prop_assert!(agrees(refined.eval(&x), reference(&x)), "refined at {x}");
+
+            let i = (raw[9] % dim as u64) as usize;
+            let j = shaped(raw[6], shapes[6]);
+            match g.restrict(i, j) {
+                Ok(restricted) => {
+                    let y = x.without_component(i);
+                    let full = y.with_inserted(i, j);
+                    prop_assert!(agrees(restricted.eval(&y), reference(&full)), "{full}");
+                }
+                Err(e) => prop_assert!(matches!(e, CoreError::OutOfRange(_)), "{e}"),
+            }
         }
     }
 }

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use crn_numeric::NVec;
+use crn_numeric::{NVec, WideInt};
 
 use crate::error::CoreError;
 use crate::quilt::QuiltAffine;
@@ -56,19 +56,15 @@ impl EventuallyMin {
         self.threshold.dim()
     }
 
-    /// Evaluates `min_k g_k(x)` (meaningful for `x ≥ threshold`, but defined
-    /// everywhere).
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors from the pieces.
-    pub fn eval(&self, x: &NVec) -> Result<i64, CoreError> {
-        let mut best: Option<i64> = None;
-        for g in &self.pieces {
-            let v = g.eval(x)?;
-            best = Some(best.map_or(v, |b| b.min(v)));
-        }
-        Ok(best.expect("at least one piece"))
+    /// Evaluates `min_k g_k(x)` exactly (meaningful for `x ≥ threshold`, but
+    /// defined everywhere).
+    #[must_use]
+    pub fn eval(&self, x: &NVec) -> WideInt {
+        self.pieces
+            .iter()
+            .map(|g| g.exact(x))
+            .min()
+            .expect("at least one piece")
     }
 }
 
@@ -152,7 +148,8 @@ impl ObliviousSpec {
     ///
     /// Returns [`CoreError::NotInteger`] if an eventual piece evaluates to a
     /// negative value at a point where it is the minimum (the spec then does
-    /// not describe a function into `N`).
+    /// not describe a function into `N`), and [`CoreError::OutOfRange`] if
+    /// the minimum is past `u64::MAX`, as a `fn` value is classified.
     pub fn eval(&self, x: &NVec) -> Result<u64, CoreError> {
         match self {
             ObliviousSpec::Constant(c) => Ok(*c),
@@ -162,9 +159,15 @@ impl ObliviousSpec {
             } => {
                 let n = eventual.threshold();
                 if x.ge(n) {
-                    let v = eventual.eval(x)?;
-                    u64::try_from(v)
-                        .map_err(|_| CoreError::NotInteger(format!("f({x}) = {v} is negative")))
+                    let value = eventual.eval(x);
+                    value.to_u64().ok_or_else(|| match value.to_i128() {
+                        // A negative value is some piece's offset plus a
+                        // nonnegative `∇g·x`, so it fits i128.
+                        Some(v) if v < 0 => {
+                            CoreError::NotInteger(format!("f({x}) = {v} is negative"))
+                        }
+                        _ => CoreError::OutOfRange(format!("f({x}) is past u64::MAX")),
+                    })
                 } else {
                     let (i, j) = (0..x.dim())
                         .find_map(|i| (x[i] < n[i]).then_some((i, x[i])))
@@ -222,8 +225,8 @@ mod tests {
     #[test]
     fn eventual_min_evaluates_min() {
         let em = min_of_two_lines();
-        assert_eq!(em.eval(&NVec::from(vec![3, 5])).unwrap(), 4);
-        assert_eq!(em.eval(&NVec::from(vec![5, 3])).unwrap(), 4);
+        assert_eq!(em.eval(&NVec::from(vec![3, 5])), WideInt::from(4i64));
+        assert_eq!(em.eval(&NVec::from(vec![5, 3])), WideInt::from(4i64));
         assert_eq!(em.dim(), 2);
         assert_eq!(em.pieces().len(), 2);
     }

@@ -29,13 +29,13 @@ use crate::spec::ObliviousSpec;
 /// finite difference, the count of `Y` one reaction emits, is past
 /// `i64::MAX`.
 pub fn quilt_crn(g: &QuiltAffine) -> Result<FunctionCrn, CoreError> {
-    if !g.is_nondecreasing()? {
+    if !g.is_nondecreasing() {
         return Err(CoreError::NotNondecreasing(format!(
             "gradient {} with the given offsets has a negative finite difference",
             g.gradient()
         )));
     }
-    if !g.is_nonnegative()? {
+    if !g.is_nonnegative() {
         return Err(CoreError::NegativeQuiltValue(format!(
             "g takes a negative value near the origin (gradient {})",
             g.gradient()
@@ -57,27 +57,24 @@ pub fn quilt_crn(g: &QuiltAffine) -> Result<FunctionCrn, CoreError> {
             crn.add_species(&format!("L_{}", label.join("_")))
         })
         .collect();
-    let index_of = |class: &CongruenceClass| -> usize {
-        classes
-            .iter()
-            .position(|c| c == class)
-            .expect("class enumerated")
-    };
-
-    let g0 = g.eval(&NVec::zeros(d))?;
-    let zero_class = CongruenceClass::zero(d, p);
+    // The leader states sit in the order of the classes, which is the
+    // order of `g`'s pieces: the zero class first.
+    let zero = NVec::zeros(d);
+    let g0 = emitted(format_args!("g({zero})"), g.eval(&zero)?)?;
     crn.add_reaction(Reaction::new(
         vec![(leader, 1)],
-        vec![(y, g0 as u64), (state_species[index_of(&zero_class)], 1)],
+        vec![(y, g0), (state_species[0], 1)],
     ));
     for (ci, class) in classes.iter().enumerate() {
         for (i, &xi) in inputs.iter().enumerate() {
-            let delta = g.finite_difference(i, class)?;
-            debug_assert!(delta >= 0, "nondecreasing was checked");
-            let next = index_of(&class.add_basis(i));
+            let delta = emitted(
+                format_args!("δ^{i} on {class}"),
+                g.finite_difference(i, class)?,
+            )?;
+            let next = g.class_index(class.add_basis(i).residues());
             crn.add_reaction(Reaction::new(
                 vec![(state_species[ci], 1), (xi, 1)],
-                vec![(y, delta as u64), (state_species[next], 1)],
+                vec![(y, delta), (state_species[next], 1)],
             ));
         }
     }
@@ -90,6 +87,15 @@ pub fn quilt_crn(g: &QuiltAffine) -> Result<FunctionCrn, CoreError> {
         },
     )
     .map_err(CoreError::from)
+}
+
+/// A count of `Y` that one Lemma 6.1 reaction emits, `g(0)` or a finite
+/// difference: nonnegative once `g` is checked, and at most `i64::MAX`.
+fn emitted(what: std::fmt::Arguments<'_>, count: i128) -> Result<u64, CoreError> {
+    debug_assert!(count >= 0, "g is checked nonnegative and nondecreasing");
+    i64::try_from(count)
+        .map(i64::unsigned_abs)
+        .map_err(|_| CoreError::OutOfRange(format!("{what} = {count} is past i64::MAX")))
 }
 
 /// A `d`-input CRN whose output equals input `i` and ignores the others

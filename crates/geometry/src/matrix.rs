@@ -26,18 +26,6 @@ impl QMatrix {
         QMatrix { rows, cols }
     }
 
-    /// Number of rows.
-    #[must_use]
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Number of columns.
-    #[must_use]
-    pub fn col_count(&self) -> usize {
-        self.cols
-    }
-
     /// The rows.
     #[must_use]
     pub fn rows(&self) -> &[QVec] {

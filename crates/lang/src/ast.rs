@@ -226,12 +226,6 @@ impl LinExpr {
         }
     }
 
-    /// Whether every coefficient is zero (the expression is constant).
-    #[must_use]
-    pub fn is_constant(&self) -> bool {
-        self.coeffs.iter().all(Rational::is_zero)
-    }
-
     /// The difference `self − other` (used to normalize comparisons).
     #[must_use]
     pub fn sub(&self, other: &LinExpr) -> LinExpr {

@@ -679,7 +679,7 @@ pub fn default_params(dim: usize) -> Vec<String> {
 
 fn quilt_to_piece(g: &QuiltAffine) -> Piece {
     if g.period() == 1 {
-        let offset = g.offset_of(&NVec::zeros(g.dim())).unwrap_or(Rational::ZERO);
+        let offset = g.offset_of(&NVec::zeros(g.dim()));
         Piece::Affine(LinExpr {
             coeffs: g.gradient().as_slice().to_vec(),
             constant: offset,
@@ -690,7 +690,7 @@ fn quilt_to_piece(g: &QuiltAffine) -> Piece {
             .map(|class| {
                 let rep = class.representative();
                 let key = rep.as_slice().to_vec();
-                let value = g.offset_of(&rep).unwrap_or(Rational::ZERO);
+                let value = g.offset_of(&rep);
                 (key, value)
             })
             .collect();

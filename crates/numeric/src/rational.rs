@@ -198,17 +198,6 @@ impl Rational {
         }
     }
 
-    /// The multiplicative inverse.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is zero.
-    #[must_use]
-    pub fn recip(&self) -> Rational {
-        assert!(self.numer != 0, "cannot invert zero");
-        Rational::new(self.denom, self.numer)
-    }
-
     /// An `f64` approximation (used only for reporting, never for decisions).
     #[must_use]
     pub fn to_f64(&self) -> f64 {

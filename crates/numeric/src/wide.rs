@@ -68,6 +68,14 @@ impl WideInt {
         }
     }
 
+    /// The value, if it lies in `i128::MIN..=i128::MAX`: exactly when `hi`
+    /// is the sign extension of `lo` read as an `i128`.
+    #[must_use]
+    pub fn to_i128(self) -> Option<i128> {
+        let value = self.lo as i128;
+        (self.hi == value >> 127).then_some(value)
+    }
+
     /// The least nonnegative residue of the value modulo `m`.
     ///
     /// # Panics
@@ -181,18 +189,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The value as an `i128`, where it fits.
-    fn small(v: WideInt) -> Option<i128> {
-        match v.hi {
-            0 => i128::try_from(v.lo).ok(),
-            -1 => {
-                let as_signed = v.lo as i128;
-                (as_signed < 0).then_some(as_signed)
-            }
-            _ => None,
-        }
-    }
-
     #[test]
     fn products_at_the_extremes_are_exact() {
         // (2^127 - 1)(2^64 - 1) = 2^191 - 2^127 - 2^64 + 1.
@@ -223,6 +219,14 @@ mod tests {
         assert_eq!(sum.rem_euclid(4), 2);
         assert_eq!((-sum).rem_euclid(4), 2);
         assert_eq!(sum.to_u64(), None);
+        assert_eq!((sum.to_i128(), (-sum).to_i128()), (None, None));
+        // The ends of i128 and one step past each.
+        for edge in [i128::MIN, i128::MAX] {
+            assert_eq!(WideInt::from(edge).to_i128(), Some(edge));
+        }
+        let one = WideInt::from(1i64);
+        assert_eq!((WideInt::from(i128::MAX) + one).to_i128(), None);
+        assert_eq!((WideInt::from(i128::MIN) + -one).to_i128(), None);
         assert_eq!(sum.div_rem(2), (t, 0));
     }
 
@@ -249,7 +253,7 @@ mod tests {
             let b = i128::from(b) << 56;
             let exact = i128::from(a) * i128::from(x) + b;
             let wide = WideInt::product(i128::from(a), x) + WideInt::from(b);
-            prop_assert_eq!(small(wide), Some(exact));
+            prop_assert_eq!(wide.to_i128(), Some(exact));
             prop_assert_eq!(
                 u128::from(wide.rem_euclid(m)),
                 exact.rem_euclid(i128::from(m)).unsigned_abs()
@@ -258,7 +262,7 @@ mod tests {
             prop_assert_eq!(wide.to_u64(), u64::try_from(exact).ok());
             if exact >= 0 {
                 let (q, r) = wide.div_rem(u128::from(m));
-                prop_assert_eq!(small(q), Some(exact / i128::from(m)));
+                prop_assert_eq!(q.to_i128(), Some(exact / i128::from(m)));
                 prop_assert_eq!(r, (exact % i128::from(m)).unsigned_abs());
             }
         }

@@ -83,9 +83,40 @@ impl AffinePiece {
         self.gradient.dim()
     }
 
-    /// The value at `x`, if it is in `N`, computed exactly for every count:
-    /// the integer numerator `numerators·x + constant` is a [`WideInt`], and
-    /// the division by the common denominator is skipped when it is 1.
+    /// The value at `x` as an exact integer, or `None` where it is a
+    /// fraction: the integer numerator `numerators·x + constant` is a
+    /// [`WideInt`], and the division by the common denominator is skipped
+    /// when it is 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if dimensions differ.
+    #[must_use]
+    #[inline]
+    pub fn exact(&self, x: &NVec) -> Option<WideInt> {
+        assert_eq!(self.dim(), x.dim(), "dimension mismatch");
+        let numerator = self
+            .numerators
+            .iter()
+            .zip(x.iter())
+            .fold(WideInt::from(self.constant), |sum, (&n, &c)| {
+                sum + WideInt::product(n, c)
+            });
+        if self.denominator == 1 {
+            return Some(numerator);
+        }
+        // `div_rem` divides a nonnegative value, so divide the magnitude.
+        let l = self.denominator.unsigned_abs();
+        let (quotient, remainder) = if numerator.is_negative() {
+            let (quotient, remainder) = (-numerator).div_rem(l);
+            (-quotient, remainder)
+        } else {
+            numerator.div_rem(l)
+        };
+        (remainder == 0).then_some(quotient)
+    }
+
+    /// The value at `x`, if it is in `N`: [`exact`](Self::exact), classified.
     ///
     /// # Errors
     ///
@@ -97,27 +128,12 @@ impl AffinePiece {
     ///
     /// Panics if dimensions differ.
     pub fn eval_integer(&self, x: &NVec) -> Result<u64, SemilinearFunctionError> {
-        assert_eq!(self.dim(), x.dim(), "dimension mismatch");
-        let numerator = self
-            .numerators
-            .iter()
-            .zip(x.iter())
-            .fold(WideInt::from(self.constant), |sum, (&n, &c)| {
-                sum + WideInt::product(n, c)
-            });
-        if numerator.is_negative() {
-            return Err(SemilinearFunctionError::NotNatural(x.clone()));
+        match self.exact(x) {
+            Some(value) if !value.is_negative() => value
+                .to_u64()
+                .ok_or_else(|| SemilinearFunctionError::OutOfRange(x.clone())),
+            _ => Err(SemilinearFunctionError::NotNatural(x.clone())),
         }
-        let value = match self.denominator {
-            1 => numerator,
-            l => match numerator.div_rem(l.unsigned_abs()) {
-                (quotient, 0) => quotient,
-                _ => return Err(SemilinearFunctionError::NotNatural(x.clone())),
-            },
-        };
-        value
-            .to_u64()
-            .ok_or_else(|| SemilinearFunctionError::OutOfRange(x.clone()))
     }
 
     /// The reference for [`eval_integer`](Self::eval_integer): the rational
@@ -198,6 +214,20 @@ mod tests {
         // An odd count past i64::MAX: 3 (2^64 - 1) / 2 - 1/2 is past u64.
         let max = at(&[u64::MAX]);
         assert_eq!(piece.eval_integer(&max), Err(OutOfRange(max.clone())));
+    }
+
+    #[test]
+    fn exact_reads_negative_values_and_refuses_fractions() {
+        // (3/2) x - 5/2 is -5/2 at 0, -1 at 1, 1/2 at 2 and 3 · 2^63 - 4
+        // at 2^64 - 1: a fraction is no value, a negative integer is one.
+        let piece =
+            AffinePiece::new(QVec::from(vec![Rational::new(3, 2)]), Rational::new(-5, 2)).unwrap();
+        assert_eq!(piece.exact(&at(&[0])), None);
+        assert_eq!(piece.exact(&at(&[1])), Some(WideInt::from(-1i64)));
+        assert_eq!(piece.exact(&at(&[2])), None);
+        let max = piece.exact(&at(&[u64::MAX])).unwrap();
+        assert_eq!(max.to_i128(), Some(3 * (1i128 << 63) - 4));
+        assert_eq!(piece.eval_integer(&at(&[1])), Err(NotNatural(at(&[1]))));
     }
 
     #[test]
