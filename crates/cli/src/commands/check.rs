@@ -2,7 +2,7 @@
 
 use crate::args::Args;
 use crate::commands::lint::{LintNote, LintReport};
-use crate::commands::{huge_box, resolve_target, usage_error, EXIT_OK, EXIT_USAGE, EXIT_VERDICT};
+use crate::commands::{huge_box, resolve_link, usage_error, EXIT_OK, EXIT_USAGE, EXIT_VERDICT};
 use crate::json::Json;
 use crate::workspace::Workspace;
 
@@ -93,9 +93,11 @@ pub fn run(raw: &[String]) -> i32 {
                 Err(e) => problems.push(format!("spec `{name}` cannot be evaluated: {e}")),
             }
         }
+        // The loops above evaluated every `fn` and `spec` on the box, so a
+        // link only needs its target to exist with the crn's dimension.
         for (name, lowered) in &ws.crns {
             if let Some(computes) = &lowered.computes {
-                if let Err(problem) = resolve_target(&ws, name, computes, bound) {
+                if let Err(problem) = resolve_link(&ws, name, computes) {
                     problems.push(problem);
                 }
             }

@@ -452,6 +452,42 @@ pipeline bad {
 ";
 
 #[test]
+fn check_names_each_invalid_target_once_and_a_negative_spec_value_as_negative() {
+    // The item loop evaluates every `fn` and `spec` on the box; a `computes`
+    // link only resolves its target, so each failure is printed once.
+    let half = scratch(
+        "check_once_half_spec.crn",
+        "spec half(x) {\n  min 9223372036854775807 x;\n}\n",
+    );
+    let (code, synthesized, stderr) = run_crn(&["synthesize", half.to_str().unwrap()]);
+    assert_eq!(code, 0, "{stderr}");
+    let synthesized = scratch("check_once_half_crn.crn", &synthesized);
+    let half_fn = scratch(
+        "check_once_half_fn.crn",
+        "fn big(x) {\n  case x >= 0: 9223372036854775807 x;\n}\n\ncrn c {\n  inputs X;\n  output Y;\n  computes big;\n  X -> 9223372036854775807 Y;\n}\n",
+    );
+    for (doc, reason) in [
+        (&synthesized, "f((3)) is past u64::MAX"),
+        (&half_fn, "value at (3) is an integer past u64::MAX"),
+    ] {
+        let (code, stdout, _) = run_crn(&["check", doc.to_str().unwrap(), "--bound", "3"]);
+        assert_eq!(code, 1, "{stdout}");
+        assert_eq!(stdout.matches(reason).count(), 1, "{stdout}");
+    }
+
+    // A negative spec value is an integer, reported as negative.
+    let negative = scratch("negative_spec.crn", "spec s(x) {\n  min x - 1;\n}\n");
+    let (code, stdout, _) = run_crn(&["check", negative.to_str().unwrap()]);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(
+        stdout
+            .contains("spec `s` cannot be evaluated: value out of range: f((0)) = -1 is negative"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("not an integer"), "{stdout}");
+}
+
+#[test]
 fn compose_exit_code_classes() {
     let path = scratch("pipelines.crn", PIPELINE_DOC);
     let path = path.to_str().unwrap();

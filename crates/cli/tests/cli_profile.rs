@@ -297,6 +297,18 @@ fn per_crn_set_up_shows_one_span_per_artifact_and_item() {
     for span in ["model.analysis.bounds", "model.analysis.t_semiflows"] {
         assert_eq!(span_calls(&json, span), 1, "{span}:\n{json}");
     }
+    // Lint's own enumerations show under its span, once per item.
+    for span in [
+        "model.analysis.semiflows",
+        "model.analysis.siphons",
+        "model.analysis.traps",
+    ] {
+        assert_eq!(span_calls(&json, span), 1, "{span}:\n{json}");
+        assert!(
+            json.contains(&format!("model.analysis.lint/{span}\":")),
+            "{span} outside lint:\n{json}"
+        );
+    }
 }
 
 #[test]

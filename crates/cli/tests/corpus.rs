@@ -297,6 +297,49 @@ fn synthesized_figure7_lints_without_truncation() {
 }
 
 #[test]
+fn synthesized_constructions_lint_to_their_goldens() {
+    // The Lemma 6.2 constructions join many modules, so their structural
+    // analysis (siphons, traps, the potential cone) is far larger than the
+    // source documents'.  Each is linted from its own directory, so the
+    // rendered file name is the bare one the goldens under
+    // `corpus/expected/synthesized/` hold.
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("synthesized_lint");
+    std::fs::create_dir_all(&dir).unwrap();
+    for stem in ["staircase", "min_spec", "figure7", "compound_spec", "mod3"] {
+        let file = format!("{stem}.crn");
+        let out = dir.join(&file);
+        let (code, _) = run_crn(&[
+            "synthesize",
+            &format!("corpus/{stem}.crn"),
+            "-o",
+            out.to_str().unwrap(),
+        ]);
+        assert_eq!(code, 0, "synthesize {stem}");
+        for (flags, extension) in [(&[][..], "txt"), (&["--json"][..], "json")] {
+            let output = Command::new(env!("CARGO_BIN_EXE_crn"))
+                .arg("lint")
+                .args(flags)
+                .arg(&file)
+                .current_dir(&dir)
+                .output()
+                .expect("the crn binary runs");
+            assert_eq!(output.status.code(), Some(0), "lint {flags:?} {stem}");
+            let golden_path = repo_root().join(format!(
+                "corpus/expected/synthesized/{stem}.lint.{extension}"
+            ));
+            let golden = std::fs::read_to_string(&golden_path)
+                .unwrap_or_else(|e| panic!("golden {} missing: {e}", golden_path.display()));
+            assert_eq!(
+                String::from_utf8(output.stdout).expect("utf-8 stdout"),
+                golden,
+                "crn lint {flags:?} of synthesized {stem}: output drifted from {}",
+                golden_path.display()
+            );
+        }
+    }
+}
+
+#[test]
 fn characterized_specs_re_enter_the_pipeline() {
     // The spec a `characterize` run prints is itself a valid document: it
     // parses, lowers, and evaluates to the same values as the source fn.

@@ -146,10 +146,10 @@ impl ObliviousSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::NotInteger`] if an eventual piece evaluates to a
-    /// negative value at a point where it is the minimum (the spec then does
-    /// not describe a function into `N`), and [`CoreError::OutOfRange`] if
-    /// the minimum is past `u64::MAX`, as a `fn` value is classified.
+    /// Returns [`CoreError::OutOfRange`] if the minimum is outside `u64`:
+    /// negative (an eventual piece is negative where it is the minimum, so
+    /// the spec does not describe a function into `N`) or past `u64::MAX`,
+    /// as a `fn` value is classified.
     pub fn eval(&self, x: &NVec) -> Result<u64, CoreError> {
         match self {
             ObliviousSpec::Constant(c) => Ok(*c),
@@ -164,7 +164,7 @@ impl ObliviousSpec {
                         // A negative value is some piece's offset plus a
                         // nonnegative `∇g·x`, so it fits i128.
                         Some(v) if v < 0 => {
-                            CoreError::NotInteger(format!("f({x}) = {v} is negative"))
+                            CoreError::OutOfRange(format!("f({x}) = {v} is negative"))
                         }
                         _ => CoreError::OutOfRange(format!("f({x}) is past u64::MAX")),
                     })

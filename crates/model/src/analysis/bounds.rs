@@ -12,27 +12,33 @@
 //! truncation semantics: sound, and incomplete when [`FARKAS_ROW_CAP`] cut
 //! a column short or a combination overflowed `i128`.
 //!
-//! The cone's readers are lints C008 and C009, which ask which species
-//! some potential covers.
+//! The cone's readers are lints C008 and C009, which ask only which species
+//! some potential covers.  A species is covered exactly when some extreme
+//! ray weighs it, since every potential is a nonnegative combination of
+//! the rays; so [`SpeciesBounds`] keeps one bit per species, read off the
+//! payload columns of the Farkas rows, and never materializes a potential.
 //!
 //! [`FARKAS_ROW_CAP`]: super::invariants::FARKAS_ROW_CAP
 
+#[cfg(test)]
 use crn_numeric::gcd_i128;
 
 use crate::compiled::CompiledCrn;
 
-use super::invariants::{
-    farkas_annul, project, species_rows, FarkasCore, FarkasRow, FarkasRows, FARKAS_ROW_CAP,
-};
+use super::invariants::{farkas_annul, species_rows, FarkasRow, FARKAS_ROW_CAP};
+#[cfg(test)]
+use super::invariants::{project, FarkasCore, FarkasRows};
 use super::stoichiometry::Stoichiometry;
 
-/// The decreasing monotone-potential generators of a compiled CRN,
-/// computed once per CRN and reusable across initial configurations.
+/// Which species the decreasing monotone potentials of a compiled CRN
+/// cover, computed once per CRN and reusable across initial
+/// configurations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpeciesBounds {
     stride: usize,
-    /// Nonnegative `v` with `v·N ≤ 0`: `v·c` never increases.
-    decreasing: Vec<Vec<i128>>,
+    /// Bit `s` is set when some nonnegative `v` with `v·N ≤ 0` weighs
+    /// species `s`, one bit per species in `u64` words.
+    covered: Vec<u64>,
     truncated: bool,
     overflowed: bool,
 }
@@ -56,12 +62,24 @@ impl SpeciesBounds {
     /// `model.analysis.species_bounds`.
     pub(crate) fn of_stoichiometry(stoich: &Stoichiometry, max_rows: usize) -> Self {
         crn_obs::add("model.analysis.species_bounds", 1);
-        let decreasing = monotone_potentials(stoich, 1, max_rows, farkas_annul);
+        let species = stoich.stride();
+        let reactions = stoich.reaction_count();
+        let farkas = farkas_annul(potential_table(stoich, 1), reactions, max_rows);
+        // Every row is an extreme ray `(v, w)`, zero on the reaction
+        // columns, with `v` at columns `R..R+S`; its payload entries are
+        // positive, so a stored entry there is a covered species.
+        let mut covered = vec![0u64; species.div_ceil(64)];
+        for &(c, w) in farkas.rows.iter().flatten() {
+            if let Some(s) = c.checked_sub(reactions).filter(|&s| s < species) {
+                debug_assert!(w > 0, "a Farkas payload entry is positive");
+                covered[s / 64] |= 1 << (s % 64);
+            }
+        }
         SpeciesBounds {
-            stride: stoich.stride(),
-            truncated: decreasing.truncated,
-            overflowed: decreasing.overflowed,
-            decreasing: decreasing.rows,
+            stride: species,
+            covered,
+            truncated: farkas.truncated,
+            overflowed: farkas.overflowed,
         }
     }
 
@@ -90,9 +108,9 @@ impl SpeciesBounds {
     /// bound for every initial configuration.
     #[must_use]
     pub fn covered(&self, s: usize) -> bool {
-        self.decreasing
-            .iter()
-            .any(|v| v.get(s).copied().unwrap_or(0) > 0)
+        self.covered
+            .get(s / 64)
+            .is_some_and(|&word| word & (1 << (s % 64)) != 0)
     }
 }
 
@@ -111,7 +129,9 @@ pub(super) fn potential_table(stoich: &Stoichiometry, sign: i128) -> Vec<FarkasR
 /// the stoichiometry extended with one nonnegative slack per reaction:
 /// rows of `[sign·N ; I_R]` with combination coefficients `(v, w)` satisfy
 /// `sign·(v·N) = −w ≤ 0` exactly.  The returned rows are the primitive,
-/// sorted, distinct projections of the `(v, w)` cone's extreme rays.
+/// sorted, distinct projections of the `(v, w)` cone's extreme rays: the
+/// potentials themselves, which the tests check [`SpeciesBounds`] against.
+#[cfg(test)]
 pub(super) fn monotone_potentials(
     stoich: &Stoichiometry,
     sign: i128,
@@ -153,6 +173,8 @@ mod tests {
     use super::*;
     use crate::crn::Crn;
     use crate::examples;
+    use crate::reaction::Reaction;
+    use crate::species::Species;
 
     fn bounds_of(crn: &Crn) -> SpeciesBounds {
         SpeciesBounds::of(&CompiledCrn::compile(crn))
@@ -200,5 +222,64 @@ mod tests {
         assert!(bounds.truncated());
         assert!(bounds.overflowed());
         assert!(!bounds.covered(idx(&crn, "E")));
+    }
+
+    /// Reactant and product counts: mostly small, some large enough that
+    /// combinations overflow `i128`.
+    const COUNTS: [u64; 16] = [0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 4, 1 << 20, 1 << 40];
+
+    /// A CRN over `A`–`E` from sampled rows of five reactant then five
+    /// product count indices.
+    fn sampled_crn(rows: &[Vec<usize>]) -> Crn {
+        let mut crn = Crn::new();
+        let species: Vec<Species> = ["A", "B", "C", "D", "E"]
+            .iter()
+            .map(|name| crn.add_species(name))
+            .collect();
+        for row in rows {
+            let side = |counts: &[usize]| -> Vec<(Species, u64)> {
+                species
+                    .iter()
+                    .zip(counts)
+                    .map(|(&s, &i)| (s, COUNTS[i]))
+                    .filter(|&(_, c)| c > 0)
+                    .collect()
+            };
+            crn.add_reaction(Reaction::new(side(&row[..5]), side(&row[5..])));
+        }
+        crn
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The coverage bits and flags are those of the potentials
+        /// themselves: a species is covered exactly when some returned
+        /// potential weighs it, at a sampled cap and at the default one.
+        #[test]
+        fn coverage_agrees_with_the_potentials_at_sampled_caps(
+            rows in proptest::collection::vec(
+                proptest::collection::vec(0usize..COUNTS.len(), 10),
+                1..8,
+            ),
+            max_rows in 1usize..65,
+        ) {
+            let n = Stoichiometry::of(&CompiledCrn::compile(&sampled_crn(&rows)));
+            for cap in [max_rows, FARKAS_ROW_CAP] {
+                let bounds = SpeciesBounds::of_stoichiometry(&n, cap);
+                let potentials = monotone_potentials(&n, 1, cap, farkas_annul);
+                proptest::prop_assert_eq!(bounds.truncated(), potentials.truncated, "cap {}", cap);
+                proptest::prop_assert_eq!(
+                    bounds.overflowed(),
+                    potentials.overflowed,
+                    "cap {}",
+                    cap
+                );
+                for s in 0..n.stride() + 64 {
+                    let weighed = potentials.rows.iter().any(|v| v.get(s).is_some_and(|&w| w > 0));
+                    proptest::prop_assert_eq!(bounds.covered(s), weighed, "cap {} at {}", cap, s);
+                }
+            }
+        }
     }
 }

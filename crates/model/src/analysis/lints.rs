@@ -252,7 +252,10 @@ fn lint_analyzed(analysis: &CrnAnalysis<'_>) -> LintOutcome {
     let stoich = analysis.stoichiometry();
     let inputs = &f.roles().inputs;
     let leader = f.leader();
-    let semiflows = nonnegative_laws_capped(stoich, FARKAS_ROW_CAP);
+    let semiflows = {
+        let _span = crn_obs::span("model.analysis.semiflows");
+        nonnegative_laws_capped(stoich, FARKAS_ROW_CAP)
+    };
     if semiflows.truncated {
         notes.push(farkas_note(
             "P-semiflow",
@@ -280,7 +283,10 @@ fn lint_analyzed(analysis: &CrnAnalysis<'_>) -> LintOutcome {
             marked[s] = true;
         }
     }
-    let siphons = minimal_siphons(compiled, SIPHON_NODE_CAP);
+    let siphons = {
+        let _span = crn_obs::span("model.analysis.siphons");
+        minimal_siphons(compiled, SIPHON_NODE_CAP)
+    };
     if siphons.truncated {
         notes.push(format!(
             "analysis incomplete: siphon enumeration truncated at {SIPHON_NODE_CAP} nodes \
@@ -309,7 +315,10 @@ fn lint_analyzed(analysis: &CrnAnalysis<'_>) -> LintOutcome {
     // C007 — a markable trap whose species all sink input-independent
     // conservation budget the output needs: once the trap is marked, the
     // output's reachable ceiling drops for good.
-    let traps = minimal_traps(compiled, SIPHON_NODE_CAP);
+    let traps = {
+        let _span = crn_obs::span("model.analysis.traps");
+        minimal_traps(compiled, SIPHON_NODE_CAP)
+    };
     if traps.truncated {
         notes.push(format!(
             "analysis incomplete: trap enumeration truncated at {SIPHON_NODE_CAP} nodes \

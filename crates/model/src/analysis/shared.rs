@@ -13,6 +13,9 @@
 //! `model.analysis.bounds` (the decreasing-potential cone) and
 //! `model.analysis.t_semiflows` (the T-semiflows, which both the `C009`
 //! lint and the acyclicity certificate read), each once per analysis.
+//! The enumerations only lint reads show under `model.analysis.lint`:
+//! `model.analysis.semiflows`, `model.analysis.siphons` and
+//! `model.analysis.traps`.
 
 use crn_sync::OnceLock;
 

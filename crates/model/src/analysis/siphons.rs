@@ -75,67 +75,140 @@ fn pre_post(compiled: &CompiledCrn) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
     (pres, posts)
 }
 
+/// The members of a word bitset, ascending.
+fn members(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(i, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                i * 64 + bit
+            })
+        })
+    })
+}
+
+/// Sets bit `i` of a word bitset.
+fn insert(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+/// Whether bit `i` of a word bitset is set.
+fn contains(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] & (1 << (i % 64)) != 0
+}
+
 /// Enumerates minimal nonempty sets closed under "every reaction touching
 /// the set via `trigger` also touches it via `fixer`".  Siphons use
 /// `trigger = post, fixer = pre`; traps swap the two.
+///
+/// Each search node is four word bitsets on one flat stack: its set, the
+/// species its search excludes, and the reactions its set triggers without
+/// fixing (the open ones) or fixes.  A child adds one species, so it
+/// updates the last two from that species' rows of a species → reactions
+/// index, and a node's first violated reaction is its lowest open one.
 fn minimal_closed_sets(
     trigger: &[Vec<usize>],
     fixer: &[Vec<usize>],
     stride: usize,
     node_cap: usize,
 ) -> StructuralSets {
-    let mut found: Vec<Vec<bool>> = Vec::new();
+    let words = stride.div_ceil(64).max(1);
+    let reaction_words = trigger.len().div_ceil(64).max(1);
+    let by_species = |lists: &[Vec<usize>]| {
+        let mut bits = vec![0; stride * reaction_words];
+        for (r, species) in lists.iter().enumerate() {
+            for &s in species {
+                insert(&mut bits[s * reaction_words..], r);
+            }
+        }
+        bits
+    };
+    let (triggers, fixes) = (by_species(trigger), by_species(fixer));
+    // Pushes the child of a node that adds species `c` to `set`, searching
+    // with `excluded`.  A fixed reaction stays fixed in every superset, so
+    // the child fixes `fixed ∪ fixes(c)` and leaves open
+    // `(open ∪ triggers(c)) ∖ fixed ∖ fixes(c)`.
+    let push_child = |stack: &mut Vec<u64>, [set, excluded, open, fixed]: [&[u64]; 4], c: usize| {
+        let at = stack.len();
+        stack.extend_from_slice(set);
+        insert(&mut stack[at..], c);
+        stack.extend_from_slice(excluded);
+        let row = c * reaction_words..(c + 1) * reaction_words;
+        let (triggers, fixes) = (&triggers[row.clone()], &fixes[row]);
+        stack.extend(
+            open.iter()
+                .zip(triggers)
+                .zip(fixed.iter().zip(fixes))
+                .map(|((&o, &t), (&f, &x))| (o | t) & !(f | x)),
+        );
+        stack.extend(fixed.iter().zip(fixes).map(|(&f, &x)| f | x));
+    };
+    let width = 2 * (words + reaction_words);
+    let mut found: Vec<u64> = Vec::new();
+    let mut stack: Vec<u64> = Vec::new();
+    let mut node = vec![0; width];
+    let mut excluded = vec![0; words];
     let mut nodes = 0usize;
     let mut truncated = false;
     // Each minimal closed set is enumerated from its smallest member:
     // species below the seed are permanently excluded in that seed's search.
     'seeds: for seed in 0..stride {
-        let mut in_set = vec![false; stride];
-        in_set[seed] = true;
-        let mut excluded = vec![false; stride];
-        for e in excluded.iter_mut().take(seed) {
-            *e = true;
+        excluded.fill(0);
+        for s in 0..seed {
+            insert(&mut excluded, s);
         }
-        let mut stack: Vec<(Vec<bool>, Vec<bool>)> = vec![(in_set, excluded)];
-        while let Some((set, mut excluded)) = stack.pop() {
+        // The seed's node is the child of the empty node that adds it.
+        node.fill(0);
+        let (set, rest) = node.split_at(words);
+        let (open, fixed) = rest[words..].split_at(reaction_words);
+        push_child(&mut stack, [set, &excluded, open, fixed], seed);
+        while !stack.is_empty() {
+            let at = stack.len() - width;
+            node.copy_from_slice(&stack[at..]);
+            stack.truncate(at);
             nodes += 1;
             if nodes > node_cap {
                 truncated = true;
                 break 'seeds;
             }
-            let violated = (0..trigger.len())
-                .find(|&r| trigger[r].iter().any(|&s| set[s]) && !fixer[r].iter().any(|&s| set[s]));
-            let Some(r) = violated else {
-                found.push(set);
+            let (set, rest) = node.split_at(words);
+            let (excluded_here, rest) = rest.split_at(words);
+            let (open, fixed) = rest.split_at(reaction_words);
+            let Some(r) = members(open).next() else {
+                found.extend_from_slice(set);
                 continue;
             };
             // Any closed superset of `set` (avoiding `excluded`) contains
             // some allowed fixer of `r`; partition by the first one it
             // contains so each closed set is reached exactly once.
+            excluded.copy_from_slice(excluded_here);
             for &candidate in &fixer[r] {
-                if excluded[candidate] {
+                if contains(&excluded, candidate) {
                     continue;
                 }
-                debug_assert!(!set[candidate], "a contained fixer is not a violation");
-                let mut child = set.clone();
-                child[candidate] = true;
-                stack.push((child, excluded.clone()));
-                excluded[candidate] = true;
+                debug_assert!(
+                    !contains(set, candidate),
+                    "a contained fixer is not a violation"
+                );
+                push_child(&mut stack, [set, &excluded, open, fixed], candidate);
+                insert(&mut excluded, candidate);
             }
         }
     }
 
     // Keep only set-minimal results: drop every set strictly containing
-    // another one.
-    let inside = |inner: &[bool], outer: &[bool]| inner.iter().zip(outer).all(|(&i, &o)| !i || o);
-    let mut sets: Vec<Vec<usize>> = found
+    // another one, which has fewer members.
+    let found: Vec<&[u64]> = found.chunks_exact(words).collect();
+    let sizes: Vec<u32> = found
         .iter()
-        .filter(|set| {
-            !found
-                .iter()
-                .any(|other| other != *set && inside(other, set))
-        })
-        .map(|set| (0..stride).filter(|&s| set[s]).collect())
+        .map(|set| set.iter().map(|w| w.count_ones()).sum())
+        .collect();
+    let inside = |inner: &[u64], outer: &[u64]| inner.iter().zip(outer).all(|(&i, &o)| i & !o == 0);
+    let mut sets: Vec<Vec<usize>> = (0..found.len())
+        .filter(|&i| !(0..found.len()).any(|j| sizes[j] < sizes[i] && inside(found[j], found[i])))
+        .map(|i| members(found[i]).collect())
         .collect();
     sets.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
     sets.dedup();
@@ -177,6 +250,67 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    /// The saturation on `Vec<bool>` sets, two clones per child, scanning
+    /// every reaction for the first violation: the differential oracle of
+    /// [`minimal_closed_sets`], which must visit the same nodes in the same
+    /// order.
+    fn minimal_closed_sets_on_bools(
+        trigger: &[Vec<usize>],
+        fixer: &[Vec<usize>],
+        stride: usize,
+        node_cap: usize,
+    ) -> StructuralSets {
+        let mut found: Vec<Vec<bool>> = Vec::new();
+        let mut nodes = 0usize;
+        let mut truncated = false;
+        'seeds: for seed in 0..stride {
+            let mut in_set = vec![false; stride];
+            in_set[seed] = true;
+            let mut excluded = vec![false; stride];
+            for e in excluded.iter_mut().take(seed) {
+                *e = true;
+            }
+            let mut stack: Vec<(Vec<bool>, Vec<bool>)> = vec![(in_set, excluded)];
+            while let Some((set, mut excluded)) = stack.pop() {
+                nodes += 1;
+                if nodes > node_cap {
+                    truncated = true;
+                    break 'seeds;
+                }
+                let violated = (0..trigger.len()).find(|&r| {
+                    trigger[r].iter().any(|&s| set[s]) && !fixer[r].iter().any(|&s| set[s])
+                });
+                let Some(r) = violated else {
+                    found.push(set);
+                    continue;
+                };
+                for &candidate in &fixer[r] {
+                    if excluded[candidate] {
+                        continue;
+                    }
+                    let mut child = set.clone();
+                    child[candidate] = true;
+                    stack.push((child, excluded.clone()));
+                    excluded[candidate] = true;
+                }
+            }
+        }
+        let inside =
+            |inner: &[bool], outer: &[bool]| inner.iter().zip(outer).all(|(&i, &o)| !i || o);
+        let mut sets: Vec<Vec<usize>> = found
+            .iter()
+            .filter(|set| {
+                !found
+                    .iter()
+                    .any(|other| other != *set && inside(other, set))
+            })
+            .map(|set| (0..stride).filter(|&s| set[s]).collect())
+            .collect();
+        sets.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+        sets.dedup();
+        StructuralSets { sets, truncated }
     }
 
     /// Brute-force reference: every nonempty subset, checked directly, then
@@ -304,6 +438,94 @@ mod tests {
                 brute_force(&pre, &post, c.stride()),
                 "traps of {reactions:?}"
             );
+        }
+    }
+
+    /// Stoichiometric counts for sampled reactions.
+    const COUNTS: [u64; 3] = [1, 1, 2];
+
+    /// A CRN over `species` species `S0`, `S1`, … with one reaction per
+    /// sampled row of six terms, three reactant then three product terms.
+    /// A term `t` adds `COUNTS[t % 3]` of species `t / 3 mod species`.
+    fn sampled_crn(species: usize, rows: &[Vec<usize>]) -> Crn {
+        let mut crn = Crn::new();
+        let names: Vec<crate::species::Species> = (0..species)
+            .map(|s| crn.add_species(&format!("S{s}")))
+            .collect();
+        for row in rows {
+            let side = |terms: &[usize]| {
+                let mut counts = vec![0u64; species];
+                for &t in terms {
+                    counts[(t / COUNTS.len()) % species] += COUNTS[t % COUNTS.len()];
+                }
+                names
+                    .iter()
+                    .zip(counts)
+                    .filter(|&(_, c)| c > 0)
+                    .map(|(&s, c)| (s, c))
+                    .collect::<Vec<_>>()
+            };
+            crn.add_reaction(crate::reaction::Reaction::new(
+                side(&row[..3]),
+                side(&row[3..]),
+            ));
+        }
+        crn
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// On CRNs of at most eight species, every untruncated enumeration
+        /// returns exactly the minimal closed sets of a scan over all
+        /// `2^S - 1` nonempty species sets.
+        #[test]
+        fn saturation_returns_the_brute_force_minimal_sets(
+            species in 1usize..9,
+            rows in proptest::collection::vec(
+                proptest::collection::vec(0usize..1 << 12, 6),
+                1..9,
+            ),
+        ) {
+            let crn = sampled_crn(species, &rows);
+            let c = compiled(&crn);
+            let (pre, post) = pre_post(&c);
+            let siphons = minimal_siphons(&c, SIPHON_NODE_CAP);
+            if !siphons.truncated {
+                proptest::prop_assert_eq!(siphons.sets, brute_force(&post, &pre, c.stride()));
+            }
+            let traps = minimal_traps(&c, SIPHON_NODE_CAP);
+            if !traps.truncated {
+                proptest::prop_assert_eq!(traps.sets, brute_force(&pre, &post, c.stride()));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The bitset saturation visits the `Vec<bool>` saturation's nodes in
+        /// the same order: the same sets and the same truncation flag at
+        /// every cap from 1 to 64, on CRNs of up to 100 species, whose sets
+        /// span two words.
+        #[test]
+        fn bitset_saturation_matches_the_bool_saturation_at_every_cap(
+            species in 1usize..101,
+            rows in proptest::collection::vec(
+                proptest::collection::vec(0usize..1 << 12, 6),
+                1..33,
+            ),
+        ) {
+            let c = compiled(&sampled_crn(species, &rows));
+            let (pre, post) = pre_post(&c);
+            for (trigger, fixer) in [(&post, &pre), (&pre, &post)] {
+                for cap in 1..=64 {
+                    proptest::prop_assert_eq!(
+                        minimal_closed_sets(trigger, fixer, c.stride(), cap),
+                        minimal_closed_sets_on_bools(trigger, fixer, c.stride(), cap),
+                        "cap {}",
+                        cap
+                    );
+                }
+            }
         }
     }
 }
