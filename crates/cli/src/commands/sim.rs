@@ -149,7 +149,11 @@ pub fn run(raw: &[String]) -> i32 {
                 match value {
                     Ok(value) => Some(value),
                     Err(problem) => {
-                        println!("{path}: crn {name}: FAIL\n  {problem}");
+                        if args.switch("json") {
+                            reports.push(failure(name, &x, &problem));
+                        } else {
+                            println!("{path}: crn {name}: FAIL\n  {problem}");
+                        }
                         exit = EXIT_VERDICT;
                         continue;
                     }
@@ -165,13 +169,7 @@ pub fn run(raw: &[String]) -> i32 {
             Err(e) => {
                 let problem = format!("simulation failed: {e}");
                 if args.switch("json") {
-                    reports.push(Json::obj(vec![
-                        ("item", Json::str(name.as_str())),
-                        ("input", Json::uints(x.iter().copied())),
-                        ("error", Json::str(problem.as_str())),
-                        ("converged", Json::Bool(false)),
-                        ("correct", Json::Bool(false)),
-                    ]));
+                    reports.push(failure(name, &x, &problem));
                 } else {
                     println!("{path}: crn {name} on {x}: FAIL\n  {problem}");
                 }
@@ -225,6 +223,18 @@ pub fn run(raw: &[String]) -> i32 {
         println!("{}", Json::obj(fields));
     }
     exit
+}
+
+/// The `--json` result of an item that failed with `problem` before its
+/// ensemble could finish.
+fn failure(name: &str, x: &NVec, problem: &str) -> Json {
+    Json::obj(vec![
+        ("item", Json::str(name)),
+        ("input", Json::uints(x.iter().copied())),
+        ("error", Json::str(problem)),
+        ("converged", Json::Bool(false)),
+        ("correct", Json::Bool(false)),
+    ])
 }
 
 /// How an ensemble ended: `converged` when every trial reached silence with

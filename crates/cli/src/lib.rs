@@ -94,6 +94,9 @@ COMMANDS:
                          [--item NAME] [--input a,b,...] [--trials N=16]
                          [--workers W=auto] [--seed S=1]
                          [--max-steps N=10000000] [--json] [--deny-warnings]
+                         --json's mean_time is the expected time to
+                         silence: each trial adds the mean holding time
+                         1/(total propensity) per firing
   profile <file>         run the check, verify and sim phases back to back
                          with profiling on and report a per-phase breakdown
                          [--item NAME] [--bound N=3] [--trials N=8]

@@ -842,3 +842,224 @@ fn a_closed_stdout_ends_the_output_without_a_panic() {
     assert_eq!(output.status.code(), Some(0), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+#[test]
+fn sim_json_reports_an_unevaluable_link_as_a_failed_item() {
+    // f(2) = 2^65 - 2 is past u64::MAX, so the link cannot be evaluated at
+    // the input: under --json the item fails inside the one JSON object on
+    // stdout, as a simulation failure does, and exits 1.
+    let past_u64 = scratch(
+        "past_u64_json.crn",
+        "fn f(x) {\n  case x >= 0: 18446744073709551615 x;\n}\n\ncrn c {\n  inputs X;\n  output Y;\n  computes f;\n  X -> Y;\n}\n",
+    );
+    let (code, stdout, _) = run_crn(&["sim", past_u64.to_str().unwrap(), "--input", "2", "--json"]);
+    assert_eq!(code, 1, "{stdout}");
+    let report = json::parse(&stdout).unwrap_or_else(|e| panic!("{e}\n{stdout}"));
+    let results = match report.get("results") {
+        Some(json::Value::Arr(results)) => results,
+        other => panic!("no results array: {other:?}\n{stdout}"),
+    };
+    let [item] = results.as_slice() else {
+        panic!("one result expected\n{stdout}");
+    };
+    assert_eq!(item.get("item"), Some(&json::Value::Str("c".into())));
+    assert_eq!(item.get("correct"), Some(&json::Value::Bool(false)));
+    assert_eq!(item.get("converged"), Some(&json::Value::Bool(false)));
+    assert!(
+        matches!(item.get("error"), Some(json::Value::Str(error))
+            if error.contains("value at (2) is an integer past u64::MAX")),
+        "{stdout}"
+    );
+}
+
+/// Just enough of a JSON reader (RFC 8259) to check that a command's stdout
+/// is one JSON document and to look into it.
+mod json {
+    #[derive(Debug, PartialEq)]
+    pub enum Value {
+        Null,
+        Bool(bool),
+        Number(f64),
+        Str(String),
+        Arr(Vec<Value>),
+        Obj(Vec<(String, Value)>),
+    }
+
+    impl Value {
+        /// The field `key` of an object.
+        pub fn get(&self, key: &str) -> Option<&Value> {
+            match self {
+                Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+                _ => None,
+            }
+        }
+    }
+
+    /// Parses `text` as exactly one JSON value, with only whitespace around
+    /// it.
+    pub fn parse(text: &str) -> Result<Value, String> {
+        let mut reader = Reader {
+            bytes: text.as_bytes(),
+            at: 0,
+        };
+        let value = reader.value()?;
+        reader.skip_whitespace();
+        if reader.at < reader.bytes.len() {
+            return Err(reader.error("the end of the text"));
+        }
+        Ok(value)
+    }
+
+    struct Reader<'a> {
+        bytes: &'a [u8],
+        at: usize,
+    }
+
+    impl Reader<'_> {
+        fn error(&self, wanted: &str) -> String {
+            format!("expected {wanted} at byte {}", self.at)
+        }
+
+        fn skip_whitespace(&mut self) {
+            while matches!(self.bytes.get(self.at), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+                self.at += 1;
+            }
+        }
+
+        fn next(&mut self) -> Option<u8> {
+            let byte = self.bytes.get(self.at).copied();
+            self.at += 1;
+            byte
+        }
+
+        fn value(&mut self) -> Result<Value, String> {
+            self.skip_whitespace();
+            let rest = &self.bytes[self.at.min(self.bytes.len())..];
+            for (word, value) in [
+                ("null", Value::Null),
+                ("true", Value::Bool(true)),
+                ("false", Value::Bool(false)),
+            ] {
+                if rest.starts_with(word.as_bytes()) {
+                    self.at += word.len();
+                    return Ok(value);
+                }
+            }
+            match rest.first() {
+                Some(b'"') => self.string().map(Value::Str),
+                Some(b'[') => {
+                    self.at += 1;
+                    self.items(b']', Self::value).map(Value::Arr)
+                }
+                Some(b'{') => {
+                    self.at += 1;
+                    let field = |reader: &mut Self| {
+                        reader.skip_whitespace();
+                        let key = reader.string()?;
+                        reader.skip_whitespace();
+                        if reader.next() != Some(b':') {
+                            return Err(reader.error("`:`"));
+                        }
+                        Ok((key, reader.value()?))
+                    };
+                    self.items(b'}', field).map(Value::Obj)
+                }
+                _ => self.number(),
+            }
+        }
+
+        /// The comma-separated items of an array or object, through `close`.
+        fn items<T>(
+            &mut self,
+            close: u8,
+            item: impl Fn(&mut Self) -> Result<T, String>,
+        ) -> Result<Vec<T>, String> {
+            let mut items = Vec::new();
+            self.skip_whitespace();
+            if self.bytes.get(self.at) == Some(&close) {
+                self.at += 1;
+                return Ok(items);
+            }
+            loop {
+                items.push(item(self)?);
+                self.skip_whitespace();
+                match self.next() {
+                    Some(b',') => {}
+                    Some(byte) if byte == close => return Ok(items),
+                    _ => return Err(self.error("`,` or the closing bracket")),
+                }
+            }
+        }
+
+        fn string(&mut self) -> Result<String, String> {
+            if self.next() != Some(b'"') {
+                return Err(self.error("a string"));
+            }
+            let mut text = Vec::new();
+            loop {
+                match self.next() {
+                    Some(b'"') => return String::from_utf8(text).map_err(|e| e.to_string()),
+                    Some(b'\\') => {
+                        let escaped = match self.next() {
+                            Some(b'u') => {
+                                let hex = self.bytes.get(self.at..self.at + 4);
+                                self.at += 4;
+                                hex.and_then(|hex| std::str::from_utf8(hex).ok())
+                                    .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                    .and_then(char::from_u32)
+                                    .ok_or_else(|| self.error("four hex digits"))?
+                            }
+                            Some(b'b') => '\u{8}',
+                            Some(b'f') => '\u{c}',
+                            Some(b'n') => '\n',
+                            Some(b'r') => '\r',
+                            Some(b't') => '\t',
+                            Some(byte @ (b'"' | b'\\' | b'/')) => char::from(byte),
+                            _ => return Err(self.error("an escape")),
+                        };
+                        text.extend_from_slice(escaped.encode_utf8(&mut [0; 4]).as_bytes());
+                    }
+                    Some(byte) if byte >= 0x20 => text.push(byte),
+                    _ => return Err(self.error("the closing quote")),
+                }
+            }
+        }
+
+        fn number(&mut self) -> Result<Value, String> {
+            let start = self.at;
+            while matches!(
+                self.bytes.get(self.at),
+                Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+            ) {
+                self.at += 1;
+            }
+            std::str::from_utf8(&self.bytes[start..self.at])
+                .ok()
+                .filter(|text| !text.is_empty() && !text.starts_with('+'))
+                .and_then(|text| text.parse().ok())
+                .map(Value::Number)
+                .ok_or_else(|| {
+                    self.at = start;
+                    self.error("a value")
+                })
+        }
+    }
+
+    #[test]
+    fn reads_one_document_and_refuses_two() {
+        let value = parse(r#" {"a":[1,-2.5e3,true,null],"b":"x\"A\n"} "#).unwrap();
+        assert_eq!(
+            value.get("a"),
+            Some(&Value::Arr(vec![
+                Value::Number(1.0),
+                Value::Number(-2500.0),
+                Value::Bool(true),
+                Value::Null,
+            ]))
+        );
+        assert_eq!(value.get("b"), Some(&Value::Str("x\"A\n".into())));
+        assert!(parse("x: FAIL\n{}").is_err());
+        assert!(parse("{}\n{}").is_err());
+        assert!(parse(r#"{"a":1,}"#).is_err());
+    }
+}

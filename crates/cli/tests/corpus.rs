@@ -99,11 +99,10 @@ const GOLDENS: &[(&str, &str, &[&str], i32)] = &[
     ("figure1_double", "sim", &["--trials", "4"], 0),
     // A seeded ensemble pinned to the bit: on this CRN every trial fires
     // the same number of reactions, so `mean_time` is what pins the
-    // trajectories.  `mean_time` sums `-ln(u) / total`, and `f64::ln` is the
-    // platform's libm: the golden was recorded on x86_64 Linux with glibc
-    // 2.36.  If only its last digits differ on another platform or glibc
-    // (CI runs ubuntu-latest), that is a libm difference, not a kernel
-    // change.
+    // trajectories.  Each trial's clock sums `1 / total` over its firings,
+    // and the mean divides the in-order sum of the trials' clocks: IEEE
+    // division and addition alone, rounded the same on every platform, so
+    // the value does not depend on the platform's libm.
     (
         "figure1_max",
         "sim",
@@ -463,9 +462,8 @@ fn synthesize_verify_sim_pipeline_from_the_cli() {
     // The whole result is pinned, `mean_time` to the bit: every trial fires
     // the same number of reactions, so the clock is what pins the
     // trajectories, and the 16-reaction CRN spans two roulette blocks.  As
-    // for the `figure1_max` sim golden, `mean_time` goes through the
-    // platform's libm `ln` and was recorded on x86_64 Linux with glibc 2.36;
-    // a difference in its last digits alone elsewhere is a libm difference.
-    let results = r#""results":[{"item":"min2_crn","input":[6,9],"trials":6,"seed":1,"outputs":[6],"expected":6,"silent_fraction":1,"mean_steps":86,"p95_steps":86,"mean_time":8.224133118393441,"converged":true,"correct":true}]"#;
+    // for the `figure1_max` sim golden, `mean_time` is IEEE division and
+    // addition alone, so it is the same on every platform.
+    let results = r#""results":[{"item":"min2_crn","input":[6,9],"trials":6,"seed":1,"outputs":[6],"expected":6,"silent_fraction":1,"mean_steps":86,"p95_steps":86,"mean_time":9.331775678779048,"converged":true,"correct":true}]"#;
     assert!(stdout.contains(results), "{stdout}");
 }

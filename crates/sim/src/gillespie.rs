@@ -1,9 +1,22 @@
-//! Exact Gillespie stochastic simulation (SSA).
+//! Gillespie stochastic simulation (SSA): the exact jump chain, timed by its
+//! expected holding times.
 //!
 //! The CRN model is a continuous-time Markov chain: in configuration `C`, each
 //! reaction fires at a rate equal to its mass-action propensity, and the time
 //! to the next firing is exponentially distributed with the total propensity
-//! as its rate (Gillespie 1977, reference \[20\] of the paper).
+//! `a₀(C)` as its rate (Gillespie 1977, reference \[20\] of the paper).
+//! Which reaction fires is independent of when: reaction `r` with
+//! probability `a_r(C) / a₀(C)`.  A step samples that choice exactly, with
+//! one uniform draw, and adds the holding time's mean `1 / a₀(C)` to the
+//! clock instead of sampling it (the discrete-time conversion of Fox and
+//! Glynn, SIAM J. Appl. Math. 50(5), 1990).  So the reaction sequence, the
+//! outputs, silence and the step counts keep exactly the chain's
+//! distribution, and [`GillespieOutcome::time`] is `E[T | jump chain]`, the
+//! expected time along the sampled sequence: its mean over trials is the
+//! expected time to silence, with a variance no larger than that of the
+//! sampled clock.  Stable computation depends only on the sequence, so no
+//! verdict reads the clock.  The clock is IEEE division and addition alone,
+//! the same on every platform.
 //!
 //! [`Gillespie`] runs on the dense kernel: the CRN is compiled once
 //! ([`CompiledCrn`]), the configuration is a flat count vector fired in
@@ -39,7 +52,10 @@ pub struct GillespieOutcome {
     pub final_configuration: Configuration,
     /// Number of reactions fired.
     pub steps: u64,
-    /// Simulated (physical) time elapsed.
+    /// The expected time elapsed along the sampled reaction sequence: the
+    /// sum, in firing order, of `1 / a₀` over the configurations fired
+    /// from, where `a₀` is the total propensity, whose inverse is the mean
+    /// of the exponential holding time there.
     pub time: f64,
     /// Whether the run stopped because no reaction was applicable.
     pub silent: bool,
@@ -91,7 +107,8 @@ pub(crate) fn select_reaction(propensities: &[f64], mut target: f64) -> usize {
     last_positive.expect("total propensity is positive, so some reaction is applicable")
 }
 
-/// An exact stochastic simulator for a CRN, on the dense compiled kernel.
+/// A stochastic simulator for a CRN, on the dense compiled kernel: the exact
+/// jump chain, timed by its expected holding times.
 ///
 /// ```
 /// use crn_model::examples;
@@ -156,20 +173,18 @@ impl<'a> Gillespie<'a> {
             .map_err(|r| self.crn.propensity_overflow(r))
     }
 
-    /// Advances the chain by one reaction firing: draws the exponential
-    /// waiting time, selects a reaction proportionally to its propensity and
-    /// applies it in place, refreshing only the propensities the firing can
-    /// have changed.  Returns `false` (leaving the state and `time` untouched)
-    /// when the CRN is silent.
+    /// Advances the chain by one reaction firing: adds the expected holding
+    /// time `1 / total` to the clock, selects a reaction proportionally to
+    /// its propensity with one uniform draw and applies it in place,
+    /// refreshing only the propensities the firing can have changed.
+    /// Returns `false` (leaving the state and `time` untouched) when the CRN
+    /// is silent.
     fn step(&mut self, time: &mut f64) -> Result<bool, CrnError> {
         let total = self.propensities.total();
         if total <= 0.0 {
             return Ok(false);
         }
-        // Exponential waiting time with rate `total`.
-        let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-        *time += -u.ln() / total;
-        // Choose the reaction proportionally to its propensity.
+        *time += 1.0 / total;
         let chosen = self.propensities.select(self.rng.gen::<f64>() * total);
         self.state
             .apply(&self.compiled.reactions()[chosen])
@@ -250,7 +265,8 @@ impl SparseGillespie {
         self.rng = StdRng::seed_from_u64(seed);
     }
 
-    /// One sparse step: full propensity recompute, clone-on-apply.
+    /// One sparse step: full propensity recompute, the same clock and draw
+    /// as [`Gillespie`]'s step, clone-on-apply.
     fn step(&mut self, config: &mut Configuration, time: &mut f64) -> bool {
         self.propensities.clear();
         for i in 0..self.crn.reactions().len() {
@@ -260,8 +276,7 @@ impl SparseGillespie {
         if total <= 0.0 {
             return false;
         }
-        let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-        *time += -u.ln() / total;
+        *time += 1.0 / total;
         let target = self.rng.gen::<f64>() * total;
         let chosen = select_reaction(&self.propensities, target);
         *config = config.apply(&self.crn.reactions()[chosen]);
@@ -396,6 +411,34 @@ mod tests {
         assert_eq!(out.steps, 25);
         assert_eq!(out.final_configuration.count(double.output()), 50);
         assert!(out.time > 0.0);
+    }
+
+    /// Asserts that both engines' clock from `x` is `expected` to the bit,
+    /// at several seeds.
+    fn assert_clock(crn: &crn_model::FunctionCrn, x: &[u64], expected: f64) {
+        let start = crn.initial_configuration(&NVec::from(x.to_vec())).unwrap();
+        for seed in 0..4 {
+            let dense = Gillespie::new(crn.crn(), seed)
+                .run(&start, u64::MAX)
+                .unwrap();
+            let sparse = SparseGillespie::new(crn.crn().clone(), seed).run(&start, u64::MAX);
+            assert_eq!(dense.time.to_bits(), expected.to_bits(), "seed {seed}");
+            assert_eq!(sparse.time.to_bits(), expected.to_bits(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn the_clock_sums_the_expected_holding_times_in_firing_order() {
+        // `X -> 2Y` has one reaction, whose propensity at step k is x − k.
+        let x = 25u64;
+        let expected = (1..=x).rev().fold(0.0, |time, j| time + 1.0 / j as f64);
+        assert_clock(&examples::double_crn(), &[x], expected);
+        // `X1 + X2 -> Y` at step k weighs (a − k)(b − k).
+        let (a, b) = (17u64, 40u64);
+        let expected = (0..a).fold(0.0, |time, k| {
+            time + 1.0 / ((a - k) as f64 * (b - k) as f64)
+        });
+        assert_clock(&examples::min_crn(), &[a, b], expected);
     }
 
     #[test]

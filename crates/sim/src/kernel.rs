@@ -23,6 +23,14 @@
 //! reaction the in-order scan would.  Past that limit the table falls back to
 //! the in-order sum and the flat scan until every propensity is below it
 //! again.
+//!
+//! The table classifies each reaction once per [`rebuild`] by the shape of
+//! its reactants: `X`, `X + Y`, `2X`, or anything else.  The three named
+//! shapes are evaluated as one loop-free product of the same factors that
+//! [`propensity_dense`] multiplies, in the same order, so every entry is
+//! bit-identical to it; anything else runs [`propensity_dense`] itself.
+//!
+//! [`rebuild`]: PropensityTable::rebuild
 
 use crn_model::{CompiledCrn, CompiledReaction};
 
@@ -53,6 +61,46 @@ pub fn propensity_dense(reaction: &CompiledReaction, counts: &[u64]) -> f64 {
     a
 }
 
+/// A reaction's reactant multiset, classified so that a propensity of one
+/// of the common shapes is a loop-free product.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// `X`: the count of X.
+    One(usize),
+    /// `X + Y` with X before Y: the product of their counts.
+    Two(usize, usize),
+    /// `2X`: `c·(c − 1)`.
+    Pair(usize),
+    /// Anything else: [`propensity_dense`].
+    General,
+}
+
+impl Shape {
+    fn of(reaction: &CompiledReaction) -> Shape {
+        match *reaction.reactants() {
+            [(s, 1)] => Shape::One(s),
+            [(s, 1), (t, 1)] => Shape::Two(s, t),
+            [(s, 2)] => Shape::Pair(s),
+            _ => Shape::General,
+        }
+    }
+
+    /// `reaction`'s propensity on `counts`, bit for bit what
+    /// [`propensity_dense`] returns.  That loop multiplies `1.0` by `c`, then
+    /// by `c − 1` or the next count, and returns `0.0` when a count is below
+    /// its coefficient; the products here skip the `1.0·`, which is exact,
+    /// and reach `0.0` there through a zero factor.
+    #[inline]
+    fn propensity(self, reaction: &CompiledReaction, counts: &[u64]) -> f64 {
+        match self {
+            Shape::One(s) => counts[s] as f64,
+            Shape::Two(s, t) => counts[s] as f64 * counts[t] as f64,
+            Shape::Pair(s) => counts[s] as f64 * counts[s].saturating_sub(1) as f64,
+            Shape::General => propensity_dense(reaction, counts),
+        }
+    }
+}
+
 /// The number of reactions per block of the propensity roulette.
 const BLOCK: usize = 8;
 
@@ -61,6 +109,8 @@ const BLOCK: usize = 8;
 /// eight reactions.
 #[derive(Debug, Clone, Default)]
 pub struct PropensityTable {
+    /// Each reaction's [`Shape`], in reaction order.
+    shapes: Vec<Shape>,
     values: Vec<f64>,
     /// `blocks[b]` is the sum of `values[b * BLOCK ..][.. BLOCK]`, exact (and
     /// read) only while `exact`.
@@ -89,9 +139,15 @@ impl PropensityTable {
     /// Returns the index of the reaction at which the in-order sum of the
     /// propensities stops being finite.
     pub fn rebuild(&mut self, crn: &CompiledCrn, counts: &[u64]) -> Result<(), usize> {
+        self.shapes.clear();
+        self.shapes.extend(crn.reactions().iter().map(Shape::of));
         self.values.clear();
-        self.values
-            .extend(crn.reactions().iter().map(|r| propensity_dense(r, counts)));
+        self.values.extend(
+            crn.reactions()
+                .iter()
+                .zip(&self.shapes)
+                .map(|(r, shape)| shape.propensity(r, counts)),
+        );
         self.limit = (1u64 << 53) as f64 / (self.values.len() + 1) as f64;
         self.resum()
     }
@@ -113,7 +169,7 @@ impl PropensityTable {
         let reactions = crn.reactions();
         let mut below = true;
         for &j in crn.dependents(fired) {
-            let a = propensity_dense(&reactions[j], counts);
+            let a = self.shapes[j].propensity(&reactions[j], counts);
             let change = a - self.values[j];
             self.values[j] = a;
             self.blocks[j / BLOCK] += change;
@@ -203,7 +259,8 @@ impl PropensityTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crn_model::{examples, Configuration, Crn, DenseState};
+    use crn_model::{examples, Configuration, Crn, DenseState, Reaction};
+    use proptest::prelude::*;
 
     #[test]
     fn dense_propensity_matches_sparse() {
@@ -223,6 +280,85 @@ mod tests {
             propensity_dense(&compiled.reactions()[0], empty.counts()),
             0.0
         );
+    }
+
+    #[test]
+    fn reactions_are_classified_by_reactant_shape() {
+        let mut crn = Crn::new();
+        for reaction in [
+            "X -> Y",
+            "X + Y -> Z",
+            "2X -> Y",
+            "3X -> Y",
+            "X + 2Y -> Z",
+            "X + Y + Z -> X",
+        ] {
+            crn.parse_reaction(reaction).unwrap();
+        }
+        let compiled = CompiledCrn::compile(&crn);
+        let shapes: Vec<Shape> = compiled.reactions().iter().map(Shape::of).collect();
+        assert!(
+            matches!(
+                shapes[..],
+                [
+                    Shape::One(0),
+                    Shape::Two(0, 1),
+                    Shape::Pair(0),
+                    Shape::General,
+                    Shape::General,
+                    Shape::General,
+                ]
+            ),
+            "{shapes:?}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// A shaped propensity is `propensity_dense` to the bit, for
+        /// reactions with 0–3 reactant species and coefficients 1–4, at the
+        /// counts where a loop-free product could part from the loop: 0, 1,
+        /// 2, small values, the table's exact-range limit ± 1 and the top of
+        /// `u64`.
+        #[test]
+        fn shaped_propensities_are_the_dense_propensity_to_the_bit(
+            coefficients in collection::vec(collection::vec(0u64..5, 3), 1..9),
+            kinds in collection::vec(0u64..6, 3),
+            smalls in collection::vec(3u64..64, 3),
+            offsets in collection::vec(0u64..3, 3),
+        ) {
+            let mut crn = Crn::new();
+            let species = ["X", "Y", "Z"].map(|name| crn.add_species(name));
+            let sink = crn.add_species("W");
+            for row in &coefficients {
+                let reactants: Vec<_> = species
+                    .iter()
+                    .zip(row)
+                    .filter(|&(_, &c)| c > 0)
+                    .map(|(&s, &c)| (s, c))
+                    .collect();
+                crn.add_reaction(Reaction::new(reactants, vec![(sink, 1)]));
+            }
+            let compiled = CompiledCrn::compile(&crn);
+            let limit = ((1u64 << 53) as f64 / (coefficients.len() + 1) as f64) as u64;
+            let mut counts: Vec<u64> = (0..3)
+                .map(|i| match kinds[i] {
+                    0..=2 => kinds[i],
+                    3 => smalls[i],
+                    4 => limit - 1 + offsets[i],
+                    _ => u64::MAX - 2 + offsets[i],
+                })
+                .collect();
+            counts.push(0);
+            for reaction in compiled.reactions() {
+                prop_assert_eq!(
+                    Shape::of(reaction).propensity(reaction, &counts).to_bits(),
+                    propensity_dense(reaction, &counts).to_bits(),
+                    "{:?} at {:?}", reaction, counts
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! correctness notion ("stable computation") is rate-independent, but the
 //! simulator lets us *measure* the constructions: convergence time versus
 //! input size (experiment E9), composition overhead (E10), and the behaviour
-//! of the Figure 1 examples (E1).  The crate has one simulator: exact
-//! Gillespie stochastic simulation ([`gillespie`]) on the dense compiled
+//! of the Figure 1 examples (E1).  The crate has one simulator: Gillespie
+//! stochastic simulation ([`gillespie`]), the exact jump chain timed by its
+//! expected holding times, on the dense compiled
 //! kernel, with mass-action propensities maintained **incrementally** through
 //! the reaction dependency graph of [`crn_model::CompiledCrn`].  The sparse
 //! seed implementation survives as [`SparseGillespie`], the differential

@@ -20,7 +20,11 @@ pub struct TrialSummary {
     pub input: NVec,
     /// Statistics over the step counts of the trials.
     pub steps: Summary,
-    /// Statistics over the simulated times of the trials.
+    /// Statistics over the trials' clocks: each is the expected time along
+    /// the trial's reaction sequence ([`GillespieOutcome::time`]), so their
+    /// mean estimates the expected time to silence.
+    ///
+    /// [`GillespieOutcome::time`]: crate::GillespieOutcome::time
     pub time: Summary,
     /// The set of distinct final outputs observed (a correct, converging CRN
     /// yields a single value here).
@@ -41,7 +45,11 @@ pub struct ConvergencePoint {
     pub input: NVec,
     /// Mean number of reactions fired until silence.
     pub mean_steps: f64,
-    /// Mean simulated time until silence.
+    /// The mean over the trials of the expected time along each trial's
+    /// reaction sequence ([`GillespieOutcome::time`]): an estimate of the
+    /// expected time to silence.
+    ///
+    /// [`GillespieOutcome::time`]: crate::GillespieOutcome::time
     pub mean_time: f64,
     /// Whether every trial produced the expected output.
     pub all_correct: bool,
