@@ -32,7 +32,7 @@ fn lemma61_synthesis_cost(c: &mut Criterion) {
     for p in [2u64, 3, 4] {
         group.bench_function(format!("d2_p{p}"), |b| {
             let g = QuiltAffine::floor_linear(
-                QVec::from(vec![
+                &QVec::from(vec![
                     Rational::new(1, p as i128),
                     Rational::new(1, p as i128),
                 ]),

@@ -73,7 +73,7 @@ pub fn fig1_convergence(sizes: &[u64], trials: u32) -> Vec<(&'static str, Vec<Co
 /// `⌊3x/2⌋`, together with the species/reaction counts of its Lemma 6.1 CRN.
 #[must_use]
 pub fn fig3_quilt_table(bound: u64) -> (Vec<(u64, i128)>, usize, usize) {
-    let g = QuiltAffine::floor_linear(QVec::from(vec![Rational::new(3, 2)]), 2);
+    let g = QuiltAffine::floor_linear(&QVec::from(vec![Rational::new(3, 2)]), 2);
     let table: Vec<(u64, i128)> = (0..=bound)
         .map(|x| (x, g.eval(&NVec::from(vec![x])).expect("integer value")))
         .collect();
@@ -160,7 +160,7 @@ pub fn fig8_region_census(bound: u64) -> Vec<(usize, usize)> {
 pub fn construction_sizes() -> Vec<(String, usize, usize)> {
     let mut rows = Vec::new();
     for p in [1u64, 2, 3, 4] {
-        let g = QuiltAffine::floor_linear(QVec::from(vec![Rational::new(1, p as i128)]), p);
+        let g = QuiltAffine::floor_linear(&QVec::from(vec![Rational::new(1, p as i128)]), p);
         let crn = quilt_crn(&g).expect("quilt CRN");
         rows.push((
             format!("Lemma 6.1, d=1, p={p}"),
@@ -170,7 +170,7 @@ pub fn construction_sizes() -> Vec<(String, usize, usize)> {
     }
     for p in [1u64, 2, 3] {
         let g = QuiltAffine::floor_linear(
-            QVec::from(vec![
+            &QVec::from(vec![
                 Rational::new(1, p as i128),
                 Rational::new(1, p as i128),
             ]),
@@ -258,7 +258,7 @@ pub fn composition_overhead(sizes: &[u64], trials: u32) -> Vec<(u64, f64, f64)> 
 /// scale factors.
 #[must_use]
 pub fn scaling_error_series(factors: &[u64]) -> Vec<(u64, f64)> {
-    let g = QuiltAffine::floor_linear(QVec::from(vec![Rational::new(3, 2)]), 2);
+    let g = QuiltAffine::floor_linear(&QVec::from(vec![Rational::new(3, 2)]), 2);
     let eventual = EventuallyMin::new(NVec::zeros(1), vec![g]).unwrap();
     let scaling = InfinityScaling::of(&eventual);
     let f = |x: &NVec| 3 * x[0] / 2;

@@ -387,7 +387,9 @@ fn interleaving_independent_counters_match_at_every_worker_count() {
 
     // `crn verify` has no worker flag, so the sweep runs in process: on
     // every route, the route counter and the `model.box.*` counters match
-    // at 1, 2 and 4 workers.  No other test here profiles in process.
+    // at 1, 2 and 4 workers, and a pinned count runs that many `worker`
+    // spans, the calling thread's included.  No other test here profiles in
+    // process.
     let fanout = format!(
         "X -> {}",
         (1..=31)
@@ -433,7 +435,13 @@ fn interleaving_independent_counters_match_at_every_worker_count() {
                 .workers(workers)
                 .run();
             assert_eq!(outcome, Ok(None), "{route} at {workers} workers");
-            let sweep: Vec<(String, u64)> = crn_obs::snapshot()
+            let snapshot = crn_obs::snapshot();
+            assert_eq!(
+                worker_spans(&snapshot),
+                workers as u64,
+                "{route} at {workers} workers"
+            );
+            let sweep: Vec<(String, u64)> = snapshot
                 .counters
                 .into_iter()
                 .filter(|(name, _)| {
@@ -454,5 +462,28 @@ fn interleaving_independent_counters_match_at_every_worker_count() {
         assert_eq!(counts[0], counts[1], "{route}: 1 and 2 workers differ");
         assert_eq!(counts[0], counts[2], "{route}: 1 and 4 workers differ");
     }
+    // Under the default count, the calling thread first projects the rest
+    // of a sweep after its 16th draw, which is the last of a 16-point box:
+    // no helper starts, whatever the pace.
+    crn_obs::reset();
+    let min = crn_model::examples::min_crn();
+    let (outcome, stats) =
+        BoxCheck::new(&CrnAnalysis::of(&min), |x: &NVec| x[0].min(x[1]), 3, 10_000).run();
+    assert_eq!((outcome, stats.points), (Ok(None), 16));
+    let snapshot = crn_obs::snapshot();
+    assert_eq!(worker_spans(&snapshot), 1);
+    assert!(snapshot
+        .gauges
+        .contains(&("model.box.workers".to_owned(), 1)));
     crn_obs::set_enabled(false);
+}
+
+/// The `worker` spans a profiled in-process sweep recorded.
+fn worker_spans(snapshot: &crn_obs::MetricsSnapshot) -> u64 {
+    snapshot
+        .spans
+        .iter()
+        .filter(|(path, _)| path.ends_with("/worker"))
+        .map(|(_, span)| span.count)
+        .sum()
 }

@@ -177,7 +177,7 @@ pub fn structure_to_spec(structure: &Structure1D) -> Result<ObliviousSpec, CoreE
             Rational::from(value) - gradient.dot_n(&NVec::from(vec![rep])),
         );
     }
-    let piece = QuiltAffine::new(gradient, p, offsets)?;
+    let piece = QuiltAffine::new(&gradient, p, &offsets)?;
     let eventual =
         EventuallyMin::new(NVec::from(vec![n]), vec![piece]).expect("one piece, same dimension");
     let mut restrictions = BTreeMap::new();
@@ -377,7 +377,7 @@ fn fit_region_extension(
         let key = class.representative().as_slice().to_vec();
         offsets.entry(key).or_insert(Rational::ZERO);
     }
-    QuiltAffine::new(gradient, period, offsets)
+    QuiltAffine::new(&gradient, period, &offsets)
 }
 
 /// Builds the averaged strip extension of Lemma 7.16 for an under-determined
@@ -462,7 +462,7 @@ fn fit_strip_extension(
         };
         offsets.insert(key, value);
     }
-    QuiltAffine::new(avg, p_star, offsets).map(Some)
+    QuiltAffine::new(&avg, p_star, &offsets).map(Some)
 }
 
 /// Finds the smallest `t ≤ bound/2` such that `f(x) = min_k g_k(x)` for every

@@ -26,7 +26,7 @@
 //! use crn_numeric::{NVec, QVec, Rational};
 //!
 //! // floor(3x/2) as a quilt-affine function, compiled to an output-oblivious CRN.
-//! let g = QuiltAffine::floor_linear(QVec::from(vec![Rational::new(3, 2)]), 2);
+//! let g = QuiltAffine::floor_linear(&QVec::from(vec![Rational::new(3, 2)]), 2);
 //! let crn = quilt_crn(&g).unwrap();
 //! assert!(crn.is_output_oblivious());
 //! let verdict = check_stable_computation(&crn, &NVec::from(vec![5]), 7, 10_000).unwrap();

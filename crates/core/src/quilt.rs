@@ -25,7 +25,7 @@ use crate::error::CoreError;
 /// use crn_numeric::{NVec, QVec, Rational};
 ///
 /// // Figure 3a: floor(3x/2) = (3/2)x + B(x mod 2), B(0)=0, B(1)=-1/2.
-/// let g = QuiltAffine::floor_linear(QVec::from(vec![Rational::new(3, 2)]), 2);
+/// let g = QuiltAffine::floor_linear(&QVec::from(vec![Rational::new(3, 2)]), 2);
 /// assert_eq!(g.eval(&NVec::from(vec![4])).unwrap(), 6);
 /// assert_eq!(g.eval(&NVec::from(vec![5])).unwrap(), 7);
 /// assert!(g.is_nondecreasing());
@@ -52,9 +52,9 @@ impl QuiltAffine {
     /// [`CoreError::OutOfRange`] if a piece's integer form does not fit
     /// `i128` (see [`AffinePiece::new`]).
     pub fn new(
-        gradient: QVec,
+        gradient: &QVec,
         period: u64,
-        offsets: BTreeMap<Vec<u64>, Rational>,
+        offsets: &BTreeMap<Vec<u64>, Rational>,
     ) -> Result<Self, CoreError> {
         if period == 0 {
             return Err(CoreError::InvalidSpec("period must be positive".into()));
@@ -64,7 +64,7 @@ impl QuiltAffine {
                 "quilt-affine gradient must be nonnegative, got {gradient}"
             )));
         }
-        let g = QuiltAffine::from_offsets(&gradient, period, |class| {
+        let g = QuiltAffine::from_offsets(gradient, period, |class| {
             offsets.get(class.residues()).copied().ok_or_else(|| {
                 CoreError::InvalidSpec(format!("missing offset for congruence class {class}"))
             })
@@ -110,11 +110,11 @@ impl QuiltAffine {
     ///
     /// Returns an error if the gradient is negative somewhere or the values
     /// are not integers (the gradient must then be integral).
-    pub fn affine(gradient: QVec, offset: Rational) -> Result<Self, CoreError> {
+    pub fn affine(gradient: &QVec, offset: Rational) -> Result<Self, CoreError> {
         let dim = gradient.dim();
         let mut offsets = BTreeMap::new();
         offsets.insert(vec![0; dim], offset);
-        QuiltAffine::new(gradient, 1, offsets)
+        QuiltAffine::new(gradient, 1, &offsets)
     }
 
     /// The floored linear function `x ↦ ⌊gradient·x⌋` with the given period
@@ -125,7 +125,7 @@ impl QuiltAffine {
     /// Panics if `period` does not clear the gradient's denominators or the
     /// gradient has a negative component.
     #[must_use]
-    pub fn floor_linear(gradient: QVec, period: u64) -> Self {
+    pub fn floor_linear(gradient: &QVec, period: u64) -> Self {
         let dim = gradient.dim();
         assert!(
             (Rational::from(period as i64) * Rational::new(1, gradient.denominator_lcm()))
@@ -141,13 +141,13 @@ impl QuiltAffine {
                 Rational::from(linear.floor()) - linear,
             );
         }
-        QuiltAffine::new(gradient, period, offsets).expect("floored linear is quilt-affine")
+        QuiltAffine::new(gradient, period, &offsets).expect("floored linear is quilt-affine")
     }
 
     /// The constant function with period 1.
     #[must_use]
     pub fn constant(dim: usize, value: i64) -> Self {
-        QuiltAffine::affine(QVec::zeros(dim), Rational::from(value))
+        QuiltAffine::affine(&QVec::zeros(dim), Rational::from(value))
             .expect("constants are quilt-affine")
     }
 
@@ -343,12 +343,12 @@ mod tests {
                 },
             );
         }
-        QuiltAffine::new(QVec::from(vec![1, 2]), 3, offsets).unwrap()
+        QuiltAffine::new(&QVec::from(vec![1, 2]), 3, &offsets).unwrap()
     }
 
     #[test]
     fn floor_three_halves_matches_closed_form() {
-        let g = QuiltAffine::floor_linear(QVec::from(vec![Rational::new(3, 2)]), 2);
+        let g = QuiltAffine::floor_linear(&QVec::from(vec![Rational::new(3, 2)]), 2);
         for x in 0..20u64 {
             assert_eq!(g.eval(&NVec::from(vec![x])).unwrap(), i128::from(3 * x / 2));
         }
@@ -375,7 +375,7 @@ mod tests {
 
     #[test]
     fn affine_constructor_and_constant() {
-        let g = QuiltAffine::affine(QVec::from(vec![2, 1]), Rational::from(3)).unwrap();
+        let g = QuiltAffine::affine(&QVec::from(vec![2, 1]), Rational::from(3)).unwrap();
         assert_eq!(g.eval(&NVec::from(vec![1, 1])).unwrap(), 6);
         assert_eq!(g.period(), 1);
         let c = QuiltAffine::constant(2, 7);
@@ -384,21 +384,21 @@ mod tests {
 
     #[test]
     fn negative_gradient_rejected() {
-        let err = QuiltAffine::affine(QVec::from(vec![-1]), Rational::ZERO).unwrap_err();
+        let err = QuiltAffine::affine(&QVec::from(vec![-1]), Rational::ZERO).unwrap_err();
         assert!(matches!(err, CoreError::InvalidSpec(_)));
     }
 
     #[test]
     fn non_integer_values_rejected() {
         // Gradient 1/2 with period 1 cannot be integer-valued.
-        let err =
-            QuiltAffine::affine(QVec::from(vec![Rational::new(1, 2)]), Rational::ZERO).unwrap_err();
+        let err = QuiltAffine::affine(&QVec::from(vec![Rational::new(1, 2)]), Rational::ZERO)
+            .unwrap_err();
         assert!(matches!(err, CoreError::NotInteger(_)));
     }
 
     #[test]
     fn missing_offset_rejected() {
-        let err = QuiltAffine::new(QVec::from(vec![1]), 2, BTreeMap::new()).unwrap_err();
+        let err = QuiltAffine::new(&QVec::from(vec![1]), 2, &BTreeMap::new()).unwrap_err();
         assert!(matches!(
             err,
             CoreError::InvalidSpec(_) | CoreError::NotInteger(_)
@@ -407,7 +407,7 @@ mod tests {
 
     #[test]
     fn translation_shifts_argument() {
-        let g = QuiltAffine::floor_linear(QVec::from(vec![Rational::new(3, 2)]), 2);
+        let g = QuiltAffine::floor_linear(&QVec::from(vec![Rational::new(3, 2)]), 2);
         let shifted = g.translate(&NVec::from(vec![3])).unwrap();
         for x in 0..10u64 {
             assert_eq!(
@@ -420,7 +420,7 @@ mod tests {
 
     #[test]
     fn with_period_is_value_preserving() {
-        let g = QuiltAffine::floor_linear(QVec::from(vec![Rational::new(3, 2)]), 2);
+        let g = QuiltAffine::floor_linear(&QVec::from(vec![Rational::new(3, 2)]), 2);
         let refined = g.with_period(6).unwrap();
         assert_eq!(refined.period(), 6);
         for x in 0..15u64 {
@@ -464,9 +464,9 @@ mod tests {
             );
         }
         let g = QuiltAffine::new(
-            QVec::from(vec![Rational::new(1, 2), Rational::new(1, 2)]),
+            &QVec::from(vec![Rational::new(1, 2), Rational::new(1, 2)]),
             2,
-            offsets,
+            &offsets,
         )
         .unwrap();
         assert!(g.is_nondecreasing());
@@ -482,7 +482,7 @@ mod tests {
 
     /// `x ↦ k·x`, the spec `min k x`.
     fn linear(k: u64) -> QuiltAffine {
-        QuiltAffine::affine(QVec::from(vec![Rational::from(k)]), Rational::ZERO).unwrap()
+        QuiltAffine::affine(&QVec::from(vec![Rational::from(k)]), Rational::ZERO).unwrap()
     }
 
     fn out_of_range<T: fmt::Debug>(result: Result<T, CoreError>) -> String {
@@ -563,7 +563,7 @@ mod tests {
             (vec![1], Rational::from(-rise)),
         ]);
         let g =
-            QuiltAffine::new(QVec::from(vec![Rational::from(1i128 << 62)]), 2, offsets).unwrap();
+            QuiltAffine::new(&QVec::from(vec![Rational::from(1i128 << 62)]), 2, &offsets).unwrap();
         let max = NVec::from(vec![u64::MAX]);
         assert_eq!(g.eval(&max), Ok(0));
         assert_eq!(
@@ -592,7 +592,7 @@ mod tests {
         #[test]
         fn finite_differences_reconstruct_the_function(x in 0u64..12) {
             // g(x) = g(0) + sum of finite differences along the path 0 -> x.
-            let g = QuiltAffine::floor_linear(QVec::from(vec![Rational::new(5, 3)]), 3);
+            let g = QuiltAffine::floor_linear(&QVec::from(vec![Rational::new(5, 3)]), 3);
             let mut acc = g.eval(&NVec::from(vec![0])).unwrap();
             for step in 0..x {
                 let class = CongruenceClass::of(&NVec::from(vec![step]), 3);
@@ -604,7 +604,7 @@ mod tests {
         #[test]
         fn floor_linear_2d_matches_closed_form(x1 in 0u64..10, x2 in 0u64..10) {
             let g = QuiltAffine::floor_linear(
-                QVec::from(vec![Rational::new(1, 2), Rational::new(2, 3)]),
+                &QVec::from(vec![Rational::new(1, 2), Rational::new(2, 3)]),
                 6,
             );
             let expected = (3 * x1 + 4 * x2) / 6; // floor((x1/2 + 2x2/3))
@@ -614,8 +614,8 @@ mod tests {
 
     /// Whether `result` is the `expected` value, or an out-of-range error
     /// where there is none.
-    fn agrees(result: Result<i128, CoreError>, expected: Option<i128>) -> bool {
-        match result {
+    fn agrees(result: &Result<i128, CoreError>, expected: Option<i128>) -> bool {
+        match *result {
             Ok(value) => expected == Some(value),
             Err(CoreError::OutOfRange(_)) => expected.is_none(),
             Err(_) => false,
@@ -657,7 +657,7 @@ mod tests {
                     (a.clone(), Rational::from(v) - linear)
                 })
                 .collect();
-            let g = QuiltAffine::new(gradient, p, offsets).unwrap();
+            let g = QuiltAffine::new(&gradient, p, &offsets).unwrap();
             let reference = |x: &NVec| {
                 x.iter()
                     .zip(&rises)
@@ -667,7 +667,7 @@ mod tests {
                     .to_i128()
             };
             let x = point(dim, &raw[0..3], &shapes[0..3]);
-            prop_assert!(agrees(g.eval(&x), reference(&x)), "g({x})");
+            prop_assert!(agrees(&g.eval(&x), reference(&x)), "g({x})");
 
             let shift = point(dim, &raw[3..6], &shapes[3..6]);
             match g.translate(&shift) {
@@ -676,14 +676,14 @@ mod tests {
                     let moved: Option<NVec> =
                         y.iter().zip(shift.iter()).map(|(a, b)| a.checked_add(*b)).collect();
                     if let Some(moved) = moved {
-                        prop_assert!(agrees(translate.eval(&y), reference(&moved)), "{y} + {shift}");
+                        prop_assert!(agrees(&translate.eval(&y), reference(&moved)), "{y} + {shift}");
                     }
                 }
                 Err(e) => prop_assert!(matches!(e, CoreError::OutOfRange(_)), "{e}"),
             }
 
             let refined = g.with_period(p * (1 + raw[9] % 3)).unwrap();
-            prop_assert!(agrees(refined.eval(&x), reference(&x)), "refined at {x}");
+            prop_assert!(agrees(&refined.eval(&x), reference(&x)), "refined at {x}");
 
             let i = (raw[9] % dim as u64) as usize;
             let j = shaped(raw[6], shapes[6]);
@@ -691,7 +691,7 @@ mod tests {
                 Ok(restricted) => {
                     let y = x.without_component(i);
                     let full = y.with_inserted(i, j);
-                    prop_assert!(agrees(restricted.eval(&y), reference(&full)), "{full}");
+                    prop_assert!(agrees(&restricted.eval(&y), reference(&full)), "{full}");
                 }
                 Err(e) => prop_assert!(matches!(e, CoreError::OutOfRange(_)), "{e}"),
             }

@@ -94,8 +94,8 @@ mod tests {
     use crate::quilt::QuiltAffine;
 
     fn min_eventual() -> EventuallyMin {
-        let g1 = QuiltAffine::affine(QVec::from(vec![1, 0]), Rational::ONE).unwrap();
-        let g2 = QuiltAffine::affine(QVec::from(vec![0, 1]), Rational::from(3)).unwrap();
+        let g1 = QuiltAffine::affine(&QVec::from(vec![1, 0]), Rational::ONE).unwrap();
+        let g2 = QuiltAffine::affine(&QVec::from(vec![0, 1]), Rational::from(3)).unwrap();
         EventuallyMin::new(NVec::zeros(2), vec![g1, g2]).unwrap()
     }
 
@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn scaling_of_quilt_affine_is_its_linear_part() {
         // floor(3x/2) scales to (3/2) z.
-        let g = QuiltAffine::floor_linear(QVec::from(vec![Rational::new(3, 2)]), 2);
+        let g = QuiltAffine::floor_linear(&QVec::from(vec![Rational::new(3, 2)]), 2);
         let eventual = EventuallyMin::new(NVec::zeros(1), vec![g]).unwrap();
         let scaling = InfinityScaling::of(&eventual);
         assert_eq!(
@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn scaling_error_decreases_with_c() {
-        let g = QuiltAffine::floor_linear(QVec::from(vec![Rational::new(3, 2)]), 2);
+        let g = QuiltAffine::floor_linear(&QVec::from(vec![Rational::new(3, 2)]), 2);
         let eventual = EventuallyMin::new(NVec::zeros(1), vec![g]).unwrap();
         let scaling = InfinityScaling::of(&eventual);
         let f = |x: &NVec| 3 * x[0] / 2;

@@ -217,8 +217,8 @@ mod tests {
 
     fn min_of_two_lines() -> EventuallyMin {
         // min(x1 + 1, x2 + 1) for x >= (0,0).
-        let g1 = QuiltAffine::affine(QVec::from(vec![1, 0]), Rational::ONE).unwrap();
-        let g2 = QuiltAffine::affine(QVec::from(vec![0, 1]), Rational::ONE).unwrap();
+        let g1 = QuiltAffine::affine(&QVec::from(vec![1, 0]), Rational::ONE).unwrap();
+        let g2 = QuiltAffine::affine(&QVec::from(vec![0, 1]), Rational::ONE).unwrap();
         EventuallyMin::new(NVec::zeros(2), vec![g1, g2]).unwrap()
     }
 

@@ -284,7 +284,7 @@ mod tests {
 
     #[test]
     fn quilt_crn_for_floor_three_halves() {
-        let g = QuiltAffine::floor_linear(QVec::from(vec![Rational::new(3, 2)]), 2);
+        let g = QuiltAffine::floor_linear(&QVec::from(vec![Rational::new(3, 2)]), 2);
         let crn = quilt_crn(&g).unwrap();
         assert!(crn.is_output_oblivious());
         assert!(crn.has_leader());
@@ -301,7 +301,7 @@ mod tests {
     #[test]
     fn quilt_crn_for_two_dimensional_function() {
         // g(x) = x1 + 2 x2 + 1 (affine, period 1).
-        let g = QuiltAffine::affine(QVec::from(vec![1, 2]), Rational::ONE).unwrap();
+        let g = QuiltAffine::affine(&QVec::from(vec![1, 2]), Rational::ONE).unwrap();
         let crn = quilt_crn(&g).unwrap();
         for x1 in 0..4u64 {
             for x2 in 0..4u64 {
@@ -318,7 +318,7 @@ mod tests {
     fn quilt_crn_for_floor_half_sum() {
         // g(x1, x2) = floor((x1 + x2)/2): period 2, gradient (1/2, 1/2).
         let g = QuiltAffine::floor_linear(
-            QVec::from(vec![Rational::new(1, 2), Rational::new(1, 2)]),
+            &QVec::from(vec![Rational::new(1, 2), Rational::new(1, 2)]),
             2,
         );
         let crn = quilt_crn(&g).unwrap();
@@ -339,7 +339,7 @@ mod tests {
 
     #[test]
     fn quilt_crn_rejects_negative_functions() {
-        let g = QuiltAffine::affine(QVec::from(vec![1]), Rational::from(-2)).unwrap();
+        let g = QuiltAffine::affine(&QVec::from(vec![1]), Rational::from(-2)).unwrap();
         assert!(matches!(
             quilt_crn(&g),
             Err(CoreError::NegativeQuiltValue(_))
@@ -381,8 +381,8 @@ mod tests {
     #[test]
     fn eventual_min_crn_computes_min_of_affine_pieces() {
         // min(x1 + 1, x2 + 1) with threshold 0.
-        let g1 = QuiltAffine::affine(QVec::from(vec![1, 0]), Rational::ONE).unwrap();
-        let g2 = QuiltAffine::affine(QVec::from(vec![0, 1]), Rational::ONE).unwrap();
+        let g1 = QuiltAffine::affine(&QVec::from(vec![1, 0]), Rational::ONE).unwrap();
+        let g2 = QuiltAffine::affine(&QVec::from(vec![0, 1]), Rational::ONE).unwrap();
         let crn = eventual_min_crn(&[g1, g2], &NVec::zeros(2)).unwrap();
         assert!(crn.is_output_oblivious());
         for x1 in 0..3u64 {
@@ -419,8 +419,8 @@ mod tests {
     fn synthesize_two_dimensional_min_spec() {
         // f(x1, x2) = min(x1, x2): eventual-min of the two coordinate
         // projections with threshold 0 (no finite region).
-        let g1 = QuiltAffine::affine(QVec::from(vec![1, 0]), Rational::ZERO).unwrap();
-        let g2 = QuiltAffine::affine(QVec::from(vec![0, 1]), Rational::ZERO).unwrap();
+        let g1 = QuiltAffine::affine(&QVec::from(vec![1, 0]), Rational::ZERO).unwrap();
+        let g2 = QuiltAffine::affine(&QVec::from(vec![0, 1]), Rational::ZERO).unwrap();
         let spec = ObliviousSpec::compound(
             crate::spec::EventuallyMin::new(NVec::zeros(2), vec![g1, g2]).unwrap(),
             BTreeMap::new(),
@@ -452,7 +452,7 @@ mod tests {
             let mut offsets = std::collections::BTreeMap::new();
             offsets.insert(vec![0u64], Rational::from(-2));
             offsets.insert(vec![1u64], Rational::new(-5, 2));
-            QuiltAffine::new(QVec::from(vec![Rational::new(3, 2)]), 2, offsets).unwrap()
+            QuiltAffine::new(&QVec::from(vec![Rational::new(3, 2)]), 2, &offsets).unwrap()
         };
         let expected = |x: u64| if x < 2 { 0 } else { 3 * x / 2 - 2 };
         let eventual = crate::spec::EventuallyMin::new(NVec::from(vec![2]), vec![piece]).unwrap();

@@ -484,7 +484,7 @@ fn floor_quilt(expr: &LinExpr, span: Span) -> Result<QuiltAffine, Diagnostic> {
             Rational::from(value.floor()) - gradient.dot_n(&rep),
         );
     }
-    QuiltAffine::new(gradient, period, offsets)
+    QuiltAffine::new(&gradient, period, &offsets)
         .map_err(|e| Diagnostic::new(format!("invalid floor piece: {e}"), span))
 }
 
@@ -492,7 +492,7 @@ fn floor_quilt(expr: &LinExpr, span: Span) -> Result<QuiltAffine, Diagnostic> {
 fn lower_piece(piece: &Piece, span: Span) -> Result<QuiltAffine, Diagnostic> {
     match piece {
         Piece::Affine(expr) => {
-            QuiltAffine::affine(QVec::from(expr.coeffs.clone()), expr.constant)
+            QuiltAffine::affine(&QVec::from(expr.coeffs.clone()), expr.constant)
                 .map_err(|e| Diagnostic::new(format!("invalid affine piece: {e}"), span).with_help(
                     "an affine piece must be integer-valued on N^d; use floor(…) or quilt { … } for fractional gradients",
                 ))
@@ -505,7 +505,7 @@ fn lower_piece(piece: &Piece, span: Span) -> Result<QuiltAffine, Diagnostic> {
         } => {
             let table: BTreeMap<Vec<u64>, Rational> =
                 offsets.iter().cloned().collect();
-            QuiltAffine::new(QVec::from(gradient.clone()), *period, table)
+            QuiltAffine::new(&QVec::from(gradient.clone()), *period, &table)
                 .map_err(|e| Diagnostic::new(format!("invalid quilt piece: {e}"), span))
         }
     }

@@ -146,8 +146,9 @@ pub fn check_stable_computation(
 }
 
 /// Checks stable computation of `f` on every input in the box `[0, bound]^d`,
-/// sharding the inputs across worker threads (up to one per available core,
-/// with each worker granted enough inputs to amortize its spawn cost).
+/// scanning on the calling thread and sharding the rest of the inputs across
+/// one helper thread per further available core once the rest is projected
+/// to take long enough to repay their spawn.
 ///
 /// The sweep builds the CRN's [`CrnAnalysis`] and drops it when done; a
 /// caller that also lints the CRN builds the analysis itself and runs
@@ -225,8 +226,11 @@ impl<'a, F: Fn(&NVec) -> u64 + Sync> BoxCheck<'a, F> {
         }
     }
 
-    /// Pins the worker-thread count (`1` runs the plain sequential scan).
-    /// Outcomes are identical at every worker count.
+    /// Pins the worker-thread count: the calling thread scans as one worker
+    /// and spawns the other `workers − 1` (at most one per box point) before
+    /// its first draw, where the default count forks helpers only once the
+    /// projected rest of the sweep repays them.  `1` runs the plain
+    /// sequential scan.  Outcomes are identical at every worker count.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);

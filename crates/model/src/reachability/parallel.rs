@@ -1,19 +1,27 @@
 //! Parallel box checking.
 //!
 //! `check_on_box` walks the inputs of `[0, bound]^d` in lexicographic order
-//! and shards them across scoped worker threads (the vendored stubs have no
-//! rayon, so the pool is a plain `crn_sync::thread::scope` with an atomic
-//! work-stealing cursor).  Box points are never materialized up front: each
-//! worker decodes its drawn index into one reused count vector through the
-//! mixed-radix place values of the box, so the sweep takes `O(1)` memory in
-//! the box size.  The result is deterministic regardless of thread
-//! interleaving: every worker records the index of the first failing (or
-//! erroring) input it sees, indices past the best-known failure are skipped,
-//! and the verdict returned is the one at the smallest index — exactly what
-//! the sequential loop would have produced.  The sweep skips symmetry
-//! replays and settles every other point by [`VerdictEngine::decide`]: the
-//! terminal scan when the CRN carries the acyclicity certificate, the full
-//! verdict otherwise.
+//! on a `crn_sync::thread::scope` pool that shares one atomic work-stealing
+//! cursor (the vendored stubs have no rayon).  The calling thread is worker
+//! 0 of every sweep and starts scanning at once.  Under the default worker
+//! count it forks lazily: after every [`PROJECT_EVERY`]-th draw it projects
+//! the undrawn rest of the box on one thread from its own pace, and only
+//! once that projection reaches [`FORK_AFTER`] does it read the core count
+//! and spawn one helper per further core onto the same cursor.  A pinned
+//! [`super::BoxCheck::workers`] count spawns its helpers before the first
+//! draw.  Box points are never materialized up front: each worker decodes
+//! its drawn index into one reused count vector through the mixed-radix
+//! place values of the box, so the sweep takes `O(1)` memory in the box
+//! size.  The result is deterministic regardless of thread interleaving:
+//! every worker records the index of the first failing (or erroring) input
+//! it sees, indices past the best-known failure are skipped, and the
+//! verdict returned is the one at the smallest index — exactly what the
+//! sequential loop would have produced.  The sweep skips symmetry replays
+//! and settles every other point by [`VerdictEngine::decide`]: the terminal
+//! scan when the CRN carries the acyclicity certificate, the full verdict
+//! otherwise.
+
+use std::time::{Duration, Instant};
 
 use crn_sync::atomic::{AtomicU64, Ordering};
 
@@ -26,11 +34,16 @@ use super::engine::VerdictEngine;
 use super::symmetry::Automorphism;
 use super::{BoxCheckStats, StableComputationVerdict};
 
-/// The default shard grants each worker at least this many inputs, so a box
-/// never spawns threads whose startup cost dwarfs their microsecond-scale
-/// share of the work.  An explicit worker count via
-/// [`super::BoxCheck::workers`] overrides this.
-const MIN_POINTS_PER_WORKER: usize = 8;
+/// Under the default worker count, the calling thread projects the rest of
+/// its sweep after every this many draws, so a box of fewer points never
+/// starts a thread.
+const PROJECT_EVERY: u64 = 16;
+
+/// The projected one-thread time of a sweep's undrawn rest at which the
+/// calling thread forks its helpers: about ten times the 74–109 µs that
+/// spawning and joining two threads measured on a 2-core host, so a
+/// helper's share of the rest repays its start.
+const FORK_AFTER: Duration = Duration::from_millis(1);
 
 /// The number of points in `[0, bound]^dim`, or `None` when it does not fit
 /// in `u64`: a sweep's `u64` cursor cannot index every point of such a box,
@@ -54,10 +67,12 @@ fn decode_point(mut index: u64, radix: u64, x: &mut NVec) {
     debug_assert_eq!(index, 0, "index lies inside the box");
 }
 
-/// Checks every input of the box on `workers` threads (by default one per
-/// available core, capped by [`MIN_POINTS_PER_WORKER`]), returning the
-/// verdict (or error) of the lexicographically-first input that does not
-/// pass, plus the sweep's observability counters.
+/// Checks every input of the box, returning the verdict (or error) of the
+/// lexicographically-first input that does not pass, plus the sweep's
+/// observability counters.  The calling thread scans as worker 0; `workers`
+/// pins the worker count (its helpers spawn before the first draw), and
+/// `None` forks one helper per further core once the projected rest of the
+/// sweep repays it (see [`repays_fork`]).
 ///
 /// Workers record only the *index* of a bad point during the scan; the one
 /// bad index that wins the race is re-checked in full by
@@ -87,9 +102,6 @@ pub(super) fn check_on_box_sharded(
         );
     };
     let points = usize::try_from(total).unwrap_or(usize::MAX);
-    let workers = workers
-        .unwrap_or_else(|| default_workers().min(points / MIN_POINTS_PER_WORKER))
-        .clamp(1, points.max(1));
 
     // Everything point-independent is computed once for the whole sweep,
     // forced here rather than by whichever worker first needs it: the
@@ -118,15 +130,20 @@ pub(super) fn check_on_box_sharded(
     // `first_bad_reduction_tolerates_relaxed` checks the all-Relaxed
     // downgrade also passes, confirming the orderings below are a
     // documentation choice (Acquire/AcqRel marks the load/reduction pair as
-    // a cross-thread protocol), not a correctness requirement.
+    // a cross-thread protocol), not a correctness requirement; and
+    // `first_bad_reduction_survives_a_lazy_fork` checks both orderings with
+    // the scope's own thread scanning first and spawning its helper
+    // mid-scan, as the default worker count does here.
     let next = AtomicU64::new(0);
     let first_bad = AtomicU64::new(u64::MAX);
 
     // One worker's scan: draw indices from the shared cursor until the box
     // (or the best-known bad prefix) is exhausted.  Returns its first bad
     // index — its draws strictly increase, so it may stop at the first — and
-    // its statistics.
-    let run_worker = || -> (Option<u64>, BoxCheckStats) {
+    // its statistics.  `fork`, which only the calling thread is given and
+    // only under the default worker count, is offered the draw count after
+    // every `PROJECT_EVERY`-th draw until it reports that it forked.
+    let run_worker = |mut fork: Option<&mut dyn FnMut(u64) -> bool>| {
         let mut engine = VerdictEngine::new(analysis);
         let mut x = NVec::zeros(dim);
         let mut y = NVec::zeros(dim);
@@ -134,6 +151,12 @@ pub(super) fn check_on_box_sharded(
         let mut best = None;
         let mut draws = 0u64;
         'scan: loop {
+            if draws % PROJECT_EVERY == 0
+                && draws > 0
+                && fork.as_mut().is_some_and(|fork| fork(draws))
+            {
+                fork = None;
+            }
             // Ordering: Relaxed — the cursor is a pure ticket dispenser; the
             // RMW's atomicity (each index drawn exactly once) is the whole
             // invariant, and no data is published through it.
@@ -197,27 +220,45 @@ pub(super) fn check_on_box_sharded(
         (best, stats)
     };
 
-    let results: Vec<(Option<u64>, BoxCheckStats)> = if workers == 1 {
-        vec![run_worker()]
-    } else {
-        let parent = crn_obs::SpanPath::current();
-        crn_sync::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let parent = parent.clone();
-                    scope.spawn(move || {
-                        let _adopted = parent.adopt();
-                        let _span = crn_obs::span("worker");
-                        run_worker()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker does not panic"))
-                .collect()
-        })
-    };
+    let parent = crn_obs::SpanPath::current();
+    let results: Vec<(Option<u64>, BoxCheckStats)> = crn_sync::thread::scope(|scope| {
+        let mut helpers = Vec::new();
+        let mut spawn_helpers = |count: usize| {
+            for _ in 0..count {
+                let parent = parent.clone();
+                helpers.push(scope.spawn(move || {
+                    let _adopted = parent.adopt();
+                    let _span = crn_obs::span("worker");
+                    run_worker(None)
+                }));
+            }
+        };
+        let own = {
+            let _span = crn_obs::span("worker");
+            if let Some(workers) = workers {
+                spawn_helpers(workers.clamp(1, points) - 1);
+                run_worker(None)
+            } else {
+                let start = Instant::now();
+                run_worker(Some(&mut |drawn| {
+                    let undrawn = total - drawn;
+                    let forks = repays_fork(start.elapsed(), drawn, undrawn);
+                    if forks {
+                        let undrawn = usize::try_from(undrawn).unwrap_or(usize::MAX);
+                        spawn_helpers((default_workers() - 1).min(undrawn));
+                    }
+                    forks
+                }))
+            }
+        };
+        std::iter::once(own)
+            .chain(
+                helpers
+                    .into_iter()
+                    .map(|h| h.join().expect("worker does not panic")),
+            )
+            .collect()
+    });
 
     let mut stats = BoxCheckStats {
         points: total,
@@ -226,7 +267,7 @@ pub(super) fn check_on_box_sharded(
     for (_, worker_stats) in &results {
         stats.merge(worker_stats);
     }
-    publish_sweep_metrics(&stats, workers, analysis.acyclic());
+    publish_sweep_metrics(&stats, results.len(), analysis.acyclic());
 
     let Some(i) = results.iter().filter_map(|&(best, _)| best).min() else {
         return (Ok(None), stats);
@@ -241,6 +282,13 @@ pub(super) fn check_on_box_sharded(
         "a bad input passed the full check"
     );
     (outcome.map(Some), stats)
+}
+
+/// Whether a sweep whose calling thread drew `drawn` points in `elapsed`
+/// forks its helpers: whether the rest, `undrawn` points at the same pace
+/// on one thread, is projected to take at least [`FORK_AFTER`].
+fn repays_fork(elapsed: Duration, drawn: u64, undrawn: u64) -> bool {
+    elapsed.as_nanos() * u128::from(undrawn) >= FORK_AFTER.as_nanos() * u128::from(drawn)
 }
 
 /// Publishes one sweep's merged counters into the observability registry
@@ -271,8 +319,7 @@ fn publish_sweep_metrics(stats: &BoxCheckStats, workers: usize, acyclic: bool) {
     );
 }
 
-/// The default shard width before the cap by box size: one worker per
-/// available core.
+/// The worker count of a forked sweep: one per available core.
 fn default_workers() -> usize {
     crn_sync::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -297,6 +344,18 @@ mod tests {
                 u64::try_from(NVec::box_iter(dim, bound).count()).ok()
             );
         }
+    }
+
+    /// The calling thread forks once the rest of the sweep, projected at its
+    /// own pace, would take it a millisecond; a sweep whose first projection
+    /// follows its last draw has no rest and never forks.
+    #[test]
+    fn the_fork_waits_for_a_rest_worth_a_millisecond() {
+        let us = Duration::from_micros;
+        assert!(repays_fork(us(100), 16, 160));
+        assert!(!repays_fork(us(100), 16, 159));
+        assert!(repays_fork(us(1000), 32, 32));
+        assert!(!repays_fork(Duration::from_secs(60), 16, 0));
     }
 
     /// A box with more points than `u64` holds has no count (a `u64` cursor

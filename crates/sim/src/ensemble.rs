@@ -167,10 +167,10 @@ pub fn default_workers() -> usize {
 /// Trials are CPU-bound, so threads beyond the core count only add scheduling
 /// overhead — E14 measured ~5% for 4 requested workers on a 1-core box.  The
 /// determinism contract makes the clamp invisible in the results: every
-/// worker count returns bit-identical summaries.  A result of 1 (always the
-/// case when `available_parallelism()` reports 1) makes
-/// [`Ensemble::run`] execute the trials inline on the calling thread with no
-/// scoped worker spawned at all.
+/// worker count returns bit-identical summaries.  [`Ensemble::run`] runs the
+/// first trial range on the calling thread and spawns one thread per further
+/// range, so a result of 1 (always the case when `available_parallelism()`
+/// reports 1) spawns none.
 #[must_use]
 pub fn effective_workers(requested: usize, parallelism: usize, trials: u64) -> usize {
     requested
@@ -199,7 +199,8 @@ pub fn effective_workers(requested: usize, parallelism: usize, trials: u64) -> u
 pub struct Ensemble<'a> {
     crn: &'a FunctionCrn,
     max_steps: u64,
-    workers: usize,
+    /// The requested worker count; `None` asks for one per available core.
+    workers: Option<usize>,
 }
 
 impl<'a> Ensemble<'a> {
@@ -210,7 +211,7 @@ impl<'a> Ensemble<'a> {
         Ensemble {
             crn,
             max_steps: 10_000_000,
-            workers: default_workers(),
+            workers: None,
         }
     }
 
@@ -227,7 +228,7 @@ impl<'a> Ensemble<'a> {
     /// only the wall-clock changes.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.workers = Some(workers.max(1));
         self
     }
 
@@ -277,10 +278,10 @@ impl<'a> Ensemble<'a> {
             }
             if let Some(batch_start) = batch_start {
                 crn_obs::add("sim.trials", hi - lo);
-                // One firing refreshes the propensity table once; one trial
-                // rebuilds it once at its start.
+                // A firing recomputes the propensities of its dependents;
+                // one trial rebuilds the whole table once at its start.
                 crn_obs::add("sim.steps", batch_steps);
-                crn_obs::add("sim.propensity_refreshes", batch_steps);
+                crn_obs::add("sim.propensity_refreshes", sim.refreshes());
                 crn_obs::add("sim.propensity_rebuilds", hi - lo);
                 crn_obs::observe_many("sim.trial_steps", &trial_steps);
                 let nanos = u64::try_from(batch_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -289,46 +290,50 @@ impl<'a> Ensemble<'a> {
             Ok(acc)
         };
 
-        let workers = effective_workers(self.workers, default_workers(), trials);
-        let merged = if workers <= 1 {
-            // Fast path: no scoped thread, no spawn/join overhead — the
-            // single worker's range runs inline on the calling thread.
-            run_range(0, trials)?
-        } else {
-            // Split [0, trials) into `workers` contiguous chunks, the first
-            // `trials % workers` of them one trial longer.
-            let base = trials / workers as u64;
-            let extra = trials % workers as u64;
-            let bounds: Vec<u64> = (0..=workers as u64)
-                .map(|w| w * base + w.min(extra))
-                .collect();
-            let parent = crn_obs::SpanPath::current();
-            let accs: Vec<Result<TrialAccumulator, CrnError>> = crn_sync::thread::scope(|scope| {
-                let handles: Vec<_> = bounds
-                    .windows(2)
-                    .map(|range| {
-                        let (lo, hi) = (range[0], range[1]);
-                        let parent = parent.clone();
-                        scope.spawn(move || {
-                            let _adopted = parent.adopt();
-                            let _span = crn_obs::span("worker");
-                            run_range(lo, hi)
-                        })
+        let parallelism = default_workers();
+        let workers = effective_workers(self.workers.unwrap_or(parallelism), parallelism, trials);
+        // Split [0, trials) into `workers` contiguous chunks, the first
+        // `trials % workers` of them one trial longer.
+        let base = trials / workers as u64;
+        let extra = trials % workers as u64;
+        let bounds: Vec<u64> = (0..=workers as u64)
+            .map(|w| w * base + w.min(extra))
+            .collect();
+        let parent = crn_obs::SpanPath::current();
+        let accs: Vec<Result<TrialAccumulator, CrnError>> = crn_sync::thread::scope(|scope| {
+            // The calling thread runs the first range itself, so one worker
+            // spawns no thread.
+            let helpers: Vec<_> = bounds
+                .windows(2)
+                .skip(1)
+                .map(|range| {
+                    let (lo, hi) = (range[0], range[1]);
+                    let parent = parent.clone();
+                    scope.spawn(move || {
+                        let _adopted = parent.adopt();
+                        let _span = crn_obs::span("worker");
+                        run_range(lo, hi)
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("ensemble worker panicked"))
-                    .collect()
-            });
-            // Workers hold contiguous ranges in trial order, so the first
-            // error met here is the lowest-numbered failing trial's.
-            let mut merged = TrialAccumulator::new();
-            for acc in accs {
-                merged.merge(acc?);
-            }
-            merged
-        };
+                })
+                .collect();
+            let first = {
+                let _span = crn_obs::span("worker");
+                run_range(bounds[0], bounds[1])
+            };
+            std::iter::once(first)
+                .chain(
+                    helpers
+                        .into_iter()
+                        .map(|h| h.join().expect("ensemble worker panicked")),
+                )
+                .collect()
+        });
+        // Workers hold contiguous ranges in trial order, so the first error
+        // met here is the lowest-numbered failing trial's.
+        let mut merged = TrialAccumulator::new();
+        for acc in accs {
+            merged.merge(acc?);
+        }
         crn_obs::gauge_max("sim.workers", u64::try_from(workers).unwrap_or(u64::MAX));
         Ok(merged.finish(x))
     }

@@ -132,6 +132,8 @@ pub struct Gillespie<'a> {
     propensities: PropensityTable,
     /// Dense configuration scratch, reused across runs.
     state: DenseState,
+    /// The propensity entries firings have recomputed since creation.
+    refreshes: u64,
 }
 
 impl<'a> Gillespie<'a> {
@@ -147,6 +149,7 @@ impl<'a> Gillespie<'a> {
             rng: StdRng::seed_from_u64(seed),
             propensities: PropensityTable::new(),
             state,
+            refreshes: 0,
         }
     }
 
@@ -156,6 +159,16 @@ impl<'a> Gillespie<'a> {
     /// recompiling) a simulator per trial.
     pub fn reseed(&mut self, seed: u64) {
         self.rng = StdRng::seed_from_u64(seed);
+    }
+
+    /// The propensity entries recomputed after firings, summed over every
+    /// run since this simulator was created: each firing of reaction `r`
+    /// recomputes its `|dependents(r)|` entries.  Run-start rebuilds are not
+    /// counted.  A plain field read, so batch runners flush it once per
+    /// batch.
+    #[must_use]
+    pub fn refreshes(&self) -> u64 {
+        self.refreshes
     }
 
     /// Loads `start` into the dense scratch state, regrowing it if the
@@ -192,6 +205,7 @@ impl<'a> Gillespie<'a> {
         self.propensities
             .refresh_after(&self.compiled, self.state.counts(), chosen)
             .map_err(|r| self.crn.propensity_overflow(r))?;
+        self.refreshes += self.compiled.dependents(chosen).len() as u64;
         Ok(true)
     }
 
@@ -490,6 +504,23 @@ mod tests {
         let b = run(11);
         assert_eq!(a.steps, b.steps);
         assert_eq!(a.final_configuration, b.final_configuration);
+    }
+
+    /// From (2, 3), Figure 1's `max` fires `X1 -> Z1 + Y` twice and
+    /// `X2 -> Z2 + Y` three times (3 dependents each: themselves,
+    /// `Z1 + Z2 -> K` and `K + Y -> 0`), then `Z1 + Z2 -> K` twice (2) and
+    /// `K + Y -> 0` twice (1): 21 entries over 9 firings, in every order.
+    #[test]
+    fn refreshes_count_the_dependents_of_each_firing() {
+        let max = examples::max_crn();
+        let start = max.initial_configuration(&NVec::from(vec![2, 3])).unwrap();
+        for seed in 0..16 {
+            let mut sim = Gillespie::new(max.crn(), seed);
+            let out = sim.run(&start, 1_000_000).unwrap();
+            assert_eq!((out.steps, sim.refreshes()), (9, 21), "seed {seed}");
+            sim.run(&start, 1_000_000).unwrap();
+            assert_eq!(sim.refreshes(), 42, "seed {seed}");
+        }
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! Run with `RUSTFLAGS='--cfg crn_model_check' cargo test -p crn-sync --test
 //! model`; under a normal build this file compiles to nothing.  Each test
 //! drives a 2–3 thread miniature of a load-bearing protocol — the
-//! `parallel.rs` cursor + `first_bad` reduction, a release/acquire publish,
-//! the `crn_obs` registry (the *real* `Registry`, via the dev-dependency) —
-//! through every schedule within the stated preemption bound, plus litmus
-//! tests pinning the memory model and negative tests proving a seeded
-//! ordering bug is caught with a replayable trace.
+//! `parallel.rs` cursor + `first_bad` reduction (with two spawned workers,
+//! and with the calling thread forking its helper mid-scan), a
+//! release/acquire publish, the `crn_obs` registry (the *real* `Registry`,
+//! via the dev-dependency) — through every schedule within the stated
+//! preemption bound, plus litmus tests pinning the memory model and
+//! negative tests proving a seeded ordering bug is caught with a
+//! replayable trace.
 //!
 //! Tests print their explored-execution counts (`cargo test ... --
 //! --nocapture`); EXPERIMENTS.md E21 records the reference numbers.
@@ -21,13 +23,42 @@ use crn_sync::{lock_recover, thread, Mutex};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 
-/// The `parallel.rs` sharded-scan miniature: 2 workers draw indices 0..4
-/// from a shared cursor, indices 1 and 3 are "bad", each worker records its
-/// first bad draw locally and lowers the shared `first_bad` pruning bound;
-/// the winner is the minimum of the local records, merged after join.
-fn first_bad_scan(cursor: Ordering, load: Ordering, reduce: Ordering) -> Option<u64> {
+/// The bad indices of the `parallel.rs` miniatures' box `0..4`.
+const BAD: [u64; 2] = [1, 3];
+
+/// One worker of the `parallel.rs` miniatures: draws indices 0..4 from the
+/// shared cursor, records its first bad draw locally and lowers the shared
+/// `first_bad` pruning bound.  `fork` is offered the draw count before each
+/// draw after the first, as the calling thread offers its fork in
+/// `parallel.rs`.
+fn scan_worker(
+    next: &AtomicU64,
+    first_bad: &AtomicU64,
+    [cursor, load, reduce]: [Ordering; 3],
+    mut fork: impl FnMut(u64),
+) -> Option<u64> {
     const TOTAL: u64 = 4;
-    let bad = |i: u64| i == 1 || i == 3;
+    let mut draws = 0;
+    loop {
+        if draws > 0 {
+            fork(draws);
+        }
+        let i = next.fetch_add(1, cursor);
+        if i >= TOTAL || i > first_bad.load(load) {
+            return None;
+        }
+        draws += 1;
+        if BAD.contains(&i) {
+            first_bad.fetch_min(i, reduce);
+            return Some(i);
+        }
+    }
+}
+
+/// The `parallel.rs` sharded-scan miniature: 2 spawned workers share the
+/// cursor; the winner is the minimum of the local records, merged after
+/// join.
+fn first_bad_scan(cursor: Ordering, load: Ordering, reduce: Ordering) -> Option<u64> {
     let next = AtomicU64::new(0);
     let first_bad = AtomicU64::new(u64::MAX);
     thread::scope(|scope| {
@@ -35,27 +66,35 @@ fn first_bad_scan(cursor: Ordering, load: Ordering, reduce: Ordering) -> Option<
             .map(|_| {
                 let next = &next;
                 let first_bad = &first_bad;
-                scope.spawn(move || {
-                    let mut best: Option<u64> = None;
-                    loop {
-                        let i = next.fetch_add(1, cursor);
-                        if i >= TOTAL || i > first_bad.load(load) {
-                            break;
-                        }
-                        if bad(i) {
-                            best = Some(i);
-                            first_bad.fetch_min(i, reduce);
-                            break;
-                        }
-                    }
-                    best
-                })
+                scope.spawn(move || scan_worker(next, first_bad, [cursor, load, reduce], |_| {}))
             })
             .collect();
         handles
             .into_iter()
             .filter_map(|h| h.join().expect("worker does not panic"))
             .min()
+    })
+}
+
+/// The miniature of `parallel.rs`'s lazy fork: the scope's own thread scans
+/// as worker 0 and spawns its one helper onto the same cursor after its
+/// first draw; the winner is the minimum of both local records.
+fn first_bad_scan_lazy(orders: [Ordering; 3]) -> Option<u64> {
+    let next = AtomicU64::new(0);
+    let first_bad = AtomicU64::new(u64::MAX);
+    thread::scope(|scope| {
+        let mut helper = None;
+        let own = scan_worker(&next, &first_bad, orders, |draws| {
+            if draws == 1 {
+                let (next, first_bad) = (&next, &first_bad);
+                helper = Some(scope.spawn(move || scan_worker(next, first_bad, orders, |_| {})));
+            }
+        });
+        let helper = helper
+            .expect("the first draw is good, so the helper spawns")
+            .join()
+            .expect("worker does not panic");
+        own.into_iter().chain(helper).min()
     })
 }
 
@@ -100,6 +139,35 @@ fn first_bad_reduction_tolerates_relaxed() {
         "E21 first_bad (all-Relaxed, bound 3): {} executions",
         report.executions
     );
+}
+
+/// The calling thread as worker 0 (`parallel.rs` under the default worker
+/// count): scanning before the helper exists, then racing it on the rest of
+/// the cursor, never loses the lexicographically-first bad point, at the
+/// audited orderings and at the all-Relaxed downgrade.  Cross-referenced
+/// from the ordering audit in `parallel.rs`.
+#[test]
+fn first_bad_reduction_survives_a_lazy_fork() {
+    for (name, orders) in [
+        (
+            "Relaxed/Acquire/AcqRel",
+            [Ordering::Relaxed, Ordering::Acquire, Ordering::AcqRel],
+        ),
+        ("all-Relaxed", [Ordering::Relaxed; 3]),
+    ] {
+        let report = Checker::new().preemption_bound(3).check(
+            "first_bad_reduction_survives_a_lazy_fork",
+            || {
+                let winner = first_bad_scan_lazy(orders);
+                assert_eq!(winner, Some(1), "lex-first bad point must win the merge");
+            },
+        );
+        assert!(!report.truncated, "exploration must be exhaustive");
+        eprintln!(
+            "E21 first_bad lazy fork ({name}, bound 3): {} executions",
+            report.executions
+        );
+    }
 }
 
 /// The message-passing publish contract in miniature: a slot written

@@ -17,7 +17,7 @@ proptest! {
     #[test]
     fn quilt_crn_computes_floored_linear(a in 1u64..4, b in 1u64..4, q in 1u64..4, x1 in 0u64..4, x2 in 0u64..4) {
         let g = QuiltAffine::floor_linear(
-            QVec::from(vec![
+            &QVec::from(vec![
                 Rational::new(a as i128, q as i128),
                 Rational::new(b as i128, q as i128),
             ]),
